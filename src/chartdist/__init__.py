@@ -8,8 +8,8 @@ and check finitary certificates for distance bounds.
 """
 
 from .bisim import (
-    Partition, bisimilar, coarsest_partition, is_bisimulation, quotient,
-    stratified_level,
+    Partition, Refinement, bisimilar, coarsest_partition, is_bisimulation,
+    quotient, stratified_level,
 )
 from .chart import (
     Chart, ChartFormatError, Prechart, chart_to_dot, disjoint_union,
@@ -36,8 +36,8 @@ from .expr import (
 )
 from .metric import (
     DistTable, MetricIterationError, bd_expressions, bd_kleene,
-    bd_stratified, hausdorff, is_dyadic_or_zero, kleene_solve, lift_edge,
-    phi,
+    bd_stratified, hausdorff, is_dyadic_or_zero, kleene_solve,
+    level_distance, lift_edge, phi, split_table,
 )
 from .regbeh import (
     IntMorphism, RbMorphism, RbTypeError, embed_n, homset_distance,

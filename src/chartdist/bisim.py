@@ -2,22 +2,24 @@
 
 Two states are bisimilar when they output the same variables and every
 transition of one can be matched by an equally-labelled transition of
-the other into bisimilar states.  The coarsest such relation is
-computed by partition refinement; the stratified approximants (level 0
+the other into bisimilar states.  The stratified approximants (level 0
 relates everything, level n+1 additionally requires output equality and
-matching into level n) give the finite levels used by the distance
-modules.
+matching into level n) and the coarsest such relation all come from one
+partition refinement, ``Refinement``, which keeps its split history:
+the level of a pair is the last round at which it shares a block, and
+the distance modules read 2^-level off it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chart import Chart, Prechart, disjoint_union, state_key
 
 __all__ = [
-    "Partition", "bisimilar", "stratified_level", "quotient",
+    "Partition", "Refinement", "bisimilar", "stratified_level", "quotient",
     "is_bisimulation", "coarsest_partition",
 ]
 
@@ -37,60 +39,119 @@ class Partition:
                 raise ValueError("overlapping partition blocks")
             seen |= b
 
+    @cached_property
+    def _block_of(self) -> dict:
+        return {q: i for i, b in enumerate(self.blocks) for q in b}
+
     def as_map(self) -> dict:
-        m = {}
-        for i, b in enumerate(self.blocks):
-            for q in b:
-                m[q] = i
-        return m
+        return dict(self._block_of)
 
     def same_block(self, q1, q2) -> bool:
-        m = self.as_map()
+        m = self._block_of
         return m[q1] == m[q2]
 
 
-def _refine_once(p: Prechart, assign: dict, order: list, with_outputs: bool) -> dict:
-    """One refinement round; block ids are renumbered in first-seen order."""
-    tmap = p.transition_map()
-    omap = p.output_map()
-    sigs = {}
-    for q in order:
-        succ = frozenset((a, assign[r]) for (a, r) in tmap[q])
-        if with_outputs:
-            sigs[q] = (assign[q], frozenset(omap[q]), succ)
-        else:
-            sigs[q] = (assign[q], succ)
-    fresh: dict = {}
-    new = {}
-    for q in order:
-        s = sigs[q]
-        if s not in fresh:
-            fresh[s] = len(fresh)
-        new[q] = fresh[s]
-    return new
+class Refinement:
+    """Stratified partition refinement of a prechart, with its split history.
+
+    Round 0 puts every state in one block.  Round k+1 splits each block
+    of round k by the states' outputs and by the round-k blocks their
+    transitions reach under each letter, so two states share a round-k
+    block exactly when the k-th stratum relates them.  The rounds are
+    nested, and the first round that splits nothing leaves the
+    bisimilarity partition.
+
+    The history is a split tree: every block is a node, and a block that
+    a round splits records that round and becomes the parent of its
+    parts.  Two states first differ at the round that split their lowest
+    common block, so memory stays linear in the states however many
+    rounds run.  Rounds are computed on demand: ``level`` stops as soon
+    as its pair has split, while ``classes`` and ``max_level`` run to the
+    end.  ``rounds`` counts the rounds so far that split some block.
+    """
+
+    def __init__(self, p: Prechart):
+        self.order = sorted(p.states, key=state_key)
+        omap = p.output_map()
+        self._outs = {q: frozenset(omap[q]) for q in self.order}
+        self._succ = p.transition_map()
+        self._block = dict.fromkeys(self.order, 0)  # state -> current block
+        # block -> the block it was split from; a parent's id is always
+        # smaller than its children's
+        self._parent = [None]
+        self._split_at = [math.inf]                  # block -> round that split it
+        self._count = 1 if self.order else 0
+        self.rounds = 0
+        self.stable = False
+        self._classes = None
+
+    def _advance(self):
+        block = self._block
+        parts: dict = {}
+        for q in self.order:
+            sig = (block[q], self._outs[q],
+                   frozenset((a, block[r]) for (a, r) in self._succ[q]))
+            parts.setdefault(sig, []).append(q)
+        if len(parts) == self._count:
+            self.stable = True
+            return
+        self.rounds += 1
+        self._count = len(parts)
+        by_block: dict = {}
+        for (b, _, _), members in parts.items():
+            by_block.setdefault(b, []).append(members)
+        for b, split in by_block.items():
+            if len(split) == 1:
+                continue
+            self._split_at[b] = self.rounds
+            for members in split:
+                child = len(self._parent)
+                self._parent.append(b)
+                self._split_at.append(math.inf)
+                for q in members:
+                    block[q] = child
+
+    def level(self, x, y):
+        """Last round at which x and y share a block; math.inf if never split."""
+        block = self._block
+        while block[x] == block[y]:
+            if self.stable:
+                return math.inf
+            self._advance()
+        a, b = block[x], block[y]
+        while a != b:
+            if a > b:
+                a = self._parent[a]
+            else:
+                b = self._parent[b]
+        return self._split_at[a] - 1
+
+    def classes(self) -> dict:
+        """State -> bisimilarity class id, numbered first-seen in state_key
+        order; do not mutate."""
+        if self._classes is None:
+            while not self.stable:
+                self._advance()
+            fresh: dict = {}
+            self._classes = {q: fresh.setdefault(self._block[q], len(fresh))
+                             for q in self.order}
+        return self._classes
+
+    def max_level(self) -> int:
+        """Largest finite level of any pair of states, 0 if there is none."""
+        self.classes()
+        return max(self.rounds - 1, 0)
+
+    def partition(self) -> Partition:
+        blocks: dict = {}
+        for q, i in self.classes().items():
+            blocks.setdefault(i, []).append(q)
+        return Partition(tuple(frozenset(b) for b in blocks.values()))
 
 
 def coarsest_partition(p: Prechart) -> Partition:
-    """Coarsest bisimulation partition (outputs respected from the start)."""
-    order = sorted(p.states, key=state_key)
-    omap = p.output_map()
-    fresh: dict = {}
-    assign = {}
-    for q in order:
-        s = frozenset(omap[q])
-        if s not in fresh:
-            fresh[s] = len(fresh)
-        assign[q] = fresh[s]
-    while True:
-        new = _refine_once(p, assign, order, with_outputs=False)
-        if len(set(new.values())) == len(set(assign.values())):
-            assign = new
-            break
-        assign = new
-    blocks: dict = {}
-    for q in order:
-        blocks.setdefault(assign[q], []).append(q)
-    return Partition(tuple(frozenset(blocks[i]) for i in sorted(blocks)))
+    """Coarsest bisimulation partition, blocks in first-seen state_key order."""
+    return Refinement(p).partition()
 
 
 def bisimilar(c1: Chart, c2: Chart):
@@ -100,17 +161,17 @@ def bisimilar(c1: Chart, c2: Chart):
     (False, n) where n is the least level at which the starts separate.
     """
     union, s1, s2 = disjoint_union(c1, c2)
-    part = coarsest_partition(union)
-    m = part.as_map()
-    if m[s1] == m[s2]:
-        witness = frozenset(
-            (q1, q2)
-            for q1 in c1.states for q2 in c2.states
-            if m[f"L:{q1}"] == m[f"R:{q2}"]
-        )
-        return True, witness
-    level = stratified_level(c1, c2)
-    return False, level + 1
+    refinement = Refinement(union)
+    level = refinement.level(s1, s2)
+    if level != math.inf:
+        return False, level + 1
+    m = refinement.classes()
+    right: dict = {}
+    for q2 in c2.states:
+        right.setdefault(m[f"R:{q2}"], []).append(q2)
+    witness = frozenset(
+        (q1, q2) for q1 in c1.states for q2 in right.get(m[f"L:{q1}"], ()))
+    return True, witness
 
 
 def stratified_level(c1: Chart, c2: Chart):
@@ -120,17 +181,7 @@ def stratified_level(c1: Chart, c2: Chart):
     transition matching into level n.
     """
     union, s1, s2 = disjoint_union(c1, c2)
-    order = sorted(union.states, key=state_key)
-    assign = {q: 0 for q in order}
-    level = 0
-    while True:
-        new = _refine_once(union, assign, order, with_outputs=True)
-        if new[s1] != new[s2]:
-            return level
-        if len(set(new.values())) == len(set(assign.values())):
-            return math.inf
-        assign = new
-        level += 1
+    return Refinement(union).level(s1, s2)
 
 
 def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:
@@ -156,8 +207,7 @@ def quotient(p: Prechart):
     The graph of the returned map is itself a bisimulation, and
     quotienting twice gives an isomorphic result.
     """
-    part = coarsest_partition(p)
-    m = part.as_map()
+    m = dict(Refinement(p).classes())
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)

@@ -10,11 +10,12 @@ failed derivation, 5 state budget exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bisim import bisimilar, stratified_level
+from .bisim import Refinement, bisimilar
 from .chart import (
     ChartFormatError, _relabel, chart_to_dot, disjoint_union,
     format_chart_text, parse_chart_text, state_key,
@@ -29,7 +30,7 @@ from .diagram import (
     term_to_dot, typecheck,
 )
 from .expr import ExpansionBudgetError, ExprSyntaxError, expand, free_vars, parse_expr
-from .metric import FZERO, MetricIterationError, kleene_solve
+from .metric import level_distance, split_table
 from .regbeh import RbTypeError
 
 EXIT_OK = 0
@@ -69,11 +70,6 @@ def _parse_alphabet(spec):
     return letters
 
 
-def _level_of(d: Fraction) -> int:
-    # d is 0 or a dyadic 1/2^k; level k reads off the denominator
-    return d.denominator.bit_length() - 1
-
-
 def _load_chart(text, args):
     if args.format == "chart":
         return parse_chart_text(text)
@@ -111,84 +107,63 @@ def _row_pairs(t1, t2, max_states):
     return joint, list(zip(seeds[:m], seeds[m:]))
 
 
-def _cmd_dist(args):
-    lines = []
+def _separation(args):
+    """One refinement of both inputs, and the least level of their pairs.
+
+    The pairs are the two starts, or for diagrams each pair of payload
+    rows; the level is math.inf when every pair is bisimilar.
+    """
     if args.format == "diag":
-        t1 = parse_term(_resolve(args.left))
-        t2 = parse_term(_resolve(args.right))
-        if typecheck(t1) != typecheck(t2):
-            raise DiagramTypeError("the two diagrams have different boundaries")
-        joint, pairs = _row_pairs(t1, t2, args.max_states)
-        result = kleene_solve(joint)
-        d = FZERO
-        for x, y in pairs:
-            d = max(d, result.table.get(x, y))
+        joint, pairs = _row_pairs(*_load_diagrams(args, args.left, args.right),
+                                  args.max_states)
     else:
         c1 = _load_chart(_resolve(args.left), args)
         c2 = _load_chart(_resolve(args.right), args)
-        p, s1, s2 = disjoint_union(c1, c2)
-        result = kleene_solve(p)
-        d = result.table.get(s1, s2)
-    if d == 0:
-        lines.append("0 (bisimilar)")
+        joint, s1, s2 = disjoint_union(c1, c2)
+        pairs = [(s1, s2)]
+    refinement = Refinement(joint)
+    level = min((refinement.level(x, y) for x, y in pairs), default=math.inf)
+    return refinement, level
+
+
+def _cmd_dist(args):
+    refinement, level = _separation(args)
+    if level == math.inf:
+        lines = ["0 (bisimilar)"]
     else:
-        lines.append(f"{d} (level {_level_of(d)})")
+        lines = [f"{level_distance(level)} (level {level})"]
     if args.table:
-        lines.append(result.table.to_tsv().rstrip("\n"))
+        lines.append(split_table(refinement).to_tsv().rstrip("\n"))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _cmd_bisim(args):
     if args.format == "diag":
-        t1 = parse_term(_resolve(args.left))
-        t2 = parse_term(_resolve(args.right))
-        if typecheck(t1) != typecheck(t2):
-            raise DiagramTypeError("the two diagrams have different boundaries")
-        rows1 = interpret(t1).payload.rows
-        rows2 = interpret(t2).payload.rows
-        witness_lines = []
-        worst = None
-        for i, (r1, r2) in enumerate(zip(rows1, rows2), start=1):
-            ok, w = bisimilar(expand(r1, max_states=args.max_states),
-                              expand(r2, max_states=args.max_states))
-            if not ok:
-                worst = w if worst is None else min(worst, w)
-            else:
-                for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]),
-                                                        state_key(pr[1]))):
-                    witness_lines.append(f"row {i}\t{q1}\t{q2}")
-        if worst is not None:
-            return EXIT_USAGE, f"not bisimilar (level {worst})\n"
-        return EXIT_OK, "\n".join(["bisimilar"] + witness_lines) + "\n"
-    c1 = _load_chart(_resolve(args.left), args)
-    c2 = _load_chart(_resolve(args.right), args)
-    ok, w = bisimilar(c1, c2)
-    if not ok:
-        return EXIT_USAGE, f"not bisimilar (level {w})\n"
+        t1, t2 = _load_diagrams(args, args.left, args.right)
+        rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows)
+        charts = [(f"row {i}\t", expand(r1, max_states=args.max_states),
+                   expand(r2, max_states=args.max_states))
+                  for i, (r1, r2) in enumerate(rows, start=1)]
+    else:
+        charts = [("", _load_chart(_resolve(args.left), args),
+                   _load_chart(_resolve(args.right), args))]
     lines = ["bisimilar"]
-    for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
-        lines.append(f"{q1}\t{q2}")
+    worst = None
+    for tag, c1, c2 in charts:
+        ok, w = bisimilar(c1, c2)
+        if not ok:
+            worst = w if worst is None else min(worst, w)
+            continue
+        for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
+            lines.append(f"{tag}{q1}\t{q2}")
+    if worst is not None:
+        return EXIT_USAGE, f"not bisimilar (level {worst})\n"
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _cmd_strat(args):
-    if args.format == "diag":
-        t1 = parse_term(_resolve(args.left))
-        t2 = parse_term(_resolve(args.right))
-        if typecheck(t1) != typecheck(t2):
-            raise DiagramTypeError("the two diagrams have different boundaries")
-        rows1 = interpret(t1).payload.rows
-        rows2 = interpret(t2).payload.rows
-        level = float("inf")
-        for r1, r2 in zip(rows1, rows2):
-            level = min(level, stratified_level(
-                expand(r1, max_states=args.max_states),
-                expand(r2, max_states=args.max_states)))
-    else:
-        c1 = _load_chart(_resolve(args.left), args)
-        c2 = _load_chart(_resolve(args.right), args)
-        level = stratified_level(c1, c2)
-    text = "inf" if level == float("inf") else str(level)
+    _, level = _separation(args)
+    text = "inf" if level == math.inf else str(level)
     return EXIT_OK, text + "\n"
 
 
@@ -353,7 +328,7 @@ def main(argv=None) -> int:
     except (SynthesisFailure, CertificateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_REJECTED
-    except (ExpansionBudgetError, MetricIterationError) as e:
+    except ExpansionBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except _UsageError as e:

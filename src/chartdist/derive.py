@@ -23,14 +23,15 @@ target state named by its canonical expression text, or ``(out vN)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bisim import coarsest_partition
+from .bisim import Refinement
 from .chart import Prechart, move_key
 from .diagram import DiagramTypeError, interpret, typecheck
 from .expr import alpha_normal, expand, format_expr
-from .metric import FZERO, ONE, kleene_solve
+from .metric import FZERO, ONE, level_distance
 
 __all__ = [
     "CTop", "CBisim", "CWeaken", "CTriang", "CCoupling", "CDecomp",
@@ -331,7 +332,7 @@ def _payload_pairs(f, g):
 class _Checker:
     def __init__(self, prechart):
         self.beta = prechart.beta()
-        self.partition = coarsest_partition(prechart)
+        self.refinement = Refinement(prechart)
 
     def root(self, cert, pairs, path="cert"):
         if isinstance(cert, CWeaken):
@@ -361,7 +362,7 @@ class _Checker:
         if isinstance(cert, CTop):
             return ONE
         if isinstance(cert, CBisim):
-            if not self.partition.same_block(x, y):
+            if self.refinement.level(x, y) != math.inf:
                 raise CertificateError(
                     f"states {x!r} and {y!r} are not bisimilar", path)
             return FZERO
@@ -435,29 +436,35 @@ def check(cert, f, g, max_states=10000) -> Fraction:
 
 
 class _Synthesizer:
+    """Tight certificates, read off the split levels of one refinement.
+
+    The p-th Kleene iterate of the distance is 2^-min(p, level) on
+    states that split and 0 on bisimilar ones, and the iteration is
+    stable from the largest finite level on.
+    """
+
     def __init__(self, prechart):
         self.beta = prechart.beta()
-        self.result = kleene_solve(prechart)
-        self.class_of = self.result.class_of
-        self.tables = self.result.quotient_tables
-        self.stable = self.result.stable_index
+        self.refinement = Refinement(prechart)
+        self.stable = self.refinement.max_level()
         self.memo = {}
 
-    def level_distance(self, x, y, p):
-        t = self.tables[min(p, self.stable)]
-        return t.get(self.class_of[x], self.class_of[y])
+    def distance(self, x, y, p):
+        """The p-th Kleene iterate of the distance between x and y."""
+        level = self.refinement.level(x, y)
+        return level_distance(level if level == math.inf else min(p, level))
 
     def cost(self, m1, m2, p):
         if m1 == m2:
             return FZERO
         if m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
-            return self.level_distance(m1[2], m2[2], p - 1) / 2
+            return self.distance(m1[2], m2[2], p - 1) / 2
         return ONE
 
     def cert(self, x, y, p):
-        if self.class_of[x] == self.class_of[y]:
+        if self.refinement.level(x, y) == math.inf:
             return CBisim()
-        if p == 0 or self.level_distance(x, y, p) == ONE:
+        if p == 0 or self.distance(x, y, p) == ONE:
             return CTop()
         key = (x, y, p)
         hit = self.memo.get(key)
@@ -482,7 +489,7 @@ class _Synthesizer:
             if m1 != m2 and m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
                 child = self.cert(m1[2], m2[2], p - 1)
             triples.append((m1, m2, child))
-        assert worst == self.level_distance(x, y, p)
+        assert worst == self.distance(x, y, p)
         node = CCoupling(worst, tuple(triples))
         self.memo[key] = node
         return node
@@ -500,11 +507,8 @@ def synthesize(f, g, eps=None, max_states=10000):
     m = len(rows1)
     pairs = list(zip(seeds[:m], seeds[m:]))
     syn = _Synthesizer(joint)
-    distance = FZERO
-    for x, y in pairs:
-        d = syn.result.table.get(x, y)
-        if d > distance:
-            distance = d
+    distance = level_distance(
+        min((syn.refinement.level(x, y) for x, y in pairs), default=math.inf))
     if eps is not None:
         eps = Fraction(eps)
         _check_eps(eps)

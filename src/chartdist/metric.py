@@ -8,10 +8,16 @@ labelled transitions at half the distance of their targets, anything
 else at distance 1) and move sets by the symmetric sup-inf Hausdorff
 lifting with sup over the empty set 0 and inf over the empty set 1.
 
-Every value reachable this way is 0 or a power of two 2^-k, so the
-Kleene iteration from the everywhere-1 table runs on exponents
-internally.  Bisimilar states never stabilise under plain iteration
-(their values halve forever), hence the solver first quotients by
+Every value reachable this way is 0 or a power of two 2^-k: the least
+fixpoint is 2^-level, where level is the last round of the stratified
+refinement (``bisim.Refinement``) at which two states share a block,
+and 0 when they never split.  The command line reads distances off the
+refinement (``level_distance``, ``split_table``).
+
+``kleene_solve`` is the reference definition, kept for the tests and
+demos: it iterates the operator from the everywhere-1 table, on
+exponents internally.  Bisimilar states never stabilise under plain
+iteration (their values halve forever), hence it first quotients by
 bisimilarity, iterates on the quotient, and pulls the result back.
 """
 
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bisim import quotient, stratified_level
+from .bisim import Refinement, quotient, stratified_level
 from .chart import Chart, Prechart, disjoint_union, state_key
 from .expr import Expr, expand
 
@@ -29,7 +35,7 @@ __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
     "bd_kleene", "kleene_solve", "KleeneResult",
     "bd_stratified", "bd_expressions", "MetricIterationError",
-    "is_dyadic_or_zero",
+    "is_dyadic_or_zero", "level_distance", "split_table",
 ]
 
 HALF = Fraction(1, 2)
@@ -287,16 +293,33 @@ def bd_kleene(p: Prechart) -> DistTable:
     return kleene_solve(p).table
 
 
+def level_distance(level) -> Fraction:
+    """The distance 2^-level of a stratification level; 0 for math.inf."""
+    if level == math.inf:
+        return FZERO
+    return Fraction(1, 2 ** level)
+
+
+def split_table(refinement: Refinement) -> DistTable:
+    """Full distance table over a refinement's states, read off its levels.
+
+    Equal to ``kleene_solve(p).table`` for the refined prechart p.
+    """
+    table = DistTable(refinement.order)
+    states = table.states
+    for i, q1 in enumerate(states):
+        for j in range(i + 1, len(states)):
+            table.set(q1, states[j], level_distance(refinement.level(q1, states[j])))
+    return table
+
+
 def bd_stratified(c1: Chart, c2: Chart) -> Fraction:
     """Distance between two charts' starts via the stratification level.
 
     Bisimilar charts are at distance 0; otherwise the distance is 2^-n
     for the largest n at which the starts are still related.
     """
-    level = stratified_level(c1, c2)
-    if level == math.inf:
-        return FZERO
-    return Fraction(1, 2 ** level)
+    return level_distance(stratified_level(c1, c2))
 
 
 def bd_expressions(e1: Expr, e2: Expr, max_states: int = 10000) -> Fraction:

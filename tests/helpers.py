@@ -10,10 +10,12 @@ import math
 from fractions import Fraction
 
 from chartdist import (
-    Act, Chart, Copy, Del, Gen, Id, Merge, Mu, Prechart, Prefix, Seq,
-    Sum, Tensor, Var, Zero, disjoint_union, empty_chart, from_expression,
-    loop1, prefix_chart, rec_chart, sum_chart, variable_chart, RbMorphism,
+    Act, Chart, Copy, Del, Gen, Id, Merge, Mu, Partition, Prechart, Prefix,
+    Seq, Sum, Tensor, Var, Zero, disjoint_union, empty_chart,
+    from_expression, loop1, prefix_chart, rec_chart, sum_chart,
+    variable_chart, RbMorphism,
 )
+from chartdist.chart import state_key
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -152,6 +154,17 @@ def brute_related_pairs(p):
                 rel.discard((x, y))
                 changed = True
     return rel
+
+
+def brute_partition(p):
+    """Bisimilarity classes as a Partition, numbered first-seen in
+    state_key order, from the pair-elimination oracle."""
+    rel = brute_related_pairs(p)
+    blocks = []
+    for x in sorted(p.states, key=state_key):
+        if not any(x in b for b in blocks):
+            blocks.append(frozenset(y for y in p.states if (x, y) in rel))
+    return Partition(tuple(blocks))
 
 
 def brute_bisimilar(c1, c2):

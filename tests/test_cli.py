@@ -1,12 +1,18 @@
 """End-to-end command line behaviour, including exit codes."""
 
+from pathlib import Path
+
 import pytest
 
-from chartdist import format_chart_text, parse_chart_text
+from chartdist import (
+    disjoint_union, expand, format_chart_text, kleene_solve, parse_chart_text,
+    parse_expr, parse_term, typecheck,
+)
 from chartdist.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_REJECTED, EXIT_TYPE, EXIT_USAGE,
     main,
 )
+from helpers import brute_distance
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
 FIG_RIGHT = "mu v2.(a.v2 + b.mu v1.a.a.v1)"
@@ -166,6 +172,69 @@ def test_budget_exit(capsys):
     code, _, err = run(capsys, "dist", "--max-states", "1", "a.0", "b.0")
     assert code == EXIT_BUDGET
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["dist", "bisim", "strat"])
+def test_diagram_boundary_mismatch(capsys, command):
+    code, out, err = run(capsys, command, "--format", "diag", "copy", "merge")
+    assert (code, out) == (EXIT_TYPE, "")
+    assert err == "error: the two diagrams have different boundaries\n"
+
+
+def cycle_text(n):
+    """An n-cycle: a to the next state, b to the one after, v1 at state 0."""
+    lines = ["alphabet a b"] + [f"state {q}" for q in range(n)] + ["start 0"]
+    for q in range(n):
+        lines += [f"trans {q} a {(q + 1) % n}", f"trans {q} b {(q + 2) % n}"]
+    return "\n".join(lines + ["out 0 v1"]) + "\n"
+
+
+def test_dist_table_matches_kleene_on_cycle_pair(capsys):
+    left, right = cycle_text(8), cycle_text(9)
+    code, out, _ = run(capsys, "dist", "--table", "--format", "chart", left, right)
+    assert code == EXIT_OK
+    union, _, _ = disjoint_union(parse_chart_text(left), parse_chart_text(right))
+    assert out == "1/16 (level 4)\n" + kleene_solve(union).table.to_tsv()
+
+
+def corpus_rows():
+    path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
+    lines = [l.strip() for l in path.read_text().splitlines()]
+    return [tuple(l.split("\t")) for l in lines if l and not l.startswith("#")]
+
+
+# derive output on the same-boundary pairs (i, j) of corpus/pairs.txt, in
+# both formats; every pair not listed gets "(top)"
+CORPUS_CERTS = {
+    (1, 6): '(coupling 1/2 ((move (act a "v1") (act a "b.v1") (top))))',
+    (7, 9): '(coupling 1/2 ((move (act a "0") (act a "mu v1.a.v1") (top))))',
+    (7, 10): '(coupling 1/2 ((move (act a "0") (act a "a.mu v1.a.a.v1") (top))))',
+    (9, 10): "(bisim)",
+    (11, 12): '(coupling 1/4 ((move (act a "a.0+b.a.mu v1.a.v1") '
+              '(act a "mu v1.a.v1+b.a.a.mu v2.a.a.v2") (coupling 1/2 ('
+              '(move (act a "0") (act a "mu v1.a.v1+b.a.a.mu v2.a.a.v2") (top)) '
+              '(move (act b "a.mu v1.a.v1") (act b "a.a.mu v1.a.a.v1") (bisim))))) '
+              '(move (act b "a.mu v1.a.v1") (act b "a.a.mu v1.a.a.v1") (bisim))))',
+}
+
+
+def test_derive_corpus_certificates_are_pinned(capsys):
+    rows = corpus_rows()
+    seen = 0
+    for i, (e1, d1) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            e2, d2 = rows[j]
+            if typecheck(parse_term(d1)) != typecheck(parse_term(d2)):
+                continue
+            seen += 1
+            want = CORPUS_CERTS.get((i, j), "(top)")
+            distance = brute_distance(expand(parse_expr(e1)), expand(parse_expr(e2)))
+            for fmt, left, right in (("diag", d1, d2), ("expr", e1, e2)):
+                assert run(capsys, "derive", "--format", fmt, left, right)[:2] == \
+                    (EXIT_OK, want + "\n"), (i, j, fmt)
+                assert run(capsys, "check", "--format", fmt, want, left, right)[:2] == \
+                    (EXIT_OK, f"{distance}\n"), (i, j, fmt)
+    assert seen == 26
 
 
 def test_usage_exit_on_bad_flags(capsys):

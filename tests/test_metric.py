@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartdist import (
-    Chart, DistTable, bd_expressions, bd_kleene, bd_stratified,
-    disjoint_union, expand, hausdorff, is_dyadic_or_zero, kleene_solve,
-    lift_edge, parse_expr, phi,
+    Chart, DistTable, Prechart, Refinement, bd_expressions, bd_kleene,
+    bd_stratified, coarsest_partition, disjoint_union, expand, hausdorff,
+    is_dyadic_or_zero, kleene_solve, lift_edge, parse_expr, phi, quotient,
+    split_table,
 )
-from helpers import brute_distance, rand_chart, rand_expr
+from helpers import brute_distance, brute_partition, rand_chart, rand_expr
 
 # Values recomputed by tests.helpers.brute_distance, which iterates the
 # defining sup-inf operator on exact Fractions after collapsing
@@ -213,3 +215,39 @@ def test_substitution_is_nonexpansive():
             bd_expressions(g2, h2),
         )
         assert left <= bound
+
+
+@st.composite
+def precharts(draw):
+    """Small precharts with no start: possibly empty, with unreachable
+    states and self-loops, and a few string-named states."""
+    n = draw(st.integers(0, 7))
+    names = [str(i) if draw(st.booleans()) else i for i in range(n)]
+    if not names:
+        return Prechart(frozenset(), frozenset(), frozenset())
+    state = st.sampled_from(names)
+    trans = draw(st.frozensets(st.tuples(state, st.sampled_from("ab"), state),
+                               max_size=14))
+    loops = draw(st.frozensets(st.tuples(state, st.sampled_from("ab")),
+                               max_size=2))
+    outs = draw(st.frozensets(st.tuples(state, st.integers(1, 2)), max_size=6))
+    return Prechart(frozenset(names), trans | {(q, a, q) for q, a in loops}, outs)
+
+
+@given(precharts())
+@settings(max_examples=300, deadline=None)
+def test_refinement_agrees_with_kleene_and_pair_elimination(p):
+    res = kleene_solve(p)
+    r = Refinement(p)
+    assert split_table(r) == res.table
+    # the p-th iterate on the quotient is 2^-min(p, level) between classes
+    assert res.stable_index == r.max_level()
+    member = {c: q for q, c in res.class_of.items()}
+    for k in range(res.stable_index + 1):
+        table = res.quotient_tables[k]
+        for c1, x in member.items():
+            for c2, y in member.items():
+                want = 0 if c1 == c2 else Fraction(1, 2 ** min(k, r.level(x, y)))
+                assert table.get(c1, c2) == want
+    assert r.partition() == coarsest_partition(p) == brute_partition(p)
+    assert quotient(p)[1] == r.classes() == res.class_of
