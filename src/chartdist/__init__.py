@@ -9,7 +9,7 @@ and check finitary certificates for distance bounds.
 
 from .bisim import (
     Partition, Refinement, bisimilar, coarsest_partition, is_bisimulation,
-    quotient, stratified_level,
+    joint_refinement, quotient, stratified_level, witness_pairs,
 )
 from .chart import (
     Chart, ChartFormatError, Prechart, chart_to_dot, disjoint_union,
@@ -26,8 +26,8 @@ from .diagram import (
     Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError, Gen, Id,
     Merge, Seq, Sym, Tensor, Term, axiom_catalog, bend, c1_copy_pair,
     check_axiom, component, diagram_distance, format_term, from_expression,
-    interpret, loop1, parse_term, semantic_equal, term_to_dot, typecheck,
-    zip_merge,
+    interpret, interpret_pair, loop1, parse_term, semantic_equal, term_to_dot,
+    typecheck, zip_merge,
 )
 from .expr import (
     ExpansionBudgetError, Expr, ExprSyntaxError, Mu, Prefix, Sum, Var, ZERO,

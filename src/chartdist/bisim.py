@@ -19,8 +19,9 @@ from functools import cached_property
 from .chart import Chart, Prechart, disjoint_union, state_key
 
 __all__ = [
-    "Partition", "Refinement", "bisimilar", "stratified_level", "quotient",
-    "is_bisimulation", "coarsest_partition",
+    "Partition", "Refinement", "joint_refinement", "witness_pairs",
+    "bisimilar", "stratified_level", "quotient", "is_bisimulation",
+    "coarsest_partition",
 ]
 
 
@@ -154,24 +155,49 @@ def coarsest_partition(p: Prechart) -> Partition:
     return Refinement(p).partition()
 
 
+def joint_refinement(pairs):
+    """One refinement of a list of chart pairs; returns (refinement, starts).
+
+    The left chart of each pair is tagged "L:" and the right one "R:",
+    as by disjoint_union, and ``starts`` lists the tagged start pair of
+    each chart pair.  Charts on the same side share the states they name
+    alike, so a list of several pairs is meant for expansions, whose
+    states are canonical expression texts.
+    """
+    states, trans, outs = set(), set(), set()
+    starts = []
+    for c1, c2 in pairs:
+        union, s1, s2 = disjoint_union(c1, c2)
+        states |= union.states
+        trans |= union.trans
+        outs |= union.outs
+        starts.append((s1, s2))
+    joint = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
+    return Refinement(joint), starts
+
+
+def witness_pairs(refinement: Refinement, c1: Chart, c2: Chart) -> frozenset:
+    """Pairs in Q1 x Q2, reachable or not, whose tagged states share a
+    bisimilarity class of a joint refinement."""
+    m = refinement.classes()
+    right: dict = {}
+    for q2 in c2.states:
+        right.setdefault(m[f"R:{q2}"], []).append(q2)
+    return frozenset(
+        (q1, q2) for q1 in c1.states for q2 in right.get(m[f"L:{q1}"], ()))
+
+
 def bisimilar(c1: Chart, c2: Chart):
     """Decide bisimilarity of two charts' start states.
 
     Returns (True, witness relation on original state ids) or
     (False, n) where n is the least level at which the starts separate.
     """
-    union, s1, s2 = disjoint_union(c1, c2)
-    refinement = Refinement(union)
+    refinement, [(s1, s2)] = joint_refinement([(c1, c2)])
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
-    m = refinement.classes()
-    right: dict = {}
-    for q2 in c2.states:
-        right.setdefault(m[f"R:{q2}"], []).append(q2)
-    witness = frozenset(
-        (q1, q2) for q1 in c1.states for q2 in right.get(m[f"L:{q1}"], ()))
-    return True, witness
+    return True, witness_pairs(refinement, c1, c2)
 
 
 def stratified_level(c1: Chart, c2: Chart):
@@ -180,8 +206,8 @@ def stratified_level(c1: Chart, c2: Chart):
     Level 0 is the total relation; level n+1 requires equal outputs and
     transition matching into level n.
     """
-    union, s1, s2 = disjoint_union(c1, c2)
-    return Refinement(union).level(s1, s2)
+    refinement, [(s1, s2)] = joint_refinement([(c1, c2)])
+    return refinement.level(s1, s2)
 
 
 def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:

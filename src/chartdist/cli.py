@@ -10,24 +10,25 @@ failed derivation, 5 state budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bisim import Refinement, bisimilar
+from .bisim import joint_refinement, witness_pairs
 from .chart import (
-    ChartFormatError, _relabel, chart_to_dot, disjoint_union,
-    format_chart_text, parse_chart_text, state_key,
+    ChartFormatError, _relabel, chart_to_dot, format_chart_text,
+    parse_chart_text, state_key,
 )
 from .derive import (
     CertificateError, CertificateSyntaxError, SynthesisFailure, check,
-    format_cert, joint_prechart, parse_cert, synthesize,
+    format_cert, parse_cert, synthesize,
 )
 from .diagram import (
     DiagramSyntaxError, DiagramTypeError, axiom_catalog, c1_copy_pair,
-    check_axiom, format_term, from_expression, interpret, parse_term,
-    term_to_dot, typecheck,
+    check_axiom, format_term, from_expression, interpret, interpret_pair,
+    parse_term, term_to_dot, typecheck,
 )
 from .expr import ExpansionBudgetError, ExprSyntaxError, expand, free_vars, parse_expr
 from .metric import level_distance, split_table
@@ -70,64 +71,48 @@ def _parse_alphabet(spec):
     return letters
 
 
-def _load_chart(text, args):
+def _load_chart(arg, args):
+    text = _resolve(arg)
     if args.format == "chart":
         return parse_chart_text(text)
     return expand(parse_expr(text, alphabet=_parse_alphabet(args.alphabet)),
                   max_states=args.max_states)
 
 
-def _load_diagrams(args, a, b):
-    """The two inputs as diagram terms with equal boundaries."""
+def _load_diagrams(args):
+    """The two inputs as diagram terms; expressions are compiled at a
+    common width."""
     if args.format == "diag":
-        t1 = parse_term(_resolve(a))
-        t2 = parse_term(_resolve(b))
-    else:
-        alphabet = _parse_alphabet(args.alphabet)
-        e1 = parse_expr(_resolve(a), alphabet=alphabet)
-        e2 = parse_expr(_resolve(b), alphabet=alphabet)
-        width = 0
-        for e in (e1, e2):
-            fv = free_vars(e)
-            if fv:
-                width = max(width, max(fv))
-        t1 = from_expression(e1, width)
-        t2 = from_expression(e2, width)
-    if typecheck(t1) != typecheck(t2):
-        raise DiagramTypeError("the two diagrams have different boundaries")
-    return t1, t2
+        return parse_term(_resolve(args.left)), parse_term(_resolve(args.right))
+    alphabet = _parse_alphabet(args.alphabet)
+    e1 = parse_expr(_resolve(args.left), alphabet=alphabet)
+    e2 = parse_expr(_resolve(args.right), alphabet=alphabet)
+    width = max(free_vars(e1) | free_vars(e2), default=0)
+    return from_expression(e1, width), from_expression(e2, width)
 
 
-def _row_pairs(t1, t2, max_states):
-    rows1 = interpret(t1).payload.rows
-    rows2 = interpret(t2).payload.rows
-    joint, seeds = joint_prechart(list(rows1) + list(rows2),
-                                  max_states=max_states)
-    m = len(rows1)
-    return joint, list(zip(seeds[:m], seeds[m:]))
+def _chart_pairs(args):
+    """The two inputs as chart pairs: one pair, or for diagrams the
+    expansions of each pair of payload rows."""
+    if args.format != "diag":
+        return [(_load_chart(args.left, args), _load_chart(args.right, args))]
+    f, g = interpret_pair(*_load_diagrams(args))
+    return [(expand(r1, max_states=args.max_states),
+             expand(r2, max_states=args.max_states))
+            for r1, r2 in zip(f.payload.rows, g.payload.rows)]
 
 
-def _separation(args):
-    """One refinement of both inputs, and the least level of their pairs.
-
-    The pairs are the two starts, or for diagrams each pair of payload
-    rows; the level is math.inf when every pair is bisimilar.
-    """
-    if args.format == "diag":
-        joint, pairs = _row_pairs(*_load_diagrams(args, args.left, args.right),
-                                  args.max_states)
-    else:
-        c1 = _load_chart(_resolve(args.left), args)
-        c2 = _load_chart(_resolve(args.right), args)
-        joint, s1, s2 = disjoint_union(c1, c2)
-        pairs = [(s1, s2)]
-    refinement = Refinement(joint)
-    level = min((refinement.level(x, y) for x, y in pairs), default=math.inf)
-    return refinement, level
+def _compare(args):
+    """One refinement of both inputs: the chart pairs, the refinement, and
+    the least level of their start pairs (math.inf when all are bisimilar)."""
+    pairs = _chart_pairs(args)
+    refinement, starts = joint_refinement(pairs)
+    level = min((refinement.level(x, y) for x, y in starts), default=math.inf)
+    return pairs, refinement, level
 
 
 def _cmd_dist(args):
-    refinement, level = _separation(args)
+    _, refinement, level = _compare(args)
     if level == math.inf:
         lines = ["0 (bisimilar)"]
     else:
@@ -138,31 +123,20 @@ def _cmd_dist(args):
 
 
 def _cmd_bisim(args):
-    if args.format == "diag":
-        t1, t2 = _load_diagrams(args, args.left, args.right)
-        rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows)
-        charts = [(f"row {i}\t", expand(r1, max_states=args.max_states),
-                   expand(r2, max_states=args.max_states))
-                  for i, (r1, r2) in enumerate(rows, start=1)]
-    else:
-        charts = [("", _load_chart(_resolve(args.left), args),
-                   _load_chart(_resolve(args.right), args))]
+    pairs, refinement, level = _compare(args)
+    if level != math.inf:
+        return EXIT_USAGE, f"not bisimilar (level {level + 1})\n"
     lines = ["bisimilar"]
-    worst = None
-    for tag, c1, c2 in charts:
-        ok, w = bisimilar(c1, c2)
-        if not ok:
-            worst = w if worst is None else min(worst, w)
-            continue
+    for i, (c1, c2) in enumerate(pairs, start=1):
+        tag = f"row {i}\t" if args.format == "diag" else ""
+        w = witness_pairs(refinement, c1, c2)
         for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")
-    if worst is not None:
-        return EXIT_USAGE, f"not bisimilar (level {worst})\n"
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _cmd_strat(args):
-    _, level = _separation(args)
+    _, _, level = _compare(args)
     text = "inf" if level == math.inf else str(level)
     return EXIT_OK, text + "\n"
 
@@ -178,15 +152,13 @@ def _cmd_compile(args):
         row = interpret(t).payload.rows[0]
         c = expand(row, max_states=args.max_states)
     else:
-        c = expand(parse_expr(_resolve(args.input),
-                              alphabet=_parse_alphabet(args.alphabet)),
-                   max_states=args.max_states)
+        c = _load_chart(args.input, args)
     named, _ = _relabel(c, 0)
     return EXIT_OK, format_chart_text(named)
 
 
 def _cmd_derive(args):
-    t1, t2 = _load_diagrams(args, args.left, args.right)
+    t1, t2 = _load_diagrams(args)
     eps = Fraction(args.eps) if args.eps is not None else None
     if eps is not None and not 0 <= eps <= 1:
         raise _UsageError(f"--eps {eps} outside [0, 1]")
@@ -196,7 +168,7 @@ def _cmd_derive(args):
 
 def _cmd_check(args):
     cert = parse_cert(_resolve(args.cert))
-    t1, t2 = _load_diagrams(args, args.left, args.right)
+    t1, t2 = _load_diagrams(args)
     bound = check(cert, t1, t2, max_states=args.max_states)
     return EXIT_OK, f"{bound}\n"
 
@@ -206,13 +178,8 @@ def _cmd_render(args):
         t = parse_term(_resolve(args.input))
         typecheck(t)
         dot = term_to_dot(t)
-    elif args.format == "chart":
-        dot = chart_to_dot(parse_chart_text(_resolve(args.input)))
     else:
-        c = expand(parse_expr(_resolve(args.input),
-                              alphabet=_parse_alphabet(args.alphabet)),
-                   max_states=args.max_states)
-        dot = chart_to_dot(c)
+        dot = chart_to_dot(_load_chart(args.input, args))
     return EXIT_OK, dot
 
 
@@ -246,6 +213,7 @@ def _add_common(sub, formats):
                      help="write the report to FILE instead of stdout")
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="chartdist",

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .bisim import Refinement
 from .chart import Prechart, move_key
-from .diagram import DiagramTypeError, interpret, typecheck
+from .diagram import interpret_pair
 from .expr import alpha_normal, expand, format_expr
 from .metric import FZERO, ONE, level_distance
 
@@ -321,12 +321,15 @@ def joint_prechart(exprs, max_states=10000):
     return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
 
 
-def _payload_pairs(f, g):
-    if typecheck(f) != typecheck(g):
-        raise DiagramTypeError("certificates require equal boundary words")
-    rows1 = interpret(f).payload.rows
-    rows2 = interpret(g).payload.rows
-    return rows1, rows2
+def _joint_rows(f, g, max_states):
+    """The joint prechart of two diagrams' payload rows, and the pair of
+    start states of each row."""
+    m1, m2 = interpret_pair(f, g)
+    rows1, rows2 = m1.payload.rows, m2.payload.rows
+    joint, seeds = joint_prechart(list(rows1) + list(rows2),
+                                  max_states=max_states)
+    m = len(rows1)
+    return joint, list(zip(seeds[:m], seeds[m:]))
 
 
 class _Checker:
@@ -424,11 +427,7 @@ class _Checker:
 
 def check(cert, f, g, max_states=10000) -> Fraction:
     """Validate a certificate for two diagrams; the certified bound."""
-    rows1, rows2 = _payload_pairs(f, g)
-    joint, seeds = joint_prechart(list(rows1) + list(rows2),
-                                  max_states=max_states)
-    m = len(rows1)
-    pairs = list(zip(seeds[:m], seeds[m:]))
+    joint, pairs = _joint_rows(f, g, max_states)
     return _Checker(joint).root(cert, pairs)
 
 
@@ -501,11 +500,7 @@ def synthesize(f, g, eps=None, max_states=10000):
     With eps omitted the certificate is tight.  Requesting a bound
     below the actual distance raises SynthesisFailure carrying it.
     """
-    rows1, rows2 = _payload_pairs(f, g)
-    joint, seeds = joint_prechart(list(rows1) + list(rows2),
-                                  max_states=max_states)
-    m = len(rows1)
-    pairs = list(zip(seeds[:m], seeds[m:]))
+    joint, pairs = _joint_rows(f, g, max_states)
     syn = _Synthesizer(joint)
     distance = level_distance(
         min((syn.refinement.level(x, y) for x, y in pairs), default=math.inf))
@@ -517,7 +512,7 @@ def synthesize(f, g, eps=None, max_states=10000):
                 f"requested bound {eps} is below the distance {distance}",
                 distance)
     cores = [syn.cert(x, y, syn.stable) for x, y in pairs]
-    root = cores[0] if m == 1 else CDecomp(tuple(cores))
+    root = cores[0] if len(pairs) == 1 else CDecomp(tuple(cores))
     if eps is not None and eps > distance:
         root = CWeaken(eps, root)
     return root

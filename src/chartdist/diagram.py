@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import bisimilar
 from .expr import (
-    ZERO, Mu, Prefix, Sum, Var, alpha_normal, expand, free_vars,
-    parse_expr, substitute,
+    ZERO, Mu, Prefix, Sum, Var, alpha_normal, free_vars, parse_expr,
+    substitute,
 )
 from .regbeh import (
     IntMorphism, RbMorphism, embed_n, int_compose, int_counit, int_distance,
@@ -28,7 +27,8 @@ __all__ = [
     "Term", "Copy", "Del", "Merge", "Gen", "Act", "Cap", "Cup",
     "Id", "Sym", "Seq", "Tensor",
     "DiagramTypeError", "DiagramSyntaxError",
-    "typecheck", "interpret", "parse_term", "format_term", "term_to_dot",
+    "typecheck", "interpret", "interpret_pair",
+    "parse_term", "format_term", "term_to_dot",
     "bend", "component", "diagram_distance", "semantic_equal",
     "from_expression", "zip_merge", "loop1",
     "axiom_catalog", "c1_copy_pair", "check_axiom",
@@ -429,24 +429,25 @@ def component(t, i) -> Term:
     return Seq(_tensor_fold(plug), t)
 
 
+def interpret_pair(t1, t2):
+    """The interpretations of two diagrams with equal boundary words.
+
+    This is the one boundary check of every two-diagram comparison; it
+    raises DiagramTypeError when the words differ.
+    """
+    if typecheck(t1) != typecheck(t2):
+        raise DiagramTypeError("the two diagrams have different boundaries")
+    return interpret(t1), interpret(t2)
+
+
 def diagram_distance(t1, t2):
     """Behavioural distance between two diagrams of the same shape."""
-    if typecheck(t1) != typecheck(t2):
-        raise DiagramTypeError("distance requires equal boundary words")
-    return int_distance(interpret(t1), interpret(t2))
+    return int_distance(*interpret_pair(t1, t2))
 
 
 def semantic_equal(t1, t2) -> bool:
     """Row-wise bisimilarity of the two interpretations."""
-    if typecheck(t1) != typecheck(t2):
-        raise DiagramTypeError("comparison requires equal boundary words")
-    p1 = interpret(t1).payload
-    p2 = interpret(t2).payload
-    for r1, r2 in zip(p1.rows, p2.rows):
-        ok, _ = bisimilar(expand(r1), expand(r2))
-        if not ok:
-            return False
-    return True
+    return diagram_distance(t1, t2) == 0
 
 
 # --- compiling expressions to diagrams ------------------------------------

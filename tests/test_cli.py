@@ -1,18 +1,22 @@
 """End-to-end command line behaviour, including exit codes."""
 
+import random
 from pathlib import Path
 
 import pytest
 
+import chartdist.bisim
 from chartdist import (
-    disjoint_union, expand, format_chart_text, kleene_solve, parse_chart_text,
+    axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
+    format_chart_text, format_term, interpret, kleene_solve, parse_chart_text,
     parse_expr, parse_term, typecheck,
 )
+from chartdist.chart import state_key
 from chartdist.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_REJECTED, EXIT_TYPE, EXIT_USAGE,
     main,
 )
-from helpers import brute_distance
+from helpers import brute_distance, flip_one_act, rand_forward
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
 FIG_RIGHT = "mu v2.(a.v2 + b.mu v1.a.a.v1)"
@@ -174,11 +178,103 @@ def test_budget_exit(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("command", ["dist", "bisim", "strat"])
+@pytest.mark.parametrize("command", ["dist", "bisim", "strat", "derive", "check"])
 def test_diagram_boundary_mismatch(capsys, command):
-    code, out, err = run(capsys, command, "--format", "diag", "copy", "merge")
+    cert = ["(top)"] if command == "check" else []
+    code, out, err = run(capsys, command, *cert, "--format", "diag", "copy", "merge")
     assert (code, out) == (EXIT_TYPE, "")
     assert err == "error: the two diagrams have different boundaries\n"
+
+
+def test_dist_table_tags_diagram_states(capsys):
+    code, out, _ = run(capsys, "dist", "--table", "--format", "diag",
+                       "act(a) ; act(a)", "act(a)")
+    assert code == EXIT_OK
+    assert out == (
+        "1/2 (level 1)\n"
+        "\tL:a.a.v1\tL:a.v1\tL:v1\tR:a.v1\tR:v1\n"
+        "L:a.a.v1\t0\t1/2\t1\t1/2\t1\n"
+        "L:a.v1\t1/2\t0\t1\t0\t1\n"
+        "L:v1\t1\t1\t0\t1\t0\n"
+        "R:a.v1\t1/2\t0\t1\t0\t1\n"
+        "R:v1\t1\t1\t0\t1\t0\n")
+
+
+def multi_row_pairs():
+    """Random diagram pairs with several input and output wires, and the
+    catalogue's axioms with more than one payload row."""
+    rng = random.Random(2024)
+    pairs = []
+    for _ in range(60):
+        m, n = rng.randint(2, 3), rng.randint(2, 3)
+        t1 = rand_forward(rng, m, n, 3)
+        pairs.append((t1, flip_one_act(rng, t1) or rand_forward(rng, m, n, 3)))
+    pairs += [(lhs, rhs) for _, lhs, rhs in axiom_catalog()
+              if len(interpret(lhs).payload.rows) > 1]
+    return pairs
+
+
+def per_row_bisim(t1, t2):
+    """What bisim --format diag prints, from one bisimilar call per row."""
+    lines, worst = ["bisimilar"], None
+    rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows)
+    for i, (r1, r2) in enumerate(rows, start=1):
+        ok, w = bisimilar(expand(r1), expand(r2))
+        if not ok:
+            worst = w if worst is None else min(worst, w)
+            continue
+        for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
+            lines.append(f"row {i}\t{q1}\t{q2}")
+    if worst is not None:
+        return EXIT_USAGE, f"not bisimilar (level {worst})\n"
+    return EXIT_OK, "\n".join(lines) + "\n"
+
+
+def test_multi_row_diagrams_match_per_row_references(capsys, monkeypatch):
+    refinements = []
+
+    class CountedRefinement(chartdist.bisim.Refinement):
+        def __init__(self, p):
+            refinements.append(p)
+            super().__init__(p)
+
+    bisimilar_multi_rows = 0
+    for i, (t1, t2) in enumerate(multi_row_pairs()):
+        left, right = format_term(t1), format_term(t2)
+        want_bisim = per_row_bisim(t1, t2)
+        d = diagram_distance(t1, t2)
+        level = d.denominator.bit_length() - 1
+        want_dist = "0 (bisimilar)\n" if d == 0 else f"{d} (level {level})\n"
+        want_strat = "inf\n" if d == 0 else f"{level}\n"
+        if "row 2\t" in want_bisim[1]:
+            bisimilar_multi_rows += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(chartdist.bisim, "Refinement", CountedRefinement)
+            refinements.clear()
+            got = run(capsys, "bisim", "--format", "diag", left, right)[:2]
+            assert len(refinements) == 1, i
+        assert got == want_bisim, i
+        assert run(capsys, "dist", "--format", "diag", left, right)[:2] == \
+            (EXIT_OK, want_dist), i
+        assert run(capsys, "strat", "--format", "diag", left, right)[:2] == \
+            (EXIT_OK, want_strat), i
+    assert bisimilar_multi_rows >= 3
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    assert run(capsys, "dist", "--table", "a.a.0", "a.0")[1].count("\n") > 1
+    assert run(capsys, "dist", "a.a.0", "a.0")[:2] == (EXIT_OK, "1/2 (level 1)\n")
+    assert run(capsys, "derive", "--eps", "3/4", "a.a.0", "a.0")[1].startswith(
+        "(weaken 3/4 ")
+    assert run(capsys, "derive", "a.a.0", "a.0")[:2] == (
+        EXIT_OK, '(coupling 1/2 ((move (act a "a.0") (act a "0") (top))))\n')
+    target = tmp_path / "out.txt"
+    assert run(capsys, "dist", "-o", str(target), "a.a.0", "a.0")[1] == ""
+    assert run(capsys, "dist", "--format", "diag", "act(a)", "act(b)")[1] == \
+        "1 (level 0)\n"
+    assert run(capsys, "dist", "a.a.0", "a.0")[:2] == (EXIT_OK, "1/2 (level 1)\n")
+    assert run(capsys, "--help")[0] == EXIT_OK
+    assert run(capsys, "strat", "a.a.0", "a.0")[:2] == (EXIT_OK, "1\n")
 
 
 def cycle_text(n):
