@@ -164,14 +164,15 @@ def joint_refinement(pairs):
     alike, so a list of several pairs is meant for expansions, whose
     states are canonical expression texts.
     """
+    unions = [disjoint_union(c1, c2) for c1, c2 in pairs]
+    starts = [(s1, s2) for _, s1, s2 in unions]
+    if len(unions) == 1:
+        return Refinement(unions[0][0]), starts
     states, trans, outs = set(), set(), set()
-    starts = []
-    for c1, c2 in pairs:
-        union, s1, s2 = disjoint_union(c1, c2)
+    for union, _, _ in unions:
         states |= union.states
         trans |= union.trans
         outs |= union.outs
-        starts.append((s1, s2))
     joint = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
     return Refinement(joint), starts
 

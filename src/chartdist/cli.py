@@ -149,7 +149,7 @@ def _cmd_compile(args):
             raise DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        row = interpret(t).payload.rows[0]
+        row = interpret(t, checked=True).payload.rows[0]
         c = expand(row, max_states=args.max_states)
     else:
         c = _load_chart(args.input, args)

@@ -178,9 +178,14 @@ def _word_object(w):
     return w.count(FORWARD), w.count(BACKWARD)
 
 
-def interpret(t) -> IntMorphism:
-    """Semantics of a diagram as a morphism between paired interfaces."""
-    typecheck(t)
+def interpret(t, *, checked=False) -> IntMorphism:
+    """Semantics of a diagram as a morphism between paired interfaces.
+
+    The term is type-checked first unless checked is true, which a
+    caller passes only when typecheck(t) has just succeeded.
+    """
+    if not checked:
+        typecheck(t)
     return _interpret(t)
 
 
@@ -437,7 +442,7 @@ def interpret_pair(t1, t2):
     """
     if typecheck(t1) != typecheck(t2):
         raise DiagramTypeError("the two diagrams have different boundaries")
-    return interpret(t1), interpret(t2)
+    return interpret(t1, checked=True), interpret(t2, checked=True)
 
 
 def diagram_distance(t1, t2):
@@ -470,7 +475,11 @@ def loop1(u) -> Term:
     dom, cod = typecheck(u)
     if BACKWARD in dom or BACKWARD in cod or not dom or not cod:
         raise DiagramTypeError("feedback needs nonempty forward boundaries")
-    k, l = len(dom), len(cod)
+    return _feedback(u, len(dom), len(cod))
+
+
+def _feedback(u, k, l):
+    # loop1 of a term u: '>'*k -> '>'*l that the caller has typed
     return _seq_fold([
         _tensor_fold([Id(">" * (k - 1)), Cup()]),
         _tensor_fold([u, Id("<")]),
@@ -517,7 +526,7 @@ def _compile(e, n):
         body = e.body if e.binder == n + 1 else \
             substitute(e.body, [(e.binder, Var(n + 1))])
         u = Seq(Merge(), _compile(body, n + 1))
-        return loop1(u)
+        return _feedback(u, 2, n + 1)
     raise TypeError(f"not an expression: {e!r}")
 
 

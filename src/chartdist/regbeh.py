@@ -9,6 +9,19 @@ closed category of paired interfaces: objects are pairs (m, n) of
 forward/backward wire counts, and a morphism (k,l) -> (m,n) is a
 payload k+n -> l+m mapping all inputs to all outputs.  Distances extend
 row-wise by taking the maximum.
+
+Composition and tensor of paired interfaces are defined by wiring
+morphisms (rb_id, rb_sym, rb_oplus), rb_compose and rb_trace, but
+int_compose and int_tensor build none of them.  The wirings are
+bijections between variables, so they are computed as lists of variable
+indices, composed by indexing; each payload row is renamed once by its
+composite map, and the rows are reordered.  The loop of int_compose is
+solved by eliminating the looped rows one at a time, last first
+(Bekic), without the back-substitution of rb_dagger: the trace keeps
+only the other rows, whose own variables occur nowhere.  The rows come
+out alpha-equivalent to the definitional composite, so their canonical
+texts, and with them the state names of expansions and certificates,
+do not depend on which of the two is computed.
 """
 
 from __future__ import annotations
@@ -210,36 +223,89 @@ def int_counit(pair) -> IntMorphism:
     return IntMorphism((n + m, m + n), (0, 0), rb_sym(n, m))
 
 
+def _ids(n):
+    return list(range(n))
+
+
+def _swap(m, n):
+    """Index map of rb_sym(m, n)."""
+    return [*range(n, n + m), *range(n)]
+
+
+def _juxt(*maps):
+    """Index map of rb_oplus of the given wirings: later blocks shift past
+    earlier ones."""
+    out = []
+    for w in maps:
+        base = len(out)
+        out += [base + j for j in w]
+    return out
+
+
+def _then(w, u):
+    """Index map of rb_compose(w, u) for two wirings."""
+    return [u[j] for j in w]
+
+
+def _renamed(rows, wiring):
+    """Rows with each variable v(j+1) renamed to v(wiring[j]+1)."""
+    bindings = [(j + 1, Var(w + 1)) for j, w in enumerate(wiring) if w != j]
+    return [substitute(r, bindings) for r in rows]
+
+
 def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:
-    """Plug f's right boundary into g's left one and trace the loop."""
+    """Plug f's right boundary into g's left one and trace the loop.
+
+    The definitional composite is the trace of n+m wires of
+    pre ; (f (+) g) ; post, where pre and post are wirings built from
+    rb_id, rb_sym and rb_oplus.  Here the wirings are index lists, so
+    each payload row is renamed once by its composite map (looped wires
+    become the variables after the l+p outputs), and the rows are
+    reordered by pre.  The n+m looped rows are then solved one at a
+    time, last first, each substituted into the rows before it (Bekic
+    elimination).  rb_trace runs all of rb_dagger instead: it also
+    solves the k+q kept rows, a no-op because their own variables occur
+    nowhere, and back-substitutes into the looped rows, which it then
+    drops.  The rows are alpha-equivalent to the definitional composite,
+    so their canonical texts, and the state names of every expansion
+    and certificate, are the same.
+    """
     if f.cod_pair != g.dom_pair:
         raise RbTypeError(f"cannot compose {f.cod_pair} with {g.dom_pair}")
     k, l = f.dom_pair
     m, n = f.cod_pair
     p, q = g.cod_pair
-    pre = rb_compose(
-        rb_oplus(rb_oplus(rb_id(k), rb_sym(q, n)), rb_id(m)),
-        rb_oplus(rb_oplus(rb_id(k), rb_id(n)), rb_sym(q, m)),
-    )
-    post = rb_compose(
-        rb_compose(
-            rb_oplus(rb_oplus(rb_id(l), rb_id(m)), rb_sym(n, p)),
-            rb_oplus(rb_oplus(rb_id(l), rb_sym(m, p)), rb_id(n)),
-        ),
-        rb_oplus(rb_oplus(rb_id(l), rb_id(p)), rb_sym(m, n)),
-    )
-    looped = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
-    return IntMorphism(f.dom_pair, g.cod_pair, rb_trace(looped, n + m))
+    pre = _then(_juxt(_ids(k), _swap(q, n), _ids(m)),
+                _juxt(_ids(k + n), _swap(q, m)))
+    post = _then(_then(_juxt(_ids(l + m), _swap(n, p)),
+                       _juxt(_ids(l), _swap(m, p), _ids(n))),
+                 _juxt(_ids(l + p), _swap(m, n)))
+    rows = (_renamed(f.payload.rows, post[:l + m])
+            + _renamed(g.payload.rows, post[l + m:]))
+    rows = [rows[i] for i in pre]
+    # looped row k+q+t feeds back through variable v(l+p+t+1)
+    for t in range(n + m - 1, -1, -1):
+        v = l + p + t + 1
+        solution = _solve(v, rows.pop())
+        rows = [substitute(r, [(v, solution)]) if v in free_vars(r) else r
+                for r in rows]
+    return IntMorphism(f.dom_pair, g.cod_pair,
+                       RbMorphism(k + q, l + p, tuple(rows)))
 
 
 def int_tensor(f: IntMorphism, g: IntMorphism) -> IntMorphism:
+    """Side by side: (k,l)x(k2,l2) -> (m,n)x(m2,n2), with the payload
+    rows renamed and reordered by index-list wirings as in int_compose."""
     k, l = f.dom_pair
     m, n = f.cod_pair
     k2, l2 = g.dom_pair
     m2, n2 = g.cod_pair
-    pre = rb_oplus(rb_oplus(rb_id(k), rb_sym(k2, n)), rb_id(n2))
-    post = rb_oplus(rb_oplus(rb_id(l), rb_sym(m, l2)), rb_id(m2))
-    payload = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
+    pre = _juxt(_ids(k), _swap(k2, n), _ids(n2))
+    post = _juxt(_ids(l), _swap(m, l2), _ids(m2))
+    rows = (_renamed(f.payload.rows, post[:l + m])
+            + _renamed(g.payload.rows, post[l + m:]))
+    payload = RbMorphism(k + k2 + n + n2, l + l2 + m + m2,
+                         tuple(rows[i] for i in pre))
     return IntMorphism((k + k2, l + l2), (m + m2, n + n2), payload)
 
 

@@ -8,12 +8,14 @@ to disagree with.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from chartdist import (
-    Act, Chart, Copy, Del, Gen, Id, Merge, Mu, Partition, Prechart, Prefix,
-    Seq, Sum, Tensor, Var, Zero, disjoint_union, empty_chart,
-    from_expression, loop1, prefix_chart, rec_chart, sum_chart,
-    variable_chart, RbMorphism,
+    Act, Chart, Copy, Del, Gen, Id, IntMorphism, Merge, Mu, Partition,
+    Prechart, Prefix, RbTypeError, Seq, Sum, Tensor, Var, Zero,
+    disjoint_union, empty_chart, from_expression, interpret, loop1,
+    parse_term, prefix_chart, rb_compose, rb_id, rb_oplus, rb_sym, rb_trace, rec_chart,
+    sum_chart, variable_chart, RbMorphism,
 )
 from chartdist.chart import state_key
 
@@ -258,6 +260,61 @@ def brute_level(c1, c2):
             return math.inf
         rel = nxt
         level += 1
+
+
+def corpus_diagrams():
+    """The diagram column of corpus/pairs.txt, parsed."""
+    path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
+    lines = [l.strip() for l in path.read_text().splitlines()]
+    return [parse_term(l.split("\t")[1])
+            for l in lines if l and not l.startswith("#")]
+
+
+# ---------------------------------------------------------------------------
+# definitional composites of paired interfaces (reference for regbeh.int_*)
+
+def ref_int_compose(f, g):
+    """Plug f's right boundary into g's left one and trace the loop, built
+    from rb_id/rb_sym/rb_oplus wirings, rb_compose and rb_trace."""
+    if f.cod_pair != g.dom_pair:
+        raise RbTypeError(f"cannot compose {f.cod_pair} with {g.dom_pair}")
+    k, l = f.dom_pair
+    m, n = f.cod_pair
+    p, q = g.cod_pair
+    pre = rb_compose(
+        rb_oplus(rb_oplus(rb_id(k), rb_sym(q, n)), rb_id(m)),
+        rb_oplus(rb_oplus(rb_id(k), rb_id(n)), rb_sym(q, m)),
+    )
+    post = rb_compose(
+        rb_compose(
+            rb_oplus(rb_oplus(rb_id(l), rb_id(m)), rb_sym(n, p)),
+            rb_oplus(rb_oplus(rb_id(l), rb_sym(m, p)), rb_id(n)),
+        ),
+        rb_oplus(rb_oplus(rb_id(l), rb_id(p)), rb_sym(m, n)),
+    )
+    looped = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
+    return IntMorphism(f.dom_pair, g.cod_pair, rb_trace(looped, n + m))
+
+
+def ref_int_tensor(f, g):
+    k, l = f.dom_pair
+    m, n = f.cod_pair
+    k2, l2 = g.dom_pair
+    m2, n2 = g.cod_pair
+    pre = rb_oplus(rb_oplus(rb_id(k), rb_sym(k2, n)), rb_id(n2))
+    post = rb_oplus(rb_oplus(rb_id(l), rb_sym(m, l2)), rb_id(m2))
+    payload = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
+    return IntMorphism((k + k2, l + l2), (m + m2, n + n2), payload)
+
+
+def ref_interpret(t):
+    """Diagram semantics through the definitional composites; generators
+    are interpreted by the library."""
+    if isinstance(t, Seq):
+        return ref_int_compose(ref_interpret(t.first), ref_interpret(t.second))
+    if isinstance(t, Tensor):
+        return ref_int_tensor(ref_interpret(t.left), ref_interpret(t.right))
+    return interpret(t)
 
 
 # ---------------------------------------------------------------------------

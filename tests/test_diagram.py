@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chartdist.regbeh
 from chartdist import (
     Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError, Gen, Id,
     Merge, Seq, Sum, Sym, Tensor, Var, axiom_catalog, bend, bisimilar,
@@ -12,7 +13,9 @@ from chartdist import (
     format_term, from_expression, interpret, loop1, parse_expr, parse_term,
     semantic_equal, term_to_dot, typecheck, zip_merge,
 )
-from helpers import rand_expr, rand_forward
+from chartdist.cli import EXIT_OK, main
+from chartdist.expr import alpha_normal, format_expr
+from helpers import corpus_diagrams, rand_expr, rand_forward, ref_interpret
 
 words = st.text(alphabet=("<", ">"), max_size=3)
 
@@ -236,3 +239,38 @@ def test_term_to_dot():
     dot = term_to_dot(parse_term("copy ; act(a) * act(b)"))
     assert dot.startswith("digraph")
     assert "act(a)" in dot
+
+
+def _canonical_rows(m):
+    return m.dom_pair, m.cod_pair, [format_expr(alpha_normal(r))
+                                    for r in m.payload.rows]
+
+
+def _semantics_samples():
+    rng = random.Random(66)
+    terms = [rand_forward(rng, rng.randint(0, 3), rng.randint(0, 3), 3)
+             for _ in range(200)]
+    for _, lhs, rhs in axiom_catalog():
+        terms += [lhs, rhs, bend(lhs), bend(rhs)]
+    return terms + corpus_diagrams()
+
+
+def test_interpret_matches_definitional_composites():
+    for t in _semantics_samples():
+        assert _canonical_rows(interpret(t)) == _canonical_rows(ref_interpret(t)), \
+            format_term(t)
+
+
+def test_interpret_builds_no_wiring_morphisms(monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("wiring morphism built on the interpretation path")
+
+    for name in ("rb_compose", "rb_oplus", "rb_trace", "rb_dagger"):
+        monkeypatch.setattr(chartdist.regbeh, name, forbidden)
+    terms = corpus_diagrams() + [loop1(parse_term("merge ; act(a)")),
+                                 bend(Cap()), bend(Cup()),
+                                 bend(parse_term("cup ; act(a) * id(<)"))]
+    for t in terms:
+        interpret(t)
+    assert main(["axioms", "--check"]) == EXIT_OK
+    capsys.readouterr()
