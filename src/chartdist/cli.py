@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .bisim import joint_refinement, witness_pairs
 from .chart import (
-    ChartFormatError, _relabel, chart_to_dot, format_chart_text,
-    parse_chart_text, state_key,
+    ChartFormatError, _relabel, _valid_letter, chart_to_dot,
+    format_chart_text, parse_chart_text, state_key,
 )
 from .derive import (
     CertificateError, CertificateSyntaxError, SynthesisFailure, check,
@@ -46,6 +46,18 @@ class _UsageError(Exception):
     pass
 
 
+# Checked in order: the parse errors are ValueErrors too.
+_ERROR_EXITS = (
+    ((ExprSyntaxError, ChartFormatError, DiagramSyntaxError,
+      CertificateSyntaxError), EXIT_PARSE),
+    ((DiagramTypeError, RbTypeError), EXIT_TYPE),
+    ((SynthesisFailure, CertificateError), EXIT_REJECTED),
+    ((ExpansionBudgetError,), EXIT_BUDGET),
+    ((_UsageError, ValueError, ZeroDivisionError), EXIT_USAGE),
+)
+_ERRORS = tuple(t for types, _ in _ERROR_EXITS for t in types)
+
+
 def _resolve(arg: str) -> str:
     try:
         p = Path(arg)
@@ -65,7 +77,7 @@ def _parse_alphabet(spec):
         letters.update(token)
     if not letters:
         raise _UsageError("empty alphabet")
-    bad = sorted(l for l in letters if not (l.isalpha() and l.islower() and l != "v"))
+    bad = sorted(l for l in letters if not _valid_letter(l))
     if bad:
         raise _UsageError(f"invalid alphabet letters: {', '.join(bad)}")
     return letters
@@ -286,30 +298,19 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         code, text = args.func(args)
-    except (ExprSyntaxError, ChartFormatError, DiagramSyntaxError,
-            CertificateSyntaxError) as e:
+    except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DiagramTypeError, RbTypeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
-    except (SynthesisFailure, CertificateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_REJECTED
-    except ExpansionBudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(exit_code for types, exit_code in _ERROR_EXITS
+                    if isinstance(e, types))
     target = getattr(args, "output", None)
     if args.command == "render" and getattr(args, "dot", None):
         target = args.dot
     if target:
-        Path(target).write_text(text)
+        try:
+            Path(target).write_text(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

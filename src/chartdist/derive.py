@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement
-from .chart import Prechart, move_key
+from .chart import Prechart, _valid_letter, move_key
 from .diagram import interpret_pair
-from .expr import alpha_normal, expand, format_expr
-from .metric import FZERO, ONE, level_distance
+from .expr import expand
+from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
     "CTop", "CBisim", "CWeaken", "CTriang", "CCoupling", "CDecomp",
@@ -191,7 +191,7 @@ def _parse_move(node):
             raise CertificateSyntaxError(
                 "expected (act LETTER \"state\")", node[2])
         letter = items[1][1]
-        if len(letter) != 1 or not letter.islower() or letter == "v":
+        if not _valid_letter(letter):
             raise CertificateSyntaxError(f"bad action letter {letter!r}", items[1][2])
         return ("act", letter, items[2][1])
     if head == "out":
@@ -454,11 +454,8 @@ class _Synthesizer:
         return level_distance(level if level == math.inf else min(p, level))
 
     def cost(self, m1, m2, p):
-        if m1 == m2:
-            return FZERO
-        if m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
-            return self.distance(m1[2], m2[2], p - 1) / 2
-        return ONE
+        """Edge cost of a pair of moves under the (p-1)-th iterate."""
+        return lift_edge(lambda x, y: self.distance(x, y, p - 1), m1, m2)
 
     def cert(self, x, y, p):
         if self.refinement.level(x, y) == math.inf:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .chart import _valid_letter
 from .expr import (
     ZERO, Mu, Prefix, Sum, Var, alpha_normal, free_vars, parse_expr,
     substitute,
@@ -105,7 +106,7 @@ class Act(Term):
     letter: str
 
     def __post_init__(self):
-        if len(self.letter) != 1 or not self.letter.islower() or self.letter == "v":
+        if not _valid_letter(self.letter):
             raise ValueError(f"invalid action letter {self.letter!r}")
 
 
@@ -139,21 +140,24 @@ class Tensor(Term):
     right: Term
 
 
-_GENERATOR_TYPES = {
-    Copy: (">", ">>"),
-    Del: (">", ""),
-    Merge: (">>", ">"),
-    Gen: ("", ">"),
-    Cap: ("<>", ""),
-    Cup: ("", "><"),
+# The constant generators: class -> (keyword, dom word, cod word,
+# interpretation).  Interpretations are frozen, so every leaf shares one.
+_GENERATORS = {
+    Copy: ("copy", ">", ">>", embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),)))),
+    Del: ("del", ">", "", embed_n(RbMorphism(1, 0, (ZERO,)))),
+    Merge: ("merge", ">>", ">", embed_n(RbMorphism(2, 1, (Var(1), Var(1))))),
+    Gen: ("gen", "", ">", embed_n(rb_zero(1))),
+    Cap: ("cap", "<>", "", int_counit((1, 0))),
+    Cup: ("cup", "", "><", int_unit((1, 0))),
 }
 
 
 def typecheck(t, _path=()):
     """Boundary words (dom, cod) of t; raises DiagramTypeError on mismatch."""
     kind = type(t)
-    if kind in _GENERATOR_TYPES:
-        return _GENERATOR_TYPES[kind]
+    gen = _GENERATORS.get(kind)
+    if gen is not None:
+        return gen[1], gen[2]
     if kind is Act:
         return ">", ">"
     if kind is Id:
@@ -191,20 +195,11 @@ def interpret(t, *, checked=False) -> IntMorphism:
 
 def _interpret(t):
     kind = type(t)
-    if kind is Copy:
-        return embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),)))
-    if kind is Del:
-        return embed_n(RbMorphism(1, 0, (ZERO,)))
-    if kind is Merge:
-        return embed_n(RbMorphism(2, 1, (Var(1), Var(1))))
-    if kind is Gen:
-        return embed_n(rb_zero(1))
+    gen = _GENERATORS.get(kind)
+    if gen is not None:
+        return gen[3]
     if kind is Act:
         return embed_n(RbMorphism(1, 1, (Prefix(t.letter, Var(1)),)))
-    if kind is Cap:
-        return int_counit((1, 0))
-    if kind is Cup:
-        return int_unit((1, 0))
     if kind is Id:
         return int_id(_word_object(t.word))
     if kind is Sym:
@@ -218,10 +213,7 @@ def _interpret(t):
 
 # --- concrete syntax ------------------------------------------------------
 
-_KEYWORDS = {
-    "copy": Copy, "del": Del, "merge": Merge, "gen": Gen,
-    "cap": Cap, "cup": Cup,
-}
+_BY_KEYWORD = {gen[0]: cls for cls, gen in _GENERATORS.items()}
 
 
 class _TermParser:
@@ -283,12 +275,12 @@ class _TermParser:
             self.eat(")")
             return t
         word = self.name()
-        if word in _KEYWORDS:
-            return _KEYWORDS[word]()
+        if word in _BY_KEYWORD:
+            return _BY_KEYWORD[word]()
         if word == "act":
             self.eat("(")
             letter = self.name()
-            if len(letter) != 1 or not letter.islower() or letter == "v":
+            if not _valid_letter(letter):
                 self.error(f"invalid action letter {letter!r}")
             self.eat(")")
             return Act(letter)
@@ -336,9 +328,8 @@ def _fmt(t, level):
         return f"id({t.word})"
     if kind is Sym:
         return f"sym({t.left},{t.right})"
-    for kw, cls in _KEYWORDS.items():
-        if kind is cls:
-            return kw
+    if kind in _GENERATORS:
+        return _GENERATORS[kind][0]
     raise TypeError(f"not a diagram term: {t!r}")
 
 

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .chart import Chart, Prechart
+from .chart import _LETTERS, Chart, Prechart
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
@@ -25,8 +25,6 @@ __all__ = [
     "free_vars", "alpha_normal", "alpha_equivalent", "substitute",
     "step", "expand", "parse_expr", "format_expr",
 ]
-
-_LETTERS = "abcdefghijklmnopqrstuwxyz"  # 'v' is reserved for variables
 
 
 class ExprSyntaxError(ValueError):

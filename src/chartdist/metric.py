@@ -15,10 +15,10 @@ and 0 when they never split.  The command line reads distances off the
 refinement (``level_distance``, ``split_table``).
 
 ``kleene_solve`` is the reference definition, kept for the tests and
-demos: it iterates the operator from the everywhere-1 table, on
-exponents internally.  Bisimilar states never stabilise under plain
-iteration (their values halve forever), hence it first quotients by
-bisimilarity, iterates on the quotient, and pulls the result back.
+demos: it iterates ``phi`` from the everywhere-1 table.  Bisimilar
+states never stabilise under plain iteration (their values halve
+forever), hence it first quotients by bisimilarity, iterates on the
+quotient, and pulls the result back.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement, quotient, stratified_level
-from .chart import Chart, Prechart, disjoint_union, state_key
+from .chart import Chart, Prechart, state_key
 from .expr import Expr, expand
 
 __all__ = [
@@ -175,63 +175,6 @@ def phi(p: Prechart, d: DistTable) -> DistTable:
     return out
 
 
-# --- fast exponent-valued core for the Kleene iteration -----------------
-#
-# A level is an int k (value 2^-k) or math.inf (value 0); larger level
-# means smaller distance, so sup of distances is min of levels and the
-# empty conventions flip accordingly.
-
-
-def _phi_levels(beta, states, index, lvl):
-    n = len(states)
-    new = [[math.inf] * n for _ in range(n)]
-
-    def move_cost(m1, m2):
-        if m1 == m2:
-            return math.inf
-        if m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
-            t = lvl[index[m1[2]]][index[m2[2]]]
-            return t + 1 if t != math.inf else math.inf
-        return 0
-
-    for i in range(n):
-        beta_i = beta[states[i]]
-        for j in range(i + 1, n):
-            beta_j = beta[states[j]]
-
-            def directed(a_set, b_set):
-                worst = math.inf
-                for m1 in a_set:
-                    best = 0
-                    for m2 in b_set:
-                        c = move_cost(m1, m2)
-                        if c > best:
-                            best = c
-                            if best == math.inf:
-                                break
-                    if best < worst:
-                        worst = best
-                return worst
-
-            level = min(directed(beta_i, beta_j), directed(beta_j, beta_i))
-            new[i][j] = level
-            new[j][i] = level
-    return new
-
-
-def _levels_to_table(states, lvl) -> DistTable:
-    t = DistTable(states)
-    assert t.states == tuple(states)
-    n = len(states)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = lvl[i][j]
-            if v != math.inf:
-                t._values[i][j] = Fraction(1, 2 ** v)
-                t._values[j][i] = t._values[i][j]
-    return t
-
-
 @dataclass
 class KleeneResult:
     """Everything the fixpoint iteration produced.
@@ -253,38 +196,30 @@ class KleeneResult:
 
 
 def kleene_solve(p: Prechart) -> KleeneResult:
-    """Iterate the distance operator to its least fixpoint.
+    """Iterate ``phi`` to its least fixpoint.
 
     The prechart is quotiented by bisimilarity first; on the quotient
     the chain from the everywhere-1 table stabilises within |Q|^2+1
     steps, and the result is pulled back along the quotient map.
     """
     qp, class_of = quotient(p)
-    states = tuple(sorted(qp.states, key=state_key))
-    index = {q: i for i, q in enumerate(states)}
-    beta = qp.beta()
-    n = len(states)
-    lvl = [[math.inf if i == j else 0 for j in range(n)] for i in range(n)]
-    iterates = [lvl]
-    cap = n * n + 1
-    stable = None
-    for k in range(cap + 1):
-        new = _phi_levels(beta, states, index, lvl)
-        if new == lvl:
-            stable = k
+    d = DistTable.top(qp.states)
+    quotient_tables = [d]
+    cap = len(d.states) ** 2 + 1
+    for stable in range(cap + 1):
+        new = phi(qp, d)
+        if new == d:
             break
-        iterates.append(new)
-        lvl = new
-    if stable is None:
+        quotient_tables.append(new)
+        d = new
+    else:
         raise MetricIterationError(
-            f"no fixpoint within {cap} iterations on {n} classes")
-    quotient_tables = [_levels_to_table(states, it) for it in iterates]
-    final = quotient_tables[-1]
+            f"no fixpoint within {cap} iterations on {len(d.states)} classes")
     full = DistTable(p.states)
     for i, q1 in enumerate(full.states):
         for j in range(i + 1, len(full.states)):
             q2 = full.states[j]
-            full.set(q1, q2, final.get(class_of[q1], class_of[q2]))
+            full.set(q1, q2, d.get(class_of[q1], class_of[q2]))
     return KleeneResult(full, qp, class_of, quotient_tables, stable)
 
 

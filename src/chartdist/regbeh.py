@@ -12,10 +12,10 @@ row-wise by taking the maximum.
 
 Composition and tensor of paired interfaces are defined by wiring
 morphisms (rb_id, rb_sym, rb_oplus), rb_compose and rb_trace, but
-int_compose and int_tensor build none of them.  The wirings are
-bijections between variables, so they are computed as lists of variable
-indices, composed by indexing; each payload row is renamed once by its
-composite map, and the rows are reordered.  The loop of int_compose is
+int_compose and int_tensor build none of them.  Their wirings only
+permute four blocks of payload rows and four blocks of variables, so
+they are written directly as lists of indices: each payload row is
+renamed once, and the rows are reordered.  The loop of int_compose is
 solved by eliminating the looped rows one at a time, last first
 (Bekic), without the back-substitution of rb_dagger: the trace keeps
 only the other rows, whose own variables occur nowhere.  The rows come
@@ -223,30 +223,6 @@ def int_counit(pair) -> IntMorphism:
     return IntMorphism((n + m, m + n), (0, 0), rb_sym(n, m))
 
 
-def _ids(n):
-    return list(range(n))
-
-
-def _swap(m, n):
-    """Index map of rb_sym(m, n)."""
-    return [*range(n, n + m), *range(n)]
-
-
-def _juxt(*maps):
-    """Index map of rb_oplus of the given wirings: later blocks shift past
-    earlier ones."""
-    out = []
-    for w in maps:
-        base = len(out)
-        out += [base + j for j in w]
-    return out
-
-
-def _then(w, u):
-    """Index map of rb_compose(w, u) for two wirings."""
-    return [u[j] for j in w]
-
-
 def _renamed(rows, wiring):
     """Rows with each variable v(j+1) renamed to v(wiring[j]+1)."""
     bindings = [(j + 1, Var(w + 1)) for j, w in enumerate(wiring) if w != j]
@@ -256,13 +232,17 @@ def _renamed(rows, wiring):
 def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:
     """Plug f's right boundary into g's left one and trace the loop.
 
-    The definitional composite is the trace of n+m wires of
-    pre ; (f (+) g) ; post, where pre and post are wirings built from
-    rb_id, rb_sym and rb_oplus.  Here the wirings are index lists, so
-    each payload row is renamed once by its composite map (looped wires
-    become the variables after the l+p outputs), and the rows are
-    reordered by pre.  The n+m looped rows are then solved one at a
-    time, last first, each substituted into the rows before it (Bekic
+    For f: (k,l) -> (m,n) and g: (m,n) -> (p,q), the payloads of f and
+    g side by side have four blocks of rows, k | n | m | q, and four of
+    variables, l | m | n | p.  The wiring pre reorders the rows to
+    k | q | n | m and post renames the variables to l | p | n | m, so
+    the k+q kept rows come first and looped row k+q+t feeds back
+    through variable v(l+p+t+1): f's backward inputs read g's backward
+    outputs, and g's forward inputs read f's forward outputs.  The
+    definitional composite is the trace of n+m wires of
+    pre ; (f (+) g) ; post, with the wirings built from rb_id, rb_sym
+    and rb_oplus.  Here the n+m looped rows are solved one at a time,
+    last first, each substituted into the rows before it (Bekic
     elimination).  rb_trace runs all of rb_dagger instead: it also
     solves the k+q kept rows, a no-op because their own variables occur
     nowhere, and back-substitutes into the looped rows, which it then
@@ -275,11 +255,9 @@ def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:
     k, l = f.dom_pair
     m, n = f.cod_pair
     p, q = g.cod_pair
-    pre = _then(_juxt(_ids(k), _swap(q, n), _ids(m)),
-                _juxt(_ids(k + n), _swap(q, m)))
-    post = _then(_then(_juxt(_ids(l + m), _swap(n, p)),
-                       _juxt(_ids(l), _swap(m, p), _ids(n))),
-                 _juxt(_ids(l + p), _swap(m, n)))
+    pre = [*range(k), *range(k + n + m, k + n + m + q), *range(k, k + n + m)]
+    post = [*range(l), *range(l + p + n, l + p + n + m),
+            *range(l + p, l + p + n), *range(l, l + p)]
     rows = (_renamed(f.payload.rows, post[:l + m])
             + _renamed(g.payload.rows, post[l + m:]))
     rows = [rows[i] for i in pre]
@@ -294,14 +272,19 @@ def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:
 
 
 def int_tensor(f: IntMorphism, g: IntMorphism) -> IntMorphism:
-    """Side by side: (k,l)x(k2,l2) -> (m,n)x(m2,n2), with the payload
-    rows renamed and reordered by index-list wirings as in int_compose."""
+    """Side by side: (k,l)x(k2,l2) -> (m,n)x(m2,n2).
+
+    The rows k | n | k2 | n2 are reordered to k | k2 | n | n2 and the
+    variables l | m | l2 | m2 renamed to l | l2 | m | m2.
+    """
     k, l = f.dom_pair
     m, n = f.cod_pair
     k2, l2 = g.dom_pair
     m2, n2 = g.cod_pair
-    pre = _juxt(_ids(k), _swap(k2, n), _ids(n2))
-    post = _juxt(_ids(l), _swap(m, l2), _ids(m2))
+    pre = [*range(k), *range(k + n, k + n + k2), *range(k, k + n),
+           *range(k + n + k2, k + n + k2 + n2)]
+    post = [*range(l), *range(l + l2, l + l2 + m), *range(l, l + l2),
+            *range(l + l2 + m, l + l2 + m + m2)]
     rows = (_renamed(f.payload.rows, post[:l + m])
             + _renamed(g.payload.rows, post[l + m:]))
     payload = RbMorphism(k + k2 + n + n2, l + l2 + m + m2,

@@ -68,6 +68,12 @@ def test_output_file_option(tmp_path, capsys):
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text() == "1/4 (level 2)\n"
+    # a report that cannot be written is an error, not a traceback
+    missing = tmp_path / "missing" / "result.txt"
+    code, out, err = run(capsys, "dist", "-o", str(missing), FIG_LEFT, FIG_RIGHT)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_bisim_witness_and_exit(capsys):
@@ -162,6 +168,11 @@ def test_parse_error_exit(capsys):
     assert run(capsys, "dist", "a.(", "0")[0] == EXIT_PARSE
     assert run(capsys, "check", "(top", "0", "0")[0] == EXIT_PARSE
     assert run(capsys, "dist", "--format", "diag", "copy ;", "copy")[0] == EXIT_PARSE
+    # diagrams and certificates follow the letter rule of expressions
+    assert run(capsys, "dist", "--format", "diag", "act(é)", "act(a)")[0] == EXIT_PARSE
+    assert run(capsys, "render", "--format", "diag", "act(é)")[0] == EXIT_PARSE
+    cert = '(coupling 1 ((move (act é "0") (act a "0"))))'
+    assert run(capsys, "check", cert, "a.0", "b.0")[0] == EXIT_PARSE
 
 
 def test_type_error_exit(capsys):
@@ -346,6 +357,7 @@ def test_alphabet_restriction(capsys):
     # 'v' is reserved and uppercase letters are not actions
     assert run(capsys, "dist", "--alphabet", "av", "a.0", "0")[0] == EXIT_USAGE
     assert run(capsys, "dist", "--alphabet", "aB", "a.0", "0")[0] == EXIT_USAGE
+    assert run(capsys, "dist", "--alphabet", "é", "a.0", "0")[0] == EXIT_USAGE
 
 
 def test_render_expression(capsys):

@@ -56,9 +56,13 @@ def test_operator_precedence():
 
 
 def test_parse_rejects_garbage():
-    for text in ["copy ;", "act(V)", "act(vx)", "id(x)", "sym(>)", "(copy", "act(A)"]:
+    for text in ["copy ;", "act(V)", "act(vx)", "id(x)", "sym(>)", "(copy", "act(A)",
+                 "act(é)"]:
         with pytest.raises(DiagramSyntaxError):
             parse_term(text)
+    # the constructor applies the same letter rule
+    with pytest.raises(ValueError):
+        Act("é")
 
 
 def test_typecheck_accepts_generators():
