@@ -4,7 +4,8 @@ Arguments naming a readable file are loaded from it; anything else is
 taken as inline text.  Output is deterministic byte-for-byte for fixed
 inputs.  Exit codes: 0 success (for ``bisim``: bisimilar), 1 usage or
 not bisimilar, 2 parse error, 3 type error, 4 rejected certificate or
-failed derivation, 5 state budget exceeded.
+failed derivation, 5 state budget exceeded, or an input nested too
+deeply to process (a ``RecursionError`` or ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -302,6 +303,9 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return next(exit_code for types, exit_code in _ERROR_EXITS
                     if isinstance(e, types))
+    except (RecursionError, MemoryError):
+        print("error: input too deeply nested", file=sys.stderr)
+        return EXIT_BUDGET
     target = getattr(args, "output", None)
     if args.command == "render" and getattr(args, "dot", None):
         target = args.dot

@@ -69,6 +69,13 @@ class DistTable:
             if len(self._values) != n or any(len(r) != n for r in self._values):
                 raise ValueError("value matrix shape mismatch")
 
+    def _zeros(self) -> "DistTable":
+        """An all-zero table over the same states, in the same order."""
+        t = DistTable.__new__(DistTable)
+        t.states, t._index = self.states, self._index
+        t._values = [[FZERO] * len(self.states) for _ in self.states]
+        return t
+
     @classmethod
     def top(cls, states) -> "DistTable":
         t = cls(states)
@@ -163,15 +170,21 @@ def hausdorff(cost, set1, set2) -> Fraction:
 
 def phi(p: Prechart, d: DistTable) -> DistTable:
     """One step of the distance operator on a full table."""
-    beta = p.beta()
-    out = DistTable(d.states)
+    return _phi(p.beta(), d)
+
+
+def _phi(beta: dict, d: DistTable) -> DistTable:
+    """phi given the move map of the prechart; the result keeps d's order."""
+    out = d._zeros()
     states = out.states
+
+    def cost(m1, m2):
+        return lift_edge(d.get, m1, m2)
+
     for i, q1 in enumerate(states):
         for j in range(i + 1, len(states)):
             q2 = states[j]
-            value = hausdorff(lambda m1, m2: lift_edge(d.get, m1, m2),
-                              beta[q1], beta[q2])
-            out.set(q1, q2, value)
+            out.set(q1, q2, hausdorff(cost, beta[q1], beta[q2]))
     return out
 
 
@@ -203,11 +216,12 @@ def kleene_solve(p: Prechart) -> KleeneResult:
     steps, and the result is pulled back along the quotient map.
     """
     qp, class_of = quotient(p)
+    beta = qp.beta()
     d = DistTable.top(qp.states)
     quotient_tables = [d]
     cap = len(d.states) ** 2 + 1
     for stable in range(cap + 1):
-        new = phi(qp, d)
+        new = _phi(beta, d)
         if new == d:
             break
         quotient_tables.append(new)

@@ -7,6 +7,8 @@ to disagree with.
 """
 
 import math
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from chartdist import (
     parse_term, prefix_chart, rb_compose, rb_id, rb_oplus, rb_sym, rb_trace, rec_chart,
     sum_chart, variable_chart, RbMorphism,
 )
-from chartdist.chart import state_key
+from chartdist.chart import _LETTERS, state_key
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -268,6 +270,231 @@ def corpus_diagrams():
     lines = [l.strip() for l in path.read_text().splitlines()]
     return [parse_term(l.split("\t")[1])
             for l in lines if l and not l.startswith("#")]
+
+
+# ---------------------------------------------------------------------------
+# reference expression core: plain frozen-dataclass trees, compared
+# structurally and walked by recursion (reference for expr.expand)
+
+@dataclass(frozen=True)
+class RZero:
+    pass
+
+
+@dataclass(frozen=True)
+class RVar:
+    index: int
+
+
+@dataclass(frozen=True)
+class RPrefix:
+    letter: str
+    body: object
+
+
+@dataclass(frozen=True)
+class RSum:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class RMu:
+    binder: int
+    body: object
+
+
+def ref_free_vars(e):
+    if isinstance(e, RZero):
+        return frozenset()
+    if isinstance(e, RVar):
+        return frozenset({e.index})
+    if isinstance(e, RPrefix):
+        return ref_free_vars(e.body)
+    if isinstance(e, RSum):
+        return ref_free_vars(e.left) | ref_free_vars(e.right)
+    return ref_free_vars(e.body) - {e.binder}
+
+
+def ref_alpha_normal(e):
+    base = max(ref_free_vars(e), default=0)
+
+    def rec(t, depth, env):
+        if isinstance(t, RZero):
+            return t
+        if isinstance(t, RVar):
+            return RVar(env.get(t.index, t.index))
+        if isinstance(t, RPrefix):
+            return RPrefix(t.letter, rec(t.body, depth, env))
+        if isinstance(t, RSum):
+            return RSum(rec(t.left, depth, env), rec(t.right, depth, env))
+        new = base + depth + 1
+        return RMu(new, rec(t.body, depth + 1, {**env, t.binder: new}))
+
+    return rec(e, 0, {})
+
+
+def ref_subst(e, smap):
+    if isinstance(e, RZero):
+        return e
+    if isinstance(e, RVar):
+        return smap.get(e.index, e)
+    if isinstance(e, RPrefix):
+        return RPrefix(e.letter, ref_subst(e.body, smap))
+    if isinstance(e, RSum):
+        return RSum(ref_subst(e.left, smap), ref_subst(e.right, smap))
+    w = e.binder
+    inner = {v: g for (v, g) in smap.items() if v != w}
+    if not inner:
+        return e
+    if all(w not in ref_free_vars(g) for g in inner.values()):
+        return RMu(w, ref_subst(e.body, inner))
+    avoid = set(inner)
+    for g in inner.values():
+        avoid |= ref_free_vars(g)
+    avoid |= ref_free_vars(e.body)
+    z = 1
+    while z in avoid:
+        z += 1
+    return RMu(z, ref_subst(ref_subst(e.body, {w: RVar(z)}), inner))
+
+
+def ref_step(e):
+    """(transitions, outputs) of the one-step semantics."""
+    if isinstance(e, RZero):
+        return frozenset(), frozenset()
+    if isinstance(e, RVar):
+        return frozenset(), frozenset({e.index})
+    if isinstance(e, RPrefix):
+        return frozenset({(e.letter, e.body)}), frozenset()
+    if isinstance(e, RSum):
+        (t1, o1), (t2, o2) = ref_step(e.left), ref_step(e.right)
+        return t1 | t2, o1 | o2
+    trans, outs = ref_step(e.body)
+    return (frozenset((a, ref_subst(t, {e.binder: e})) for (a, t) in trans),
+            outs - {e.binder})
+
+
+def _ref_open_mu(e):
+    if isinstance(e, RMu):
+        return True
+    if isinstance(e, RPrefix):
+        return _ref_open_mu(e.body)
+    if isinstance(e, RSum):
+        return _ref_open_mu(e.right)
+    return False
+
+
+def ref_format(e):
+    if isinstance(e, RZero):
+        return "0"
+    if isinstance(e, RVar):
+        return f"v{e.index}"
+    if isinstance(e, RPrefix):
+        body = ref_format(e.body)
+        return f"{e.letter}.({body})" if isinstance(e.body, RSum) else f"{e.letter}.{body}"
+    if isinstance(e, RMu):
+        return f"mu v{e.binder}.{ref_format(e.body)}"
+    left, right = ref_format(e.left), ref_format(e.right)
+    if _ref_open_mu(e.left):
+        left = f"({left})"
+    if isinstance(e.right, RSum):
+        right = f"({right})"
+    return f"{left}+{right}"
+
+
+def ref_parse(text):
+    """Recursive descent over the expression grammar of README."""
+    pos = 0
+
+    def skip_ws():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+
+    def expect(ch):
+        nonlocal pos
+        if text[pos:pos + 1] != ch:
+            raise ValueError(f"expected {ch!r} at {pos}")
+        pos += 1
+
+    def var_token():
+        nonlocal pos
+        skip_ws()
+        expect("v")
+        start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        return int(text[start:pos])
+
+    def summands():
+        nonlocal pos
+        e = term()
+        while True:
+            skip_ws()
+            if text[pos:pos + 1] != "+":
+                return e
+            pos += 1
+            e = RSum(e, term())
+
+    def term():
+        nonlocal pos
+        skip_ws()
+        ch = text[pos:pos + 1]
+        if text.startswith("mu", pos) and text[pos + 2:pos + 3] != ".":
+            pos += 2
+            binder = var_token()
+            skip_ws()
+            expect(".")
+            return RMu(binder, summands())
+        pos += 1
+        if ch == "0":
+            return RZero()
+        if ch == "(":
+            e = summands()
+            skip_ws()
+            expect(")")
+            return e
+        if ch == "v":
+            pos -= 1
+            return RVar(var_token())
+        if ch not in _LETTERS:
+            raise ValueError(f"unexpected {ch!r} at {pos - 1}")
+        skip_ws()
+        expect(".")
+        return RPrefix(ch, term())
+
+    e = summands()
+    skip_ws()
+    if pos != len(text):
+        raise ValueError(f"trailing input at {pos}")
+    return e
+
+
+def ref_expand(text, max_states=10000):
+    """Chart of the reachable derivatives of expression text, states named
+    by canonical text: parse, alpha_normal, format_expr and expand."""
+    start = ref_alpha_normal(ref_parse(text))
+    start_key = ref_format(start)
+    states = {start_key: start}
+    trans, outs = set(), set()
+    queue = deque([start_key])
+    while queue:
+        key = queue.popleft()
+        sr_trans, sr_outs = ref_step(states[key])
+        outs |= {(key, v) for v in sr_outs}
+        targets = {}
+        for (a, t) in sr_trans:
+            nt = ref_alpha_normal(t)
+            targets[(a, ref_format(nt))] = nt
+        for (a, tkey) in sorted(targets):
+            trans.add((key, a, tkey))
+            if tkey not in states:
+                if len(states) >= max_states:
+                    raise RuntimeError(f"expansion exceeded {max_states} states")
+                states[tkey] = targets[(a, tkey)]
+                queue.append(tkey)
+    return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), start_key)
 
 
 # ---------------------------------------------------------------------------

@@ -399,3 +399,20 @@ def test_axioms_check(capsys):
     assert len(lines) == 15
     assert sum(1 for l in lines if l.endswith(": holds")) == 14
     assert lines[-1] == "act-copy: fails as expected"
+
+
+def test_deep_expressions_answer(capsys):
+    loop = "mu v1." + "a." * 1000 + "v1"
+    assert run(capsys, "dist", loop, "mu v1.a.v1") == (EXIT_OK, "0 (bisimilar)\n", "")
+    chain = "a." * 1200 + "0"
+    assert run(capsys, "strat", chain, "0") == (EXIT_OK, "0\n", "")
+    assert run(capsys, "dist", chain, "0") == (EXIT_OK, "1 (level 0)\n", "")
+    parens = "(" * 500 + "a.0" + ")" * 500
+    assert run(capsys, "compile", parens) == (EXIT_OK, run(capsys, "compile", "a.0")[1], "")
+
+
+def test_too_deep_diagram_exits_5_without_traceback(capsys):
+    # diagram type checking still recurses once per ';'
+    seq = ";".join(["act(a)"] * 2000)
+    assert run(capsys, "dist", "--format", "diag", seq, seq) == \
+        (EXIT_BUDGET, "", "error: input too deeply nested\n")

@@ -1,15 +1,25 @@
 """Expression syntax, substitution, and chart expansion."""
 
+import copy
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chartdist.expr as expr_module
 from chartdist import (
-    ExpansionBudgetError, ExprSyntaxError, Mu, Prefix, Sum, Var, Zero,
+    ZERO, ExpansionBudgetError, ExprSyntaxError, Mu, Prefix, Sum, Var, Zero,
     alpha_equivalent, alpha_normal, expand, format_expr, free_vars,
     parse_expr, step, substitute,
 )
+from chartdist.cli import main
+from helpers import ref_expand, ref_format, ref_parse, ref_step, ref_subst
 
 
 def exprs(max_var=3):
@@ -168,3 +178,151 @@ def test_expand_states_are_normal_forms(e):
     c = expand(e)
     for q in c.states:
         assert format_expr(alpha_normal(parse_expr(q))) == q
+
+
+# --- differential tests against the reference core in helpers -------------
+
+
+def assert_same_chart(c, ref):
+    assert c.start == ref.start
+    assert c.states == ref.states
+    assert c.trans == ref.trans
+    assert c.outs == ref.outs
+
+
+@given(exprs(max_var=4))
+@settings(max_examples=300, deadline=None)
+def test_expand_matches_reference_core(e):
+    text = format_expr(e)
+    assert ref_format(ref_parse(text)) == text
+    assert_same_chart(expand(e), ref_expand(text))
+    res = step(e)
+    ref_trans, ref_outs = ref_step(ref_parse(text))
+    assert {(a, format_expr(t)) for a, t in res.transitions} == \
+        {(a, ref_format(t)) for a, t in ref_trans}
+    assert res.outputs == ref_outs
+
+
+@given(exprs(), st.integers(1, 3), exprs(), st.integers(1, 3), exprs())
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_reference_core(e, v, g, w, h):
+    bindings = [(v, g)] if v == w else [(v, g), (w, h)]
+    ref = ref_subst(ref_parse(format_expr(e)),
+                    {u: ref_parse(format_expr(x)) for u, x in bindings})
+    assert format_expr(substitute(e, bindings)) == ref_format(ref)
+
+
+def long_loop(n):
+    return "mu v1." + "a." * n + "v1"
+
+
+def nested(k):
+    # mu v1.a.mu v2.a. ... mu vk.a.(b.v1 + ... + b.vk)
+    text = "(" + "+".join(f"b.v{i}" for i in range(1, k + 1)) + ")"
+    for i in range(k, 0, -1):
+        text = f"mu v{i}.a.{text}"
+    return text
+
+
+def corpus_expressions():
+    path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
+    lines = [l.strip() for l in path.read_text().splitlines()]
+    return [l.split("\t")[0] for l in lines if l and not l.startswith("#")]
+
+
+# binders directly under binders, shadowing, and free variables that an
+# unfolding would capture without renaming
+BINDER_CASES = [
+    "mu v1.mu v2.a.(v1+v2)",
+    "mu v1.mu v2.mu v3.(a.v1+b.v2+c.v3+v4)",
+    "mu v1.(mu v2.a.v2+b.v1)",
+    "mu v2.mu v1.(a.v1+b.mu v1.c.(v1+v2))",
+    "mu v1.a.mu v2.(b.v1+mu v1.c.(v1+v2+v3))",
+    "mu v3.(a.mu v1.b.(v1+v3)+v2)+c.mu v2.a.v2",
+]
+
+
+def test_expand_matches_reference_core_on_families():
+    texts = ([long_loop(n) for n in (25, 50, 100, 150)]
+             + [nested(k) for k in range(2, 6)] + corpus_expressions()
+             + BINDER_CASES)
+    for text in texts:
+        assert_same_chart(expand(parse_expr(text)), ref_expand(text))
+
+
+# --- deep inputs -------------------------------------------------------
+
+
+def test_deep_inputs_parse_and_print_back():
+    assert parse_expr("(" * 500 + "0" + ")" * 500) is ZERO
+    right = "v1+(" * 498 + "v1+v1" + ")" * 498
+    e = parse_expr(right)
+    assert format_expr(e) == right
+    for _ in range(499):
+        assert isinstance(e, Sum) and e.left is Var(1)
+        e = e.right
+    assert e is Var(1)
+    chain = "a." * 1200 + "0"
+    assert format_expr(parse_expr(chain)) == chain
+    assert len(expand(parse_expr(chain)).states) == 1201
+
+
+def test_expand_depth_does_not_grow_with_input():
+    # 2,000 prefixes under a binder, expanded with a recursion limit of 150
+    script = (
+        "import sys\n"
+        "from chartdist import expand, parse_expr\n"
+        "text = 'mu v1.' + 'a.' * 2000 + 'v1'\n"
+        "sys.setrecursionlimit(150)\n"
+        "c = expand(parse_expr(text))\n"
+        "print(len(c.states), c.start == text)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "2000 True\n"
+
+
+# --- interning ---------------------------------------------------------
+
+
+def test_nodes_are_interned():
+    text = "mu v1.(a.v1+b.mu v2.(a.v2+v1))+c.v3"
+    assert parse_expr(text) is parse_expr(text)
+    assert Prefix("a", Var(1)) is Prefix("a", Var(1))
+    assert Zero() is ZERO
+    e = parse_expr("mu v7.a.mu v9.(b.v7+v9)")
+    n = alpha_normal(e)
+    assert n is not e
+    assert alpha_normal(n) is n
+    assert copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    with pytest.raises(AttributeError):
+        e.body = ZERO
+    assert eval(repr(e), {"parse_expr": parse_expr}) is e
+
+
+def test_bad_fields_raise_value_errors():
+    for bad in (0, -1, 1.0, "1", None):
+        with pytest.raises(ValueError):
+            Var(bad)
+        with pytest.raises(ValueError):
+            Mu(bad, ZERO)
+    for bad in ("v", "ab", "A", "", 1, None, ["a"]):
+        with pytest.raises(ValueError):
+            Prefix(bad, ZERO)
+
+
+def test_intern_table_holds_nothing_after_a_query(capsys):
+    # every node a query builds is dropped with its last user, so nothing
+    # is cached from one query to the next
+    gc.collect()
+    before = len(expr_module._interned)
+    assert main(["dist", nested(4), "mu v1.a.mu v2.a.(b.v2+b.v1+c.0)"]) == 0
+    assert main(["derive", long_loop(30), "mu v1.a.a.v1"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(expr_module._interned) == before
