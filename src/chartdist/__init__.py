@@ -15,7 +15,7 @@ from .chart import (
     Chart, ChartFormatError, Prechart, chart_to_dot, disjoint_union,
     empty_chart, format_chart_text, live_vars, parse_chart_text,
     prefix_chart, reachable, rec_chart, subst_chart, sum_chart,
-    variable_chart,
+    tagged_union, variable_chart,
 )
 from .derive import (
     CBisim, CCoupling, CDecomp, CTop, CTriang, CWeaken, CertificateError,
@@ -24,10 +24,10 @@ from .derive import (
 )
 from .diagram import (
     Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError, Gen, Id,
-    Merge, Seq, Sym, Tensor, Term, axiom_catalog, bend, c1_copy_pair,
-    check_axiom, component, diagram_distance, format_term, from_expression,
-    interpret, interpret_pair, loop1, parse_term, semantic_equal, term_to_dot,
-    typecheck, zip_merge,
+    Merge, OpenChart, Seq, Sym, Tensor, Term, axiom_catalog, bend,
+    c1_copy_pair, check_axiom, component, diagram_distance, format_term,
+    from_expression, interpret, loop1, open_chart, open_chart_pair,
+    parse_term, semantic_equal, term_to_dot, typecheck, zip_merge,
 )
 from .expr import (
     ExpansionBudgetError, Expr, ExprSyntaxError, Mu, Prefix, Sum, Var, ZERO,

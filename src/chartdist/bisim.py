@@ -162,18 +162,24 @@ def joint_refinement(pairs):
     as by disjoint_union, and ``starts`` lists the tagged start pair of
     each chart pair.  Charts on the same side share the states they name
     alike, so a list of several pairs is meant for expansions, whose
-    states are canonical expression texts.
+    states are canonical expression texts, or for the entries of two
+    open charts, whose precharts are joined once.
     """
-    unions = [disjoint_union(c1, c2) for c1, c2 in pairs]
-    starts = [(s1, s2) for _, s1, s2 in unions]
+    unions = {}  # one union per pair of prechart objects
+    for c1, c2 in pairs:
+        key = (id(c1.prechart), id(c2.prechart))
+        if key not in unions:
+            unions[key] = disjoint_union(c1, c2)[0]
+    starts = [(f"L:{c1.start}", f"R:{c2.start}") for c1, c2 in pairs]
     if len(unions) == 1:
-        return Refinement(unions[0][0]), starts
-    states, trans, outs = set(), set(), set()
-    for union, _, _ in unions:
-        states |= union.states
-        trans |= union.trans
-        outs |= union.outs
-    joint = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
+        [joint] = unions.values()
+    else:
+        states, trans, outs = set(), set(), set()
+        for union in unions.values():
+            states |= union.states
+            trans |= union.trans
+            outs |= union.outs
+        joint = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
     return Refinement(joint), starts
 
 

@@ -18,7 +18,8 @@ __all__ = [
     "Prechart", "Chart", "ChartFormatError",
     "empty_chart", "variable_chart", "prefix_chart", "sum_chart",
     "subst_chart", "rec_chart", "reachable", "live_vars",
-    "disjoint_union", "parse_chart_text", "format_chart_text", "chart_to_dot",
+    "disjoint_union", "tagged_union", "parse_chart_text", "format_chart_text",
+    "chart_to_dot",
     "state_key", "move_key",
 ]
 
@@ -251,22 +252,28 @@ def live_vars(c: Chart) -> frozenset:
     return reachable(c).prechart.variables()
 
 
-def disjoint_union(c1: Chart, c2: Chart):
-    """Tagged union of two charts; returns (prechart, start1, start2).
-
-    States are renamed to "L:<q>" and "R:<q>" so the union is usable by
-    the relational algorithms while keeping names readable.
-    """
+def tagged_union(p1: Prechart, p2: Prechart) -> Prechart:
+    """Union of two precharts with their states renamed "L:<q>" and
+    "R:<q>", so that the names stay apart and readable."""
     def tag(t):
         return lambda q: f"{t}:{q}"
 
     l, r = tag("L"), tag("R")
-    states = {l(q) for q in c1.states} | {r(q) for q in c2.states}
-    trans = {(l(q), a, l(t)) for (q, a, t) in c1.trans}
-    trans |= {(r(q), a, r(t)) for (q, a, t) in c2.trans}
-    outs = {(l(q), v) for (q, v) in c1.outs} | {(r(q), v) for (q, v) in c2.outs}
-    p = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
-    return p, l(c1.start), r(c2.start)
+    states = {l(q) for q in p1.states} | {r(q) for q in p2.states}
+    trans = {(l(q), a, l(t)) for (q, a, t) in p1.trans}
+    trans |= {(r(q), a, r(t)) for (q, a, t) in p2.trans}
+    outs = {(l(q), v) for (q, v) in p1.outs} | {(r(q), v) for (q, v) in p2.outs}
+    return Prechart(frozenset(states), frozenset(trans), frozenset(outs))
+
+
+def disjoint_union(c1: Chart, c2: Chart):
+    """Tagged union of two charts; returns (prechart, start1, start2).
+
+    States are renamed as by tagged_union, so the union is usable by the
+    relational algorithms while keeping names readable.
+    """
+    return (tagged_union(c1.prechart, c2.prechart),
+            f"L:{c1.start}", f"R:{c2.start}")
 
 
 class ChartFormatError(ValueError):

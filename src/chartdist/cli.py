@@ -20,18 +20,18 @@ from pathlib import Path
 from .bisim import joint_refinement, witness_pairs
 from .chart import (
     ChartFormatError, _relabel, _valid_letter, chart_to_dot,
-    format_chart_text, parse_chart_text, state_key,
+    format_chart_text, parse_chart_text, reachable, state_key,
 )
 from .derive import (
     CertificateError, CertificateSyntaxError, SynthesisFailure, check,
     format_cert, parse_cert, synthesize,
 )
 from .diagram import (
-    DiagramSyntaxError, DiagramTypeError, axiom_catalog, c1_copy_pair,
-    check_axiom, format_term, from_expression, interpret, interpret_pair,
-    parse_term, term_to_dot, typecheck,
+    DiagramSyntaxError, DiagramTypeError, _open_chart, axiom_catalog,
+    c1_copy_pair, check_axiom, format_term, open_chart_pair, parse_term,
+    term_to_dot, typecheck,
 )
-from .expr import ExpansionBudgetError, ExprSyntaxError, expand, free_vars, parse_expr
+from .expr import ExpansionBudgetError, ExprSyntaxError, expand, parse_expr
 from .metric import level_distance, split_table
 from .regbeh import RbTypeError
 
@@ -92,27 +92,22 @@ def _load_chart(arg, args):
                   max_states=args.max_states)
 
 
-def _load_diagrams(args):
-    """The two inputs as diagram terms; expressions are compiled at a
-    common width."""
+def _load_pair(args):
+    """The two inputs as diagram terms or as expressions."""
     if args.format == "diag":
         return parse_term(_resolve(args.left)), parse_term(_resolve(args.right))
     alphabet = _parse_alphabet(args.alphabet)
-    e1 = parse_expr(_resolve(args.left), alphabet=alphabet)
-    e2 = parse_expr(_resolve(args.right), alphabet=alphabet)
-    width = max(free_vars(e1) | free_vars(e2), default=0)
-    return from_expression(e1, width), from_expression(e2, width)
+    return (parse_expr(_resolve(args.left), alphabet=alphabet),
+            parse_expr(_resolve(args.right), alphabet=alphabet))
 
 
 def _chart_pairs(args):
-    """The two inputs as chart pairs: one pair, or for diagrams the
-    expansions of each pair of payload rows."""
+    """The two inputs as chart pairs: one pair, or for diagrams one pair
+    per entry of their open charts."""
     if args.format != "diag":
         return [(_load_chart(args.left, args), _load_chart(args.right, args))]
-    f, g = interpret_pair(*_load_diagrams(args))
-    return [(expand(r1, max_states=args.max_states),
-             expand(r2, max_states=args.max_states))
-            for r1, r2 in zip(f.payload.rows, g.payload.rows)]
+    o1, o2 = open_chart_pair(*_load_pair(args), max_states=args.max_states)
+    return list(zip(o1.charts(), o2.charts()))
 
 
 def _compare(args):
@@ -141,7 +136,10 @@ def _cmd_bisim(args):
         return EXIT_USAGE, f"not bisimilar (level {level + 1})\n"
     lines = ["bisimilar"]
     for i, (c1, c2) in enumerate(pairs, start=1):
-        tag = f"row {i}\t" if args.format == "diag" else ""
+        tag = ""
+        if args.format == "diag":
+            tag = f"row {i}\t"
+            c1, c2 = reachable(c1), reachable(c2)
         w = witness_pairs(refinement, c1, c2)
         for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")
@@ -162,8 +160,7 @@ def _cmd_compile(args):
             raise DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        row = interpret(t, checked=True).payload.rows[0]
-        c = expand(row, max_states=args.max_states)
+        [c] = _open_chart(t, args.max_states).charts()
     else:
         c = _load_chart(args.input, args)
     named, _ = _relabel(c, 0)
@@ -171,7 +168,7 @@ def _cmd_compile(args):
 
 
 def _cmd_derive(args):
-    t1, t2 = _load_diagrams(args)
+    t1, t2 = _load_pair(args)
     eps = Fraction(args.eps) if args.eps is not None else None
     if eps is not None and not 0 <= eps <= 1:
         raise _UsageError(f"--eps {eps} outside [0, 1]")
@@ -181,7 +178,7 @@ def _cmd_derive(args):
 
 def _cmd_check(args):
     cert = parse_cert(_resolve(args.cert))
-    t1, t2 = _load_diagrams(args)
+    t1, t2 = _load_pair(args)
     bound = check(cert, t1, t2, max_states=args.max_states)
     return EXIT_OK, f"{bound}\n"
 

@@ -1,9 +1,9 @@
-"""Checkable certificates for distance bounds between diagrams.
+"""Checkable certificates for distance bounds between behaviours.
 
 A certificate is a tree of proof steps whose conclusion is an upper
-bound on the behavioural distance of two diagrams.  The checker
-recomputes every step against the actual move structure, so a valid
-certificate is evidence, not advice.  Node kinds:
+bound on the behavioural distance of two expressions or of two
+diagrams.  The checker recomputes every step against the actual move
+structure, so a valid certificate is evidence, not advice.  Node kinds:
 
   (top)                  bound 1, always valid
   (bisim)                bound 0, the two states must be bisimilar
@@ -18,7 +18,9 @@ that of the second.  A pair of equal moves costs 0; two actions with
 the same letter cost half the bound of the attached child certificate
 (or half of 1 when no child is given); anything else costs 1.  E must
 dominate every cost.  Moves are written ``(act L "state")`` with the
-target state named by its canonical expression text, or ``(out vN)``.
+target state named by its canonical expression text (for diagrams,
+by its number in the open chart, tagged ``L:`` or ``R:``), or
+``(out vN)``.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement
-from .chart import Prechart, _valid_letter, move_key
-from .diagram import interpret_pair
-from .expr import expand
+from .chart import Prechart, _valid_letter, move_key, tagged_union
+from .diagram import Term, open_chart_pair
+from .expr import Expr, expand
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -322,14 +324,20 @@ def joint_prechart(exprs, max_states=10000):
 
 
 def _joint_rows(f, g, max_states):
-    """The joint prechart of two diagrams' payload rows, and the pair of
-    start states of each row."""
-    m1, m2 = interpret_pair(f, g)
-    rows1, rows2 = m1.payload.rows, m2.payload.rows
-    joint, seeds = joint_prechart(list(rows1) + list(rows2),
-                                  max_states=max_states)
-    m = len(rows1)
-    return joint, list(zip(seeds[:m], seeds[m:]))
+    """The joint prechart of two expressions or of two diagram terms, and
+    the pair of start states of each payload row.
+
+    Expressions share their canonical state names; the open charts of
+    diagrams are tagged "L:" and "R:", and have a row per entry.
+    """
+    if isinstance(f, Expr) and isinstance(g, Expr):
+        joint, seeds = joint_prechart([f, g], max_states=max_states)
+        return joint, [tuple(seeds)]
+    if isinstance(f, Term) and isinstance(g, Term):
+        o1, o2 = open_chart_pair(f, g, max_states)
+        return (tagged_union(o1.prechart, o2.prechart),
+                [(f"L:{x}", f"R:{y}") for x, y in zip(o1.entries, o2.entries)])
+    raise TypeError("expected two expressions or two diagram terms")
 
 
 class _Checker:
@@ -426,7 +434,8 @@ class _Checker:
 
 
 def check(cert, f, g, max_states=10000) -> Fraction:
-    """Validate a certificate for two diagrams; the certified bound."""
+    """Validate a certificate for two expressions or two diagrams; the
+    certified bound."""
     joint, pairs = _joint_rows(f, g, max_states)
     return _Checker(joint).root(cert, pairs)
 
@@ -492,7 +501,8 @@ class _Synthesizer:
 
 
 def synthesize(f, g, eps=None, max_states=10000):
-    """Certificate that the distance between f and g is at most eps.
+    """Certificate that the distance between f and g, two expressions or
+    two diagram terms, is at most eps.
 
     With eps omitted the certificate is tight.  Requesting a bound
     below the actual distance raises SynthesisFailure carrying it.

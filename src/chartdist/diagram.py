@@ -4,20 +4,28 @@ Terms are built from a small set of generators (copy, del, merge, gen,
 act, cap, cup) together with identities, wire swaps, sequential
 composition ';' and parallel composition '*'.  A wire word is a string
 over '>' (forward) and '<' (backward); a term has a wire word at each
-boundary.  Interpretation sends every term to a morphism between
-paired interfaces whose payload is a tuple of behaviours, so equality
-and distance of diagrams reduce to bisimilarity and behavioural
-distance of the payload rows.
+boundary.
+
+A term denotes a tuple of behaviours, one per input port.
+``open_chart`` builds them as one chart with an entry state per input,
+composing the charts of the generators by their boundaries; every
+query of the command line runs on it.  ``interpret`` gives the same
+behaviours as the payload rows of a morphism between paired interfaces
+(regbeh); it is the reference semantics, behind ``diagram_distance``,
+``semantic_equal`` and ``check_axiom``.  Parsing, typing, printing and
+both semantics walk a term with an explicit stack, never by recursion.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 
-from .chart import _valid_letter
+from .chart import Chart, Prechart, _valid_letter, state_key
 from .expr import (
-    ZERO, Mu, Prefix, Sum, Var, alpha_normal, free_vars, parse_expr,
-    substitute,
+    ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, expand,
+    free_vars, parse_expr, substitute,
 )
 from .regbeh import (
     IntMorphism, RbMorphism, embed_n, int_compose, int_counit, int_distance,
@@ -28,7 +36,8 @@ __all__ = [
     "Term", "Copy", "Del", "Merge", "Gen", "Act", "Cap", "Cup",
     "Id", "Sym", "Seq", "Tensor",
     "DiagramTypeError", "DiagramSyntaxError",
-    "typecheck", "interpret", "interpret_pair",
+    "typecheck", "interpret",
+    "OpenChart", "open_chart", "open_chart_pair",
     "parse_term", "format_term", "term_to_dot",
     "bend", "component", "diagram_distance", "semantic_equal",
     "from_expression", "zip_merge", "loop1",
@@ -58,7 +67,7 @@ class DiagramSyntaxError(Exception):
 
 
 def _check_word(w, what):
-    if not isinstance(w, str) or any(c not in "><" for c in w):
+    if not isinstance(w, str) or w.strip("<>"):
         raise ValueError(f"{what} must be a string over '>' and '<', got {w!r}")
 
 
@@ -152,8 +161,31 @@ _GENERATORS = {
 }
 
 
-def typecheck(t, _path=()):
-    """Boundary words (dom, cod) of t; raises DiagramTypeError on mismatch."""
+def _fold(t, leaf, seq, tensor):
+    """Fold a term bottom-up and left to right, with an explicit stack.
+
+    leaf(node) gives the value of a leaf; seq(v1, v2, node) and
+    tensor(v1, v2, node) combine the values of a node's two children.
+    """
+    values = []
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is tuple:  # both children of node are folded
+            combine, node = node
+            right = values.pop()
+            values[-1] = combine(values[-1], right, node)
+        elif kind is Seq:
+            todo += ((seq, node), node.second, node.first)
+        elif kind is Tensor:
+            todo += ((tensor, node), node.right, node.left)
+        else:
+            values.append(leaf(node))
+    return values[0]
+
+
+def _leaf_words(t):
     kind = type(t)
     gen = _GENERATORS.get(kind)
     if gen is not None:
@@ -164,164 +196,299 @@ def typecheck(t, _path=()):
         return t.word, t.word
     if kind is Sym:
         return t.left + t.right, t.right + t.left
-    if kind is Seq:
-        d1, c1 = typecheck(t.first, _path + (";1",))
-        d2, c2 = typecheck(t.second, _path + (";2",))
-        if c1 != d2:
-            raise DiagramTypeError(
-                f"cannot plug '{c1 or 'empty'}' into '{d2 or 'empty'}'", _path)
-        return d1, c2
-    if kind is Tensor:
-        d1, c1 = typecheck(t.left, _path + ("*1",))
-        d2, c2 = typecheck(t.right, _path + ("*2",))
-        return d1 + d2, c1 + c2
     raise TypeError(f"not a diagram term: {t!r}")
+
+
+def _path_to(t, target):
+    """The path from t down to the subterm target, e.g. (';1', '*2')."""
+    todo = [(t, None)]  # a node and its path, a linked list innermost first
+    while todo:
+        node, path = todo.pop()
+        if node is target:
+            steps = []
+            while path is not None:
+                step, path = path
+                steps.append(step)
+            return tuple(reversed(steps))
+        if type(node) is Seq:
+            todo += ((node.second, (";2", path)), (node.first, (";1", path)))
+        elif type(node) is Tensor:
+            todo += ((node.right, ("*2", path)), (node.left, ("*1", path)))
+    raise ValueError("target is not a subterm")
+
+
+def typecheck(t):
+    """Boundary words (dom, cod) of t; raises DiagramTypeError on mismatch."""
+    def seq(f, g, node):
+        if f[1] != g[0]:
+            raise DiagramTypeError(
+                f"cannot plug '{f[1] or 'empty'}' into '{g[0] or 'empty'}'",
+                _path_to(t, node))
+        return f[0], g[1]
+
+    return _fold(t, _leaf_words, seq,
+                 lambda f, g, _: (f[0] + g[0], f[1] + g[1]))
 
 
 def _word_object(w):
     return w.count(FORWARD), w.count(BACKWARD)
 
 
-def interpret(t, *, checked=False) -> IntMorphism:
+def _leaf_morphism(t):
+    gen = _GENERATORS.get(type(t))
+    if gen is not None:
+        return gen[3]
+    if type(t) is Act:
+        return embed_n(RbMorphism(1, 1, (Prefix(t.letter, Var(1)),)))
+    if type(t) is Id:
+        return int_id(_word_object(t.word))
+    return int_sym(_word_object(t.left), _word_object(t.right))
+
+
+def interpret(t) -> IntMorphism:
     """Semantics of a diagram as a morphism between paired interfaces.
 
-    The term is type-checked first unless checked is true, which a
-    caller passes only when typecheck(t) has just succeeded.
+    This is the reference semantics: the composites of the compact
+    closed completion in regbeh, with payload rows that grow with the
+    nesting of the term.  The queries of the command line run on
+    open_chart instead.
     """
-    if not checked:
-        typecheck(t)
+    typecheck(t)
     return _interpret(t)
 
 
 def _interpret(t):
-    kind = type(t)
-    gen = _GENERATORS.get(kind)
-    if gen is not None:
-        return gen[3]
-    if kind is Act:
-        return embed_n(RbMorphism(1, 1, (Prefix(t.letter, Var(1)),)))
-    if kind is Id:
-        return int_id(_word_object(t.word))
-    if kind is Sym:
-        return int_sym(_word_object(t.left), _word_object(t.right))
-    if kind is Seq:
-        return int_compose(_interpret(t.first), _interpret(t.second))
-    if kind is Tensor:
-        return int_tensor(_interpret(t.left), _interpret(t.right))
-    raise TypeError(f"not a diagram term: {t!r}")
+    # interpret for a term that typecheck has accepted
+    return _fold(t, _leaf_morphism, lambda f, g, _: int_compose(f, g),
+                 lambda f, g, _: int_tensor(f, g))
+
+
+# --- open charts -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OpenChart:
+    """A diagram as one chart with an entry state per payload input.
+
+    A term (k,l) -> (m,n) has k+n entries, its forward inputs and then
+    its backward ones, and l+m outputs, its backward outputs v1..vl and
+    then its forward ones; entry i behaves like payload row i of
+    interpret.  The states are numbered breadth-first from the entries.
+    """
+
+    prechart: Prechart
+    entries: tuple
+
+    def charts(self):
+        """One chart per entry, all on the same prechart."""
+        return [Chart(self.prechart, e) for e in self.entries]
+
+
+@functools.lru_cache(maxsize=1024)
+def _leaf_chart(t):
+    """The open chart of a leaf over local nodes, as (node count, output
+    count, transitions, epsilon edges, entries, dom pair).
+
+    Nodes 0..P-1 are the leaf's P outputs, and the states of the
+    expansions of its payload rows follow; a state outputting vj has an
+    epsilon edge to node j-1.
+    """
+    m = _leaf_morphism(t)
+    charts = [expand(row) for row in m.payload.rows]
+    width = m.payload.cod
+    states = sorted({q for c in charts for q in c.states}, key=state_key)
+    node = {q: width + i for i, q in enumerate(states)}
+    trans = tuple(sorted({(node[q], a, node[r])
+                          for c in charts for q, a, r in c.trans}))
+    eps = tuple(sorted({(node[q], v - 1) for c in charts for q, v in c.outs}))
+    entries = tuple(node[c.start] for c in charts)
+    return width + len(states), width, trans, eps, entries, m.dom_pair
+
+
+def _open_chart(t, max_states):
+    # open_chart for a term that typecheck has accepted
+    moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
+
+    def leaf(node):
+        size, width, trans, edges, entries, (k, l) = _leaf_chart(node)
+        base = len(moves)
+        moves.extend([] for _ in range(size))
+        eps.extend([] for _ in range(size))
+        for q, a, r in trans:
+            moves[base + q].append((a, base + r))
+        for q, r in edges:
+            eps[base + q].append(base + r)
+        entries = [base + e for e in entries]
+        outputs = list(range(base, base + width))
+        return entries[:k], entries[k:], outputs[:l], outputs[l:]
+
+    def seq(f, g, _):
+        # f's forward outputs feed g's forward entries, and g's backward
+        # outputs feed f's backward entries
+        f_in, f_back, f_out_back, f_out = f
+        g_in, g_back, g_out_back, g_out = g
+        for x, y in zip(f_out, g_in):
+            eps[x].append(y)
+        for x, y in zip(g_out_back, f_back):
+            eps[x].append(y)
+        return f_in, g_back, f_out_back, g_out
+
+    def tensor(f, g, _):
+        return tuple(a + b for a, b in zip(f, g))
+
+    ins, ins_back, outs_back, outs = _fold(t, leaf, seq, tensor)
+    return _close(moves, eps, ins + ins_back, outs_back + outs, max_states)
+
+
+def _close(moves, eps, entries, outputs, max_states):
+    """Resolve the epsilon edges and keep the states reachable from the
+    entries, numbered breadth-first.
+
+    Each state takes the transitions of every node its epsilon edges
+    reach, and outputs vj when they reach output node j; a cycle of
+    epsilon edges adds nothing.
+    """
+    variable = {x: j for j, x in enumerate(outputs, start=1)}
+    number = {}
+    order = []
+
+    def state(x):
+        n = number.get(x)
+        if n is None:
+            if len(order) >= max_states:
+                raise ExpansionBudgetError(
+                    f"open chart exceeded {max_states} states")
+            n = number[x] = len(order)
+            order.append(x)
+        return n
+
+    entry_states = tuple(state(x) for x in entries)
+    trans, outs = set(), set()
+    for x in order:  # grows while it is walked
+        q = number[x]
+        seen = {x}
+        todo = [x]
+        steps = set()
+        while todo:
+            y = todo.pop()
+            steps.update(moves[y])
+            if y in variable:
+                outs.add((q, variable[y]))
+            for z in eps[y]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        for a, y in sorted(steps):
+            trans.add((q, a, state(y)))
+    states = frozenset(range(len(order)))
+    return OpenChart(Prechart(states, frozenset(trans), frozenset(outs)),
+                     entry_states)
+
+
+def open_chart(t, max_states=10000) -> OpenChart:
+    """The open chart of a diagram; raises ExpansionBudgetError when it
+    has more than max_states states.
+
+    Generators are constant open charts.  ';' joins the outputs of each
+    side to the entries of the other by epsilon edges and '*' puts entry
+    and output lists side by side, so each costs the width of the
+    boundary; the epsilon edges are resolved once, at the end.
+    """
+    typecheck(t)
+    return _open_chart(t, max_states)
 
 
 # --- concrete syntax ------------------------------------------------------
 
 _BY_KEYWORD = {gen[0]: cls for cls, gen in _GENERATORS.items()}
 
+# a token is a name, a wire word or any other single character, each
+# after optional blanks; findall gives (name, word, character) with
+# exactly one of them nonempty
+_TOKEN = re.compile(r"\s*(?:([^\W\d_]+)|([<>]+)|(\S))")
+_END = ("", "", "")
 
-class _TermParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
 
-    def error(self, message):
-        raise DiagramSyntaxError(message, self.pos)
+def _tokens(text):
+    # stopping before trailing blanks keeps the match linear
+    return _TOKEN.findall(text, 0, len(text.rstrip())) + [_END]
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _error(message, text, i, shift=0):
+    """A syntax error at token i, or shift characters after its start."""
+    starts = [m.start(m.lastindex)
+              for m in _TOKEN.finditer(text, 0, len(text.rstrip()))]
+    return DiagramSyntaxError(message, (starts + [len(text)])[i] + shift)
 
-    def eat(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
 
-    def word(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "><":
-            self.pos += 1
-        return self.text[start:self.pos]
+def _expect(text, tokens, i, ch):
+    if tokens[i][2] != ch:
+        raise _error(f"expected {ch!r}", text, i)
+    return i + 1
 
-    def name(self):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a term")
-        return self.text[start:self.pos]
 
-    def sequence(self):
-        t = self.tensor()
-        while self.peek() == ";":
-            self.pos += 1
-            t = Seq(t, self.tensor())
-        return t
-
-    def tensor(self):
-        t = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            t = Tensor(t, self.atom())
-        return t
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            t = self.sequence()
-            self.eat(")")
-            return t
-        word = self.name()
-        if word in _BY_KEYWORD:
-            return _BY_KEYWORD[word]()
-        if word == "act":
-            self.eat("(")
-            letter = self.name()
-            if not _valid_letter(letter):
-                self.error(f"invalid action letter {letter!r}")
-            self.eat(")")
-            return Act(letter)
-        if word == "id":
-            self.eat("(")
-            w = self.word()
-            self.eat(")")
-            return Id(w)
-        if word == "sym":
-            self.eat("(")
-            left = self.word()
-            self.eat(",")
-            right = self.word()
-            self.eat(")")
-            return Sym(left, right)
-        self.error(f"unknown term {word!r}")
+def _leaf(text, tokens, i):
+    """The leaf term starting at token i, and the index after it."""
+    name = tokens[i][0]
+    if name in _BY_KEYWORD:
+        return _BY_KEYWORD[name](), i + 1
+    if not name:
+        raise _error("expected a term", text, i)
+    if name not in ("act", "id", "sym"):
+        raise _error(f"unknown term {name!r}", text, i, len(name))
+    i = _expect(text, tokens, i + 1, "(")
+    if name == "act":
+        letter = tokens[i][0]
+        if not letter:
+            raise _error("expected a term", text, i)
+        if not _valid_letter(letter):
+            raise _error(f"invalid action letter {letter!r}", text, i, len(letter))
+        return Act(letter), _expect(text, tokens, i + 1, ")")
+    left = tokens[i][1]  # a wire word, possibly empty
+    i += bool(left)
+    if name == "id":
+        return Id(left), _expect(text, tokens, i, ")")
+    i = _expect(text, tokens, i, ",")
+    right = tokens[i][1]
+    return Sym(left, right), _expect(text, tokens, i + bool(right), ")")
 
 
 def parse_term(text) -> Term:
-    p = _TermParser(text)
-    t = p.sequence()
-    p.skip_ws()
-    if p.pos != len(text):
-        p.error("trailing input")
-    return t
+    """Parse a term; ';' and '*' associate to the left, '*' binds tighter."""
+    tokens = _tokens(text)
+    i = 0
+    opened = []  # per open parenthesis: the sequence and tensor around it
+    sequence = tensor = None
+    while True:
+        if tokens[i][2] == "(":
+            opened.append((sequence, tensor))
+            sequence = tensor = None
+            i += 1
+            continue
+        atom, i = _leaf(text, tokens, i)
+        while True:
+            tensor = atom if tensor is None else Tensor(tensor, atom)
+            ch = tokens[i][2]
+            if ch == "*":
+                break
+            sequence = tensor if sequence is None else Seq(sequence, tensor)
+            tensor = None
+            if ch == ";":
+                break
+            if not opened:
+                if tokens[i] is not _END:
+                    raise _error("trailing input", text, i)
+                return sequence
+            if ch != ")":
+                raise _error("expected ')'", text, i)
+            atom = sequence
+            sequence, tensor = opened.pop()
+            i += 1
+        i += 1
 
 
-def format_term(t) -> str:
-    """Render with ';' binding looser than '*'; round-trips with parse_term."""
-    return _fmt(t, 0)
-
-
-def _fmt(t, level):
+def _leaf_text(t):
     kind = type(t)
-    if kind is Seq:
-        # right-nested compositions keep their parentheses
-        s = f"{_fmt(t.first, 0)} ; {_fmt(t.second, 1)}"
-        return f"({s})" if level > 0 else s
-    if kind is Tensor:
-        s = f"{_fmt(t.left, 1)} * {_fmt(t.right, 2)}"
-        return f"({s})" if level > 1 else s
     if kind is Act:
         return f"act({t.letter})"
     if kind is Id:
@@ -333,31 +500,56 @@ def _fmt(t, level):
     raise TypeError(f"not a diagram term: {t!r}")
 
 
+def format_term(t) -> str:
+    """Render with ';' binding looser than '*'; round-trips with parse_term."""
+    parts = []
+    todo = [(t, 0)]  # a term and how tightly its context binds, or a string
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, level = item
+        kind = type(node)
+        if kind is Seq:
+            # right-nested compositions keep their parentheses
+            pieces = [(node.first, 0), " ; ", (node.second, 1)]
+            wrap = level > 0
+        elif kind is Tensor:
+            pieces = [(node.left, 1), " * ", (node.right, 2)]
+            wrap = level > 1
+        else:
+            parts.append(_leaf_text(node))
+            continue
+        if wrap:
+            pieces = ["(", *pieces, ")"]
+        todo.extend(reversed(pieces))
+    return "".join(parts)
+
+
 def term_to_dot(t) -> str:
     """Structural tree of a term in DOT format."""
     lines = ["digraph term {", "  node [shape=box];"]
-    counter = [0]
-
-    def walk(node):
-        my = counter[0]
-        counter[0] += 1
+    count = 0
+    todo = [(t, None)]  # a term and its parent's number, or an edge to draw
+    while todo:
+        node, parent = todo.pop()
+        if type(node) is int:  # the edge into a finished subtree
+            lines.append(f"  n{parent} -> n{node};")
+            continue
+        my = count
+        count += 1
         kind = type(node)
         if kind is Seq:
-            label = ";"
-            children = [node.first, node.second]
+            label, children = ";", (node.first, node.second)
         elif kind is Tensor:
-            label = "*"
-            children = [node.left, node.right]
+            label, children = "*", (node.left, node.right)
         else:
-            label = format_term(node)
-            children = []
+            label, children = _leaf_text(node), ()
         lines.append(f'  n{my} [label="{label}"];')
-        for child in children:
-            cid = walk(child)
-            lines.append(f"  n{my} -> n{cid};")
-        return my
-
-    walk(t)
+        if parent is not None:
+            todo.append((my, parent))
+        todo += ((child, my) for child in reversed(children))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -425,20 +617,25 @@ def component(t, i) -> Term:
     return Seq(_tensor_fold(plug), t)
 
 
-def interpret_pair(t1, t2):
-    """The interpretations of two diagrams with equal boundary words.
-
-    This is the one boundary check of every two-diagram comparison; it
-    raises DiagramTypeError when the words differ.
-    """
+def _check_boundaries(t1, t2):
+    """The one boundary check of every two-diagram comparison."""
     if typecheck(t1) != typecheck(t2):
         raise DiagramTypeError("the two diagrams have different boundaries")
-    return interpret(t1, checked=True), interpret(t2, checked=True)
+
+
+def open_chart_pair(t1, t2, max_states=10000):
+    """The open charts of two diagrams with equal boundary words; raises
+    DiagramTypeError when the words differ."""
+    _check_boundaries(t1, t2)
+    return _open_chart(t1, max_states), _open_chart(t2, max_states)
 
 
 def diagram_distance(t1, t2):
-    """Behavioural distance between two diagrams of the same shape."""
-    return int_distance(*interpret_pair(t1, t2))
+    """Behavioural distance between two diagrams of the same shape, by
+    the reference semantics; raises DiagramTypeError when their boundary
+    words differ."""
+    _check_boundaries(t1, t2)
+    return int_distance(_interpret(t1), _interpret(t2))
 
 
 def semantic_equal(t1, t2) -> bool:

@@ -10,18 +10,12 @@ forward/backward wire counts, and a morphism (k,l) -> (m,n) is a
 payload k+n -> l+m mapping all inputs to all outputs.  Distances extend
 row-wise by taking the maximum.
 
-Composition and tensor of paired interfaces are defined by wiring
-morphisms (rb_id, rb_sym, rb_oplus), rb_compose and rb_trace, but
-int_compose and int_tensor build none of them.  Their wirings only
-permute four blocks of payload rows and four blocks of variables, so
-they are written directly as lists of indices: each payload row is
-renamed once, and the rows are reordered.  The loop of int_compose is
-solved by eliminating the looped rows one at a time, last first
-(Bekic), without the back-substitution of rb_dagger: the trace keeps
-only the other rows, whose own variables occur nowhere.  The rows come
-out alpha-equivalent to the definitional composite, so their canonical
-texts, and with them the state names of expansions and certificates,
-do not depend on which of the two is computed.
+Composition and tensor of paired interfaces are the definitional
+composites: wiring morphisms built from rb_id, rb_sym and rb_oplus
+around the two payloads, and for composition a trace of the plugged
+wires.  Their payload rows grow with the nesting of a diagram; this
+module is the reference semantics that the tests and the benchmark's
+answers use, and no command line query runs it.
 """
 
 from __future__ import annotations
@@ -223,72 +217,48 @@ def int_counit(pair) -> IntMorphism:
     return IntMorphism((n + m, m + n), (0, 0), rb_sym(n, m))
 
 
-def _renamed(rows, wiring):
-    """Rows with each variable v(j+1) renamed to v(wiring[j]+1)."""
-    bindings = [(j + 1, Var(w + 1)) for j, w in enumerate(wiring) if w != j]
-    return [substitute(r, bindings) for r in rows]
-
-
 def int_compose(f: IntMorphism, g: IntMorphism) -> IntMorphism:
     """Plug f's right boundary into g's left one and trace the loop.
 
-    For f: (k,l) -> (m,n) and g: (m,n) -> (p,q), the payloads of f and
-    g side by side have four blocks of rows, k | n | m | q, and four of
-    variables, l | m | n | p.  The wiring pre reorders the rows to
-    k | q | n | m and post renames the variables to l | p | n | m, so
-    the k+q kept rows come first and looped row k+q+t feeds back
-    through variable v(l+p+t+1): f's backward inputs read g's backward
-    outputs, and g's forward inputs read f's forward outputs.  The
-    definitional composite is the trace of n+m wires of
-    pre ; (f (+) g) ; post, with the wirings built from rb_id, rb_sym
-    and rb_oplus.  Here the n+m looped rows are solved one at a time,
-    last first, each substituted into the rows before it (Bekic
-    elimination).  rb_trace runs all of rb_dagger instead: it also
-    solves the k+q kept rows, a no-op because their own variables occur
-    nowhere, and back-substitutes into the looped rows, which it then
-    drops.  The rows are alpha-equivalent to the definitional composite,
-    so their canonical texts, and the state names of every expansion
-    and certificate, are the same.
+    For f: (k,l) -> (m,n) and g: (m,n) -> (p,q), the wirings put the
+    k+q kept rows of f (+) g first and its n+m plugged rows last, and
+    rename the variables so that f's backward inputs read g's backward
+    outputs and g's forward inputs read f's forward outputs; rb_trace
+    then solves the n+m plugged rows.
     """
     if f.cod_pair != g.dom_pair:
         raise RbTypeError(f"cannot compose {f.cod_pair} with {g.dom_pair}")
     k, l = f.dom_pair
     m, n = f.cod_pair
     p, q = g.cod_pair
-    pre = [*range(k), *range(k + n + m, k + n + m + q), *range(k, k + n + m)]
-    post = [*range(l), *range(l + p + n, l + p + n + m),
-            *range(l + p, l + p + n), *range(l, l + p)]
-    rows = (_renamed(f.payload.rows, post[:l + m])
-            + _renamed(g.payload.rows, post[l + m:]))
-    rows = [rows[i] for i in pre]
-    # looped row k+q+t feeds back through variable v(l+p+t+1)
-    for t in range(n + m - 1, -1, -1):
-        v = l + p + t + 1
-        solution = _solve(v, rows.pop())
-        rows = [substitute(r, [(v, solution)]) if v in free_vars(r) else r
-                for r in rows]
-    return IntMorphism(f.dom_pair, g.cod_pair,
-                       RbMorphism(k + q, l + p, tuple(rows)))
+    pre = rb_compose(
+        rb_oplus(rb_oplus(rb_id(k), rb_sym(q, n)), rb_id(m)),
+        rb_oplus(rb_oplus(rb_id(k), rb_id(n)), rb_sym(q, m)),
+    )
+    post = rb_compose(
+        rb_compose(
+            rb_oplus(rb_oplus(rb_id(l), rb_id(m)), rb_sym(n, p)),
+            rb_oplus(rb_oplus(rb_id(l), rb_sym(m, p)), rb_id(n)),
+        ),
+        rb_oplus(rb_oplus(rb_id(l), rb_id(p)), rb_sym(m, n)),
+    )
+    looped = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
+    return IntMorphism(f.dom_pair, g.cod_pair, rb_trace(looped, n + m))
 
 
 def int_tensor(f: IntMorphism, g: IntMorphism) -> IntMorphism:
     """Side by side: (k,l)x(k2,l2) -> (m,n)x(m2,n2).
 
-    The rows k | n | k2 | n2 are reordered to k | k2 | n | n2 and the
-    variables l | m | l2 | m2 renamed to l | l2 | m | m2.
+    The wirings reorder the rows k | n | k2 | n2 to k | k2 | n | n2 and
+    the variables l | m | l2 | m2 to l | l2 | m | m2.
     """
     k, l = f.dom_pair
     m, n = f.cod_pair
     k2, l2 = g.dom_pair
     m2, n2 = g.cod_pair
-    pre = [*range(k), *range(k + n, k + n + k2), *range(k, k + n),
-           *range(k + n + k2, k + n + k2 + n2)]
-    post = [*range(l), *range(l + l2, l + l2 + m), *range(l, l + l2),
-            *range(l + l2 + m, l + l2 + m + m2)]
-    rows = (_renamed(f.payload.rows, post[:l + m])
-            + _renamed(g.payload.rows, post[l + m:]))
-    payload = RbMorphism(k + k2 + n + n2, l + l2 + m + m2,
-                         tuple(rows[i] for i in pre))
+    pre = rb_oplus(rb_oplus(rb_id(k), rb_sym(k2, n)), rb_id(n2))
+    post = rb_oplus(rb_oplus(rb_id(l), rb_sym(m, l2)), rb_id(m2))
+    payload = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
     return IntMorphism((k + k2, l + l2), (m + m2, n + n2), payload)
 
 

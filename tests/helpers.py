@@ -13,11 +13,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from chartdist import (
-    Act, Chart, Copy, Del, Gen, Id, IntMorphism, Merge, Mu, Partition,
-    Prechart, Prefix, RbTypeError, Seq, Sum, Tensor, Var, Zero,
-    disjoint_union, empty_chart, from_expression, interpret, loop1,
-    parse_term, prefix_chart, rb_compose, rb_id, rb_oplus, rb_sym, rb_trace, rec_chart,
-    sum_chart, variable_chart, RbMorphism,
+    Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
+    Prefix, RbMorphism, Seq, Sum, Tensor, Var, Zero, disjoint_union,
+    empty_chart, from_expression, loop1, parse_term, prefix_chart, rec_chart,
+    sum_chart, typecheck, variable_chart,
 )
 from chartdist.chart import _LETTERS, state_key
 
@@ -109,6 +108,33 @@ def rand_forward(rng, m, n, depth):
     if r < 0.85 and m == 1:
         return from_expression(rand_expr(rng, maxvar=n, depth=2), n)
     return _bridge(rng, m, n)
+
+
+def _cups(m):
+    """'' -> '>'**m '<'**m, m nested cups."""
+    t = Id("")
+    for i in range(m):
+        t = Seq(t, Tensor(Tensor(Id(">" * i), Cup()), Id("<" * i)))
+    return t
+
+
+def _caps(n):
+    """'<'**n '>'**n -> '', n nested caps."""
+    t = Id("")
+    for i in range(n):
+        t = Seq(Tensor(Tensor(Id("<" * i), Cap()), Id(">" * i)), t)
+    return t
+
+
+def transpose(u):
+    """The mirror image '<'**n -> '<'**m of a forward term u: '>'**m -> '>'**n,
+    bent round with cups and caps; every boundary inside it has backward
+    wires, several of them when m or n is."""
+    dom, cod = typecheck(u)
+    m, n = len(dom), len(cod)
+    return Seq(Seq(Tensor(Id("<" * n), _cups(m)),
+                   Tensor(Tensor(Id("<" * n), u), Id("<" * m))),
+               Tensor(_caps(n), Id("<" * m)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,53 +521,6 @@ def ref_expand(text, max_states=10000):
                 states[tkey] = targets[(a, tkey)]
                 queue.append(tkey)
     return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), start_key)
-
-
-# ---------------------------------------------------------------------------
-# definitional composites of paired interfaces (reference for regbeh.int_*)
-
-def ref_int_compose(f, g):
-    """Plug f's right boundary into g's left one and trace the loop, built
-    from rb_id/rb_sym/rb_oplus wirings, rb_compose and rb_trace."""
-    if f.cod_pair != g.dom_pair:
-        raise RbTypeError(f"cannot compose {f.cod_pair} with {g.dom_pair}")
-    k, l = f.dom_pair
-    m, n = f.cod_pair
-    p, q = g.cod_pair
-    pre = rb_compose(
-        rb_oplus(rb_oplus(rb_id(k), rb_sym(q, n)), rb_id(m)),
-        rb_oplus(rb_oplus(rb_id(k), rb_id(n)), rb_sym(q, m)),
-    )
-    post = rb_compose(
-        rb_compose(
-            rb_oplus(rb_oplus(rb_id(l), rb_id(m)), rb_sym(n, p)),
-            rb_oplus(rb_oplus(rb_id(l), rb_sym(m, p)), rb_id(n)),
-        ),
-        rb_oplus(rb_oplus(rb_id(l), rb_id(p)), rb_sym(m, n)),
-    )
-    looped = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
-    return IntMorphism(f.dom_pair, g.cod_pair, rb_trace(looped, n + m))
-
-
-def ref_int_tensor(f, g):
-    k, l = f.dom_pair
-    m, n = f.cod_pair
-    k2, l2 = g.dom_pair
-    m2, n2 = g.cod_pair
-    pre = rb_oplus(rb_oplus(rb_id(k), rb_sym(k2, n)), rb_id(n2))
-    post = rb_oplus(rb_oplus(rb_id(l), rb_sym(m, l2)), rb_id(m2))
-    payload = rb_compose(rb_compose(pre, rb_oplus(f.payload, g.payload)), post)
-    return IntMorphism((k + k2, l + l2), (m + m2, n + n2), payload)
-
-
-def ref_interpret(t):
-    """Diagram semantics through the definitional composites; generators
-    are interpreted by the library."""
-    if isinstance(t, Seq):
-        return ref_int_compose(ref_interpret(t.first), ref_interpret(t.second))
-    if isinstance(t, Tensor):
-        return ref_int_tensor(ref_interpret(t.left), ref_interpret(t.right))
-    return interpret(t)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,22 @@ from pathlib import Path
 import pytest
 
 import chartdist.bisim
+import chartdist.cli
+import chartdist.derive
+import chartdist.diagram
+import chartdist.regbeh
 from chartdist import (
     axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
-    format_chart_text, format_term, interpret, kleene_solve, parse_chart_text,
-    parse_expr, parse_term, typecheck,
+    format_chart_text, format_term, from_expression, interpret, kleene_solve,
+    open_chart_pair, parse_chart_text, parse_expr, parse_term, reachable,
+    typecheck,
 )
 from chartdist.chart import state_key
 from chartdist.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_REJECTED, EXIT_TYPE, EXIT_USAGE,
     main,
 )
-from helpers import brute_distance, flip_one_act, rand_forward
+from helpers import brute_distance, brute_related_pairs, flip_one_act, rand_forward
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
 FIG_RIGHT = "mu v2.(a.v2 + b.mu v1.a.a.v1)"
@@ -201,14 +206,15 @@ def test_dist_table_tags_diagram_states(capsys):
     code, out, _ = run(capsys, "dist", "--table", "--format", "diag",
                        "act(a) ; act(a)", "act(a)")
     assert code == EXIT_OK
+    # the states of a diagram's open chart are numbered breadth-first
     assert out == (
         "1/2 (level 1)\n"
-        "\tL:a.a.v1\tL:a.v1\tL:v1\tR:a.v1\tR:v1\n"
-        "L:a.a.v1\t0\t1/2\t1\t1/2\t1\n"
-        "L:a.v1\t1/2\t0\t1\t0\t1\n"
-        "L:v1\t1\t1\t0\t1\t0\n"
-        "R:a.v1\t1/2\t0\t1\t0\t1\n"
-        "R:v1\t1\t1\t0\t1\t0\n")
+        "\tL:0\tL:1\tL:2\tR:0\tR:1\n"
+        "L:0\t0\t1/2\t1\t1/2\t1\n"
+        "L:1\t1/2\t0\t1\t0\t1\n"
+        "L:2\t1\t1\t0\t1\t0\n"
+        "R:0\t1/2\t0\t1\t0\t1\n"
+        "R:1\t1\t1\t0\t1\t0\n")
 
 
 def multi_row_pairs():
@@ -226,14 +232,22 @@ def multi_row_pairs():
 
 
 def per_row_bisim(t1, t2):
-    """What bisim --format diag prints, from one bisimilar call per row."""
+    """What bisim --format diag prints: the verdict and level from one
+    bisimilar call per pair of payload rows, and each row's witness by
+    pair elimination on the states its two entries reach."""
     lines, worst = ["bisimilar"], None
-    rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows)
-    for i, (r1, r2) in enumerate(rows, start=1):
-        ok, w = bisimilar(expand(r1), expand(r2))
+    o1, o2 = open_chart_pair(t1, t2)
+    rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows,
+               o1.charts(), o2.charts())
+    for i, (r1, r2, c1, c2) in enumerate(rows, start=1):
+        ok, level = bisimilar(expand(r1), expand(r2))
         if not ok:
-            worst = w if worst is None else min(worst, w)
+            worst = level if worst is None else min(worst, level)
             continue
+        c1, c2 = reachable(c1), reachable(c2)
+        related = brute_related_pairs(disjoint_union(c1, c2)[0])
+        w = [(q1, q2) for q1 in c1.states for q2 in c2.states
+             if (f"L:{q1}", f"R:{q2}") in related]
         for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
             lines.append(f"row {i}\t{q1}\t{q2}")
     if worst is not None:
@@ -310,18 +324,32 @@ def corpus_rows():
     return [tuple(l.split("\t")) for l in lines if l and not l.startswith("#")]
 
 
-# derive output on the same-boundary pairs (i, j) of corpus/pairs.txt, in
-# both formats; every pair not listed gets "(top)"
+# derive output on the same-boundary pairs (i, j) of corpus/pairs.txt, per
+# format; every pair not listed gets "(top)".  Expression states are named
+# by their canonical texts, diagram states by their numbers in the open
+# charts.
 CORPUS_CERTS = {
-    (1, 6): '(coupling 1/2 ((move (act a "v1") (act a "b.v1") (top))))',
-    (7, 9): '(coupling 1/2 ((move (act a "0") (act a "mu v1.a.v1") (top))))',
-    (7, 10): '(coupling 1/2 ((move (act a "0") (act a "a.mu v1.a.a.v1") (top))))',
-    (9, 10): "(bisim)",
-    (11, 12): '(coupling 1/4 ((move (act a "a.0+b.a.mu v1.a.v1") '
-              '(act a "mu v1.a.v1+b.a.a.mu v2.a.a.v2") (coupling 1/2 ('
-              '(move (act a "0") (act a "mu v1.a.v1+b.a.a.mu v2.a.a.v2") (top)) '
-              '(move (act b "a.mu v1.a.v1") (act b "a.a.mu v1.a.a.v1") (bisim))))) '
-              '(move (act b "a.mu v1.a.v1") (act b "a.a.mu v1.a.a.v1") (bisim))))',
+    "expr": {
+        (1, 6): '(coupling 1/2 ((move (act a "v1") (act a "b.v1") (top))))',
+        (7, 9): '(coupling 1/2 ((move (act a "0") (act a "mu v1.a.v1") (top))))',
+        (7, 10): '(coupling 1/2 ((move (act a "0") (act a "a.mu v1.a.a.v1") (top))))',
+        (9, 10): "(bisim)",
+        (11, 12): '(coupling 1/4 ((move (act a "a.0+b.mu v1.a.v1") '
+                  '(act a "mu v1.a.v1+b.mu v2.a.a.v2") (coupling 1/2 ('
+                  '(move (act a "0") (act a "mu v1.a.v1+b.mu v2.a.a.v2") (top)) '
+                  '(move (act b "mu v1.a.v1") (act b "mu v1.a.a.v1") (bisim))))) '
+                  '(move (act b "mu v1.a.v1") (act b "mu v1.a.a.v1") (bisim))))',
+    },
+    "diag": {
+        (1, 6): '(coupling 1/2 ((move (act a "L:1") (act a "R:1") (top))))',
+        (7, 9): '(coupling 1/2 ((move (act a "L:1") (act a "R:1") (top))))',
+        (7, 10): '(coupling 1/2 ((move (act a "L:1") (act a "R:1") (top))))',
+        (9, 10): "(bisim)",
+        (11, 12): '(coupling 1/4 ((move (act a "L:1") (act a "R:1") (coupling 1/2 ('
+                  '(move (act a "L:3") (act a "R:1") (top)) '
+                  '(move (act b "L:4") (act b "R:2") (bisim))))) '
+                  '(move (act b "L:2") (act b "R:2") (bisim))))',
+    },
 }
 
 
@@ -334,14 +362,34 @@ def test_derive_corpus_certificates_are_pinned(capsys):
             if typecheck(parse_term(d1)) != typecheck(parse_term(d2)):
                 continue
             seen += 1
-            want = CORPUS_CERTS.get((i, j), "(top)")
             distance = brute_distance(expand(parse_expr(e1)), expand(parse_expr(e2)))
             for fmt, left, right in (("diag", d1, d2), ("expr", e1, e2)):
+                want = CORPUS_CERTS[fmt].get((i, j), "(top)")
                 assert run(capsys, "derive", "--format", fmt, left, right)[:2] == \
                     (EXIT_OK, want + "\n"), (i, j, fmt)
                 assert run(capsys, "check", "--format", fmt, want, left, right)[:2] == \
                     (EXIT_OK, f"{distance}\n"), (i, j, fmt)
     assert seen == 26
+
+
+def nested(k):
+    """mu v1.a.mu v2.a. ... mu vk.a.(b.v1 + ... + b.vk)"""
+    body = "+".join(f"b.v{i}" for i in range(1, k + 1))
+    return "".join(f"mu v{i}.a." for i in range(1, k + 1)) + f"({body})"
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_derive_and_check_nested_recursion(capsys, k):
+    left, right = nested(k), "mu v1.a.b.v1"
+    distance = brute_distance(expand(parse_expr(left)), expand(parse_expr(right)))
+    assert 0 < distance < 1
+    for fmt, l, r in (("expr", left, right),
+                      ("diag", format_term(from_expression(left, 0)),
+                       format_term(from_expression(right, 0)))):
+        code, cert, _ = run(capsys, "derive", "--format", fmt, l, r)
+        assert code == EXIT_OK and cert.startswith("(coupling "), fmt
+        assert run(capsys, "check", "--format", fmt, cert, l, r)[:2] == \
+            (EXIT_OK, f"{distance}\n"), fmt
 
 
 def test_usage_exit_on_bad_flags(capsys):
@@ -411,8 +459,55 @@ def test_deep_expressions_answer(capsys):
     assert run(capsys, "compile", parens) == (EXIT_OK, run(capsys, "compile", "a.0")[1], "")
 
 
-def test_too_deep_diagram_exits_5_without_traceback(capsys):
-    # diagram type checking still recurses once per ';'
+def test_too_deep_diagram_exits_5_without_traceback(capsys, monkeypatch):
+    def too_deep(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(chartdist.cli, "open_chart_pair", too_deep)
+    assert run(capsys, "dist", "--format", "diag", "act(a)", "act(a)") == \
+        (EXIT_BUDGET, "", "error: input too deeply nested\n")
+
+
+def test_long_diagram_chain_answers(capsys):
     seq = ";".join(["act(a)"] * 2000)
     assert run(capsys, "dist", "--format", "diag", seq, seq) == \
-        (EXIT_BUDGET, "", "error: input too deeply nested\n")
+        (EXIT_OK, "0 (bisimilar)\n", "")
+
+
+def test_diagram_over_budget_exits_5(capsys):
+    seq = "act(a) ; act(a) ; act(b)"
+    assert run(capsys, "dist", "--format", "diag", "--max-states", "4",
+               seq, seq)[:2] == (EXIT_OK, "0 (bisimilar)\n")
+    for command in ("dist", "bisim", "strat", "compile", "derive"):
+        inputs = [seq] if command == "compile" else [seq, seq]
+        code, out, err = run(capsys, command, "--format", "diag",
+                             "--max-states", "3", *inputs)
+        assert (code, out) == (EXIT_BUDGET, ""), command
+        assert err == "error: open chart exceeded 3 states\n", command
+
+
+def test_diagram_queries_take_no_reference_path(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference semantics run by a query")
+
+    for original in (chartdist.regbeh.int_compose, chartdist.regbeh.int_tensor,
+                     chartdist.diagram.interpret):
+        for module in (chartdist, chartdist.cli, chartdist.derive,
+                       chartdist.diagram, chartdist.regbeh):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, forbidden)
+    left = "id(>) * cup ; (merge ; act(a) ; act(a)) * id(<) ; sym(>,<) ; cap"
+    right = "id(>) * cup ; (merge ; act(a)) * id(<) ; sym(>,<) ; cap"
+    assert run(capsys, "dist", "--format", "diag", left, right)[:2] == \
+        (EXIT_OK, "0 (bisimilar)\n")
+    assert run(capsys, "strat", "--format", "diag", left, "act(a) ; del")[:2] == \
+        (EXIT_OK, "1\n")
+    assert run(capsys, "bisim", "--format", "diag", left, right)[0] == EXIT_OK
+    code, cert, _ = run(capsys, "derive", "--format", "diag", left, "act(a) ; del")
+    assert code == EXIT_OK
+    assert run(capsys, "check", "--format", "diag", cert, left, "act(a) ; del")[:2] == \
+        (EXIT_OK, "1/2\n")
+    assert run(capsys, "compile", "--format", "diag", left)[:2] == \
+        (EXIT_OK, "alphabet a\nstate 0\nstate 1\nstate 2\nstart 0\n"
+                  "trans 0 a 1\ntrans 1 a 2\ntrans 2 a 1\n")

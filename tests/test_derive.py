@@ -14,8 +14,8 @@ from chartdist import (
 )
 from helpers import rand_forward
 
-AA0 = from_expression("a.a.0", 0)
-A0 = from_expression("a.0", 0)
+AA0 = parse_expr("a.a.0")
+A0 = parse_expr("a.0")
 
 
 def test_parse_format_round_trip_golden():
@@ -83,6 +83,19 @@ def test_check_bisim():
         check(parse_cert("(bisim)"), AA0, A0)
 
 
+def test_diagram_states_are_numbered_and_tagged():
+    f = from_expression("a.a.0", 0)
+    g = from_expression("a.0", 0)
+    cert = parse_cert('(coupling 1/2 ((move (act a "L:1") (act a "R:1") (top))))')
+    assert synthesize(f, g) == cert
+    assert check(cert, f, g) == Fraction(1, 2)
+    with pytest.raises(CertificateError):
+        check(parse_cert('(coupling 1/2 ((move (act a "a.0") (act a "0") (top))))'),
+              f, g)
+    with pytest.raises(TypeError):
+        synthesize(f, A0)
+
+
 def test_check_top_always_accepts():
     assert check(parse_cert("(top)"), AA0, A0) == 1
 
@@ -116,15 +129,15 @@ def test_check_rejects_wrong_projection():
 
 
 def test_check_rejects_child_on_equal_or_mismatched_moves():
-    f = from_expression("a.a.v1+v2", 2)
-    g = from_expression("a.v1+v2", 2)
+    f = parse_expr("a.a.v1+v2")
+    g = parse_expr("a.v1+v2")
     equal_child = parse_cert(
         '(coupling 1/2 ((move (act a "a.v1") (act a "v1") (top)) '
         "(move (out v2) (out v2) (top))))")
     with pytest.raises(CertificateError):
         check(equal_child, f, g)
-    fa = from_expression("a.0", 0)
-    gb = from_expression("b.0", 0)
+    fa = parse_expr("a.0")
+    gb = parse_expr("b.0")
     mismatch_child = parse_cert(
         '(coupling 1 ((move (act a "0") (act b "0") (top))))')
     with pytest.raises(CertificateError):

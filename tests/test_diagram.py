@@ -1,21 +1,20 @@
 """Wire diagrams: syntax, typing, semantics, and the axiom catalogue."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import chartdist.regbeh
 from chartdist import (
-    Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError, Gen, Id,
-    Merge, Seq, Sum, Sym, Tensor, Var, axiom_catalog, bend, bisimilar,
-    c1_copy_pair, check_axiom, component, diagram_distance, expand,
-    format_term, from_expression, interpret, loop1, parse_expr, parse_term,
-    semantic_equal, term_to_dot, typecheck, zip_merge,
+    Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError,
+    ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
+    axiom_catalog, bend, bisimilar, c1_copy_pair, check_axiom, component,
+    diagram_distance, expand, format_term, from_expression, interpret, loop1,
+    open_chart, parse_expr, parse_term, semantic_equal, stratified_level,
+    term_to_dot, typecheck, zip_merge,
 )
-from chartdist.cli import EXIT_OK, main
-from chartdist.expr import alpha_normal, format_expr
-from helpers import corpus_diagrams, rand_expr, rand_forward, ref_interpret
+from helpers import corpus_diagrams, rand_expr, rand_forward, transpose
 
 words = st.text(alphabet=("<", ">"), max_size=3)
 
@@ -245,36 +244,74 @@ def test_term_to_dot():
     assert "act(a)" in dot
 
 
-def _canonical_rows(m):
-    return m.dom_pair, m.cod_pair, [format_expr(alpha_normal(r))
-                                    for r in m.payload.rows]
-
-
 def _semantics_samples():
     rng = random.Random(66)
     terms = [rand_forward(rng, rng.randint(0, 3), rng.randint(0, 3), 3)
-             for _ in range(200)]
+             for _ in range(300)]
     for _, lhs, rhs in axiom_catalog():
         terms += [lhs, rhs, bend(lhs), bend(rhs)]
+    # compositions whose shared boundary has several backward wires
+    for _ in range(60):
+        p, n, q = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        terms.append(Seq(transpose(rand_forward(rng, p, n, 2)),
+                         transpose(rand_forward(rng, q, p, 2))))
     return terms + corpus_diagrams()
 
 
-def test_interpret_matches_definitional_composites():
+def test_open_chart_entries_match_interpret_rows():
     for t in _semantics_samples():
-        assert _canonical_rows(interpret(t)) == _canonical_rows(ref_interpret(t)), \
-            format_term(t)
+        o = open_chart(t)
+        rows = interpret(t).payload.rows
+        assert len(o.entries) == len(rows), format_term(t)
+        for c, row in zip(o.charts(), rows):
+            assert stratified_level(c, expand(row)) == math.inf, format_term(t)
 
 
-def test_interpret_builds_no_wiring_morphisms(monkeypatch, capsys):
-    def forbidden(*args):
-        raise AssertionError("wiring morphism built on the interpretation path")
+def test_open_chart_numbers_states_breadth_first():
+    o = open_chart(parse_term("act(b) * (act(a) ; act(a))"))
+    assert o.entries == (0, 1)
+    assert o.prechart.trans == {(0, "b", 2), (1, "a", 3), (3, "a", 4)}
+    assert o.prechart.outs == {(2, 1), (4, 2)}
+    # an unguarded loop adds nothing: the fed-back merge and copy only
+    # pass their input through
+    o = open_chart(loop1(parse_term("merge ; copy")))
+    assert o.entries == (0,)
+    assert (o.prechart.trans, o.prechart.outs) == (set(), {(0, 1)})
 
-    for name in ("rb_compose", "rb_oplus", "rb_trace", "rb_dagger"):
-        monkeypatch.setattr(chartdist.regbeh, name, forbidden)
-    terms = corpus_diagrams() + [loop1(parse_term("merge ; act(a)")),
-                                 bend(Cap()), bend(Cup()),
-                                 bend(parse_term("cup ; act(a) * id(<)"))]
-    for t in terms:
-        interpret(t)
-    assert main(["axioms", "--check"]) == EXIT_OK
-    capsys.readouterr()
+
+def test_open_chart_budget():
+    t = parse_term("act(a) ; act(a) ; act(b)")
+    assert len(open_chart(t, max_states=4).prechart.states) == 4
+    with pytest.raises(ExpansionBudgetError):
+        open_chart(t, max_states=3)
+
+
+def test_long_and_deep_terms_need_no_recursion():
+    chain = " ; ".join(["act(a)"] * 5000)
+    t = parse_term(chain)
+    assert typecheck(t) == (">", ">")
+    assert format_term(t) == chain
+    assert term_to_dot(t).count("->") == 2 * 4999
+    assert len(open_chart(t).prechart.states) == 5001
+    wide = " * ".join(["act(a)"] * 3000)
+    assert typecheck(parse_term(wide)) == (">" * 3000, ">" * 3000)
+    nested = "(" * 3000 + "act(a)" + ")" * 3000
+    assert format_term(parse_term(nested)) == "act(a)"
+    with pytest.raises(DiagramTypeError) as info:
+        typecheck(parse_term("copy ; copy ; " + chain))
+    assert info.value.path == (";1",) * 5000
+
+
+def test_parse_errors_name_the_offset():
+    for text, message in [
+        ("copy ;", "expected a term (at offset 6)"),
+        ("(copy", "expected ')' (at offset 5)"),
+        ("copy)", "trailing input (at offset 4)"),
+        ("act(V)", "invalid action letter 'V' (at offset 5)"),
+        ("id(x)", "expected ')' (at offset 3)"),
+        ("sym(>)", "expected ',' (at offset 5)"),
+        ("frob", "unknown term 'frob' (at offset 4)"),
+    ]:
+        with pytest.raises(DiagramSyntaxError) as info:
+            parse_term(text)
+        assert str(info.value) == message, text

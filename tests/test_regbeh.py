@@ -12,7 +12,7 @@ from chartdist import (
     rb_dagger, rb_id, rb_inl, rb_inr, rb_oplus, rb_pair, rb_sym, rb_trace,
     rb_zero,
 )
-from helpers import rand_rb, ref_int_compose, ref_int_tensor
+from helpers import rand_rb
 
 
 def rows_alpha_equal(f, g):
@@ -270,27 +270,6 @@ def test_int_tensor_shapes():
     assert t.cod_pair == (2 + 1, 1)
 
 
-def _rand_int(rng, dom_pair, cod_pair):
-    (k, l), (m, n) = dom_pair, cod_pair
-    return IntMorphism(dom_pair, cod_pair, rand_rb(rng, k + n, l + m))
-
-
-def _rand_pair(rng):
-    return rng.randint(0, 2), rng.randint(0, 2)
-
-
-def test_int_compose_and_tensor_match_definitional_composites():
-    # interfaces (k,l), (m,n), (p,q) with every width 0..2, zero included
-    rng = random.Random(56)
-    for _ in range(300):
-        a, b, c = _rand_pair(rng), _rand_pair(rng), _rand_pair(rng)
-        f, g = _rand_int(rng, a, b), _rand_int(rng, b, c)
-        got, want = int_compose(f, g), ref_int_compose(f, g)
-        assert (got.dom_pair, got.cod_pair) == (want.dom_pair, want.cod_pair)
-        assert rows_alpha_equal(got.payload, want.payload)
-        h = _rand_int(rng, c, _rand_pair(rng))
-        got, want = int_tensor(f, h), ref_int_tensor(f, h)
-        assert (got.dom_pair, got.cod_pair) == (want.dom_pair, want.cod_pair)
-        assert rows_alpha_equal(got.payload, want.payload)
+def test_int_compose_rejects_mismatched_interfaces():
     with pytest.raises(RbTypeError, match=r"cannot compose \(1, 0\) with \(0, 1\)"):
         int_compose(int_id((1, 0)), int_id((0, 1)))
