@@ -9,7 +9,7 @@ and check finitary certificates for distance bounds.
 
 from .bisim import (
     Partition, Refinement, bisimilar, coarsest_partition, is_bisimulation,
-    joint_refinement, quotient, stratified_level, witness_pairs,
+    quotient, stratified_level, witness_pairs,
 )
 from .chart import (
     Chart, ChartFormatError, Prechart, chart_to_dot, disjoint_union,
@@ -20,7 +20,7 @@ from .chart import (
 from .derive import (
     CBisim, CCoupling, CDecomp, CTop, CTriang, CWeaken, CertificateError,
     CertificateSyntaxError, SynthesisFailure, check, format_cert,
-    joint_prechart, parse_cert, synthesize,
+    joint_pair, joint_prechart, parse_cert, synthesize,
 )
 from .diagram import (
     Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError, Gen, Id,

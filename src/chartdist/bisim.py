@@ -19,7 +19,7 @@ from functools import cached_property
 from .chart import Chart, Prechart, disjoint_union, state_key
 
 __all__ = [
-    "Partition", "Refinement", "joint_refinement", "witness_pairs",
+    "Partition", "Refinement", "witness_pairs",
     "bisimilar", "stratified_level", "quotient", "is_bisimulation",
     "coarsest_partition",
 ]
@@ -127,6 +127,10 @@ class Refinement:
                 b = self._parent[b]
         return self._split_at[a] - 1
 
+    def least_level(self, pairs):
+        """Least level of the given pairs; math.inf when all are bisimilar."""
+        return min((self.level(x, y) for x, y in pairs), default=math.inf)
+
     def classes(self) -> dict:
         """State -> bisimilarity class id, numbered first-seen in state_key
         order; do not mutate."""
@@ -155,43 +159,16 @@ def coarsest_partition(p: Prechart) -> Partition:
     return Refinement(p).partition()
 
 
-def joint_refinement(pairs):
-    """One refinement of a list of chart pairs; returns (refinement, starts).
-
-    The left chart of each pair is tagged "L:" and the right one "R:",
-    as by disjoint_union, and ``starts`` lists the tagged start pair of
-    each chart pair.  Charts on the same side share the states they name
-    alike, so a list of several pairs is meant for expansions, whose
-    states are canonical expression texts, or for the entries of two
-    open charts, whose precharts are joined once.
-    """
-    unions = {}  # one union per pair of prechart objects
-    for c1, c2 in pairs:
-        key = (id(c1.prechart), id(c2.prechart))
-        if key not in unions:
-            unions[key] = disjoint_union(c1, c2)[0]
-    starts = [(f"L:{c1.start}", f"R:{c2.start}") for c1, c2 in pairs]
-    if len(unions) == 1:
-        [joint] = unions.values()
-    else:
-        states, trans, outs = set(), set(), set()
-        for union in unions.values():
-            states |= union.states
-            trans |= union.trans
-            outs |= union.outs
-        joint = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
-    return Refinement(joint), starts
-
-
-def witness_pairs(refinement: Refinement, c1: Chart, c2: Chart) -> frozenset:
-    """Pairs in Q1 x Q2, reachable or not, whose tagged states share a
-    bisimilarity class of a joint refinement."""
+def witness_pairs(refinement: Refinement, left, right) -> frozenset:
+    """Pairs (left[x], right[y]) for the states x of left and y of right
+    that share a bisimilarity class of the refinement; left and right map
+    states of the refined prechart to the names to report them by."""
     m = refinement.classes()
-    right: dict = {}
-    for q2 in c2.states:
-        right.setdefault(m[f"R:{q2}"], []).append(q2)
-    return frozenset(
-        (q1, q2) for q1 in c1.states for q2 in right.get(m[f"L:{q1}"], ()))
+    by_class: dict = {}
+    for y, name in right.items():
+        by_class.setdefault(m[y], []).append(name)
+    return frozenset((name, other) for x, name in left.items()
+                     for other in by_class.get(m[x], ()))
 
 
 def bisimilar(c1: Chart, c2: Chart):
@@ -200,11 +177,13 @@ def bisimilar(c1: Chart, c2: Chart):
     Returns (True, witness relation on original state ids) or
     (False, n) where n is the least level at which the starts separate.
     """
-    refinement, [(s1, s2)] = joint_refinement([(c1, c2)])
+    union, s1, s2 = disjoint_union(c1, c2)
+    refinement = Refinement(union)
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
-    return True, witness_pairs(refinement, c1, c2)
+    return True, witness_pairs(refinement, {f"L:{q}": q for q in c1.states},
+                               {f"R:{q}": q for q in c2.states})
 
 
 def stratified_level(c1: Chart, c2: Chart):
@@ -213,8 +192,8 @@ def stratified_level(c1: Chart, c2: Chart):
     Level 0 is the total relation; level n+1 requires equal outputs and
     transition matching into level n.
     """
-    refinement, [(s1, s2)] = joint_refinement([(c1, c2)])
-    return refinement.level(s1, s2)
+    union, s1, s2 = disjoint_union(c1, c2)
+    return Refinement(union).level(s1, s2)
 
 
 def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:

@@ -284,17 +284,18 @@ class ChartFormatError(ValueError):
         self.line = line
 
 
-def parse_chart_text(text: str) -> Chart:
+def parse_chart_text(text: str, alphabet=None) -> Chart:
     """Parse the line-based chart format.
 
     Lines: "alphabet a b ...", "state q", "start q", "trans q a r",
     "out q vN".  '#' starts a comment.  Exactly one start line; every
-    state referenced by trans/out/start must be declared.
+    state referenced by trans/out/start must be declared.  alphabet,
+    when given, restricts action letters as an alphabet line does.
     """
     states: set = set()
     trans: set = set()
     outs: set = set()
-    alphabet: set | None = None
+    declared: set | None = None
     start = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -303,10 +304,10 @@ def parse_chart_text(text: str) -> Chart:
         parts = line.split()
         kind = parts[0]
         if kind == "alphabet":
-            if alphabet is not None:
+            if declared is not None:
                 raise ChartFormatError("duplicate alphabet line", lineno)
-            alphabet = set(parts[1:])
-            for a in alphabet:
+            declared = set(parts[1:])
+            for a in declared:
                 if not _valid_letter(a):
                     raise ChartFormatError(f"invalid alphabet letter {a!r}", lineno)
         elif kind == "state":
@@ -327,8 +328,10 @@ def parse_chart_text(text: str) -> Chart:
                 raise ChartFormatError("trans references undeclared state", lineno)
             if not _valid_letter(a):
                 raise ChartFormatError(f"invalid action letter {a!r}", lineno)
-            if alphabet is not None and a not in alphabet:
+            if declared is not None and a not in declared:
                 raise ChartFormatError(f"letter {a!r} not in declared alphabet", lineno)
+            if alphabet is not None and a not in alphabet:
+                raise ChartFormatError(f"undeclared letter {a!r}", lineno)
             trans.add((q, a, r))
         elif kind == "out":
             if len(parts) != 3:

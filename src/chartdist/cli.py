@@ -14,22 +14,21 @@ import argparse
 import functools
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .bisim import joint_refinement, witness_pairs
+from .bisim import Refinement, witness_pairs
 from .chart import (
-    ChartFormatError, _relabel, _valid_letter, chart_to_dot,
+    Chart, ChartFormatError, _relabel, _valid_letter, chart_to_dot,
     format_chart_text, parse_chart_text, reachable, state_key,
 )
 from .derive import (
     CertificateError, CertificateSyntaxError, SynthesisFailure, check,
-    format_cert, parse_cert, synthesize,
+    format_cert, joint_pair, parse_cert, synthesize,
 )
 from .diagram import (
     DiagramSyntaxError, DiagramTypeError, _open_chart, axiom_catalog,
-    c1_copy_pair, check_axiom, format_term, open_chart_pair, parse_term,
-    term_to_dot, typecheck,
+    c1_copy_pair, check_axiom, format_term, parse_term, term_to_dot,
+    typecheck,
 )
 from .expr import ExpansionBudgetError, ExprSyntaxError, expand, parse_expr
 from .metric import level_distance, split_table
@@ -84,43 +83,29 @@ def _parse_alphabet(spec):
     return letters
 
 
-def _load_chart(arg, args):
-    text = _resolve(arg)
-    if args.format == "chart":
-        return parse_chart_text(text)
-    return expand(parse_expr(text, alphabet=_parse_alphabet(args.alphabet)),
-                  max_states=args.max_states)
-
-
-def _load_pair(args):
-    """The two inputs as diagram terms or as expressions."""
+def _load(arg, args):
+    """One input in the syntax --format names, its action letters
+    restricted to --alphabet."""
+    text, alphabet = _resolve(arg), _parse_alphabet(args.alphabet)
     if args.format == "diag":
-        return parse_term(_resolve(args.left)), parse_term(_resolve(args.right))
-    alphabet = _parse_alphabet(args.alphabet)
-    return (parse_expr(_resolve(args.left), alphabet=alphabet),
-            parse_expr(_resolve(args.right), alphabet=alphabet))
-
-
-def _chart_pairs(args):
-    """The two inputs as chart pairs: one pair, or for diagrams one pair
-    per entry of their open charts."""
-    if args.format != "diag":
-        return [(_load_chart(args.left, args), _load_chart(args.right, args))]
-    o1, o2 = open_chart_pair(*_load_pair(args), max_states=args.max_states)
-    return list(zip(o1.charts(), o2.charts()))
+        return parse_term(text, alphabet=alphabet)
+    if args.format == "chart":
+        return parse_chart_text(text, alphabet=alphabet)
+    return parse_expr(text, alphabet=alphabet)
 
 
 def _compare(args):
-    """One refinement of both inputs: the chart pairs, the refinement, and
-    the least level of their start pairs (math.inf when all are bisimilar)."""
-    pairs = _chart_pairs(args)
-    refinement, starts = joint_refinement(pairs)
-    level = min((refinement.level(x, y) for x, y in starts), default=math.inf)
-    return pairs, refinement, level
+    """One refinement of both inputs: the joint prechart, the seed pair
+    of each row, the refinement, and the least level of the rows
+    (math.inf when all are bisimilar)."""
+    joint, rows = joint_pair(_load(args.left, args), _load(args.right, args),
+                             max_states=args.max_states)
+    refinement = Refinement(joint)
+    return joint, rows, refinement, refinement.least_level(rows)
 
 
 def _cmd_dist(args):
-    _, refinement, level = _compare(args)
+    _, _, refinement, level = _compare(args)
     if level == math.inf:
         lines = ["0 (bisimilar)"]
     else:
@@ -130,67 +115,76 @@ def _cmd_dist(args):
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
+def _witness_side(args, joint, seed):
+    """The states one side of a bisim witness ranges over, all of a chart's
+    or else those the seed reaches, mapped to their names in the input:
+    untagged, and numbers for diagrams."""
+    if args.format == "chart":
+        states = [q for q in joint.states if q[:2] == seed[:2]]
+    else:
+        states = reachable(Chart(joint, seed)).states
+    if args.format == "expr":
+        return {q: q for q in states}
+    name = int if args.format == "diag" else str
+    return {q: name(q[2:]) for q in states}
+
+
 def _cmd_bisim(args):
-    pairs, refinement, level = _compare(args)
+    joint, rows, refinement, level = _compare(args)
     if level != math.inf:
         return EXIT_USAGE, f"not bisimilar (level {level + 1})\n"
     lines = ["bisimilar"]
-    for i, (c1, c2) in enumerate(pairs, start=1):
-        tag = ""
-        if args.format == "diag":
-            tag = f"row {i}\t"
-            c1, c2 = reachable(c1), reachable(c2)
-        w = witness_pairs(refinement, c1, c2)
+    for i, (x, y) in enumerate(rows, start=1):
+        tag = f"row {i}\t" if args.format == "diag" else ""
+        w = witness_pairs(refinement, _witness_side(args, joint, x),
+                          _witness_side(args, joint, y))
         for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _cmd_strat(args):
-    _, _, level = _compare(args)
-    text = "inf" if level == math.inf else str(level)
-    return EXIT_OK, text + "\n"
+    level = _compare(args)[3]
+    return EXIT_OK, ("inf" if level == math.inf else str(level)) + "\n"
 
 
 def _cmd_compile(args):
     if args.format == "diag":
-        t = parse_term(_resolve(args.input))
+        t = _load(args.input, args)
         dom, cod = typecheck(t)
         if dom != ">" or "<" in cod:
             raise DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        [c] = _open_chart(t, args.max_states).charts()
+        o = _open_chart(t, args.max_states)
+        c = Chart(o.prechart, o.entries[0])
     else:
-        c = _load_chart(args.input, args)
+        c = expand(_load(args.input, args), max_states=args.max_states)
     named, _ = _relabel(c, 0)
     return EXIT_OK, format_chart_text(named)
 
 
 def _cmd_derive(args):
-    t1, t2 = _load_pair(args)
-    eps = Fraction(args.eps) if args.eps is not None else None
-    if eps is not None and not 0 <= eps <= 1:
-        raise _UsageError(f"--eps {eps} outside [0, 1]")
-    cert = synthesize(t1, t2, eps=eps, max_states=args.max_states)
+    cert = synthesize(_load(args.left, args), _load(args.right, args),
+                      eps=args.eps, max_states=args.max_states)
     return EXIT_OK, format_cert(cert) + "\n"
 
 
 def _cmd_check(args):
     cert = parse_cert(_resolve(args.cert))
-    t1, t2 = _load_pair(args)
-    bound = check(cert, t1, t2, max_states=args.max_states)
+    bound = check(cert, _load(args.left, args), _load(args.right, args),
+                  max_states=args.max_states)
     return EXIT_OK, f"{bound}\n"
 
 
 def _cmd_render(args):
+    x = _load(args.input, args)
     if args.format == "diag":
-        t = parse_term(_resolve(args.input))
-        typecheck(t)
-        dot = term_to_dot(t)
-    else:
-        dot = chart_to_dot(_load_chart(args.input, args))
-    return EXIT_OK, dot
+        typecheck(x)
+        return EXIT_OK, term_to_dot(x)
+    if args.format == "expr":
+        x = expand(x, max_states=args.max_states)
+    return EXIT_OK, chart_to_dot(x)
 
 
 def _cmd_axioms(args):

@@ -18,9 +18,9 @@ that of the second.  A pair of equal moves costs 0; two actions with
 the same letter cost half the bound of the attached child certificate
 (or half of 1 when no child is given); anything else costs 1.  E must
 dominate every cost.  Moves are written ``(act L "state")`` with the
-target state named by its canonical expression text (for diagrams,
-by its number in the open chart, tagged ``L:`` or ``R:``), or
-``(out vN)``.
+target state named by its canonical expression text (for charts, by
+its name, and for diagrams by its number in the open chart, tagged
+``L:`` or ``R:``), or ``(out vN)``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement
-from .chart import Prechart, _valid_letter, move_key, tagged_union
+from .chart import Chart, Prechart, _valid_letter, disjoint_union, move_key, tagged_union
 from .diagram import Term, open_chart_pair
 from .expr import Expr, expand
 from .metric import FZERO, ONE, level_distance, lift_edge
@@ -39,6 +39,7 @@ __all__ = [
     "CTop", "CBisim", "CWeaken", "CTriang", "CCoupling", "CDecomp",
     "CertificateError", "CertificateSyntaxError", "SynthesisFailure",
     "parse_cert", "format_cert", "check", "synthesize", "joint_prechart",
+    "joint_pair",
 ]
 
 
@@ -323,21 +324,23 @@ def joint_prechart(exprs, max_states=10000):
     return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
 
 
-def _joint_rows(f, g, max_states):
-    """The joint prechart of two expressions or of two diagram terms, and
-    the pair of start states of each payload row.
-
-    Expressions share their canonical state names; the open charts of
-    diagrams are tagged "L:" and "R:", and have a row per entry.
+def joint_pair(f, g, max_states=10000):
+    """The joint prechart of two expressions, two charts or two diagram
+    terms, and the pair of seed states of each row.  Expressions share
+    their canonical state names and have one row; charts (one row) and
+    the open charts of diagrams (a row per entry) are tagged "L:" and "R:".
     """
     if isinstance(f, Expr) and isinstance(g, Expr):
         joint, seeds = joint_prechart([f, g], max_states=max_states)
         return joint, [tuple(seeds)]
+    if isinstance(f, Chart) and isinstance(g, Chart):
+        joint, x, y = disjoint_union(f, g)
+        return joint, [(x, y)]
     if isinstance(f, Term) and isinstance(g, Term):
         o1, o2 = open_chart_pair(f, g, max_states)
         return (tagged_union(o1.prechart, o2.prechart),
                 [(f"L:{x}", f"R:{y}") for x, y in zip(o1.entries, o2.entries)])
-    raise TypeError("expected two expressions or two diagram terms")
+    raise TypeError("expected two expressions, two charts or two diagram terms")
 
 
 class _Checker:
@@ -434,9 +437,9 @@ class _Checker:
 
 
 def check(cert, f, g, max_states=10000) -> Fraction:
-    """Validate a certificate for two expressions or two diagrams; the
-    certified bound."""
-    joint, pairs = _joint_rows(f, g, max_states)
+    """Validate a certificate for two inputs of one kind (see joint_pair);
+    the certified bound."""
+    joint, pairs = joint_pair(f, g, max_states)
     return _Checker(joint).root(cert, pairs)
 
 
@@ -501,23 +504,23 @@ class _Synthesizer:
 
 
 def synthesize(f, g, eps=None, max_states=10000):
-    """Certificate that the distance between f and g, two expressions or
-    two diagram terms, is at most eps.
+    """Certificate that the distance between f and g, two inputs of one
+    kind (see joint_pair), is at most eps.
 
-    With eps omitted the certificate is tight.  Requesting a bound
-    below the actual distance raises SynthesisFailure carrying it.
+    With eps omitted the certificate is tight.  A bound outside [0, 1]
+    raises ValueError before the inputs are joined; a bound below the
+    actual distance raises SynthesisFailure carrying it.
     """
-    joint, pairs = _joint_rows(f, g, max_states)
-    syn = _Synthesizer(joint)
-    distance = level_distance(
-        min((syn.refinement.level(x, y) for x, y in pairs), default=math.inf))
     if eps is not None:
         eps = Fraction(eps)
         _check_eps(eps)
-        if eps < distance:
-            raise SynthesisFailure(
-                f"requested bound {eps} is below the distance {distance}",
-                distance)
+    joint, pairs = joint_pair(f, g, max_states)
+    syn = _Synthesizer(joint)
+    distance = level_distance(syn.refinement.least_level(pairs))
+    if eps is not None and eps < distance:
+        raise SynthesisFailure(
+            f"requested bound {eps} is below the distance {distance}",
+            distance)
     cores = [syn.cert(x, y, syn.stable) for x, y in pairs]
     root = cores[0] if len(pairs) == 1 else CDecomp(tuple(cores))
     if eps is not None and eps > distance:

@@ -12,8 +12,9 @@ composing the charts of the generators by their boundaries; every
 query of the command line runs on it.  ``interpret`` gives the same
 behaviours as the payload rows of a morphism between paired interfaces
 (regbeh); it is the reference semantics, behind ``diagram_distance``,
-``semantic_equal`` and ``check_axiom``.  Parsing, typing, printing and
-both semantics walk a term with an explicit stack, never by recursion.
+``semantic_equal`` and ``check_axiom``.  Parsing, typing, printing,
+comparing, hashing and both semantics walk a term with an explicit
+stack, never by recursion.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .chart import Chart, Prechart, _valid_letter, state_key
+from .chart import Prechart, _valid_letter, state_key
 from .expr import (
     ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, expand,
     free_vars, parse_expr, substitute,
@@ -137,14 +138,30 @@ class Sym(Term):
         _check_word(self.right, "swap wire word")
 
 
-@dataclass(frozen=True)
-class Seq(Term):
+class _Node(Term):
+    """A composite term: equal to another exactly when they print alike,
+    as format_term walks it by an explicit stack and round-trips."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and format_term(self) == format_term(other)
+
+    def __hash__(self):
+        return hash(format_term(self))
+
+    def __repr__(self):
+        return f"parse_term({format_term(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Node):
     first: Term
     second: Term
 
 
-@dataclass(frozen=True)
-class Tensor(Term):
+@dataclass(frozen=True, eq=False, repr=False)
+class Tensor(_Node):
     left: Term
     right: Term
 
@@ -278,10 +295,6 @@ class OpenChart:
 
     prechart: Prechart
     entries: tuple
-
-    def charts(self):
-        """One chart per entry, all on the same prechart."""
-        return [Chart(self.prechart, e) for e in self.entries]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -427,7 +440,7 @@ def _expect(text, tokens, i, ch):
     return i + 1
 
 
-def _leaf(text, tokens, i):
+def _leaf(text, tokens, i, alphabet):
     """The leaf term starting at token i, and the index after it."""
     name = tokens[i][0]
     if name in _BY_KEYWORD:
@@ -443,6 +456,8 @@ def _leaf(text, tokens, i):
             raise _error("expected a term", text, i)
         if not _valid_letter(letter):
             raise _error(f"invalid action letter {letter!r}", text, i, len(letter))
+        if alphabet is not None and letter not in alphabet:
+            raise _error(f"undeclared letter {letter!r}", text, i)
         return Act(letter), _expect(text, tokens, i + 1, ")")
     left = tokens[i][1]  # a wire word, possibly empty
     i += bool(left)
@@ -453,8 +468,9 @@ def _leaf(text, tokens, i):
     return Sym(left, right), _expect(text, tokens, i + bool(right), ")")
 
 
-def parse_term(text) -> Term:
-    """Parse a term; ';' and '*' associate to the left, '*' binds tighter."""
+def parse_term(text, alphabet=None) -> Term:
+    """Parse a term; ';' and '*' associate to the left, '*' binds tighter.
+    alphabet, when given, restricts action letters."""
     tokens = _tokens(text)
     i = 0
     opened = []  # per open parenthesis: the sequence and tensor around it
@@ -465,7 +481,7 @@ def parse_term(text) -> Term:
             sequence = tensor = None
             i += 1
             continue
-        atom, i = _leaf(text, tokens, i)
+        atom, i = _leaf(text, tokens, i, alphabet)
         while True:
             tensor = atom if tensor is None else Tensor(tensor, atom)
             ch = tokens[i][2]

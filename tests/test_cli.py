@@ -1,6 +1,8 @@
 """End-to-end command line behaviour, including exit codes."""
 
 import random
+import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import chartdist.derive
 import chartdist.diagram
 import chartdist.regbeh
 from chartdist import (
-    axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
+    Chart, axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
     format_chart_text, format_term, from_expression, interpret, kleene_solve,
     open_chart_pair, parse_chart_text, parse_expr, parse_term, reachable,
     typecheck,
@@ -31,6 +33,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_everywhere(patch, original, replacement):
+    """Replace original in every chartdist module namespace that binds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "chartdist" or module_name.startswith("chartdist."):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, name, replacement)
+
+
+def run_counting_refinements(monkeypatch, capsys, *argv):
+    """Run a command; its (code, out, err) and how many Refinements it built."""
+    built = []
+    original = chartdist.bisim.Refinement
+
+    class CountedRefinement(original):
+        def __init__(self, p):
+            built.append(p)
+            super().__init__(p)
+
+    with monkeypatch.context() as patch:
+        patch_everywhere(patch, original, CountedRefinement)
+        result = run(capsys, *argv)
+    return result, len(built)
 
 
 def test_dist_expressions(capsys):
@@ -88,6 +115,21 @@ def test_bisim_witness_and_exit(capsys):
     assert header == "bisimilar"
     assert pairs and all("\t" in l for l in pairs)
     assert pairs == sorted(pairs)
+    # each expression's expansion, named by canonical texts
+    assert out == ("bisimilar\nmu v1.a.v1\ta.mu v1.a.a.v1\n"
+                   "mu v1.a.v1\tmu v1.a.a.v1\n")
+
+
+def test_bisim_witness_ranges(capsys):
+    # a chart's witness includes its unreachable states
+    left = "state x\nstate y\nstart x\ntrans x a x\ntrans y a y\n"
+    right = "state p\nstart p\ntrans p a p\n"
+    assert run(capsys, "bisim", "--format", "chart", left, right) == \
+        (EXIT_OK, "bisimilar\nx\tp\ny\tp\n", "")
+    # diagram states are numbers, listed in numeric order
+    chain = " ; ".join(["act(a)"] * 11)
+    assert run(capsys, "bisim", "--format", "diag", chain, chain) == \
+        (EXIT_OK, "bisimilar\n" + "".join(f"row 1\t{q}\t{q}\n" for q in range(12)), "")
 
 
 def test_bisim_negative_exit(capsys):
@@ -157,8 +199,13 @@ def test_derive_below_distance(capsys):
 
 
 def test_derive_eps_out_of_range(capsys):
-    assert run(capsys, "derive", "--eps", "7/4", "a.a.0", "a.0")[0] == EXIT_USAGE
+    refusal = (EXIT_USAGE, "", "error: bound 7/4 outside [0, 1]\n")
+    assert run(capsys, "derive", "--eps", "7/4", "a.a.0", "a.0") == refusal
     assert run(capsys, "derive", "--eps", "1/0", "a.a.0", "a.0")[0] == EXIT_USAGE
+    # the bound is checked before the inputs are joined, so a bad bound
+    # is reported ahead of a boundary mismatch
+    assert run(capsys, "derive", "--format", "diag", "--eps", "7/4",
+               "copy", "merge") == refusal
 
 
 def test_check_rejects_lowered_certificate(tmp_path, capsys):
@@ -238,7 +285,8 @@ def per_row_bisim(t1, t2):
     lines, worst = ["bisimilar"], None
     o1, o2 = open_chart_pair(t1, t2)
     rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows,
-               o1.charts(), o2.charts())
+               [Chart(o1.prechart, e) for e in o1.entries],
+               [Chart(o2.prechart, e) for e in o2.entries])
     for i, (r1, r2, c1, c2) in enumerate(rows, start=1):
         ok, level = bisimilar(expand(r1), expand(r2))
         if not ok:
@@ -256,13 +304,6 @@ def per_row_bisim(t1, t2):
 
 
 def test_multi_row_diagrams_match_per_row_references(capsys, monkeypatch):
-    refinements = []
-
-    class CountedRefinement(chartdist.bisim.Refinement):
-        def __init__(self, p):
-            refinements.append(p)
-            super().__init__(p)
-
     bisimilar_multi_rows = 0
     for i, (t1, t2) in enumerate(multi_row_pairs()):
         left, right = format_term(t1), format_term(t2)
@@ -273,17 +314,51 @@ def test_multi_row_diagrams_match_per_row_references(capsys, monkeypatch):
         want_strat = "inf\n" if d == 0 else f"{level}\n"
         if "row 2\t" in want_bisim[1]:
             bisimilar_multi_rows += 1
-        with monkeypatch.context() as patch:
-            patch.setattr(chartdist.bisim, "Refinement", CountedRefinement)
-            refinements.clear()
-            got = run(capsys, "bisim", "--format", "diag", left, right)[:2]
-            assert len(refinements) == 1, i
-        assert got == want_bisim, i
-        assert run(capsys, "dist", "--format", "diag", left, right)[:2] == \
-            (EXIT_OK, want_dist), i
-        assert run(capsys, "strat", "--format", "diag", left, right)[:2] == \
-            (EXIT_OK, want_strat), i
+        for command, want in (("bisim", want_bisim), ("dist", (EXIT_OK, want_dist)),
+                              ("strat", (EXIT_OK, want_strat))):
+            got, built = run_counting_refinements(
+                monkeypatch, capsys, command, "--format", "diag", left, right)
+            assert (got[:2], built) == (want, 1), (i, command)
+        (code, cert, _), built = run_counting_refinements(
+            monkeypatch, capsys, "derive", "--format", "diag", left, right)
+        assert (code, built) == (EXIT_OK, 1), i
+        got, built = run_counting_refinements(
+            monkeypatch, capsys, "check", "--format", "diag", cert, left, right)
+        assert (got[:2], built) == ((EXIT_OK, f"{d}\n"), 1), i
     assert bisimilar_multi_rows >= 3
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("dist", "expr"), ("dist", "chart"), ("strat", "expr"), ("strat", "chart"),
+    ("bisim", "expr"), ("bisim", "chart"), ("derive", "expr"), ("check", "expr"),
+])
+def test_every_query_builds_one_refinement(capsys, monkeypatch, command, fmt):
+    for left, right in ((FIG_LEFT, FIG_RIGHT), ("mu v1.a.v1", "mu v1.a.a.v1")):
+        want = run(capsys, "dist", left, right)[1]
+        if fmt == "chart":
+            left, right = (run(capsys, "compile", e)[1] for e in (left, right))
+        argv = ["--format", fmt, left, right]
+        if command == "check":
+            argv.insert(0, run(capsys, "derive", left, right)[1])
+        (code, out, _), built = run_counting_refinements(
+            monkeypatch, capsys, command, *argv)
+        assert built == 1
+        assert code == (EXIT_USAGE if out.startswith("not bisimilar") else EXIT_OK)
+        if command == "dist":
+            assert out == want
+
+
+def test_dist_table_shares_expression_states(capsys):
+    # expressions are expanded together, so the states they have in
+    # common appear once, under their canonical texts
+    assert run(capsys, "dist", "--table", "a.a.0", "a.0") == (
+        EXIT_OK,
+        "1/2 (level 1)\n"
+        "\t0\ta.0\ta.a.0\n"
+        "0\t0\t1\t1\n"
+        "a.0\t1\t0\t1/2\n"
+        "a.a.0\t1\t1/2\t0\n",
+        "")
 
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
@@ -408,6 +483,23 @@ def test_alphabet_restriction(capsys):
     assert run(capsys, "dist", "--alphabet", "é", "a.0", "0")[0] == EXIT_USAGE
 
 
+def test_alphabet_restricts_every_format(capsys):
+    chart = cycle_text(3)  # letters a and b
+    for fmt, text in (("expr", "b.0"), ("diag", "act(b)"), ("chart", chart)):
+        for command in ("dist", "bisim", "strat", "derive", "compile", "render"):
+            if fmt == "chart" and command in ("derive", "compile"):
+                continue
+            inputs = [text] if command in ("compile", "render") else [text, text]
+            code, out, err = run(capsys, command, "--format", fmt,
+                                 "--alphabet", "a", *inputs)
+            assert (code, out) == (EXIT_PARSE, ""), (fmt, command)
+            assert err.startswith("error: undeclared letter 'b'"), (fmt, command)
+            assert run(capsys, command, "--format", fmt, "--alphabet", "a,b",
+                       *inputs)[0] == EXIT_OK, (fmt, command)
+    assert run(capsys, "check", "--format", "diag", "--alphabet", "a", "(bisim)",
+               "act(b)", "act(b)")[0] == EXIT_PARSE
+
+
 def test_render_expression(capsys):
     code, out, _ = run(capsys, "render", "mu v1.a.v1")
     assert code == EXIT_OK
@@ -463,7 +555,7 @@ def test_too_deep_diagram_exits_5_without_traceback(capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(chartdist.cli, "open_chart_pair", too_deep)
+    patch_everywhere(monkeypatch, chartdist.diagram.open_chart_pair, too_deep)
     assert run(capsys, "dist", "--format", "diag", "act(a)", "act(a)") == \
         (EXIT_BUDGET, "", "error: input too deeply nested\n")
 
@@ -492,11 +584,7 @@ def test_diagram_queries_take_no_reference_path(capsys, monkeypatch):
 
     for original in (chartdist.regbeh.int_compose, chartdist.regbeh.int_tensor,
                      chartdist.diagram.interpret):
-        for module in (chartdist, chartdist.cli, chartdist.derive,
-                       chartdist.diagram, chartdist.regbeh):
-            for name, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, name, forbidden)
+        patch_everywhere(monkeypatch, original, forbidden)
     left = "id(>) * cup ; (merge ; act(a) ; act(a)) * id(<) ; sym(>,<) ; cap"
     right = "id(>) * cup ; (merge ; act(a)) * id(<) ; sym(>,<) ; cap"
     assert run(capsys, "dist", "--format", "diag", left, right)[:2] == \
@@ -511,3 +599,37 @@ def test_diagram_queries_take_no_reference_path(capsys, monkeypatch):
     assert run(capsys, "compile", "--format", "diag", left)[:2] == \
         (EXIT_OK, "alphabet a\nstate 0\nstate 1\nstate 2\nstart 0\n"
                   "trans 0 a 1\ntrans 1 a 2\ntrans 2 a 1\n")
+
+
+def readme_examples():
+    """Each "$ chartdist ..." line of a code block in README.md, with the
+    lines shown under it."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples, shown, fenced = [], None, False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            fenced, shown = not fenced, None
+        elif fenced and line.startswith("$ chartdist "):
+            shown = []
+            examples.append((line[len("$ chartdist "):], shown))
+        elif shown is not None:
+            shown.append(line)
+    return examples
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # a trailing "..." line elides the rest of the output, and "| tail -2"
+    # keeps its last two lines
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 12
+    for command, shown in examples:
+        command, _, pipe = command.partition(" | ")
+        assert pipe in ("", "tail -2"), command
+        out = run(capsys, *shlex.split(command))[1].splitlines()
+        if pipe:
+            out = out[-2:]
+        if shown[-1:] == ["..."]:
+            shown = shown[:-1]
+            out = out[:len(shown)]
+        assert out == shown, command

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartdist import (
-    Act, Cap, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError,
+    Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError,
     ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
     axiom_catalog, bend, bisimilar, c1_copy_pair, check_axiom, component,
     diagram_distance, expand, format_term, from_expression, interpret, loop1,
@@ -263,7 +263,8 @@ def test_open_chart_entries_match_interpret_rows():
         o = open_chart(t)
         rows = interpret(t).payload.rows
         assert len(o.entries) == len(rows), format_term(t)
-        for c, row in zip(o.charts(), rows):
+        for e, row in zip(o.entries, rows):
+            c = Chart(o.prechart, e)
             assert stratified_level(c, expand(row)) == math.inf, format_term(t)
 
 
@@ -300,6 +301,21 @@ def test_long_and_deep_terms_need_no_recursion():
     with pytest.raises(DiagramTypeError) as info:
         typecheck(parse_term("copy ; copy ; " + chain))
     assert info.value.path == (";1",) * 5000
+
+
+def test_long_terms_compare_hash_and_print_without_recursion():
+    chain = ";".join(["act(a)"] * 2000)
+    t, u = parse_term(chain), parse_term(chain)
+    assert t == u and hash(t) == hash(u)
+    assert t != parse_term(chain + ";act(b)")
+    assert repr(t) == f"parse_term({format_term(t)!r})"
+    assert eval(repr(t)) == t
+    # equality is structural: bracketing and term kinds count
+    a, b, c = Act("a"), Act("b"), Act("c")
+    assert Seq(Seq(a, b), c) != Seq(a, Seq(b, c))
+    assert Seq(a, b) != Tensor(a, b)
+    assert Seq(a, b) == Seq(Act("a"), Act("b"))
+    assert len({Seq(a, b), Seq(Act("a"), Act("b")), Tensor(a, b)}) == 2
 
 
 def test_parse_errors_name_the_offset():
