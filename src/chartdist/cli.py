@@ -149,17 +149,17 @@ def _cmd_strat(args):
 
 
 def _cmd_compile(args):
+    c = _load(args.input, args)
     if args.format == "diag":
-        t = _load(args.input, args)
-        dom, cod = typecheck(t)
+        dom, cod = typecheck(c)
         if dom != ">" or "<" in cod:
             raise DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        o = _open_chart(t, args.max_states)
+        o = _open_chart(c, args.max_states)
         c = Chart(o.prechart, o.entries[0])
-    else:
-        c = expand(_load(args.input, args), max_states=args.max_states)
+    elif args.format == "expr":
+        c = expand(c, max_states=args.max_states)
     named, _ = _relabel(c, 0)
     return EXIT_OK, format_chart_text(named)
 
@@ -206,8 +206,8 @@ def _cmd_axioms(args):
     return (EXIT_OK if ok else EXIT_REJECTED), "\n".join(lines) + "\n"
 
 
-def _add_common(sub, formats):
-    sub.add_argument("--format", choices=formats, default=formats[0],
+def _add_common(sub):
+    sub.add_argument("--format", choices=["expr", "diag", "chart"], default="expr",
                      help="input syntax (default %(default)s)")
     sub.add_argument("--alphabet", default=None,
                      help="restrict expression letters, e.g. 'a,b'")
@@ -230,25 +230,25 @@ def _build_parser():
     p.add_argument("right")
     p.add_argument("--table", action="store_true",
                    help="also dump the full distance table as TSV")
-    _add_common(p, ["expr", "diag", "chart"])
+    _add_common(p)
     p.set_defaults(func=_cmd_dist)
 
     p = subs.add_parser("bisim", help="bisimilarity with witness dump")
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p, ["expr", "diag", "chart"])
+    _add_common(p)
     p.set_defaults(func=_cmd_bisim)
 
     p = subs.add_parser("strat", help="largest level n with s1 ~(n) s2")
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p, ["expr", "diag", "chart"])
+    _add_common(p)
     p.set_defaults(func=_cmd_strat)
 
     p = subs.add_parser("compile",
-                        help="expression or diagram to chart text")
+                        help="expression, diagram or chart to chart text")
     p.add_argument("input")
-    _add_common(p, ["expr", "diag"])
+    _add_common(p)
     p.set_defaults(func=_cmd_compile)
 
     p = subs.add_parser("derive", help="synthesize a distance certificate")
@@ -256,21 +256,21 @@ def _build_parser():
     p.add_argument("right")
     p.add_argument("--eps", default=None, metavar="p/q",
                    help="requested bound (default: the exact distance)")
-    _add_common(p, ["expr", "diag"])
+    _add_common(p)
     p.set_defaults(func=_cmd_derive)
 
     p = subs.add_parser("check", help="validate a distance certificate")
     p.add_argument("cert")
     p.add_argument("left")
     p.add_argument("right")
-    _add_common(p, ["expr", "diag"])
+    _add_common(p)
     p.set_defaults(func=_cmd_check)
 
     p = subs.add_parser("render", help="DOT output for an input")
     p.add_argument("input")
     p.add_argument("--dot", default=None, metavar="FILE",
                    help="write DOT to FILE (same as -o)")
-    _add_common(p, ["expr", "diag", "chart"])
+    _add_common(p)
     p.set_defaults(func=_cmd_render)
 
     p = subs.add_parser("axioms", help="list or check the axiom catalogue")

@@ -1,14 +1,15 @@
 """Checkable certificates for distance bounds between behaviours.
 
 A certificate is a tree of proof steps whose conclusion is an upper
-bound on the behavioural distance of two expressions or of two
+bound on the behavioural distance of two expressions, two charts or two
 diagrams.  The checker recomputes every step against the actual move
-structure, so a valid certificate is evidence, not advice.  Node kinds:
+structure, so a valid certificate is evidence, not advice.  Each node
+carries the bound it claims from the moment it is built:
 
   (top)                  bound 1, always valid
   (bisim)                bound 0, the two states must be bisimilar
   (weaken E C)           bound E, valid when E >= the bound of C
-  (triang (C1 C2))       bound of C1 plus bound of C2, same pair
+  (triang (C1 C2))       bound of C1 plus bound of C2 (at most 1), same pair
   (coupling E (...))     bound E from a pairing of the two move sets
   (decomp (C1 ... Cm))   root only: one child per payload row, max
 
@@ -21,11 +22,15 @@ dominate every cost.  Moves are written ``(act L "state")`` with the
 target state named by its canonical expression text (for charts, by
 its name, and for diagrams by its number in the open chart, tagged
 ``L:`` or ``R:``), or ``(out vN)``.
+
+Reading, printing, checking and synthesis walk a certificate with an
+explicit stack, so none of them recurses.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,14 +79,18 @@ def _check_eps(eps):
         raise ValueError(f"bound {eps} outside [0, 1]")
 
 
+# Every node has a ``bound``, set when it is built; it is not a field, so
+# ==, hash and repr leave it out and dataclasses.replace recomputes it.
+
+
 @dataclass(frozen=True)
 class CTop:
-    pass
+    bound = ONE
 
 
 @dataclass(frozen=True)
 class CBisim:
-    pass
+    bound = FZERO
 
 
 @dataclass(frozen=True)
@@ -91,12 +100,16 @@ class CWeaken:
 
     def __post_init__(self):
         _check_eps(self.eps)
+        object.__setattr__(self, "bound", self.eps)
 
 
 @dataclass(frozen=True)
 class CTriang:
     first: object
     second: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "bound", min(ONE, self.first.bound + self.second.bound))
 
 
 @dataclass(frozen=True)
@@ -106,167 +119,153 @@ class CCoupling:
 
     def __post_init__(self):
         _check_eps(self.eps)
+        object.__setattr__(self, "bound", self.eps)
 
 
 @dataclass(frozen=True)
 class CDecomp:
     children: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "bound", max((c.bound for c in self.children), default=FZERO))
+
 
 # --- concrete syntax -------------------------------------------------------
 
+# a string up to its closing quote; '\' escapes '"' and '\' only
+_OPEN_STRING = re.compile(r'"[^"\\]*(?:\\["\\][^"\\]*)*')
+# a token is a parenthesis, a string, an atom or a '"' that starts no
+# well-formed string; only blanks lie between tokens
+_TOKEN = re.compile(rf'[()]|{_OPEN_STRING.pattern}"|[^\s()"]+|"')
+_ESCAPE = re.compile(r'\\(["\\])')
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, c, i))
-            i += 1
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                    if j >= n or text[j] not in '"\\':
-                        raise CertificateSyntaxError("bad escape", j)
-                out.append(text[j])
-                j += 1
-            if j >= n:
-                raise CertificateSyntaxError("unterminated string", i)
-            tokens.append(("string", "".join(out), i))
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()"':
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-    return tokens
+# the kind of a list by its keyword; any other list is a plain "list"
+_KINDS = {"top": "cert", "bisim": "cert", "weaken": "cert", "triang": "cert",
+          "coupling": "cert", "decomp": "cert", "act": "move", "out": "move",
+          "move": "pair"}
 
 
-def _parse_sexpr(tokens, i):
-    kind, value, pos = tokens[i]
-    if kind == "(":
-        items = []
-        i += 1
-        while i < len(tokens) and tokens[i][0] != ")":
-            item, i = _parse_sexpr(tokens, i)
-            items.append(item)
-        if i >= len(tokens):
-            raise CertificateSyntaxError("missing ')'", pos)
-        return ("list", items, pos), i + 1
-    if kind == ")":
-        raise CertificateSyntaxError("unexpected ')'", pos)
-    return (kind, value, pos), i + 1
+def _string_error(text, pos):
+    """The error for a '"' at pos that starts no well-formed string."""
+    end = _OPEN_STRING.match(text, pos).end()
+    if end < len(text):  # stopped at a backslash
+        return CertificateSyntaxError("bad escape", end + 1)
+    return CertificateSyntaxError("unterminated string", pos)
 
 
-def _expect_list(node, what):
-    if node[0] != "list":
-        raise CertificateSyntaxError(f"expected {what}", node[2])
-    return node[1]
+def _want(value, kind, what):
+    """The node, move or items of a value read whole, when it is of the
+    kind its place wants."""
+    got, obj, pos, head = value
+    if got == kind:
+        return obj
+    if got in ("atom", "string") or kind == "list":
+        raise CertificateSyntaxError(f"expected {what}", pos)
+    if kind == "pair":
+        raise CertificateSyntaxError("expected (move M1 M2 C?)", pos)
+    if head is None:
+        raise CertificateSyntaxError(
+            "expected a certificate head" if kind == "cert" else "expected 'act' or 'out'",
+            pos)
+    noun = "certificate head" if kind == "cert" else "move kind"
+    raise CertificateSyntaxError(f"unknown {noun} {head[1]!r}", head[2])
 
 
-def _parse_fraction(node):
-    if node[0] != "atom":
-        raise CertificateSyntaxError("expected a rational bound", node[2])
+def _parse_fraction(value):
+    if value[0] != "atom":
+        raise CertificateSyntaxError("expected a rational bound", value[2])
     try:
-        eps = Fraction(node[1])
-    except ValueError:
-        raise CertificateSyntaxError(f"bad rational {node[1]!r}", node[2])
+        eps = Fraction(value[1])
+    except (ValueError, ZeroDivisionError):
+        raise CertificateSyntaxError(f"bad rational {value[1]!r}", value[2])
     if not FZERO <= eps <= ONE:
-        raise CertificateSyntaxError(f"bound {eps} outside [0, 1]", node[2])
+        raise CertificateSyntaxError(f"bound {eps} outside [0, 1]", value[2])
     return eps
 
 
-def _parse_move(node):
-    items = _expect_list(node, "a move")
-    if not items or items[0][0] != "atom":
-        raise CertificateSyntaxError("expected 'act' or 'out'", node[2])
-    head = items[0][1]
-    if head == "act":
-        if len(items) != 3 or items[1][0] != "atom" or items[2][0] != "string":
-            raise CertificateSyntaxError(
-                "expected (act LETTER \"state\")", node[2])
-        letter = items[1][1]
-        if not _valid_letter(letter):
-            raise CertificateSyntaxError(f"bad action letter {letter!r}", items[1][2])
-        return ("act", letter, items[2][1])
-    if head == "out":
-        if len(items) != 2 or items[1][0] != "atom":
-            raise CertificateSyntaxError("expected (out vN)", node[2])
-        token = items[1][1]
-        if not (token.startswith("v") and token[1:].isdigit() and int(token[1:]) >= 1):
-            raise CertificateSyntaxError(f"bad variable {token!r}", items[1][2])
-        return ("out", int(token[1:]))
-    raise CertificateSyntaxError(f"unknown move kind {head!r}", items[0][2])
-
-
-def _build_cert(node):
-    items = _expect_list(node, "a certificate")
-    if not items or items[0][0] != "atom":
-        raise CertificateSyntaxError("expected a certificate head", node[2])
-    head = items[0][1]
-    if head == "top":
-        if len(items) != 1:
-            raise CertificateSyntaxError("(top) takes no arguments", node[2])
-        return CTop()
-    if head == "bisim":
-        if len(items) != 1:
-            raise CertificateSyntaxError("(bisim) takes no arguments", node[2])
-        return CBisim()
+def _build(head, args, pos):
+    """The node, move or move pair of a list with keyword head, read at
+    offset pos, whose other items are already read."""
+    if head in ("top", "bisim"):
+        if args:
+            raise CertificateSyntaxError(f"({head}) takes no arguments", pos)
+        return CTop() if head == "top" else CBisim()
     if head == "weaken":
-        if len(items) != 3:
-            raise CertificateSyntaxError("expected (weaken E C)", node[2])
-        return CWeaken(_parse_fraction(items[1]), _build_cert(items[2]))
+        if len(args) != 2:
+            raise CertificateSyntaxError("expected (weaken E C)", pos)
+        return CWeaken(_parse_fraction(args[0]), _want(args[1], "cert", "a certificate"))
     if head == "triang":
-        if len(items) != 2:
-            raise CertificateSyntaxError("expected (triang (C1 C2))", node[2])
-        kids = _expect_list(items[1], "two sub-certificates")
+        if len(args) != 1:
+            raise CertificateSyntaxError("expected (triang (C1 C2))", pos)
+        kids = _want(args[0], "list", "two sub-certificates")
         if len(kids) != 2:
-            raise CertificateSyntaxError("triang needs exactly two children",
-                                         items[1][2])
-        return CTriang(_build_cert(kids[0]), _build_cert(kids[1]))
+            raise CertificateSyntaxError("triang needs exactly two children", args[0][2])
+        return CTriang(*(_want(k, "cert", "a certificate") for k in kids))
     if head == "coupling":
-        if len(items) != 3:
-            raise CertificateSyntaxError("expected (coupling E (PAIRS))",
-                                         node[2])
-        eps = _parse_fraction(items[1])
-        triples = []
-        for entry in _expect_list(items[2], "a pair list"):
-            parts = _expect_list(entry, "a move pair")
-            if not (parts and parts[0][0] == "atom" and parts[0][1] == "move"
-                    and len(parts) in (3, 4)):
-                raise CertificateSyntaxError(
-                    "expected (move M1 M2 C?)", entry[2])
-            m1 = _parse_move(parts[1])
-            m2 = _parse_move(parts[2])
-            child = _build_cert(parts[3]) if len(parts) == 4 else None
-            triples.append((m1, m2, child))
-        return CCoupling(eps, tuple(triples))
+        if len(args) != 2:
+            raise CertificateSyntaxError("expected (coupling E (PAIRS))", pos)
+        eps = _parse_fraction(args[0])
+        entries = _want(args[1], "list", "a pair list")
+        return CCoupling(eps, tuple(_want(e, "pair", "a move pair") for e in entries))
     if head == "decomp":
-        if len(items) != 2:
-            raise CertificateSyntaxError("expected (decomp (C1 ... Cm))",
-                                         node[2])
-        kids = _expect_list(items[1], "sub-certificates")
-        return CDecomp(tuple(_build_cert(k) for k in kids))
-    raise CertificateSyntaxError(f"unknown certificate head {head!r}",
-                                 items[0][2])
+        if len(args) != 1:
+            raise CertificateSyntaxError("expected (decomp (C1 ... Cm))", pos)
+        kids = _want(args[0], "list", "sub-certificates")
+        return CDecomp(tuple(_want(k, "cert", "a certificate") for k in kids))
+    if head == "move":
+        if len(args) not in (2, 3):
+            raise CertificateSyntaxError("expected (move M1 M2 C?)", pos)
+        m1, m2 = (_want(m, "move", "a move") for m in args[:2])
+        return m1, m2, _want(args[2], "cert", "a certificate") if len(args) == 3 else None
+    if head == "act":
+        if len(args) != 2 or args[0][0] != "atom" or args[1][0] != "string":
+            raise CertificateSyntaxError('expected (act LETTER "state")', pos)
+        if not _valid_letter(args[0][1]):
+            raise CertificateSyntaxError(f"bad action letter {args[0][1]!r}", args[0][2])
+        return "act", args[0][1], args[1][1]
+    if len(args) != 1 or args[0][0] != "atom":
+        raise CertificateSyntaxError("expected (out vN)", pos)
+    token = args[0][1]
+    if not (token.startswith("v") and token[1:].isdigit() and int(token[1:]) >= 1):
+        raise CertificateSyntaxError(f"bad variable {token!r}", args[0][2])
+    return "out", int(token[1:])
 
 
 def parse_cert(text):
-    tokens = _tokenize(text)
-    if not tokens:
+    """Read a certificate in one pass: each list becomes its node, move or
+    move pair when its ')' is read."""
+    opened = []  # per open '(': its offset and the values read inside it
+    root = None
+    for m in _TOKEN.finditer(text):
+        token, pos = m.group(), m.start()
+        if root is not None:
+            raise CertificateSyntaxError("trailing input", pos)
+        if token == "(":
+            opened.append((pos, []))
+            continue
+        if token == ")":
+            if not opened:
+                raise CertificateSyntaxError("unexpected ')'", pos)
+            pos, items = opened.pop()
+            head = items[0] if items and items[0][0] == "atom" else None
+            kind = _KINDS.get(head[1], "list") if head else "list"
+            obj = items if kind == "list" else _build(head[1], items[1:], pos)
+            value = (kind, obj, pos, head)
+        elif token[0] != '"':
+            value = ("atom", token, pos, None)
+        elif len(token) > 1:
+            value = ("string", _ESCAPE.sub(r"\1", token[1:-1]), pos, None)
+        else:
+            raise _string_error(text, pos)
+        if opened:
+            opened[-1][1].append(value)
+        else:
+            root = value
+    if opened:
+        raise CertificateSyntaxError("missing ')'", opened[-1][0])
+    if root is None:
         raise CertificateSyntaxError("empty certificate", 0)
-    node, i = _parse_sexpr(tokens, 0)
-    if i != len(tokens):
-        raise CertificateSyntaxError("trailing input", tokens[i][2])
-    return _build_cert(node)
+    return _want(root, "cert", "a certificate")
 
 
 def _escape(text):
@@ -280,26 +279,33 @@ def _format_move(m):
 
 
 def format_cert(cert) -> str:
-    if isinstance(cert, CTop):
-        return "(top)"
-    if isinstance(cert, CBisim):
-        return "(bisim)"
-    if isinstance(cert, CWeaken):
-        return f"(weaken {cert.eps} {format_cert(cert.child)})"
-    if isinstance(cert, CTriang):
-        return (f"(triang ({format_cert(cert.first)}"
-                f" {format_cert(cert.second)}))")
-    if isinstance(cert, CCoupling):
-        entries = []
-        for m1, m2, child in cert.pairs:
-            inner = f"(move {_format_move(m1)} {_format_move(m2)}"
-            if child is not None:
-                inner += f" {format_cert(child)}"
-            entries.append(inner + ")")
-        return f"(coupling {cert.eps} ({' '.join(entries)}))"
-    if isinstance(cert, CDecomp):
-        return f"(decomp ({' '.join(format_cert(c) for c in cert.children)}))"
-    raise TypeError(f"not a certificate: {cert!r}")
+    parts = []
+    todo = [cert]  # nodes still to print, and the text between them
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, (CTop, CBisim)):
+            parts.append("(top)" if isinstance(item, CTop) else "(bisim)")
+        elif isinstance(item, CWeaken):
+            todo += [")", item.child, f"(weaken {item.eps} "]
+        elif isinstance(item, CTriang):
+            todo += ["))", item.second, " ", item.first, "(triang ("]
+        elif isinstance(item, CCoupling):
+            pieces = [f"(coupling {item.eps} ("]
+            for i, (m1, m2, child) in enumerate(item.pairs):
+                pieces.append(f"{' ' if i else ''}(move {_format_move(m1)} {_format_move(m2)}")
+                pieces += [] if child is None else [" ", child]
+                pieces.append(")")
+            todo += reversed(pieces + ["))"])
+        elif isinstance(item, CDecomp):
+            pieces = ["(decomp ("]
+            for i, child in enumerate(item.children):
+                pieces += [" ", child] if i else [child]
+            todo += reversed(pieces + ["))"])
+        else:
+            raise TypeError(f"not a certificate: {item!r}")
+    return "".join(parts)
 
 
 # --- checking --------------------------------------------------------------
@@ -311,10 +317,7 @@ def joint_prechart(exprs, max_states=10000):
     States are canonical expression texts, so expansions overlap
     wherever the behaviours agree syntactically.
     """
-    states = set()
-    trans = set()
-    outs = set()
-    seeds = []
+    states, trans, outs, seeds = set(), set(), set(), []
     for e in exprs:
         c = expand(e, max_states=max_states)
         seeds.append(c.start)
@@ -343,104 +346,78 @@ def joint_pair(f, g, max_states=10000):
     raise TypeError("expected two expressions, two charts or two diagram terms")
 
 
-class _Checker:
-    def __init__(self, prechart):
-        self.beta = prechart.beta()
-        self.refinement = Refinement(prechart)
-
-    def root(self, cert, pairs, path="cert"):
-        if isinstance(cert, CWeaken):
-            inner = self.root(cert.child, pairs, path + ".weaken")
-            if cert.eps < inner:
+def _premises(node, pair, path, rows, beta, refinement):
+    """Check the rule of one node against its children's bounds.  Returns
+    what is left to check after it, in order: each child with its state
+    pair and path, and each failure that is to be reported only once the
+    children before it have passed.  pair is None at the root, where a
+    decomp splits the rows."""
+    if isinstance(node, CWeaken):
+        todo = [(node.child, pair, path + ".weaken")]
+        if node.eps < node.child.bound:
+            todo.append(CertificateError(
+                f"weakening to {node.eps} below certified {node.child.bound}", path))
+        return todo
+    if pair is None:
+        if isinstance(node, CDecomp):
+            if len(node.children) != len(rows):
                 raise CertificateError(
-                    f"weakening to {cert.eps} below certified {inner}", path)
-            return cert.eps
-        if isinstance(cert, CDecomp):
-            if len(cert.children) != len(pairs):
-                raise CertificateError(
-                    f"decomp has {len(cert.children)} children for "
-                    f"{len(pairs)} rows", path)
-            bound = FZERO
-            for i, (child, pair) in enumerate(zip(cert.children, pairs)):
-                b = self.pair(child, pair, f"{path}.decomp[{i + 1}]")
-                if b > bound:
-                    bound = b
-            return bound
-        if len(pairs) == 1:
-            return self.pair(cert, pairs[0], path)
-        raise CertificateError(
-            f"expected a decomp over {len(pairs)} rows", path)
-
-    def pair(self, cert, pair, path):
-        x, y = pair
-        if isinstance(cert, CTop):
-            return ONE
-        if isinstance(cert, CBisim):
-            if self.refinement.level(x, y) != math.inf:
-                raise CertificateError(
-                    f"states {x!r} and {y!r} are not bisimilar", path)
-            return FZERO
-        if isinstance(cert, CWeaken):
-            inner = self.pair(cert.child, pair, path + ".weaken")
-            if cert.eps < inner:
-                raise CertificateError(
-                    f"weakening to {cert.eps} below certified {inner}", path)
-            return cert.eps
-        if isinstance(cert, CTriang):
-            b1 = self.pair(cert.first, pair, path + ".triang[1]")
-            b2 = self.pair(cert.second, pair, path + ".triang[2]")
-            return min(ONE, b1 + b2)
-        if isinstance(cert, CCoupling):
-            return self.coupling(cert, x, y, path)
-        if isinstance(cert, CDecomp):
-            raise CertificateError("decomp is only allowed at the root", path)
-        raise TypeError(f"not a certificate: {cert!r}")
-
-    def coupling(self, cert, x, y, path):
-        bx = self.beta.get(x)
-        by = self.beta.get(y)
-        if bx is None or by is None:
-            missing = x if bx is None else y
-            raise CertificateError(f"unknown state {missing!r}", path)
-        left = frozenset(m1 for m1, _, _ in cert.pairs)
-        right = frozenset(m2 for _, m2, _ in cert.pairs)
-        if left != bx:
-            raise CertificateError(
-                f"left projection differs from the moves of {x!r}", path)
-        if right != by:
-            raise CertificateError(
-                f"right projection differs from the moves of {y!r}", path)
-        worst = FZERO
-        for i, (m1, m2, child) in enumerate(cert.pairs):
-            where = f"{path}.move[{i + 1}]"
-            if m1 == m2:
-                if child is not None:
-                    raise CertificateError(
-                        "equal moves do not take a sub-certificate", where)
-                continue
-            if m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
-                inner = ONE if child is None else \
-                    self.pair(child, (m1[2], m2[2]), where)
-                cost = inner / 2
-            else:
-                if child is not None:
-                    raise CertificateError(
-                        "mismatched moves do not take a sub-certificate",
-                        where)
-                cost = ONE
-            if cost > worst:
-                worst = cost
-        if cert.eps < worst:
-            raise CertificateError(
-                f"coupling bound {cert.eps} below required {worst}", path)
-        return cert.eps
+                    f"decomp has {len(node.children)} children for {len(rows)} rows", path)
+            return [(child, row, f"{path}.decomp[{i}]")
+                    for i, (child, row) in enumerate(zip(node.children, rows), start=1)]
+        if len(rows) != 1:
+            raise CertificateError(f"expected a decomp over {len(rows)} rows", path)
+        pair = rows[0]
+    x, y = pair
+    if isinstance(node, CTop):
+        return []
+    if isinstance(node, CBisim):
+        if refinement.level(x, y) != math.inf:
+            raise CertificateError(f"states {x!r} and {y!r} are not bisimilar", path)
+        return []
+    if isinstance(node, CTriang):
+        return [(node.first, pair, path + ".triang[1]"),
+                (node.second, pair, path + ".triang[2]")]
+    if isinstance(node, CDecomp):
+        raise CertificateError("decomp is only allowed at the root", path)
+    if not isinstance(node, CCoupling):
+        raise TypeError(f"not a certificate: {node!r}")
+    bx, by = beta.get(x), beta.get(y)
+    if bx is None or by is None:
+        raise CertificateError(f"unknown state {x if bx is None else y!r}", path)
+    if frozenset(m1 for m1, _, _ in node.pairs) != bx:
+        raise CertificateError(f"left projection differs from the moves of {x!r}", path)
+    if frozenset(m2 for _, m2, _ in node.pairs) != by:
+        raise CertificateError(f"right projection differs from the moves of {y!r}", path)
+    todo, worst = [], FZERO
+    for i, (m1, m2, child) in enumerate(node.pairs, start=1):
+        where = f"{path}.move[{i}]"
+        if child is not None and _needs_child(m1, m2):
+            todo.append((child, (m1[2], m2[2]), where))
+        elif child is not None:
+            todo.append(CertificateError(f"{'equal' if m1 == m2 else 'mismatched'} moves "
+                                         "do not take a sub-certificate", where))
+        bound = ONE if child is None else child.bound
+        worst = max(worst, lift_edge(lambda x, y: bound, m1, m2))
+    if node.eps < worst:
+        todo.append(CertificateError(f"coupling bound {node.eps} below required {worst}", path))
+    return todo
 
 
 def check(cert, f, g, max_states=10000) -> Fraction:
     """Validate a certificate for two inputs of one kind (see joint_pair);
-    the certified bound."""
-    joint, pairs = joint_pair(f, g, max_states)
-    return _Checker(joint).root(cert, pairs)
+    the certified bound.  Nodes are checked depth first, left to right,
+    and the first failure is raised."""
+    joint, rows = joint_pair(f, g, max_states)
+    beta = joint.beta()
+    refinement = Refinement(joint)
+    todo = [(cert, None, "cert")]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, CertificateError):
+            raise item
+        todo += reversed(_premises(*item, rows, beta, refinement))
+    return cert.bound
 
 
 # --- synthesis -------------------------------------------------------------
@@ -469,15 +446,9 @@ class _Synthesizer:
         """Edge cost of a pair of moves under the (p-1)-th iterate."""
         return lift_edge(lambda x, y: self.distance(x, y, p - 1), m1, m2)
 
-    def cert(self, x, y, p):
-        if self.refinement.level(x, y) == math.inf:
-            return CBisim()
-        if p == 0 or self.distance(x, y, p) == ONE:
-            return CTop()
-        key = (x, y, p)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+    def move_pairs(self, x, y, p):
+        """Each move of x with a cheapest move of y and each move of y
+        with a cheapest move of x, in move order."""
         bx = sorted(self.beta[x], key=move_key)
         by = sorted(self.beta[y], key=move_key)
         chosen = {}
@@ -487,20 +458,43 @@ class _Synthesizer:
         for m2 in by:
             m1 = min(bx, key=lambda m: (self.cost(m, m2, p), move_key(m)))
             chosen[(m1, m2)] = None
-        worst = FZERO
-        triples = []
-        for m1, m2 in sorted(chosen, key=lambda c: (move_key(c[0]), move_key(c[1]))):
-            cost = self.cost(m1, m2, p)
-            if cost > worst:
-                worst = cost
-            child = None
-            if m1 != m2 and m1[0] == "act" and m2[0] == "act" and m1[1] == m2[1]:
-                child = self.cert(m1[2], m2[2], p - 1)
-            triples.append((m1, m2, child))
+        return sorted(chosen, key=lambda c: (move_key(c[0]), move_key(c[1])))
+
+    def cert(self, x, y, p):
+        """The certificate of (x, y) at iterate p; a coupling is built
+        once the certificates of its children are."""
+        todo = [((x, y, p), None)]  # a key, with its move pairs once its children are queued
+        while todo:
+            key, pairs = todo.pop()
+            if pairs is not None:
+                self.memo[key] = self.coupling(key, pairs)
+                continue
+            if key in self.memo:
+                continue
+            kx, ky, kp = key
+            if self.refinement.level(kx, ky) == math.inf:
+                self.memo[key] = CBisim()
+            elif kp == 0 or self.distance(kx, ky, kp) == ONE:
+                self.memo[key] = CTop()
+            else:
+                pairs = self.move_pairs(kx, ky, kp)
+                todo.append((key, pairs))
+                todo += (((m1[2], m2[2], kp - 1), None)
+                         for m1, m2 in pairs if _needs_child(m1, m2))
+        return self.memo[(x, y, p)]
+
+    def coupling(self, key, pairs):
+        x, y, p = key
+        worst = max((self.cost(m1, m2, p) for m1, m2 in pairs), default=FZERO)
         assert worst == self.distance(x, y, p)
-        node = CCoupling(worst, tuple(triples))
-        self.memo[key] = node
-        return node
+        return CCoupling(worst, tuple(
+            (m1, m2, self.memo[(m1[2], m2[2], p - 1)] if _needs_child(m1, m2) else None)
+            for m1, m2 in pairs))
+
+
+def _needs_child(m1, m2):
+    """Two different actions with one letter: their targets need a certificate."""
+    return m1 != m2 and m1[0] == "act" == m2[0] and m1[1] == m2[1]
 
 
 def synthesize(f, g, eps=None, max_states=10000):

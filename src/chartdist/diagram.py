@@ -666,12 +666,11 @@ def zip_merge(n) -> Term:
     """Merge two interleaved n-blocks pointwise: 2n forward wires to n."""
     if n < 0:
         raise ValueError("negative width")
-    if n == 0:
-        return Id("")
-    if n == 1:
-        return Merge()
-    shuffle = _tensor_fold([Id(">"), Sym(">" * (n - 1), ">"), Id(">" * (n - 1))])
-    return Seq(shuffle, Tensor(Merge(), zip_merge(n - 1)))
+    t = Merge() if n else Id("")
+    for k in range(2, n + 1):
+        shuffle = _tensor_fold([Id(">"), Sym(">" * (k - 1), ">"), Id(">" * (k - 1))])
+        t = Seq(shuffle, Tensor(Merge(), t))
+    return t
 
 
 def loop1(u) -> Term:
@@ -709,29 +708,33 @@ def from_expression(e, n=None) -> Term:
     return _compile(alpha_normal(e), n)
 
 
-def _var_plug(i, n):
-    return _tensor_fold([Gen()] * (i - 1) + [Id(">")] + [Gen()] * (n - i))
-
-
 def _compile(e, n):
-    if isinstance(e, Var):
-        return _var_plug(e.index, n)
-    if e == ZERO:
-        if n == 0:
-            return Del()
-        return Seq(Del(), _tensor_fold([Gen()] * n))
-    if isinstance(e, Prefix):
-        return Seq(Act(e.letter), _compile(e.body, n))
-    if isinstance(e, Sum):
-        branches = Tensor(_compile(e.left, n), _compile(e.right, n))
-        return _seq_fold([Copy(), branches, zip_merge(n)])
-    if isinstance(e, Mu):
-        # route the binder through wire n+1 and close it with feedback
-        body = e.body if e.binder == n + 1 else \
-            substitute(e.body, [(e.binder, Var(n + 1))])
-        u = Seq(Merge(), _compile(body, n + 1))
-        return _feedback(u, 2, n + 1)
-    raise TypeError(f"not an expression: {e!r}")
+    done = []  # compiled terms, innermost last
+    todo = [(e, n)]  # an expression at a width, or a build from the last done terms
+    while todo:
+        e, n = todo.pop()
+        if callable(e):  # n is how many done terms it takes
+            parts = done[-n:]
+            del done[-n:]
+            done.append(e(*parts))
+        elif isinstance(e, Var):
+            i = e.index
+            done.append(_tensor_fold([Gen()] * (i - 1) + [Id(">")] + [Gen()] * (n - i)))
+        elif e == ZERO:
+            done.append(Del() if n == 0 else Seq(Del(), _tensor_fold([Gen()] * n)))
+        elif isinstance(e, Prefix):
+            todo += [(lambda body, a=Act(e.letter): Seq(a, body), 1), (e.body, n)]
+        elif isinstance(e, Sum):
+            todo += [(lambda l, r, z=zip_merge(n): _seq_fold([Copy(), Tensor(l, r), z]), 2),
+                     (e.right, n), (e.left, n)]
+        elif isinstance(e, Mu):
+            # route the binder through wire n+1 and close it with feedback
+            body = e.body if e.binder == n + 1 else \
+                substitute(e.body, [(e.binder, Var(n + 1))])
+            todo += [(lambda u, w=n + 1: _feedback(Seq(Merge(), u), 2, w), 1), (body, n + 1)]
+        else:
+            raise TypeError(f"not an expression: {e!r}")
+    return done[0]
 
 
 # --- equational theory -----------------------------------------------------

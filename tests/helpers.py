@@ -14,11 +14,12 @@ from pathlib import Path
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
-    Prefix, RbMorphism, Seq, Sum, Tensor, Var, Zero, disjoint_union,
-    empty_chart, from_expression, loop1, parse_term, prefix_chart, rec_chart,
-    sum_chart, typecheck, variable_chart,
+    Prefix, RbMorphism, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
+    disjoint_union, empty_chart, from_expression, loop1, parse_term,
+    prefix_chart, rec_chart, substitute, sum_chart, typecheck, variable_chart,
 )
 from chartdist.chart import _LETTERS, state_key
+from chartdist.diagram import _tensor_fold
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -296,6 +297,34 @@ def corpus_diagrams():
     lines = [l.strip() for l in path.read_text().splitlines()]
     return [parse_term(l.split("\t")[1])
             for l in lines if l and not l.startswith("#")]
+
+
+def ref_zip_merge(n):
+    """zip_merge by its recursive definition."""
+    if n <= 1:
+        return Merge() if n else Id("")
+    shuffle = _tensor_fold([Id(">"), Sym(">" * (n - 1), ">"), Id(">" * (n - 1))])
+    return Seq(shuffle, Tensor(Merge(), ref_zip_merge(n - 1)))
+
+
+def ref_from_expression(e, n):
+    """from_expression by structural recursion on the alpha-normal form
+    (shallow expressions only)."""
+    return _ref_compile(alpha_normal(e), n)
+
+
+def _ref_compile(e, n):
+    if isinstance(e, Var):
+        return _tensor_fold([Gen()] * (e.index - 1) + [Id(">")] + [Gen()] * (n - e.index))
+    if isinstance(e, Zero):
+        return Del() if n == 0 else Seq(Del(), _tensor_fold([Gen()] * n))
+    if isinstance(e, Prefix):
+        return Seq(Act(e.letter), _ref_compile(e.body, n))
+    if isinstance(e, Sum):
+        branches = Tensor(_ref_compile(e.left, n), _ref_compile(e.right, n))
+        return Seq(Seq(Copy(), branches), ref_zip_merge(n))
+    body = e.body if e.binder == n + 1 else substitute(e.body, [(e.binder, Var(n + 1))])
+    return loop1(Seq(Merge(), _ref_compile(body, n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """End-to-end command line behaviour, including exit codes."""
 
+import os
 import random
+import re
 import shlex
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +180,48 @@ def test_dist_chart_format(capsys, tmp_path):
     assert out == "1/4 (level 2)\n"
 
 
+def test_compile_chart_renumbers_states(capsys):
+    text = "alphabet a\nstate x\nstate y\nstate z\nstart y\ntrans y a x\nout x v1\n"
+    assert run(capsys, "compile", "--format", "chart", text) == (
+        EXIT_OK,
+        "alphabet a\nstate 0\nstate 1\nstate 2\nstart 1\ntrans 1 a 0\nout 0 v1\n", "")
+
+
+def test_derive_and_check_chart_files(tmp_path, capsys):
+    left, right = tmp_path / "c8.chart", tmp_path / "c9.chart"
+    left.write_text(cycle_text(8))
+    right.write_text(cycle_text(9))
+    files = [str(left), str(right)]
+    assert run(capsys, "dist", "--format", "chart", *files)[:2] == \
+        (EXIT_OK, "1/16 (level 4)\n")
+    code, cert, _ = run(capsys, "derive", "--format", "chart", *files)
+    assert code == EXIT_OK and cert.startswith("(coupling 1/16 ")
+    assert run(capsys, "check", "--format", "chart", cert, *files) == \
+        (EXIT_OK, "1/16\n", "")
+
+
+def test_derive_and_check_need_no_recursion():
+    # a 300-step chain under a recursion limit of 200: the certificate
+    # nests 300 couplings deep
+    script = ("import sys\nsys.setrecursionlimit(200)\n"
+              "from chartdist.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    left = " ; ".join(["act(a)"] * 300 + ["del"])
+    right = " ; ".join(["act(a)"] * 301 + ["del"])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    derived = cli("derive", "--format", "diag", left, right)
+    assert derived.returncode == EXIT_OK, derived.stderr
+    checked = cli("check", "--format", "diag", derived.stdout, left, right)
+    assert (checked.returncode, checked.stdout, checked.stderr) == \
+        (EXIT_OK, f"{Fraction(1, 2 ** 300)}\n", "")
+
+
 def test_derive_check_round_trip(tmp_path, capsys):
     code, cert_text, _ = run(capsys, "derive", "a.a.0", "a.0")
     assert code == EXIT_OK
@@ -330,7 +376,8 @@ def test_multi_row_diagrams_match_per_row_references(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command, fmt", [
     ("dist", "expr"), ("dist", "chart"), ("strat", "expr"), ("strat", "chart"),
-    ("bisim", "expr"), ("bisim", "chart"), ("derive", "expr"), ("check", "expr"),
+    ("bisim", "expr"), ("bisim", "chart"), ("derive", "expr"), ("derive", "chart"),
+    ("check", "expr"), ("check", "chart"),
 ])
 def test_every_query_builds_one_refinement(capsys, monkeypatch, command, fmt):
     for left, right in ((FIG_LEFT, FIG_RIGHT), ("mu v1.a.v1", "mu v1.a.a.v1")):
@@ -339,7 +386,7 @@ def test_every_query_builds_one_refinement(capsys, monkeypatch, command, fmt):
             left, right = (run(capsys, "compile", e)[1] for e in (left, right))
         argv = ["--format", fmt, left, right]
         if command == "check":
-            argv.insert(0, run(capsys, "derive", left, right)[1])
+            argv.insert(0, run(capsys, "derive", *argv)[1])
         (code, out, _), built = run_counting_refinements(
             monkeypatch, capsys, command, *argv)
         assert built == 1
@@ -599,6 +646,14 @@ def test_diagram_queries_take_no_reference_path(capsys, monkeypatch):
     assert run(capsys, "compile", "--format", "diag", left)[:2] == \
         (EXIT_OK, "alphabet a\nstate 0\nstate 1\nstate 2\nstart 0\n"
                   "trans 0 a 1\ntrans 1 a 2\ntrans 2 a 1\n")
+
+
+def test_readme_python_blocks():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def readme_examples():

@@ -28,30 +28,66 @@ def test_parse_format_round_trip_golden():
         "(move (out v2) (out v2))))",
         "(decomp ((bisim) (top)))",
         "(triang ((top) (bisim)))",
+        '(coupling 1 ((move (act a "x\\"y") (act a "z\\\\") (top))))',
     ]
     for text in texts:
         cert = parse_cert(text)
         assert format_cert(cert) == text
         assert parse_cert(format_cert(cert)) == cert
+    assert cert.pairs[0][0][2] == 'x"y' and cert.pairs[0][1][2] == "z\\"
 
 
 def test_parse_rejects_malformed():
     bad = [
-        "",
-        "(top",
-        "(top) (top)",
-        "(frobnicate)",
-        "(weaken (top))",
-        "(weaken 3/2 (top))",
-        "(weaken -1 (top))",
-        "(coupling 1/2 ((move (act a missing-quotes) (out v1))))",
-        '(coupling 1/2 ((move (act ab "x") (act a "y"))))',
-        "(coupling 1/2 ((move (out v0) (out v0))))",
-        "(triang ((top)))",
+        ("", "empty certificate", 0),
+        ("(top", "missing ')'", 0),
+        ("((top)", "missing ')'", 0),
+        ("(top) (top)", "trailing input", 6),
+        ("(top))", "trailing input", 5),
+        (")", "unexpected ')'", 0),
+        ('(act a "x)', "unterminated string", 7),
+        ('(act a "x\\y")', "bad escape", 10),
+        ("(frobnicate)", "unknown certificate head 'frobnicate'", 1),
+        ('(weaken 1 (act a "x"))', "unknown certificate head 'act'", 11),
+        ("(weaken (top))", "expected (weaken E C)", 0),
+        ("(weaken 3/2 (top))", "bound 3/2 outside [0, 1]", 8),
+        ("(weaken -1 (top))", "bound -1 outside [0, 1]", 8),
+        ("(weaken 1/0 (top))", "bad rational '1/0'", 8),
+        ("(coupling 1/2 ((move (act a missing-quotes) (out v1))))",
+         'expected (act LETTER "state")', 21),
+        ('(coupling 1/2 ((move (act ab "x") (act a "y"))))', "bad action letter 'ab'", 26),
+        ("(coupling 1/2 ((move (out v0) (out v0))))", "bad variable 'v0'", 26),
+        ("(triang ((top)))", "triang needs exactly two children", 8),
+        ("(triang (top))", "expected two sub-certificates", 8),
     ]
-    for text in bad:
-        with pytest.raises((CertificateSyntaxError, CertificateError)):
+    for text, message, offset in bad:
+        with pytest.raises(CertificateSyntaxError) as info:
             parse_cert(text)
+        assert str(info.value) == f"{message} (at offset {offset})", text
+        assert info.value.position == offset
+
+
+def test_deep_certificates_need_no_recursion():
+    # 5,000 nested nodes; compared as text, since dataclass == recurses
+    weakens = "(weaken 1 " * 5000 + "(top)" + ")" * 5000
+    triangs = "(triang ((bisim) " * 5000 + "(bisim)" + "))" * 5000
+    loops = parse_expr("mu v1.a.v1"), parse_expr("mu v1.a.a.v1")
+    for text, pair, bound in ((weakens, (AA0, A0), 1), (triangs, loops, 0)):
+        cert = parse_cert(text)
+        assert cert.bound == bound
+        assert format_cert(cert) == text
+        assert check(cert, *pair) == bound
+
+
+def test_nodes_carry_their_bound():
+    half = parse_cert('(coupling 1/2 ((move (act a "a.0") (act a "0") (top))))')
+    assert (CTop().bound, CBisim().bound, half.bound) == (1, 0, Fraction(1, 2))
+    assert CWeaken(Fraction(3, 4), half).bound == Fraction(3, 4)
+    assert CTriang(half, CBisim()).bound == Fraction(1, 2)
+    assert CTriang(half, half).bound == 1 and CTriang(half, CTop()).bound == 1
+    assert CDecomp((CBisim(), half)).bound == Fraction(1, 2)
+    assert CDecomp(()).bound == 0
+    assert dataclasses.replace(half, eps=Fraction(3, 4)).bound == Fraction(3, 4)
 
 
 def test_check_hand_written_coupling():
@@ -142,6 +178,25 @@ def test_check_rejects_child_on_equal_or_mismatched_moves():
         '(coupling 1 ((move (act a "0") (act b "0") (top))))')
     with pytest.raises(CertificateError):
         check(mismatch_child, fa, gb)
+
+
+def test_check_reports_the_first_failure_depth_first():
+    # a failing child is reported before a failing rule of its parent, and
+    # before the failures of the pairs after it
+    both_low = parse_cert(
+        '(weaken 1/8 (coupling 1/4 ((move (act a "a.0") (act a "0") (top)))))')
+    with pytest.raises(CertificateError) as info:
+        check(both_low, AA0, A0)
+    assert str(info.value) == "coupling bound 1/4 below required 1/2 (at cert.weaken)"
+    child = '(move (act a "a.v1") (act a "v1") (bisim))'
+    extra = "(move (out v2) (out v2) (top))"
+    f, g = parse_expr("a.a.v1+v2"), parse_expr("a.v1+v2")
+    for pairs, failure in (
+            ((child, extra), "states 'a.v1' and 'v1' are not bisimilar (at cert.move[1])"),
+            ((extra, child), "equal moves do not take a sub-certificate (at cert.move[1])")):
+        with pytest.raises(CertificateError) as info:
+            check(parse_cert(f"(coupling 1/2 ({' '.join(pairs)}))"), f, g)
+        assert str(info.value) == failure
 
 
 def test_check_decomp_is_root_only_and_sized():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,10 @@ from chartdist import (
     open_chart, parse_expr, parse_term, semantic_equal, stratified_level,
     term_to_dot, typecheck, zip_merge,
 )
-from helpers import corpus_diagrams, rand_expr, rand_forward, transpose
+from helpers import (
+    corpus_diagrams, rand_expr, rand_forward, ref_from_expression, ref_zip_merge,
+    transpose,
+)
 
 words = st.text(alphabet=("<", ">"), max_size=3)
 
@@ -224,6 +228,31 @@ def free_vars_width(e):
     from chartdist import free_vars
     fv = free_vars(e)
     return max(fv) if fv else 0
+
+
+def test_from_expression_matches_its_recursive_definition():
+    rng = random.Random(66)
+    path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
+    exprs = [parse_expr(l.split("\t")[0]) for l in path.read_text().splitlines()
+             if l.strip() and not l.startswith("#")]
+    exprs += [rand_expr(rng, maxvar=rng.randint(0, 3), depth=rng.randint(0, 5))
+              for _ in range(200)]
+    for e in exprs:
+        n = free_vars_width(e)
+        for width in (n, n + 2):
+            assert from_expression(e, width) == ref_from_expression(e, width), e
+    for n in range(7):
+        assert zip_merge(n) == ref_zip_merge(n)
+
+
+def test_deep_expressions_compile_without_recursion():
+    loop = parse_expr("mu v1." + "a." * 1500 + "v1")
+    t = from_expression(loop)
+    assert typecheck(t) == (">", "")
+    o = open_chart(t)
+    assert bisimilar(Chart(o.prechart, o.entries[0]), expand(loop))[0]
+    assert typecheck(from_expression("a." * 1200 + "0")) == (">", "")
+    assert typecheck(zip_merge(1200)) == (">" * 2400, ">" * 1200)
 
 
 def test_from_expression_accepts_text():
