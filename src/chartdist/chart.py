@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuwxyz"  # single lowercase; 'v' is reserved
+MAX_STATES = 10000  # default state budget of expansions and open charts
 
 
 def state_key(q):

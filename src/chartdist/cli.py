@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bisim import Refinement, witness_pairs
 from .chart import (
-    Chart, ChartFormatError, _relabel, _valid_letter, chart_to_dot,
+    MAX_STATES, Chart, ChartFormatError, _relabel, _valid_letter, chart_to_dot,
     format_chart_text, parse_chart_text, reachable, state_key,
 )
 from .derive import (
@@ -211,7 +211,7 @@ def _add_common(sub):
                      help="input syntax (default %(default)s)")
     sub.add_argument("--alphabet", default=None,
                      help="restrict expression letters, e.g. 'a,b'")
-    sub.add_argument("--max-states", type=int, default=10000,
+    sub.add_argument("--max-states", type=int, default=MAX_STATES,
                      help="state budget for expansions (default %(default)s)")
     sub.add_argument("-o", dest="output", default=None, metavar="FILE",
                      help="write the report to FILE instead of stdout")
@@ -268,8 +268,6 @@ def _build_parser():
 
     p = subs.add_parser("render", help="DOT output for an input")
     p.add_argument("input")
-    p.add_argument("--dot", default=None, metavar="FILE",
-                   help="write DOT to FILE (same as -o)")
     _add_common(p)
     p.set_defaults(func=_cmd_render)
 
@@ -297,12 +295,9 @@ def main(argv=None) -> int:
     except (RecursionError, MemoryError):
         print("error: input too deeply nested", file=sys.stderr)
         return EXIT_BUDGET
-    target = getattr(args, "output", None)
-    if args.command == "render" and getattr(args, "dot", None):
-        target = args.dot
-    if target:
+    if args.output:
         try:
-            Path(target).write_text(text)
+            Path(args.output).write_text(text)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement
-from .chart import Chart, Prechart, _valid_letter, disjoint_union, move_key, tagged_union
+from .chart import (
+    MAX_STATES, Chart, Prechart, _valid_letter, disjoint_union, move_key, tagged_union,
+)
 from .diagram import Term, open_chart_pair
 from .expr import Expr, expand
 from .metric import FZERO, ONE, level_distance, lift_edge
@@ -311,7 +313,7 @@ def format_cert(cert) -> str:
 # --- checking --------------------------------------------------------------
 
 
-def joint_prechart(exprs, max_states=10000):
+def joint_prechart(exprs, max_states=MAX_STATES):
     """One prechart holding the expansions of all given expressions.
 
     States are canonical expression texts, so expansions overlap
@@ -327,7 +329,7 @@ def joint_prechart(exprs, max_states=10000):
     return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
 
 
-def joint_pair(f, g, max_states=10000):
+def joint_pair(f, g, max_states=MAX_STATES):
     """The joint prechart of two expressions, two charts or two diagram
     terms, and the pair of seed states of each row.  Expressions share
     their canonical state names and have one row; charts (one row) and
@@ -404,7 +406,7 @@ def _premises(node, pair, path, rows, beta, refinement):
     return todo
 
 
-def check(cert, f, g, max_states=10000) -> Fraction:
+def check(cert, f, g, max_states=MAX_STATES) -> Fraction:
     """Validate a certificate for two inputs of one kind (see joint_pair);
     the certified bound.  Nodes are checked depth first, left to right,
     and the first failure is raised."""
@@ -427,54 +429,57 @@ class _Synthesizer:
     """Tight certificates, read off the split levels of one refinement.
 
     The p-th Kleene iterate of the distance is 2^-min(p, level) on
-    states that split and 0 on bisimilar ones, and the iteration is
-    stable from the largest finite level on.
+    states that split and 0 on bisimilar ones.  A row starts at its own
+    level and each coupling certifies its children one iterate down, so
+    every pair certified at iterate p has level >= p: its bound is 2^-p,
+    and (top) when p is 0.
     """
 
     def __init__(self, prechart):
         self.beta = prechart.beta()
         self.refinement = Refinement(prechart)
-        self.stable = self.refinement.max_level()
         self.memo = {}
 
-    def distance(self, x, y, p):
-        """The p-th Kleene iterate of the distance between x and y."""
-        level = self.refinement.level(x, y)
-        return level_distance(level if level == math.inf else min(p, level))
-
-    def cost(self, m1, m2, p):
-        """Edge cost of a pair of moves under the (p-1)-th iterate."""
-        return lift_edge(lambda x, y: self.distance(x, y, p - 1), m1, m2)
+    def rank(self, m1, m2, p):
+        """0 for equal moves or one letter into bisimilar targets, 1 for
+        one letter into targets still related at iterate p - 1, else 2."""
+        if m1 == m2:
+            return 0
+        if not _needs_child(m1, m2):
+            return 2
+        level = self.refinement.level(m1[2], m2[2])
+        return 0 if level == math.inf else 1 if level >= p - 1 else 2
 
     def move_pairs(self, x, y, p):
         """Each move of x with a cheapest move of y and each move of y
-        with a cheapest move of x, in move order."""
+        with a cheapest move of x, in move order; a pair of level >= p
+        always has one of rank at most 1."""
         bx = sorted(self.beta[x], key=move_key)
         by = sorted(self.beta[y], key=move_key)
         chosen = {}
         for m1 in bx:
-            m2 = min(by, key=lambda m: (self.cost(m1, m, p), move_key(m)))
-            chosen[(m1, m2)] = None
+            chosen[(m1, min(by, key=lambda m: (self.rank(m1, m, p), move_key(m))))] = None
         for m2 in by:
-            m1 = min(bx, key=lambda m: (self.cost(m, m2, p), move_key(m)))
-            chosen[(m1, m2)] = None
+            chosen[(min(bx, key=lambda m: (self.rank(m, m2, p), move_key(m))), m2)] = None
+        assert all(self.rank(m1, m2, p) <= 1 for m1, m2 in chosen)
         return sorted(chosen, key=lambda c: (move_key(c[0]), move_key(c[1])))
 
     def cert(self, x, y, p):
-        """The certificate of (x, y) at iterate p; a coupling is built
-        once the certificates of its children are."""
+        """The certificate of (x, y) at iterate p <= their level; a
+        coupling is built once the certificates of its children are."""
         todo = [((x, y, p), None)]  # a key, with its move pairs once its children are queued
         while todo:
             key, pairs = todo.pop()
-            if pairs is not None:
-                self.memo[key] = self.coupling(key, pairs)
-                continue
-            if key in self.memo:
-                continue
             kx, ky, kp = key
-            if self.refinement.level(kx, ky) == math.inf:
+            if pairs is not None:
+                self.memo[key] = CCoupling(level_distance(kp), tuple(
+                    (m1, m2, self.memo[(m1[2], m2[2], kp - 1)] if _needs_child(m1, m2) else None)
+                    for m1, m2 in pairs))
+            elif key in self.memo:
+                continue
+            elif self.refinement.level(kx, ky) == math.inf:
                 self.memo[key] = CBisim()
-            elif kp == 0 or self.distance(kx, ky, kp) == ONE:
+            elif kp == 0:
                 self.memo[key] = CTop()
             else:
                 pairs = self.move_pairs(kx, ky, kp)
@@ -483,21 +488,13 @@ class _Synthesizer:
                          for m1, m2 in pairs if _needs_child(m1, m2))
         return self.memo[(x, y, p)]
 
-    def coupling(self, key, pairs):
-        x, y, p = key
-        worst = max((self.cost(m1, m2, p) for m1, m2 in pairs), default=FZERO)
-        assert worst == self.distance(x, y, p)
-        return CCoupling(worst, tuple(
-            (m1, m2, self.memo[(m1[2], m2[2], p - 1)] if _needs_child(m1, m2) else None)
-            for m1, m2 in pairs))
-
 
 def _needs_child(m1, m2):
     """Two different actions with one letter: their targets need a certificate."""
     return m1 != m2 and m1[0] == "act" == m2[0] and m1[1] == m2[1]
 
 
-def synthesize(f, g, eps=None, max_states=10000):
+def synthesize(f, g, eps=None, max_states=MAX_STATES):
     """Certificate that the distance between f and g, two inputs of one
     kind (see joint_pair), is at most eps.
 
@@ -510,12 +507,13 @@ def synthesize(f, g, eps=None, max_states=10000):
         _check_eps(eps)
     joint, pairs = joint_pair(f, g, max_states)
     syn = _Synthesizer(joint)
-    distance = level_distance(syn.refinement.least_level(pairs))
+    levels = [syn.refinement.level(x, y) for x, y in pairs]
+    distance = level_distance(min(levels, default=math.inf))
     if eps is not None and eps < distance:
         raise SynthesisFailure(
             f"requested bound {eps} is below the distance {distance}",
             distance)
-    cores = [syn.cert(x, y, syn.stable) for x, y in pairs]
+    cores = [syn.cert(x, y, level) for (x, y), level in zip(pairs, levels)]
     root = cores[0] if len(pairs) == 1 else CDecomp(tuple(cores))
     if eps is not None and eps > distance:
         root = CWeaken(eps, root)

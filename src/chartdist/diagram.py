@@ -23,7 +23,7 @@ import functools
 import re
 from dataclasses import dataclass
 
-from .chart import Prechart, _valid_letter, state_key
+from .chart import MAX_STATES, Prechart, _valid_letter, state_key
 from .expr import (
     ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, expand,
     free_vars, parse_expr, substitute,
@@ -398,7 +398,7 @@ def _close(moves, eps, entries, outputs, max_states):
                      entry_states)
 
 
-def open_chart(t, max_states=10000) -> OpenChart:
+def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     """The open chart of a diagram; raises ExpansionBudgetError when it
     has more than max_states states.
 
@@ -639,7 +639,7 @@ def _check_boundaries(t1, t2):
         raise DiagramTypeError("the two diagrams have different boundaries")
 
 
-def open_chart_pair(t1, t2, max_states=10000):
+def open_chart_pair(t1, t2, max_states=MAX_STATES):
     """The open charts of two diagrams with equal boundary words; raises
     DiagramTypeError when the words differ."""
     _check_boundaries(t1, t2)

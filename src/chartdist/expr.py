@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from weakref import ref
 
-from .chart import _LETTERS, Chart, Prechart
+from .chart import _LETTERS, MAX_STATES, Chart, Prechart
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
@@ -418,7 +418,7 @@ def _step(e: Expr, unfoldings: dict):
     return trans, outs
 
 
-def expand(e: Expr, max_states: int = 10000) -> Chart:
+def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
     """Chart of all reachable derivatives, states named by canonical text."""
     normal, text, unfoldings = {}, {}, {}  # memos of this call only
     start = _alpha(e, normal)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement, quotient, stratified_level
-from .chart import Chart, Prechart, state_key
+from .chart import MAX_STATES, Chart, Prechart, state_key
 from .expr import Expr, expand
 
 __all__ = [
@@ -271,6 +271,6 @@ def bd_stratified(c1: Chart, c2: Chart) -> Fraction:
     return level_distance(stratified_level(c1, c2))
 
 
-def bd_expressions(e1: Expr, e2: Expr, max_states: int = 10000) -> Fraction:
+def bd_expressions(e1: Expr, e2: Expr, max_states: int = MAX_STATES) -> Fraction:
     """Distance between two expressions' expanded charts."""
     return bd_stratified(expand(e1, max_states), expand(e2, max_states))

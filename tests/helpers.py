@@ -291,12 +291,24 @@ def brute_level(c1, c2):
         level += 1
 
 
-def corpus_diagrams():
-    """The diagram column of corpus/pairs.txt, parsed."""
+def cycle_text(n):
+    """An n-cycle: a to the next state, b to the one after, v1 at state 0."""
+    lines = ["alphabet a b"] + [f"state {q}" for q in range(n)] + ["start 0"]
+    for q in range(n):
+        lines += [f"trans {q} a {(q + 1) % n}", f"trans {q} b {(q + 2) % n}"]
+    return "\n".join(lines + ["out 0 v1"]) + "\n"
+
+
+def corpus_rows():
+    """The (expression, diagram) text pairs of corpus/pairs.txt."""
     path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
     lines = [l.strip() for l in path.read_text().splitlines()]
-    return [parse_term(l.split("\t")[1])
-            for l in lines if l and not l.startswith("#")]
+    return [tuple(l.split("\t")) for l in lines if l and not l.startswith("#")]
+
+
+def corpus_diagrams():
+    """The diagram column of corpus/pairs.txt, parsed."""
+    return [parse_term(d) for _, d in corpus_rows()]
 
 
 def ref_zip_merge(n):

@@ -27,7 +27,10 @@ from chartdist.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_REJECTED, EXIT_TYPE, EXIT_USAGE,
     main,
 )
-from helpers import brute_distance, brute_related_pairs, flip_one_act, rand_forward
+from helpers import (
+    brute_distance, brute_related_pairs, corpus_rows, cycle_text, flip_one_act,
+    rand_forward,
+)
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
 FIG_RIGHT = "mu v2.(a.v2 + b.mu v1.a.a.v1)"
@@ -424,12 +427,14 @@ def test_consecutive_calls_share_no_state(tmp_path, capsys):
     assert run(capsys, "strat", "a.a.0", "a.0")[:2] == (EXIT_OK, "1\n")
 
 
-def cycle_text(n):
-    """An n-cycle: a to the next state, b to the one after, v1 at state 0."""
-    lines = ["alphabet a b"] + [f"state {q}" for q in range(n)] + ["start 0"]
-    for q in range(n):
-        lines += [f"trans {q} a {(q + 1) % n}", f"trans {q} b {(q + 2) % n}"]
-    return "\n".join(lines + ["out 0 v1"]) + "\n"
+def test_cycle_certificate_certifies_children_one_iterate_down(capsys):
+    # the root starts at level 8 and each coupling certifies its children
+    # one iterate below its own, not at their exact distances
+    left, right = cycle_text(16), cycle_text(17)
+    code, cert, _ = run(capsys, "derive", "--format", "chart", left, right)
+    assert code == EXIT_OK and len(cert) < 30000
+    assert run(capsys, "check", "--format", "chart", cert, left, right) == \
+        (EXIT_OK, "1/256\n", "")
 
 
 def test_dist_table_matches_kleene_on_cycle_pair(capsys):
@@ -438,12 +443,6 @@ def test_dist_table_matches_kleene_on_cycle_pair(capsys):
     assert code == EXIT_OK
     union, _, _ = disjoint_union(parse_chart_text(left), parse_chart_text(right))
     assert out == "1/16 (level 4)\n" + kleene_solve(union).table.to_tsv()
-
-
-def corpus_rows():
-    path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
-    lines = [l.strip() for l in path.read_text().splitlines()]
-    return [tuple(l.split("\t")) for l in lines if l and not l.startswith("#")]
 
 
 # derive output on the same-boundary pairs (i, j) of corpus/pairs.txt, per
@@ -556,11 +555,13 @@ def test_render_expression(capsys):
 
 def test_render_diagram_and_dot_flag(tmp_path, capsys):
     target = tmp_path / "term.dot"
-    code, out, _ = run(capsys, "render", "--format", "diag", "--dot",
+    code, out, _ = run(capsys, "render", "--format", "diag", "-o",
                        str(target), "copy ; act(a) * act(b)")
     assert code == EXIT_OK
     assert out == ""
     assert target.read_text().startswith("digraph")
+    assert run(capsys, "render", "--format", "diag", "--dot", str(target),
+               "act(a)")[0] == EXIT_USAGE
 
 
 def test_render_chart(tmp_path, capsys):

@@ -8,11 +8,14 @@ import pytest
 
 from chartdist import (
     Act, CBisim, CCoupling, CDecomp, CTop, CTriang, CWeaken,
-    CertificateError, CertificateSyntaxError, Gen, SynthesisFailure, Tensor,
-    check, diagram_distance, expand, format_cert, from_expression,
-    joint_prechart, parse_cert, parse_expr, parse_term, synthesize,
+    CertificateError, CertificateSyntaxError, Gen, Prefix, SynthesisFailure,
+    Tensor, check, diagram_distance, expand, format_cert, from_expression,
+    joint_prechart, parse_cert, parse_chart_text, parse_expr, parse_term,
+    synthesize, typecheck,
 )
-from helpers import rand_forward
+from helpers import (
+    corpus_rows, cycle_text, flip_one_act, perturb_expr, rand_expr, rand_forward,
+)
 
 AA0 = parse_expr("a.a.0")
 A0 = parse_expr("a.0")
@@ -245,6 +248,60 @@ def test_synthesize_matches_distance_on_random_pairs():
         cert = synthesize(f, g)
         assert check(cert, f, g) == want
         assert check(parse_cert(format_cert(cert)), f, g) == want
+
+
+def coupling_children(cert):
+    """(bound, child) for each child certificate under each coupling."""
+    found, todo = [], [cert]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, CCoupling):
+            kids = [c for _, _, c in node.pairs if c is not None]
+            found += ((node.eps, c) for c in kids)
+        elif isinstance(node, CWeaken):
+            kids = [node.child]
+        elif isinstance(node, CDecomp):
+            kids = node.children
+        else:
+            kids = []
+        todo += kids
+    return found
+
+
+def test_children_are_certified_one_iterate_down():
+    # a coupling at iterate p certifies each child at iterate p - 1:
+    # bisimilar, (top) when p is 1, or a coupling at twice its bound
+    rng = random.Random(1007)
+    rows = corpus_rows()
+    pairs = [(parse_chart_text(cycle_text(4)), parse_chart_text(cycle_text(5)))]
+    for i, (e1, d1) in enumerate(rows):
+        for e2, d2 in rows[i + 1:]:
+            if typecheck(parse_term(d1)) == typecheck(parse_term(d2)):
+                pairs += [(parse_expr(e1), parse_expr(e2)), (parse_term(d1), parse_term(d2))]
+    for trial in range(200):
+        m, n, depth = rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 3)
+        f = rand_forward(rng, m, n, depth)
+        if trial % 3 == 0:
+            g = rand_forward(rng, m, n, depth)
+        elif trial % 3 == 1:
+            g = flip_one_act(rng, f) or rand_forward(rng, m, n, depth)
+        else:
+            core = rand_expr(rng, maxvar=n)
+            other = perturb_expr(rng, core, maxvar=n)
+            for _ in range(rng.randint(1, 3)):
+                letter = rng.choice("ab")
+                core, other = Prefix(letter, core), Prefix(letter, other)
+            f, g = from_expression(core, n), from_expression(other, n)
+        pairs.append((f, g))
+    couplings = 0
+    for f, g in pairs:
+        for bound, child in coupling_children(synthesize(f, g)):
+            couplings += 1
+            assert (isinstance(child, CBisim)
+                    or isinstance(child, CTop) and bound == Fraction(1, 2)
+                    or isinstance(child, CCoupling) and child.eps == 2 * bound), \
+                (f, g, bound, format_cert(child))
+    assert couplings >= 100
 
 
 def test_synthesize_with_slack_wraps_in_weaken():
