@@ -44,9 +44,6 @@ class Partition:
     def _block_of(self) -> dict:
         return {q: i for i, b in enumerate(self.blocks) for q in b}
 
-    def as_map(self) -> dict:
-        return dict(self._block_of)
-
     def same_block(self, q1, q2) -> bool:
         m = self._block_of
         return m[q1] == m[q2]

@@ -32,7 +32,6 @@ from .diagram import (
 )
 from .expr import ExpansionBudgetError, ExprSyntaxError, expand, parse_expr
 from .metric import level_distance, split_table
-from .regbeh import RbTypeError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +49,7 @@ class _UsageError(Exception):
 _ERROR_EXITS = (
     ((ExprSyntaxError, ChartFormatError, DiagramSyntaxError,
       CertificateSyntaxError), EXIT_PARSE),
-    ((DiagramTypeError, RbTypeError), EXIT_TYPE),
+    ((DiagramTypeError,), EXIT_TYPE),
     ((SynthesisFailure, CertificateError), EXIT_REJECTED),
     ((ExpansionBudgetError,), EXIT_BUDGET),
     ((_UsageError, ValueError, ZeroDivisionError), EXIT_USAGE),
@@ -66,6 +65,17 @@ def _resolve(arg: str) -> str:
     except OSError:
         pass
     return arg
+
+
+def _state_budget(text):
+    """The value of --max-states: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _parse_alphabet(spec):
@@ -211,7 +221,7 @@ def _add_common(sub):
                      help="input syntax (default %(default)s)")
     sub.add_argument("--alphabet", default=None,
                      help="restrict expression letters, e.g. 'a,b'")
-    sub.add_argument("--max-states", type=int, default=MAX_STATES,
+    sub.add_argument("--max-states", type=_state_budget, default=MAX_STATES,
                      help="state budget for expansions (default %(default)s)")
     sub.add_argument("-o", dest="output", default=None, metavar="FILE",
                      help="write the report to FILE instead of stdout")

@@ -498,12 +498,16 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
     """Certificate that the distance between f and g, two inputs of one
     kind (see joint_pair), is at most eps.
 
-    With eps omitted the certificate is tight.  A bound outside [0, 1]
-    raises ValueError before the inputs are joined; a bound below the
-    actual distance raises SynthesisFailure carrying it.
+    With eps omitted the certificate is tight.  A bound that is no
+    rational or lies outside [0, 1] raises ValueError before the inputs
+    are joined; a bound below the actual distance raises
+    SynthesisFailure carrying it.
     """
     if eps is not None:
-        eps = Fraction(eps)
+        try:
+            eps = Fraction(eps)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad rational {eps!r}") from None
         _check_eps(eps)
     joint, pairs = joint_pair(f, g, max_states)
     syn = _Synthesizer(joint)

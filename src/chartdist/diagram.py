@@ -8,25 +8,24 @@ boundary.
 
 A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
-composing the charts of the generators by their boundaries; every
-query of the command line runs on it.  ``interpret`` gives the same
-behaviours as the payload rows of a morphism between paired interfaces
-(regbeh); it is the reference semantics, behind ``diagram_distance``,
-``semantic_equal`` and ``check_axiom``.  Parsing, typing, printing,
-comparing, hashing and both semantics walk a term with an explicit
-stack, never by recursion.
+joining the literal open charts of the generators by their boundaries;
+every query of the command line runs on it.  ``interpret`` gives the
+same behaviours as the payload rows of a morphism between paired
+interfaces; it is the reference semantics, behind ``diagram_distance``,
+``semantic_equal`` and ``check_axiom``, and the only way into regbeh.
+Parsing, typing, printing, comparing, hashing and both semantics walk a
+term with an explicit stack, never by recursion.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
-from .chart import MAX_STATES, Prechart, _valid_letter, state_key
+from .chart import MAX_STATES, Prechart, _valid_letter
 from .expr import (
-    ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, expand,
-    free_vars, parse_expr, substitute,
+    ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, free_vars,
+    parse_expr, substitute,
 )
 from .regbeh import (
     IntMorphism, RbMorphism, embed_n, int_compose, int_counit, int_distance,
@@ -166,15 +165,18 @@ class Tensor(_Node):
     right: Term
 
 
-# The constant generators: class -> (keyword, dom word, cod word,
-# interpretation).  Interpretations are frozen, so every leaf shares one.
+# The constant generators: class -> (keyword, dom word, cod word, frozen
+# interpretation, open chart).  An open chart lists, per entry, the
+# output it passes straight through to, or the (letter, output) moves of
+# a node of its own, letter None for an epsilon edge.
 _GENERATORS = {
-    Copy: ("copy", ">", ">>", embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),)))),
-    Del: ("del", ">", "", embed_n(RbMorphism(1, 0, (ZERO,)))),
-    Merge: ("merge", ">>", ">", embed_n(RbMorphism(2, 1, (Var(1), Var(1))))),
-    Gen: ("gen", "", ">", embed_n(rb_zero(1))),
-    Cap: ("cap", "<>", "", int_counit((1, 0))),
-    Cup: ("cup", "", "><", int_unit((1, 0))),
+    Copy: ("copy", ">", ">>", embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),))),
+           (((None, 0), (None, 1)),)),
+    Del: ("del", ">", "", embed_n(RbMorphism(1, 0, (ZERO,))), ((),)),
+    Merge: ("merge", ">>", ">", embed_n(RbMorphism(2, 1, (Var(1), Var(1)))), (0, 0)),
+    Gen: ("gen", "", ">", embed_n(rb_zero(1)), ()),
+    Cap: ("cap", "<>", "", int_counit((1, 0)), (0,)),
+    Cup: ("cup", "", "><", int_unit((1, 0)), (0,)),
 }
 
 
@@ -297,25 +299,18 @@ class OpenChart:
     entries: tuple
 
 
-@functools.lru_cache(maxsize=1024)
-def _leaf_chart(t):
-    """The open chart of a leaf over local nodes, as (node count, output
-    count, transitions, epsilon edges, entries, dom pair).
-
-    Nodes 0..P-1 are the leaf's P outputs, and the states of the
-    expansions of its payload rows follow; a state outputting vj has an
-    epsilon edge to node j-1.
-    """
-    m = _leaf_morphism(t)
-    charts = [expand(row) for row in m.payload.rows]
-    width = m.payload.cod
-    states = sorted({q for c in charts for q in c.states}, key=state_key)
-    node = {q: width + i for i, q in enumerate(states)}
-    trans = tuple(sorted({(node[q], a, node[r])
-                          for c in charts for q, a, r in c.trans}))
-    eps = tuple(sorted({(node[q], v - 1) for c in charts for q, v in c.outs}))
-    entries = tuple(node[c.start] for c in charts)
-    return width + len(states), width, trans, eps, entries, m.dom_pair
+def _leaf_entries(t):
+    """A leaf's open chart, as in _GENERATORS; a swap passes each input
+    straight to the output of its own wire, and id(w) is sym(w, )."""
+    gen = _GENERATORS.get(type(t))
+    if gen is not None:
+        return gen[4]
+    if type(t) is Act:
+        return (((t.letter, 0),),)
+    u, w = (t.word, "") if type(t) is Id else (t.left, t.right)
+    (p1, q1), (p2, q2) = _word_object(u), _word_object(w)
+    q = q1 + q2  # outputs: u's then w's backward ones, w's then u's forward ones
+    return (*range(q + p2, q + p2 + p1), *range(q, q + p2), *range(q1, q), *range(q1))
 
 
 def _open_chart(t, max_states):
@@ -323,16 +318,20 @@ def _open_chart(t, max_states):
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
 
     def leaf(node):
-        size, width, trans, edges, entries, (k, l) = _leaf_chart(node)
-        base = len(moves)
-        moves.extend([] for _ in range(size))
-        eps.extend([] for _ in range(size))
-        for q, a, r in trans:
-            moves[base + q].append((a, base + r))
-        for q, r in edges:
-            eps[base + q].append(base + r)
-        entries = [base + e for e in entries]
-        outputs = list(range(base, base + width))
+        # nodes: the leaf's outputs, then one per entry that has moves
+        dom, cod = _leaf_words(node)
+        base, k, l = len(moves), dom.count(FORWARD), dom.count(BACKWARD)
+        outputs = list(range(base, base + l + cod.count(FORWARD)))
+        moves.extend([] for _ in outputs)
+        eps.extend([] for _ in outputs)
+        entries = []
+        for entry in _leaf_entries(node):
+            if type(entry) is int:
+                entries.append(base + entry)
+            else:
+                entries.append(len(moves))
+                moves.append([(a, base + v) for a, v in entry if a is not None])
+                eps.append([base + v for a, v in entry if a is None])
         return entries[:k], entries[k:], outputs[:l], outputs[l:]
 
     def seq(f, g, _):
@@ -402,7 +401,7 @@ def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     """The open chart of a diagram; raises ExpansionBudgetError when it
     has more than max_states states.
 
-    Generators are constant open charts.  ';' joins the outputs of each
+    Generators are literal open charts.  ';' joins the outputs of each
     side to the entries of the other by epsilon edges and '*' puts entry
     and output lists side by side, so each costs the width of the
     boundary; the epsilon edges are resolved once, at the end.

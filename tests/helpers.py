@@ -15,11 +15,11 @@ from pathlib import Path
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
     Prefix, RbMorphism, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
-    disjoint_union, empty_chart, from_expression, loop1, parse_term,
+    disjoint_union, empty_chart, expand, from_expression, loop1, parse_term,
     prefix_chart, rec_chart, substitute, sum_chart, typecheck, variable_chart,
 )
 from chartdist.chart import _LETTERS, state_key
-from chartdist.diagram import _tensor_fold
+from chartdist.diagram import _close, _fold, _leaf_morphism, _tensor_fold
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -309,6 +309,47 @@ def corpus_rows():
 def corpus_diagrams():
     """The diagram column of corpus/pairs.txt, parsed."""
     return [parse_term(d) for _, d in corpus_rows()]
+
+
+def ref_open_chart(t, max_states=10000):
+    """open_chart with each leaf's chart built from the reference
+    semantics: the payload rows of its regbeh morphism expanded, their
+    states sorted by state_key and numbered after the leaf's outputs, and
+    an epsilon edge from each state outputting vj to output j.  The
+    leaves are joined and closed as open_chart joins and closes them."""
+    typecheck(t)
+    moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
+
+    def leaf(node):
+        m = _leaf_morphism(node)
+        charts = [expand(row) for row in m.payload.rows]
+        width = m.payload.cod
+        states = sorted({q for c in charts for q in c.states}, key=state_key)
+        base = len(moves)
+        number = {q: base + width + i for i, q in enumerate(states)}
+        moves.extend([] for _ in range(width + len(states)))
+        eps.extend([] for _ in range(width + len(states)))
+        for c in charts:
+            for q, a, r in c.trans:
+                moves[number[q]].append((a, number[r]))
+            for q, v in c.outs:
+                eps[number[q]].append(base + v - 1)
+        (k, l), entries = m.dom_pair, [number[c.start] for c in charts]
+        outputs = list(range(base, base + width))
+        return entries[:k], entries[k:], outputs[:l], outputs[l:]
+
+    def seq(f, g, _):
+        for x, y in zip(f[3], g[0]):
+            eps[x].append(y)
+        for x, y in zip(g[2], f[1]):
+            eps[x].append(y)
+        return f[0], g[1], f[2], g[3]
+
+    def tensor(f, g, _):
+        return tuple(a + b for a, b in zip(f, g))
+
+    ins, ins_back, outs_back, outs = _fold(t, leaf, seq, tensor)
+    return _close(moves, eps, ins + ins_back, outs_back + outs, max_states)
 
 
 def ref_zip_merge(n):

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, including exit codes."""
 
+import inspect
 import os
 import random
 import re
@@ -15,6 +16,7 @@ import chartdist.bisim
 import chartdist.cli
 import chartdist.derive
 import chartdist.diagram
+import chartdist.expr
 import chartdist.regbeh
 from chartdist import (
     Chart, axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
@@ -250,7 +252,8 @@ def test_derive_below_distance(capsys):
 def test_derive_eps_out_of_range(capsys):
     refusal = (EXIT_USAGE, "", "error: bound 7/4 outside [0, 1]\n")
     assert run(capsys, "derive", "--eps", "7/4", "a.a.0", "a.0") == refusal
-    assert run(capsys, "derive", "--eps", "1/0", "a.a.0", "a.0")[0] == EXIT_USAGE
+    assert run(capsys, "derive", "--eps", "1/0", "a.a.0", "a.0") == \
+        (EXIT_USAGE, "", "error: bad rational '1/0'\n")
     # the bound is checked before the inputs are joined, so a bad bound
     # is reported ahead of a boundary mismatch
     assert run(capsys, "derive", "--format", "diag", "--eps", "7/4",
@@ -513,6 +516,13 @@ def test_derive_and_check_nested_recursion(capsys, k):
             (EXIT_OK, f"{distance}\n"), fmt
 
 
+def test_state_budget_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "dist", "a.0", "b.0", "--max-states", value)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: argument --max-states: must be at least 1, got {value}\n")
+
+
 def test_usage_exit_on_bad_flags(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
@@ -647,6 +657,48 @@ def test_diagram_queries_take_no_reference_path(capsys, monkeypatch):
     assert run(capsys, "compile", "--format", "diag", left)[:2] == \
         (EXIT_OK, "alphabet a\nstate 0\nstate 1\nstate 2\nstart 0\n"
                   "trans 0 a 1\ntrans 1 a 2\ntrans 2 a 1\n")
+
+
+def test_queries_run_neither_regbeh_nor_expand(capsys, monkeypatch):
+    """Diagram queries run neither regbeh nor expand, and expression and
+    chart queries do not run regbeh.  act(q) is in no other test and the
+    forbidden runs come first, so no cache can stand in for a call."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reference construction ran in a query")
+
+    def outputs(fmt, pairs, commands):
+        # check reads the certificate that derive printed just before it
+        seen = []
+        for left, right in pairs:
+            for command in commands:
+                inputs = [left] if command in ("compile", "render") else [left, right]
+                if command == "check":
+                    inputs.insert(0, seen[-1][1])
+                seen.append(run(capsys, command, "--format", fmt, *inputs))
+        return seen
+
+    regbeh = [f for f in vars(chartdist.regbeh).values()
+              if inspect.isfunction(f) and f.__module__ == "chartdist.regbeh"]
+    left = "copy ; (act(q) ; act(a)) * act(q) ; merge"
+    loop = "id(>) * cup ; (merge ; act(q) ; copy) * id(<) ; id(>) * sym(>,<) ; id(>) * cap"
+    diag = ("diag", [(left, "act(q) ; copy ; act(a) * id(>) ; merge"),
+                     (left, "copy ; act(q) * act(q) ; act(a) * id(>) ; merge"),
+                     (loop, left)],
+            ("dist", "strat", "bisim", "compile", "derive", "check", "render"))
+    others = [("expr", [("mu v1.q.(a.v1 + q.0)", "q.a.q.0"),
+                        ("mu v1.q.v1", "q.mu v1.q.v1")], ("dist", "derive", "check")),
+              ("chart", [(cycle_text(2), cycle_text(3))], ("dist", "derive", "check"))]
+    with monkeypatch.context() as patch:
+        for original in regbeh + [chartdist.expr.expand]:
+            patch_everywhere(patch, original, forbidden)
+        forbidden_runs = outputs(*diag)
+    with monkeypatch.context() as patch:
+        for original in regbeh:
+            patch_everywhere(patch, original, forbidden)
+        forbidden_runs += [out for case in others for out in outputs(*case)]
+    assert len(regbeh) > 20
+    assert not any(err for _, _, err in forbidden_runs)
+    assert forbidden_runs == [out for case in [diag] + others for out in outputs(*case)]
 
 
 def test_readme_python_blocks():

@@ -1,5 +1,6 @@
 """Wire diagrams: syntax, typing, semantics, and the axiom catalogue."""
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -16,8 +17,8 @@ from chartdist import (
     term_to_dot, typecheck, zip_merge,
 )
 from helpers import (
-    corpus_diagrams, rand_expr, rand_forward, ref_from_expression, ref_zip_merge,
-    transpose,
+    corpus_diagrams, rand_expr, rand_forward, ref_from_expression, ref_open_chart,
+    ref_zip_merge, transpose,
 )
 
 words = st.text(alphabet=("<", ">"), max_size=3)
@@ -284,6 +285,11 @@ def _semantics_samples():
         p, n, q = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
         terms.append(Seq(transpose(rand_forward(rng, p, n, 2)),
                          transpose(rand_forward(rng, q, p, 2))))
+    # every leaf: the constant generators, act, and id and sym on short words
+    short = ["".join(w) for n in range(4) for w in itertools.product("><", repeat=n)]
+    terms += [Copy(), Del(), Merge(), Gen(), Cap(), Cup(), Act("a")]
+    terms += [Id(w) for w in short]
+    terms += [Sym(u, w) for u in short if len(u) <= 2 for w in short if len(w) <= 2]
     return terms + corpus_diagrams()
 
 
@@ -295,6 +301,15 @@ def test_open_chart_entries_match_interpret_rows():
         for e, row in zip(o.entries, rows):
             c = Chart(o.prechart, e)
             assert stratified_level(c, expand(row)) == math.inf, format_term(t)
+
+
+def test_open_chart_matches_the_reference_leaf_construction():
+    # the state numbers are what bisim witnesses, derive certificates and
+    # compile print, so they must be exactly the reference's
+    rng = random.Random(67)
+    terms = _semantics_samples() + [from_expression(rand_expr(rng)) for _ in range(300)]
+    for t in terms:
+        assert open_chart(t) == ref_open_chart(t), format_term(t)
 
 
 def test_open_chart_numbers_states_breadth_first():
