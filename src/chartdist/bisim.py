@@ -66,30 +66,44 @@ class Refinement:
     rounds run.  Rounds are computed on demand: ``level`` stops as soon
     as its pair has split, while ``classes`` and ``max_level`` run to the
     end.  ``rounds`` counts the rounds so far that split some block.
+
+    The states are numbered once, and blocks, outputs and successors are
+    lists indexed by those numbers.  ``order``, the states in state_key
+    order, is sorted only when first read.
     """
 
     def __init__(self, p: Prechart):
-        self.order = sorted(p.states, key=state_key)
-        omap = p.output_map()
-        self._outs = {q: frozenset(omap[q]) for q in self.order}
-        self._succ = p.transition_map()
-        self._block = dict.fromkeys(self.order, 0)  # state -> current block
+        self._index = index = {q: i for i, q in enumerate(p.states)}
+        self._states = list(index)  # number -> state
+        n = len(index)
+        outs = [set() for _ in range(n)]
+        for (q, v) in p.outs:
+            outs[index[q]].add(v)
+        self._outs = [frozenset(o) for o in outs]  # number -> its outputs
+        self._succ = [[] for _ in range(n)]  # number -> [(letter, target number)]
+        for (q, a, r) in p.trans:
+            self._succ[index[q]].append((a, index[r]))
+        self._block = [0] * n  # state number -> current block
         # block -> the block it was split from; a parent's id is always
         # smaller than its children's
         self._parent = [None]
         self._split_at = [math.inf]                  # block -> round that split it
-        self._count = 1 if self.order else 0
+        self._count = 1 if n else 0
         self.rounds = 0
         self.stable = False
         self._classes = None
 
+    @cached_property
+    def order(self) -> list:
+        """The states in state_key order."""
+        return sorted(self._states, key=state_key)
+
     def _advance(self):
         block = self._block
         parts: dict = {}
-        for q in self.order:
-            sig = (block[q], self._outs[q],
-                   frozenset((a, block[r]) for (a, r) in self._succ[q]))
-            parts.setdefault(sig, []).append(q)
+        for i, (b, o, moves) in enumerate(zip(block, self._outs, self._succ)):
+            sig = (b, o, frozenset([(a, block[r]) for a, r in moves]))
+            parts.setdefault(sig, []).append(i)
         if len(parts) == self._count:
             self.stable = True
             return
@@ -106,17 +120,18 @@ class Refinement:
                 child = len(self._parent)
                 self._parent.append(b)
                 self._split_at.append(math.inf)
-                for q in members:
-                    block[q] = child
+                for i in members:
+                    block[i] = child
 
     def level(self, x, y):
         """Last round at which x and y share a block; math.inf if never split."""
         block = self._block
-        while block[x] == block[y]:
+        i, j = self._index[x], self._index[y]
+        while block[i] == block[j]:
             if self.stable:
                 return math.inf
             self._advance()
-        a, b = block[x], block[y]
+        a, b = block[i], block[j]
         while a != b:
             if a > b:
                 a = self._parent[a]
@@ -135,7 +150,8 @@ class Refinement:
             while not self.stable:
                 self._advance()
             fresh: dict = {}
-            self._classes = {q: fresh.setdefault(self._block[q], len(fresh))
+            block, index = self._block, self._index
+            self._classes = {q: fresh.setdefault(block[index[q]], len(fresh))
                              for q in self.order}
         return self._classes
 

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuwxyz"  # single lowercase; 'v' is reserved
+_LETTER_SET = frozenset(_LETTERS)
 MAX_STATES = 10000  # default state budget of expansions and open charts
 
 
@@ -56,6 +57,32 @@ class Prechart:
     outs: frozenset   # pairs (state, variable index)
 
     def __post_init__(self):
+        if not self._valid_in_bulk():
+            self._validate_each()
+
+    def _valid_in_bulk(self) -> bool:
+        """Whether every check of _validate_each passes, tested a column at
+        a time by set operations.  False also when a relation is no
+        collection of tuples of its arity, so that _validate_each reports
+        the first offender as it always has."""
+        states, trans, outs = self.states, self.trans, self.outs
+        try:
+            if trans:
+                qs, letters, rs = zip(*trans, strict=True)
+                if not (states.issuperset(qs) and states.issuperset(rs)
+                        and _LETTER_SET.issuperset(letters)
+                        and set(map(type, letters)) == {str}):
+                    return False
+            if outs:
+                qs, vs = zip(*outs, strict=True)
+                if not (states.issuperset(qs) and set(map(type, vs)) == {int}
+                        and min(vs) >= 1):
+                    return False
+        except (AttributeError, TypeError, ValueError):
+            return False
+        return True
+
+    def _validate_each(self):
         for (q, a, r) in self.trans:
             if q not in self.states or r not in self.states:
                 raise ValueError(f"transition {(q, a, r)!r} references undeclared state")
@@ -255,16 +282,26 @@ def live_vars(c: Chart) -> frozenset:
 
 def tagged_union(p1: Prechart, p2: Prechart) -> Prechart:
     """Union of two precharts with their states renamed "L:<q>" and
-    "R:<q>", so that the names stay apart and readable."""
-    def tag(t):
-        return lambda q: f"{t}:{q}"
+    "R:<q>", so that the names stay apart and readable.  Two states of
+    one side that print alike would merge, so they raise ValueError."""
+    l, r = _tags("L", p1.states), _tags("R", p2.states)
+    return Prechart(
+        frozenset(l.values()) | frozenset(r.values()),
+        frozenset([(l[q], a, l[t]) for (q, a, t) in p1.trans]
+                  + [(r[q], a, r[t]) for (q, a, t) in p2.trans]),
+        frozenset([(l[q], v) for (q, v) in p1.outs] + [(r[q], v) for (q, v) in p2.outs]))
 
-    l, r = tag("L"), tag("R")
-    states = {l(q) for q in p1.states} | {r(q) for q in p2.states}
-    trans = {(l(q), a, l(t)) for (q, a, t) in p1.trans}
-    trans |= {(r(q), a, r(t)) for (q, a, t) in p2.trans}
-    outs = {(l(q), v) for (q, v) in p1.outs} | {(r(q), v) for (q, v) in p2.outs}
-    return Prechart(frozenset(states), frozenset(trans), frozenset(outs))
+
+def _tags(side: str, states) -> dict:
+    """State -> "<side>:<state>", one name per state."""
+    m = {q: f"{side}:{q}" for q in states}
+    if len(set(m.values())) != len(m):
+        seen: dict = {}
+        for q in sorted(states, key=state_key):
+            other = seen.setdefault(m[q], q)
+            if other is not q:
+                raise ValueError(f"states {other!r} and {q!r} print alike")
+    return m
 
 
 def disjoint_union(c1: Chart, c2: Chart):
@@ -299,17 +336,29 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
     declared: set | None = None
     start = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "alphabet":
+        if kind == "trans":  # the common line first
+            if len(parts) != 4:
+                raise ChartFormatError("trans line takes: trans q a r", lineno)
+            _, q, a, r = parts
+            if q not in states or r not in states:
+                raise ChartFormatError("trans references undeclared state", lineno)
+            if a not in _LETTER_SET:
+                raise ChartFormatError(f"invalid action letter {a!r}", lineno)
+            if declared is not None and a not in declared:
+                raise ChartFormatError(f"letter {a!r} not in declared alphabet", lineno)
+            if alphabet is not None and a not in alphabet:
+                raise ChartFormatError(f"undeclared letter {a!r}", lineno)
+            trans.add((q, a, r))
+        elif kind == "alphabet":
             if declared is not None:
                 raise ChartFormatError("duplicate alphabet line", lineno)
             declared = set(parts[1:])
             for a in declared:
-                if not _valid_letter(a):
+                if a not in _LETTER_SET:
                     raise ChartFormatError(f"invalid alphabet letter {a!r}", lineno)
         elif kind == "state":
             if len(parts) != 2:
@@ -321,23 +370,10 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
             if start is not None:
                 raise ChartFormatError("duplicate start line", lineno)
             start = parts[1]
-        elif kind == "trans":
-            if len(parts) != 4:
-                raise ChartFormatError("trans line takes: trans q a r", lineno)
-            q, a, r = parts[1], parts[2], parts[3]
-            if q not in states or r not in states:
-                raise ChartFormatError("trans references undeclared state", lineno)
-            if not _valid_letter(a):
-                raise ChartFormatError(f"invalid action letter {a!r}", lineno)
-            if declared is not None and a not in declared:
-                raise ChartFormatError(f"letter {a!r} not in declared alphabet", lineno)
-            if alphabet is not None and a not in alphabet:
-                raise ChartFormatError(f"undeclared letter {a!r}", lineno)
-            trans.add((q, a, r))
         elif kind == "out":
             if len(parts) != 3:
                 raise ChartFormatError("out line takes: out q vN", lineno)
-            q, vtok = parts[1], parts[2]
+            _, q, vtok = parts
             if q not in states:
                 raise ChartFormatError("out references undeclared state", lineno)
             if not (len(vtok) >= 2 and vtok[0] == "v" and vtok[1:].isdigit() and int(vtok[1:]) >= 1):

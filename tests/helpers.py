@@ -6,11 +6,14 @@ the distance) so the fast implementations have something independent
 to disagree with.
 """
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
@@ -18,7 +21,7 @@ from chartdist import (
     disjoint_union, empty_chart, expand, from_expression, loop1, parse_term,
     prefix_chart, rec_chart, substitute, sum_chart, typecheck, variable_chart,
 )
-from chartdist.chart import _LETTERS, state_key
+from chartdist.chart import _LETTERS, _valid_letter, state_key
 from chartdist.diagram import _close, _fold, _leaf_morphism, _tensor_fold
 
 LETTERS = "ab"
@@ -289,6 +292,121 @@ def brute_level(c1, c2):
             return math.inf
         rel = nxt
         level += 1
+
+
+@st.composite
+def precharts(draw):
+    """Small precharts with no start: possibly empty, with unreachable
+    states and self-loops, and a few string-named states."""
+    n = draw(st.integers(0, 7))
+    names = [str(i) if draw(st.booleans()) else i for i in range(n)]
+    if not names:
+        return Prechart(frozenset(), frozenset(), frozenset())
+    state = st.sampled_from(names)
+    trans = draw(st.frozensets(st.tuples(state, st.sampled_from("ab"), state),
+                               max_size=14))
+    loops = draw(st.frozensets(st.tuples(state, st.sampled_from("ab")),
+                               max_size=2))
+    outs = draw(st.frozensets(st.tuples(state, st.integers(1, 2)), max_size=6))
+    return Prechart(frozenset(names), trans | {(q, a, q) for q, a in loops}, outs)
+
+
+def ref_validate(states, trans, outs):
+    """The checks of a Prechart one item at a time: ValueError naming the
+    first offender met."""
+    for (q, a, r) in trans:
+        if q not in states or r not in states:
+            raise ValueError(f"transition {(q, a, r)!r} references undeclared state")
+        if not _valid_letter(a):
+            raise ValueError(f"invalid action letter {a!r}")
+    for (q, v) in outs:
+        if q not in states:
+            raise ValueError(f"output {(q, v)!r} references undeclared state")
+        if not isinstance(v, int) or v < 1:
+            raise ValueError(f"invalid output variable {v!r}")
+
+
+class RefRefinement:
+    """Stratified partition refinement over the state names themselves,
+    re-signing every state in every round: the reference for
+    chartdist.Refinement, with the same split-tree history."""
+
+    def __init__(self, p: Prechart):
+        self.order = sorted(p.states, key=state_key)
+        omap = p.output_map()
+        self._outs = {q: frozenset(omap[q]) for q in self.order}
+        self._succ = p.transition_map()
+        self._block = dict.fromkeys(self.order, 0)
+        self._parent = [None]
+        self._split_at = [math.inf]
+        self._count = 1 if self.order else 0
+        self.rounds = 0
+        self.stable = False
+        self._classes = None
+
+    def _advance(self):
+        block = self._block
+        parts: dict = {}
+        for q in self.order:
+            sig = (block[q], self._outs[q],
+                   frozenset((a, block[r]) for (a, r) in self._succ[q]))
+            parts.setdefault(sig, []).append(q)
+        if len(parts) == self._count:
+            self.stable = True
+            return
+        self.rounds += 1
+        self._count = len(parts)
+        by_block: dict = {}
+        for (b, _, _), members in parts.items():
+            by_block.setdefault(b, []).append(members)
+        for b, split in by_block.items():
+            if len(split) == 1:
+                continue
+            self._split_at[b] = self.rounds
+            for members in split:
+                child = len(self._parent)
+                self._parent.append(b)
+                self._split_at.append(math.inf)
+                for q in members:
+                    block[q] = child
+
+    def level(self, x, y):
+        block = self._block
+        while block[x] == block[y]:
+            if self.stable:
+                return math.inf
+            self._advance()
+        a, b = block[x], block[y]
+        while a != b:
+            if a > b:
+                a = self._parent[a]
+            else:
+                b = self._parent[b]
+        return self._split_at[a] - 1
+
+    def least_level(self, pairs):
+        return min((self.level(x, y) for x, y in pairs), default=math.inf)
+
+    def classes(self) -> dict:
+        if self._classes is None:
+            while not self.stable:
+                self._advance()
+            fresh: dict = {}
+            self._classes = {q: fresh.setdefault(self._block[q], len(fresh))
+                             for q in self.order}
+        return self._classes
+
+    def max_level(self) -> int:
+        self.classes()
+        return max(self.rounds - 1, 0)
+
+
+def malformed_charts():
+    """The rows of corpus/malformed_charts.json: a chart text that breaks
+    one rule of the format, the --alphabet it is read under (or None),
+    and the message and line number of its ChartFormatError."""
+    path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_charts.json"
+    return json.loads(path.read_text())
 
 
 def cycle_text(n):

@@ -3,12 +3,17 @@
 import math
 import random
 
+import pytest
+from hypothesis import given, settings
+
 from chartdist import (
-    Chart, bisimilar, coarsest_partition, disjoint_union, expand,
-    is_bisimulation, live_vars, parse_expr, quotient, stratified_level,
+    Chart, Refinement, bisimilar, coarsest_partition, disjoint_union, expand,
+    is_bisimulation, live_vars, parse_chart_text, parse_expr, quotient,
+    split_table, stratified_level,
 )
 from helpers import (
-    brute_bisimilar, brute_level, brute_related_pairs, rand_chart, rand_expr,
+    RefRefinement, brute_bisimilar, brute_level, brute_related_pairs,
+    cycle_text, precharts, rand_chart, rand_expr,
 )
 
 
@@ -119,3 +124,35 @@ def test_is_bisimulation_rejects_junk():
     c2 = expand(parse_expr("b.0"))
     assert not is_bisimulation(c1, c2, {(c1.start, c2.start)})
     assert is_bisimulation(c1, c2, set())
+
+
+def assert_refines_like_reference(p):
+    """Refinement and RefRefinement agree on everything they report, both
+    while rounds are computed on demand and once they have all run."""
+    r, ref = Refinement(p), RefRefinement(p)
+    assert r.order == ref.order
+    for x in ref.order:
+        for y in ref.order:
+            assert r.level(x, y) == ref.level(x, y)
+            assert r.rounds == ref.rounds
+    assert r.classes() == ref.classes()
+    assert (r.rounds, r.max_level()) == (ref.rounds, ref.max_level())
+    assert split_table(r).to_tsv() == split_table(ref).to_tsv()
+    pairs = [(x, y) for x in ref.order for y in ref.order]
+    r, ref = Refinement(p), RefRefinement(p)
+    assert r.least_level(pairs) == ref.least_level(pairs)
+    assert r.rounds == ref.rounds
+    assert (r.max_level(), r.rounds, r.classes()) == (ref.max_level(), ref.rounds, ref.classes())
+
+
+@given(precharts())
+@settings(max_examples=300, deadline=None)
+def test_refinement_matches_reference(p):
+    assert_refines_like_reference(p)
+
+
+@pytest.mark.parametrize("n", range(8, 41))
+def test_refinement_matches_reference_on_cycle_pairs(n):
+    union, _, _ = disjoint_union(parse_chart_text(cycle_text(n)),
+                                 parse_chart_text(cycle_text(n + 1)))
+    assert_refines_like_reference(union)

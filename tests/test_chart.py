@@ -1,16 +1,21 @@
 """Chart construction, combinators, and the text format."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartdist import (
     Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot,
     disjoint_union, empty_chart, expand, format_chart_text, live_vars,
     parse_chart_text, parse_expr, prefix_chart, reachable, rec_chart,
-    subst_chart, sum_chart, variable_chart,
+    subst_chart, sum_chart, tagged_union, variable_chart,
 )
-from helpers import rand_chart, rand_expr, structural_chart
+from chartdist.cli import EXIT_PARSE, main
+from helpers import (
+    malformed_charts, rand_chart, rand_expr, ref_validate, structural_chart,
+)
 
 
 def test_prechart_validates_references():
@@ -28,6 +33,51 @@ def test_letter_v_is_reserved():
     # 'v' opens a variable token in the expression syntax
     with pytest.raises(ValueError):
         Prechart(frozenset({0}), frozenset({(0, "v", 0)}), frozenset())
+
+
+@st.composite
+def prechart_parts(draw):
+    """States, transitions and outputs of a small prechart with int and
+    string states, with at most one defect: an undeclared source, target
+    or output state, a bad letter, or a bad variable."""
+    n = draw(st.integers(0, 6))
+    names = [str(i) if draw(st.booleans()) else i for i in range(n)]
+    trans, outs = set(), set()
+    if names:
+        state = st.sampled_from(names)
+        trans = set(draw(st.frozensets(st.tuples(state, st.sampled_from("ab"), state),
+                                       max_size=10)))
+        outs = set(draw(st.frozensets(st.tuples(state, st.integers(1, 3)), max_size=5)))
+    defects = ["none", "source", "target", "out state"]
+    if names:
+        defects += ["letter", "variable"]
+    defect = draw(st.sampled_from(defects))
+    undeclared = draw(st.sampled_from([n, str(n), "x"]))
+    q = draw(st.sampled_from(names)) if names else undeclared
+    if defect == "source":
+        trans.add((undeclared, "a", q))
+    elif defect == "target":
+        trans.add((q, "b", undeclared))
+    elif defect == "out state":
+        outs.add((undeclared, 1))
+    elif defect == "letter":
+        trans.add((q, draw(st.sampled_from(["v", "", "ab", 1, None])), q))
+    elif defect == "variable":
+        outs.add((q, draw(st.sampled_from([0, -1, "1"]))))
+    return frozenset(names), frozenset(trans), frozenset(outs)
+
+
+@given(prechart_parts())
+@settings(max_examples=300, deadline=None)
+def test_prechart_validation_matches_item_by_item_reference(parts):
+    try:
+        ref_validate(*parts)
+    except ValueError as e:
+        with pytest.raises(ValueError) as info:
+            Prechart(*parts)
+        assert str(info.value) == str(e)
+    else:
+        Prechart(*parts)
 
 
 def test_beta_moves():
@@ -119,6 +169,16 @@ def test_disjoint_union_tags_sides():
     assert len(union.states) == 2 * len(c.states)
 
 
+def test_tagged_union_rejects_states_that_print_alike():
+    # 1 and "1" would both become "L:1", and "1" would gain the moves of 1
+    p = Prechart(frozenset({1, "1", 2}), frozenset({(1, "a", 2)}), frozenset({(2, 1)}))
+    with pytest.raises(ValueError) as info:
+        tagged_union(p, empty_chart().prechart)
+    assert str(info.value) == "states 1 and '1' print alike"
+    with pytest.raises(ValueError, match="print alike"):
+        bisimilar(empty_chart(), Chart(p, "1"))
+
+
 def test_text_format_round_trip():
     # parsing names states by their text, so equality holds from the
     # second round onward; meaning is preserved from the first
@@ -158,6 +218,23 @@ def test_parse_chart_rejects_unknown_state():
     bad = "state 0\nstart 0\ntrans 0 a 7\n"
     with pytest.raises(ChartFormatError):
         parse_chart_text(bad)
+
+
+@pytest.mark.parametrize("row", malformed_charts(),
+                         ids=lambda row: re.sub(r"\W+", "-", row["message"]).strip("-"))
+def test_chart_text_errors_are_pinned(row, capsys):
+    """Every ChartFormatError branch: its message and line, and the same
+    text through the command line."""
+    alphabet = row["alphabet"]
+    with pytest.raises(ChartFormatError) as info:
+        parse_chart_text(row["text"], alphabet=None if alphabet is None else set(alphabet))
+    assert str(info.value) == f"{row['message']} (line {row['line']})"
+    assert info.value.line == row["line"]
+    flags = [] if alphabet is None else ["--alphabet", alphabet]
+    code = main(["dist", "--format", "chart", *flags, row["text"], "state q\nstart q\n"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_PARSE, "")
+    assert captured.err == f"error: {row['message']} (line {row['line']})\n"
 
 
 def test_parse_chart_ignores_comments_and_blanks():

@@ -4,15 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from chartdist import (
-    Chart, DistTable, Prechart, Refinement, bd_expressions, bd_kleene,
+    Chart, DistTable, Refinement, bd_expressions, bd_kleene,
     bd_stratified, coarsest_partition, disjoint_union, expand, hausdorff,
     is_dyadic_or_zero, kleene_solve, lift_edge, parse_expr, phi, quotient,
     split_table,
 )
-from helpers import brute_distance, brute_partition, rand_chart, rand_expr
+from helpers import brute_distance, brute_partition, precharts, rand_chart, rand_expr
 
 # Values recomputed by tests.helpers.brute_distance, which iterates the
 # defining sup-inf operator on exact Fractions after collapsing
@@ -215,23 +215,6 @@ def test_substitution_is_nonexpansive():
             bd_expressions(g2, h2),
         )
         assert left <= bound
-
-
-@st.composite
-def precharts(draw):
-    """Small precharts with no start: possibly empty, with unreachable
-    states and self-loops, and a few string-named states."""
-    n = draw(st.integers(0, 7))
-    names = [str(i) if draw(st.booleans()) else i for i in range(n)]
-    if not names:
-        return Prechart(frozenset(), frozenset(), frozenset())
-    state = st.sampled_from(names)
-    trans = draw(st.frozensets(st.tuples(state, st.sampled_from("ab"), state),
-                               max_size=14))
-    loops = draw(st.frozensets(st.tuples(state, st.sampled_from("ab")),
-                               max_size=2))
-    outs = draw(st.frozensets(st.tuples(state, st.integers(1, 2)), max_size=6))
-    return Prechart(frozenset(names), trans | {(q, a, q) for q, a in loops}, outs)
 
 
 @given(precharts())

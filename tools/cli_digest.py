@@ -4,7 +4,9 @@
 
 For each seed, runs every probe and query of the ``charts``, ``exprs`` and
 ``certify`` workloads of ``perfbench/``, then ``axioms`` and ``axioms
---check``, through ``chartdist.cli.main`` in this process.  A ``CertOf``
+--check``, then ``dist`` and ``bisim --format chart`` on each malformed
+chart text of ``corpus/malformed_charts.json``, through
+``chartdist.cli.main`` in this process.  A ``CertOf``
 placeholder is filled as ``perfbench/run.py`` fills it: with the output of
 the ``derive`` it names, once that output has been judged right.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code,
@@ -12,7 +14,8 @@ stdout and stderr, so two checkouts that print the same line answer all of
 those calls byte for byte alike.
 
 Run it from anywhere: it imports the program from the ``src/`` and the
-workloads from the ``perfbench/`` beside it, and writes no file.
+workloads from the ``perfbench/`` beside it, reads the chart texts from the
+``corpus/`` beside it, and writes no file.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -63,6 +67,16 @@ def outcomes(queries):
         yield argv, (code, out, err)
 
 
+def malformed_chart_calls():
+    """argv of dist and bisim on each malformed chart text, against a
+    one-state chart."""
+    rows = json.loads((ROOT / "corpus" / "malformed_charts.json").read_text())
+    for row in rows:
+        flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
+        for command in ("dist", "bisim"):
+            yield [command, "--format", "chart", *flags, row["text"], "state q\nstart q\n"]
+
+
 def main(argv=None):
     seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)] or [1, 2, 3]
     digest = hashlib.sha256()
@@ -74,7 +88,7 @@ def main(argv=None):
                 for args, outcome in outcomes(batch):
                     digest.update(repr((args, outcome)).encode())
                     calls += 1
-    for args in (["axioms"], ["axioms", "--check"]):
+    for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
