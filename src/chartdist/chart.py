@@ -48,6 +48,11 @@ def _valid_letter(a) -> bool:
     return isinstance(a, str) and len(a) == 1 and a in _LETTERS
 
 
+def _digits(s) -> bool:
+    # the index of vN: nonempty ASCII digits (str.isdigit also takes '²')
+    return s.isascii() and s.isdigit()
+
+
 @dataclass(frozen=True)
 class Prechart:
     """States plus transition and output relations (no start state)."""
@@ -334,7 +339,7 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
     trans: set = set()
     outs: set = set()
     declared: set | None = None
-    start = None
+    start = start_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -369,14 +374,14 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
                 raise ChartFormatError("start line takes one name", lineno)
             if start is not None:
                 raise ChartFormatError("duplicate start line", lineno)
-            start = parts[1]
+            start, start_line = parts[1], lineno
         elif kind == "out":
             if len(parts) != 3:
                 raise ChartFormatError("out line takes: out q vN", lineno)
             _, q, vtok = parts
             if q not in states:
                 raise ChartFormatError("out references undeclared state", lineno)
-            if not (len(vtok) >= 2 and vtok[0] == "v" and vtok[1:].isdigit() and int(vtok[1:]) >= 1):
+            if not (vtok[0] == "v" and _digits(vtok[1:]) and int(vtok[1:]) >= 1):
                 raise ChartFormatError(f"malformed variable token {vtok!r}", lineno)
             outs.add((q, int(vtok[1:])))
         else:
@@ -384,7 +389,7 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
     if start is None:
         raise ChartFormatError("missing start line", len(text.splitlines()) + 1)
     if start not in states:
-        raise ChartFormatError("start references undeclared state", 1)
+        raise ChartFormatError("start references undeclared state", start_line)
     return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), start)
 
 

@@ -1,11 +1,12 @@
 """Command line front end.
 
-Arguments naming a readable file are loaded from it; anything else is
-taken as inline text.  Output is deterministic byte-for-byte for fixed
-inputs.  Exit codes: 0 success (for ``bisim``: bisimilar), 1 usage or
-not bisimilar, 2 parse error, 3 type error, 4 rejected certificate or
-failed derivation, 5 state budget exceeded, or an input nested too
-deeply to process (a ``RecursionError`` or ``MemoryError``).
+An argument that holds no line break and names a readable file is
+loaded from it; anything else is taken as inline text.  Output is
+deterministic byte-for-byte for fixed inputs.  Exit codes: 0 success
+(for ``bisim``: bisimilar), 1 usage or not bisimilar, 2 parse error, 3
+type error, 4 rejected certificate or failed derivation, 5 state budget
+exceeded, or an input nested too deeply to process (a
+``RecursionError`` or ``MemoryError``).
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ _ERRORS = tuple(t for types, _ in _ERROR_EXITS for t in types)
 
 
 def _resolve(arg: str) -> str:
+    if "\n" in arg or "\r" in arg:  # inline text, never a path
+        return arg
     try:
         p = Path(arg)
         if p.is_file():

@@ -36,7 +36,8 @@ from fractions import Fraction
 
 from .bisim import Refinement
 from .chart import (
-    MAX_STATES, Chart, Prechart, _valid_letter, disjoint_union, move_key, tagged_union,
+    MAX_STATES, Chart, Prechart, _digits, _valid_letter, disjoint_union,
+    move_key, tagged_union,
 )
 from .diagram import Term, open_chart_pair
 from .expr import Expr, expand
@@ -228,7 +229,7 @@ def _build(head, args, pos):
     if len(args) != 1 or args[0][0] != "atom":
         raise CertificateSyntaxError("expected (out vN)", pos)
     token = args[0][1]
-    if not (token.startswith("v") and token[1:].isdigit() and int(token[1:]) >= 1):
+    if not (token.startswith("v") and _digits(token[1:]) and int(token[1:]) >= 1):
         raise CertificateSyntaxError(f"bad variable {token!r}", args[0][2])
     return "out", int(token[1:])
 

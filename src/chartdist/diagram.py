@@ -12,7 +12,8 @@ joining the literal open charts of the generators by their boundaries;
 every query of the command line runs on it.  ``interpret`` gives the
 same behaviours as the payload rows of a morphism between paired
 interfaces; it is the reference semantics, behind ``diagram_distance``,
-``semantic_equal`` and ``check_axiom``, and the only way into regbeh.
+``semantic_equal`` and ``check_axiom``, and the only way into regbeh,
+which it imports when it is called.
 Parsing, typing, printing, comparing, hashing and both semantics walk a
 term with an explicit stack, never by recursion.
 """
@@ -26,10 +27,6 @@ from .chart import MAX_STATES, Prechart, _valid_letter
 from .expr import (
     ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, free_vars,
     parse_expr, substitute,
-)
-from .regbeh import (
-    IntMorphism, RbMorphism, embed_n, int_compose, int_counit, int_distance,
-    int_id, int_sym, int_tensor, int_unit, rb_zero,
 )
 
 __all__ = [
@@ -165,18 +162,17 @@ class Tensor(_Node):
     right: Term
 
 
-# The constant generators: class -> (keyword, dom word, cod word, frozen
-# interpretation, open chart).  An open chart lists, per entry, the
-# output it passes straight through to, or the (letter, output) moves of
-# a node of its own, letter None for an epsilon edge.
+# The constant generators: class -> (keyword, dom word, cod word, open
+# chart).  An open chart lists, per entry, the output it passes straight
+# through to, or the (letter, output) moves of a node of its own, letter
+# None for an epsilon edge.
 _GENERATORS = {
-    Copy: ("copy", ">", ">>", embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),))),
-           (((None, 0), (None, 1)),)),
-    Del: ("del", ">", "", embed_n(RbMorphism(1, 0, (ZERO,))), ((),)),
-    Merge: ("merge", ">>", ">", embed_n(RbMorphism(2, 1, (Var(1), Var(1)))), (0, 0)),
-    Gen: ("gen", "", ">", embed_n(rb_zero(1)), ()),
-    Cap: ("cap", "<>", "", int_counit((1, 0)), (0,)),
-    Cup: ("cup", "", "><", int_unit((1, 0)), (0,)),
+    Copy: ("copy", ">", ">>", (((None, 0), (None, 1)),)),
+    Del: ("del", ">", "", ((),)),
+    Merge: ("merge", ">>", ">", (0, 0)),
+    Gen: ("gen", "", ">", ()),
+    Cap: ("cap", "<>", "", (0,)),
+    Cup: ("cup", "", "><", (0,)),
 }
 
 
@@ -253,18 +249,7 @@ def _word_object(w):
     return w.count(FORWARD), w.count(BACKWARD)
 
 
-def _leaf_morphism(t):
-    gen = _GENERATORS.get(type(t))
-    if gen is not None:
-        return gen[3]
-    if type(t) is Act:
-        return embed_n(RbMorphism(1, 1, (Prefix(t.letter, Var(1)),)))
-    if type(t) is Id:
-        return int_id(_word_object(t.word))
-    return int_sym(_word_object(t.left), _word_object(t.right))
-
-
-def interpret(t) -> IntMorphism:
+def interpret(t):
     """Semantics of a diagram as a morphism between paired interfaces.
 
     This is the reference semantics: the composites of the compact
@@ -277,9 +262,12 @@ def interpret(t) -> IntMorphism:
 
 
 def _interpret(t):
-    # interpret for a term that typecheck has accepted
-    return _fold(t, _leaf_morphism, lambda f, g, _: int_compose(f, g),
-                 lambda f, g, _: int_tensor(f, g))
+    # interpret for a term that typecheck has accepted.  Only the reference
+    # entry points load regbeh, here, and they read its functions off the
+    # module at each call, so a wrapper or patch put on it sees them.
+    from . import regbeh
+    return _fold(t, regbeh.leaf_morphism, lambda f, g, _: regbeh.int_compose(f, g),
+                 lambda f, g, _: regbeh.int_tensor(f, g))
 
 
 # --- open charts -----------------------------------------------------------
@@ -304,7 +292,7 @@ def _leaf_entries(t):
     straight to the output of its own wire, and id(w) is sym(w, )."""
     gen = _GENERATORS.get(type(t))
     if gen is not None:
-        return gen[4]
+        return gen[3]
     if type(t) is Act:
         return (((t.letter, 0),),)
     u, w = (t.word, "") if type(t) is Id else (t.left, t.right)
@@ -649,8 +637,9 @@ def diagram_distance(t1, t2):
     """Behavioural distance between two diagrams of the same shape, by
     the reference semantics; raises DiagramTypeError when their boundary
     words differ."""
+    from . import regbeh  # loaded on call, as in _interpret
     _check_boundaries(t1, t2)
-    return int_distance(_interpret(t1), _interpret(t2))
+    return regbeh.int_distance(_interpret(t1), _interpret(t2))
 
 
 def semantic_equal(t1, t2) -> bool:

@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from weakref import ref
 
-from .chart import _LETTERS, MAX_STATES, Chart, Prechart
+from .chart import _LETTERS, MAX_STATES, Chart, Prechart, _digits
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
@@ -541,7 +541,7 @@ def parse_expr(text: str, alphabet=None) -> Expr:
         if pos >= n or text[pos] != "v":
             error("expected a variable", pos)
         end = pos + 1
-        while end < n and text[end].isdigit():
+        while end < n and _digits(text[end]):
             end += 1
         if end == pos + 1 or int(text[pos + 1:end]) < 1:
             error("malformed variable token", pos)
@@ -568,7 +568,7 @@ def parse_expr(text: str, alphabet=None) -> Expr:
             pos += 1
             term = ZERO
         elif ch == "v":
-            if pos + 1 < n and text[pos + 1].isdigit():
+            if pos + 1 < n and _digits(text[pos + 1]):
                 index, pos = var_token(pos)
                 term = Var(index)
             else:

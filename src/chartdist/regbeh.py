@@ -16,7 +16,8 @@ around the two payloads, and for composition a trace of the plugged
 wires.  Their payload rows grow with the nesting of a diagram; this
 module is the reference semantics that the tests and the benchmark's
 answers use, and ``axioms --check`` is the one command that runs it,
-through ``check_axiom`` and ``semantic_equal``.
+through ``check_axiom`` and ``semantic_equal``, which import it when
+called; ``leaf_morphism`` interprets each leaf of a diagram.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, Mu, Var, free_vars, substitute
+from .diagram import Act, Cap, Copy, Cup, Del, Gen, Id, Merge, _word_object
+from .expr import ZERO, Expr, Mu, Prefix, Sum, Var, free_vars, substitute
 from .metric import FZERO, bd_expressions
 
 __all__ = [
@@ -33,7 +35,7 @@ __all__ = [
     "rb_codiagonal", "rb_sym", "rb_inl", "rb_inr",
     "rb_dagger", "rb_trace", "homset_distance",
     "int_id", "int_sym", "int_unit", "int_counit",
-    "int_compose", "int_tensor", "embed_n", "int_distance",
+    "int_compose", "int_tensor", "embed_n", "int_distance", "leaf_morphism",
 ]
 
 
@@ -272,3 +274,29 @@ def int_distance(f: IntMorphism, g: IntMorphism) -> Fraction:
     if (f.dom_pair, f.cod_pair) != (g.dom_pair, g.cod_pair):
         raise RbTypeError("distance requires equal interfaces")
     return homset_distance(f.payload, g.payload)
+
+
+# --- diagram leaves ----------------------------------------------------------
+
+# the interpretations of the constant generators, frozen
+_GENERATORS = {
+    Copy: embed_n(RbMorphism(1, 2, (Sum(Var(1), Var(2)),))),
+    Del: embed_n(RbMorphism(1, 0, (ZERO,))),
+    Merge: embed_n(RbMorphism(2, 1, (Var(1), Var(1)))),
+    Gen: embed_n(rb_zero(1)),
+    Cap: int_counit((1, 0)),
+    Cup: int_unit((1, 0)),
+}
+
+
+def leaf_morphism(t) -> IntMorphism:
+    """The interpretation of a diagram leaf: a generator, act(a), id(w)
+    or sym(u, w)."""
+    m = _GENERATORS.get(type(t))
+    if m is not None:
+        return m
+    if type(t) is Act:
+        return embed_n(RbMorphism(1, 1, (Prefix(t.letter, Var(1)),)))
+    if type(t) is Id:
+        return int_id(_word_object(t.word))
+    return int_sym(_word_object(t.left), _word_object(t.right))

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
-    Prefix, RbMorphism, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
-    disjoint_union, empty_chart, expand, from_expression, loop1, parse_term,
-    prefix_chart, rec_chart, substitute, sum_chart, typecheck, variable_chart,
+    Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
+    empty_chart, expand, from_expression, loop1, parse_term, prefix_chart,
+    rec_chart, substitute, sum_chart, typecheck, variable_chart,
 )
 from chartdist.chart import _LETTERS, _valid_letter, state_key
-from chartdist.diagram import _close, _fold, _leaf_morphism, _tensor_fold
+from chartdist.diagram import _close, _fold, _tensor_fold
+from chartdist.regbeh import RbMorphism, leaf_morphism
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -439,7 +440,7 @@ def ref_open_chart(t, max_states=10000):
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
 
     def leaf(node):
-        m = _leaf_morphism(node)
+        m = leaf_morphism(node)
         charts = [expand(row) for row in m.payload.rows]
         width = m.payload.cod
         states = sorted({q for c in charts for q in c.states}, key=state_key)

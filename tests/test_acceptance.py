@@ -14,11 +14,13 @@ from pathlib import Path
 from chartdist import (
     CertificateError, CWeaken, Prefix, SynthesisFailure, axiom_catalog,
     bd_expressions, bd_stratified, bisimilar, c1_copy_pair, check,
-    check_axiom, diagram_distance, disjoint_union, embed_n, expand,
-    format_cert, from_expression, homset_distance, int_distance, interpret,
-    is_dyadic_or_zero, kleene_solve, parse_cert, parse_expr, parse_term,
-    rb_codiagonal, rb_compose, rb_dagger, rb_id, rb_inl, rb_oplus, rb_pair,
-    rb_sym, rb_trace, substitute, synthesize, typecheck,
+    check_axiom, diagram_distance, disjoint_union, expand, format_cert,
+    from_expression, interpret, is_dyadic_or_zero, kleene_solve, parse_cert,
+    parse_expr, parse_term, substitute, synthesize, typecheck,
+)
+from chartdist.regbeh import (
+    embed_n, homset_distance, int_distance, rb_codiagonal, rb_compose,
+    rb_dagger, rb_id, rb_inl, rb_oplus, rb_pair, rb_sym, rb_trace,
 )
 from helpers import (
     flip_one_act, perturb_expr, rand_chart, rand_expr, rand_forward, rand_rb,

@@ -44,6 +44,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def python(script, *argv):
+    """Run script in a fresh interpreter that imports chartdist from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def patch_everywhere(patch, original, replacement):
     """Replace original in every chartdist module namespace that binds it."""
     for module_name, module in list(sys.modules.items()):
@@ -101,6 +110,16 @@ def test_dist_reads_files(tmp_path, capsys):
     code, out, _ = run(capsys, "dist", str(left), FIG_RIGHT)
     assert code == EXIT_OK
     assert out == "1/4 (level 2)\n"
+
+
+def test_inputs_with_a_line_break_are_never_paths(tmp_path, monkeypatch, capsys):
+    one_state = "state q\nstart q\n"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / one_state).write_text("state q\nstart q\ntrans q a q\n")
+    (tmp_path / "a.0").write_text("b.0")
+    assert run(capsys, "dist", "--format", "chart", one_state, "state r\nstart r\n") == \
+        (EXIT_OK, "0 (bisimilar)\n", "")
+    assert run(capsys, "dist", "a.0", "b.0") == (EXIT_OK, "0 (bisimilar)\n", "")
 
 
 def test_output_file_option(tmp_path, capsys):
@@ -212,17 +231,9 @@ def test_derive_and_check_need_no_recursion():
               "from chartdist.cli import main\nsys.exit(main(sys.argv[1:]))\n")
     left = " ; ".join(["act(a)"] * 300 + ["del"])
     right = " ; ".join(["act(a)"] * 301 + ["del"])
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-
-    def cli(*argv):
-        return subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-
-    derived = cli("derive", "--format", "diag", left, right)
+    derived = python(script, "derive", "--format", "diag", left, right)
     assert derived.returncode == EXIT_OK, derived.stderr
-    checked = cli("check", "--format", "diag", derived.stdout, left, right)
+    checked = python(script, "check", "--format", "diag", derived.stdout, left, right)
     assert (checked.returncode, checked.stdout, checked.stderr) == \
         (EXIT_OK, f"{Fraction(1, 2 ** 300)}\n", "")
 
@@ -699,6 +710,32 @@ def test_queries_run_neither_regbeh_nor_expand(capsys, monkeypatch):
     assert len(regbeh) > 20
     assert not any(err for _, _, err in forbidden_runs)
     assert forbidden_runs == [out for case in [diag] + others for out in outputs(*case)]
+
+
+def test_queries_leave_regbeh_unloaded():
+    """A query loads no reference construction; axioms --check loads
+    regbeh when it runs it."""
+    script = ("import sys\nfrom chartdist.cli import main\n"
+              "assert main(['dist', sys.argv[1], sys.argv[2]]) == 0\n"
+              "assert 'chartdist.regbeh' not in sys.modules\n"
+              "code = main(['axioms', '--check'])\n"
+              "assert 'chartdist.regbeh' in sys.modules\n"
+              "sys.exit(code)\n")
+    done = python(script, FIG_LEFT, FIG_RIGHT)
+    axioms = ("snake-right", "snake-left", "copy-assoc", "copy-unit", "copy-comm",
+              "merge-assoc", "merge-unit", "merge-comm", "bimonoid", "merge-del",
+              "gen-copy", "idempotence", "feedback-unit", "act-merge")
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout == "1/4 (level 2)\n" + "".join(
+        f"{name}: holds\n" for name in axioms) + "act-copy: fails as expected\n"
+
+
+def test_package_root_is_the_core_modules_public_names():
+    root = set(dir(chartdist))
+    for module in (chartdist.bisim, chartdist.chart, chartdist.derive,
+                   chartdist.diagram, chartdist.expr, chartdist.metric):
+        assert set(module.__all__) <= root, module.__name__
+    assert not set(chartdist.regbeh.__all__) & root
 
 
 def test_readme_python_blocks():

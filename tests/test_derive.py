@@ -60,6 +60,8 @@ def test_parse_rejects_malformed():
          'expected (act LETTER "state")', 21),
         ('(coupling 1/2 ((move (act ab "x") (act a "y"))))', "bad action letter 'ab'", 26),
         ("(coupling 1/2 ((move (out v0) (out v0))))", "bad variable 'v0'", 26),
+        ("(coupling 1/2 ((move (out v\u00b2) (out v1))))", "bad variable 'v\u00b2'", 26),
+        ("(coupling 1/2 ((move (out v\u0661) (out v1))))", "bad variable 'v\u0661'", 26),
         ("(triang ((top)))", "triang needs exactly two children", 8),
         ("(triang (top))", "expected two sub-certificates", 8),
     ]

@@ -71,7 +71,11 @@ def test_format_inserts_needed_parens():
 
 
 def test_parse_error_positions():
-    for text, pos in [("a.", 2), ("v0", 0), ("(v1", 3), ("v1+", 3)]:
+    # superscript two and Arabic-Indic one pass str.isdigit, yet are no
+    # digits of a variable index
+    for text, pos in [("a.", 2), ("v0", 0), ("(v1", 3), ("v1+", 3),
+                      ("v\u00b2", 0), ("v\u0661", 0), ("mu v\u0661.a.v1", 3),
+                      ("mu v\u00b2.a.v1", 3), ("a.v1\u0661", 4)]:
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr(text)
         assert info.value.position == pos

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from chartdist import (
-    IntMorphism, Mu, Prefix, RbMorphism, RbTypeError, Var, alpha_equivalent,
-    embed_n, homset_distance, int_compose, int_counit, int_distance, int_id,
-    int_sym, int_tensor, int_unit, parse_expr, rb_codiagonal, rb_compose,
-    rb_dagger, rb_id, rb_inl, rb_inr, rb_oplus, rb_pair, rb_sym, rb_trace,
-    rb_zero,
+from chartdist import Mu, Prefix, Var, alpha_equivalent, parse_expr
+from chartdist.regbeh import (
+    IntMorphism, RbMorphism, RbTypeError, embed_n, homset_distance,
+    int_compose, int_counit, int_distance, int_id, int_sym, int_tensor,
+    int_unit, rb_codiagonal, rb_compose, rb_dagger, rb_id, rb_inl, rb_inr,
+    rb_oplus, rb_pair, rb_sym, rb_trace, rb_zero,
 )
 from helpers import rand_rb
 
