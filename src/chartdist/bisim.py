@@ -13,40 +13,15 @@ the distance modules read 2^-level off it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .chart import Chart, Prechart, disjoint_union, state_key
 
 __all__ = [
-    "Partition", "Refinement", "witness_pairs",
+    "Refinement", "witness_pairs",
     "bisimilar", "stratified_level", "quotient", "is_bisimulation",
     "coarsest_partition",
 ]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Blocks of an equivalence relation on a prechart's states."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        seen = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty partition block")
-            if seen & b:
-                raise ValueError("overlapping partition blocks")
-            seen |= b
-
-    @cached_property
-    def _block_of(self) -> dict:
-        return {q: i for i, b in enumerate(self.blocks) for q in b}
-
-    def same_block(self, q1, q2) -> bool:
-        m = self._block_of
-        return m[q1] == m[q2]
 
 
 class Refinement:
@@ -160,16 +135,14 @@ class Refinement:
         self.classes()
         return max(self.rounds - 1, 0)
 
-    def partition(self) -> Partition:
-        blocks: dict = {}
-        for q, i in self.classes().items():
-            blocks.setdefault(i, []).append(q)
-        return Partition(tuple(frozenset(b) for b in blocks.values()))
 
-
-def coarsest_partition(p: Prechart) -> Partition:
-    """Coarsest bisimulation partition, blocks in first-seen state_key order."""
-    return Refinement(p).partition()
+def coarsest_partition(p: Prechart) -> tuple:
+    """Coarsest bisimulation partition: a tuple of frozenset blocks, in
+    first-seen state_key order."""
+    blocks: dict = {}
+    for q, i in Refinement(p).classes().items():
+        blocks.setdefault(i, []).append(q)
+    return tuple(frozenset(b) for b in blocks.values())
 
 
 def witness_pairs(refinement: Refinement, left, right) -> frozenset:

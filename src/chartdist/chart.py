@@ -53,6 +53,13 @@ def _digits(s) -> bool:
     return s.isascii() and s.isdigit()
 
 
+def _var_index(token):
+    """N of a variable token vN with N >= 1 in ASCII digits; else None."""
+    if token[:1] == "v" and _digits(token[1:]) and int(token[1:]) >= 1:
+        return int(token[1:])
+    return None
+
+
 @dataclass(frozen=True)
 class Prechart:
     """States plus transition and output relations (no start state)."""
@@ -331,9 +338,12 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
     """Parse the line-based chart format.
 
     Lines: "alphabet a b ...", "state q", "start q", "trans q a r",
-    "out q vN".  '#' starts a comment.  Exactly one start line; every
-    state referenced by trans/out/start must be declared.  alphabet,
-    when given, restricts action letters as an alphabet line does.
+    "out q vN".  '#' starts a comment anywhere in a line.  Exactly one
+    start line; a state named by a trans or out line must be declared
+    on an earlier line, the start state on any line.  The alphabet line
+    restricts every trans line, before or after it (a late one reports
+    the least missing letter).  alphabet, when given, restricts action
+    letters as an alphabet line does.
     """
     states: set = set()
     trans: set = set()
@@ -365,6 +375,10 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
             for a in declared:
                 if a not in _LETTER_SET:
                     raise ChartFormatError(f"invalid alphabet letter {a!r}", lineno)
+            missing = {a for (_, a, _) in trans} - declared
+            if missing:
+                raise ChartFormatError(
+                    f"letter {min(missing)!r} not in declared alphabet", lineno)
         elif kind == "state":
             if len(parts) != 2:
                 raise ChartFormatError("state line takes one name", lineno)
@@ -381,9 +395,10 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
             _, q, vtok = parts
             if q not in states:
                 raise ChartFormatError("out references undeclared state", lineno)
-            if not (vtok[0] == "v" and _digits(vtok[1:]) and int(vtok[1:]) >= 1):
+            v = _var_index(vtok)
+            if v is None:
                 raise ChartFormatError(f"malformed variable token {vtok!r}", lineno)
-            outs.add((q, int(vtok[1:])))
+            outs.add((q, v))
         else:
             raise ChartFormatError(f"unknown directive {kind!r}", lineno)
     if start is None:

@@ -9,9 +9,11 @@ carries the bound it claims from the moment it is built:
   (top)                  bound 1, always valid
   (bisim)                bound 0, the two states must be bisimilar
   (weaken E C)           bound E, valid when E >= the bound of C
-  (triang (C1 C2))       bound of C1 plus bound of C2 (at most 1), same pair
   (coupling E (...))     bound E from a pairing of the two move sets
   (decomp (C1 ... Cm))   root only: one child per payload row, max
+
+There is no triangle rule: the sum of two certificates of one pair
+bounds nothing that weakening either of them does not.
 
 A coupling lists triples ``(move M1 M2 C?)``.  Its left projection
 must be exactly the move set of the first state, the right projection
@@ -36,7 +38,7 @@ from fractions import Fraction
 
 from .bisim import Refinement
 from .chart import (
-    MAX_STATES, Chart, Prechart, _digits, _valid_letter, disjoint_union,
+    MAX_STATES, Chart, Prechart, _valid_letter, _var_index, disjoint_union,
     move_key, tagged_union,
 )
 from .diagram import Term, open_chart_pair
@@ -44,7 +46,7 @@ from .expr import Expr, expand
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
-    "CTop", "CBisim", "CWeaken", "CTriang", "CCoupling", "CDecomp",
+    "CTop", "CBisim", "CWeaken", "CCoupling", "CDecomp",
     "CertificateError", "CertificateSyntaxError", "SynthesisFailure",
     "parse_cert", "format_cert", "check", "synthesize", "joint_prechart",
     "joint_pair",
@@ -107,15 +109,6 @@ class CWeaken:
 
 
 @dataclass(frozen=True)
-class CTriang:
-    first: object
-    second: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "bound", min(ONE, self.first.bound + self.second.bound))
-
-
-@dataclass(frozen=True)
 class CCoupling:
     eps: Fraction
     pairs: tuple
@@ -143,9 +136,8 @@ _TOKEN = re.compile(rf'[()]|{_OPEN_STRING.pattern}"|[^\s()"]+|"')
 _ESCAPE = re.compile(r'\\(["\\])')
 
 # the kind of a list by its keyword; any other list is a plain "list"
-_KINDS = {"top": "cert", "bisim": "cert", "weaken": "cert", "triang": "cert",
-          "coupling": "cert", "decomp": "cert", "act": "move", "out": "move",
-          "move": "pair"}
+_KINDS = {"top": "cert", "bisim": "cert", "weaken": "cert", "coupling": "cert",
+          "decomp": "cert", "act": "move", "out": "move", "move": "pair"}
 
 
 def _string_error(text, pos):
@@ -197,13 +189,6 @@ def _build(head, args, pos):
         if len(args) != 2:
             raise CertificateSyntaxError("expected (weaken E C)", pos)
         return CWeaken(_parse_fraction(args[0]), _want(args[1], "cert", "a certificate"))
-    if head == "triang":
-        if len(args) != 1:
-            raise CertificateSyntaxError("expected (triang (C1 C2))", pos)
-        kids = _want(args[0], "list", "two sub-certificates")
-        if len(kids) != 2:
-            raise CertificateSyntaxError("triang needs exactly two children", args[0][2])
-        return CTriang(*(_want(k, "cert", "a certificate") for k in kids))
     if head == "coupling":
         if len(args) != 2:
             raise CertificateSyntaxError("expected (coupling E (PAIRS))", pos)
@@ -228,10 +213,10 @@ def _build(head, args, pos):
         return "act", args[0][1], args[1][1]
     if len(args) != 1 or args[0][0] != "atom":
         raise CertificateSyntaxError("expected (out vN)", pos)
-    token = args[0][1]
-    if not (token.startswith("v") and _digits(token[1:]) and int(token[1:]) >= 1):
-        raise CertificateSyntaxError(f"bad variable {token!r}", args[0][2])
-    return "out", int(token[1:])
+    v = _var_index(args[0][1])
+    if v is None:
+        raise CertificateSyntaxError(f"bad variable {args[0][1]!r}", args[0][2])
+    return "out", v
 
 
 def parse_cert(text):
@@ -292,8 +277,6 @@ def format_cert(cert) -> str:
             parts.append("(top)" if isinstance(item, CTop) else "(bisim)")
         elif isinstance(item, CWeaken):
             todo += [")", item.child, f"(weaken {item.eps} "]
-        elif isinstance(item, CTriang):
-            todo += ["))", item.second, " ", item.first, "(triang ("]
         elif isinstance(item, CCoupling):
             pieces = [f"(coupling {item.eps} ("]
             for i, (m1, m2, child) in enumerate(item.pairs):
@@ -378,9 +361,6 @@ def _premises(node, pair, path, rows, beta, refinement):
         if refinement.level(x, y) != math.inf:
             raise CertificateError(f"states {x!r} and {y!r} are not bisimilar", path)
         return []
-    if isinstance(node, CTriang):
-        return [(node.first, pair, path + ".triang[1]"),
-                (node.second, pair, path + ".triang[2]")]
     if isinstance(node, CDecomp):
         raise CertificateError("decomp is only allowed at the root", path)
     if not isinstance(node, CCoupling):

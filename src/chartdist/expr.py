@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from weakref import ref
 
-from .chart import _LETTERS, MAX_STATES, Chart, Prechart, _digits
+from .chart import _LETTERS, MAX_STATES, Chart, Prechart, _digits, _var_index
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
@@ -432,20 +432,15 @@ def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
         sr_trans, sr_outs = _step(states[key], unfoldings)
         for v in sr_outs:
             outs.add((key, v))
-        succs = set()
-        targets = {}
         for (a, t) in sr_trans:
             nt = _alpha(t, normal)
             tkey = _text(nt, text)
-            succs.add((a, tkey))
-            targets[tkey] = nt
-        for (a, tkey) in sorted(succs):
             trans.add((key, a, tkey))
             if tkey not in states:
                 if len(states) >= max_states:
                     raise ExpansionBudgetError(
                         f"expansion exceeded {max_states} states")
-                states[tkey] = targets[tkey]
+                states[tkey] = nt
                 queue.append(tkey)
     p = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
     return Chart(p, start_key)
@@ -543,9 +538,10 @@ def parse_expr(text: str, alphabet=None) -> Expr:
         end = pos + 1
         while end < n and _digits(text[end]):
             end += 1
-        if end == pos + 1 or int(text[pos + 1:end]) < 1:
+        index = _var_index(text[pos:end])
+        if index is None:
             error("malformed variable token", pos)
-        return int(text[pos + 1:end]), end
+        return index, end
 
     # frames: ("sum", summands so far or None), ("prefix", letter),
     # ("mu", binder), ("paren", None)

@@ -33,7 +33,7 @@ from .expr import Expr, expand
 
 __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
-    "bd_kleene", "kleene_solve", "KleeneResult",
+    "kleene_solve", "KleeneResult",
     "bd_stratified", "bd_expressions", "MetricIterationError",
     "is_dyadic_or_zero", "level_distance", "split_table",
 ]
@@ -235,11 +235,6 @@ def kleene_solve(p: Prechart) -> KleeneResult:
             q2 = full.states[j]
             full.set(q1, q2, d.get(class_of[q1], class_of[q2]))
     return KleeneResult(full, qp, class_of, quotient_tables, stable)
-
-
-def bd_kleene(p: Prechart) -> DistTable:
-    """Behavioural distance table for a prechart (least fixpoint)."""
-    return kleene_solve(p).table
 
 
 def level_distance(level) -> Fraction:

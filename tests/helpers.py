@@ -16,7 +16,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from chartdist import (
-    Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Partition, Prechart,
+    Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Prechart,
     Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
     empty_chart, expand, from_expression, loop1, parse_term, prefix_chart,
     rec_chart, substitute, sum_chart, typecheck, variable_chart,
@@ -192,14 +192,14 @@ def brute_related_pairs(p):
 
 
 def brute_partition(p):
-    """Bisimilarity classes as a Partition, numbered first-seen in
+    """Bisimilarity classes as a tuple of frozenset blocks, in first-seen
     state_key order, from the pair-elimination oracle."""
     rel = brute_related_pairs(p)
     blocks = []
     for x in sorted(p.states, key=state_key):
         if not any(x in b for b in blocks):
             blocks.append(frozenset(y for y in p.states if (x, y) in rel))
-    return Partition(tuple(blocks))
+    return tuple(blocks)
 
 
 def brute_bisimilar(c1, c2):

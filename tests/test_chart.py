@@ -237,6 +237,14 @@ def test_chart_text_errors_are_pinned(row, capsys):
     assert captured.err == f"error: {row['message']} (line {row['line']})\n"
 
 
+def test_states_are_declared_before_trans_but_not_before_start():
+    with pytest.raises(ChartFormatError) as info:
+        parse_chart_text("state q\ntrans q a r\nstate r\nstart q\n")
+    assert str(info.value) == "trans references undeclared state (line 2)"
+    c = parse_chart_text("start r\nstate r\n")
+    assert c.start == "r" and c.states == frozenset({"r"})
+
+
 def test_parse_chart_ignores_comments_and_blanks():
     text = "# two states\nstate 0\n\nstate 1\nstart 0\ntrans 0 a 1\n"
     c = parse_chart_text(text)

@@ -290,6 +290,11 @@ def test_parse_error_exit(capsys):
     assert run(capsys, "check", cert, "a.0", "b.0")[0] == EXIT_PARSE
 
 
+def test_check_rejects_the_triang_head(capsys):
+    assert run(capsys, "check", "(triang ((top) (top)))", "a.0", "a.0") == (
+        EXIT_PARSE, "", "error: unknown certificate head 'triang' (at offset 1)\n")
+
+
 def test_type_error_exit(capsys):
     code, _, err = run(capsys, "dist", "--format", "diag", "copy ; copy", "copy")
     assert code == EXIT_TYPE

@@ -2,12 +2,15 @@
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import chartdist.derive
 from chartdist import (
-    Act, CBisim, CCoupling, CDecomp, CTop, CTriang, CWeaken,
+    Act, CBisim, CCoupling, CDecomp, CTop, CWeaken,
     CertificateError, CertificateSyntaxError, Gen, Prefix, SynthesisFailure,
     Tensor, check, diagram_distance, expand, format_cert, from_expression,
     joint_prechart, parse_cert, parse_chart_text, parse_expr, parse_term,
@@ -30,7 +33,6 @@ def test_parse_format_round_trip_golden():
         '(coupling 1/2 ((move (act a "a.v1") (act a "v1") (top)) '
         "(move (out v2) (out v2))))",
         "(decomp ((bisim) (top)))",
-        "(triang ((top) (bisim)))",
         '(coupling 1 ((move (act a "x\\"y") (act a "z\\\\") (top))))',
     ]
     for text in texts:
@@ -62,8 +64,6 @@ def test_parse_rejects_malformed():
         ("(coupling 1/2 ((move (out v0) (out v0))))", "bad variable 'v0'", 26),
         ("(coupling 1/2 ((move (out v\u00b2) (out v1))))", "bad variable 'v\u00b2'", 26),
         ("(coupling 1/2 ((move (out v\u0661) (out v1))))", "bad variable 'v\u0661'", 26),
-        ("(triang ((top)))", "triang needs exactly two children", 8),
-        ("(triang (top))", "expected two sub-certificates", 8),
     ]
     for text, message, offset in bad:
         with pytest.raises(CertificateSyntaxError) as info:
@@ -72,24 +72,32 @@ def test_parse_rejects_malformed():
         assert info.value.position == offset
 
 
+def test_readme_lists_exactly_the_certificate_heads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("**Certificates.**", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`\((\w+)", paragraph.split("moves are", 1)[0]))
+    accepted = {h for h, kind in chartdist.derive._KINDS.items() if kind == "cert"}
+    assert listed == accepted
+    for head in listed:  # each is read as its own node form, if malformed
+        try:
+            parse_cert(f"({head})")
+        except CertificateSyntaxError as e:
+            assert "unknown certificate head" not in str(e), head
+
+
 def test_deep_certificates_need_no_recursion():
     # 5,000 nested nodes; compared as text, since dataclass == recurses
     weakens = "(weaken 1 " * 5000 + "(top)" + ")" * 5000
-    triangs = "(triang ((bisim) " * 5000 + "(bisim)" + "))" * 5000
-    loops = parse_expr("mu v1.a.v1"), parse_expr("mu v1.a.a.v1")
-    for text, pair, bound in ((weakens, (AA0, A0), 1), (triangs, loops, 0)):
-        cert = parse_cert(text)
-        assert cert.bound == bound
-        assert format_cert(cert) == text
-        assert check(cert, *pair) == bound
+    cert = parse_cert(weakens)
+    assert cert.bound == 1
+    assert format_cert(cert) == weakens
+    assert check(cert, AA0, A0) == 1
 
 
 def test_nodes_carry_their_bound():
     half = parse_cert('(coupling 1/2 ((move (act a "a.0") (act a "0") (top))))')
     assert (CTop().bound, CBisim().bound, half.bound) == (1, 0, Fraction(1, 2))
     assert CWeaken(Fraction(3, 4), half).bound == Fraction(3, 4)
-    assert CTriang(half, CBisim()).bound == Fraction(1, 2)
-    assert CTriang(half, half).bound == 1 and CTriang(half, CTop()).bound == 1
     assert CDecomp((CBisim(), half)).bound == Fraction(1, 2)
     assert CDecomp(()).bound == 0
     assert dataclasses.replace(half, eps=Fraction(3, 4)).bound == Fraction(3, 4)
@@ -149,12 +157,6 @@ def test_check_weaken():
         '(weaken 1/4 (coupling 1/2 ((move (act a "a.0") (act a "0") (top)))))')
     with pytest.raises(CertificateError):
         check(too_low, AA0, A0)
-
-
-def test_check_triang_sums_bounds():
-    cert = parse_cert(
-        '(triang ((coupling 1/2 ((move (act a "a.0") (act a "0") (top)))) (top)))')
-    assert check(cert, AA0, A0) == 1  # 1/2 + 1 capped at 1
 
 
 def test_check_rejects_wrong_projection():
@@ -360,11 +362,6 @@ def _lowered_variants(cert):
                 children = list(cert.children)
                 children[i] = sub
                 yield dataclasses.replace(cert, children=tuple(children))
-    elif isinstance(cert, CTriang):
-        for sub in _lowered_variants(cert.first):
-            yield dataclasses.replace(cert, first=sub)
-        for sub in _lowered_variants(cert.second):
-            yield dataclasses.replace(cert, second=sub)
 
 
 def test_lowering_any_bound_is_rejected():
