@@ -8,6 +8,7 @@ to disagree with.
 
 import json
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,8 +17,8 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from chartdist import (
-    Act, Cap, Chart, Copy, Cup, Del, Gen, Id, Merge, Mu, Prechart,
-    Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
+    Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, Gen, Id, Merge, Mu,
+    Prechart, Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
     empty_chart, expand, from_expression, loop1, parse_term, prefix_chart,
     rec_chart, substitute, sum_chart, typecheck, variable_chart,
 )
@@ -410,6 +411,14 @@ def malformed_charts():
     return json.loads(path.read_text())
 
 
+def malformed_diagrams():
+    """The rows of corpus/malformed_diagrams.json: two diagram texts, the
+    --alphabet and --max-states they are read under (or None), and the
+    exit code and stderr of dist --format diag on them."""
+    path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_diagrams.json"
+    return json.loads(path.read_text())
+
+
 def cycle_text(n):
     """An n-cycle: a to the next state, b to the one after, v1 at state 0."""
     lines = ["alphabet a b"] + [f"state {q}" for q in range(n)] + ["start 0"]
@@ -497,6 +506,89 @@ def _ref_compile(e, n):
         return Seq(Seq(Copy(), branches), ref_zip_merge(n))
     body = e.body if e.binder == n + 1 else substitute(e.body, [(e.binder, Var(n + 1))])
     return loop1(Seq(Merge(), _ref_compile(body, n + 1)))
+
+
+# ---------------------------------------------------------------------------
+# reference diagram parser: (name, word, character) tuple tokens and a
+# fresh object per leaf (reference for parse_term)
+
+_REF_TOKEN = re.compile(r"\s*(?:([^\W\d_]+)|([<>]+)|(\S))")
+_REF_END = ("", "", "")
+_REF_KEYWORDS = {"copy": Copy, "del": Del, "merge": Merge, "gen": Gen, "cap": Cap,
+                 "cup": Cup}
+
+
+def _ref_error(message, text, i, shift=0):
+    starts = [m.start(m.lastindex)
+              for m in _REF_TOKEN.finditer(text, 0, len(text.rstrip()))]
+    return DiagramSyntaxError(message, (starts + [len(text)])[i] + shift)
+
+
+def _ref_expect(text, tokens, i, ch):
+    if tokens[i][2] != ch:
+        raise _ref_error(f"expected {ch!r}", text, i)
+    return i + 1
+
+
+def _ref_leaf(text, tokens, i, alphabet):
+    name = tokens[i][0]
+    if name in _REF_KEYWORDS:
+        return _REF_KEYWORDS[name](), i + 1
+    if not name:
+        raise _ref_error("expected a term", text, i)
+    if name not in ("act", "id", "sym"):
+        raise _ref_error(f"unknown term {name!r}", text, i, len(name))
+    i = _ref_expect(text, tokens, i + 1, "(")
+    if name == "act":
+        letter = tokens[i][0]
+        if not letter:
+            raise _ref_error("expected a term", text, i)
+        if not _valid_letter(letter):
+            raise _ref_error(f"invalid action letter {letter!r}", text, i, len(letter))
+        if alphabet is not None and letter not in alphabet:
+            raise _ref_error(f"undeclared letter {letter!r}", text, i)
+        return Act(letter), _ref_expect(text, tokens, i + 1, ")")
+    left = tokens[i][1]
+    i += bool(left)
+    if name == "id":
+        return Id(left), _ref_expect(text, tokens, i, ")")
+    i = _ref_expect(text, tokens, i, ",")
+    right = tokens[i][1]
+    return Sym(left, right), _ref_expect(text, tokens, i + bool(right), ")")
+
+
+def ref_parse_term(text, alphabet=None):
+    """parse_term with a 3-tuple per token and a new object per leaf."""
+    tokens = _REF_TOKEN.findall(text, 0, len(text.rstrip())) + [_REF_END]
+    i = 0
+    opened = []
+    sequence = tensor = None
+    while True:
+        if tokens[i][2] == "(":
+            opened.append((sequence, tensor))
+            sequence = tensor = None
+            i += 1
+            continue
+        atom, i = _ref_leaf(text, tokens, i, alphabet)
+        while True:
+            tensor = atom if tensor is None else Tensor(tensor, atom)
+            ch = tokens[i][2]
+            if ch == "*":
+                break
+            sequence = tensor if sequence is None else Seq(sequence, tensor)
+            tensor = None
+            if ch == ";":
+                break
+            if not opened:
+                if tokens[i] is not _REF_END:
+                    raise _ref_error("trailing input", text, i)
+                return sequence
+            if ch != ")":
+                raise _ref_error("expected ')'", text, i)
+            atom = sequence
+            sequence, tensor = opened.pop()
+            i += 1
+        i += 1
 
 
 # ---------------------------------------------------------------------------
@@ -749,6 +841,34 @@ def flip_one_act(rng, t):
     node, rebuild = rng.choice(spots)
     other = rng.choice([l for l in LETTERS if l != node.letter])
     return rebuild(Act(other))
+
+
+_SOME_LEAVES = (Copy(), Del(), Merge(), Gen(), Cap(), Cup(), Act("a"), Id(""), Id(">>"),
+                Id("<"), Sym(">", "<"))
+
+
+def mistype_one_seq(rng, t):
+    """Copy of t with one operand of a ';' replaced by a leaf whose word on
+    the joined side differs, so that this ';' no longer types; None if t
+    has no ';'."""
+    spots = []  # (the joined word, the replaced operand's side of it, rebuild)
+
+    def walk(node, rebuild):
+        if isinstance(node, Seq):
+            joined = typecheck(node.first)[1]
+            spots.append((joined, 1, lambda c, n=node, r=rebuild: r(Seq(c, n.second))))
+            spots.append((joined, 0, lambda c, n=node, r=rebuild: r(Seq(n.first, c))))
+            walk(node.first, lambda c, n=node, r=rebuild: r(Seq(c, n.second)))
+            walk(node.second, lambda c, n=node, r=rebuild: r(Seq(n.first, c)))
+        elif isinstance(node, Tensor):
+            walk(node.left, lambda c, n=node, r=rebuild: r(Tensor(c, n.right)))
+            walk(node.right, lambda c, n=node, r=rebuild: r(Tensor(n.left, c)))
+
+    walk(t, lambda c: c)
+    if not spots:
+        return None
+    joined, side, rebuild = rng.choice(spots)
+    return rebuild(rng.choice([x for x in _SOME_LEAVES if typecheck(x)[side] != joined]))
 
 
 def perturb_expr(rng, e, maxvar=2):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -13,12 +14,13 @@ from chartdist import (
     ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
     axiom_catalog, bend, bisimilar, c1_copy_pair, check_axiom, component,
     diagram_distance, expand, format_term, from_expression, interpret, loop1,
-    open_chart, parse_expr, parse_term, semantic_equal, stratified_level,
+    open_chart, open_chart_pair, parse_expr, parse_term, semantic_equal, stratified_level,
     term_to_dot, typecheck, zip_merge,
 )
+from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
 from helpers import (
-    corpus_diagrams, rand_expr, rand_forward, ref_from_expression, ref_open_chart,
-    ref_zip_merge, transpose,
+    corpus_diagrams, malformed_diagrams, mistype_one_seq, rand_expr, rand_forward,
+    ref_from_expression, ref_open_chart, ref_parse_term, ref_zip_merge, transpose,
 )
 
 words = st.text(alphabet=("<", ">"), max_size=3)
@@ -45,6 +47,34 @@ def terms():
 @settings(max_examples=300, deadline=None)
 def test_format_parse_round_trip(t):
     assert parse_term(format_term(t)) == t
+
+
+# letters, digits, blanks and punctuation of every token class, and
+# characters that are letters, digits or neither only outside ASCII
+EDITS = "é²١_09 \t\n<>();*,avV"
+
+
+def parsed(parse, text, alphabet):
+    """The term parse reads from text, or the text of its error."""
+    try:
+        return parse(text, alphabet=alphabet)
+    except DiagramSyntaxError as e:
+        return str(e)
+
+
+@given(terms(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_parse_term_matches_the_reference_parser_on_edited_text(t, data):
+    text = format_term(t)
+    i = data.draw(st.integers(0, len(text)))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "delete":
+        text = text[:i] + text[i + 1:]
+    else:
+        ch = data.draw(st.sampled_from(EDITS))
+        text = text[:i] + ch + text[i + (edit == "replace"):]
+    alphabet = data.draw(st.sampled_from([None, {"a", "b"}]))
+    assert parsed(parse_term, text, alphabet) == parsed(ref_parse_term, text, alphabet)
 
 
 def test_parse_examples():
@@ -368,6 +398,8 @@ def test_parse_errors_name_the_offset():
         ("(copy", "expected ')' (at offset 5)"),
         ("copy)", "trailing input (at offset 4)"),
         ("act(V)", "invalid action letter 'V' (at offset 5)"),
+        ("act(²)", "invalid action letter '²' (at offset 5)"),
+        ("act(_)", "expected a term (at offset 4)"),
         ("id(x)", "expected ')' (at offset 3)"),
         ("sym(>)", "expected ',' (at offset 5)"),
         ("frob", "unknown term 'frob' (at offset 4)"),
@@ -375,3 +407,62 @@ def test_parse_errors_name_the_offset():
         with pytest.raises(DiagramSyntaxError) as info:
             parse_term(text)
         assert str(info.value) == message, text
+
+
+def first_diagram_error(row):
+    """The exit code and message of the first failure among parsing each
+    side, typing each side and comparing their boundary words."""
+    alphabet = None if row["alphabet"] is None else set(row["alphabet"])
+    try:
+        terms = [parse_term(row[side], alphabet=alphabet) for side in ("left", "right")]
+        if typecheck(terms[0]) != typecheck(terms[1]):
+            return EXIT_TYPE, "the two diagrams have different boundaries"
+    except DiagramSyntaxError as e:
+        return EXIT_PARSE, str(e)
+    except DiagramTypeError as e:
+        return EXIT_TYPE, str(e)
+    raise AssertionError("the row has no error")
+
+
+@pytest.mark.parametrize("row", malformed_diagrams(),
+                         ids=lambda row: re.sub(r"\W+", "-", row["stderr"]).strip("-"))
+def test_diagram_errors_are_pinned(row, capsys):
+    """Every DiagramSyntaxError message and the order in which the type
+    errors of two inputs are reported: by parse_term and typecheck, and by
+    the command line."""
+    code, message = first_diagram_error(row)
+    assert (code, f"error: {message}\n") == (row["code"], row["stderr"])
+    flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
+    if row["max_states"] is not None:
+        flags += ["--max-states", str(row["max_states"])]
+    assert main(["dist", "--format", "diag", *flags, row["left"], row["right"]]) == code
+    assert capsys.readouterr() == ("", row["stderr"])
+
+
+def test_ill_typed_terms_fail_as_typecheck_fails(capsys):
+    """open_chart, open_chart_pair on either side, and every query of the
+    command line that types a term report the failure that typecheck
+    reports: the same message and path."""
+    rng = random.Random(68)
+    tried = 0
+    while tried < 40:
+        good = rand_forward(rng, rng.randint(0, 2), rng.randint(0, 2), 3)
+        bad = mistype_one_seq(rng, good)
+        if bad is None:
+            continue
+        tried += 1
+        with pytest.raises(DiagramTypeError) as expected:
+            typecheck(bad)
+        expected = (str(expected.value), expected.value.path)
+        for query in (lambda: open_chart(bad), lambda: open_chart_pair(bad, good),
+                      lambda: open_chart_pair(good, bad)):
+            with pytest.raises(DiagramTypeError) as info:
+                query()
+            assert (str(info.value), info.value.path) == expected, format_term(bad)
+        texts = format_term(bad), format_term(good)
+        for argv in (["compile", texts[0]], ["dist", *texts], ["dist", *texts[::-1]],
+                     ["derive", *texts], ["derive", *texts[::-1]],
+                     ["check", "(top)", *texts], ["check", "(top)", *texts[::-1]]):
+            argv[1:1] = ["--format", "diag"]
+            assert main(argv) == EXIT_TYPE, argv
+            assert capsys.readouterr() == ("", f"error: {expected[0]}\n"), argv

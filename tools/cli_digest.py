@@ -5,7 +5,8 @@
 For each seed, runs every probe and query of the ``charts``, ``exprs`` and
 ``certify`` workloads of ``perfbench/``, then ``axioms`` and ``axioms
 --check``, then ``dist`` and ``bisim --format chart`` on each malformed
-chart text of ``corpus/malformed_charts.json``, through
+chart text of ``corpus/malformed_charts.json`` and ``dist`` and ``bisim
+--format diag`` on each row of ``corpus/malformed_diagrams.json``, through
 ``chartdist.cli.main`` in this process.  A ``CertOf``
 placeholder is filled as ``perfbench/run.py`` fills it: with the output of
 the ``derive`` it names, once that output has been judged right.  Prints
@@ -14,8 +15,8 @@ stdout and stderr, so two checkouts that print the same line answer all of
 those calls byte for byte alike.
 
 Run it from anywhere: it imports the program from the ``src/`` and the
-workloads from the ``perfbench/`` beside it, reads the chart texts from the
-``corpus/`` beside it, and writes no file.
+workloads from the ``perfbench/`` beside it, reads the chart and diagram
+texts from the ``corpus/`` beside it, and writes no file.
 """
 
 from __future__ import annotations
@@ -77,6 +78,18 @@ def malformed_chart_calls():
             yield [command, "--format", "chart", *flags, row["text"], "state q\nstart q\n"]
 
 
+def malformed_diagram_calls():
+    """argv of dist and bisim on each pair of diagram texts that fails to
+    parse or type, under the row's --alphabet and --max-states."""
+    rows = json.loads((ROOT / "corpus" / "malformed_diagrams.json").read_text())
+    for row in rows:
+        flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
+        if row["max_states"] is not None:
+            flags += ["--max-states", str(row["max_states"])]
+        for command in ("dist", "bisim"):
+            yield [command, "--format", "diag", *flags, row["left"], row["right"]]
+
+
 def main(argv=None):
     seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)] or [1, 2, 3]
     digest = hashlib.sha256()
@@ -88,7 +101,8 @@ def main(argv=None):
                 for args, outcome in outcomes(batch):
                     digest.update(repr((args, outcome)).encode())
                     calls += 1
-    for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls()):
+    for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls(),
+                 *malformed_diagram_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
