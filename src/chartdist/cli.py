@@ -27,7 +27,7 @@ from .derive import (
     format_cert, joint_pair, parse_cert, synthesize,
 )
 from .diagram import (
-    DiagramSyntaxError, DiagramTypeError, _open_chart, axiom_catalog,
+    DiagramSyntaxError, DiagramTypeError, _close, _open_parts, axiom_catalog,
     c1_copy_pair, check_axiom, format_term, parse_term, term_to_dot,
     typecheck,
 )
@@ -164,12 +164,12 @@ def _cmd_strat(args):
 def _cmd_compile(args):
     c = _load(args.input, args)
     if args.format == "diag":
-        dom, cod = typecheck(c)
+        (dom, cod), parts = _open_parts(c)
         if dom != ">" or "<" in cod:
             raise DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        o = _open_chart(c, args.max_states)
+        o = _close(*parts, args.max_states)
         c = Chart(o.prechart, o.entries[0])
     elif args.format == "expr":
         c = expand(c, max_states=args.max_states)

@@ -232,13 +232,18 @@ def _path_to(t, target):
     raise ValueError("target is not a subterm")
 
 
+def _plug_error(t, node, out, into):
+    """The DiagramTypeError of the ';' node of t that plugs the word out
+    into the word into."""
+    return DiagramTypeError(f"cannot plug '{out or 'empty'}' into '{into or 'empty'}'",
+                            _path_to(t, node))
+
+
 def typecheck(t):
     """Boundary words (dom, cod) of t; raises DiagramTypeError on mismatch."""
     def seq(f, g, node):
         if f[1] != g[0]:
-            raise DiagramTypeError(
-                f"cannot plug '{f[1] or 'empty'}' into '{g[0] or 'empty'}'",
-                _path_to(t, node))
+            raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
     return _fold(t, _leaf_words, seq,
@@ -287,57 +292,113 @@ class OpenChart:
     entries: tuple
 
 
-def _leaf_entries(t):
-    """A leaf's open chart, as in _GENERATORS; a swap passes each input
-    straight to the output of its own wire, and id(w) is sym(w, )."""
-    gen = _GENERATORS.get(type(t))
-    if gen is not None:
-        return gen[3]
-    if type(t) is Act:
-        return (((t.letter, 0),),)
-    u, w = (t.word, "") if type(t) is Id else (t.left, t.right)
+def _layout(dom, cod, chart):
+    """The layout of a leaf with boundary words dom and cod and an open
+    chart as in _GENERATORS: its nodes are its outputs and then one per
+    entry that has moves, numbered from 0.  A layout is the tuple
+
+        dom, cod, moves, eps, shift, ports, k, n, m
+
+    with moves and eps the (letter, node) transitions and the epsilon
+    edges of each node, shift whether any of them names a node, ports
+    the leaf's entries and then its outputs, and k, n and m where its
+    forward entries, its entries and its backward outputs end in ports."""
+    k, l = dom.count(FORWARD), dom.count(BACKWARD)
+    width = l + cod.count(FORWARD)
+    moves, eps, entries = [()] * width, [()] * width, []
+    for entry in chart:
+        if type(entry) is int:
+            entries.append(entry)
+        else:
+            entries.append(len(moves))
+            moves.append(tuple([(a, v) for a, v in entry if a is not None]))
+            eps.append(tuple([v for a, v in entry if a is None]))
+    n = len(entries)
+    return (dom, cod, tuple(moves), tuple(eps), any(moves) or any(eps),
+            (*entries, *range(width)), k, n, n + l)
+
+
+_GENERATOR_LAYOUTS = {cls: _layout(*gen[1:]) for cls, gen in _GENERATORS.items()}
+
+
+def _leaf_layout(t):
+    """The _layout of a leaf.  act(a) moves by a to its output; a swap
+    passes each input straight to the output of its own wire, and id(w)
+    is sym(w, )."""
+    kind = type(t)
+    layout = _GENERATOR_LAYOUTS.get(kind)
+    if layout is not None:
+        return layout
+    if kind is Act:
+        return ">", ">", ((), ((t.letter, 0),)), ((), ()), True, (1, 0), 1, 1, 1
+    if kind is Id:
+        u, w = t.word, ""
+    elif kind is Sym:
+        u, w = t.left, t.right
+    else:
+        raise TypeError(f"not a diagram term: {t!r}")
     (p1, q1), (p2, q2) = _word_object(u), _word_object(w)
     q = q1 + q2  # outputs: u's then w's backward ones, w's then u's forward ones
-    return (*range(q + p2, q + p2 + p1), *range(q, q + p2), *range(q1, q), *range(q1))
+    width = q + p1 + p2
+    nothing = ((),) * width
+    return (u + w, w + u, nothing, nothing, False,
+            (*range(q + p2, width), *range(q, q + p2), *range(q1, q), *range(q1),
+             *range(width)),
+            p1 + p2, width, width + q)
 
 
-def _open_chart(t, max_states):
-    # open_chart for a term that typecheck has accepted
+def _open_parts(t):
+    """Type t and lay out its open chart in one walk, bottom-up and left to
+    right with an explicit stack.  Returns its boundary words (dom, cod)
+    and (moves, eps, entries, outputs), the open chart with its epsilon
+    edges not yet resolved; raises the DiagramTypeError that typecheck
+    raises.  Each leaf object is laid out once, and each occurrence of it
+    takes the layout's nodes shifted to the next free node numbers.
+    """
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
-
-    def leaf(node):
-        # nodes: the leaf's outputs, then one per entry that has moves
-        dom, cod = _leaf_words(node)
-        base, k, l = len(moves), dom.count(FORWARD), dom.count(BACKWARD)
-        outputs = list(range(base, base + l + cod.count(FORWARD)))
-        moves.extend([] for _ in outputs)
-        eps.extend([] for _ in outputs)
-        entries = []
-        for entry in _leaf_entries(node):
-            if type(entry) is int:
-                entries.append(base + entry)
+    layouts = {}  # id of a leaf object -> its _leaf_layout
+    values = []  # per finished subterm: dom, cod, ins, ins_back, outs_back, outs
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Seq:
+            todo += ((node,), node.second, node.first)
+        elif kind is Tensor:
+            todo += ((node,), node.right, node.left)
+        elif kind is tuple:  # both children of node are done
+            node, = node
+            g = values.pop()
+            f = values[-1]
+            if type(node) is Tensor:
+                values[-1] = (f[0] + g[0], f[1] + g[1], f[2] + g[2],
+                              f[3] + g[3], f[4] + g[4], f[5] + g[5])
+                continue
+            if f[1] != g[0]:
+                raise _plug_error(t, node, f[1], g[0])
+            # f's forward outputs feed g's forward entries, and g's
+            # backward outputs feed f's backward entries
+            for x, y in zip(f[5], g[2]):
+                eps[x] += (y,)
+            for x, y in zip(g[4], f[3]):
+                eps[x] += (y,)
+            values[-1] = (f[0], g[1], f[2], g[3], f[4], g[5])
+        else:
+            layout = layouts.get(id(node))
+            if layout is None:
+                layout = layouts[id(node)] = _leaf_layout(node)
+            dom, cod, node_moves, node_eps, shift, ports, k, n, m = layout
+            base = len(moves)
+            if shift:
+                moves += [tuple([(a, base + v) for a, v in x]) for x in node_moves]
+                eps += [tuple([base + v for v in x]) for x in node_eps]
             else:
-                entries.append(len(moves))
-                moves.append([(a, base + v) for a, v in entry if a is not None])
-                eps.append([base + v for a, v in entry if a is None])
-        return entries[:k], entries[k:], outputs[:l], outputs[l:]
-
-    def seq(f, g, _):
-        # f's forward outputs feed g's forward entries, and g's backward
-        # outputs feed f's backward entries
-        f_in, f_back, f_out_back, f_out = f
-        g_in, g_back, g_out_back, g_out = g
-        for x, y in zip(f_out, g_in):
-            eps[x].append(y)
-        for x, y in zip(g_out_back, f_back):
-            eps[x].append(y)
-        return f_in, g_back, f_out_back, g_out
-
-    def tensor(f, g, _):
-        return tuple(a + b for a, b in zip(f, g))
-
-    ins, ins_back, outs_back, outs = _fold(t, leaf, seq, tensor)
-    return _close(moves, eps, ins + ins_back, outs_back + outs, max_states)
+                moves += node_moves
+                eps += node_eps
+            ports = tuple(map(base.__add__, ports))
+            values.append((dom, cod, ports[:k], ports[k:n], ports[n:m], ports[m:]))
+    dom, cod, ins, ins_back, outs_back, outs = values[0]
+    return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
 
 
 def _close(moves, eps, entries, outputs, max_states):
@@ -394,84 +455,95 @@ def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     and output lists side by side, so each costs the width of the
     boundary; the epsilon edges are resolved once, at the end.
     """
-    typecheck(t)
-    return _open_chart(t, max_states)
+    _, parts = _open_parts(t)
+    return _close(*parts, max_states)
 
 
 # --- concrete syntax ------------------------------------------------------
 
-_BY_KEYWORD = {gen[0]: cls for cls, gen in _GENERATORS.items()}
+# one object per keyword: terms are immutable, so every parse shares them
+_BY_KEYWORD = {gen[0]: cls() for cls, gen in _GENERATORS.items()}
 
-# a token is a name, a wire word or any other single character, each
-# after optional blanks; findall gives (name, word, character) with
-# exactly one of them nonempty
-_TOKEN = re.compile(r"\s*(?:([^\W\d_]+)|([<>]+)|(\S))")
-_END = ("", "", "")
-
-
-def _tokens(text):
-    # stopping before trailing blanks keeps the match linear
-    return _TOKEN.findall(text, 0, len(text.rstrip())) + [_END]
+# a token is a name, a wire word or any other single character but a
+# blank; findall skips the blanks between tokens
+_TOKEN = re.compile(r"[^\W\d_]+|[<>]+|\S")
+_NAME = re.compile(r"[^\W\d_]")
+_WIRES = ("<", ">")
+_WITH_ARGUMENTS = {"act": Act, "id": Id, "sym": Sym}
 
 
 def _error(message, text, i, shift=0):
     """A syntax error at token i, or shift characters after its start."""
-    starts = [m.start(m.lastindex)
-              for m in _TOKEN.finditer(text, 0, len(text.rstrip()))]
+    starts = [m.start() for m in _TOKEN.finditer(text)]
     return DiagramSyntaxError(message, (starts + [len(text)])[i] + shift)
 
 
-def _expect(text, tokens, i, ch):
-    if tokens[i][2] != ch:
-        raise _error(f"expected {ch!r}", text, i)
-    return i + 1
-
-
-def _leaf(text, tokens, i, alphabet):
-    """The leaf term starting at token i, and the index after it."""
-    name = tokens[i][0]
-    if name in _BY_KEYWORD:
-        return _BY_KEYWORD[name](), i + 1
-    if not name:
-        raise _error("expected a term", text, i)
-    if name not in ("act", "id", "sym"):
-        raise _error(f"unknown term {name!r}", text, i, len(name))
-    i = _expect(text, tokens, i + 1, "(")
-    if name == "act":
-        letter = tokens[i][0]
-        if not letter:
+def _leaf(text, tokens, i, alphabet, leaves):
+    """The act, id or sym leaf starting at token i, and the index after it.
+    leaves maps the name and arguments of each such leaf read so far to
+    its one object."""
+    name = tokens[i]
+    if name not in _WITH_ARGUMENTS:
+        if not _NAME.match(name):
             raise _error("expected a term", text, i)
+        raise _error(f"unknown term {name!r}", text, i, len(name))
+    if tokens[i + 1] != "(":
+        raise _error("expected '('", text, i + 1)
+    i += 2
+    if name == "act":
+        letter = tokens[i]
         if not _valid_letter(letter):
+            if not _NAME.match(letter):
+                raise _error("expected a term", text, i)
             raise _error(f"invalid action letter {letter!r}", text, i, len(letter))
         if alphabet is not None and letter not in alphabet:
             raise _error(f"undeclared letter {letter!r}", text, i)
-        return Act(letter), _expect(text, tokens, i + 1, ")")
-    left = tokens[i][1]  # a wire word, possibly empty
-    i += bool(left)
-    if name == "id":
-        return Id(left), _expect(text, tokens, i, ")")
-    i = _expect(text, tokens, i, ",")
-    right = tokens[i][1]
-    return Sym(left, right), _expect(text, tokens, i + bool(right), ")")
+        key = (name, letter)
+        i += 1
+    else:
+        left = tokens[i] if tokens[i][:1] in _WIRES else ""  # possibly empty
+        i += bool(left)
+        if name == "id":
+            key = (name, left)
+        else:
+            if tokens[i] != ",":
+                raise _error("expected ','", text, i)
+            right = tokens[i + 1] if tokens[i + 1][:1] in _WIRES else ""
+            i += 1 + bool(right)
+            key = (name, left, right)
+    if tokens[i] != ")":
+        raise _error("expected ')'", text, i)
+    leaf = leaves.get(key)
+    if leaf is None:
+        leaf = leaves[key] = _WITH_ARGUMENTS[name](*key[1:])
+    return leaf, i + 1
 
 
 def parse_term(text, alphabet=None) -> Term:
     """Parse a term; ';' and '*' associate to the left, '*' binds tighter.
-    alphabet, when given, restricts action letters."""
-    tokens = _tokens(text)
+    alphabet, when given, restricts action letters.  All occurrences of
+    one leaf in text are one object."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end
+    leaves = {}
     i = 0
     opened = []  # per open parenthesis: the sequence and tensor around it
     sequence = tensor = None
     while True:
-        if tokens[i][2] == "(":
+        token = tokens[i]
+        if token == "(":
             opened.append((sequence, tensor))
             sequence = tensor = None
             i += 1
             continue
-        atom, i = _leaf(text, tokens, i, alphabet)
+        atom = _BY_KEYWORD.get(token)
+        if atom is None:
+            atom, i = _leaf(text, tokens, i, alphabet, leaves)
+        else:
+            i += 1
         while True:
             tensor = atom if tensor is None else Tensor(tensor, atom)
-            ch = tokens[i][2]
+            ch = tokens[i]
             if ch == "*":
                 break
             sequence = tensor if sequence is None else Seq(sequence, tensor)
@@ -479,7 +551,7 @@ def parse_term(text, alphabet=None) -> Term:
             if ch == ";":
                 break
             if not opened:
-                if tokens[i] is not _END:
+                if ch:
                     raise _error("trailing input", text, i)
                 return sequence
             if ch != ")":
@@ -620,17 +692,20 @@ def component(t, i) -> Term:
     return Seq(_tensor_fold(plug), t)
 
 
-def _check_boundaries(t1, t2):
+def _check_boundaries(words1, words2):
     """The one boundary check of every two-diagram comparison."""
-    if typecheck(t1) != typecheck(t2):
+    if words1 != words2:
         raise DiagramTypeError("the two diagrams have different boundaries")
 
 
 def open_chart_pair(t1, t2, max_states=MAX_STATES):
     """The open charts of two diagrams with equal boundary words; raises
-    DiagramTypeError when the words differ."""
-    _check_boundaries(t1, t2)
-    return _open_chart(t1, max_states), _open_chart(t2, max_states)
+    DiagramTypeError when the words differ.  Each term is typed and laid
+    out in one walk, and both are closed only once their words agree."""
+    words1, parts1 = _open_parts(t1)
+    words2, parts2 = _open_parts(t2)
+    _check_boundaries(words1, words2)
+    return _close(*parts1, max_states), _close(*parts2, max_states)
 
 
 def diagram_distance(t1, t2):
@@ -638,7 +713,7 @@ def diagram_distance(t1, t2):
     the reference semantics; raises DiagramTypeError when their boundary
     words differ."""
     from . import regbeh  # loaded on call, as in _interpret
-    _check_boundaries(t1, t2)
+    _check_boundaries(typecheck(t1), typecheck(t2))
     return regbeh.int_distance(_interpret(t1), _interpret(t2))
 
 

@@ -717,6 +717,28 @@ def test_queries_run_neither_regbeh_nor_expand(capsys, monkeypatch):
     assert forbidden_runs == [out for case in [diag] + others for out in outputs(*case)]
 
 
+def test_diagram_queries_type_each_term_in_the_one_walk(capsys, monkeypatch):
+    """dist, strat, bisim, derive, check and compile on diagrams type their
+    inputs in the walk that lays out their open charts, never by typecheck,
+    and still report type errors and boundary mismatches."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("typecheck ran in a diagram query")
+
+    patch_everywhere(monkeypatch, chartdist.diagram.typecheck, forbidden)
+    left = "copy ; (act(a) ; act(b)) * act(a) ; merge"
+    right = "act(a) ; copy ; act(b) * id(>) ; merge"
+    for command in ("dist", "strat", "bisim", "derive"):
+        assert run(capsys, command, "--format", "diag", left, right)[2] == "", command
+    cert = run(capsys, "derive", "--format", "diag", left, right)[1]
+    assert run(capsys, "check", "--format", "diag", cert, left, right)[:2] == \
+        (EXIT_OK, "1/2\n")
+    assert run(capsys, "compile", "--format", "diag", left)[0] == EXIT_OK
+    assert run(capsys, "dist", "--format", "diag", "copy ; copy", right) == \
+        (EXIT_TYPE, "", "error: cannot plug '>>' into '>'\n")
+    assert run(capsys, "check", "--format", "diag", "(top)", left, "copy") == \
+        (EXIT_TYPE, "", "error: the two diagrams have different boundaries\n")
+
+
 def test_queries_leave_regbeh_unloaded():
     """A query loads no reference construction; axioms --check loads
     regbeh when it runs it."""
