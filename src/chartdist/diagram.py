@@ -9,11 +9,14 @@ boundary.
 A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
 joining the literal open charts of the generators by their boundaries;
-every query of the command line runs on it.  ``interpret`` gives the
-same behaviours as the payload rows of a morphism between paired
-interfaces; it is the reference semantics, behind ``diagram_distance``,
-``semantic_equal`` and ``check_axiom``, and the only way into regbeh,
-which it imports when it is called.
+every query of the command line runs on it.  One walk types a term and
+lays out its open chart, each distinct leaf object once, and the parser
+gives all occurrences of a leaf one object; ``typecheck`` serves
+``bend``, ``loop1``, ``component``, ``render`` and the reference path.
+``interpret`` gives the same behaviours as the payload rows of a
+morphism between paired interfaces; it is the reference semantics,
+behind ``diagram_distance``, ``semantic_equal`` and ``check_axiom``, and
+the only way into regbeh, which it imports when it is called.
 Parsing, typing, printing, comparing, hashing and both semantics walk a
 term with an explicit stack, never by recursion.
 """

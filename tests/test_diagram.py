@@ -14,8 +14,8 @@ from chartdist import (
     ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
     axiom_catalog, bend, bisimilar, c1_copy_pair, check_axiom, component,
     diagram_distance, expand, format_term, from_expression, interpret, loop1,
-    open_chart, open_chart_pair, parse_expr, parse_term, semantic_equal, stratified_level,
-    term_to_dot, typecheck, zip_merge,
+    open_chart, open_chart_pair, parse_expr, parse_term, semantic_equal,
+    stratified_level, term_to_dot, typecheck, zip_merge,
 )
 from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
 from helpers import (
@@ -451,9 +451,9 @@ def test_ill_typed_terms_fail_as_typecheck_fails(capsys):
         if bad is None:
             continue
         tried += 1
-        with pytest.raises(DiagramTypeError) as expected:
+        with pytest.raises(DiagramTypeError) as info:
             typecheck(bad)
-        expected = (str(expected.value), expected.value.path)
+        expected = (str(info.value), info.value.path)
         for query in (lambda: open_chart(bad), lambda: open_chart_pair(bad, good),
                       lambda: open_chart_pair(good, bad)):
             with pytest.raises(DiagramTypeError) as info:
