@@ -7,18 +7,21 @@ relates everything, level n+1 additionally requires output equality and
 matching into level n) and the coarsest such relation all come from one
 partition refinement, ``Refinement``, which keeps its split history:
 the level of a pair is the last round at which it shares a block, and
-the distance modules read 2^-level off it.
+the distance modules read 2^-level off it.  ``joint_pair`` puts two
+inputs of one kind, expressions, charts or diagram terms, into the one
+prechart that every two-input query refines.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import cached_property
 
-from .chart import Chart, Prechart, disjoint_union, state_key
+from .chart import MAX_STATES, Chart, Prechart, disjoint_union, state_key, tagged_union
 
 __all__ = [
-    "Refinement", "witness_pairs",
+    "Refinement", "witness_pairs", "joint_prechart", "joint_pair",
     "bisimilar", "stratified_level", "quotient", "is_bisimulation",
     "coarsest_partition",
 ]
@@ -134,6 +137,45 @@ class Refinement:
         """Largest finite level of any pair of states, 0 if there is none."""
         self.classes()
         return max(self.rounds - 1, 0)
+
+
+def joint_prechart(exprs, max_states=MAX_STATES):
+    """One prechart holding the expansions of all given expressions.
+
+    States are canonical expression texts, so expansions overlap
+    wherever the behaviours agree syntactically.
+    """
+    from .expr import expand  # loaded by whoever built the expressions
+    states, trans, outs, seeds = set(), set(), set(), []
+    for e in exprs:
+        c = expand(e, max_states=max_states)
+        seeds.append(c.start)
+        states |= set(c.states)
+        trans |= set(c.trans)
+        outs |= set(c.outs)
+    return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
+
+
+def joint_pair(f, g, max_states=MAX_STATES):
+    """The joint prechart of two expressions, two charts or two diagram
+    terms, and the pair of seed states of each row.  Expressions share
+    their canonical state names and have one row; charts (one row) and
+    the open charts of diagrams (a row per entry) are tagged "L:" and "R:".
+    """
+    # an expression or a term exists only once its module is loaded, so
+    # the modules are looked up, never loaded, here
+    expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
+    if expr and isinstance(f, expr.Expr) and isinstance(g, expr.Expr):
+        joint, seeds = joint_prechart([f, g], max_states=max_states)
+        return joint, [tuple(seeds)]
+    if isinstance(f, Chart) and isinstance(g, Chart):
+        joint, x, y = disjoint_union(f, g)
+        return joint, [(x, y)]
+    if diagram and isinstance(f, diagram.Term) and isinstance(g, diagram.Term):
+        o1, o2 = diagram.open_chart_pair(f, g, max_states)
+        return (tagged_union(o1.prechart, o2.prechart),
+                [(f"L:{x}", f"R:{y}") for x, y in zip(o1.entries, o2.entries)])
+    raise TypeError("expected two expressions, two charts or two diagram terms")
 
 
 def coarsest_partition(p: Prechart) -> tuple:

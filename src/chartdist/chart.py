@@ -11,8 +11,7 @@ outputs the recursion variable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable
 
 __all__ = [
     "Prechart", "Chart", "ChartFormatError",
@@ -60,15 +59,52 @@ def _var_index(token):
     return None
 
 
-@dataclass(frozen=True)
-class Prechart:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records: ==, hash and repr over the fields
+    that the class lists in __slots__, as a frozen dataclass has them.
+    Assigning or deleting a field raises AttributeError; __init__ sets
+    the fields with _set."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Prechart(_Record):
     """States plus transition and output relations (no start state)."""
 
-    states: frozenset
-    trans: frozenset  # triples (state, letter, state)
-    outs: frozenset   # pairs (state, variable index)
+    # trans holds triples (state, letter, state), outs pairs (state, variable index)
+    __slots__ = ("states", "trans", "outs")
 
-    def __post_init__(self):
+    def __init__(self, states: frozenset, trans: frozenset, outs: frozenset):
+        _set(self, "states", states)
+        _set(self, "trans", trans)
+        _set(self, "outs", outs)
         if not self._valid_in_bulk():
             self._validate_each()
 
@@ -134,16 +170,16 @@ class Prechart:
         return {q: frozenset(ms) for q, ms in m.items()}
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(_Record):
     """A prechart with a designated start state."""
 
-    prechart: Prechart
-    start: object
+    __slots__ = ("prechart", "start")
 
-    def __post_init__(self):
-        if self.start not in self.prechart.states:
-            raise ValueError(f"start state {self.start!r} is not a state")
+    def __init__(self, prechart: Prechart, start):
+        _set(self, "prechart", prechart)
+        _set(self, "start", start)
+        if start not in prechart.states:
+            raise ValueError(f"start state {start!r} is not a state")
 
     @property
     def states(self) -> frozenset:

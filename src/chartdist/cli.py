@@ -14,25 +14,12 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
-from pathlib import Path
 
-from .bisim import Refinement, witness_pairs
-from .chart import (
-    MAX_STATES, Chart, ChartFormatError, _relabel, _valid_letter, chart_to_dot,
-    format_chart_text, parse_chart_text, reachable, state_key,
-)
-from .derive import (
-    CertificateError, CertificateSyntaxError, SynthesisFailure, check,
-    format_cert, joint_pair, parse_cert, synthesize,
-)
-from .diagram import (
-    DiagramSyntaxError, DiagramTypeError, _close, _open_parts, axiom_catalog,
-    c1_copy_pair, check_axiom, format_term, parse_term, term_to_dot,
-    typecheck,
-)
-from .expr import ExpansionBudgetError, ExprSyntaxError, expand, parse_expr
-from .metric import level_distance, split_table
+# Each command imports the core modules that its format and command run,
+# when it runs, and calls their functions as module attributes, so that
+# a wrapper or patch put on a module's function sees every call.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,25 +33,42 @@ class _UsageError(Exception):
     pass
 
 
-# Checked in order: the parse errors are ValueErrors too.
-_ERROR_EXITS = (
-    ((ExprSyntaxError, ChartFormatError, DiagramSyntaxError,
-      CertificateSyntaxError), EXIT_PARSE),
-    ((DiagramTypeError,), EXIT_TYPE),
-    ((SynthesisFailure, CertificateError), EXIT_REJECTED),
-    ((ExpansionBudgetError,), EXIT_BUDGET),
-    ((_UsageError, ValueError, ZeroDivisionError), EXIT_USAGE),
-)
-_ERRORS = tuple(t for types, _ in _ERROR_EXITS for t in types)
+# The exit code of each error class, by module and name, so that the
+# table loads no module.  An error takes the code of the first class of
+# its method resolution order found here: the parse errors are ValueErrors
+# too, and exit 2, not 1.
+_ERROR_EXITS = {
+    f"{__package__}.expr.ExprSyntaxError": EXIT_PARSE,
+    f"{__package__}.chart.ChartFormatError": EXIT_PARSE,
+    f"{__package__}.diagram.DiagramSyntaxError": EXIT_PARSE,
+    f"{__package__}.derive.CertificateSyntaxError": EXIT_PARSE,
+    f"{__package__}.diagram.DiagramTypeError": EXIT_TYPE,
+    f"{__package__}.derive.SynthesisFailure": EXIT_REJECTED,
+    f"{__package__}.derive.CertificateError": EXIT_REJECTED,
+    f"{__package__}.expr.ExpansionBudgetError": EXIT_BUDGET,
+    f"{__name__}._UsageError": EXIT_USAGE,
+    "builtins.ValueError": EXIT_USAGE,
+    "builtins.ZeroDivisionError": EXIT_USAGE,
+}
+
+
+def _exit_code(error):
+    """The exit code of an error the command line reports; None for any
+    other error."""
+    for cls in type(error).__mro__:
+        code = _ERROR_EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
+        if code is not None:
+            return code
+    return None
 
 
 def _resolve(arg: str) -> str:
     if "\n" in arg or "\r" in arg:  # inline text, never a path
         return arg
     try:
-        p = Path(arg)
-        if p.is_file():
-            return p.read_text()
+        if os.path.isfile(arg):
+            with open(arg) as f:
+                return f.read()
     except OSError:
         pass
     return arg
@@ -85,12 +89,13 @@ def _parse_alphabet(spec):
     # accepts "abc", "a,b,c", and "a b c" alike
     if spec is None:
         return None
+    from . import chart
     letters = set()
     for token in spec.replace(",", " ").split():
         letters.update(token)
     if not letters:
         raise _UsageError("empty alphabet")
-    bad = sorted(l for l in letters if not _valid_letter(l))
+    bad = sorted(l for l in letters if not chart._valid_letter(l))
     if bad:
         raise _UsageError(f"invalid alphabet letters: {', '.join(bad)}")
     return letters
@@ -101,30 +106,35 @@ def _load(arg, args):
     restricted to --alphabet."""
     text, alphabet = _resolve(arg), _parse_alphabet(args.alphabet)
     if args.format == "diag":
-        return parse_term(text, alphabet=alphabet)
+        from . import diagram
+        return diagram.parse_term(text, alphabet=alphabet)
     if args.format == "chart":
-        return parse_chart_text(text, alphabet=alphabet)
-    return parse_expr(text, alphabet=alphabet)
+        from . import chart
+        return chart.parse_chart_text(text, alphabet=alphabet)
+    from . import expr
+    return expr.parse_expr(text, alphabet=alphabet)
 
 
 def _compare(args):
     """One refinement of both inputs: the joint prechart, the seed pair
     of each row, the refinement, and the least level of the rows
     (math.inf when all are bisimilar)."""
-    joint, rows = joint_pair(_load(args.left, args), _load(args.right, args),
-                             max_states=args.max_states)
-    refinement = Refinement(joint)
+    from . import bisim
+    joint, rows = bisim.joint_pair(_load(args.left, args), _load(args.right, args),
+                                   max_states=args.max_states)
+    refinement = bisim.Refinement(joint)
     return joint, rows, refinement, refinement.least_level(rows)
 
 
 def _cmd_dist(args):
     _, _, refinement, level = _compare(args)
+    from . import metric
     if level == math.inf:
         lines = ["0 (bisimilar)"]
     else:
-        lines = [f"{level_distance(level)} (level {level})"]
+        lines = [f"{metric.level_distance(level)} (level {level})"]
     if args.table:
-        lines.append(split_table(refinement).to_tsv().rstrip("\n"))
+        lines.append(metric.split_table(refinement).to_tsv().rstrip("\n"))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
@@ -132,10 +142,11 @@ def _witness_side(args, joint, seed):
     """The states one side of a bisim witness ranges over, all of a chart's
     or else those the seed reaches, mapped to their names in the input:
     untagged, and numbers for diagrams."""
+    from . import chart
     if args.format == "chart":
         states = [q for q in joint.states if q[:2] == seed[:2]]
     else:
-        states = reachable(Chart(joint, seed)).states
+        states = chart.reachable(chart.Chart(joint, seed)).states
     if args.format == "expr":
         return {q: q for q in states}
     name = int if args.format == "diag" else str
@@ -146,12 +157,14 @@ def _cmd_bisim(args):
     joint, rows, refinement, level = _compare(args)
     if level != math.inf:
         return EXIT_USAGE, f"not bisimilar (level {level + 1})\n"
+    from . import bisim, chart
     lines = ["bisimilar"]
     for i, (x, y) in enumerate(rows, start=1):
         tag = f"row {i}\t" if args.format == "diag" else ""
-        w = witness_pairs(refinement, _witness_side(args, joint, x),
-                          _witness_side(args, joint, y))
-        for q1, q2 in sorted(w, key=lambda pr: (state_key(pr[0]), state_key(pr[1]))):
+        w = bisim.witness_pairs(refinement, _witness_side(args, joint, x),
+                                _witness_side(args, joint, y))
+        for q1, q2 in sorted(w, key=lambda pr: (chart.state_key(pr[0]),
+                                                chart.state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -162,57 +175,66 @@ def _cmd_strat(args):
 
 
 def _cmd_compile(args):
+    from . import chart
     c = _load(args.input, args)
     if args.format == "diag":
-        (dom, cod), parts = _open_parts(c)
+        from . import diagram
+        (dom, cod), parts = diagram._open_parts(c)
         if dom != ">" or "<" in cod:
-            raise DiagramTypeError(
+            raise diagram.DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        o = _close(*parts, args.max_states)
-        c = Chart(o.prechart, o.entries[0])
+        o = diagram._close(*parts, args.max_states)
+        c = chart.Chart(o.prechart, o.entries[0])
     elif args.format == "expr":
-        c = expand(c, max_states=args.max_states)
-    named, _ = _relabel(c, 0)
-    return EXIT_OK, format_chart_text(named)
+        from . import expr
+        c = expr.expand(c, max_states=args.max_states)
+    named, _ = chart._relabel(c, 0)
+    return EXIT_OK, chart.format_chart_text(named)
 
 
 def _cmd_derive(args):
-    cert = synthesize(_load(args.left, args), _load(args.right, args),
-                      eps=args.eps, max_states=args.max_states)
-    return EXIT_OK, format_cert(cert) + "\n"
+    from . import derive
+    cert = derive.synthesize(_load(args.left, args), _load(args.right, args),
+                             eps=args.eps, max_states=args.max_states)
+    return EXIT_OK, derive.format_cert(cert) + "\n"
 
 
 def _cmd_check(args):
-    cert = parse_cert(_resolve(args.cert))
-    bound = check(cert, _load(args.left, args), _load(args.right, args),
-                  max_states=args.max_states)
+    from . import derive
+    cert = derive.parse_cert(_resolve(args.cert))
+    bound = derive.check(cert, _load(args.left, args), _load(args.right, args),
+                         max_states=args.max_states)
     return EXIT_OK, f"{bound}\n"
 
 
 def _cmd_render(args):
     x = _load(args.input, args)
     if args.format == "diag":
-        typecheck(x)
-        return EXIT_OK, term_to_dot(x)
+        from . import diagram
+        diagram.typecheck(x)
+        return EXIT_OK, diagram.term_to_dot(x)
     if args.format == "expr":
-        x = expand(x, max_states=args.max_states)
-    return EXIT_OK, chart_to_dot(x)
+        from . import expr
+        x = expr.expand(x, max_states=args.max_states)
+    from . import chart
+    return EXIT_OK, chart.chart_to_dot(x)
 
 
 def _cmd_axioms(args):
+    from . import diagram
     lines = []
     if not args.check:
-        for name, lhs, rhs in axiom_catalog():
-            lines.append(f"{name}: {format_term(lhs)} = {format_term(rhs)}")
+        for name, lhs, rhs in diagram.axiom_catalog():
+            lines.append(f"{name}: {diagram.format_term(lhs)} = {diagram.format_term(rhs)}")
         return EXIT_OK, "\n".join(lines) + "\n"
     ok = True
-    for name, lhs, rhs in axiom_catalog():
-        holds = check_axiom(lhs, rhs)
+    for name, lhs, rhs in diagram.axiom_catalog():
+        holds = diagram.check_axiom(lhs, rhs)
         ok = ok and holds
         lines.append(f"{name}: {'holds' if holds else 'FAILS'}")
-    lhs, rhs = c1_copy_pair()
-    control = check_axiom(lhs, rhs)
+    lhs, rhs = diagram.c1_copy_pair()
+    control = diagram.check_axiom(lhs, rhs)
     ok = ok and not control
     lines.append("act-copy: "
                  + ("fails as expected" if not control else "UNEXPECTEDLY HOLDS"))
@@ -220,6 +242,7 @@ def _cmd_axioms(args):
 
 
 def _add_common(sub):
+    from .chart import MAX_STATES
     sub.add_argument("--format", choices=["expr", "diag", "chart"], default="expr",
                      help="input syntax (default %(default)s)")
     sub.add_argument("--alphabet", default=None,
@@ -301,16 +324,19 @@ def main(argv=None) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
     try:
         code, text = args.func(args)
-    except _ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return next(exit_code for types, exit_code in _ERROR_EXITS
-                    if isinstance(e, types))
     except (RecursionError, MemoryError):
         print("error: input too deeply nested", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as e:
+        exit_code = _exit_code(e)
+        if exit_code is None:
+            raise
+        print(f"error: {e}", file=sys.stderr)
+        return exit_code
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as f:
+                f.write(text)
         except OSError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE

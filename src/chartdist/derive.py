@@ -36,13 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bisim import Refinement
-from .chart import (
-    MAX_STATES, Chart, Prechart, _valid_letter, _var_index, disjoint_union,
-    move_key, tagged_union,
-)
-from .diagram import Term, open_chart_pair
-from .expr import Expr, expand
+from .bisim import Refinement, joint_pair, joint_prechart
+from .chart import MAX_STATES, _valid_letter, _var_index, move_key
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -295,41 +290,6 @@ def format_cert(cert) -> str:
 
 
 # --- checking --------------------------------------------------------------
-
-
-def joint_prechart(exprs, max_states=MAX_STATES):
-    """One prechart holding the expansions of all given expressions.
-
-    States are canonical expression texts, so expansions overlap
-    wherever the behaviours agree syntactically.
-    """
-    states, trans, outs, seeds = set(), set(), set(), []
-    for e in exprs:
-        c = expand(e, max_states=max_states)
-        seeds.append(c.start)
-        states |= set(c.states)
-        trans |= set(c.trans)
-        outs |= set(c.outs)
-    return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
-
-
-def joint_pair(f, g, max_states=MAX_STATES):
-    """The joint prechart of two expressions, two charts or two diagram
-    terms, and the pair of seed states of each row.  Expressions share
-    their canonical state names and have one row; charts (one row) and
-    the open charts of diagrams (a row per entry) are tagged "L:" and "R:".
-    """
-    if isinstance(f, Expr) and isinstance(g, Expr):
-        joint, seeds = joint_prechart([f, g], max_states=max_states)
-        return joint, [tuple(seeds)]
-    if isinstance(f, Chart) and isinstance(g, Chart):
-        joint, x, y = disjoint_union(f, g)
-        return joint, [(x, y)]
-    if isinstance(f, Term) and isinstance(g, Term):
-        o1, o2 = open_chart_pair(f, g, max_states)
-        return (tagged_union(o1.prechart, o2.prechart),
-                [(f"L:{x}", f"R:{y}") for x, y in zip(o1.entries, o2.entries)])
-    raise TypeError("expected two expressions, two charts or two diagram terms")
 
 
 def _premises(node, pair, path, rows, beta, refinement):

@@ -24,9 +24,8 @@ term with an explicit stack, never by recursion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .chart import MAX_STATES, Prechart, _valid_letter
+from .chart import MAX_STATES, Prechart, _Record, _set, _valid_letter
 from .expr import (
     ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, free_vars,
     parse_expr, substitute,
@@ -80,61 +79,55 @@ class Term:
         return format_term(self)
 
 
-@dataclass(frozen=True)
-class Copy(Term):
-    pass
+class Copy(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Del(Term):
-    pass
+class Del(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Merge(Term):
-    pass
+class Merge(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Gen(Term):
-    pass
+class Gen(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cap(Term):
-    pass
+class Cap(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cup(Term):
-    pass
+class Cup(_Record, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Act(Term):
-    letter: str
+class Act(_Record, Term):
+    __slots__ = ("letter",)
 
-    def __post_init__(self):
-        if not _valid_letter(self.letter):
-            raise ValueError(f"invalid action letter {self.letter!r}")
-
-
-@dataclass(frozen=True)
-class Id(Term):
-    word: str
-
-    def __post_init__(self):
-        _check_word(self.word, "identity wire word")
+    def __init__(self, letter: str):
+        _set(self, "letter", letter)
+        if not _valid_letter(letter):
+            raise ValueError(f"invalid action letter {letter!r}")
 
 
-@dataclass(frozen=True)
-class Sym(Term):
-    left: str
-    right: str
+class Id(_Record, Term):
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        _check_word(self.left, "swap wire word")
-        _check_word(self.right, "swap wire word")
+    def __init__(self, word: str):
+        _set(self, "word", word)
+        _check_word(word, "identity wire word")
+
+
+class Sym(_Record, Term):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: str, right: str):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _check_word(left, "swap wire word")
+        _check_word(right, "swap wire word")
 
 
 class _Node(Term):
@@ -153,16 +146,20 @@ class _Node(Term):
         return f"parse_term({format_term(self)!r})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Seq(_Node):
-    first: Term
-    second: Term
+class Seq(_Node, _Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Term, second: Term):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Tensor(_Node):
-    left: Term
-    right: Term
+class Tensor(_Node, _Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 # The constant generators: class -> (keyword, dom word, cod word, open
@@ -281,8 +278,7 @@ def _interpret(t):
 # --- open charts -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpenChart:
+class OpenChart(_Record):
     """A diagram as one chart with an entry state per payload input.
 
     A term (k,l) -> (m,n) has k+n entries, its forward inputs and then
@@ -291,8 +287,11 @@ class OpenChart:
     interpret.  The states are numbered breadth-first from the entries.
     """
 
-    prechart: Prechart
-    entries: tuple
+    __slots__ = ("prechart", "entries")
+
+    def __init__(self, prechart: Prechart, entries: tuple):
+        _set(self, "prechart", prechart)
+        _set(self, "entries", entries)
 
 
 def _layout(dom, cod, chart):

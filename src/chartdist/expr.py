@@ -24,10 +24,11 @@ successor of a state reuses the work done on that state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from weakref import ref
 
-from .chart import _LETTERS, MAX_STATES, Chart, Prechart, _digits, _var_index
+from .chart import (
+    _LETTERS, MAX_STATES, Chart, Prechart, _digits, _Record, _set, _var_index,
+)
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
@@ -57,7 +58,6 @@ class ExpansionBudgetError(RuntimeError):
 
 # (class, fields...) -> weak reference to the live node with those fields
 _interned: dict = {}
-_set = object.__setattr__
 
 # values of Expr._normal_at besides an offset
 _ANY, _NEVER = -1, -2
@@ -370,12 +370,15 @@ def _subst(e: Expr, smap: dict, memo: dict) -> Expr:
     return out[0]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(_Record):
     """One-step semantics: action derivatives and output variables."""
 
-    transitions: frozenset  # pairs (letter, Expr)
-    outputs: frozenset      # variable indices
+    # transitions holds pairs (letter, Expr), outputs variable indices
+    __slots__ = ("transitions", "outputs")
+
+    def __init__(self, transitions: frozenset, outputs: frozenset):
+        _set(self, "transitions", transitions)
+        _set(self, "outputs", outputs)
 
 
 def step(e: Expr) -> StepResult:

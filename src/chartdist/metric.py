@@ -24,12 +24,10 @@ quotient, and pulls the result back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement, quotient, stratified_level
-from .chart import MAX_STATES, Chart, Prechart, state_key
-from .expr import Expr, expand
+from .chart import MAX_STATES, Chart, Prechart, _Record, state_key
 
 __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
@@ -188,20 +186,28 @@ def _phi(beta: dict, d: DistTable) -> DistTable:
     return out
 
 
-@dataclass
-class KleeneResult:
+class KleeneResult(_Record):
     """Everything the fixpoint iteration produced.
 
     table is over the original states; quotient_tables holds the
     iterates on the bisimilarity quotient (index 0 is the everywhere-1
     table); stable_index is the first k with iterate k equal to k+1.
+    Unlike the other records its fields can be assigned, and it has no
+    hash.
     """
 
-    table: DistTable
-    quotient: Prechart
-    class_of: dict
-    quotient_tables: list
-    stable_index: int
+    __slots__ = ("table", "quotient", "class_of", "quotient_tables", "stable_index")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, table: DistTable, quotient: Prechart, class_of: dict,
+                 quotient_tables: list, stable_index: int):
+        self.table = table
+        self.quotient = quotient
+        self.class_of = class_of
+        self.quotient_tables = quotient_tables
+        self.stable_index = stable_index
 
     @property
     def iterations(self) -> int:
@@ -266,6 +272,7 @@ def bd_stratified(c1: Chart, c2: Chart) -> Fraction:
     return level_distance(stratified_level(c1, c2))
 
 
-def bd_expressions(e1: Expr, e2: Expr, max_states: int = MAX_STATES) -> Fraction:
+def bd_expressions(e1, e2, max_states: int = MAX_STATES) -> Fraction:
     """Distance between two expressions' expanded charts."""
+    from .expr import expand  # loaded by whoever built e1 and e2
     return bd_stratified(expand(e1, max_states), expand(e2, max_states))

@@ -757,6 +757,82 @@ def test_queries_leave_regbeh_unloaded():
         f"{name}: holds\n" for name in axioms) + "act-copy: fails as expected\n"
 
 
+CLI = "import sys\nfrom chartdist.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["derive", "--eps", "x", "a.0", "b.0"], EXIT_USAGE),
+    (["dist", "--alphabet", ",", "a.0", "a.0"], EXIT_USAGE),
+    (["dist", "a.", "0"], EXIT_PARSE),
+    (["dist", "--format", "chart", "state p\nstart q\n", "state p\nstart p\n"], EXIT_PARSE),
+    (["dist", "--format", "diag", "act(", "del"], EXIT_PARSE),
+    (["check", "(coupling 1/2", "a.0", "b.0"], EXIT_PARSE),
+    (["dist", "--format", "diag", "copy ; copy", "act(a)"], EXIT_TYPE),
+    (["check", "(bisim)", "a.0", "b.0"], EXIT_REJECTED),
+    (["derive", "--eps", "1/4", "a.0", "b.0"], EXIT_REJECTED),
+    (["dist", "--max-states", "1", "a.a.0", "a.0"], EXIT_BUDGET),
+], ids=lambda x: str(x) if isinstance(x, int) else " ".join(x).replace("\n", "|"))
+def test_exit_codes_in_a_fresh_interpreter(capsys, argv, code):
+    """A failing query exits and reports alike in a fresh interpreter, which
+    holds only the modules the query loads, and in this process, which
+    holds them all."""
+    in_process = run(capsys, *argv)
+    assert in_process[0] == code and in_process[1] == ""
+    assert in_process[2].startswith("error: ")
+    done = python(CLI, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == in_process
+
+
+# What a query may load: (argv, the watched modules it leaves unloaded,
+# the watched modules it loads)
+_CHART_L, _CHART_R = cycle_text(2), cycle_text(3)
+_UNUSED = ("chartdist.derive", "chartdist.regbeh", "dataclasses", "inspect")
+_DIAG = "copy ; (act(a) ; act(b)) * act(a) ; merge"
+LOADS = [
+    (["dist", "--format", "chart", _CHART_L, _CHART_R], _UNUSED + ("chartdist.diagram",), ()),
+    (["strat", "--format", "chart", _CHART_L, _CHART_R], _UNUSED + ("chartdist.diagram",), ()),
+    (["bisim", "--format", "chart", _CHART_L, _CHART_L], _UNUSED + ("chartdist.diagram",), ()),
+    (["dist", FIG_LEFT, FIG_RIGHT], _UNUSED + ("chartdist.diagram",), ()),
+    (["compile", FIG_LEFT], _UNUSED + ("chartdist.diagram",), ()),
+    (["dist", "--format", "diag", _DIAG, "act(a) ; copy ; act(b) * id(>) ; merge"],
+     _UNUSED, ("chartdist.diagram",)),
+    (["compile", "--format", "diag", _DIAG], _UNUSED, ("chartdist.diagram",)),
+    (["derive", "a.a.0", "a.0"], ("chartdist.diagram", "chartdist.regbeh"),
+     ("chartdist.derive",)),
+    (["check", "(top)", "--format", "chart", _CHART_L, _CHART_R],
+     ("chartdist.diagram", "chartdist.regbeh"), ("chartdist.derive",)),
+]
+WATCHED = ("chartdist.bisim", "chartdist.chart", "chartdist.derive", "chartdist.diagram",
+           "chartdist.expr", "chartdist.metric", "chartdist.regbeh",
+           "dataclasses", "inspect", "typing", "pathlib")
+
+
+def loaded_after(script, *argv):
+    """The WATCHED modules loaded once script has run in a fresh interpreter
+    without the site module, whose .pth files may load some of them."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         script + f"\nprint(sorted(set({WATCHED!r}) & set(sys.modules)))\n", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), argv
+    return set(eval(done.stdout.splitlines()[-1]))
+
+
+def test_importing_the_command_line_loads_no_core_module():
+    assert loaded_after("import sys\nimport chartdist.cli\n") == set()
+
+
+@pytest.mark.parametrize("argv, unloaded, loads", LOADS,
+                         ids=[" ".join(a[:3 if a[1] == "--format" else 1]) for a, _, _ in LOADS])
+def test_a_query_loads_only_what_it_runs(argv, unloaded, loads):
+    script = ("import sys\nfrom chartdist.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n")
+    loaded = loaded_after(script, *argv)
+    assert not loaded & set(unloaded), argv
+    assert set(loads) <= loaded, argv
+
+
 def test_package_root_is_the_core_modules_public_names():
     root = set(dir(chartdist))
     for module in (chartdist.bisim, chartdist.chart, chartdist.derive,

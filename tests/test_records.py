@@ -1,0 +1,126 @@
+"""The immutable records of the core: Prechart, Chart, the diagram leaves,
+Seq, Tensor, OpenChart, StepResult and KleeneResult.
+
+Their repr, ==, hash, immutability and validation errors are public.
+The expected values below are those the records had as dataclasses,
+written out."""
+
+import copy
+import pickle
+import re
+
+import pytest
+
+from chartdist.chart import Chart, Prechart
+from chartdist.diagram import (
+    Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
+    open_chart, parse_term,
+)
+from chartdist.expr import ZERO, StepResult, parse_expr, step
+from chartdist.metric import KleeneResult, kleene_solve
+
+P = Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset({(1, 1)}))
+P_TEXT = ("Prechart(states=frozenset({0, 1}), trans=frozenset({(0, 'a', 1)}), "
+          "outs=frozenset({(1, 1)}))")
+
+
+def records():
+    """(record, an equal record built apart, an unequal record of the same
+    class, the record's repr, a field name)."""
+    other = Prechart(frozenset({0}), frozenset(), frozenset())
+    return [
+        (P, Prechart(states=frozenset({1, 0}), trans=frozenset({(0, "a", 1)}),
+                     outs=frozenset({(1, 1)})),
+         other, P_TEXT, "states"),
+        (Chart(P, 0), Chart(prechart=P, start=0), Chart(P, 1),
+         f"Chart(prechart={P_TEXT}, start=0)", "start"),
+        (Act("a"), Act(letter="a"), Act("b"), "Act(letter='a')", "letter"),
+        (Id("><"), Id(word="><"), Id(">"), "Id(word='><')", "word"),
+        (Sym(">", "<"), Sym(left=">", right="<"), Sym("<", ">"),
+         "Sym(left='>', right='<')", "left"),
+        (Seq(Act("a"), Del()), parse_term("act(a) ; del"), Seq(Act("b"), Del()),
+         "parse_term('act(a) ; del')", "first"),
+        (Tensor(Id(">"), Copy()), parse_term("id(>) * copy"), Tensor(Copy(), Id(">")),
+         "parse_term('id(>) * copy')", "right"),
+        (open_chart(parse_term("act(a) ; del")),
+         OpenChart(Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset()),
+                   (0,)),
+         OpenChart(Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset()),
+                   (1,)),
+         "OpenChart(prechart=Prechart(states=frozenset({0, 1}), "
+         "trans=frozenset({(0, 'a', 1)}), outs=frozenset()), entries=(0,))", "entries"),
+        (step(parse_expr("a.0 + v1")),
+         StepResult(transitions=frozenset({("a", ZERO)}), outputs=frozenset({1})),
+         StepResult(frozenset({("a", ZERO)}), frozenset()),
+         "StepResult(transitions=frozenset({('a', parse_expr('0'))}), "
+         "outputs=frozenset({1}))", "outputs"),
+    ] + [(cls(), cls(), Del() if cls is Copy else Copy(), f"{cls.__name__}()", "x")
+         for cls in (Copy, Del, Merge, Gen, Cap, Cup)]
+
+
+@pytest.mark.parametrize("record, equal, unequal, text, field", records(),
+                         ids=[type(row[0]).__name__ for row in records()])
+def test_record_repr_eq_hash_and_immutability(record, equal, unequal, text, field):
+    assert repr(record) == text
+    assert record == equal and not record != equal
+    assert hash(record) == hash(equal)
+    assert record != unequal and not record == unequal
+    assert record != text and record != (record,)
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(record, field, 1)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+        delattr(record, field)
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.deepcopy(record) == record
+
+
+def test_record_hashes_are_the_hash_of_their_fields():
+    """The fields' tuple for the records, the printed term for Seq and
+    Tensor."""
+    assert hash(P) == hash((P.states, P.trans, P.outs))
+    assert hash(Chart(P, 0)) == hash((P, 0))
+    assert hash(Act("a")) == hash(("a",))
+    assert hash(Sym(">", "<")) == hash((">", "<"))
+    assert hash(Copy()) == hash(Del()) == hash(Cup()) == hash(())
+    assert Copy() != Del() and Cap() != Cup() and Id(">") != Sym(">", "")
+    assert hash(Seq(Act("a"), Del())) == hash("act(a) ; del")
+    assert Seq(Act("a"), Del()) != Tensor(Act("a"), Del())
+
+
+def test_kleene_result_is_mutable_and_unhashable():
+    result = kleene_solve(Prechart(frozenset({0}), frozenset(), frozenset()))
+    assert re.sub(r" at 0x[0-9a-f]+>", " at 0x>", repr(result)) == (
+        "KleeneResult(table=<chartdist.metric.DistTable object at 0x>, "
+        "quotient=Prechart(states=frozenset({0}), trans=frozenset(), outs=frozenset()), "
+        "class_of={0: 0}, quotient_tables=[<chartdist.metric.DistTable object at 0x>], "
+        "stable_index=0)")
+    same = KleeneResult(result.table, result.quotient, result.class_of,
+                        result.quotient_tables, result.stable_index)
+    assert same == result
+    with pytest.raises(TypeError, match="^unhashable type: 'KleeneResult'$"):
+        hash(result)
+    same.stable_index = 5
+    assert same.stable_index == 5 and same != result
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Act("A"), "invalid action letter 'A'"),
+    (lambda: Act(1), "invalid action letter 1"),
+    (lambda: Id("x"), "identity wire word must be a string over '>' and '<', got 'x'"),
+    (lambda: Sym(">", "x"), "swap wire word must be a string over '>' and '<', got 'x'"),
+    (lambda: Sym(1, ">"), "swap wire word must be a string over '>' and '<', got 1"),
+    (lambda: Prechart(frozenset({0}), frozenset({(0, "a", 1)}), frozenset()),
+     "transition (0, 'a', 1) references undeclared state"),
+    (lambda: Prechart(frozenset({0}), frozenset({(0, "A", 0)}), frozenset()),
+     "invalid action letter 'A'"),
+    (lambda: Prechart(frozenset({0}), frozenset(), frozenset({(1, 1)})),
+     "output (1, 1) references undeclared state"),
+    (lambda: Prechart(frozenset({0}), frozenset(), frozenset({(0, 0)})),
+     "invalid output variable 0"),
+    (lambda: Chart(P, 5), "start state 5 is not a state"),
+])
+def test_record_validation_errors(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
