@@ -22,8 +22,7 @@ from .chart import MAX_STATES, Chart, Prechart, disjoint_union, state_key, tagge
 
 __all__ = [
     "Refinement", "witness_pairs", "joint_prechart", "joint_pair",
-    "bisimilar", "stratified_level", "quotient", "is_bisimulation",
-    "coarsest_partition",
+    "bisimilar", "stratified_level", "quotient", "coarsest_partition",
 ]
 
 
@@ -222,23 +221,6 @@ def stratified_level(c1: Chart, c2: Chart):
     """
     union, s1, s2 = disjoint_union(c1, c2)
     return Refinement(union).level(s1, s2)
-
-
-def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:
-    """Check the two bisimulation clauses for a relation on Q1 x Q2."""
-    rel = set(relation)
-    t1, t2 = c1.prechart.transition_map(), c2.prechart.transition_map()
-    o1, o2 = c1.prechart.output_map(), c2.prechart.output_map()
-    for (q1, q2) in rel:
-        if o1[q1] != o2[q2]:
-            return False
-        for (a, r1) in t1[q1]:
-            if not any(b == a and (r1, r2) in rel for (b, r2) in t2[q2]):
-                return False
-        for (a, r2) in t2[q2]:
-            if not any(b == a and (r1, r2) in rel for (b, r1) in t1[q1]):
-                return False
-    return True
 
 
 def quotient(p: Prechart):

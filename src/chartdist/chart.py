@@ -2,29 +2,33 @@
 
 A prechart is a finite set of states with labelled transitions and a
 set of output variables attached to each state.  A chart additionally
-fixes a start state.  The six combinators below build charts
-compositionally: the empty behaviour, a single output variable, action
-prefixing, binary sum, simultaneous substitution of charts for
-variables, and recursion (loop the start back into every state that
-outputs the recursion variable).
+fixes a start state.  This module reads and prints charts as text,
+restricts them to their reachable states, and puts two of them into
+one prechart, their states tagged by side, for the queries to refine.
+It also holds the immutable record base of the package's records and
+the state budget of expansions and open charts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 __all__ = [
-    "Prechart", "Chart", "ChartFormatError",
-    "empty_chart", "variable_chart", "prefix_chart", "sum_chart",
-    "subst_chart", "rec_chart", "reachable", "live_vars",
-    "disjoint_union", "tagged_union", "parse_chart_text", "format_chart_text",
-    "chart_to_dot",
+    "Prechart", "Chart", "ChartFormatError", "ExpansionBudgetError",
+    "reachable", "disjoint_union", "tagged_union",
+    "parse_chart_text", "format_chart_text", "chart_to_dot",
     "state_key", "move_key",
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuwxyz"  # single lowercase; 'v' is reserved
 _LETTER_SET = frozenset(_LETTERS)
 MAX_STATES = 10000  # default state budget of expansions and open charts
+
+
+class ExpansionBudgetError(RuntimeError):
+    """An expansion or an open chart exceeded its state budget.
+
+    The reachable derivative set of an expression is always finite, so
+    hitting the cap means the cap is too small for the input.
+    """
 
 
 def state_key(q):
@@ -206,104 +210,6 @@ def _relabel(c: Chart, offset: int):
     return Chart(p, m[c.start]), m
 
 
-def empty_chart() -> Chart:
-    return Chart(Prechart(frozenset({0}), frozenset(), frozenset()), 0)
-
-
-def variable_chart(v: int) -> Chart:
-    if not isinstance(v, int) or v < 1:
-        raise ValueError(f"invalid variable index {v!r}")
-    return Chart(Prechart(frozenset({0}), frozenset(), frozenset({(0, v)})), 0)
-
-
-def prefix_chart(a: str, c: Chart) -> Chart:
-    """New start with a single a-transition into the old start; outputs unchanged."""
-    if not _valid_letter(a):
-        raise ValueError(f"invalid action letter {a!r}")
-    inner, _ = _relabel(c, 1)
-    p = Prechart(
-        inner.states | {0},
-        inner.trans | {(0, a, inner.start)},
-        inner.outs,
-    )
-    return Chart(p, 0)
-
-
-def sum_chart(c1: Chart, c2: Chart) -> Chart:
-    """New start inheriting the union of both starts' transitions and outputs."""
-    left, _ = _relabel(c1, 1)
-    right, _ = _relabel(c2, 1 + len(left.states))
-    # only moves out of the two start states are inherited by the new start
-    start_trans = {(0, a, r) for (q, a, r) in left.trans if q == left.start}
-    start_trans |= {(0, a, r) for (q, a, r) in right.trans if q == right.start}
-    start_outs = {(0, v) for (q, v) in left.outs if q == left.start}
-    start_outs |= {(0, v) for (q, v) in right.outs if q == right.start}
-    p = Prechart(
-        left.states | right.states | {0},
-        left.trans | right.trans | frozenset(start_trans),
-        left.outs | right.outs | frozenset(start_outs),
-    )
-    return Chart(p, 0)
-
-
-def subst_chart(c: Chart, charts: Iterable[Chart], variables: Iterable[int]) -> Chart:
-    """Simultaneously substitute charts[i] for variables[i] in c.
-
-    Every state of c that outputs variables[i] inherits the moves of the
-    i-th chart's start state and drops the output itself.
-    """
-    charts = list(charts)
-    variables = list(variables)
-    if len(charts) != len(variables):
-        raise ValueError("charts and variables must have equal length")
-    if len(set(variables)) != len(variables):
-        raise ValueError("substituted variables must be distinct")
-    base, _ = _relabel(c, 0)
-    offset = len(base.states)
-    inners = []
-    for ci in charts:
-        ri, _ = _relabel(ci, offset)
-        offset += len(ri.states)
-        inners.append(ri)
-
-    outs_of = base.prechart.output_map()
-    trans = set(base.trans)
-    outs = set()
-    vset = set(variables)
-    for q in base.states:
-        e_q = outs_of[q]
-        outs |= {(q, v) for v in e_q if v not in vset}
-        for v, ci in zip(variables, inners):
-            if v in e_q:
-                trans |= {(q, a, r) for (s, a, r) in ci.trans if s == ci.start}
-                outs |= {(q, w) for (s, w) in ci.outs if s == ci.start}
-    states = set(base.states)
-    for ci in inners:
-        states |= ci.states
-        trans |= ci.trans
-        outs |= ci.outs
-    return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), base.start)
-
-
-def rec_chart(v: int, c: Chart) -> Chart:
-    """Recursion: states outputting v also inherit the start's moves, v is dropped."""
-    if not isinstance(v, int) or v < 1:
-        raise ValueError(f"invalid variable index {v!r}")
-    outs_of = c.prechart.output_map()
-    start_trans = {(a, r) for (q, a, r) in c.trans if q == c.start}
-    start_outs = set(outs_of[c.start])
-    trans = set(c.trans)
-    outs = set()
-    for q in c.states:
-        e_q = outs_of[q]
-        if v in e_q:
-            trans |= {(q, a, r) for (a, r) in start_trans}
-            outs |= {(q, w) for w in (e_q | start_outs) if w != v}
-        else:
-            outs |= {(q, w) for w in e_q}
-    return Chart(Prechart(c.states, frozenset(trans), frozenset(outs)), c.start)
-
-
 def reachable(c: Chart) -> Chart:
     """Restrict to the states reachable from the start."""
     tmap = c.prechart.transition_map()
@@ -321,11 +227,6 @@ def reachable(c: Chart) -> Chart:
         frozenset(o for o in c.outs if o[0] in seen),
     )
     return Chart(p, c.start)
-
-
-def live_vars(c: Chart) -> frozenset:
-    """Variables output by some reachable state."""
-    return reachable(c).prechart.variables()
 
 
 def tagged_union(p1: Prechart, p2: Prechart) -> Prechart:

@@ -45,7 +45,7 @@ _ERROR_EXITS = {
     f"{__package__}.diagram.DiagramTypeError": EXIT_TYPE,
     f"{__package__}.derive.SynthesisFailure": EXIT_REJECTED,
     f"{__package__}.derive.CertificateError": EXIT_REJECTED,
-    f"{__package__}.expr.ExpansionBudgetError": EXIT_BUDGET,
+    f"{__package__}.chart.ExpansionBudgetError": EXIT_BUDGET,
     f"{__name__}._UsageError": EXIT_USAGE,
     "builtins.ValueError": EXIT_USAGE,
     "builtins.ZeroDivisionError": EXIT_USAGE,

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisim import Refinement, joint_pair, joint_prechart
-from .chart import MAX_STATES, _valid_letter, _var_index, move_key
+from .chart import MAX_STATES, _Record, _set, _valid_letter, _var_index, move_key
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -79,46 +78,54 @@ def _check_eps(eps):
         raise ValueError(f"bound {eps} outside [0, 1]")
 
 
-# Every node has a ``bound``, set when it is built; it is not a field, so
-# ==, hash and repr leave it out and dataclasses.replace recomputes it.
+class _Node(_Record):
+    """A certificate node.  Its ``bound`` is set when it is built, in a
+    slot of this base: the fields are the slots each node class lists,
+    so ==, hash and repr leave the bound out."""
+
+    __slots__ = ("bound",)
 
 
-@dataclass(frozen=True)
-class CTop:
-    bound = ONE
+class CTop(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "bound", ONE)
 
 
-@dataclass(frozen=True)
-class CBisim:
-    bound = FZERO
+class CBisim(_Node):
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "bound", FZERO)
 
 
-@dataclass(frozen=True)
-class CWeaken:
-    eps: Fraction
-    child: object
+class CWeaken(_Node):
+    __slots__ = ("eps", "child")
 
-    def __post_init__(self):
-        _check_eps(self.eps)
-        object.__setattr__(self, "bound", self.eps)
-
-
-@dataclass(frozen=True)
-class CCoupling:
-    eps: Fraction
-    pairs: tuple
-
-    def __post_init__(self):
-        _check_eps(self.eps)
-        object.__setattr__(self, "bound", self.eps)
+    def __init__(self, eps: Fraction, child):
+        _set(self, "eps", eps)
+        _set(self, "child", child)
+        _check_eps(eps)
+        _set(self, "bound", eps)
 
 
-@dataclass(frozen=True)
-class CDecomp:
-    children: tuple
+class CCoupling(_Node):
+    __slots__ = ("eps", "pairs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", max((c.bound for c in self.children), default=FZERO))
+    def __init__(self, eps: Fraction, pairs: tuple):
+        _set(self, "eps", eps)
+        _set(self, "pairs", pairs)
+        _check_eps(eps)
+        _set(self, "bound", eps)
+
+
+class CDecomp(_Node):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _set(self, "children", children)
+        _set(self, "bound", max((c.bound for c in children), default=FZERO))
 
 
 # --- concrete syntax -------------------------------------------------------

@@ -25,11 +25,7 @@ from __future__ import annotations
 
 import re
 
-from .chart import MAX_STATES, Prechart, _Record, _set, _valid_letter
-from .expr import (
-    ZERO, ExpansionBudgetError, Mu, Prefix, Sum, Var, alpha_normal, free_vars,
-    parse_expr, substitute,
-)
+from .chart import MAX_STATES, ExpansionBudgetError, Prechart, _Record, _set, _valid_letter
 
 __all__ = [
     "Term", "Copy", "Del", "Merge", "Gen", "Act", "Cap", "Cup",
@@ -762,6 +758,9 @@ def from_expression(e, n=None) -> Term:
     Output wire i stands for variable vi; the interpretation's single
     payload row is behaviourally equivalent to e itself.
     """
+    # loaded on call, so that a diagram query loads no expression module
+    from .expr import ZERO, Mu, Prefix, Sum, Var, alpha_normal, free_vars, parse_expr, substitute
+
     if isinstance(e, str):
         e = parse_expr(e)
     fv = free_vars(e)
@@ -770,12 +769,9 @@ def from_expression(e, n=None) -> Term:
         n = least
     if n < least:
         raise ValueError(f"expression uses v{least}, cannot compile at width {n}")
-    return _compile(alpha_normal(e), n)
-
-
-def _compile(e, n):
     done = []  # compiled terms, innermost last
-    todo = [(e, n)]  # an expression at a width, or a build from the last done terms
+    # an expression at a width, or a build from the last done terms
+    todo = [(alpha_normal(e), n)]
     while todo:
         e, n = todo.pop()
         if callable(e):  # n is how many done terms it takes

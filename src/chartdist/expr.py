@@ -27,7 +27,8 @@ from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTERS, MAX_STATES, Chart, Prechart, _digits, _Record, _set, _var_index,
+    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, Prechart, _digits, _Record, _set,
+    _var_index,
 )
 
 __all__ = [
@@ -44,14 +45,6 @@ class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class ExpansionBudgetError(RuntimeError):
-    """Chart expansion exceeded its state cap.
-
-    The reachable derivative set of an expression is always finite, so
-    hitting the cap means the cap is too small for the input.
-    """
 
 
 # --- interned nodes ----------------------------------------------------

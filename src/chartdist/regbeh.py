@@ -22,9 +22,9 @@ called; ``leaf_morphism`` interprets each leaf of a diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .chart import _Record, _set
 from .diagram import Act, Cap, Copy, Cup, Del, Gen, Id, Merge, _word_object
 from .expr import ZERO, Expr, Mu, Prefix, Sum, Var, free_vars, substitute
 from .metric import FZERO, bd_expressions
@@ -43,26 +43,26 @@ class RbTypeError(TypeError):
     """Interface mismatch between composed morphisms."""
 
 
-@dataclass(frozen=True)
-class RbMorphism:
+class RbMorphism(_Record):
     """An m-tuple of behaviours over n variables, i.e. a morphism m -> n."""
 
-    dom: int
-    cod: int
-    rows: tuple
+    __slots__ = ("dom", "cod", "rows")
 
-    def __post_init__(self):
-        if self.dom < 0 or self.cod < 0:
+    def __init__(self, dom: int, cod: int, rows: tuple):
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "rows", rows)
+        if dom < 0 or cod < 0:
             raise ValueError("negative interface")
-        if len(self.rows) != self.dom:
-            raise ValueError(f"expected {self.dom} rows, got {len(self.rows)}")
-        for i, r in enumerate(self.rows):
+        if len(rows) != dom:
+            raise ValueError(f"expected {dom} rows, got {len(rows)}")
+        for i, r in enumerate(rows):
             if not isinstance(r, Expr):
                 raise TypeError(f"row {i + 1} is not an expression")
             fv = free_vars(r)
-            if fv and max(fv) > self.cod:
+            if fv and max(fv) > cod:
                 raise ValueError(
-                    f"row {i + 1} has free variables {sorted(fv)} beyond v{self.cod}")
+                    f"row {i + 1} has free variables {sorted(fv)} beyond v{cod}")
 
 
 def rb_id(n: int) -> RbMorphism:
@@ -170,22 +170,22 @@ def homset_distance(f: RbMorphism, g: RbMorphism) -> Fraction:
 # --- paired interfaces (forward wires, backward wires) -------------------
 
 
-@dataclass(frozen=True)
-class IntMorphism:
+class IntMorphism(_Record):
     """Morphism (k,l) -> (m,n): payload k+n -> l+m over all in/out ports."""
 
-    dom_pair: tuple
-    cod_pair: tuple
-    payload: RbMorphism
+    __slots__ = ("dom_pair", "cod_pair", "payload")
 
-    def __post_init__(self):
-        k, l = self.dom_pair
-        m, n = self.cod_pair
+    def __init__(self, dom_pair: tuple, cod_pair: tuple, payload: RbMorphism):
+        _set(self, "dom_pair", dom_pair)
+        _set(self, "cod_pair", cod_pair)
+        _set(self, "payload", payload)
+        k, l = dom_pair
+        m, n = cod_pair
         if min(k, l, m, n) < 0:
             raise ValueError("negative interface")
-        if (self.payload.dom, self.payload.cod) != (k + n, l + m):
+        if (payload.dom, payload.cod) != (k + n, l + m):
             raise RbTypeError(
-                f"payload {self.payload.dom}->{self.payload.cod} does not fit "
+                f"payload {payload.dom}->{payload.cod} does not fit "
                 f"({k},{l})->({m},{n}); expected {k + n}->{l + m}")
 
 

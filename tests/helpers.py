@@ -10,6 +10,7 @@ import json
 import math
 import re
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,10 +20,9 @@ from hypothesis import strategies as st
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, Gen, Id, Merge, Mu,
     Prechart, Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
-    empty_chart, expand, from_expression, loop1, parse_term, prefix_chart,
-    rec_chart, substitute, sum_chart, typecheck, variable_chart,
+    expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
-from chartdist.chart import _LETTERS, _valid_letter, state_key
+from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
 from chartdist.diagram import _close, _fold, _tensor_fold
 from chartdist.regbeh import RbMorphism, leaf_morphism
 
@@ -144,7 +144,111 @@ def transpose(u):
 
 
 # ---------------------------------------------------------------------------
-# structural chart construction (combinator path, used against expand)
+# structural chart construction (the paper's six combinators, used against
+# expand)
+
+def empty_chart() -> Chart:
+    return Chart(Prechart(frozenset({0}), frozenset(), frozenset()), 0)
+
+
+def variable_chart(v: int) -> Chart:
+    if not isinstance(v, int) or v < 1:
+        raise ValueError(f"invalid variable index {v!r}")
+    return Chart(Prechart(frozenset({0}), frozenset(), frozenset({(0, v)})), 0)
+
+
+def prefix_chart(a: str, c: Chart) -> Chart:
+    """New start with a single a-transition into the old start; outputs unchanged."""
+    if not _valid_letter(a):
+        raise ValueError(f"invalid action letter {a!r}")
+    inner, _ = _relabel(c, 1)
+    p = Prechart(
+        inner.states | {0},
+        inner.trans | {(0, a, inner.start)},
+        inner.outs,
+    )
+    return Chart(p, 0)
+
+
+def sum_chart(c1: Chart, c2: Chart) -> Chart:
+    """New start inheriting the union of both starts' transitions and outputs."""
+    left, _ = _relabel(c1, 1)
+    right, _ = _relabel(c2, 1 + len(left.states))
+    # only moves out of the two start states are inherited by the new start
+    start_trans = {(0, a, r) for (q, a, r) in left.trans if q == left.start}
+    start_trans |= {(0, a, r) for (q, a, r) in right.trans if q == right.start}
+    start_outs = {(0, v) for (q, v) in left.outs if q == left.start}
+    start_outs |= {(0, v) for (q, v) in right.outs if q == right.start}
+    p = Prechart(
+        left.states | right.states | {0},
+        left.trans | right.trans | frozenset(start_trans),
+        left.outs | right.outs | frozenset(start_outs),
+    )
+    return Chart(p, 0)
+
+
+def subst_chart(c: Chart, charts: Iterable[Chart], variables: Iterable[int]) -> Chart:
+    """Simultaneously substitute charts[i] for variables[i] in c.
+
+    Every state of c that outputs variables[i] inherits the moves of the
+    i-th chart's start state and drops the output itself.
+    """
+    charts = list(charts)
+    variables = list(variables)
+    if len(charts) != len(variables):
+        raise ValueError("charts and variables must have equal length")
+    if len(set(variables)) != len(variables):
+        raise ValueError("substituted variables must be distinct")
+    base, _ = _relabel(c, 0)
+    offset = len(base.states)
+    inners = []
+    for ci in charts:
+        ri, _ = _relabel(ci, offset)
+        offset += len(ri.states)
+        inners.append(ri)
+
+    outs_of = base.prechart.output_map()
+    trans = set(base.trans)
+    outs = set()
+    vset = set(variables)
+    for q in base.states:
+        e_q = outs_of[q]
+        outs |= {(q, v) for v in e_q if v not in vset}
+        for v, ci in zip(variables, inners):
+            if v in e_q:
+                trans |= {(q, a, r) for (s, a, r) in ci.trans if s == ci.start}
+                outs |= {(q, w) for (s, w) in ci.outs if s == ci.start}
+    states = set(base.states)
+    for ci in inners:
+        states |= ci.states
+        trans |= ci.trans
+        outs |= ci.outs
+    return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), base.start)
+
+
+def rec_chart(v: int, c: Chart) -> Chart:
+    """Recursion: states outputting v also inherit the start's moves, v is dropped."""
+    if not isinstance(v, int) or v < 1:
+        raise ValueError(f"invalid variable index {v!r}")
+    outs_of = c.prechart.output_map()
+    start_trans = {(a, r) for (q, a, r) in c.trans if q == c.start}
+    start_outs = set(outs_of[c.start])
+    trans = set(c.trans)
+    outs = set()
+    for q in c.states:
+        e_q = outs_of[q]
+        if v in e_q:
+            trans |= {(q, a, r) for (a, r) in start_trans}
+            outs |= {(q, w) for w in (e_q | start_outs) if w != v}
+        else:
+            outs |= {(q, w) for w in e_q}
+    return Chart(Prechart(c.states, frozenset(trans), frozenset(outs)), c.start)
+
+
+def live_vars(c: Chart) -> frozenset:
+    """Variables output by some reachable state."""
+    return reachable(c).prechart.variables()
+
 
 def structural_chart(e):
     if isinstance(e, Zero):
@@ -162,6 +266,23 @@ def structural_chart(e):
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
+
+def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:
+    """Check the two bisimulation clauses for a relation on Q1 x Q2."""
+    rel = set(relation)
+    t1, t2 = c1.prechart.transition_map(), c2.prechart.transition_map()
+    o1, o2 = c1.prechart.output_map(), c2.prechart.output_map()
+    for (q1, q2) in rel:
+        if o1[q1] != o2[q2]:
+            return False
+        for (a, r1) in t1[q1]:
+            if not any(b == a and (r1, r2) in rel for (b, r2) in t2[q2]):
+                return False
+        for (a, r2) in t2[q2]:
+            if not any(b == a and (r1, r2) in rel for (b, r1) in t1[q1]):
+                return False
+    return True
+
 
 def brute_related_pairs(p):
     """Greatest bisimulation on a prechart, by naive pair elimination."""

@@ -226,7 +226,6 @@ def test_criterion_7_certificates():
 
 def _lower_one_bound(rng, cert):
     """Halve one positive bound somewhere in the tree, or None."""
-    import dataclasses
     from chartdist import CCoupling, CDecomp
 
     spots = []
@@ -234,14 +233,11 @@ def _lower_one_bound(rng, cert):
     def walk(node, rebuild):
         if isinstance(node, CWeaken):
             if node.eps > 0:
-                spots.append(lambda n=node, r=rebuild: r(
-                    dataclasses.replace(n, eps=n.eps / 2)))
-            walk(node.child, lambda c, n=node, r=rebuild: r(
-                dataclasses.replace(n, child=c)))
+                spots.append(lambda n=node, r=rebuild: r(CWeaken(n.eps / 2, n.child)))
+            walk(node.child, lambda c, n=node, r=rebuild: r(CWeaken(n.eps, c)))
         elif isinstance(node, CCoupling):
             if node.eps > 0:
-                spots.append(lambda n=node, r=rebuild: r(
-                    dataclasses.replace(n, eps=n.eps / 2)))
+                spots.append(lambda n=node, r=rebuild: r(CCoupling(n.eps / 2, n.pairs)))
             for i, (m1, m2, child) in enumerate(node.pairs):
                 if child is None:
                     continue
@@ -249,7 +245,7 @@ def _lower_one_bound(rng, cert):
                 def put(c, i=i, m1=m1, m2=m2, n=node, r=rebuild):
                     pairs = list(n.pairs)
                     pairs[i] = (m1, m2, c)
-                    return r(dataclasses.replace(n, pairs=tuple(pairs)))
+                    return r(CCoupling(n.eps, tuple(pairs)))
 
                 walk(child, put)
         elif isinstance(node, CDecomp):
@@ -257,7 +253,7 @@ def _lower_one_bound(rng, cert):
                 def put(c, i=i, n=node, r=rebuild):
                     children = list(n.children)
                     children[i] = c
-                    return r(dataclasses.replace(n, children=tuple(children)))
+                    return r(CDecomp(tuple(children)))
                 walk(child, put)
 
     walk(cert, lambda c: c)

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 
 from chartdist import (
     Chart, Refinement, bisimilar, coarsest_partition, disjoint_union, expand,
-    is_bisimulation, live_vars, parse_chart_text, parse_expr, quotient,
-    split_table, stratified_level,
+    parse_chart_text, parse_expr, quotient, split_table, stratified_level,
 )
 from helpers import (
     RefRefinement, brute_bisimilar, brute_level, brute_related_pairs,
-    cycle_text, precharts, rand_chart, rand_expr,
+    cycle_text, is_bisimulation, live_vars, precharts, rand_chart, rand_expr,
 )
 
 

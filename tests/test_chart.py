@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartdist import (
-    Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot,
-    disjoint_union, empty_chart, expand, format_chart_text, live_vars,
-    parse_chart_text, parse_expr, prefix_chart, reachable, rec_chart,
-    subst_chart, sum_chart, tagged_union, variable_chart,
+    Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, disjoint_union,
+    expand, format_chart_text, parse_chart_text, parse_expr, reachable, tagged_union,
 )
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
-    malformed_charts, rand_chart, rand_expr, ref_validate, structural_chart,
+    empty_chart, live_vars, malformed_charts, prefix_chart, rand_chart, rand_expr,
+    rec_chart, ref_validate, structural_chart, subst_chart, sum_chart, variable_chart,
 )
 
 

@@ -771,6 +771,8 @@ CLI = "import sys\nfrom chartdist.cli import main\nsys.exit(main(sys.argv[1:]))\
     (["check", "(bisim)", "a.0", "b.0"], EXIT_REJECTED),
     (["derive", "--eps", "1/4", "a.0", "b.0"], EXIT_REJECTED),
     (["dist", "--max-states", "1", "a.a.0", "a.0"], EXIT_BUDGET),
+    (["dist", "--format", "diag", "--max-states", "1", "act(a) ; del", "act(a) ; del"],
+     EXIT_BUDGET),
 ], ids=lambda x: str(x) if isinstance(x, int) else " ".join(x).replace("\n", "|"))
 def test_exit_codes_in_a_fresh_interpreter(capsys, argv, code):
     """A failing query exits and reports alike in a fresh interpreter, which
@@ -795,12 +797,13 @@ LOADS = [
     (["dist", FIG_LEFT, FIG_RIGHT], _UNUSED + ("chartdist.diagram",), ()),
     (["compile", FIG_LEFT], _UNUSED + ("chartdist.diagram",), ()),
     (["dist", "--format", "diag", _DIAG, "act(a) ; copy ; act(b) * id(>) ; merge"],
-     _UNUSED, ("chartdist.diagram",)),
-    (["compile", "--format", "diag", _DIAG], _UNUSED, ("chartdist.diagram",)),
-    (["derive", "a.a.0", "a.0"], ("chartdist.diagram", "chartdist.regbeh"),
-     ("chartdist.derive",)),
+     _UNUSED + ("chartdist.expr",), ("chartdist.diagram",)),
+    (["compile", "--format", "diag", _DIAG], _UNUSED + ("chartdist.expr",),
+     ("chartdist.diagram",)),
+    (["derive", "a.a.0", "a.0"],
+     ("chartdist.diagram", "chartdist.regbeh", "dataclasses", "inspect"), ("chartdist.derive",)),
     (["check", "(top)", "--format", "chart", _CHART_L, _CHART_R],
-     ("chartdist.diagram", "chartdist.regbeh"), ("chartdist.derive",)),
+     ("chartdist.diagram", "chartdist.regbeh", "dataclasses", "inspect"), ("chartdist.derive",)),
 ]
 WATCHED = ("chartdist.bisim", "chartdist.chart", "chartdist.derive", "chartdist.diagram",
            "chartdist.expr", "chartdist.metric", "chartdist.regbeh",

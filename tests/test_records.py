@@ -1,5 +1,6 @@
-"""The immutable records of the core: Prechart, Chart, the diagram leaves,
-Seq, Tensor, OpenChart, StepResult and KleeneResult.
+"""The immutable records of the package: Prechart, Chart, the diagram
+leaves, Seq, Tensor, OpenChart, StepResult, KleeneResult, the certificate
+nodes and the regbeh morphisms.
 
 Their repr, ==, hash, immutability and validation errors are public.
 The expected values below are those the records had as dataclasses,
@@ -8,20 +9,29 @@ written out."""
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
 from chartdist.chart import Chart, Prechart
+from chartdist.derive import CBisim, CCoupling, CDecomp, CTop, CWeaken
 from chartdist.diagram import (
     Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
     open_chart, parse_term,
 )
-from chartdist.expr import ZERO, StepResult, parse_expr, step
+from chartdist.expr import ZERO, StepResult, Var, parse_expr, step
 from chartdist.metric import KleeneResult, kleene_solve
+from chartdist.regbeh import IntMorphism, RbMorphism, RbTypeError, int_id, rb_id, rb_sym
 
 P = Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset({(1, 1)}))
 P_TEXT = ("Prechart(states=frozenset({0, 1}), trans=frozenset({(0, 'a', 1)}), "
           "outs=frozenset({(1, 1)}))")
+HALF = Fraction(1, 2)
+
+
+def pairs():
+    """The move pairs of a coupling, built anew at each call."""
+    return ((("act", "a", "L:0"), ("act", "a", "R:0"), CTop()), (("out", 1), ("out", 1), None))
 
 
 def records():
@@ -54,6 +64,24 @@ def records():
          StepResult(frozenset({("a", ZERO)}), frozenset()),
          "StepResult(transitions=frozenset({('a', parse_expr('0'))}), "
          "outputs=frozenset({1}))", "outputs"),
+        (CTop(), CTop(), CBisim(), "CTop()", "bound"),
+        (CBisim(), CBisim(), CTop(), "CBisim()", "bound"),
+        (CWeaken(HALF, CTop()), CWeaken(eps=Fraction(2, 4), child=CTop()),
+         CWeaken(HALF, CBisim()), "CWeaken(eps=Fraction(1, 2), child=CTop())", "eps"),
+        (CCoupling(HALF, pairs()), CCoupling(eps=HALF, pairs=pairs()),
+         CCoupling(HALF, pairs()[:1]),
+         "CCoupling(eps=Fraction(1, 2), pairs=((('act', 'a', 'L:0'), ('act', 'a', 'R:0'), "
+         "CTop()), (('out', 1), ('out', 1), None)))", "pairs"),
+        (CDecomp((CTop(), CBisim())), CDecomp(children=(CTop(), CBisim())),
+         CDecomp((CBisim(), CTop())), "CDecomp(children=(CTop(), CBisim()))", "children"),
+        (RbMorphism(1, 1, (parse_expr("a.v1"),)),
+         RbMorphism(dom=1, cod=1, rows=(parse_expr("a.v1"),)),
+         RbMorphism(1, 2, (parse_expr("a.v1"),)),
+         "RbMorphism(dom=1, cod=1, rows=(parse_expr('a.v1'),))", "rows"),
+        (int_id((1, 1)), IntMorphism(dom_pair=(1, 1), cod_pair=(1, 1), payload=rb_sym(1, 1)),
+         IntMorphism((1, 1), (1, 1), rb_id(2)),
+         "IntMorphism(dom_pair=(1, 1), cod_pair=(1, 1), payload=RbMorphism(dom=2, cod=2, "
+         "rows=(parse_expr('v2'), parse_expr('v1'))))", "payload"),
     ] + [(cls(), cls(), Del() if cls is Copy else Copy(), f"{cls.__name__}()", "x")
          for cls in (Copy, Del, Merge, Gen, Cap, Cup)]
 
@@ -86,6 +114,21 @@ def test_record_hashes_are_the_hash_of_their_fields():
     assert Copy() != Del() and Cap() != Cup() and Id(">") != Sym(">", "")
     assert hash(Seq(Act("a"), Del())) == hash("act(a) ; del")
     assert Seq(Act("a"), Del()) != Tensor(Act("a"), Del())
+    assert hash(CTop()) == hash(CBisim()) == hash(())
+    assert hash(CWeaken(HALF, CTop())) == hash((HALF, CTop()))
+    assert hash(rb_id(1)) == hash((1, 1, (Var(1),)))
+
+
+def test_certificate_bound_is_no_field():
+    """Each node reads the bound it claims, set when it is built, but
+    repr, == and hash see the fields alone."""
+    node = CDecomp((CTop(), CBisim()))
+    assert node.bound == 1
+    assert repr(node) == "CDecomp(children=(CTop(), CBisim()))"
+    assert pickle.loads(pickle.dumps(node)).bound == 1
+    other = CDecomp((CTop(), CBisim()))
+    object.__setattr__(other, "bound", 0)  # a bound no constructor would set
+    assert other == node and hash(other) == hash(node) and repr(other) == repr(node)
 
 
 def test_kleene_result_is_mutable_and_unhashable():
@@ -124,3 +167,22 @@ def test_record_validation_errors(build, message):
     with pytest.raises(ValueError) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CWeaken(1, CTop()), TypeError, "bound must be a Fraction"),
+    (lambda: CCoupling(Fraction(2), ()), ValueError, "bound 2 outside [0, 1]"),
+    (lambda: CWeaken(Fraction(-1, 2), CTop()), ValueError, "bound -1/2 outside [0, 1]"),
+    (lambda: RbMorphism(-1, 0, ()), ValueError, "negative interface"),
+    (lambda: IntMorphism((1, -1), (0, 1), rb_id(1)), ValueError, "negative interface"),
+    (lambda: RbMorphism(2, 0, (ZERO,)), ValueError, "expected 2 rows, got 1"),
+    (lambda: RbMorphism(1, 0, (Var(1),)), ValueError,
+     "row 1 has free variables [1] beyond v0"),
+    (lambda: RbMorphism(1, 0, ("x",)), TypeError, "row 1 is not an expression"),
+    (lambda: IntMorphism((1, 0), (0, 1), rb_id(2)), RbTypeError,
+     "payload 2->2 does not fit (1,0)->(0,1); expected 2->0"),
+])
+def test_certificate_and_morphism_errors(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
