@@ -152,7 +152,7 @@ def joint_prechart(exprs, max_states=MAX_STATES):
         states |= set(c.states)
         trans |= set(c.trans)
         outs |= set(c.outs)
-    return Prechart(frozenset(states), frozenset(trans), frozenset(outs)), seeds
+    return Prechart._of(frozenset(states), frozenset(trans), frozenset(outs)), seeds
 
 
 def joint_pair(f, g, max_states=MAX_STATES):
@@ -233,4 +233,4 @@ def quotient(p: Prechart):
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)
-    return Prechart(states, trans, outs), m
+    return Prechart._of(states, trans, outs), m

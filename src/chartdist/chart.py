@@ -57,9 +57,15 @@ def _digits(s) -> bool:
 
 
 def _var_index(token):
-    """N of a variable token vN with N >= 1 in ASCII digits; else None."""
-    if token[:1] == "v" and _digits(token[1:]) and int(token[1:]) >= 1:
-        return int(token[1:])
+    """N of a variable token vN with N >= 1 in ASCII digits; else None,
+    also when N has more digits than int() converts."""
+    if token[:1] == "v" and _digits(token[1:]):
+        try:
+            n = int(token[1:])
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return None
+        if n >= 1:
+            return n
     return None
 
 
@@ -100,7 +106,12 @@ class _Record:
 
 
 class Prechart(_Record):
-    """States plus transition and output relations (no start state)."""
+    """States plus transition and output relations (no start state).
+
+    Prechart(...) checks that every transition and output names a state,
+    every letter is a valid action letter and every variable index an int
+    of at least 1, and raises ValueError at the first that is not.
+    """
 
     # trans holds triples (state, letter, state), outs pairs (state, variable index)
     __slots__ = ("states", "trans", "outs")
@@ -109,42 +120,27 @@ class Prechart(_Record):
         _set(self, "states", states)
         _set(self, "trans", trans)
         _set(self, "outs", outs)
-        if not self._valid_in_bulk():
-            self._validate_each()
-
-    def _valid_in_bulk(self) -> bool:
-        """Whether every check of _validate_each passes, tested a column at
-        a time by set operations.  False also when a relation is no
-        collection of tuples of its arity, so that _validate_each reports
-        the first offender as it always has."""
-        states, trans, outs = self.states, self.trans, self.outs
-        try:
-            if trans:
-                qs, letters, rs = zip(*trans, strict=True)
-                if not (states.issuperset(qs) and states.issuperset(rs)
-                        and _LETTER_SET.issuperset(letters)
-                        and set(map(type, letters)) == {str}):
-                    return False
-            if outs:
-                qs, vs = zip(*outs, strict=True)
-                if not (states.issuperset(qs) and set(map(type, vs)) == {int}
-                        and min(vs) >= 1):
-                    return False
-        except (AttributeError, TypeError, ValueError):
-            return False
-        return True
-
-    def _validate_each(self):
-        for (q, a, r) in self.trans:
-            if q not in self.states or r not in self.states:
+        for (q, a, r) in trans:
+            if q not in states or r not in states:
                 raise ValueError(f"transition {(q, a, r)!r} references undeclared state")
             if not _valid_letter(a):
                 raise ValueError(f"invalid action letter {a!r}")
-        for (q, v) in self.outs:
-            if q not in self.states:
+        for (q, v) in outs:
+            if q not in states:
                 raise ValueError(f"output {(q, v)!r} references undeclared state")
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"invalid output variable {v!r}")
+
+    @classmethod
+    def _of(cls, states: frozenset, trans: frozenset, outs: frozenset):
+        """A prechart of relations that the package built well formed, not
+        checked again; Prechart(...) checks those of library callers and of
+        unpickling."""
+        p = object.__new__(cls)
+        _set(p, "states", states)
+        _set(p, "trans", trans)
+        _set(p, "outs", outs)
+        return p
 
     def letters(self) -> frozenset:
         return frozenset(a for (_, a, _) in self.trans)
@@ -202,7 +198,7 @@ def _relabel(c: Chart, offset: int):
     """Relabel states as consecutive ints starting at offset; returns (chart, map)."""
     order = sorted(c.states, key=state_key)
     m = {q: offset + i for i, q in enumerate(order)}
-    p = Prechart(
+    p = Prechart._of(
         frozenset(m.values()),
         frozenset((m[q], a, m[r]) for (q, a, r) in c.trans),
         frozenset((m[q], v) for (q, v) in c.outs),
@@ -221,7 +217,7 @@ def reachable(c: Chart) -> Chart:
             if r not in seen:
                 seen.add(r)
                 stack.append(r)
-    p = Prechart(
+    p = Prechart._of(
         frozenset(seen),
         frozenset(t for t in c.trans if t[0] in seen),
         frozenset(o for o in c.outs if o[0] in seen),
@@ -234,7 +230,7 @@ def tagged_union(p1: Prechart, p2: Prechart) -> Prechart:
     "R:<q>", so that the names stay apart and readable.  Two states of
     one side that print alike would merge, so they raise ValueError."""
     l, r = _tags("L", p1.states), _tags("R", p2.states)
-    return Prechart(
+    return Prechart._of(
         frozenset(l.values()) | frozenset(r.values()),
         frozenset([(l[q], a, l[t]) for (q, a, t) in p1.trans]
                   + [(r[q], a, r[t]) for (q, a, t) in p2.trans]),
@@ -342,7 +338,7 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
         raise ChartFormatError("missing start line", len(text.splitlines()) + 1)
     if start not in states:
         raise ChartFormatError("start references undeclared state", start_line)
-    return Chart(Prechart(frozenset(states), frozenset(trans), frozenset(outs)), start)
+    return Chart(Prechart._of(frozenset(states), frozenset(trans), frozenset(outs)), start)
 
 
 def format_chart_text(c: Chart) -> str:

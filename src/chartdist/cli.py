@@ -29,14 +29,11 @@ EXIT_REJECTED = 4
 EXIT_BUDGET = 5
 
 
-class _UsageError(Exception):
-    pass
-
-
-# The exit code of each error class, by module and name, so that the
-# table loads no module.  An error takes the code of the first class of
-# its method resolution order found here: the parse errors are ValueErrors
-# too, and exit 2, not 1.
+# The exit code of each error class the command line reports, by module
+# and name, so that the table loads no module.  No class here subclasses
+# another, so an error takes the code of its own class; any other error,
+# a bug's ValueError among them, propagates.  An input file that is no
+# text fails to decode, and that is a usage error.
 _ERROR_EXITS = {
     f"{__package__}.expr.ExprSyntaxError": EXIT_PARSE,
     f"{__package__}.chart.ChartFormatError": EXIT_PARSE,
@@ -46,20 +43,8 @@ _ERROR_EXITS = {
     f"{__package__}.derive.SynthesisFailure": EXIT_REJECTED,
     f"{__package__}.derive.CertificateError": EXIT_REJECTED,
     f"{__package__}.chart.ExpansionBudgetError": EXIT_BUDGET,
-    f"{__name__}._UsageError": EXIT_USAGE,
-    "builtins.ValueError": EXIT_USAGE,
-    "builtins.ZeroDivisionError": EXIT_USAGE,
+    "builtins.UnicodeDecodeError": EXIT_USAGE,
 }
-
-
-def _exit_code(error):
-    """The exit code of an error the command line reports; None for any
-    other error."""
-    for cls in type(error).__mro__:
-        code = _ERROR_EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
-        if code is not None:
-            return code
-    return None
 
 
 def _resolve(arg: str) -> str:
@@ -85,34 +70,41 @@ def _state_budget(text):
     return n
 
 
-def _parse_alphabet(spec):
-    # accepts "abc", "a,b,c", and "a b c" alike
-    if spec is None:
-        return None
+def _alphabet(spec):
+    """The value of --alphabet: its letters, from "abc", "a,b,c" or "a b c"."""
     from . import chart
     letters = set()
     for token in spec.replace(",", " ").split():
         letters.update(token)
     if not letters:
-        raise _UsageError("empty alphabet")
+        raise argparse.ArgumentTypeError("empty alphabet")
     bad = sorted(l for l in letters if not chart._valid_letter(l))
     if bad:
-        raise _UsageError(f"invalid alphabet letters: {', '.join(bad)}")
+        raise argparse.ArgumentTypeError(f"invalid alphabet letters: {', '.join(bad)}")
     return letters
+
+
+def _eps(text):
+    """The value of --eps: a rational in [0, 1]."""
+    from . import derive
+    try:
+        return derive._bound(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _load(arg, args):
     """One input in the syntax --format names, its action letters
     restricted to --alphabet."""
-    text, alphabet = _resolve(arg), _parse_alphabet(args.alphabet)
+    text = _resolve(arg)
     if args.format == "diag":
         from . import diagram
-        return diagram.parse_term(text, alphabet=alphabet)
+        return diagram.parse_term(text, alphabet=args.alphabet)
     if args.format == "chart":
         from . import chart
-        return chart.parse_chart_text(text, alphabet=alphabet)
+        return chart.parse_chart_text(text, alphabet=args.alphabet)
     from . import expr
-    return expr.parse_expr(text, alphabet=alphabet)
+    return expr.parse_expr(text, alphabet=args.alphabet)
 
 
 def _compare(args):
@@ -128,12 +120,14 @@ def _compare(args):
 
 def _cmd_dist(args):
     _, _, refinement, level = _compare(args)
-    from . import metric
     if level == math.inf:
         lines = ["0 (bisimilar)"]
-    else:
-        lines = [f"{metric.level_distance(level)} (level {level})"]
+    elif level == 0:
+        lines = ["1 (level 0)"]
+    else:  # the text of metric.level_distance(level), without loading fractions
+        lines = [f"1/{1 << level} (level {level})"]
     if args.table:
+        from . import metric
         lines.append(metric.split_table(refinement).to_tsv().rstrip("\n"))
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -245,7 +239,7 @@ def _add_common(sub):
     from .chart import MAX_STATES
     sub.add_argument("--format", choices=["expr", "diag", "chart"], default="expr",
                      help="input syntax (default %(default)s)")
-    sub.add_argument("--alphabet", default=None,
+    sub.add_argument("--alphabet", type=_alphabet, default=None,
                      help="restrict expression letters, e.g. 'a,b'")
     sub.add_argument("--max-states", type=_state_budget, default=MAX_STATES,
                      help="state budget for expansions (default %(default)s)")
@@ -290,7 +284,7 @@ def _build_parser():
     p = subs.add_parser("derive", help="synthesize a distance certificate")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--eps", default=None, metavar="p/q",
+    p.add_argument("--eps", type=_eps, default=None, metavar="p/q",
                    help="requested bound (default: the exact distance)")
     _add_common(p)
     p.set_defaults(func=_cmd_derive)
@@ -328,7 +322,8 @@ def main(argv=None) -> int:
         print("error: input too deeply nested", file=sys.stderr)
         return EXIT_BUDGET
     except Exception as e:
-        exit_code = _exit_code(e)
+        cls = type(e)
+        exit_code = _ERROR_EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
         if exit_code is None:
             raise
         print(f"error: {e}", file=sys.stderr)

@@ -78,6 +78,17 @@ def _check_eps(eps):
         raise ValueError(f"bound {eps} outside [0, 1]")
 
 
+def _bound(eps) -> Fraction:
+    """eps, a rational or its text such as "3/4", as a Fraction; ValueError
+    when it is no rational or lies outside [0, 1]."""
+    try:
+        eps = Fraction(eps)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad rational {eps!r}") from None
+    _check_eps(eps)
+    return eps
+
+
 class _Node(_Record):
     """A certificate node.  Its ``bound`` is set when it is built, in a
     slot of this base: the fields are the slots each node class lists,
@@ -452,11 +463,7 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
     SynthesisFailure carrying it.
     """
     if eps is not None:
-        try:
-            eps = Fraction(eps)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational {eps!r}") from None
-        _check_eps(eps)
+        eps = _bound(eps)
     joint, pairs = joint_pair(f, g, max_states)
     syn = _Synthesizer(joint)
     levels = [syn.refinement.level(x, y) for x, y in pairs]

@@ -440,7 +440,7 @@ def _close(moves, eps, entries, outputs, max_states):
         for a, y in sorted(steps):
             trans.add((q, a, state(y)))
     states = frozenset(range(len(order)))
-    return OpenChart(Prechart(states, frozenset(trans), frozenset(outs)),
+    return OpenChart(Prechart._of(states, frozenset(trans), frozenset(outs)),
                      entry_states)
 
 

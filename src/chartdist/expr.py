@@ -438,7 +438,7 @@ def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
                         f"expansion exceeded {max_states} states")
                 states[tkey] = nt
                 queue.append(tkey)
-    p = Prechart(frozenset(states), frozenset(trans), frozenset(outs))
+    p = Prechart._of(frozenset(states), frozenset(trans), frozenset(outs))
     return Chart(p, start_key)
 
 

@@ -417,6 +417,23 @@ def brute_level(c1, c2):
         level += 1
 
 
+def exprs(max_var=3):
+    """Hypothesis strategy of small expressions, possibly with free variables."""
+    leaves = st.one_of(
+        st.just(Zero()),
+        st.builds(Var, st.integers(1, max_var)),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Prefix, st.sampled_from("abc"), sub),
+            st.builds(Sum, sub, sub),
+            st.builds(Mu, st.integers(1, max_var), sub),
+        ),
+        max_leaves=12,
+    )
+
+
 @st.composite
 def precharts(draw):
     """Small precharts with no start: possibly empty, with unreachable

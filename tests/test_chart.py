@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from chartdist import (
     Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, disjoint_union,
-    expand, format_chart_text, parse_chart_text, parse_expr, reachable, tagged_union,
+    expand, format_chart_text, joint_prechart, open_chart_pair, parse_chart_text,
+    parse_expr, quotient, reachable, tagged_union,
 )
+from chartdist.chart import _relabel, state_key
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
-    empty_chart, live_vars, malformed_charts, prefix_chart, rand_chart, rand_expr,
-    rec_chart, ref_validate, structural_chart, subst_chart, sum_chart, variable_chart,
+    empty_chart, exprs, live_vars, malformed_charts, precharts, prefix_chart, rand_chart,
+    rand_expr, rand_forward, rec_chart, ref_validate, structural_chart, subst_chart,
+    sum_chart, variable_chart,
 )
 
 
@@ -77,6 +80,51 @@ def test_prechart_validation_matches_item_by_item_reference(parts):
         assert str(info.value) == str(e)
     else:
         Prechart(*parts)
+
+
+# The package builds its own precharts unchecked (Prechart._of); these
+# tests hold every such prechart to the check of Prechart(...).
+
+def assert_checked(*built):
+    for p in built:
+        assert Prechart(p.states, p.trans, p.outs) == p
+
+
+def assert_chart_checked(c: Chart):
+    """c passes the check, and then so do the precharts built from it: its
+    reachable part's, its relabelling's, its quotient and its tagged union
+    with its reachable part."""
+    assert_checked(c.prechart)
+    part = reachable(c)
+    assert_checked(part.prechart, _relabel(c, 0)[0].prechart, quotient(c.prechart)[0],
+                   disjoint_union(c, part)[0])
+
+
+@given(precharts(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_parsed_charts_pass_the_check(p, data):
+    if p.states:
+        start = data.draw(st.sampled_from(sorted(p.states, key=state_key)))
+        assert_chart_checked(parse_chart_text(format_chart_text(Chart(p, start))))
+
+
+@given(exprs(), exprs())
+@settings(max_examples=200, deadline=None)
+def test_expansions_pass_the_check(e, f):
+    assert_checked(joint_prechart([e, f])[0])
+    assert_chart_checked(expand(e))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_open_charts_pass_the_check(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(0, 2), rng.randint(0, 2)
+    o1, o2 = open_chart_pair(rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3))
+    assert_checked(o1.prechart, o2.prechart, tagged_union(o1.prechart, o2.prechart))
+    for o in (o1, o2):
+        for entry in o.entries:
+            assert_chart_checked(Chart(o.prechart, entry))
 
 
 def test_beta_moves():

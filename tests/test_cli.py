@@ -29,6 +29,7 @@ from chartdist.cli import (
     EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_REJECTED, EXIT_TYPE, EXIT_USAGE,
     main,
 )
+from chartdist.metric import level_distance
 from helpers import (
     brute_distance, brute_related_pairs, corpus_rows, cycle_text, flip_one_act,
     rand_forward,
@@ -260,15 +261,23 @@ def test_derive_below_distance(capsys):
     assert "1/2" in err
 
 
+def test_dist_prints_the_level_distance(capsys):
+    """dist prints 2^-level as metric.level_distance prints it."""
+    for n in range(71):
+        code, out, _ = run(capsys, "dist", "a." * n + "0", "a." * (n + 1) + "0")
+        assert (code, out) == (EXIT_OK, f"{level_distance(n)} (level {n})\n")
+
+
 def test_derive_eps_out_of_range(capsys):
-    refusal = (EXIT_USAGE, "", "error: bound 7/4 outside [0, 1]\n")
-    assert run(capsys, "derive", "--eps", "7/4", "a.a.0", "a.0") == refusal
-    assert run(capsys, "derive", "--eps", "1/0", "a.a.0", "a.0") == \
-        (EXIT_USAGE, "", "error: bad rational '1/0'\n")
-    # the bound is checked before the inputs are joined, so a bad bound
-    # is reported ahead of a boundary mismatch
-    assert run(capsys, "derive", "--format", "diag", "--eps", "7/4",
-               "copy", "merge") == refusal
+    """--eps is read by its argparse type: a bad bound is a usage error,
+    reported ahead of the inputs, even when their boundaries differ."""
+    for argv, message in [(["7/4", "a.a.0", "a.0"], "bound 7/4 outside [0, 1]"),
+                          (["1/0", "a.a.0", "a.0"], "bad rational '1/0'"),
+                          (["7/4", "--format", "diag", "copy", "merge"],
+                           "bound 7/4 outside [0, 1]")]:
+        code, out, err = run(capsys, "derive", "--eps", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: argument --eps: {message}\n")
 
 
 def test_check_rejects_lowered_certificate(tmp_path, capsys):
@@ -539,6 +548,35 @@ def test_state_budget_below_one_is_a_usage_error(capsys):
         assert err.endswith(f"error: argument --max-states: must be at least 1, got {value}\n")
 
 
+def test_a_bug_is_no_usage_error(monkeypatch):
+    """Only named errors get exit codes: a ValueError from the core is a
+    bug, and main lets it out instead of exiting 1."""
+    def broken(self, x, y):
+        raise ValueError("broken")
+    monkeypatch.setattr(chartdist.bisim.Refinement, "level", broken)
+    with pytest.raises(ValueError, match="broken"):
+        main(["dist", "a.0", "b.0"])
+
+
+def test_undecodable_input_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "input.bin"
+    path.write_bytes(b"\x81\xff")
+    code, out, err = run(capsys, "dist", str(path), "0")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and "decode" in err
+
+
+def test_variable_past_the_int_digit_limit_is_a_parse_error(capsys):
+    limit = sys.get_int_max_str_digits() or pytest.skip("int() reads any number of digits")
+    big = "v" + "1" * (limit + 1)
+    for argv in (["dist", big, "0"],
+                 ["dist", "--format", "chart", f"state p\nstart p\nout p {big}\n", "0"],
+                 ["check", f"(coupling 1 ((move (out {big}) (out {big}))))", "0", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_PARSE, ""), argv[:2]
+        assert err.startswith("error: ")
+
+
 def test_usage_exit_on_bad_flags(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys)[0] == EXIT_USAGE
@@ -758,6 +796,7 @@ def test_queries_leave_regbeh_unloaded():
 
 
 CLI = "import sys\nfrom chartdist.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+OPTION_ERRORS = {"--eps": "bad rational 'x'", "--alphabet": "empty alphabet"}
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -780,7 +819,10 @@ def test_exit_codes_in_a_fresh_interpreter(capsys, argv, code):
     holds them all."""
     in_process = run(capsys, *argv)
     assert in_process[0] == code and in_process[1] == ""
-    assert in_process[2].startswith("error: ")
+    if code == EXIT_USAGE:  # argparse refuses an option value: usage, then the error
+        assert in_process[2].endswith(f"error: argument {argv[1]}: {OPTION_ERRORS[argv[1]]}\n")
+    else:
+        assert in_process[2].startswith("error: ")
     done = python(CLI, *argv)
     assert (done.returncode, done.stdout, done.stderr) == in_process
 
@@ -789,15 +831,19 @@ def test_exit_codes_in_a_fresh_interpreter(capsys, argv, code):
 # the watched modules it loads)
 _CHART_L, _CHART_R = cycle_text(2), cycle_text(3)
 _UNUSED = ("chartdist.derive", "chartdist.regbeh", "dataclasses", "inspect")
+_NO_METRIC = ("chartdist.metric", "fractions", "decimal")  # dist prints 2^-level itself
 _DIAG = "copy ; (act(a) ; act(b)) * act(a) ; merge"
 LOADS = [
-    (["dist", "--format", "chart", _CHART_L, _CHART_R], _UNUSED + ("chartdist.diagram",), ()),
+    (["dist", "--format", "chart", _CHART_L, _CHART_R],
+     _UNUSED + _NO_METRIC + ("chartdist.diagram",), ()),
     (["strat", "--format", "chart", _CHART_L, _CHART_R], _UNUSED + ("chartdist.diagram",), ()),
     (["bisim", "--format", "chart", _CHART_L, _CHART_L], _UNUSED + ("chartdist.diagram",), ()),
-    (["dist", FIG_LEFT, FIG_RIGHT], _UNUSED + ("chartdist.diagram",), ()),
+    (["dist", FIG_LEFT, FIG_RIGHT], _UNUSED + _NO_METRIC + ("chartdist.diagram",), ()),
+    (["dist", "--table", FIG_LEFT, FIG_RIGHT], _UNUSED + ("chartdist.diagram",),
+     ("chartdist.metric",)),
     (["compile", FIG_LEFT], _UNUSED + ("chartdist.diagram",), ()),
     (["dist", "--format", "diag", _DIAG, "act(a) ; copy ; act(b) * id(>) ; merge"],
-     _UNUSED + ("chartdist.expr",), ("chartdist.diagram",)),
+     _UNUSED + _NO_METRIC + ("chartdist.expr",), ("chartdist.diagram",)),
     (["compile", "--format", "diag", _DIAG], _UNUSED + ("chartdist.expr",),
      ("chartdist.diagram",)),
     (["derive", "a.a.0", "a.0"],
@@ -807,7 +853,7 @@ LOADS = [
 ]
 WATCHED = ("chartdist.bisim", "chartdist.chart", "chartdist.derive", "chartdist.diagram",
            "chartdist.expr", "chartdist.metric", "chartdist.regbeh",
-           "dataclasses", "inspect", "typing", "pathlib")
+           "dataclasses", "inspect", "typing", "pathlib", "fractions", "decimal")
 
 
 def loaded_after(script, *argv):
@@ -827,7 +873,8 @@ def test_importing_the_command_line_loads_no_core_module():
 
 
 @pytest.mark.parametrize("argv, unloaded, loads", LOADS,
-                         ids=[" ".join(a[:3 if a[1] == "--format" else 1]) for a, _, _ in LOADS])
+                         ids=[" ".join(a[:{"--format": 3, "--table": 2}.get(a[1], 1)])
+                              for a, _, _ in LOADS])
 def test_a_query_loads_only_what_it_runs(argv, unloaded, loads):
     script = ("import sys\nfrom chartdist.cli import main\n"
               "assert main(sys.argv[1:]) == 0\n")

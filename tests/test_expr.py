@@ -19,23 +19,7 @@ from chartdist import (
     parse_expr, step, substitute,
 )
 from chartdist.cli import main
-from helpers import ref_expand, ref_format, ref_parse, ref_step, ref_subst
-
-
-def exprs(max_var=3):
-    leaves = st.one_of(
-        st.just(Zero()),
-        st.builds(Var, st.integers(1, max_var)),
-    )
-    return st.recursive(
-        leaves,
-        lambda sub: st.one_of(
-            st.builds(Prefix, st.sampled_from("abc"), sub),
-            st.builds(Sum, sub, sub),
-            st.builds(Mu, st.integers(1, max_var), sub),
-        ),
-        max_leaves=12,
-    )
+from helpers import exprs, ref_expand, ref_format, ref_parse, ref_step, ref_subst
 
 
 @given(exprs())

@@ -6,11 +6,13 @@ Each case runs in a new interpreter that imports the program from the
 ``src/`` beside this script, as the ``chartdist`` command does: it imports
 ``chartdist.cli`` and calls ``main`` on the case's arguments.  The cases
 are ``import chartdist.cli`` alone, the worked-example expression ``dist``
-of README.md, a chart ``dist``, a ``--format diag`` ``dist``, and a
-``derive`` and a ``check`` of the worked example.  Every round runs
-``python -c pass`` and then each case once, so a slow spell of the machine
-slows all of them alike.  Prints, per case, the best and the median wall
-time over the rounds, and the best minus the best of ``python -c pass``.
+of README.md, the same ``dist --table`` (the only ``dist`` that loads
+``chartdist.metric`` and ``fractions``), a chart ``dist``, a ``--format
+diag`` ``dist``, and a ``derive`` and a ``check`` of the worked example.
+Every round runs ``python -c pass`` and then each case once, so a slow
+spell of the machine slows all of them alike.  Prints, per case, the best
+and the median wall time over the rounds, and the best minus the best of
+``python -c pass``.
 
 The bytecode cache is written once, by an untimed round, into a temporary
 directory that is removed at the end; the script leaves no file behind.
@@ -45,6 +47,7 @@ def cases(cert):
         ("python -c pass", ["-c", "pass"]),
         ("import chartdist.cli", ["-c", "import chartdist.cli"]),
         ("dist, worked example", ["-c", MAIN, "dist", FIG_LEFT, FIG_RIGHT]),
+        ("dist --table", ["-c", MAIN, "dist", "--table", FIG_LEFT, FIG_RIGHT]),
         ("dist --format chart", ["-c", MAIN, "dist", "--format", "chart",
                                  CHART_LEFT, CHART_RIGHT]),
         ("dist --format diag", ["-c", MAIN, "dist", "--format", "diag",
