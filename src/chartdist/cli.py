@@ -118,17 +118,30 @@ def _compare(args):
     return joint, rows, refinement, refinement.least_level(rows)
 
 
+_PIECE = 10 ** 600
+
+
+def _distance(level) -> str:
+    """The distance 2^-level as text: 0 for math.inf, 1 or 1/2^level.
+    2^level prints 600 digits at a time, fewer than the least int-to-text
+    digit limit CPython allows, so every level prints."""
+    if level == math.inf:
+        return "0"
+    n, pieces = 1 << level, []
+    while n >= _PIECE:
+        n, r = divmod(n, _PIECE)
+        pieces.append(f"{r:0600}")
+    return "1" if level == 0 else "1/" + "".join([str(n), *reversed(pieces)])
+
+
 def _cmd_dist(args):
     _, _, refinement, level = _compare(args)
-    if level == math.inf:
-        lines = ["0 (bisimilar)"]
-    elif level == 0:
-        lines = ["1 (level 0)"]
-    else:  # the text of metric.level_distance(level), without loading fractions
-        lines = [f"1/{1 << level} (level {level})"]
-    if args.table:
-        from . import metric
-        lines.append(metric.split_table(refinement).to_tsv().rstrip("\n"))
+    lines = [f"{_distance(level)} ({'bisimilar' if level == math.inf else f'level {level}'})"]
+    if args.table:  # a header row of the states, then one row per state
+        order = refinement.order
+        lines.append("\t".join(["", *map(str, order)]))
+        lines += ["\t".join([str(x), *(_distance(refinement.level(x, y)) for y in order)])
+                  for x in order]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

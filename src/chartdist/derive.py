@@ -183,12 +183,9 @@ def _parse_fraction(value):
     if value[0] != "atom":
         raise CertificateSyntaxError("expected a rational bound", value[2])
     try:
-        eps = Fraction(value[1])
-    except (ValueError, ZeroDivisionError):
-        raise CertificateSyntaxError(f"bad rational {value[1]!r}", value[2])
-    if not FZERO <= eps <= ONE:
-        raise CertificateSyntaxError(f"bound {eps} outside [0, 1]", value[2])
-    return eps
+        return _bound(value[1])
+    except ValueError as e:
+        raise CertificateSyntaxError(str(e), value[2]) from None
 
 
 def _build(head, args, pos):
@@ -343,9 +340,7 @@ def _premises(node, pair, path, rows, beta, refinement):
         raise CertificateError("decomp is only allowed at the root", path)
     if not isinstance(node, CCoupling):
         raise TypeError(f"not a certificate: {node!r}")
-    bx, by = beta.get(x), beta.get(y)
-    if bx is None or by is None:
-        raise CertificateError(f"unknown state {x if bx is None else y!r}", path)
+    bx, by = beta[x], beta[y]
     if frozenset(m1 for m1, _, _ in node.pairs) != bx:
         raise CertificateError(f"left projection differs from the moves of {x!r}", path)
     if frozenset(m2 for _, m2, _ in node.pairs) != by:

@@ -28,7 +28,7 @@ from weakref import ref
 
 from .chart import (
     _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, Prechart, _digits, _Record, _set,
-    _var_index,
+    _valid_letter, _var_index,
 )
 
 __all__ = [
@@ -134,7 +134,7 @@ class Prefix(Expr):
     _fields = ("letter", "body")
 
     def __new__(cls, letter, body):
-        if not (isinstance(letter, str) and len(letter) == 1 and letter in _LETTERS):
+        if not _valid_letter(letter):
             raise ValueError(f"invalid action letter {letter!r}")
         key = (cls, letter, body)
         r = _interned.get(key)

@@ -11,8 +11,7 @@ lifting with sup over the empty set 0 and inf over the empty set 1.
 Every value reachable this way is 0 or a power of two 2^-k: the least
 fixpoint is 2^-level, where level is the last round of the stratified
 refinement (``bisim.Refinement``) at which two states share a block,
-and 0 when they never split.  The command line reads distances off the
-refinement (``level_distance``, ``split_table``).
+and 0 when they never split (``level_distance``).
 
 ``kleene_solve`` is the reference definition, kept for the tests and
 demos: it iterates ``phi`` from the everywhere-1 table.  Bisimilar
@@ -26,14 +25,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bisim import Refinement, quotient, stratified_level
+from .bisim import quotient, stratified_level
 from .chart import MAX_STATES, Chart, Prechart, _Record, state_key
 
 __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
     "kleene_solve", "KleeneResult",
     "bd_stratified", "bd_expressions", "MetricIterationError",
-    "is_dyadic_or_zero", "level_distance", "split_table",
+    "is_dyadic_or_zero", "level_distance",
 ]
 
 HALF = Fraction(1, 2)
@@ -56,16 +55,10 @@ class DistTable:
 
     __slots__ = ("states", "_index", "_values")
 
-    def __init__(self, states, values=None):
+    def __init__(self, states):
         self.states = tuple(sorted(states, key=state_key))
         self._index = {q: i for i, q in enumerate(self.states)}
-        n = len(self.states)
-        if values is None:
-            self._values = [[FZERO] * n for _ in range(n)]
-        else:
-            self._values = [list(row) for row in values]
-            if len(self._values) != n or any(len(r) != n for r in self._values):
-                raise ValueError("value matrix shape mismatch")
+        self._values = [[FZERO] * len(self.states) for _ in self.states]
 
     def _zeros(self) -> "DistTable":
         """An all-zero table over the same states, in the same order."""
@@ -248,19 +241,6 @@ def level_distance(level) -> Fraction:
     if level == math.inf:
         return FZERO
     return Fraction(1, 2 ** level)
-
-
-def split_table(refinement: Refinement) -> DistTable:
-    """Full distance table over a refinement's states, read off its levels.
-
-    Equal to ``kleene_solve(p).table`` for the refined prechart p.
-    """
-    table = DistTable(refinement.order)
-    states = table.states
-    for i, q1 in enumerate(states):
-        for j in range(i + 1, len(states)):
-            table.set(q1, states[j], level_distance(refinement.level(q1, states[j])))
-    return table
 
 
 def bd_stratified(c1: Chart, c2: Chart) -> Fraction:

@@ -124,24 +124,24 @@ def _solve(k: int, body: Expr) -> Expr:
 def rb_dagger(f: RbMorphism) -> RbMorphism:
     """Canonical solution of the system x_i = f_i for f: n -> p+n.
 
-    Row i recurses through variable v(p+i).  A single row is solved by
-    binding its own variable; larger systems eliminate the last row
-    first, substitute its solution into the rest, solve those, and
-    back-substitute.
+    Row i recurses through variable v(p+i).  The rows are eliminated
+    last first, each solved by binding its own variable and substituted
+    into the rows before it; then each solution, first to last, takes
+    the final rows before it for their variables.
     """
     n = f.dom
     p = f.cod - n
     if p < 0:
         raise RbTypeError(f"dagger needs cod >= dom, got {f.dom}->{f.cod}")
-    if n == 0:
-        return RbMorphism(0, p, ())
-    if n == 1:
-        return RbMorphism(1, p, (_solve(p + 1, f.rows[0]),))
-    last = _solve(p + n, f.rows[-1])
-    rest = tuple(substitute(r, [(p + n, last)]) for r in f.rows[:-1])
-    solved = rb_dagger(RbMorphism(n - 1, p + n - 1, rest))
-    back = [(p + i, solved.rows[i - 1]) for i in range(1, n)]
-    return RbMorphism(n, p, solved.rows + (substitute(last, back),))
+    rows, eliminated = list(f.rows), []
+    for k in range(n, 0, -1):
+        last = _solve(p + k, rows.pop())
+        rows = [substitute(r, [(p + k, last)]) for r in rows]
+        eliminated.append(last)
+    solved = []
+    for last in reversed(eliminated):
+        solved.append(substitute(last, list(enumerate(solved, start=p + 1))))
+    return RbMorphism(n, p, tuple(solved))
 
 
 def rb_trace(g: RbMorphism, n: int) -> RbMorphism:

@@ -8,7 +8,10 @@ to disagree with.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from chartdist import (
 )
 from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
 from chartdist.diagram import _close, _fold, _tensor_fold
-from chartdist.regbeh import RbMorphism, leaf_morphism
+from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
 LETTERS = "ab"
 OUTVARS = (1, 2)
@@ -68,6 +71,23 @@ def rand_chart(rng, max_states=8, letters=LETTERS, outvars=OUTVARS):
 def rand_rb(rng, dom, cod, depth=2):
     rows = tuple(rand_expr(rng, maxvar=cod, depth=depth) for _ in range(dom))
     return RbMorphism(dom, cod, rows)
+
+
+def ref_rb_dagger(f):
+    """regbeh.rb_dagger as it was first written, recursing once per row:
+    solve the last row, substitute it into the rest, solve those, and
+    back-substitute."""
+    n = f.dom
+    p = f.cod - n
+    if n == 0:
+        return RbMorphism(0, p, ())
+    if n == 1:
+        return RbMorphism(1, p, (_solve(p + 1, f.rows[0]),))
+    last = _solve(p + n, f.rows[-1])
+    rest = tuple(substitute(r, [(p + n, last)]) for r in f.rows[:-1])
+    solved = ref_rb_dagger(RbMorphism(n - 1, p + n - 1, rest))
+    back = [(p + i, solved.rows[i - 1]) for i in range(1, n)]
+    return RbMorphism(n, p, solved.rows + (substitute(last, back),))
 
 
 def _merge_all(m):
@@ -541,6 +561,15 @@ class RefRefinement:
         return max(self.rounds - 1, 0)
 
 
+def python(script, *argv):
+    """Run script in a fresh interpreter that imports chartdist from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def malformed_charts():
     """The rows of corpus/malformed_charts.json: a chart text that breaks
     one rule of the format, the --alphabet it is read under (or None),
@@ -554,6 +583,14 @@ def malformed_diagrams():
     --alphabet and --max-states they are read under (or None), and the
     exit code and stderr of dist --format diag on them."""
     path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_diagrams.json"
+    return json.loads(path.read_text())
+
+
+def malformed_certificates():
+    """The rows of corpus/malformed_certificates.json: a certificate text,
+    the two inputs it is checked against and their --format, and the exit
+    code and stderr of check on them."""
+    path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_certificates.json"
     return json.loads(path.read_text())
 
 

@@ -20,9 +20,9 @@ import chartdist.expr
 import chartdist.regbeh
 from chartdist import (
     Chart, axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
-    format_chart_text, format_term, from_expression, interpret, kleene_solve,
-    open_chart_pair, parse_chart_text, parse_expr, parse_term, reachable,
-    typecheck,
+    format_chart_text, format_expr, format_term, from_expression, interpret,
+    joint_pair, kleene_solve, open_chart_pair, parse_chart_text, parse_expr, parse_term,
+    reachable, typecheck,
 )
 from chartdist.chart import state_key
 from chartdist.cli import (
@@ -32,7 +32,7 @@ from chartdist.cli import (
 from chartdist.metric import level_distance
 from helpers import (
     brute_distance, brute_related_pairs, corpus_rows, cycle_text, flip_one_act,
-    rand_forward,
+    perturb_expr, python, rand_chart, rand_expr, rand_forward,
 )
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
@@ -43,15 +43,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def python(script, *argv):
-    """Run script in a fresh interpreter that imports chartdist from src/."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
 
 
 def patch_everywhere(patch, original, replacement):
@@ -268,6 +259,34 @@ def test_dist_prints_the_level_distance(capsys):
         assert (code, out) == (EXIT_OK, f"{level_distance(n)} (level {n})\n")
 
 
+def unlimited_text(n):
+    """The decimal text of n, however many digits it has."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_dist_prints_any_level(capsys, monkeypatch):
+    """2^20000 has 6,021 digits, more than CPython turns into text by
+    default; dist prints it whole, in the headline and in every table
+    cell, and leaves the digit limit as it found it."""
+    want = f"1/{unlimited_text(2 ** 20000)}"
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(chartdist.bisim.Refinement, "least_level", lambda self, rows: 20000)
+    code, out, _ = run(capsys, "dist", "a.0", "b.0")
+    assert (code, out) == (EXIT_OK, f"{want} (level 20000)\n")
+    assert len(want) == 2 + 6021
+    monkeypatch.setattr(chartdist.bisim.Refinement, "level", lambda self, x, y: 20000)
+    code, out, _ = run(capsys, "dist", "--table", "a.0", "b.0")
+    _, *rows = out.splitlines()[1:]
+    assert code == EXIT_OK and len(rows) == 3
+    assert all(row.split("\t")[1:] == [want] * 3 for row in rows)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_derive_eps_out_of_range(capsys):
     """--eps is read by its argparse type: a bad bound is a usage error,
     reported ahead of the inputs, even when their boundaries differ."""
@@ -471,6 +490,30 @@ def test_dist_table_matches_kleene_on_cycle_pair(capsys):
     assert code == EXIT_OK
     union, _, _ = disjoint_union(parse_chart_text(left), parse_chart_text(right))
     assert out == "1/16 (level 4)\n" + kleene_solve(union).table.to_tsv()
+
+
+def test_dist_table_matches_kleene_on_random_pairs(capsys):
+    """After its headline, dist --table prints the table of the reference
+    Kleene iteration on the joint prechart of the two inputs: random
+    chart, expression and forward diagram pairs, half of the expressions
+    and diagrams paired with a copy changed in one place."""
+    rng = random.Random(19)
+    cases = []
+    for _ in range(40):
+        cases.append(("chart", parse_chart_text, format_chart_text(rand_chart(rng)),
+                      format_chart_text(rand_chart(rng))))
+        e = rand_expr(rng)
+        f = perturb_expr(rng, e) if rng.random() < 0.5 else rand_expr(rng)
+        cases.append(("expr", parse_expr, format_expr(e), format_expr(f)))
+        m, n = rng.randint(1, 2), rng.randint(0, 2)
+        t = rand_forward(rng, m, n, 3)
+        u = (rng.random() < 0.5 and flip_one_act(rng, t)) or rand_forward(rng, m, n, 3)
+        cases.append(("diag", parse_term, format_term(t), format_term(u)))
+    for fmt, parse, left, right in cases:
+        code, out, _ = run(capsys, "dist", "--table", "--format", fmt, left, right)
+        joint, _ = joint_pair(parse(left), parse(right))
+        assert code == EXIT_OK
+        assert out.split("\n", 1)[1] == kleene_solve(joint).table.to_tsv(), (left, right)
 
 
 # derive output on the same-boundary pairs (i, j) of corpus/pairs.txt, per
@@ -839,8 +882,8 @@ LOADS = [
     (["strat", "--format", "chart", _CHART_L, _CHART_R], _UNUSED + ("chartdist.diagram",), ()),
     (["bisim", "--format", "chart", _CHART_L, _CHART_L], _UNUSED + ("chartdist.diagram",), ()),
     (["dist", FIG_LEFT, FIG_RIGHT], _UNUSED + _NO_METRIC + ("chartdist.diagram",), ()),
-    (["dist", "--table", FIG_LEFT, FIG_RIGHT], _UNUSED + ("chartdist.diagram",),
-     ("chartdist.metric",)),
+    (["dist", "--table", FIG_LEFT, FIG_RIGHT],
+     _UNUSED + _NO_METRIC + ("chartdist.diagram",), ()),
     (["compile", FIG_LEFT], _UNUSED + ("chartdist.diagram",), ()),
     (["dist", "--format", "diag", _DIAG, "act(a) ; copy ; act(b) * id(>) ; merge"],
      _UNUSED + _NO_METRIC + ("chartdist.expr",), ("chartdist.diagram",)),

@@ -15,8 +15,10 @@ from chartdist import (
     joint_prechart, parse_cert, parse_chart_text, parse_expr, parse_term,
     synthesize, typecheck,
 )
+from chartdist.cli import EXIT_PARSE, EXIT_REJECTED, main
 from helpers import (
-    corpus_rows, cycle_text, flip_one_act, perturb_expr, rand_expr, rand_forward,
+    corpus_rows, cycle_text, flip_one_act, malformed_certificates, perturb_expr, rand_expr,
+    rand_forward,
 )
 
 AA0 = parse_expr("a.a.0")
@@ -69,6 +71,34 @@ def test_parse_rejects_malformed():
             parse_cert(text)
         assert str(info.value) == f"{message} (at offset {offset})", text
         assert info.value.position == offset
+
+
+PARSERS = {"expr": parse_expr, "chart": parse_chart_text, "diag": parse_term}
+
+
+def certificate_error(row):
+    """The exit code and message of the first failure of reading the
+    row's certificate and checking it against its two inputs."""
+    parse = PARSERS[row["format"]]
+    try:
+        check(parse_cert(row["cert"]), parse(row["left"]), parse(row["right"]))
+    except CertificateSyntaxError as e:
+        return EXIT_PARSE, str(e)
+    except CertificateError as e:
+        return EXIT_REJECTED, str(e)
+    raise AssertionError("the row has no error")
+
+
+@pytest.mark.parametrize("row", malformed_certificates(),
+                         ids=lambda row: re.sub(r"\W+", "-", row["stderr"]).strip("-"))
+def test_certificate_errors_are_pinned(row, capsys):
+    """Every CertificateSyntaxError and CertificateError message: by
+    parse_cert and check, and by the command line."""
+    code, message = certificate_error(row)
+    assert (code, f"error: {message}\n") == (row["code"], row["stderr"])
+    argv = ["check", "--format", row["format"], row["cert"], row["left"], row["right"]]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", row["stderr"])
 
 
 def test_readme_lists_exactly_the_certificate_heads():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartdist import Mu, Prefix, Var, alpha_equivalent, parse_expr
 from chartdist.regbeh import (
@@ -12,7 +14,7 @@ from chartdist.regbeh import (
     int_unit, rb_codiagonal, rb_compose, rb_dagger, rb_id, rb_inl, rb_inr,
     rb_oplus, rb_pair, rb_sym, rb_trace, rb_zero,
 )
-from helpers import rand_rb
+from helpers import python, rand_rb, ref_rb_dagger
 
 
 def rows_alpha_equal(f, g):
@@ -91,6 +93,28 @@ def test_dagger_golden_cases():
     assert rb_dagger(g) == RbMorphism(1, 1, (Var(1),))
     with pytest.raises(RbTypeError):
         rb_dagger(RbMorphism(2, 1, (Var(1), Var(1))))
+
+
+@given(st.randoms(use_true_random=False), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_dagger_matches_the_recursive_reference(rng, n, p):
+    f = rand_rb(rng, n, p + n)
+    assert rb_dagger(f) == ref_rb_dagger(f)
+
+
+def test_dagger_depth_does_not_grow_with_the_wires():
+    # a 300-wire identity composed with itself, interpreted under a
+    # recursion limit of 250: the trace solves a 300-row system
+    script = (
+        "import sys\n"
+        "from chartdist import diagram_distance, parse_term\n"
+        "wires = 'id(' + '>' * 300 + ')'\n"
+        "left, right = parse_term(wires + ' ; ' + wires), parse_term(wires)\n"
+        "sys.setrecursionlimit(250)\n"
+        "print(diagram_distance(left, right))\n"
+    )
+    done = python(script)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
 
 
 def test_dagger_fixpoint_law():

@@ -5,9 +5,12 @@
 For each seed, runs every probe and query of the ``charts``, ``exprs`` and
 ``certify`` workloads of ``perfbench/``, then ``axioms`` and ``axioms
 --check``, then ``dist`` and ``bisim --format chart`` on each malformed
-chart text of ``corpus/malformed_charts.json`` and ``dist`` and ``bisim
---format diag`` on each row of ``corpus/malformed_diagrams.json``, through
-``chartdist.cli.main`` in this process.  A ``CertOf``
+chart text of ``corpus/malformed_charts.json``, ``dist`` and ``bisim
+--format diag`` on each row of ``corpus/malformed_diagrams.json``, ``dist
+--table`` on every two rows of ``corpus/pairs.txt`` in both formats and on
+the cycle charts of ``workloads.cycle`` with n and n + 1 states for n = 2
+to 12, and ``check`` on each row of ``corpus/malformed_certificates.json``,
+through ``chartdist.cli.main`` in this process.  A ``CertOf``
 placeholder is filled as ``perfbench/run.py`` fills it: with the output of
 the ``derive`` it names, once that output has been judged right.  Prints
 the number of calls and one SHA-256 over each call's argv, exit code,
@@ -15,8 +18,9 @@ stdout and stderr, so two checkouts that print the same line answer all of
 those calls byte for byte alike.
 
 Run it from anywhere: it imports the program from the ``src/`` and the
-workloads from the ``perfbench/`` beside it, reads the chart and diagram
-texts from the ``corpus/`` beside it, and writes no file.
+workloads from the ``perfbench/`` beside it, reads the chart, diagram,
+expression and certificate texts from the ``corpus/`` beside it, and
+writes no file.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -33,6 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import chartdist  # noqa: E402
 import chartdist.cli  # noqa: E402
+import oracle  # noqa: E402  (perfbench/oracle.py)
 import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
 
@@ -90,6 +96,26 @@ def malformed_diagram_calls():
             yield [command, "--format", "diag", *flags, row["left"], row["right"]]
 
 
+def table_calls():
+    """argv of dist --table on every two rows of corpus/pairs.txt, in both
+    formats, and on the cycle charts with n and n + 1 states."""
+    lines = [l.strip() for l in (ROOT / "corpus" / "pairs.txt").read_text().splitlines()]
+    rows = [l.split("\t") for l in lines if l and not l.startswith("#")]
+    for (e1, d1), (e2, d2) in itertools.combinations(rows, 2):
+        yield ["dist", "--table", e1, e2]
+        yield ["dist", "--table", "--format", "diag", d1, d2]
+    for n in range(2, 13):
+        yield ["dist", "--table", "--format", "chart",
+               *(oracle.chart_text(workloads.cycle(k)) for k in (n, n + 1))]
+
+
+def certificate_calls():
+    """argv of check on each row of the certificate corpus."""
+    rows = json.loads((ROOT / "corpus" / "malformed_certificates.json").read_text())
+    for row in rows:
+        yield ["check", "--format", row["format"], row["cert"], row["left"], row["right"]]
+
+
 def main(argv=None):
     seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)] or [1, 2, 3]
     digest = hashlib.sha256()
@@ -102,7 +128,7 @@ def main(argv=None):
                     digest.update(repr((args, outcome)).encode())
                     calls += 1
     for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls(),
-                 *malformed_diagram_calls()):
+                 *malformed_diagram_calls(), *table_calls(), *certificate_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")

@@ -6,8 +6,7 @@ Each case runs in a new interpreter that imports the program from the
 ``src/`` beside this script, as the ``chartdist`` command does: it imports
 ``chartdist.cli`` and calls ``main`` on the case's arguments.  The cases
 are ``import chartdist.cli`` alone, the worked-example expression ``dist``
-of README.md, the same ``dist --table`` (the only ``dist`` that loads
-``chartdist.metric`` and ``fractions``), a chart ``dist``, a ``--format
+of README.md, the same ``dist --table``, a chart ``dist``, a ``--format
 diag`` ``dist``, and a ``derive`` and a ``check`` of the worked example.
 Every round runs ``python -c pass`` and then each case once, so a slow
 spell of the machine slows all of them alike.  Prints, per case, the best
