@@ -9,9 +9,9 @@ let outputs feed back into inputs, which is how loops arise.
 """
 
 from chartdist import (
-    axiom_catalog, bend, c1_copy_pair, check_axiom, diagram_distance, expand,
+    axiom_catalog, bend, c1_copy_pair, diagram_distance, expand,
     format_chart_text, format_term, from_expression, interpret, parse_term,
-    typecheck,
+    semantic_equal, typecheck,
 )
 
 # a diagram and its boundary words ('>' forward wire, '<' backward)
@@ -43,11 +43,11 @@ print()
 
 # the axiom catalogue: every equation holds semantically
 for name, lhs, rhs in axiom_catalog():
-    assert check_axiom(lhs, rhs)
+    assert semantic_equal(lhs, rhs)
     print(f"  {name}: {format_term(lhs)}  =  {format_term(rhs)}")
 
 # and the deliberately wrong variant of the action law fails
 bad_l, bad_r = c1_copy_pair()
 print()
-print("copy variant fails:", not check_axiom(bad_l, bad_r),
+print("copy variant fails:", not semantic_equal(bad_l, bad_r),
       " (distance", str(diagram_distance(bad_l, bad_r)) + ")")

@@ -9,7 +9,8 @@ partition refinement, ``Refinement``, which keeps its split history:
 the level of a pair is the last round at which it shares a block, and
 the distance modules read 2^-level off it.  ``joint_pair`` puts two
 inputs of one kind, expressions, charts or diagram terms, into the one
-prechart that every two-input query refines.
+prechart that every two-input query refines, and ``_refine_pair``, the
+one refinement step behind all of them, refines it.
 """
 
 from __future__ import annotations
@@ -198,14 +199,24 @@ def witness_pairs(refinement: Refinement, left, right) -> frozenset:
                      for other in by_class.get(m[x], ()))
 
 
+def _refine_pair(f, g, max_states=MAX_STATES):
+    """The one refinement step of every two-input query: the joint
+    prechart of two inputs of one kind (see joint_pair), the seed pair of
+    each row, and one Refinement of the joint, which computes a level
+    only when asked for it."""
+    joint, rows = joint_pair(f, g, max_states)
+    return joint, rows, Refinement(joint)
+
+
 def bisimilar(c1: Chart, c2: Chart):
     """Decide bisimilarity of two charts' start states.
 
     Returns (True, witness relation on original state ids) or
     (False, n) where n is the least level at which the starts separate.
     """
-    union, s1, s2 = disjoint_union(c1, c2)
-    refinement = Refinement(union)
+    if not (isinstance(c1, Chart) and isinstance(c2, Chart)):
+        raise TypeError("expected two charts")
+    _, [(s1, s2)], refinement = _refine_pair(c1, c2)
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
@@ -213,14 +224,15 @@ def bisimilar(c1: Chart, c2: Chart):
                                {f"R:{q}": q for q in c2.states})
 
 
-def stratified_level(c1: Chart, c2: Chart):
-    """Largest n with the starts related at level n; math.inf when bisimilar.
+def stratified_level(f, g, max_states=MAX_STATES):
+    """Largest n with two inputs of one kind (see joint_pair) related at
+    level n in every row; math.inf when bisimilar.
 
     Level 0 is the total relation; level n+1 requires equal outputs and
     transition matching into level n.
     """
-    union, s1, s2 = disjoint_union(c1, c2)
-    return Refinement(union).level(s1, s2)
+    _, rows, refinement = _refine_pair(f, g, max_states)
+    return refinement.least_level(rows)
 
 
 def quotient(p: Prechart):

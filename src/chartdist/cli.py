@@ -107,14 +107,17 @@ def _load(arg, args):
     return expr.parse_expr(text, alphabet=args.alphabet)
 
 
+def _inputs(args):
+    """The left and the right input, loaded in that order."""
+    return _load(args.left, args), _load(args.right, args)
+
+
 def _compare(args):
     """One refinement of both inputs: the joint prechart, the seed pair
     of each row, the refinement, and the least level of the rows
     (math.inf when all are bisimilar)."""
     from . import bisim
-    joint, rows = bisim.joint_pair(_load(args.left, args), _load(args.right, args),
-                                   max_states=args.max_states)
-    refinement = bisim.Refinement(joint)
+    joint, rows, refinement = bisim._refine_pair(*_inputs(args), args.max_states)
     return joint, rows, refinement, refinement.least_level(rows)
 
 
@@ -177,7 +180,8 @@ def _cmd_bisim(args):
 
 
 def _cmd_strat(args):
-    level = _compare(args)[3]
+    from . import bisim
+    level = bisim.stratified_level(*_inputs(args), args.max_states)
     return EXIT_OK, ("inf" if level == math.inf else str(level)) + "\n"
 
 
@@ -202,16 +206,14 @@ def _cmd_compile(args):
 
 def _cmd_derive(args):
     from . import derive
-    cert = derive.synthesize(_load(args.left, args), _load(args.right, args),
-                             eps=args.eps, max_states=args.max_states)
+    cert = derive.synthesize(*_inputs(args), eps=args.eps, max_states=args.max_states)
     return EXIT_OK, derive.format_cert(cert) + "\n"
 
 
 def _cmd_check(args):
     from . import derive
     cert = derive.parse_cert(_resolve(args.cert))
-    bound = derive.check(cert, _load(args.left, args), _load(args.right, args),
-                         max_states=args.max_states)
+    bound = derive.check(cert, *_inputs(args), max_states=args.max_states)
     return EXIT_OK, f"{bound}\n"
 
 
@@ -237,89 +239,66 @@ def _cmd_axioms(args):
         return EXIT_OK, "\n".join(lines) + "\n"
     ok = True
     for name, lhs, rhs in diagram.axiom_catalog():
-        holds = diagram.check_axiom(lhs, rhs)
+        holds = diagram.semantic_equal(lhs, rhs)
         ok = ok and holds
         lines.append(f"{name}: {'holds' if holds else 'FAILS'}")
     lhs, rhs = diagram.c1_copy_pair()
-    control = diagram.check_axiom(lhs, rhs)
+    control = diagram.semantic_equal(lhs, rhs)
     ok = ok and not control
     lines.append("act-copy: "
                  + ("fails as expected" if not control else "UNEXPECTEDLY HOLDS"))
     return (EXIT_OK if ok else EXIT_REJECTED), "\n".join(lines) + "\n"
 
 
-def _add_common(sub):
-    from .chart import MAX_STATES
-    sub.add_argument("--format", choices=["expr", "diag", "chart"], default="expr",
-                     help="input syntax (default %(default)s)")
-    sub.add_argument("--alphabet", type=_alphabet, default=None,
-                     help="restrict expression letters, e.g. 'a,b'")
-    sub.add_argument("--max-states", type=_state_budget, default=MAX_STATES,
-                     help="state budget for expansions (default %(default)s)")
-    sub.add_argument("-o", dest="output", default=None, metavar="FILE",
-                     help="write the report to FILE instead of stdout")
+# Each subcommand once: its name, help, positionals, own options, the
+# function that runs it, and whether it takes the input options.
+_COMMANDS = (
+    ("dist", "exact distance and stratified level", ("left", "right"),
+     {"--table": dict(action="store_true",
+                      help="also dump the full distance table as TSV")},
+     _cmd_dist, True),
+    ("bisim", "bisimilarity with witness dump", ("left", "right"), {}, _cmd_bisim, True),
+    ("strat", "largest level n with s1 ~(n) s2", ("left", "right"), {}, _cmd_strat, True),
+    ("compile", "expression, diagram or chart to chart text", ("input",), {},
+     _cmd_compile, True),
+    ("derive", "synthesize a distance certificate", ("left", "right"),
+     {"--eps": dict(type=_eps, default=None, metavar="p/q",
+                    help="requested bound (default: the exact distance)")},
+     _cmd_derive, True),
+    ("check", "validate a distance certificate", ("cert", "left", "right"), {},
+     _cmd_check, True),
+    ("render", "DOT output for an input", ("input",), {}, _cmd_render, True),
+    ("axioms", "list or check the axiom catalogue", (),
+     {"--check": dict(action="store_true",
+                      help="verify every axiom and the negative control")},
+     _cmd_axioms, False),
+)
 
 
 @functools.cache
 def _build_parser():
+    from .chart import MAX_STATES
     parser = argparse.ArgumentParser(
         prog="chartdist",
         description="Exact behavioural distances, bisimilarity, diagram "
                     "compilation, and distance certificates.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("dist", help="exact distance and stratified level")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--table", action="store_true",
-                   help="also dump the full distance table as TSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_dist)
-
-    p = subs.add_parser("bisim", help="bisimilarity with witness dump")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bisim)
-
-    p = subs.add_parser("strat", help="largest level n with s1 ~(n) s2")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=_cmd_strat)
-
-    p = subs.add_parser("compile",
-                        help="expression, diagram or chart to chart text")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compile)
-
-    p = subs.add_parser("derive", help="synthesize a distance certificate")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--eps", type=_eps, default=None, metavar="p/q",
-                   help="requested bound (default: the exact distance)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_derive)
-
-    p = subs.add_parser("check", help="validate a distance certificate")
-    p.add_argument("cert")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = subs.add_parser("render", help="DOT output for an input")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=_cmd_render)
-
-    p = subs.add_parser("axioms", help="list or check the axiom catalogue")
-    p.add_argument("--check", action="store_true",
-                   help="verify every axiom and the negative control")
-    p.add_argument("-o", dest="output", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_axioms)
-
+    for name, summary, positionals, options, func, inputs in _COMMANDS:
+        p = subs.add_parser(name, help=summary)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        if inputs:
+            p.add_argument("--format", choices=["expr", "diag", "chart"], default="expr",
+                           help="input syntax (default %(default)s)")
+            p.add_argument("--alphabet", type=_alphabet, default=None,
+                           help="restrict expression letters, e.g. 'a,b'")
+            p.add_argument("--max-states", type=_state_budget, default=MAX_STATES,
+                           help="state budget for expansions (default %(default)s)")
+        p.add_argument("-o", dest="output", default=None, metavar="FILE",
+                       help="write the report to FILE instead of stdout" if inputs else None)
+        p.set_defaults(func=func)
     return parser
 
 

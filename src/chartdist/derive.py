@@ -35,7 +35,7 @@ import math
 import re
 from fractions import Fraction
 
-from .bisim import Refinement, joint_pair, joint_prechart
+from .bisim import _refine_pair, joint_pair, joint_prechart
 from .chart import MAX_STATES, _Record, _set, _valid_letter, _var_index, move_key
 from .metric import FZERO, ONE, level_distance, lift_edge
 
@@ -364,9 +364,8 @@ def check(cert, f, g, max_states=MAX_STATES) -> Fraction:
     """Validate a certificate for two inputs of one kind (see joint_pair);
     the certified bound.  Nodes are checked depth first, left to right,
     and the first failure is raised."""
-    joint, rows = joint_pair(f, g, max_states)
+    joint, rows, refinement = _refine_pair(f, g, max_states)
     beta = joint.beta()
-    refinement = Refinement(joint)
     todo = [(cert, None, "cert")]
     while todo:
         item = todo.pop()
@@ -389,9 +388,9 @@ class _Synthesizer:
     and (top) when p is 0.
     """
 
-    def __init__(self, prechart):
+    def __init__(self, prechart, refinement):
         self.beta = prechart.beta()
-        self.refinement = Refinement(prechart)
+        self.refinement = refinement
         self.memo = {}
 
     def rank(self, m1, m2, p):
@@ -459,9 +458,9 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
     """
     if eps is not None:
         eps = _bound(eps)
-    joint, pairs = joint_pair(f, g, max_states)
-    syn = _Synthesizer(joint)
-    levels = [syn.refinement.level(x, y) for x, y in pairs]
+    joint, pairs, refinement = _refine_pair(f, g, max_states)
+    syn = _Synthesizer(joint, refinement)
+    levels = [refinement.level(x, y) for x, y in pairs]
     distance = level_distance(min(levels, default=math.inf))
     if eps is not None and eps < distance:
         raise SynthesisFailure(

@@ -15,8 +15,8 @@ gives all occurrences of a leaf one object; ``typecheck`` serves
 ``bend``, ``loop1``, ``component``, ``render`` and the reference path.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
-behind ``diagram_distance``, ``semantic_equal`` and ``check_axiom``, and
-the only way into regbeh, which it imports when it is called.
+behind ``diagram_distance`` and ``semantic_equal``, and the only way
+into regbeh, which it imports when it is called.
 Parsing, typing, printing, comparing, hashing and both semantics walk a
 term with an explicit stack, never by recursion.
 """
@@ -36,7 +36,7 @@ __all__ = [
     "parse_term", "format_term", "term_to_dot",
     "bend", "component", "diagram_distance", "semantic_equal",
     "from_expression", "zip_merge", "loop1",
-    "axiom_catalog", "c1_copy_pair", "check_axiom",
+    "axiom_catalog", "c1_copy_pair",
 ]
 
 FORWARD = ">"
@@ -843,6 +843,3 @@ def c1_copy_pair():
     return (Seq(Act(a), Copy()),
             Seq(Copy(), Tensor(Act(a), Act(a))))
 
-
-def check_axiom(lhs, rhs) -> bool:
-    return semantic_equal(lhs, rhs)

@@ -26,12 +26,12 @@ import math
 from fractions import Fraction
 
 from .bisim import quotient, stratified_level
-from .chart import MAX_STATES, Chart, Prechart, _Record, state_key
+from .chart import MAX_STATES, Prechart, _Record, state_key
 
 __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
     "kleene_solve", "KleeneResult",
-    "bd_stratified", "bd_expressions", "MetricIterationError",
+    "bd_stratified", "MetricIterationError",
     "is_dyadic_or_zero", "level_distance",
 ]
 
@@ -243,16 +243,9 @@ def level_distance(level) -> Fraction:
     return Fraction(1, 2 ** level)
 
 
-def bd_stratified(c1: Chart, c2: Chart) -> Fraction:
-    """Distance between two charts' starts via the stratification level.
-
-    Bisimilar charts are at distance 0; otherwise the distance is 2^-n
-    for the largest n at which the starts are still related.
+def bd_stratified(f, g, max_states=MAX_STATES) -> Fraction:
+    """Distance between two inputs of one kind (see bisim.joint_pair) via
+    the stratification level: 0 when bisimilar, otherwise 2^-n for the
+    largest n at which every row is still related.
     """
-    return level_distance(stratified_level(c1, c2))
-
-
-def bd_expressions(e1, e2, max_states: int = MAX_STATES) -> Fraction:
-    """Distance between two expressions' expanded charts."""
-    from .expr import expand  # loaded by whoever built e1 and e2
-    return bd_stratified(expand(e1, max_states), expand(e2, max_states))
+    return level_distance(stratified_level(f, g, max_states))

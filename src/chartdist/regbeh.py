@@ -16,8 +16,8 @@ around the two payloads, and for composition a trace of the plugged
 wires.  Their payload rows grow with the nesting of a diagram; this
 module is the reference semantics that the tests and the benchmark's
 answers use, and ``axioms --check`` is the one command that runs it,
-through ``check_axiom`` and ``semantic_equal``, which import it when
-called; ``leaf_morphism`` interprets each leaf of a diagram.
+through ``semantic_equal``, which imports it when called;
+``leaf_morphism`` interprets each leaf of a diagram.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .chart import _Record, _set
 from .diagram import Act, Cap, Copy, Cup, Del, Gen, Id, Merge, _word_object
 from .expr import ZERO, Expr, Mu, Prefix, Sum, Var, free_vars, substitute
-from .metric import FZERO, bd_expressions
+from .metric import FZERO, bd_stratified
 
 __all__ = [
     "RbMorphism", "IntMorphism", "RbTypeError",
@@ -161,7 +161,7 @@ def homset_distance(f: RbMorphism, g: RbMorphism) -> Fraction:
         raise RbTypeError("distance requires equal interfaces")
     worst = FZERO
     for r1, r2 in zip(f.rows, g.rows):
-        d = bd_expressions(r1, r2)
+        d = bd_stratified(r1, r2)
         if d > worst:
             worst = d
     return worst

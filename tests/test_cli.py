@@ -1,12 +1,14 @@
 """End-to-end command line behaviour, including exit codes."""
 
 import inspect
+import math
 import os
 import random
 import re
 import shlex
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +21,10 @@ import chartdist.diagram
 import chartdist.expr
 import chartdist.regbeh
 from chartdist import (
-    Chart, axiom_catalog, bisimilar, diagram_distance, disjoint_union, expand,
-    format_chart_text, format_expr, format_term, from_expression, interpret,
-    joint_pair, kleene_solve, open_chart_pair, parse_chart_text, parse_expr, parse_term,
-    reachable, typecheck,
+    Chart, Prefix, axiom_catalog, bd_stratified, bisimilar, diagram_distance, disjoint_union,
+    expand, format_chart_text, format_expr, format_term, free_vars, from_expression,
+    interpret, joint_pair, kleene_solve, open_chart_pair, parse_chart_text, parse_expr,
+    parse_term, reachable, stratified_level, typecheck,
 )
 from chartdist.chart import state_key
 from chartdist.cli import (
@@ -54,8 +56,9 @@ def patch_everywhere(patch, original, replacement):
                     patch.setattr(module, name, replacement)
 
 
-def run_counting_refinements(monkeypatch, capsys, *argv):
-    """Run a command; its (code, out, err) and how many Refinements it built."""
+@contextmanager
+def counting_refinements(monkeypatch):
+    """A list of the precharts of the Refinements built inside the block."""
     built = []
     original = chartdist.bisim.Refinement
 
@@ -66,6 +69,12 @@ def run_counting_refinements(monkeypatch, capsys, *argv):
 
     with monkeypatch.context() as patch:
         patch_everywhere(patch, original, CountedRefinement)
+        yield built
+
+
+def run_counting_refinements(monkeypatch, capsys, *argv):
+    """Run a command; its (code, out, err) and how many Refinements it built."""
+    with counting_refinements(monkeypatch) as built:
         result = run(capsys, *argv)
     return result, len(built)
 
@@ -443,6 +452,61 @@ def test_every_query_builds_one_refinement(capsys, monkeypatch, command, fmt):
         assert code == (EXIT_USAGE if out.startswith("not bisimilar") else EXIT_OK)
         if command == "dist":
             assert out == want
+
+
+def test_every_library_view_builds_one_refinement(monkeypatch):
+    for left, right, level in ((FIG_LEFT, FIG_RIGHT, 2),
+                               ("mu v1.a.v1", "mu v1.a.a.v1", math.inf)):
+        e, f = parse_expr(left), parse_expr(right)
+        kinds = {"expr": (e, f), "chart": (expand(e), expand(f)),
+                 "diag": (from_expression(e, 0), from_expression(f, 0))}
+        for kind, pair in kinds.items():
+            for view, want in ((stratified_level, level),
+                               (bd_stratified, 0 if level == math.inf else Fraction(1, 4))):
+                with counting_refinements(monkeypatch) as built:
+                    got = view(*pair)
+                assert (got, len(built)) == (want, 1), (view.__name__, kind)
+        with counting_refinements(monkeypatch) as built:
+            ok, _ = bisimilar(*kinds["chart"])
+        assert (ok, len(built)) == (level == math.inf, 1)
+
+
+def test_routes_agree_on_random_expression_pairs(capsys):
+    # an expression pair, its expanded or compiled charts, and its
+    # from_expression diagrams at the width of the pair's largest variable
+    # give one level and one distance in the library, and one dist and
+    # strat output and one bisim exit code on the command line; every
+    # third pair goes under a common prefix of 1 to 3 letters, which
+    # raises its level by as many
+    rng = random.Random(2020)
+    seen = []
+    for i in range(240):
+        e = rand_expr(rng)
+        f = perturb_expr(rng, e) if i % 2 else rand_expr(rng)
+        for _ in range(rng.randint(1, 3) if i % 3 == 0 else 0):
+            a = rng.choice("ab")
+            e, f = Prefix(a, e), Prefix(a, f)
+        n = max(free_vars(e) | free_vars(f), default=0)
+        kinds = {"expr": (e, f), "chart": (expand(e), expand(f)),
+                 "diag": (from_expression(e, n), from_expression(f, n))}
+        level = stratified_level(e, f)
+        for kind, pair in kinds.items():
+            assert stratified_level(*pair) == level, (i, kind)
+            assert bd_stratified(*pair) == level_distance(level), (i, kind)
+        texts = {"expr": (format_expr(e), format_expr(f)),
+                 "chart": tuple(run(capsys, "compile", format_expr(x))[1] for x in (e, f)),
+                 "diag": tuple(map(format_term, kinds["diag"]))}
+        answers = {kind: (run(capsys, "dist", "--format", kind, *pair)[1],
+                          run(capsys, "strat", "--format", kind, *pair)[1],
+                          run(capsys, "bisim", "--format", kind, *pair)[0])
+                   for kind, pair in texts.items()}
+        verdict = "bisimilar" if level == math.inf else f"level {level}"
+        want = (f"{level_distance(level)} ({verdict})\n",
+                "inf\n" if level == math.inf else f"{level}\n",
+                EXIT_OK if level == math.inf else EXIT_USAGE)
+        assert set(answers.values()) == {want}, (i, answers)
+        seen.append(level)
+    assert seen.count(math.inf) >= 25 and sum(1 <= l <= 4 for l in seen) >= 80, seen
 
 
 def test_dist_table_shares_expression_states(capsys):

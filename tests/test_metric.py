@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from chartdist import (
-    Chart, DistTable, Refinement, bd_expressions,
+    Chart, DistTable, Refinement,
     bd_stratified, coarsest_partition, disjoint_union, expand, hausdorff,
     is_dyadic_or_zero, kleene_solve, level_distance, lift_edge, parse_expr, phi,
     quotient,
@@ -38,7 +38,7 @@ KNOWN_DISTANCES = [
 
 @pytest.mark.parametrize("left,right,want", KNOWN_DISTANCES)
 def test_known_distances(left, right, want):
-    assert bd_expressions(parse_expr(left), parse_expr(right)) == want
+    assert bd_stratified(parse_expr(left), parse_expr(right)) == want
 
 
 def test_known_distances_match_brute_oracle():
@@ -182,7 +182,7 @@ def test_pseudometric_laws_on_expressions():
     for _ in range(60):
         e, f, g = (rand_expr(rng) for _ in range(3))
         def d(x, y):
-            return bd_expressions(x, y)
+            return bd_stratified(x, y)
         assert d(e, e) == 0
         assert d(e, f) == d(f, e)
         assert d(e, g) <= d(e, f) + d(f, g)
@@ -193,8 +193,8 @@ def test_prefix_halves_distance():
     from chartdist import Prefix
     for _ in range(60):
         e, f = rand_expr(rng), rand_expr(rng)
-        base = bd_expressions(e, f)
-        stepped = bd_expressions(Prefix("a", e), Prefix("a", f))
+        base = bd_stratified(e, f)
+        stepped = bd_stratified(Prefix("a", e), Prefix("a", f))
         assert stepped == base / 2
 
 
@@ -205,14 +205,14 @@ def test_substitution_is_nonexpansive():
         e, f = rand_expr(rng), rand_expr(rng)
         g1, h1 = rand_expr(rng, depth=2), rand_expr(rng, depth=2)
         g2, h2 = rand_expr(rng, depth=2), rand_expr(rng, depth=2)
-        left = bd_expressions(
+        left = bd_stratified(
             substitute(e, [(1, g1), (2, g2)]),
             substitute(f, [(1, h1), (2, h2)]),
         )
         bound = max(
-            bd_expressions(e, f),
-            bd_expressions(g1, h1),
-            bd_expressions(g2, h2),
+            bd_stratified(e, f),
+            bd_stratified(g1, h1),
+            bd_stratified(g2, h2),
         )
         assert left <= bound
 

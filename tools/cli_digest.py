@@ -9,7 +9,9 @@ chart text of ``corpus/malformed_charts.json``, ``dist`` and ``bisim
 --format diag`` on each row of ``corpus/malformed_diagrams.json``, ``dist
 --table`` on every two rows of ``corpus/pairs.txt`` in both formats and on
 the cycle charts of ``workloads.cycle`` with n and n + 1 states for n = 2
-to 12, and ``check`` on each row of ``corpus/malformed_certificates.json``,
+to 12, ``check`` on each row of ``corpus/malformed_certificates.json``,
+and last the parser's own answers: ``--help``, no arguments at all, and
+each of the eight commands with ``--help`` and with no arguments, all
 through ``chartdist.cli.main`` in this process.  A ``CertOf``
 placeholder is filled as ``perfbench/run.py`` fills it: with the output of
 the ``derive`` it names, once that output has been judged right.  Prints
@@ -41,6 +43,8 @@ import chartdist.cli  # noqa: E402
 import oracle  # noqa: E402  (perfbench/oracle.py)
 import run as bench  # noqa: E402  (perfbench/run.py)
 import workloads  # noqa: E402
+
+COMMANDS = ("dist", "bisim", "strat", "compile", "derive", "check", "render", "axioms")
 
 
 def call(argv):
@@ -116,6 +120,14 @@ def certificate_calls():
         yield ["check", "--format", row["format"], row["cert"], row["left"], row["right"]]
 
 
+def parser_calls():
+    """argv of the root and of each command, with --help and with no
+    arguments, whose usage, help and error texts argparse prints."""
+    for prefix in ([], *([c] for c in COMMANDS)):
+        yield [*prefix, "--help"]
+        yield prefix
+
+
 def main(argv=None):
     seeds = [int(s) for s in (sys.argv[1:] if argv is None else argv)] or [1, 2, 3]
     digest = hashlib.sha256()
@@ -128,7 +140,8 @@ def main(argv=None):
                     digest.update(repr((args, outcome)).encode())
                     calls += 1
     for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls(),
-                 *malformed_diagram_calls(), *table_calls(), *certificate_calls()):
+                 *malformed_diagram_calls(), *table_calls(), *certificate_calls(),
+                 *parser_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
