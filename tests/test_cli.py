@@ -346,6 +346,19 @@ def test_budget_exit(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("fmt, left, right, what", [
+    ("expr", "a.0", "b.0", "expansion"),
+    ("diag", "act(a) ; del", "act(b) ; del", "open chart"),
+])
+def test_budget_is_per_input(capsys, fmt, left, right, what):
+    """--max-states bounds the states each input reaches, not the joint:
+    each side here reaches 2 states, and the joint has more."""
+    assert run(capsys, "dist", "--format", fmt, "--max-states", "2", left, right) == \
+        (EXIT_OK, "1 (level 0)\n", "")
+    assert run(capsys, "dist", "--format", fmt, "--max-states", "1", left, right) == \
+        (EXIT_BUDGET, "", f"error: {what} exceeded 1 states\n")
+
+
 @pytest.mark.parametrize("command", ["dist", "bisim", "strat", "derive", "check"])
 def test_diagram_boundary_mismatch(capsys, command):
     cert = ["(top)"] if command == "check" else []

@@ -9,7 +9,11 @@ chart text of ``corpus/malformed_charts.json``, ``dist`` and ``bisim
 --format diag`` on each row of ``corpus/malformed_diagrams.json``, ``dist
 --table`` on every two rows of ``corpus/pairs.txt`` in both formats and on
 the cycle charts of ``workloads.cycle`` with n and n + 1 states for n = 2
-to 12, ``check`` on each row of ``corpus/malformed_certificates.json``,
+to 12, then ``bisim``, ``strat``, ``derive`` and ``check`` of the derived
+certificate on those same rows in both formats, ``compile`` of each row in
+both formats, and ``bisim``, ``derive`` and ``check`` of the derived
+certificate on those same cycle charts, then ``check`` on each row of
+``corpus/malformed_certificates.json``,
 and last the parser's own answers: ``--help``, no arguments at all, and
 each of the eight commands with ``--help`` and with no arguments, all
 through ``chartdist.cli.main`` in this process.  A ``CertOf``
@@ -100,17 +104,56 @@ def malformed_diagram_calls():
             yield [command, "--format", "diag", *flags, row["left"], row["right"]]
 
 
+def corpus_rows():
+    """The (expression, diagram) text pairs of corpus/pairs.txt."""
+    lines = [l.strip() for l in (ROOT / "corpus" / "pairs.txt").read_text().splitlines()]
+    return [l.split("\t") for l in lines if l and not l.startswith("#")]
+
+
+def corpus_pairs():
+    """(--format, left, right) of every two rows of corpus/pairs.txt, in
+    both formats."""
+    for (e1, d1), (e2, d2) in itertools.combinations(corpus_rows(), 2):
+        yield "expr", e1, e2
+        yield "diag", d1, d2
+
+
+def cycle_pairs():
+    """(--format, left, right) of the cycle charts with n and n + 1 states."""
+    for n in range(2, 13):
+        yield ("chart", *(oracle.chart_text(workloads.cycle(k)) for k in (n, n + 1)))
+
+
 def table_calls():
     """argv of dist --table on every two rows of corpus/pairs.txt, in both
     formats, and on the cycle charts with n and n + 1 states."""
-    lines = [l.strip() for l in (ROOT / "corpus" / "pairs.txt").read_text().splitlines()]
-    rows = [l.split("\t") for l in lines if l and not l.startswith("#")]
-    for (e1, d1), (e2, d2) in itertools.combinations(rows, 2):
-        yield ["dist", "--table", e1, e2]
-        yield ["dist", "--table", "--format", "diag", d1, d2]
-    for n in range(2, 13):
-        yield ["dist", "--table", "--format", "chart",
-               *(oracle.chart_text(workloads.cycle(k)) for k in (n, n + 1))]
+    for fmt, left, right in itertools.chain(corpus_pairs(), cycle_pairs()):
+        yield ["dist", "--table", "--format", fmt, left, right]
+
+
+def derived_calls(commands, pairs):
+    """(argv, outcome) of each command on each pair, a derive being
+    followed by check of the certificate it printed."""
+    for fmt, left, right in pairs:
+        for command in commands:
+            argv = [command, "--format", fmt, left, right]
+            outcome = call(argv)
+            yield argv, outcome
+            if command == "derive":
+                argv = ["check", outcome[1], "--format", fmt, left, right]
+                yield argv, call(argv)
+
+
+def query_calls():
+    """(argv, outcome) of bisim, strat, derive and check on every two rows
+    of corpus/pairs.txt in both formats, of compile on each row in both
+    formats, and of bisim, derive and check on the cycle charts."""
+    yield from derived_calls(("bisim", "strat", "derive"), corpus_pairs())
+    for row in corpus_rows():
+        for fmt, text in zip(("expr", "diag"), row):
+            argv = ["compile", "--format", fmt, text]
+            yield argv, call(argv)
+    yield from derived_calls(("bisim", "derive"), cycle_pairs())
 
 
 def certificate_calls():
@@ -140,8 +183,13 @@ def main(argv=None):
                     digest.update(repr((args, outcome)).encode())
                     calls += 1
     for args in (["axioms"], ["axioms", "--check"], *malformed_chart_calls(),
-                 *malformed_diagram_calls(), *table_calls(), *certificate_calls(),
-                 *parser_calls()):
+                 *malformed_diagram_calls(), *table_calls()):
+        digest.update(repr((args, call(args))).encode())
+        calls += 1
+    for args, outcome in query_calls():
+        digest.update(repr((args, outcome)).encode())
+        calls += 1
+    for args in (*certificate_calls(), *parser_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
