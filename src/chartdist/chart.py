@@ -69,6 +69,27 @@ def _var_index(token):
     return None
 
 
+_PIECE = 10 ** 600
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of the int n.  It prints 600 digits at a time,
+    fewer than the least int-to-text digit limit CPython allows, so every
+    int prints and the process's limit is never touched."""
+    sign, n, pieces = "-" if n < 0 else "", abs(n), []
+    while n >= _PIECE:
+        n, r = divmod(n, _PIECE)
+        pieces.append(f"{r:0600}")
+    return "".join([sign, str(n), *reversed(pieces)])
+
+
+def _ratio(x) -> str:
+    """The text of a rational x, as str(Fraction) prints it: "p/q", or
+    "p" when q is 1; every numerator and denominator prints."""
+    n = _decimal(x.numerator)
+    return n if x.denominator == 1 else f"{n}/{_decimal(x.denominator)}"
+
+
 _set = object.__setattr__
 
 

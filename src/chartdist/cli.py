@@ -121,20 +121,13 @@ def _compare(args):
     return joint, rows, refinement, refinement.least_level(rows)
 
 
-_PIECE = 10 ** 600
-
-
 def _distance(level) -> str:
-    """The distance 2^-level as text: 0 for math.inf, 1 or 1/2^level.
-    2^level prints 600 digits at a time, fewer than the least int-to-text
-    digit limit CPython allows, so every level prints."""
+    """The distance 2^-level as text: 0 for math.inf, 1 or 1/2^level,
+    however large the level."""
+    from . import chart
     if level == math.inf:
         return "0"
-    n, pieces = 1 << level, []
-    while n >= _PIECE:
-        n, r = divmod(n, _PIECE)
-        pieces.append(f"{r:0600}")
-    return "1" if level == 0 else "1/" + "".join([str(n), *reversed(pieces)])
+    return "1" if level == 0 else "1/" + chart._decimal(1 << level)
 
 
 def _cmd_dist(args):
@@ -211,10 +204,10 @@ def _cmd_derive(args):
 
 
 def _cmd_check(args):
-    from . import derive
+    from . import chart, derive
     cert = derive.parse_cert(_resolve(args.cert))
     bound = derive.check(cert, *_inputs(args), max_states=args.max_states)
-    return EXIT_OK, f"{bound}\n"
+    return EXIT_OK, chart._ratio(bound) + "\n"
 
 
 def _cmd_render(args):

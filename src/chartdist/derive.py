@@ -36,7 +36,7 @@ import re
 from fractions import Fraction
 
 from .bisim import _refine_pair, joint_pair, joint_prechart
-from .chart import MAX_STATES, _Record, _set, _valid_letter, _var_index, move_key
+from .chart import MAX_STATES, _ratio, _Record, _set, _valid_letter, _var_index, move_key
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -75,14 +75,33 @@ def _check_eps(eps):
     if not isinstance(eps, Fraction):
         raise TypeError("bound must be a Fraction")
     if not FZERO <= eps <= ONE:
-        raise ValueError(f"bound {eps} outside [0, 1]")
+        raise ValueError(f"bound {_ratio(eps)} outside [0, 1]")
+
+
+# the text of a rational as p or p/q in ASCII digits, which _bound reads
+# in pieces, so that neither has a digit limit
+_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
+
+
+def _integer(digits: str) -> int:
+    """The int of a string of ASCII digits, read 600 at a time."""
+    n = 0
+    for i in range(0, len(digits), 600):
+        piece = digits[i:i + 600]
+        n = n * 10 ** len(piece) + int(piece)
+    return n
 
 
 def _bound(eps) -> Fraction:
     """eps, a rational or its text such as "3/4", as a Fraction; ValueError
     when it is no rational or lies outside [0, 1]."""
+    m = _RATIONAL.fullmatch(eps) if isinstance(eps, str) else None
     try:
-        eps = Fraction(eps)
+        if m:
+            sign, p, q = m.groups()
+            eps = Fraction(_integer(p) * (-1 if sign == "-" else 1), _integer(q or "1"))
+        else:
+            eps = Fraction(eps)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad rational {eps!r}") from None
     _check_eps(eps)
@@ -286,9 +305,9 @@ def format_cert(cert) -> str:
         elif isinstance(item, (CTop, CBisim)):
             parts.append("(top)" if isinstance(item, CTop) else "(bisim)")
         elif isinstance(item, CWeaken):
-            todo += [")", item.child, f"(weaken {item.eps} "]
+            todo += [")", item.child, f"(weaken {_ratio(item.eps)} "]
         elif isinstance(item, CCoupling):
-            pieces = [f"(coupling {item.eps} ("]
+            pieces = [f"(coupling {_ratio(item.eps)} ("]
             for i, (m1, m2, child) in enumerate(item.pairs):
                 pieces.append(f"{' ' if i else ''}(move {_format_move(m1)} {_format_move(m2)}")
                 pieces += [] if child is None else [" ", child]
@@ -317,7 +336,8 @@ def _premises(node, pair, path, rows, beta, refinement):
         todo = [(node.child, pair, path + ".weaken")]
         if node.eps < node.child.bound:
             todo.append(CertificateError(
-                f"weakening to {node.eps} below certified {node.child.bound}", path))
+                f"weakening to {_ratio(node.eps)} below certified {_ratio(node.child.bound)}",
+                path))
         return todo
     if pair is None:
         if isinstance(node, CDecomp):
@@ -356,7 +376,8 @@ def _premises(node, pair, path, rows, beta, refinement):
         bound = ONE if child is None else child.bound
         worst = max(worst, lift_edge(lambda x, y: bound, m1, m2))
     if node.eps < worst:
-        todo.append(CertificateError(f"coupling bound {node.eps} below required {worst}", path))
+        todo.append(CertificateError(
+            f"coupling bound {_ratio(node.eps)} below required {_ratio(worst)}", path))
     return todo
 
 
@@ -464,7 +485,7 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
     distance = level_distance(min(levels, default=math.inf))
     if eps is not None and eps < distance:
         raise SynthesisFailure(
-            f"requested bound {eps} is below the distance {distance}",
+            f"requested bound {_ratio(eps)} is below the distance {_ratio(distance)}",
             distance)
     cores = [syn.cert(x, y, level) for (x, y), level in zip(pairs, levels)]
     root = cores[0] if len(pairs) == 1 else CDecomp(tuple(cores))

@@ -296,6 +296,20 @@ def test_dist_prints_any_level(capsys, monkeypatch):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_bounds_of_any_size(capsys):
+    """check prints, and check and derive --eps read and report, a bound
+    of 4,301 digits, with no traceback and the digit limit untouched."""
+    bound = f"1/{unlimited_text(2 ** 14285)}"
+    limit = sys.get_int_max_str_digits()
+    assert run(capsys, "check", f"(weaken {bound} (bisim))", "a.0", "a.0") == \
+        (EXIT_OK, f"{bound}\n", "")
+    assert run(capsys, "check", f"(weaken {bound} (top))", "a.0", "a.0") == \
+        (EXIT_REJECTED, "", f"error: weakening to {bound} below certified 1 (at cert)\n")
+    assert run(capsys, "derive", "--eps", bound, "a.0", "b.0") == \
+        (EXIT_REJECTED, "", f"error: requested bound {bound} is below the distance 1\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_derive_eps_out_of_range(capsys):
     """--eps is read by its argparse type: a bad bound is a usage error,
     reported ahead of the inputs, even when their boundaries differ."""

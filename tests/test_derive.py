@@ -419,6 +419,16 @@ def test_joint_prechart_shares_states():
     assert len(joint.states) == len(expand(e1).states)
 
 
+def test_bound_of_any_size_round_trips():
+    """A bound whose denominator has more digits than CPython turns into
+    text by default prints whole and reads back."""
+    cert = CWeaken(Fraction(1, 2 ** 14285), CBisim())
+    text = format_cert(cert)
+    assert len(text) == len("(weaken 1/ (bisim))") + 4301
+    back = parse_cert(text)
+    assert (back, back.bound) == (cert, cert.bound)
+
+
 def test_certificate_nodes_validate_eps():
     with pytest.raises(ValueError):
         CWeaken(Fraction(3, 2), CTop())
