@@ -7,10 +7,11 @@ relates everything, level n+1 additionally requires output equality and
 matching into level n) and the coarsest such relation all come from one
 partition refinement, ``Refinement``, which keeps its split history:
 the level of a pair is the last round at which it shares a block, and
-the distance modules read 2^-level off it.  ``joint_pair`` puts two
-inputs of one kind, expressions, charts or diagram terms, into the one
-prechart that every two-input query refines, and ``_refine_pair``, the
-one refinement step behind all of them, refines it.
+the distance modules read 2^-level off it.  ``_refine_pair``, the one
+refinement step behind every two-input query, numbers two inputs of one
+kind, expressions, charts or diagram terms, as one joint (a
+``chart._Joint``) and refines it; ``joint_pair`` and ``joint_prechart``
+are named views of that joint.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import sys
 from functools import cached_property
 
-from .chart import MAX_STATES, Chart, Prechart, disjoint_union, state_key, tagged_union
+from .chart import MAX_STATES, Chart, Prechart, _chart_joint, _numbered, state_key
 
 __all__ = [
     "Refinement", "witness_pairs", "joint_prechart", "joint_pair",
@@ -28,14 +29,16 @@ __all__ = [
 
 
 class Refinement:
-    """Stratified partition refinement of a prechart, with its split history.
+    """Stratified partition refinement of numbered states, with its split
+    history.
 
-    Round 0 puts every state in one block.  Round k+1 splits each block
-    of round k by the states' outputs and by the round-k blocks their
-    transitions reach under each letter, so two states share a round-k
-    block exactly when the k-th stratum relates them.  The rounds are
-    nested, and the first round that splits nothing leaves the
-    bisimilarity partition.
+    State i, for i below n = len(succ), has the transitions (letter, j)
+    of succ[i] and the output set outs[i].  Round 0 puts every state in
+    one block.  Round k+1 splits each block of round k by the states'
+    outputs and by the round-k blocks their transitions reach under each
+    letter, so two states share a round-k block exactly when the k-th
+    stratum relates them.  The rounds are nested, and the first round
+    that splits nothing leaves the bisimilarity partition.
 
     The history is a split tree: every block is a node, and a block that
     a round splits records that round and becomes the parent of its
@@ -45,22 +48,16 @@ class Refinement:
     as its pair has split, while ``classes`` and ``max_level`` run to the
     end.  ``rounds`` counts the rounds so far that split some block.
 
-    The states are numbered once, and blocks, outputs and successors are
-    lists indexed by those numbers.  ``order``, the states in state_key
-    order, is sorted only when first read.
+    Blocks, outputs and successors are lists indexed by the numbers.
+    name(i) names state i; only ``order``, the numbers in state_key order
+    of their names, calls it, when first read.
     """
 
-    def __init__(self, p: Prechart):
-        self._index = index = {q: i for i, q in enumerate(p.states)}
-        self._states = list(index)  # number -> state
-        n = len(index)
-        outs = [set() for _ in range(n)]
-        for (q, v) in p.outs:
-            outs[index[q]].add(v)
-        self._outs = [frozenset(o) for o in outs]  # number -> its outputs
-        self._succ = [[] for _ in range(n)]  # number -> [(letter, target number)]
-        for (q, a, r) in p.trans:
-            self._succ[index[q]].append((a, index[r]))
+    def __init__(self, succ: list, outs: list, name):
+        self._succ = succ  # number -> [(letter, target number)]
+        self._outs = outs  # number -> its outputs
+        self._name = name
+        n = len(succ)
         self._block = [0] * n  # state number -> current block
         # block -> the block it was split from; a parent's id is always
         # smaller than its children's
@@ -73,8 +70,9 @@ class Refinement:
 
     @cached_property
     def order(self) -> list:
-        """The states in state_key order."""
-        return sorted(self._states, key=state_key)
+        """The state numbers in state_key order of their names."""
+        name = self._name
+        return sorted(range(len(self._succ)), key=lambda i: state_key(name(i)))
 
     def _advance(self):
         block = self._block
@@ -101,10 +99,10 @@ class Refinement:
                 for i in members:
                     block[i] = child
 
-    def level(self, x, y):
-        """Last round at which x and y share a block; math.inf if never split."""
+    def level(self, i, j):
+        """Last round at which states i and j share a block; math.inf if
+        never split."""
         block = self._block
-        i, j = self._index[x], self._index[y]
         while block[i] == block[j]:
             if self.stable:
                 return math.inf
@@ -121,76 +119,89 @@ class Refinement:
         """Least level of the given pairs; math.inf when all are bisimilar."""
         return min((self.level(x, y) for x, y in pairs), default=math.inf)
 
-    def classes(self) -> dict:
-        """State -> bisimilarity class id, numbered first-seen in state_key
+    def _finish(self):
+        while not self.stable:
+            self._advance()
+
+    def classes(self) -> list:
+        """Number -> bisimilarity class id, the ids numbered first-seen in
         order; do not mutate."""
         if self._classes is None:
-            while not self.stable:
-                self._advance()
+            self._finish()
             fresh: dict = {}
-            block, index = self._block, self._index
-            self._classes = {q: fresh.setdefault(block[index[q]], len(fresh))
-                             for q in self.order}
+            self._classes = classes = [0] * len(self._block)
+            for i in self.order:
+                classes[i] = fresh.setdefault(self._block[i], len(fresh))
         return self._classes
 
     def max_level(self) -> int:
         """Largest finite level of any pair of states, 0 if there is none."""
-        self.classes()
+        self._finish()
         return max(self.rounds - 1, 0)
 
 
-def joint_prechart(exprs, max_states=MAX_STATES):
-    """One prechart holding the expansions of all given expressions.
-
-    States are canonical expression texts, so expansions overlap
-    wherever the behaviours agree syntactically.
-    """
-    from .expr import expand  # loaded by whoever built the expressions
-    states, trans, outs, seeds = set(), set(), set(), []
-    for e in exprs:
-        c = expand(e, max_states=max_states)
-        seeds.append(c.start)
-        states |= set(c.states)
-        trans |= set(c.trans)
-        outs |= set(c.outs)
-    return Prechart._of(frozenset(states), frozenset(trans), frozenset(outs)), seeds
+def _refinement(p: Prechart):
+    """The states of p as a list, and a Refinement of p in which state i
+    is the list's i-th."""
+    index, succ, outs = _numbered(p)
+    states = list(index)
+    return states, Refinement(succ, outs, states.__getitem__)
 
 
-def joint_pair(f, g, max_states=MAX_STATES):
-    """The joint prechart of two expressions, two charts or two diagram
-    terms, and the pair of seed states of each row.  Expressions share
-    their canonical state names and have one row; charts (one row) and
-    the open charts of diagrams (a row per entry) are tagged "L:" and "R:".
-    """
+def _joint(f, g, max_states=MAX_STATES):
+    """Two inputs of one kind as one numbered joint: two expressions
+    (their expansions sharing states, one row), two charts (one row) or
+    two diagram terms (their open charts, a row per entry)."""
     # an expression or a term exists only once its module is loaded, so
     # the modules are looked up, never loaded, here
     expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
     if expr and isinstance(f, expr.Expr) and isinstance(g, expr.Expr):
-        joint, seeds = joint_prechart([f, g], max_states=max_states)
-        return joint, [tuple(seeds)]
+        return expr._joint([f, g], max_states)
     if isinstance(f, Chart) and isinstance(g, Chart):
-        joint, x, y = disjoint_union(f, g)
-        return joint, [(x, y)]
+        return _chart_joint(f, g)
     if diagram and isinstance(f, diagram.Term) and isinstance(g, diagram.Term):
-        o1, o2 = diagram.open_chart_pair(f, g, max_states)
-        return (tagged_union(o1.prechart, o2.prechart),
-                [(f"L:{x}", f"R:{y}") for x, y in zip(o1.entries, o2.entries)])
+        return diagram._joint(f, g, max_states)
     raise TypeError("expected two expressions, two charts or two diagram terms")
+
+
+def joint_prechart(exprs, max_states=MAX_STATES):
+    """One prechart holding the expansions of all given expressions, and
+    their start states.
+
+    States are canonical expression texts, so expansions overlap
+    wherever the behaviours agree syntactically.
+    """
+    from .expr import _joint as expr_joint  # loaded by whoever built the expressions
+    joint = expr_joint(exprs, max_states)
+    return joint.prechart(), [joint.name(s) for s in joint.rows[0]]
+
+
+def joint_pair(f, g, max_states=MAX_STATES):
+    """The named view of the joint of two expressions, two charts or two
+    diagram terms: its prechart, and the pair of seed states of each row.
+    Expressions share their canonical state names and have one row;
+    charts (one row) and the open charts of diagrams (a row per entry)
+    are tagged "L:" and "R:".
+    """
+    joint = _joint(f, g, max_states)
+    return joint.prechart(), [(joint.name(x), joint.name(y)) for x, y in joint.rows]
 
 
 def coarsest_partition(p: Prechart) -> tuple:
     """Coarsest bisimulation partition: a tuple of frozenset blocks, in
     first-seen state_key order."""
+    states, refinement = _refinement(p)
+    classes = refinement.classes()
     blocks: dict = {}
-    for q, i in Refinement(p).classes().items():
-        blocks.setdefault(i, []).append(q)
+    for i in refinement.order:
+        blocks.setdefault(classes[i], []).append(states[i])
     return tuple(frozenset(b) for b in blocks.values())
 
 
 def witness_pairs(refinement: Refinement, left, right) -> frozenset:
     """Pairs (left[x], right[y]) for the states x of left and y of right
     that share a bisimilarity class of the refinement; left and right map
-    states of the refined prechart to the names to report them by."""
+    state numbers to the names to report them by."""
     m = refinement.classes()
     by_class: dict = {}
     for y, name in right.items():
@@ -200,12 +211,12 @@ def witness_pairs(refinement: Refinement, left, right) -> frozenset:
 
 
 def _refine_pair(f, g, max_states=MAX_STATES):
-    """The one refinement step of every two-input query: the joint
-    prechart of two inputs of one kind (see joint_pair), the seed pair of
-    each row, and one Refinement of the joint, which computes a level
-    only when asked for it."""
-    joint, rows = joint_pair(f, g, max_states)
-    return joint, rows, Refinement(joint)
+    """The one refinement step of every two-input query: the numbered
+    joint of two inputs of one kind (see _joint), whose rows are the seed
+    pairs, and one Refinement of it, which computes a level only when
+    asked for it."""
+    joint = _joint(f, g, max_states)
+    return joint, Refinement(joint.succ, joint.outs, joint.name)
 
 
 def bisimilar(c1: Chart, c2: Chart):
@@ -216,12 +227,13 @@ def bisimilar(c1: Chart, c2: Chart):
     """
     if not (isinstance(c1, Chart) and isinstance(c2, Chart)):
         raise TypeError("expected two charts")
-    _, [(s1, s2)], refinement = _refine_pair(c1, c2)
+    joint, refinement = _refine_pair(c1, c2)
+    (s1, s2), = joint.rows
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
-    return True, witness_pairs(refinement, {f"L:{q}": q for q in c1.states},
-                               {f"R:{q}": q for q in c2.states})
+    return True, witness_pairs(refinement, {i: joint.local(i) for i in joint.side(s1)},
+                               {i: joint.local(i) for i in joint.side(s2)})
 
 
 def stratified_level(f, g, max_states=MAX_STATES):
@@ -231,8 +243,8 @@ def stratified_level(f, g, max_states=MAX_STATES):
     Level 0 is the total relation; level n+1 requires equal outputs and
     transition matching into level n.
     """
-    _, rows, refinement = _refine_pair(f, g, max_states)
-    return refinement.least_level(rows)
+    joint, refinement = _refine_pair(f, g, max_states)
+    return refinement.least_level(joint.rows)
 
 
 def quotient(p: Prechart):
@@ -241,7 +253,8 @@ def quotient(p: Prechart):
     The graph of the returned map is itself a bisimulation, and
     quotienting twice gives an isomorphic result.
     """
-    m = dict(Refinement(p).classes())
+    states, refinement = _refinement(p)
+    m = dict(zip(states, refinement.classes()))
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)

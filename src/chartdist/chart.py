@@ -2,18 +2,19 @@
 
 A prechart is a finite set of states with labelled transitions and a
 set of output variables attached to each state.  A chart additionally
-fixes a start state.  This module reads and prints charts as text,
-restricts them to their reachable states, and puts two of them into
-one prechart, their states tagged by side, for the queries to refine.
-It also holds the immutable record base of the package's records and
-the state budget of expansions and open charts.
+fixes a start state.  This module reads and prints charts as text and
+restricts them to their reachable states.  It also holds the numbered
+joint that every two-input query refines, ``_Joint``, the one numbering
+of two charts into it, and the one name function of states tagged by
+side, ``_tag``; besides the immutable record base of the package's
+records and the state budget of expansions and open charts.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "Prechart", "Chart", "ChartFormatError", "ExpansionBudgetError",
-    "reachable", "disjoint_union", "tagged_union",
+    "reachable", "disjoint_union",
     "parse_chart_text", "format_chart_text", "chart_to_dot",
     "state_key", "move_key",
 ]
@@ -246,38 +247,122 @@ def reachable(c: Chart) -> Chart:
     return Chart(p, c.start)
 
 
-def tagged_union(p1: Prechart, p2: Prechart) -> Prechart:
-    """Union of two precharts with their states renamed "L:<q>" and
-    "R:<q>", so that the names stay apart and readable.  Two states of
-    one side that print alike would merge, so they raise ValueError."""
-    l, r = _tags("L", p1.states), _tags("R", p2.states)
+def _tag(side: str, q) -> str:
+    """The name of state q of the left ("L") or the right ("R") input of
+    a joint: "<side>:<q>".  The one name function of tagged states, called
+    only where a name is printed or read back."""
+    return f"{side}:{q}"
+
+
+def _named(succ, outs, names) -> Prechart:
+    """The prechart of numbered states under their names: state i, named
+    names[i], has the transitions (letter, j) of succ[i] and the outputs
+    of outs[i]."""
     return Prechart._of(
-        frozenset(l.values()) | frozenset(r.values()),
-        frozenset([(l[q], a, l[t]) for (q, a, t) in p1.trans]
-                  + [(r[q], a, r[t]) for (q, a, t) in p2.trans]),
-        frozenset([(l[q], v) for (q, v) in p1.outs] + [(r[q], v) for (q, v) in p2.outs]))
+        frozenset(names),
+        frozenset([(names[i], a, names[j]) for i, moves in enumerate(succ) for a, j in moves]),
+        frozenset([(names[i], v) for i, vs in enumerate(outs) for v in vs]))
 
 
-def _tags(side: str, states) -> dict:
-    """State -> "<side>:<state>", one name per state."""
-    m = {q: f"{side}:{q}" for q in states}
-    if len(set(m.values())) != len(m):
-        seen: dict = {}
-        for q in sorted(states, key=state_key):
-            other = seen.setdefault(m[q], q)
-            if other is not q:
-                raise ValueError(f"states {other!r} and {q!r} print alike")
-    return m
+class _Joint:
+    """Inputs of one kind numbered as one prechart, the numbers that the
+    refinement, the certificates and the witnesses index by.
+
+    State i, for i below n = len(succ), has the transitions (letter, j)
+    of succ[i] and the output set outs[i]; rows lists the seed pairs to
+    compare.  local(i) names state i in its own input.  When split is a
+    number, the states below it are the left input's and the others the
+    right's, and a state is named by its local name tagged "L:" or "R:";
+    when it is None, the inputs share their states, named locally.
+    """
+
+    __slots__ = ("succ", "outs", "rows", "local", "split")
+
+    def __init__(self, succ, outs, rows, local, split):
+        self.succ, self.outs, self.rows, self.local, self.split = succ, outs, rows, local, split
+
+    def name(self, i):
+        """The name of state i, as the table, certificates and check print it."""
+        if self.split is None:
+            return self.local(i)
+        return _tag("L" if i < self.split else "R", self.local(i))
+
+    def moves(self, i) -> frozenset:
+        """The beta-moves of state i: ("act", a, j) and ("out", v)."""
+        return frozenset([("act", a, j) for a, j in self.succ[i]]
+                         + [("out", v) for v in self.outs[i]])
+
+    def side(self, i) -> range:
+        """The states of the input that state i belongs to."""
+        if self.split is None:
+            return range(len(self.succ))
+        return range(self.split) if i < self.split else range(self.split, len(self.succ))
+
+    def reach(self, i) -> list:
+        """The states reachable from state i, i first."""
+        seen, order = {i}, [i]
+        for q in order:  # grows while it is walked
+            for _, r in self.succ[q]:
+                if r not in seen:
+                    seen.add(r)
+                    order.append(r)
+        return order
+
+    def prechart(self) -> Prechart:
+        """The named view: the prechart of the states under their names."""
+        return _named(self.succ, self.outs, [self.name(i) for i in range(len(self.succ))])
+
+
+def _numbered(p: Prechart, offset: int = 0):
+    """The states of p numbered from offset, in its iteration order: a
+    dict from each state to its position, and the successor list and the
+    output set of each position."""
+    index = {q: i for i, q in enumerate(p.states)}
+    succ = [[] for _ in index]
+    outs = [set() for _ in index]
+    for (q, a, r) in p.trans:
+        succ[index[q]].append((a, offset + index[r]))
+    for (q, v) in p.outs:
+        outs[index[q]].add(v)
+    return index, succ, [frozenset(vs) for vs in outs]
+
+
+def _print_apart(states):
+    """ValueError when two of the states print alike, as 1 and "1" do;
+    strings print as themselves, so only other states are compared."""
+    if all(type(q) is str for q in states):
+        return
+    seen: dict = {}
+    for q in sorted(states, key=state_key):
+        other = seen.setdefault(f"{q}", q)
+        if other is not q:
+            raise ValueError(f"states {other!r} and {q!r} print alike")
+
+
+def _chart_joint(c1: Chart, c2: Chart) -> _Joint:
+    """Two charts as one joint: each chart numbered on its own, the right
+    one's numbers offset by the left one's state count, and one row of
+    the two starts.  Two states of one chart that print alike, and so
+    would share a name, raise ValueError."""
+    left, succ1, outs1 = _numbered(c1.prechart)
+    split = len(left)
+    right, succ2, outs2 = _numbered(c2.prechart, split)
+    _print_apart(left)
+    _print_apart(right)
+    return _Joint(succ1 + succ2, outs1 + outs2, [(left[c1.start], split + right[c2.start])],
+                  [*left, *right].__getitem__, split)
 
 
 def disjoint_union(c1: Chart, c2: Chart):
-    """Tagged union of two charts; returns (prechart, start1, start2).
+    """Named view of two charts' joint; returns (prechart, start1, start2).
 
-    States are renamed as by tagged_union, so the union is usable by the
-    relational algorithms while keeping names readable.
+    States are renamed "L:<q>" and "R:<q>", so the names stay apart and
+    readable; two states of one chart that print alike raise ValueError
+    rather than merge.
     """
-    return (tagged_union(c1.prechart, c2.prechart),
-            f"L:{c1.start}", f"R:{c2.start}")
+    joint = _chart_joint(c1, c2)
+    (x, y), = joint.rows
+    return joint.prechart(), joint.name(x), joint.name(y)
 
 
 class ChartFormatError(ValueError):

@@ -113,12 +113,12 @@ def _inputs(args):
 
 
 def _compare(args):
-    """One refinement of both inputs: the joint prechart, the seed pair
-    of each row, the refinement, and the least level of the rows
+    """One refinement of both inputs: their numbered joint, whose rows are
+    the seed pairs, the refinement, and the least level of the rows
     (math.inf when all are bisimilar)."""
     from . import bisim
-    joint, rows, refinement = bisim._refine_pair(*_inputs(args), args.max_states)
-    return joint, rows, refinement, refinement.least_level(rows)
+    joint, refinement = bisim._refine_pair(*_inputs(args), args.max_states)
+    return joint, refinement, refinement.least_level(joint.rows)
 
 
 def _distance(level) -> str:
@@ -131,38 +131,30 @@ def _distance(level) -> str:
 
 
 def _cmd_dist(args):
-    _, _, refinement, level = _compare(args)
+    joint, refinement, level = _compare(args)
     lines = [f"{_distance(level)} ({'bisimilar' if level == math.inf else f'level {level}'})"]
-    if args.table:  # a header row of the states, then one row per state
+    if args.table:  # a header row of the state names, then one row per state
         order = refinement.order
-        lines.append("\t".join(["", *map(str, order)]))
-        lines += ["\t".join([str(x), *(_distance(refinement.level(x, y)) for y in order)])
+        lines.append("\t".join(["", *map(joint.name, order)]))
+        lines += ["\t".join([joint.name(x), *(_distance(refinement.level(x, y)) for y in order)])
                   for x in order]
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def _witness_side(args, joint, seed):
     """The states one side of a bisim witness ranges over, all of a chart's
-    or else those the seed reaches, mapped to their names in the input:
-    untagged, and numbers for diagrams."""
-    from . import chart
-    if args.format == "chart":
-        states = [q for q in joint.states if q[:2] == seed[:2]]
-    else:
-        states = chart.reachable(chart.Chart(joint, seed)).states
-    if args.format == "expr":
-        return {q: q for q in states}
-    name = int if args.format == "diag" else str
-    return {q: name(q[2:]) for q in states}
+    or else those the seed reaches, mapped to their names in their input."""
+    states = joint.side(seed) if args.format == "chart" else joint.reach(seed)
+    return {i: joint.local(i) for i in states}
 
 
 def _cmd_bisim(args):
-    joint, rows, refinement, level = _compare(args)
+    joint, refinement, level = _compare(args)
     if level != math.inf:
         return EXIT_USAGE, f"not bisimilar (level {level + 1})\n"
     from . import bisim, chart
     lines = ["bisimilar"]
-    for i, (x, y) in enumerate(rows, start=1):
+    for i, (x, y) in enumerate(joint.rows, start=1):
         tag = f"row {i}\t" if args.format == "diag" else ""
         w = bisim.witness_pairs(refinement, _witness_side(args, joint, x),
                                 _witness_side(args, joint, y))
@@ -188,7 +180,7 @@ def _cmd_compile(args):
             raise diagram.DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        o = diagram._close(*parts, args.max_states)
+        o = diagram._open_chart(*diagram._close(*parts, args.max_states))
         c = chart.Chart(o.prechart, o.entries[0])
     elif args.format == "expr":
         from . import expr

@@ -326,12 +326,13 @@ def format_cert(cert) -> str:
 # --- checking --------------------------------------------------------------
 
 
-def _premises(node, pair, path, rows, beta, refinement):
+def _premises(node, pair, path, joint, number, refinement):
     """Check the rule of one node against its children's bounds.  Returns
-    what is left to check after it, in order: each child with its state
-    pair and path, and each failure that is to be reported only once the
-    children before it have passed.  pair is None at the root, where a
-    decomp splits the rows."""
+    what is left to check after it, in order: each child with its pair of
+    state numbers and path, and each failure that is to be reported only
+    once the children before it have passed.  pair is None at the root,
+    where a decomp splits the rows of the joint; number maps each state's
+    name to its number."""
     if isinstance(node, CWeaken):
         todo = [(node.child, pair, path + ".weaken")]
         if node.eps < node.child.bound:
@@ -339,6 +340,7 @@ def _premises(node, pair, path, rows, beta, refinement):
                 f"weakening to {_ratio(node.eps)} below certified {_ratio(node.child.bound)}",
                 path))
         return todo
+    rows = joint.rows
     if pair is None:
         if isinstance(node, CDecomp):
             if len(node.children) != len(rows):
@@ -354,22 +356,23 @@ def _premises(node, pair, path, rows, beta, refinement):
         return []
     if isinstance(node, CBisim):
         if refinement.level(x, y) != math.inf:
-            raise CertificateError(f"states {x!r} and {y!r} are not bisimilar", path)
+            raise CertificateError(
+                f"states {joint.name(x)!r} and {joint.name(y)!r} are not bisimilar", path)
         return []
     if isinstance(node, CDecomp):
         raise CertificateError("decomp is only allowed at the root", path)
     if not isinstance(node, CCoupling):
         raise TypeError(f"not a certificate: {node!r}")
-    bx, by = beta[x], beta[y]
-    if frozenset(m1 for m1, _, _ in node.pairs) != bx:
-        raise CertificateError(f"left projection differs from the moves of {x!r}", path)
-    if frozenset(m2 for _, m2, _ in node.pairs) != by:
-        raise CertificateError(f"right projection differs from the moves of {y!r}", path)
+    for side, q, moves in (("left", x, [m1 for m1, _, _ in node.pairs]),
+                           ("right", y, [m2 for _, m2, _ in node.pairs])):
+        if frozenset([_numbered(m, number) for m in moves]) != joint.moves(q):
+            raise CertificateError(
+                f"{side} projection differs from the moves of {joint.name(q)!r}", path)
     todo, worst = [], FZERO
     for i, (m1, m2, child) in enumerate(node.pairs, start=1):
         where = f"{path}.move[{i}]"
         if child is not None and _needs_child(m1, m2):
-            todo.append((child, (m1[2], m2[2]), where))
+            todo.append((child, (number[m1[2]], number[m2[2]]), where))
         elif child is not None:
             todo.append(CertificateError(f"{'equal' if m1 == m2 else 'mismatched'} moves "
                                          "do not take a sub-certificate", where))
@@ -381,18 +384,24 @@ def _premises(node, pair, path, rows, beta, refinement):
     return todo
 
 
+def _numbered(m, number):
+    """A move as printed, its target named, with the target numbered; a
+    name of no state numbers it None, which no move of a state has."""
+    return ("act", m[1], number.get(m[2])) if m[0] == "act" else m
+
+
 def check(cert, f, g, max_states=MAX_STATES) -> Fraction:
     """Validate a certificate for two inputs of one kind (see joint_pair);
     the certified bound.  Nodes are checked depth first, left to right,
     and the first failure is raised."""
-    joint, rows, refinement = _refine_pair(f, g, max_states)
-    beta = joint.beta()
+    joint, refinement = _refine_pair(f, g, max_states)
+    number = {joint.name(i): i for i in range(len(joint.succ))}
     todo = [(cert, None, "cert")]
     while todo:
         item = todo.pop()
         if isinstance(item, CertificateError):
             raise item
-        todo += reversed(_premises(*item, rows, beta, refinement))
+        todo += reversed(_premises(*item, joint, number, refinement))
     return cert.bound
 
 
@@ -409,10 +418,24 @@ class _Synthesizer:
     and (top) when p is 0.
     """
 
-    def __init__(self, prechart, refinement):
-        self.beta = prechart.beta()
+    def __init__(self, joint, refinement):
+        self.joint = joint
         self.refinement = refinement
         self.memo = {}
+        self.names = {}  # state number -> its name, for the states named so far
+
+    def named(self, m):
+        """A move with its target named, as the certificate prints it."""
+        if m[0] != "act":
+            return m
+        name = self.names.get(m[2])
+        if name is None:
+            name = self.names[m[2]] = self.joint.name(m[2])
+        return "act", m[1], name
+
+    def key(self, m):
+        """move_key of a move as the certificate prints it."""
+        return move_key(self.named(m))
 
     def rank(self, m1, m2, p):
         """0 for equal moves or one letter into bisimilar targets, 1 for
@@ -428,15 +451,16 @@ class _Synthesizer:
         """Each move of x with a cheapest move of y and each move of y
         with a cheapest move of x, in move order; a pair of level >= p
         always has one of rank at most 1."""
-        bx = sorted(self.beta[x], key=move_key)
-        by = sorted(self.beta[y], key=move_key)
+        key = self.key
+        bx = sorted(self.joint.moves(x), key=key)
+        by = sorted(self.joint.moves(y), key=key)
         chosen = {}
         for m1 in bx:
-            chosen[(m1, min(by, key=lambda m: (self.rank(m1, m, p), move_key(m))))] = None
+            chosen[(m1, min(by, key=lambda m: (self.rank(m1, m, p), key(m))))] = None
         for m2 in by:
-            chosen[(min(bx, key=lambda m: (self.rank(m, m2, p), move_key(m))), m2)] = None
+            chosen[(min(bx, key=lambda m: (self.rank(m, m2, p), key(m))), m2)] = None
         assert all(self.rank(m1, m2, p) <= 1 for m1, m2 in chosen)
-        return sorted(chosen, key=lambda c: (move_key(c[0]), move_key(c[1])))
+        return sorted(chosen, key=lambda c: (key(c[0]), key(c[1])))
 
     def cert(self, x, y, p):
         """The certificate of (x, y) at iterate p <= their level; a
@@ -447,7 +471,8 @@ class _Synthesizer:
             kx, ky, kp = key
             if pairs is not None:
                 self.memo[key] = CCoupling(level_distance(kp), tuple(
-                    (m1, m2, self.memo[(m1[2], m2[2], kp - 1)] if _needs_child(m1, m2) else None)
+                    (self.named(m1), self.named(m2),
+                     self.memo[(m1[2], m2[2], kp - 1)] if _needs_child(m1, m2) else None)
                     for m1, m2 in pairs))
             elif key in self.memo:
                 continue
@@ -479,7 +504,8 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
     """
     if eps is not None:
         eps = _bound(eps)
-    joint, pairs, refinement = _refine_pair(f, g, max_states)
+    joint, refinement = _refine_pair(f, g, max_states)
+    pairs = joint.rows
     syn = _Synthesizer(joint, refinement)
     levels = [refinement.level(x, y) for x, y in pairs]
     distance = level_distance(min(levels, default=math.inf))

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import re
 
-from .chart import MAX_STATES, ExpansionBudgetError, Prechart, _Record, _set, _valid_letter
+from .chart import (
+    MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _named, _Record, _set, _valid_letter,
+)
 
 __all__ = [
     "Term", "Copy", "Del", "Merge", "Gen", "Act", "Cap", "Cup",
@@ -399,9 +401,11 @@ def _open_parts(t):
     return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
 
 
-def _close(moves, eps, entries, outputs, max_states):
+def _close(moves, eps, entries, outputs, max_states, offset=0):
     """Resolve the epsilon edges and keep the states reachable from the
-    entries, numbered breadth-first.
+    entries, numbered breadth-first from offset.  Returns the successor
+    list (letter, state) and the output set of each state, in number
+    order, and the entry states.
 
     Each state takes the transitions of every node its epsilon edges
     reach, and outputs vj when they reach output node j; a cycle of
@@ -417,31 +421,34 @@ def _close(moves, eps, entries, outputs, max_states):
             if len(order) >= max_states:
                 raise ExpansionBudgetError(
                     f"open chart exceeded {max_states} states")
-            n = number[x] = len(order)
+            n = number[x] = offset + len(order)
             order.append(x)
         return n
 
     entry_states = tuple(state(x) for x in entries)
-    trans, outs = set(), set()
+    succ, outs = [], []
     for x in order:  # grows while it is walked
-        q = number[x]
         seen = {x}
         todo = [x]
         steps = set()
+        variables = set()
         while todo:
             y = todo.pop()
             steps.update(moves[y])
             if y in variable:
-                outs.add((q, variable[y]))
+                variables.add(variable[y])
             for z in eps[y]:
                 if z not in seen:
                     seen.add(z)
                     todo.append(z)
-        for a, y in sorted(steps):
-            trans.add((q, a, state(y)))
-    states = frozenset(range(len(order)))
-    return OpenChart(Prechart._of(states, frozenset(trans), frozenset(outs)),
-                     entry_states)
+        succ.append([(a, state(y)) for a, y in sorted(steps)])
+        outs.append(frozenset(variables))
+    return succ, outs, entry_states
+
+
+def _open_chart(succ, outs, entries) -> OpenChart:
+    """The OpenChart of a _close result numbered from 0."""
+    return OpenChart(_named(succ, outs, range(len(succ))), entries)
 
 
 def open_chart(t, max_states=MAX_STATES) -> OpenChart:
@@ -454,7 +461,7 @@ def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     boundary; the epsilon edges are resolved once, at the end.
     """
     _, parts = _open_parts(t)
-    return _close(*parts, max_states)
+    return _open_chart(*_close(*parts, max_states))
 
 
 # --- concrete syntax ------------------------------------------------------
@@ -696,14 +703,35 @@ def _check_boundaries(words1, words2):
         raise DiagramTypeError("the two diagrams have different boundaries")
 
 
-def open_chart_pair(t1, t2, max_states=MAX_STATES):
-    """The open charts of two diagrams with equal boundary words; raises
-    DiagramTypeError when the words differ.  Each term is typed and laid
-    out in one walk, and both are closed only once their words agree."""
+def _parts_pair(t1, t2):
+    """The unresolved open charts of two diagrams with equal boundary
+    words; raises DiagramTypeError when the words differ.  Each term is
+    typed and laid out in one walk."""
     words1, parts1 = _open_parts(t1)
     words2, parts2 = _open_parts(t2)
     _check_boundaries(words1, words2)
-    return _close(*parts1, max_states), _close(*parts2, max_states)
+    return parts1, parts2
+
+
+def open_chart_pair(t1, t2, max_states=MAX_STATES):
+    """The open charts of two diagrams with equal boundary words; raises
+    DiagramTypeError when the words differ, before either is closed."""
+    parts1, parts2 = _parts_pair(t1, t2)
+    return (_open_chart(*_close(*parts1, max_states)),
+            _open_chart(*_close(*parts2, max_states)))
+
+
+def _joint(t1, t2, max_states=MAX_STATES) -> _Joint:
+    """Two diagrams with equal boundary words as one joint: each open
+    chart numbered by _close, the right one's after the left one's, and a
+    row per pair of entries.  A state's local name is its number in its
+    own open chart."""
+    parts1, parts2 = _parts_pair(t1, t2)
+    succ1, outs1, entries1 = _close(*parts1, max_states)
+    split = len(succ1)
+    succ2, outs2, entries2 = _close(*parts2, max_states, split)
+    return _Joint(succ1 + succ2, outs1 + outs2, list(zip(entries1, entries2)),
+                  lambda i: i - split if i >= split else i, split)
 
 
 def diagram_distance(t1, t2):

@@ -4,7 +4,8 @@ Five constructors: 0 (empty behaviour), variables vN, action prefix
 a.e, sum e+f, and recursion mu vN.e.  The module provides parsing and
 printing, capture-avoiding simultaneous substitution, the one-step
 semantics (action derivatives plus output variables), and expansion of
-an expression into its chart of reachable derivatives.
+expressions into their reachable derivatives: numbered, for the joint
+that the queries refine, or as a chart named by canonical text.
 
 Concrete syntax: prefix and mu bind tighter than +, and a mu scope
 extends as far right as possible, so "a.0+b.mu v1.a.v1" is the sum of
@@ -16,9 +17,10 @@ structurally equal exactly when they are the same object, and equality
 and hashing are by identity.  Each node computes its free variables
 once, when it is built.  Every traversal keeps its own stack, so no
 recursion depth grows with the size of an expression, and a traversal
-visits a node shared by several parents once.  ``expand`` memoises
-binder normalisation and printing for the length of one call, so the
-successor of a state reuses the work done on that state.
+visits a node shared by several parents once.  Expansion keys a state
+by its interned alpha-normal node and memoises binder normalisation for
+the length of one call, so the successor of a state reuses the work
+done on that state; a state's text is printed only where it is named.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, Prechart, _digits, _Record, _set,
+    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, _digits, _Joint, _named, _Record, _set,
     _valid_letter, _var_index,
 )
 
@@ -414,32 +416,63 @@ def _step(e: Expr, unfoldings: dict):
     return trans, outs
 
 
+def _expansion(exprs, max_states):
+    """The reachable derivatives of the given expressions, numbered as
+    one: a state is an interned alpha-normal node, and the expansions
+    share the states they reach in common.  Each expression may reach at
+    most max_states states, counted over its own reachable states.
+    Returns the nodes, the successor list (letter, state) and the output
+    set of each state, in number order, and the start state of each
+    expression.
+    """
+    normal, unfoldings = {}, {}  # memos of this call only
+    number: dict = {}  # node -> its state
+    nodes, succ, outs, starts = [], [], [], []
+
+    def state(node):
+        i = number.get(node)
+        if i is None:
+            i = number[node] = len(nodes)
+            nodes.append(node)
+            succ.append(None)
+            outs.append(None)
+        return i
+
+    for e in exprs:
+        start = state(_alpha(e, normal))
+        starts.append(start)
+        reached = {start}
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            if succ[i] is None:  # first reached, by this or an earlier expression
+                trans, vs = _step(nodes[i], unfoldings)
+                succ[i] = list({(a, state(_alpha(t, normal))) for a, t in trans})
+                outs[i] = frozenset(vs)
+            for _, j in succ[i]:
+                if j not in reached:
+                    if len(reached) >= max_states:
+                        raise ExpansionBudgetError(
+                            f"expansion exceeded {max_states} states")
+                    reached.add(j)
+                    queue.append(j)
+    return nodes, succ, outs, starts
+
+
+def _joint(exprs, max_states=MAX_STATES) -> _Joint:
+    """The expansions of the given expressions as one joint, with one row
+    of their start states; a state is named by its canonical text."""
+    nodes, succ, outs, starts = _expansion(exprs, max_states)
+    text: dict = {}
+    return _Joint(succ, outs, [tuple(starts)], lambda i: _text(nodes[i], text), None)
+
+
 def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
     """Chart of all reachable derivatives, states named by canonical text."""
-    normal, text, unfoldings = {}, {}, {}  # memos of this call only
-    start = _alpha(e, normal)
-    start_key = _text(start, text)
-    states = {start_key: start}
-    trans: set = set()
-    outs: set = set()
-    queue = deque([start_key])
-    while queue:
-        key = queue.popleft()
-        sr_trans, sr_outs = _step(states[key], unfoldings)
-        for v in sr_outs:
-            outs.add((key, v))
-        for (a, t) in sr_trans:
-            nt = _alpha(t, normal)
-            tkey = _text(nt, text)
-            trans.add((key, a, tkey))
-            if tkey not in states:
-                if len(states) >= max_states:
-                    raise ExpansionBudgetError(
-                        f"expansion exceeded {max_states} states")
-                states[tkey] = nt
-                queue.append(tkey)
-    p = Prechart._of(frozenset(states), frozenset(trans), frozenset(outs))
-    return Chart(p, start_key)
+    nodes, succ, outs, (start,) = _expansion([e], max_states)
+    text: dict = {}
+    names = [_text(node, text) for node in nodes]
+    return Chart(_named(succ, outs, names), names[start])
 
 
 # --- concrete syntax ---------------------------------------------------

@@ -26,7 +26,7 @@ from chartdist import (
     expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
 from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
-from chartdist.diagram import _close, _fold, _tensor_fold
+from chartdist.diagram import _close, _fold, _open_chart, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
 LETTERS = "ab"
@@ -652,7 +652,7 @@ def ref_open_chart(t, max_states=10000):
         return tuple(a + b for a, b in zip(f, g))
 
     ins, ins_back, outs_back, outs = _fold(t, leaf, seq, tensor)
-    return _close(moves, eps, ins + ins_back, outs_back + outs, max_states)
+    return _open_chart(*_close(moves, eps, ins + ins_back, outs_back + outs, max_states))
 
 
 def ref_zip_merge(n):

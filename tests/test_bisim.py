@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 
 from chartdist import (
-    Chart, Refinement, bisimilar, coarsest_partition, disjoint_union, expand,
+    Chart, Prechart, bisimilar, coarsest_partition, disjoint_union, expand, format_expr,
     parse_chart_text, parse_expr, quotient, stratified_level,
 )
+from chartdist.bisim import _refine_pair, _refinement
 from helpers import (
     RefRefinement, brute_bisimilar, brute_level, brute_related_pairs,
-    cycle_text, is_bisimulation, live_vars, precharts, rand_chart, rand_expr,
+    cycle_text, is_bisimulation, live_vars, precharts, rand_chart, rand_expr, rand_forward,
+    ref_expand, ref_open_chart,
 )
 
 
@@ -126,21 +128,24 @@ def test_is_bisimulation_rejects_junk():
 
 
 def assert_refines_like_reference(p):
-    """Refinement and RefRefinement agree on everything they report, both
-    while rounds are computed on demand and once they have all run."""
-    r, ref = Refinement(p), RefRefinement(p)
-    assert r.order == ref.order
+    """Refinement, on p's states numbered, and RefRefinement, on their
+    names, agree on everything they report, both while rounds are
+    computed on demand and once they have all run."""
+    (states, r), ref = _refinement(p), RefRefinement(p)
+    number = {q: i for i, q in enumerate(states)}
+    assert [states[i] for i in r.order] == ref.order
     for x in ref.order:
         for y in ref.order:
-            assert r.level(x, y) == ref.level(x, y)
+            assert r.level(number[x], number[y]) == ref.level(x, y)
             assert r.rounds == ref.rounds
-    assert r.classes() == ref.classes()
+    assert dict(zip(states, r.classes())) == ref.classes()
     assert (r.rounds, r.max_level()) == (ref.rounds, ref.max_level())
     pairs = [(x, y) for x in ref.order for y in ref.order]
-    r, ref = Refinement(p), RefRefinement(p)
-    assert r.least_level(pairs) == ref.least_level(pairs)
+    (_, r), ref = _refinement(p), RefRefinement(p)
+    assert r.least_level([(number[x], number[y]) for x, y in pairs]) == ref.least_level(pairs)
     assert r.rounds == ref.rounds
-    assert (r.max_level(), r.rounds, r.classes()) == (ref.max_level(), ref.rounds, ref.classes())
+    assert (r.max_level(), r.rounds, dict(zip(states, r.classes()))) == \
+        (ref.max_level(), ref.rounds, ref.classes())
 
 
 @given(precharts())
@@ -154,3 +159,54 @@ def test_refinement_matches_reference_on_cycle_pairs(n):
     union, _, _ = disjoint_union(parse_chart_text(cycle_text(n)),
                                  parse_chart_text(cycle_text(n + 1)))
     assert_refines_like_reference(union)
+
+
+def reference_joint(kind, f, g):
+    """The joint prechart of two inputs and its seed rows, built from the
+    references and named as the queries name states: two expansions
+    share their canonical texts, and the states of two charts or two
+    open charts are tagged "L:" and "R:" by side."""
+    if kind == "expr":
+        c1, c2 = ref_expand(format_expr(f)), ref_expand(format_expr(g))
+        return (Prechart(c1.states | c2.states, c1.trans | c2.trans, c1.outs | c2.outs),
+                [(c1.start, c2.start)])
+    if kind == "chart":
+        (p1, p2), rows = (f.prechart, g.prechart), [(f.start, g.start)]
+    else:
+        o1, o2 = ref_open_chart(f), ref_open_chart(g)
+        (p1, p2), rows = (o1.prechart, o2.prechart), list(zip(o1.entries, o2.entries))
+    parts = [(frozenset(f"{side}:{q}" for q in p.states),
+              frozenset((f"{side}:{q}", a, f"{side}:{r}") for q, a, r in p.trans),
+              frozenset((f"{side}:{q}", v) for q, v in p.outs))
+             for side, p in (("L", p1), ("R", p2))]
+    return (Prechart(*(left | right for left, right in zip(*parts))),
+            [(f"L:{x}", f"R:{y}") for x, y in rows])
+
+
+def random_pair(kind, rng):
+    if kind == "expr":
+        return rand_expr(rng), rand_expr(rng)
+    if kind == "chart":
+        return rand_chart(rng), rand_chart(rng)
+    m, n = rng.randint(0, 2), rng.randint(0, 2)
+    return rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3)
+
+
+@pytest.mark.parametrize("kind", ["expr", "chart", "diag"])
+def test_numbered_joint_matches_references(kind):
+    """Each number of the joint that the queries refine names the state of
+    the reference joint with its moves and outputs, the rows name the
+    reference seeds, and every pair of numbers has the level that the
+    reference refinement gives the pair of names."""
+    rng = random.Random(2026)
+    for _ in range(60):
+        f, g = random_pair(kind, rng)
+        joint, r = _refine_pair(f, g)
+        p, rows = reference_joint(kind, f, g)
+        names = [joint.name(i) for i in range(len(joint.succ))]
+        assert len(set(names)) == len(names)
+        assert joint.prechart() == p
+        assert [(names[x], names[y]) for x, y in joint.rows] == rows
+        ref = RefRefinement(p)
+        assert [[r.level(i, j) for j in range(len(names))] for i in range(len(names))] == \
+            [[ref.level(x, y) for y in names] for x in names]

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chartdist import (
     Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, disjoint_union,
-    expand, format_chart_text, joint_prechart, open_chart_pair, parse_chart_text,
-    parse_expr, quotient, reachable, tagged_union,
+    expand, format_chart_text, joint_pair, joint_prechart, open_chart_pair, parse_chart_text,
+    parse_expr, quotient, reachable,
 )
 from chartdist.chart import _relabel, state_key
 from chartdist.cli import EXIT_PARSE, main
@@ -120,8 +120,9 @@ def test_expansions_pass_the_check(e, f):
 def test_open_charts_pass_the_check(seed):
     rng = random.Random(seed)
     m, n = rng.randint(0, 2), rng.randint(0, 2)
-    o1, o2 = open_chart_pair(rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3))
-    assert_checked(o1.prechart, o2.prechart, tagged_union(o1.prechart, o2.prechart))
+    t1, t2 = rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3)
+    o1, o2 = open_chart_pair(t1, t2)
+    assert_checked(o1.prechart, o2.prechart, joint_pair(t1, t2)[0])
     for o in (o1, o2):
         for entry in o.entries:
             assert_chart_checked(Chart(o.prechart, entry))
@@ -216,11 +217,11 @@ def test_disjoint_union_tags_sides():
     assert len(union.states) == 2 * len(c.states)
 
 
-def test_tagged_union_rejects_states_that_print_alike():
+def test_disjoint_union_rejects_states_that_print_alike():
     # 1 and "1" would both become "L:1", and "1" would gain the moves of 1
     p = Prechart(frozenset({1, "1", 2}), frozenset({(1, "a", 2)}), frozenset({(2, 1)}))
     with pytest.raises(ValueError) as info:
-        tagged_union(p, empty_chart().prechart)
+        disjoint_union(Chart(p, 2), empty_chart())
     assert str(info.value) == "states 1 and '1' print alike"
     with pytest.raises(ValueError, match="print alike"):
         bisimilar(empty_chart(), Chart(p, "1"))

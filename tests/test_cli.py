@@ -58,14 +58,15 @@ def patch_everywhere(patch, original, replacement):
 
 @contextmanager
 def counting_refinements(monkeypatch):
-    """A list of the precharts of the Refinements built inside the block."""
+    """A list of the successor lists of the Refinements built inside the
+    block."""
     built = []
     original = chartdist.bisim.Refinement
 
     class CountedRefinement(original):
-        def __init__(self, p):
-            built.append(p)
-            super().__init__(p)
+        def __init__(self, succ, outs, name):
+            built.append(succ)
+            super().__init__(succ, outs, name)
 
     with monkeypatch.context() as patch:
         patch_everywhere(patch, original, CountedRefinement)
@@ -481,6 +482,29 @@ def test_every_query_builds_one_refinement(capsys, monkeypatch, command, fmt):
             assert out == want
 
 
+def test_names_are_made_only_where_printed(capsys, monkeypatch):
+    """dist and strat without --table, and bisim on a pair that is not
+    bisimilar, name no state in any format: neither the one name function
+    of tagged states nor the expression printer runs.  dist --table, which
+    prints the names, runs them."""
+    calls = []
+    for original in (chartdist.chart._tag, chartdist.expr._text):
+        def counted(*args, original=original):
+            calls.append(original.__name__)
+            return original(*args)
+        patch_everywhere(monkeypatch, original, counted)
+    cases = {"expr": (FIG_LEFT, FIG_RIGHT), "chart": (cycle_text(3), cycle_text(4)),
+             "diag": ("act(a) ; act(a) ; del", "act(a) ; act(b) ; del")}
+    for fmt, (left, right) in cases.items():
+        for command in ("dist", "strat", "bisim"):
+            code, _, err = run(capsys, command, "--format", fmt, left, right)
+            assert (code, err) == (EXIT_USAGE if command == "bisim" else EXIT_OK, ""), fmt
+        assert calls == [], (fmt, command)
+        assert run(capsys, "dist", "--table", "--format", fmt, left, right)[0] == EXIT_OK
+        assert set(calls) == {"_text" if fmt == "expr" else "_tag"}, fmt
+        calls.clear()
+
+
 def test_every_library_view_builds_one_refinement(monkeypatch):
     for left, right, level in ((FIG_LEFT, FIG_RIGHT, 2),
                                ("mu v1.a.v1", "mu v1.a.a.v1", math.inf)):
@@ -801,7 +825,7 @@ def test_too_deep_diagram_exits_5_without_traceback(capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    patch_everywhere(monkeypatch, chartdist.diagram.open_chart_pair, too_deep)
+    patch_everywhere(monkeypatch, chartdist.diagram._open_parts, too_deep)
     assert run(capsys, "dist", "--format", "diag", "act(a)", "act(a)") == \
         (EXIT_BUDGET, "", "error: input too deeply nested\n")
 
