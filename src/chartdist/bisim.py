@@ -232,8 +232,8 @@ def bisimilar(c1: Chart, c2: Chart):
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
-    return True, witness_pairs(refinement, {i: joint.local(i) for i in joint.side(s1)},
-                               {i: joint.local(i) for i in joint.side(s2)})
+    return True, witness_pairs(refinement, *({i: joint.local(i) for i in side} for side in (
+        range(joint.split), range(joint.split, len(joint.succ)))))
 
 
 def stratified_level(f, g, max_states=MAX_STATES):

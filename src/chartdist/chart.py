@@ -2,11 +2,10 @@
 
 A prechart is a finite set of states with labelled transitions and a
 set of output variables attached to each state.  A chart additionally
-fixes a start state.  This module reads and prints charts as text and
-restricts them to their reachable states.  It also holds the numbered
-joint that every two-input query refines, ``_Joint``, the one numbering
-of two charts into it, and the one name function of states tagged by
-side, ``_tag``; besides the immutable record base of the package's
+fixes a start state.  This module reads and prints charts as text,
+restricts them to their reachable states, and numbers two of them as
+one ``_Joint``, the numbered prechart that every two-input query
+refines.  It also holds the immutable record base of the package's
 records and the state budget of expansions and open charts.
 """
 
@@ -230,15 +229,9 @@ def _relabel(c: Chart, offset: int):
 
 def reachable(c: Chart) -> Chart:
     """Restrict to the states reachable from the start."""
-    tmap = c.prechart.transition_map()
-    seen = {c.start}
-    stack = [c.start]
-    while stack:
-        q = stack.pop()
-        for (_, r) in tmap[q]:
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
+    index, succ, _ = _numbered(c.prechart)
+    states = list(index)
+    seen = {states[i] for i in _reach(succ, index[c.start])}
     p = Prechart._of(
         frozenset(seen),
         frozenset(t for t in c.trans if t[0] in seen),
@@ -247,76 +240,21 @@ def reachable(c: Chart) -> Chart:
     return Chart(p, c.start)
 
 
-def _tag(side: str, q) -> str:
-    """The name of state q of the left ("L") or the right ("R") input of
-    a joint: "<side>:<q>".  The one name function of tagged states, called
-    only where a name is printed or read back."""
-    return f"{side}:{q}"
-
-
-def _named(succ, outs, names) -> Prechart:
-    """The prechart of numbered states under their names: state i, named
-    names[i], has the transitions (letter, j) of succ[i] and the outputs
-    of outs[i]."""
-    return Prechart._of(
-        frozenset(names),
-        frozenset([(names[i], a, names[j]) for i, moves in enumerate(succ) for a, j in moves]),
-        frozenset([(names[i], v) for i, vs in enumerate(outs) for v in vs]))
-
-
-class _Joint:
-    """Inputs of one kind numbered as one prechart, the numbers that the
-    refinement, the certificates and the witnesses index by.
-
-    State i, for i below n = len(succ), has the transitions (letter, j)
-    of succ[i] and the output set outs[i]; rows lists the seed pairs to
-    compare.  local(i) names state i in its own input.  When split is a
-    number, the states below it are the left input's and the others the
-    right's, and a state is named by its local name tagged "L:" or "R:";
-    when it is None, the inputs share their states, named locally.
-    """
-
-    __slots__ = ("succ", "outs", "rows", "local", "split")
-
-    def __init__(self, succ, outs, rows, local, split):
-        self.succ, self.outs, self.rows, self.local, self.split = succ, outs, rows, local, split
-
-    def name(self, i):
-        """The name of state i, as the table, certificates and check print it."""
-        if self.split is None:
-            return self.local(i)
-        return _tag("L" if i < self.split else "R", self.local(i))
-
-    def moves(self, i) -> frozenset:
-        """The beta-moves of state i: ("act", a, j) and ("out", v)."""
-        return frozenset([("act", a, j) for a, j in self.succ[i]]
-                         + [("out", v) for v in self.outs[i]])
-
-    def side(self, i) -> range:
-        """The states of the input that state i belongs to."""
-        if self.split is None:
-            return range(len(self.succ))
-        return range(self.split) if i < self.split else range(self.split, len(self.succ))
-
-    def reach(self, i) -> list:
-        """The states reachable from state i, i first."""
-        seen, order = {i}, [i]
-        for q in order:  # grows while it is walked
-            for _, r in self.succ[q]:
-                if r not in seen:
-                    seen.add(r)
-                    order.append(r)
-        return order
-
-    def prechart(self) -> Prechart:
-        """The named view: the prechart of the states under their names."""
-        return _named(self.succ, self.outs, [self.name(i) for i in range(len(self.succ))])
+def _reach(succ, i) -> list:
+    """The numbers reachable from i in successor lists succ, i first."""
+    seen, order = {i}, [i]
+    for q in order:  # grows while it is walked
+        for _, r in succ[q]:
+            if r not in seen:
+                seen.add(r)
+                order.append(r)
+    return order
 
 
 def _numbered(p: Prechart, offset: int = 0):
-    """The states of p numbered from offset, in its iteration order: a
-    dict from each state to its position, and the successor list and the
-    output set of each position."""
+    """The states of p numbered from offset in its iteration order: a dict
+    from each state to its position, and the successor list (letter,
+    number) and the output set of each position."""
     index = {q: i for i, q in enumerate(p.states)}
     succ = [[] for _ in index]
     outs = [set() for _ in index]
@@ -327,39 +265,62 @@ def _numbered(p: Prechart, offset: int = 0):
     return index, succ, [frozenset(vs) for vs in outs]
 
 
-def _print_apart(states):
-    """ValueError when two of the states print alike, as 1 and "1" do;
-    strings print as themselves, so only other states are compared."""
-    if all(type(q) is str for q in states):
-        return
-    seen: dict = {}
-    for q in sorted(states, key=state_key):
-        other = seen.setdefault(f"{q}", q)
-        if other is not q:
-            raise ValueError(f"states {other!r} and {q!r} print alike")
+def _tag(side: str, q) -> str:
+    """The name of state q of the left ("L") or right ("R") input of a
+    joint; the one name function of tagged states."""
+    return f"{side}:{q}"
+
+
+class _Joint:
+    """Inputs of one kind numbered as one prechart: state i has the moves
+    (letter, j) of succ[i] and the outputs outs[i], and rows are the seed
+    pairs to compare.  local(i) names state i in its own input.  The
+    states below split are the left input's and the others the right's,
+    named by side with _tag; with split None the inputs share states and
+    their local names.  Names are made only where printed or read back.
+    """
+
+    __slots__ = ("succ", "outs", "rows", "local", "split")
+
+    def __init__(self, succ, outs, rows, local, split=None):
+        self.succ, self.outs, self.rows, self.local, self.split = succ, outs, rows, local, split
+
+    def name(self, i):
+        if self.split is None:
+            return self.local(i)
+        return _tag("L" if i < self.split else "R", self.local(i))
+
+    def prechart(self) -> Prechart:
+        """The named view: the prechart of the states under their names."""
+        names = [self.name(i) for i in range(len(self.succ))]
+        return Prechart._of(
+            frozenset(names),
+            frozenset([(names[i], a, names[j]) for i, moves in enumerate(self.succ)
+                       for a, j in moves]),
+            frozenset([(names[i], v) for i, vs in enumerate(self.outs) for v in vs]))
 
 
 def _chart_joint(c1: Chart, c2: Chart) -> _Joint:
-    """Two charts as one joint: each chart numbered on its own, the right
-    one's numbers offset by the left one's state count, and one row of
-    the two starts.  Two states of one chart that print alike, and so
-    would share a name, raise ValueError."""
+    """Two charts, each numbered on its own and the right one's after the
+    left one's, with one row of their starts.  Two states of one chart
+    that print alike, as 1 and "1" do, would share a name and raise
+    ValueError."""
     left, succ1, outs1 = _numbered(c1.prechart)
-    split = len(left)
-    right, succ2, outs2 = _numbered(c2.prechart, split)
-    _print_apart(left)
-    _print_apart(right)
-    return _Joint(succ1 + succ2, outs1 + outs2, [(left[c1.start], split + right[c2.start])],
-                  [*left, *right].__getitem__, split)
+    right, succ2, outs2 = _numbered(c2.prechart, len(left))
+    for states in (left, right):
+        if any(type(q) is not str for q in states):  # a str prints as itself
+            seen: dict = {}
+            for q in sorted(states, key=state_key):
+                other = seen.setdefault(f"{q}", q)
+                if other is not q:
+                    raise ValueError(f"states {other!r} and {q!r} print alike")
+    return _Joint(succ1 + succ2, outs1 + outs2, [(left[c1.start], len(left) + right[c2.start])],
+                  [*left, *right].__getitem__, len(left))
 
 
 def disjoint_union(c1: Chart, c2: Chart):
-    """Named view of two charts' joint; returns (prechart, start1, start2).
-
-    States are renamed "L:<q>" and "R:<q>", so the names stay apart and
-    readable; two states of one chart that print alike raise ValueError
-    rather than merge.
-    """
+    """The named view of two charts' joint: (prechart, start1, start2),
+    the states renamed "L:<q>" and "R:<q>"."""
     joint = _chart_joint(c1, c2)
     (x, y), = joint.rows
     return joint.prechart(), joint.name(x), joint.name(y)

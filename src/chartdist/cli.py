@@ -141,13 +141,6 @@ def _cmd_dist(args):
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _witness_side(args, joint, seed):
-    """The states one side of a bisim witness ranges over, all of a chart's
-    or else those the seed reaches, mapped to their names in their input."""
-    states = joint.side(seed) if args.format == "chart" else joint.reach(seed)
-    return {i: joint.local(i) for i in states}
-
-
 def _cmd_bisim(args):
     joint, refinement, level = _compare(args)
     if level != math.inf:
@@ -156,8 +149,13 @@ def _cmd_bisim(args):
     lines = ["bisimilar"]
     for i, (x, y) in enumerate(joint.rows, start=1):
         tag = f"row {i}\t" if args.format == "diag" else ""
-        w = bisim.witness_pairs(refinement, _witness_side(args, joint, x),
-                                _witness_side(args, joint, y))
+        # a side ranges over all of a chart's states, else over what its seed
+        # reaches, and its states are named as in their input
+        sides = ((range(joint.split), range(joint.split, len(joint.succ)))
+                 if args.format == "chart" else
+                 (chart._reach(joint.succ, x), chart._reach(joint.succ, y)))
+        w = bisim.witness_pairs(refinement, *({q: joint.local(q) for q in side}
+                                              for side in sides))
         for q1, q2 in sorted(w, key=lambda pr: (chart.state_key(pr[0]),
                                                 chart.state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")

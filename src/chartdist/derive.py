@@ -365,7 +365,7 @@ def _premises(node, pair, path, joint, number, refinement):
         raise TypeError(f"not a certificate: {node!r}")
     for side, q, moves in (("left", x, [m1 for m1, _, _ in node.pairs]),
                            ("right", y, [m2 for _, m2, _ in node.pairs])):
-        if frozenset([_numbered(m, number) for m in moves]) != joint.moves(q):
+        if frozenset([_numbered(m, number) for m in moves]) != _moves(joint, q):
             raise CertificateError(
                 f"{side} projection differs from the moves of {joint.name(q)!r}", path)
     todo, worst = [], FZERO
@@ -382,6 +382,12 @@ def _premises(node, pair, path, joint, number, refinement):
         todo.append(CertificateError(
             f"coupling bound {_ratio(node.eps)} below required {_ratio(worst)}", path))
     return todo
+
+
+def _moves(joint, i) -> frozenset:
+    """The beta-moves of state i of a joint: ("act", a, j) and ("out", v)."""
+    return frozenset([("act", a, j) for a, j in joint.succ[i]]
+                     + [("out", v) for v in joint.outs[i]])
 
 
 def _numbered(m, number):
@@ -422,20 +428,10 @@ class _Synthesizer:
         self.joint = joint
         self.refinement = refinement
         self.memo = {}
-        self.names = {}  # state number -> its name, for the states named so far
 
     def named(self, m):
         """A move with its target named, as the certificate prints it."""
-        if m[0] != "act":
-            return m
-        name = self.names.get(m[2])
-        if name is None:
-            name = self.names[m[2]] = self.joint.name(m[2])
-        return "act", m[1], name
-
-    def key(self, m):
-        """move_key of a move as the certificate prints it."""
-        return move_key(self.named(m))
+        return ("act", m[1], self.joint.name(m[2])) if m[0] == "act" else m
 
     def rank(self, m1, m2, p):
         """0 for equal moves or one letter into bisimilar targets, 1 for
@@ -451,9 +447,11 @@ class _Synthesizer:
         """Each move of x with a cheapest move of y and each move of y
         with a cheapest move of x, in move order; a pair of level >= p
         always has one of rank at most 1."""
-        key = self.key
-        bx = sorted(self.joint.moves(x), key=key)
-        by = sorted(self.joint.moves(y), key=key)
+        def key(m):
+            return move_key(self.named(m))
+
+        bx = sorted(_moves(self.joint, x), key=key)
+        by = sorted(_moves(self.joint, y), key=key)
         chosen = {}
         for m1 in bx:
             chosen[(m1, min(by, key=lambda m: (self.rank(m1, m, p), key(m))))] = None
@@ -506,13 +504,13 @@ def synthesize(f, g, eps=None, max_states=MAX_STATES):
         eps = _bound(eps)
     joint, refinement = _refine_pair(f, g, max_states)
     pairs = joint.rows
-    syn = _Synthesizer(joint, refinement)
     levels = [refinement.level(x, y) for x, y in pairs]
     distance = level_distance(min(levels, default=math.inf))
     if eps is not None and eps < distance:
         raise SynthesisFailure(
             f"requested bound {_ratio(eps)} is below the distance {_ratio(distance)}",
             distance)
+    syn = _Synthesizer(joint, refinement)
     cores = [syn.cert(x, y, level) for (x, y), level in zip(pairs, levels)]
     root = cores[0] if len(pairs) == 1 else CDecomp(tuple(cores))
     if eps is not None and eps > distance:

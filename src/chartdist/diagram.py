@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 
 from .chart import (
-    MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _named, _Record, _set, _valid_letter,
+    MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _Record, _set, _valid_letter,
 )
 
 __all__ = [
@@ -448,7 +448,7 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
 
 def _open_chart(succ, outs, entries) -> OpenChart:
     """The OpenChart of a _close result numbered from 0."""
-    return OpenChart(_named(succ, outs, range(len(succ))), entries)
+    return OpenChart(_Joint(succ, outs, (), int).prechart(), entries)
 
 
 def open_chart(t, max_states=MAX_STATES) -> OpenChart:

@@ -29,7 +29,7 @@ from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, _digits, _Joint, _named, _Record, _set,
+    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, _digits, _Joint, _Record, _set,
     _valid_letter, _var_index,
 )
 
@@ -416,33 +416,26 @@ def _step(e: Expr, unfoldings: dict):
     return trans, outs
 
 
-def _expansion(exprs, max_states):
-    """The reachable derivatives of the given expressions, numbered as
-    one: a state is an interned alpha-normal node, and the expansions
-    share the states they reach in common.  Each expression may reach at
-    most max_states states, counted over its own reachable states.
-    Returns the nodes, the successor list (letter, state) and the output
-    set of each state, in number order, and the start state of each
-    expression.
-    """
-    normal, unfoldings = {}, {}  # memos of this call only
-    number: dict = {}  # node -> its state
-    nodes, succ, outs, starts = [], [], [], []
+def _joint(exprs, max_states=MAX_STATES) -> _Joint:
+    """The reachable derivatives of the given expressions as one joint,
+    with one row of their starts.  A state is an interned alpha-normal
+    node, shared by the expansions that reach it, and named by its
+    canonical text.  Each expression may reach max_states states."""
+    normal, unfoldings, text = {}, {}, {}  # memos of this call only
+    number, nodes, succ, outs, starts = {}, [], [], [], []  # number: node -> state
 
     def state(node):
-        i = number.get(node)
-        if i is None:
-            i = number[node] = len(nodes)
+        if node not in number:
+            number[node] = len(nodes)
             nodes.append(node)
             succ.append(None)
             outs.append(None)
-        return i
+        return number[node]
 
     for e in exprs:
-        start = state(_alpha(e, normal))
-        starts.append(start)
-        reached = {start}
-        queue = deque([start])
+        starts.append(state(_alpha(e, normal)))
+        reached = {starts[-1]}
+        queue = deque(reached)
         while queue:
             i = queue.popleft()
             if succ[i] is None:  # first reached, by this or an earlier expression
@@ -452,27 +445,16 @@ def _expansion(exprs, max_states):
             for _, j in succ[i]:
                 if j not in reached:
                     if len(reached) >= max_states:
-                        raise ExpansionBudgetError(
-                            f"expansion exceeded {max_states} states")
+                        raise ExpansionBudgetError(f"expansion exceeded {max_states} states")
                     reached.add(j)
                     queue.append(j)
-    return nodes, succ, outs, starts
-
-
-def _joint(exprs, max_states=MAX_STATES) -> _Joint:
-    """The expansions of the given expressions as one joint, with one row
-    of their start states; a state is named by its canonical text."""
-    nodes, succ, outs, starts = _expansion(exprs, max_states)
-    text: dict = {}
-    return _Joint(succ, outs, [tuple(starts)], lambda i: _text(nodes[i], text), None)
+    return _Joint(succ, outs, [tuple(starts)], lambda i: _text(nodes[i], text))
 
 
 def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
     """Chart of all reachable derivatives, states named by canonical text."""
-    nodes, succ, outs, (start,) = _expansion([e], max_states)
-    text: dict = {}
-    names = [_text(node, text) for node in nodes]
-    return Chart(_named(succ, outs, names), names[start])
+    joint = _joint([e], max_states)
+    return Chart(joint.prechart(), joint.name(joint.rows[0][0]))
 
 
 # --- concrete syntax ---------------------------------------------------
