@@ -140,14 +140,6 @@ class Refinement:
         return max(self.rounds - 1, 0)
 
 
-def _refinement(p: Prechart):
-    """The states of p as a list, and a Refinement of p in which state i
-    is the list's i-th."""
-    index, succ, outs = _numbered(p)
-    states = list(index)
-    return states, Refinement(succ, outs, states.__getitem__)
-
-
 def _joint(f, g, max_states=MAX_STATES):
     """Two inputs of one kind as one numbered joint: two expressions
     (their expansions sharing states, one row), two charts (one row) or
@@ -190,24 +182,21 @@ def joint_pair(f, g, max_states=MAX_STATES):
 def coarsest_partition(p: Prechart) -> tuple:
     """Coarsest bisimulation partition: a tuple of frozenset blocks, in
     first-seen state_key order."""
-    states, refinement = _refinement(p)
-    classes = refinement.classes()
-    blocks: dict = {}
-    for i in refinement.order:
-        blocks.setdefault(classes[i], []).append(states[i])
-    return tuple(frozenset(b) for b in blocks.values())
+    m = quotient(p)[1]
+    blocks = [[] for _ in set(m.values())]
+    for q, c in m.items():  # class ids are numbered first-seen in state_key order
+        blocks[c].append(q)
+    return tuple(map(frozenset, blocks))
 
 
-def witness_pairs(refinement: Refinement, left, right) -> frozenset:
-    """Pairs (left[x], right[y]) for the states x of left and y of right
-    that share a bisimilarity class of the refinement; left and right map
-    state numbers to the names to report them by."""
+def witness_pairs(refinement: Refinement, left, right, name) -> frozenset:
+    """Pairs (name(x), name(y)) for the state numbers x of left and y of
+    right that share a bisimilarity class of the refinement."""
     m = refinement.classes()
     by_class: dict = {}
-    for y, name in right.items():
-        by_class.setdefault(m[y], []).append(name)
-    return frozenset((name, other) for x, name in left.items()
-                     for other in by_class.get(m[x], ()))
+    for y in right:
+        by_class.setdefault(m[y], []).append(name(y))
+    return frozenset((name(x), other) for x in left for other in by_class.get(m[x], ()))
 
 
 def _refine_pair(f, g, max_states=MAX_STATES):
@@ -232,8 +221,8 @@ def bisimilar(c1: Chart, c2: Chart):
     level = refinement.level(s1, s2)
     if level != math.inf:
         return False, level + 1
-    return True, witness_pairs(refinement, *({i: joint.local(i) for i in side} for side in (
-        range(joint.split), range(joint.split, len(joint.succ)))))
+    return True, witness_pairs(refinement, range(joint.split),
+                               range(joint.split, len(joint.succ)), joint.local)
 
 
 def stratified_level(f, g, max_states=MAX_STATES):
@@ -253,8 +242,9 @@ def quotient(p: Prechart):
     The graph of the returned map is itself a bisimulation, and
     quotienting twice gives an isomorphic result.
     """
-    states, refinement = _refinement(p)
-    m = dict(zip(states, refinement.classes()))
+    index, succ, outs = _numbered(p)
+    states = list(index)
+    m = dict(zip(states, Refinement(succ, outs, states.__getitem__).classes()))
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)

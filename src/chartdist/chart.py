@@ -169,18 +169,6 @@ class Prechart(_Record):
     def variables(self) -> frozenset:
         return frozenset(v for (_, v) in self.outs)
 
-    def transition_map(self) -> dict:
-        m = {q: set() for q in self.states}
-        for (q, a, r) in self.trans:
-            m[q].add((a, r))
-        return m
-
-    def output_map(self) -> dict:
-        m = {q: set() for q in self.states}
-        for (q, v) in self.outs:
-            m[q].add(v)
-        return m
-
     def beta(self) -> dict:
         """Move sets: ('act', a, target) for transitions, ('out', v) for outputs."""
         m = {q: set() for q in self.states}

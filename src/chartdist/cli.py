@@ -154,8 +154,7 @@ def _cmd_bisim(args):
         sides = ((range(joint.split), range(joint.split, len(joint.succ)))
                  if args.format == "chart" else
                  (chart._reach(joint.succ, x), chart._reach(joint.succ, y)))
-        w = bisim.witness_pairs(refinement, *({q: joint.local(q) for q in side}
-                                              for side in sides))
+        w = bisim.witness_pairs(refinement, *sides, joint.local)
         for q1, q2 in sorted(w, key=lambda pr: (chart.state_key(pr[0]),
                                                 chart.state_key(pr[1]))):
             lines.append(f"{tag}{q1}\t{q2}")

@@ -36,7 +36,9 @@ import re
 from fractions import Fraction
 
 from .bisim import _refine_pair, joint_pair, joint_prechart
-from .chart import MAX_STATES, _ratio, _Record, _set, _valid_letter, _var_index, move_key
+from .chart import (
+    MAX_STATES, _digits, _ratio, _Record, _set, _valid_letter, _var_index, move_key,
+)
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -78,28 +80,23 @@ def _check_eps(eps):
         raise ValueError(f"bound {_ratio(eps)} outside [0, 1]")
 
 
-# the text of a rational as p or p/q in ASCII digits, which _bound reads
-# in pieces, so that neither has a digit limit
-_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*")
-
-
 def _integer(digits: str) -> int:
-    """The int of a string of ASCII digits, read 600 at a time."""
+    """The int of a string of ASCII digits, read 600 at a time, below
+    CPython's int-to-text digit limit."""
     n = 0
     for i in range(0, len(digits), 600):
-        piece = digits[i:i + 600]
-        n = n * 10 ** len(piece) + int(piece)
+        n = n * 10 ** len(digits[i:i + 600]) + int(digits[i:i + 600])
     return n
 
 
 def _bound(eps) -> Fraction:
     """eps, a rational or its text such as "3/4", as a Fraction; ValueError
-    when it is no rational or lies outside [0, 1]."""
-    m = _RATIONAL.fullmatch(eps) if isinstance(eps, str) else None
+    when it is no rational or lies outside [0, 1].  Text of the form p or
+    p/q in ASCII digits is read in pieces, so that it has no digit limit."""
+    p, slash, q = eps.strip().partition("/") if isinstance(eps, str) else ("", "", "")
     try:
-        if m:
-            sign, p, q = m.groups()
-            eps = Fraction(_integer(p) * (-1 if sign == "-" else 1), _integer(q or "1"))
+        if _digits(p) and (_digits(q) or not slash):
+            eps = Fraction(_integer(p), _integer(q or "1"))
         else:
             eps = Fraction(eps)
     except (ValueError, ZeroDivisionError):
@@ -326,13 +323,12 @@ def format_cert(cert) -> str:
 # --- checking --------------------------------------------------------------
 
 
-def _premises(node, pair, path, joint, number, refinement):
+def _premises(node, pair, path, joint, refinement):
     """Check the rule of one node against its children's bounds.  Returns
     what is left to check after it, in order: each child with its pair of
     state numbers and path, and each failure that is to be reported only
     once the children before it have passed.  pair is None at the root,
-    where a decomp splits the rows of the joint; number maps each state's
-    name to its number."""
+    where a decomp splits the rows of the joint."""
     if isinstance(node, CWeaken):
         todo = [(node.child, pair, path + ".weaken")]
         if node.eps < node.child.bound:
@@ -363,16 +359,18 @@ def _premises(node, pair, path, joint, number, refinement):
         raise CertificateError("decomp is only allowed at the root", path)
     if not isinstance(node, CCoupling):
         raise TypeError(f"not a certificate: {node!r}")
-    for side, q, moves in (("left", x, [m1 for m1, _, _ in node.pairs]),
-                           ("right", y, [m2 for _, m2, _ in node.pairs])):
-        if frozenset([_numbered(m, number) for m in moves]) != _moves(joint, q):
+    # the moves of x and y as printed, each with the move it names
+    mx, my = ({_named(joint, m): m for m in _moves(joint, q)} for q in (x, y))
+    for side, q, moves, named in (("left", x, [m1 for m1, _, _ in node.pairs], mx),
+                                  ("right", y, [m2 for _, m2, _ in node.pairs], my)):
+        if frozenset(moves) != named.keys():
             raise CertificateError(
                 f"{side} projection differs from the moves of {joint.name(q)!r}", path)
     todo, worst = [], FZERO
     for i, (m1, m2, child) in enumerate(node.pairs, start=1):
         where = f"{path}.move[{i}]"
         if child is not None and _needs_child(m1, m2):
-            todo.append((child, (number[m1[2]], number[m2[2]]), where))
+            todo.append((child, (mx[m1][2], my[m2][2]), where))
         elif child is not None:
             todo.append(CertificateError(f"{'equal' if m1 == m2 else 'mismatched'} moves "
                                          "do not take a sub-certificate", where))
@@ -390,10 +388,9 @@ def _moves(joint, i) -> frozenset:
                      + [("out", v) for v in joint.outs[i]])
 
 
-def _numbered(m, number):
-    """A move as printed, its target named, with the target numbered; a
-    name of no state numbers it None, which no move of a state has."""
-    return ("act", m[1], number.get(m[2])) if m[0] == "act" else m
+def _named(joint, m):
+    """A move as a certificate prints it, its target named."""
+    return ("act", m[1], joint.name(m[2])) if m[0] == "act" else m
 
 
 def check(cert, f, g, max_states=MAX_STATES) -> Fraction:
@@ -401,13 +398,12 @@ def check(cert, f, g, max_states=MAX_STATES) -> Fraction:
     the certified bound.  Nodes are checked depth first, left to right,
     and the first failure is raised."""
     joint, refinement = _refine_pair(f, g, max_states)
-    number = {joint.name(i): i for i in range(len(joint.succ))}
     todo = [(cert, None, "cert")]
     while todo:
         item = todo.pop()
         if isinstance(item, CertificateError):
             raise item
-        todo += reversed(_premises(*item, joint, number, refinement))
+        todo += reversed(_premises(*item, joint, refinement))
     return cert.bound
 
 
@@ -429,10 +425,6 @@ class _Synthesizer:
         self.refinement = refinement
         self.memo = {}
 
-    def named(self, m):
-        """A move with its target named, as the certificate prints it."""
-        return ("act", m[1], self.joint.name(m[2])) if m[0] == "act" else m
-
     def rank(self, m1, m2, p):
         """0 for equal moves or one letter into bisimilar targets, 1 for
         one letter into targets still related at iterate p - 1, else 2."""
@@ -448,7 +440,7 @@ class _Synthesizer:
         with a cheapest move of x, in move order; a pair of level >= p
         always has one of rank at most 1."""
         def key(m):
-            return move_key(self.named(m))
+            return move_key(_named(self.joint, m))
 
         bx = sorted(_moves(self.joint, x), key=key)
         by = sorted(_moves(self.joint, y), key=key)
@@ -469,7 +461,7 @@ class _Synthesizer:
             kx, ky, kp = key
             if pairs is not None:
                 self.memo[key] = CCoupling(level_distance(kp), tuple(
-                    (self.named(m1), self.named(m2),
+                    (_named(self.joint, m1), _named(self.joint, m2),
                      self.memo[(m1[2], m2[2], kp - 1)] if _needs_child(m1, m2) else None)
                     for m1, m2 in pairs))
             elif key in self.memo:

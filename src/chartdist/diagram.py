@@ -34,7 +34,7 @@ __all__ = [
     "Id", "Sym", "Seq", "Tensor",
     "DiagramTypeError", "DiagramSyntaxError",
     "typecheck", "interpret",
-    "OpenChart", "open_chart", "open_chart_pair",
+    "OpenChart", "open_chart",
     "parse_term", "format_term", "term_to_dot",
     "bend", "component", "diagram_distance", "semantic_equal",
     "from_expression", "zip_merge", "loop1",
@@ -198,20 +198,6 @@ def _fold(t, leaf, seq, tensor):
     return values[0]
 
 
-def _leaf_words(t):
-    kind = type(t)
-    gen = _GENERATORS.get(kind)
-    if gen is not None:
-        return gen[1], gen[2]
-    if kind is Act:
-        return ">", ">"
-    if kind is Id:
-        return t.word, t.word
-    if kind is Sym:
-        return t.left + t.right, t.right + t.left
-    raise TypeError(f"not a diagram term: {t!r}")
-
-
 def _path_to(t, target):
     """The path from t down to the subterm target, e.g. (';1', '*2')."""
     todo = [(t, None)]  # a node and its path, a linked list innermost first
@@ -244,7 +230,7 @@ def typecheck(t):
             raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
-    return _fold(t, _leaf_words, seq,
+    return _fold(t, lambda leaf: _leaf_layout(leaf)[:2], seq,
                  lambda f, g, _: (f[0] + g[0], f[1] + g[1]))
 
 
@@ -703,30 +689,15 @@ def _check_boundaries(words1, words2):
         raise DiagramTypeError("the two diagrams have different boundaries")
 
 
-def _parts_pair(t1, t2):
-    """The unresolved open charts of two diagrams with equal boundary
-    words; raises DiagramTypeError when the words differ.  Each term is
-    typed and laid out in one walk."""
+def _joint(t1, t2, max_states=MAX_STATES) -> _Joint:
+    """The open charts of two diagrams as one joint: each numbered by
+    _close, the right one's after the left one's, with a row per pair of
+    entries; a state's local name is its number in its own open chart.
+    Each term is typed and laid out in one walk, and DiagramTypeError is
+    raised when their boundary words differ, before either is closed."""
     words1, parts1 = _open_parts(t1)
     words2, parts2 = _open_parts(t2)
     _check_boundaries(words1, words2)
-    return parts1, parts2
-
-
-def open_chart_pair(t1, t2, max_states=MAX_STATES):
-    """The open charts of two diagrams with equal boundary words; raises
-    DiagramTypeError when the words differ, before either is closed."""
-    parts1, parts2 = _parts_pair(t1, t2)
-    return (_open_chart(*_close(*parts1, max_states)),
-            _open_chart(*_close(*parts2, max_states)))
-
-
-def _joint(t1, t2, max_states=MAX_STATES) -> _Joint:
-    """Two diagrams with equal boundary words as one joint: each open
-    chart numbered by _close, the right one's after the left one's, and a
-    row per pair of entries.  A state's local name is its number in its
-    own open chart."""
-    parts1, parts2 = _parts_pair(t1, t2)
     succ1, outs1, entries1 = _close(*parts1, max_states)
     split = len(succ1)
     succ2, outs2, entries2 = _close(*parts2, max_states, split)

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, Gen, Id, Merge, Mu,
-    Prechart, Prefix, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
+    Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
     expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
-from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
+from chartdist.chart import _LETTERS, _numbered, _relabel, _valid_letter, state_key
 from chartdist.diagram import _close, _fold, _open_chart, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
@@ -167,6 +167,22 @@ def transpose(u):
 # structural chart construction (the paper's six combinators, used against
 # expand)
 
+def transition_map(p: Prechart) -> dict:
+    """State -> its set of transitions (letter, target)."""
+    m = {q: set() for q in p.states}
+    for (q, a, r) in p.trans:
+        m[q].add((a, r))
+    return m
+
+
+def output_map(p: Prechart) -> dict:
+    """State -> its set of output variables."""
+    m = {q: set() for q in p.states}
+    for (q, v) in p.outs:
+        m[q].add(v)
+    return m
+
+
 def empty_chart() -> Chart:
     return Chart(Prechart(frozenset({0}), frozenset(), frozenset()), 0)
 
@@ -227,7 +243,7 @@ def subst_chart(c: Chart, charts: Iterable[Chart], variables: Iterable[int]) -> 
         offset += len(ri.states)
         inners.append(ri)
 
-    outs_of = base.prechart.output_map()
+    outs_of = output_map(base.prechart)
     trans = set(base.trans)
     outs = set()
     vset = set(variables)
@@ -250,7 +266,7 @@ def rec_chart(v: int, c: Chart) -> Chart:
     """Recursion: states outputting v also inherit the start's moves, v is dropped."""
     if not isinstance(v, int) or v < 1:
         raise ValueError(f"invalid variable index {v!r}")
-    outs_of = c.prechart.output_map()
+    outs_of = output_map(c.prechart)
     start_trans = {(a, r) for (q, a, r) in c.trans if q == c.start}
     start_outs = set(outs_of[c.start])
     trans = set(c.trans)
@@ -290,8 +306,8 @@ def structural_chart(e):
 def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:
     """Check the two bisimulation clauses for a relation on Q1 x Q2."""
     rel = set(relation)
-    t1, t2 = c1.prechart.transition_map(), c2.prechart.transition_map()
-    o1, o2 = c1.prechart.output_map(), c2.prechart.output_map()
+    t1, t2 = transition_map(c1.prechart), transition_map(c2.prechart)
+    o1, o2 = output_map(c1.prechart), output_map(c2.prechart)
     for (q1, q2) in rel:
         if o1[q1] != o2[q2]:
             return False
@@ -486,6 +502,14 @@ def ref_validate(states, trans, outs):
             raise ValueError(f"invalid output variable {v!r}")
 
 
+def numbered_refinement(p: Prechart):
+    """The states of p as a list, and a chartdist Refinement of p in
+    which state i is the list's i-th."""
+    index, succ, outs = _numbered(p)
+    states = list(index)
+    return states, Refinement(succ, outs, states.__getitem__)
+
+
 class RefRefinement:
     """Stratified partition refinement over the state names themselves,
     re-signing every state in every round: the reference for
@@ -493,9 +517,9 @@ class RefRefinement:
 
     def __init__(self, p: Prechart):
         self.order = sorted(p.states, key=state_key)
-        omap = p.output_map()
+        omap = output_map(p)
         self._outs = {q: frozenset(omap[q]) for q in self.order}
-        self._succ = p.transition_map()
+        self._succ = transition_map(p)
         self._block = dict.fromkeys(self.order, 0)
         self._parent = [None]
         self._split_at = [math.inf]

@@ -10,11 +10,11 @@ from chartdist import (
     Chart, Prechart, bisimilar, coarsest_partition, disjoint_union, expand, format_expr,
     parse_chart_text, parse_expr, quotient, stratified_level,
 )
-from chartdist.bisim import _refine_pair, _refinement
+from chartdist.bisim import _refine_pair
 from helpers import (
-    RefRefinement, brute_bisimilar, brute_level, brute_related_pairs,
-    cycle_text, is_bisimulation, live_vars, precharts, rand_chart, rand_expr, rand_forward,
-    ref_expand, ref_open_chart,
+    RefRefinement, brute_bisimilar, brute_level, brute_related_pairs, cycle_text,
+    is_bisimulation, live_vars, numbered_refinement, precharts, rand_chart, rand_expr,
+    rand_forward, ref_expand, ref_open_chart,
 )
 
 
@@ -131,7 +131,7 @@ def assert_refines_like_reference(p):
     """Refinement, on p's states numbered, and RefRefinement, on their
     names, agree on everything they report, both while rounds are
     computed on demand and once they have all run."""
-    (states, r), ref = _refinement(p), RefRefinement(p)
+    (states, r), ref = numbered_refinement(p), RefRefinement(p)
     number = {q: i for i, q in enumerate(states)}
     assert [states[i] for i in r.order] == ref.order
     for x in ref.order:
@@ -141,7 +141,7 @@ def assert_refines_like_reference(p):
     assert dict(zip(states, r.classes())) == ref.classes()
     assert (r.rounds, r.max_level()) == (ref.rounds, ref.max_level())
     pairs = [(x, y) for x in ref.order for y in ref.order]
-    (_, r), ref = _refinement(p), RefRefinement(p)
+    (_, r), ref = numbered_refinement(p), RefRefinement(p)
     assert r.least_level([(number[x], number[y]) for x, y in pairs]) == ref.least_level(pairs)
     assert r.rounds == ref.rounds
     assert (r.max_level(), r.rounds, dict(zip(states, r.classes()))) == \

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chartdist import (
     Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, disjoint_union,
-    expand, format_chart_text, joint_pair, joint_prechart, open_chart_pair, parse_chart_text,
+    expand, format_chart_text, joint_pair, joint_prechart, open_chart, parse_chart_text,
     parse_expr, quotient, reachable,
 )
 from chartdist.chart import _relabel, state_key
@@ -121,7 +121,7 @@ def test_open_charts_pass_the_check(seed):
     rng = random.Random(seed)
     m, n = rng.randint(0, 2), rng.randint(0, 2)
     t1, t2 = rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3)
-    o1, o2 = open_chart_pair(t1, t2)
+    o1, o2 = open_chart(t1), open_chart(t2)
     assert_checked(o1.prechart, o2.prechart, joint_pair(t1, t2)[0])
     for o in (o1, o2):
         for entry in o.entries:

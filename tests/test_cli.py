@@ -23,7 +23,7 @@ import chartdist.regbeh
 from chartdist import (
     Chart, Prefix, axiom_catalog, bd_stratified, bisimilar, diagram_distance, disjoint_union,
     expand, format_chart_text, format_expr, format_term, free_vars, from_expression,
-    interpret, joint_pair, kleene_solve, open_chart_pair, parse_chart_text, parse_expr,
+    interpret, joint_pair, kleene_solve, open_chart, parse_chart_text, parse_expr,
     parse_term, reachable, stratified_level, typecheck,
 )
 from chartdist.chart import state_key
@@ -416,7 +416,7 @@ def per_row_bisim(t1, t2):
     bisimilar call per pair of payload rows, and each row's witness by
     pair elimination on the states its two entries reach."""
     lines, worst = ["bisimilar"], None
-    o1, o2 = open_chart_pair(t1, t2)
+    o1, o2 = open_chart(t1), open_chart(t2)
     rows = zip(interpret(t1).payload.rows, interpret(t2).payload.rows,
                [Chart(o1.prechart, e) for e in o1.entries],
                [Chart(o2.prechart, e) for e in o2.entries])

@@ -13,8 +13,8 @@ from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError,
     ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
     axiom_catalog, bend, bisimilar, c1_copy_pair, component,
-    diagram_distance, expand, format_term, from_expression, interpret, loop1,
-    open_chart, open_chart_pair, parse_expr, parse_term, semantic_equal,
+    diagram_distance, expand, format_term, from_expression, interpret, joint_pair,
+    loop1, open_chart, parse_expr, parse_term, semantic_equal,
     stratified_level, term_to_dot, typecheck, zip_merge,
 )
 from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
@@ -440,7 +440,7 @@ def test_diagram_errors_are_pinned(row, capsys):
 
 
 def test_ill_typed_terms_fail_as_typecheck_fails(capsys):
-    """open_chart, open_chart_pair on either side, and every query of the
+    """open_chart, joint_pair on either side, and every query of the
     command line that types a term report the failure that typecheck
     reports: the same message and path."""
     rng = random.Random(68)
@@ -454,8 +454,8 @@ def test_ill_typed_terms_fail_as_typecheck_fails(capsys):
         with pytest.raises(DiagramTypeError) as info:
             typecheck(bad)
         expected = (str(info.value), info.value.path)
-        for query in (lambda: open_chart(bad), lambda: open_chart_pair(bad, good),
-                      lambda: open_chart_pair(good, bad)):
+        for query in (lambda: open_chart(bad), lambda: joint_pair(bad, good),
+                      lambda: joint_pair(good, bad)):
             with pytest.raises(DiagramTypeError) as info:
                 query()
             assert (str(info.value), info.value.path) == expected, format_term(bad)

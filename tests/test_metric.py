@@ -12,8 +12,9 @@ from chartdist import (
     is_dyadic_or_zero, kleene_solve, level_distance, lift_edge, parse_expr, phi,
     quotient,
 )
-from chartdist.bisim import _refinement
-from helpers import brute_distance, brute_partition, precharts, rand_chart, rand_expr
+from helpers import (
+    brute_distance, brute_partition, numbered_refinement, precharts, rand_chart, rand_expr,
+)
 
 # Values recomputed by tests.helpers.brute_distance, which iterates the
 # defining sup-inf operator on exact Fractions after collapsing
@@ -222,7 +223,7 @@ def test_substitution_is_nonexpansive():
 @settings(max_examples=300, deadline=None)
 def test_refinement_agrees_with_kleene_and_pair_elimination(p):
     res = kleene_solve(p)
-    states, r = _refinement(p)
+    states, r = numbered_refinement(p)
     number = {q: i for i, q in enumerate(states)}
     for x in res.table.states:
         for y in res.table.states:
