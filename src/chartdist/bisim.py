@@ -8,10 +8,8 @@ matching into level n) and the coarsest such relation all come from one
 partition refinement, ``Refinement``, which keeps its split history:
 the level of a pair is the last round at which it shares a block, and
 the distance modules read 2^-level off it.  ``_refine_pair``, the one
-refinement step behind every two-input query, numbers two inputs of one
-kind, expressions, charts or diagram terms, as one joint (a
-``chart._Joint``) and refines it; ``joint_pair`` and ``joint_prechart``
-are named views of that joint.
+refinement step of every two-input query, refines the numbered joint
+(``chart._Joint``) of two expressions, charts or diagram terms.
 """
 
 from __future__ import annotations
@@ -48,15 +46,12 @@ class Refinement:
     as its pair has split, while ``classes`` and ``max_level`` run to the
     end.  ``rounds`` counts the rounds so far that split some block.
 
-    Blocks, outputs and successors are lists indexed by the numbers.
     name(i) names state i; only ``order``, the numbers in state_key order
     of their names, calls it, when first read.
     """
 
     def __init__(self, succ: list, outs: list, name):
-        self._succ = succ  # number -> [(letter, target number)]
-        self._outs = outs  # number -> its outputs
-        self._name = name
+        self._succ, self._outs, self._name = succ, outs, name
         n = len(succ)
         self._block = [0] * n  # state number -> current block
         # block -> the block it was split from; a parent's id is always
@@ -119,15 +114,12 @@ class Refinement:
         """Least level of the given pairs; math.inf when all are bisimilar."""
         return min((self.level(x, y) for x, y in pairs), default=math.inf)
 
-    def _finish(self):
-        while not self.stable:
-            self._advance()
-
     def classes(self) -> list:
         """Number -> bisimilarity class id, the ids numbered first-seen in
         order; do not mutate."""
         if self._classes is None:
-            self._finish()
+            while not self.stable:
+                self._advance()
             fresh: dict = {}
             self._classes = classes = [0] * len(self._block)
             for i in self.order:
@@ -136,14 +128,14 @@ class Refinement:
 
     def max_level(self) -> int:
         """Largest finite level of any pair of states, 0 if there is none."""
-        self._finish()
+        while not self.stable:
+            self._advance()
         return max(self.rounds - 1, 0)
 
 
 def _joint(f, g, max_states=MAX_STATES):
-    """Two inputs of one kind as one numbered joint: two expressions
-    (their expansions sharing states, one row), two charts (one row) or
-    two diagram terms (their open charts, a row per entry)."""
+    """The joint of two expressions (their expansions sharing states, one
+    row), two charts (one row) or two diagrams (a row per entry)."""
     # an expression or a term exists only once its module is loaded, so
     # the modules are looked up, never loaded, here
     expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
@@ -157,24 +149,19 @@ def _joint(f, g, max_states=MAX_STATES):
 
 
 def joint_prechart(exprs, max_states=MAX_STATES):
-    """One prechart holding the expansions of all given expressions, and
-    their start states.
-
-    States are canonical expression texts, so expansions overlap
-    wherever the behaviours agree syntactically.
-    """
+    """The named view of the expansions of the given expressions: one
+    prechart of canonical texts, overlapping wherever the behaviours
+    agree syntactically, and their start states."""
     from .expr import _joint as expr_joint  # loaded by whoever built the expressions
     joint = expr_joint(exprs, max_states)
     return joint.prechart(), [joint.name(s) for s in joint.rows[0]]
 
 
 def joint_pair(f, g, max_states=MAX_STATES):
-    """The named view of the joint of two expressions, two charts or two
-    diagram terms: its prechart, and the pair of seed states of each row.
-    Expressions share their canonical state names and have one row;
-    charts (one row) and the open charts of diagrams (a row per entry)
-    are tagged "L:" and "R:".
-    """
+    """The named view of the joint of two inputs of one kind: its prechart
+    and the pair of seed names of each row.  Expression states are named
+    by their canonical texts, chart and open-chart states tagged "L:" and
+    "R:"."""
     joint = _joint(f, g, max_states)
     return joint.prechart(), [(joint.name(x), joint.name(y)) for x, y in joint.rows]
 
@@ -200,10 +187,9 @@ def witness_pairs(refinement: Refinement, left, right, name) -> frozenset:
 
 
 def _refine_pair(f, g, max_states=MAX_STATES):
-    """The one refinement step of every two-input query: the numbered
-    joint of two inputs of one kind (see _joint), whose rows are the seed
-    pairs, and one Refinement of it, which computes a level only when
-    asked for it."""
+    """The one refinement step of every two-input query: the joint of two
+    inputs of one kind, and one Refinement of it, which computes a level
+    only when asked for it."""
     joint = _joint(f, g, max_states)
     return joint, Refinement(joint.succ, joint.outs, joint.name)
 

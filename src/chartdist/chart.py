@@ -15,7 +15,7 @@ __all__ = [
     "Prechart", "Chart", "ChartFormatError", "ExpansionBudgetError",
     "reachable", "disjoint_union",
     "parse_chart_text", "format_chart_text", "chart_to_dot",
-    "state_key", "move_key",
+    "state_key",
 ]
 
 _LETTERS = "abcdefghijklmnopqrstuwxyz"  # single lowercase; 'v' is reserved
@@ -38,13 +38,6 @@ def state_key(q):
     if isinstance(q, int):
         return (0, q, "")
     return (1, 0, str(q))
-
-
-def move_key(m):
-    """Deterministic sort key for beta-moves."""
-    if m[0] == "act":
-        return (0, m[1], state_key(m[2]))
-    return (1, "", (0, m[1], ""))
 
 
 def _valid_letter(a) -> bool:

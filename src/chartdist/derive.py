@@ -36,9 +36,7 @@ import re
 from fractions import Fraction
 
 from .bisim import _refine_pair, joint_pair, joint_prechart
-from .chart import (
-    MAX_STATES, _digits, _ratio, _Record, _set, _valid_letter, _var_index, move_key,
-)
+from .chart import MAX_STATES, _digits, _ratio, _Record, _set, _valid_letter, _var_index
 from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
@@ -439,8 +437,8 @@ class _Synthesizer:
         """Each move of x with a cheapest move of y and each move of y
         with a cheapest move of x, in move order; a pair of level >= p
         always has one of rank at most 1."""
-        def key(m):
-            return move_key(_named(self.joint, m))
+        def key(m):  # actions by letter and target name, then outputs
+            return (0, m[1], self.joint.name(m[2])) if m[0] == "act" else (1, m[1])
 
         bx = sorted(_moves(self.joint, x), key=key)
         by = sorted(_moves(self.joint, y), key=key)
