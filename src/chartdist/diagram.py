@@ -9,10 +9,11 @@ boundary.
 A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
 joining the literal open charts of the generators by their boundaries;
-every query of the command line runs on it.  One walk types a term and
-lays out its open chart, each distinct leaf object once, and the parser
-gives all occurrences of a leaf one object; ``typecheck`` serves
-``bend``, ``loop1``, ``component``, ``render`` and the reference path.
+every query of the command line runs on two terms' open charts numbered
+as one joint.  One walk types a term and lays out its open chart, each
+distinct leaf object once, and the parser gives all occurrences of a
+leaf one object; ``typecheck`` serves ``bend``, ``loop1``,
+``component``, ``render`` and the reference path.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, and the only way
