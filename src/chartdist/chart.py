@@ -162,6 +162,18 @@ class Prechart(_Record):
     def variables(self) -> frozenset:
         return frozenset(v for (_, v) in self.outs)
 
+    def transition_map(self) -> dict:
+        m = {q: set() for q in self.states}
+        for (q, a, r) in self.trans:
+            m[q].add((a, r))
+        return m
+
+    def output_map(self) -> dict:
+        m = {q: set() for q in self.states}
+        for (q, v) in self.outs:
+            m[q].add(v)
+        return m
+
     def beta(self) -> dict:
         """Move sets: ('act', a, target) for transitions, ('out', v) for outputs."""
         m = {q: set() for q in self.states}
@@ -267,6 +279,7 @@ class _Joint:
         self.succ, self.outs, self.rows, self.local, self.split = succ, outs, rows, local, split
 
     def name(self, i):
+        """The name of state i, where it is printed or read back."""
         if self.split is None:
             return self.local(i)
         return _tag("L" if i < self.split else "R", self.local(i))

@@ -199,6 +199,20 @@ def _fold(t, leaf, seq, tensor):
     return values[0]
 
 
+def _leaf_words(t):
+    kind = type(t)
+    gen = _GENERATORS.get(kind)
+    if gen is not None:
+        return gen[1], gen[2]
+    if kind is Act:
+        return ">", ">"
+    if kind is Id:
+        return t.word, t.word
+    if kind is Sym:
+        return t.left + t.right, t.right + t.left
+    raise TypeError(f"not a diagram term: {t!r}")
+
+
 def _path_to(t, target):
     """The path from t down to the subterm target, e.g. (';1', '*2')."""
     todo = [(t, None)]  # a node and its path, a linked list innermost first
@@ -231,7 +245,7 @@ def typecheck(t):
             raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
-    return _fold(t, lambda leaf: _leaf_layout(leaf)[:2], seq,
+    return _fold(t, _leaf_words, seq,
                  lambda f, g, _: (f[0] + g[0], f[1] + g[1]))
 
 

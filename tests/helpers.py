@@ -167,22 +167,6 @@ def transpose(u):
 # structural chart construction (the paper's six combinators, used against
 # expand)
 
-def transition_map(p: Prechart) -> dict:
-    """State -> its set of transitions (letter, target)."""
-    m = {q: set() for q in p.states}
-    for (q, a, r) in p.trans:
-        m[q].add((a, r))
-    return m
-
-
-def output_map(p: Prechart) -> dict:
-    """State -> its set of output variables."""
-    m = {q: set() for q in p.states}
-    for (q, v) in p.outs:
-        m[q].add(v)
-    return m
-
-
 def empty_chart() -> Chart:
     return Chart(Prechart(frozenset({0}), frozenset(), frozenset()), 0)
 
@@ -243,7 +227,7 @@ def subst_chart(c: Chart, charts: Iterable[Chart], variables: Iterable[int]) -> 
         offset += len(ri.states)
         inners.append(ri)
 
-    outs_of = output_map(base.prechart)
+    outs_of = base.prechart.output_map()
     trans = set(base.trans)
     outs = set()
     vset = set(variables)
@@ -266,7 +250,7 @@ def rec_chart(v: int, c: Chart) -> Chart:
     """Recursion: states outputting v also inherit the start's moves, v is dropped."""
     if not isinstance(v, int) or v < 1:
         raise ValueError(f"invalid variable index {v!r}")
-    outs_of = output_map(c.prechart)
+    outs_of = c.prechart.output_map()
     start_trans = {(a, r) for (q, a, r) in c.trans if q == c.start}
     start_outs = set(outs_of[c.start])
     trans = set(c.trans)
@@ -306,8 +290,8 @@ def structural_chart(e):
 def is_bisimulation(c1: Chart, c2: Chart, relation) -> bool:
     """Check the two bisimulation clauses for a relation on Q1 x Q2."""
     rel = set(relation)
-    t1, t2 = transition_map(c1.prechart), transition_map(c2.prechart)
-    o1, o2 = output_map(c1.prechart), output_map(c2.prechart)
+    t1, t2 = c1.prechart.transition_map(), c2.prechart.transition_map()
+    o1, o2 = c1.prechart.output_map(), c2.prechart.output_map()
     for (q1, q2) in rel:
         if o1[q1] != o2[q2]:
             return False
@@ -517,9 +501,9 @@ class RefRefinement:
 
     def __init__(self, p: Prechart):
         self.order = sorted(p.states, key=state_key)
-        omap = output_map(p)
+        omap = p.output_map()
         self._outs = {q: frozenset(omap[q]) for q in self.order}
-        self._succ = transition_map(p)
+        self._succ = p.transition_map()
         self._block = dict.fromkeys(self.order, 0)
         self._parent = [None]
         self._split_at = [math.inf]
