@@ -448,7 +448,8 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
 
 
 def _open_chart(succ, outs, entries) -> OpenChart:
-    """The OpenChart of a _close result numbered from 0."""
+    """The OpenChart of a _close result numbered from 0, its states named
+    by their numbers."""
     return OpenChart(_Joint(succ, outs, (), int).prechart(), entries)
 
 

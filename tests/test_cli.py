@@ -499,7 +499,7 @@ def test_names_are_made_only_where_printed(capsys, monkeypatch):
         for command in ("dist", "strat", "bisim"):
             code, _, err = run(capsys, command, "--format", fmt, left, right)
             assert (code, err) == (EXIT_USAGE if command == "bisim" else EXIT_OK, ""), fmt
-        assert calls == [], (fmt, command)
+        assert calls == [], fmt
         assert run(capsys, "dist", "--table", "--format", fmt, left, right)[0] == EXIT_OK
         assert set(calls) == {"_text" if fmt == "expr" else "_tag"}, fmt
         calls.clear()
