@@ -7,8 +7,9 @@ relates everything, level n+1 additionally requires output equality and
 matching into level n) and the coarsest such relation all come from one
 partition refinement, ``Refinement``, which keeps its split history:
 the level of a pair is the last round at which it shares a block, and
-the distance modules read 2^-level off it.  ``_refine_pair``, the one
-refinement step of every two-input query, refines the numbered joint
+the distance modules read 2^-level off it; it reads only state numbers
+and names none.  ``_refine_pair``, the one refinement step of every
+two-input query and of ``axioms --check``, refines the numbered joint
 (``chart._Joint``) of two expressions, charts or diagram terms.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cached_property
 
 from .chart import MAX_STATES, Chart, Prechart, _chart_joint, _numbered, state_key
 
@@ -45,13 +45,10 @@ class Refinement:
     rounds run.  Rounds are computed on demand: ``level`` stops as soon
     as its pair has split, while ``classes`` and ``max_level`` run to the
     end.  ``rounds`` counts the rounds so far that split some block.
-
-    name(i) names state i; only ``order``, the numbers in state_key order
-    of their names, calls it, when first read.
     """
 
-    def __init__(self, succ: list, outs: list, name):
-        self._succ, self._outs, self._name = succ, outs, name
+    def __init__(self, succ: list, outs: list):
+        self._succ, self._outs = succ, outs
         n = len(succ)
         self._block = [0] * n  # state number -> current block
         # block -> the block it was split from; a parent's id is always
@@ -62,12 +59,6 @@ class Refinement:
         self.rounds = 0
         self.stable = False
         self._classes = None
-
-    @cached_property
-    def order(self) -> list:
-        """The state numbers in state_key order of their names."""
-        name = self._name
-        return sorted(range(len(self._succ)), key=lambda i: state_key(name(i)))
 
     def _advance(self):
         block = self._block
@@ -116,14 +107,12 @@ class Refinement:
 
     def classes(self) -> list:
         """Number -> bisimilarity class id, the ids numbered first-seen in
-        order; do not mutate."""
+        number order; do not mutate."""
         if self._classes is None:
             while not self.stable:
                 self._advance()
             fresh: dict = {}
-            self._classes = classes = [0] * len(self._block)
-            for i in self.order:
-                classes[i] = fresh.setdefault(self._block[i], len(fresh))
+            self._classes = [fresh.setdefault(b, len(fresh)) for b in self._block]
         return self._classes
 
     def max_level(self) -> int:
@@ -191,7 +180,7 @@ def _refine_pair(f, g, max_states=MAX_STATES):
     inputs of one kind, and one Refinement of it, which computes a level
     only when asked for it."""
     joint = _joint(f, g, max_states)
-    return joint, Refinement(joint.succ, joint.outs, joint.name)
+    return joint, Refinement(joint.succ, joint.outs)
 
 
 def bisimilar(c1: Chart, c2: Chart):
@@ -223,14 +212,15 @@ def stratified_level(f, g, max_states=MAX_STATES):
 
 
 def quotient(p: Prechart):
-    """Prechart of bisimilarity classes; returns (quotient, state -> class id).
+    """Prechart of bisimilarity classes; returns (quotient, state -> class id),
+    the class ids numbered first-seen in state_key order.
 
     The graph of the returned map is itself a bisimulation, and
     quotienting twice gives an isomorphic result.
     """
     index, succ, outs = _numbered(p)
-    states = list(index)
-    m = dict(zip(states, Refinement(succ, outs, states.__getitem__).classes()))
+    classes, fresh = Refinement(succ, outs).classes(), {}
+    m = {q: fresh.setdefault(classes[index[q]], len(fresh)) for q in sorted(index, key=state_key)}
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)

@@ -134,9 +134,11 @@ def _cmd_dist(args):
     joint, refinement, level = _compare(args)
     lines = [f"{_distance(level)} ({'bisimilar' if level == math.inf else f'level {level}'})"]
     if args.table:  # a header row of the state names, then one row per state
-        order = refinement.order
-        lines.append("\t".join(["", *map(joint.name, order)]))
-        lines += ["\t".join([joint.name(x), *(_distance(refinement.level(x, y)) for y in order)])
+        # every name is a str, so str order is state_key order
+        names = [joint.name(i) for i in range(len(joint.succ))]
+        order = sorted(range(len(names)), key=names.__getitem__)
+        lines.append("\t".join(["", *(names[y] for y in order)]))
+        lines += ["\t".join([names[x], *(_distance(refinement.level(x, y)) for y in order)])
                   for x in order]
     return EXIT_OK, "\n".join(lines) + "\n"
 
@@ -219,13 +221,13 @@ def _cmd_axioms(args):
         for name, lhs, rhs in diagram.axiom_catalog():
             lines.append(f"{name}: {diagram.format_term(lhs)} = {diagram.format_term(rhs)}")
         return EXIT_OK, "\n".join(lines) + "\n"
+    from . import bisim  # each law is decided on open charts, as a diagram query is
     ok = True
     for name, lhs, rhs in diagram.axiom_catalog():
-        holds = diagram.semantic_equal(lhs, rhs)
+        holds = bisim.stratified_level(lhs, rhs) == math.inf
         ok = ok and holds
         lines.append(f"{name}: {'holds' if holds else 'FAILS'}")
-    lhs, rhs = diagram.c1_copy_pair()
-    control = diagram.semantic_equal(lhs, rhs)
+    control = bisim.stratified_level(*diagram.c1_copy_pair()) == math.inf
     ok = ok and not control
     lines.append("act-copy: "
                  + ("fails as expected" if not control else "UNEXPECTEDLY HOLDS"))

@@ -9,15 +9,16 @@ boundary.
 A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
 joining the literal open charts of the generators by their boundaries;
-every query of the command line runs on two terms' open charts numbered
-as one joint.  One walk types a term and lays out its open chart, each
-distinct leaf object once, and the parser gives all occurrences of a
-leaf one object; ``typecheck`` serves ``bend``, ``loop1``,
+every query of the command line, ``axioms --check`` among them, runs on
+two terms' open charts numbered as one joint.  One walk types a term
+and lays out its open chart, each distinct leaf object once, and the
+parser gives all occurrences of a leaf one object; ``typecheck`` folds
+over the same leaf layouts and serves ``bend``, ``loop1``,
 ``component``, ``render`` and the reference path.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
-behind ``diagram_distance`` and ``semantic_equal``, and the only way
-into regbeh, which it imports when it is called.
+behind ``diagram_distance`` and ``semantic_equal``, which no command
+runs, and the only way into regbeh, which it imports when it is called.
 Parsing, typing, printing, comparing, hashing and both semantics walk a
 term with an explicit stack, never by recursion.
 """
@@ -199,20 +200,6 @@ def _fold(t, leaf, seq, tensor):
     return values[0]
 
 
-def _leaf_words(t):
-    kind = type(t)
-    gen = _GENERATORS.get(kind)
-    if gen is not None:
-        return gen[1], gen[2]
-    if kind is Act:
-        return ">", ">"
-    if kind is Id:
-        return t.word, t.word
-    if kind is Sym:
-        return t.left + t.right, t.right + t.left
-    raise TypeError(f"not a diagram term: {t!r}")
-
-
 def _path_to(t, target):
     """The path from t down to the subterm target, e.g. (';1', '*2')."""
     todo = [(t, None)]  # a node and its path, a linked list innermost first
@@ -245,8 +232,9 @@ def typecheck(t):
             raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
-    return _fold(t, _leaf_words, seq,
-                 lambda f, g, _: (f[0] + g[0], f[1] + g[1]))
+    # a leaf's boundary words are the first two fields of its _leaf_layout
+    return _fold(t, _leaf_layout, seq,
+                 lambda f, g, _: (f[0] + g[0], f[1] + g[1]))[:2]
 
 
 def _word_object(w):

@@ -15,9 +15,8 @@ composites: wiring morphisms built from rb_id, rb_sym and rb_oplus
 around the two payloads, and for composition a trace of the plugged
 wires.  Their payload rows grow with the nesting of a diagram; this
 module is the reference semantics that the tests and the benchmark's
-answers use, and ``axioms --check`` is the one command that runs it,
-through ``semantic_equal``, which imports it when called;
-``leaf_morphism`` interprets each leaf of a diagram.
+answers use, and no command runs it: ``diagram.interpret`` imports it
+when called.  ``leaf_morphism`` interprets each leaf of a diagram.
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, Gen, Id, Merge, Mu,
-    Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal, disjoint_union,
-    expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
+    OpenChart, Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
+    disjoint_union, expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
-from chartdist.chart import _LETTERS, _numbered, _relabel, _valid_letter, state_key
-from chartdist.diagram import _close, _fold, _open_chart, _tensor_fold
+from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
+from chartdist.diagram import _fold, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
 LETTERS = "ab"
@@ -487,11 +487,15 @@ def ref_validate(states, trans, outs):
 
 
 def numbered_refinement(p: Prechart):
-    """The states of p as a list, and a chartdist Refinement of p in
-    which state i is the list's i-th."""
-    index, succ, outs = _numbered(p)
-    states = list(index)
-    return states, Refinement(succ, outs, states.__getitem__)
+    """The states of p in state_key order, and a chartdist Refinement of p
+    in which state i is the list's i-th, so that its class ids, numbered
+    first-seen in number order, are numbered first-seen in state_key
+    order."""
+    states = sorted(p.states, key=state_key)
+    number = {q: i for i, q in enumerate(states)}
+    tmap, omap = p.transition_map(), p.output_map()
+    return states, Refinement([[(a, number[r]) for a, r in tmap[q]] for q in states],
+                              [frozenset(omap[q]) for q in states])
 
 
 class RefRefinement:
@@ -586,6 +590,15 @@ def malformed_charts():
     return json.loads(path.read_text())
 
 
+def malformed_expressions():
+    """The rows of corpus/malformed_expressions.json: an expression text
+    that reaches one error site of parse_expr, the --alphabet it is read
+    under (or None), the message and position of its ExprSyntaxError, and
+    the exit code and stderr of dist on it."""
+    path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_expressions.json"
+    return json.loads(path.read_text())
+
+
 def malformed_diagrams():
     """The rows of corpus/malformed_diagrams.json: two diagram texts, the
     --alphabet and --max-states they are read under (or None), and the
@@ -622,12 +635,14 @@ def corpus_diagrams():
     return [parse_term(d) for _, d in corpus_rows()]
 
 
-def ref_open_chart(t, max_states=10000):
+def ref_open_chart(t):
     """open_chart with each leaf's chart built from the reference
     semantics: the payload rows of its regbeh morphism expanded, their
     states sorted by state_key and numbered after the leaf's outputs, and
     an epsilon edge from each state outputting vj to output j.  The
-    leaves are joined and closed as open_chart joins and closes them."""
+    leaves are joined as open_chart joins them, and closed and numbered
+    here: the entries first, then the successors of each state in sorted
+    (letter, node) order."""
     typecheck(t)
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
 
@@ -660,7 +675,30 @@ def ref_open_chart(t, max_states=10000):
         return tuple(a + b for a, b in zip(f, g))
 
     ins, ins_back, outs_back, outs = _fold(t, leaf, seq, tensor)
-    return _open_chart(*_close(moves, eps, ins + ins_back, outs_back + outs, max_states))
+    variable = {x: j for j, x in enumerate(outs_back + outs, start=1)}
+    number, queue = {}, deque()
+
+    def visit(x):
+        if x not in number:
+            number[x] = len(number)
+            queue.append(x)
+        return number[x]
+
+    entries = tuple(map(visit, ins + ins_back))
+    trans, outputs = set(), set()
+    while queue:
+        x = queue.popleft()
+        closure, todo = {x}, [x]  # the nodes x reaches by epsilon edges
+        while todo:
+            for z in eps[todo.pop()]:
+                if z not in closure:
+                    closure.add(z)
+                    todo.append(z)
+        for a, y in sorted({step for z in closure for step in moves[z]}):
+            trans.add((number[x], a, visit(y)))
+        outputs.update((number[x], variable[z]) for z in closure if z in variable)
+    return OpenChart(Prechart(frozenset(number.values()), frozenset(trans),
+                              frozenset(outputs)), entries)
 
 
 def ref_zip_merge(n):

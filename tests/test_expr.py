@@ -19,7 +19,9 @@ from chartdist import (
     parse_expr, step, substitute,
 )
 from chartdist.cli import main
-from helpers import exprs, ref_expand, ref_format, ref_parse, ref_step, ref_subst
+from helpers import (
+    exprs, malformed_expressions, ref_expand, ref_format, ref_parse, ref_step, ref_subst,
+)
 
 
 @given(exprs())
@@ -63,6 +65,21 @@ def test_parse_error_positions():
         with pytest.raises(ExprSyntaxError) as info:
             parse_expr(text)
         assert info.value.position == pos
+
+
+@pytest.mark.parametrize("row", malformed_expressions(),
+                         ids=lambda row: f"{row['message']}: {row['text']}")
+def test_expression_errors_are_pinned(row, capsys):
+    """Every ExprSyntaxError site of parse_expr: its message and position,
+    and the same text through the command line."""
+    alphabet = row["alphabet"]
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr(row["text"], alphabet=None if alphabet is None else set(alphabet))
+    assert str(info.value) == f"{row['message']} (at position {row['position']})"
+    assert info.value.position == row["position"]
+    flags = [] if alphabet is None else ["--alphabet", alphabet]
+    assert main(["dist", *flags, row["text"], "0"]) == row["code"]
+    assert capsys.readouterr() == ("", row["stderr"])
 
 
 def test_parse_alphabet_restriction():

@@ -7,7 +7,8 @@ Each case runs in a new interpreter that imports the program from the
 ``chartdist.cli`` and calls ``main`` on the case's arguments.  The cases
 are ``import chartdist.cli`` alone, the worked-example expression ``dist``
 of README.md, the same ``dist --table``, a chart ``dist``, a ``--format
-diag`` ``dist``, and a ``derive`` and a ``check`` of the worked example.
+diag`` ``dist``, a ``derive`` and a ``check`` of the worked example, and
+``axioms --check``.
 Every round runs ``python -c pass`` and then each case once, so a slow
 spell of the machine slows all of them alike.  Prints, per case, the best
 and the median wall time over the rounds, and the best minus the best of
@@ -53,6 +54,7 @@ def cases(cert):
                                 DIAG_LEFT, DIAG_RIGHT]),
         ("derive, worked example", ["-c", MAIN, "derive", FIG_LEFT, FIG_RIGHT]),
         ("check, worked example", ["-c", MAIN, "check", cert, FIG_LEFT, FIG_RIGHT]),
+        ("axioms --check", ["-c", MAIN, "axioms", "--check"]),
     ]
 
 
