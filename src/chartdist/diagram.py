@@ -232,9 +232,16 @@ def typecheck(t):
             raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
+    layouts = {}  # id of a leaf object -> its _leaf_layout, as in _open_parts
+
+    def leaf(node):
+        layout = layouts.get(id(node))
+        if layout is None:
+            layout = layouts[id(node)] = _leaf_layout(node)
+        return layout
+
     # a leaf's boundary words are the first two fields of its _leaf_layout
-    return _fold(t, _leaf_layout, seq,
-                 lambda f, g, _: (f[0] + g[0], f[1] + g[1]))[:2]
+    return _fold(t, leaf, seq, lambda f, g, _: (f[0] + g[0], f[1] + g[1]))[:2]
 
 
 def _word_object(w):

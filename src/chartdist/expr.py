@@ -16,11 +16,17 @@ the given fields, found in a weak intern table, so two expressions are
 structurally equal exactly when they are the same object, and equality
 and hashing are by identity.  Each node computes its free variables
 once, when it is built.  Every traversal keeps its own stack, so no
-recursion depth grows with the size of an expression, and a traversal
-visits a node shared by several parents once.  Expansion keys a state
-by its interned alpha-normal node and memoises binder normalisation for
-the length of one call, so the successor of a state reuses the work
-done on that state; a state's text is printed only where it is named.
+recursion depth grows with the size of an expression.
+
+Expansion runs on nameless nodes (de Bruijn, Indag. Math. 1972; the
+locally nameless form of Charguéraud, JAR 2012) interned in a table that
+lives for one call: a bound variable is an index, a free one keeps its
+name, since free variables are the outputs, and alpha-equivalent
+derivatives are one node.  A state is a locally closed node; unfolding
+a mu substitutes closed nodes for loose indices, so no binder is renamed
+and nothing is shifted.  A state's text is printed only where it is
+named: the canonical text of its named view, whose binder at depth k is
+v(B+k+1), B its largest free variable.
 """
 
 from __future__ import annotations
@@ -54,9 +60,6 @@ class ExprSyntaxError(ValueError):
 # (class, fields...) -> weak reference to the live node with those fields
 _interned: dict = {}
 
-# values of Expr._normal_at besides an offset
-_ANY, _NEVER = -1, -2
-
 
 class _Ref(ref):
     __slots__ = ("key",)
@@ -68,9 +71,9 @@ def _forget(r):
         del _interned[r.key]
 
 
-def _intern(key, node, free, normal_at):
+def _intern(key, node, free, binds):
     _set(node, "free_vars", free)
-    _set(node, "_normal_at", normal_at)
+    _set(node, "_binds", binds)
     r = _interned[key] = _Ref(node, _forget)
     r.key = key
     return node
@@ -80,13 +83,10 @@ class Expr:
     """Base class of the five node classes.
 
     Nodes are immutable and interned.  ``free_vars`` is the frozenset of
-    free variable indices.  ``_normal_at`` is the offset o at which the
-    node is its own alpha-normal form, its binders at nesting depth k
-    being v(o+k+1): _ANY for a node without binders, _NEVER if there is
-    no such o.
+    free variable indices; ``_binds`` says whether the node holds a mu.
     """
 
-    __slots__ = ("free_vars", "_normal_at", "__weakref__")
+    __slots__ = ("free_vars", "_binds", "__weakref__")
     _fields: tuple = ()
 
     def __setattr__(self, name, value):
@@ -111,7 +111,7 @@ class Zero(Expr):
     def __new__(cls):
         key = (cls,)
         r = _interned.get(key)
-        return r and r() or _intern(key, object.__new__(cls), frozenset(), _ANY)
+        return r and r() or _intern(key, object.__new__(cls), frozenset(), False)
 
 
 class Var(Expr):
@@ -127,7 +127,7 @@ class Var(Expr):
         if node is None:
             node = object.__new__(cls)
             _set(node, "index", index)
-            _intern(key, node, frozenset((index,)), _ANY)
+            _intern(key, node, frozenset((index,)), False)
         return node
 
 
@@ -145,7 +145,7 @@ class Prefix(Expr):
             node = object.__new__(cls)
             _set(node, "letter", letter)
             _set(node, "body", body)
-            _intern(key, node, body.free_vars, body._normal_at)
+            _intern(key, node, body.free_vars, body._binds)
         return node
 
 
@@ -162,9 +162,8 @@ class Sum(Expr):
             _set(node, "left", left)
             _set(node, "right", right)
             lf, rf = left.free_vars, right.free_vars
-            ln, rn = left._normal_at, right._normal_at
             _intern(key, node, lf if rf <= lf else rf if lf <= rf else lf | rf,
-                    rn if ln == _ANY else ln if rn == _ANY or rn == ln else _NEVER)
+                    left._binds or right._binds)
         return node
 
 
@@ -183,8 +182,7 @@ class Mu(Expr):
             _set(node, "binder", binder)
             _set(node, "body", body)
             free = body.free_vars
-            _intern(key, node, free - {binder} if binder in free else free,
-                    binder - 1 if body._normal_at in (_ANY, binder) else _NEVER)
+            _intern(key, node, free - {binder} if binder in free else free, True)
         return node
 
 
@@ -203,71 +201,16 @@ def alpha_normal(e: Expr) -> Expr:
 
     The binder at nesting depth k becomes v(B+k+1) where B is the
     largest free variable index.  Alpha-equivalent expressions map to
-    the same node, and the map is idempotent.
+    the same node, and the map is idempotent: it is the named view of
+    e's nameless node.
     """
-    return _alpha(e, {})
-
-
-def _alpha(e: Expr, memo: dict) -> Expr:
-    """alpha_normal, sharing memo with other calls.
-
-    A node's normal form depends only on its offset (B plus the number
-    of enclosing binders) and on the new names that enclosing binders
-    gave its free variables, so memo entries are keyed by these.  A node
-    already normal at its offset, under no renaming, is its own result.
-    """
-    o = max(e.free_vars, default=0)
-    if e._normal_at in (_ANY, o):
-        return e
-    out = []
-    # (node, offset, renaming of the enclosing binders); a build step
-    # carries None and the memo key in place of offset and renaming
-    todo = [(e, o, {})]
-    while todo:
-        t, o, env = todo.pop()
-        if o is None:
-            cls = type(t)
-            if cls is Sum:
-                right = out.pop()
-                left = out.pop()
-                r = t if left is t.left and right is t.right else Sum(left, right)
-            else:
-                body = out.pop()
-                if cls is Prefix:
-                    r = t if body is t.body else Prefix(t.letter, body)
-                else:
-                    new = env[1] + 1
-                    r = t if body is t.body and new == t.binder else Mu(new, body)
-            memo[env] = r
-            out.append(r)
-            continue
-        na = t._normal_at
-        if (na == _ANY or na == o) and t.free_vars.isdisjoint(env):
-            out.append(t)
-            continue
-        key = (t, o, tuple(map(env.get, t.free_vars)))
-        r = memo.get(key)
-        if r is not None:
-            out.append(r)
-            continue
-        cls = type(t)
-        if cls is Var:
-            r = memo[key] = Var(env.get(t.index, t.index))
-            out.append(r)
-        elif cls is Sum:
-            todo += ((t, None, key), (t.right, o, env), (t.left, o, env))
-        elif cls is Prefix:
-            todo += ((t, None, key), (t.body, o, env))
-        else:
-            w = t.binder
-            o += 1
-            todo += ((t, None, key),
-                     (t.body, o, env if w == o and w not in env else {**env, w: o}))
-    return out[0]
+    table = _Table()
+    return _named(table, _nameless(table, e))
 
 
 def alpha_equivalent(e1: Expr, e2: Expr) -> bool:
-    return alpha_normal(e1) is alpha_normal(e2)
+    table = _Table()
+    return _nameless(table, e1) == _nameless(table, e2)
 
 
 def substitute(e: Expr, bindings) -> Expr:
@@ -299,7 +242,7 @@ def _subst(e: Expr, smap: dict, memo: dict) -> Expr:
     """
     if type(e) is Var:
         return smap.get(e.index, e)
-    if e._normal_at == _ANY and e.free_vars.isdisjoint(smap):
+    if not e._binds and smap.keys().isdisjoint(e.free_vars):
         return e
     out = []
     # (op, node, map, memo of that map, its expressions are all closed);
@@ -329,7 +272,7 @@ def _subst(e: Expr, smap: dict, memo: dict) -> Expr:
         if cls is Var:
             out.append(m.get(t.index, t))
             continue
-        if (closed or t._normal_at == _ANY) and t.free_vars.isdisjoint(m):
+        if (closed or not t._binds) and m.keys().isdisjoint(t.free_vars):
             out.append(t)
             continue
         r = mm.get(t)
@@ -377,18 +320,11 @@ class StepResult(_Record):
 
 
 def step(e: Expr) -> StepResult:
-    trans, outs = _step(e, {})
-    return StepResult(frozenset(trans), frozenset(outs))
-
-
-def _step(e: Expr, unfoldings: dict):
-    """The transitions and outputs of e as two sets.
-
-    A transition found under enclosing binders is unfolded once per
-    binder, innermost first.  unfoldings maps each Mu to the map and
-    memo of its unfolding substitution, and may be shared between calls.
-    """
+    """The action derivatives and output variables of e.  A transition
+    found under enclosing binders is unfolded once per binder, innermost
+    first."""
     trans, outs = set(), set()
+    unfoldings = {}  # Mu -> the map and memo of its unfolding substitution
     stack = [(e, None)]  # a node and its enclosing Mus, a linked list innermost first
     while stack:
         t, mus = stack.pop()
@@ -413,15 +349,250 @@ def _step(e: Expr, unfoldings: dict):
                 outs.add(t.index)
         elif cls is not Zero:
             raise TypeError(f"not an expression: {t!r}")
+    return StepResult(frozenset(trans), frozenset(outs))
+
+
+# --- nameless nodes ------------------------------------------------------
+#
+# A nameless node is a key tuple whose first field is its kind and whose
+# children are ids in its table: (_ZERO,), (_FREE, N) for vN, (_BOUND, i)
+# for the variable of the i-th enclosing mu counted from 0 innermost,
+# (_PREFIX, letter, body), (_SUM, left, right) and (_MU, body).
+
+_ZERO, _FREE, _BOUND, _PREFIX, _SUM, _MU = range(6)
+
+
+class _Table:
+    """The nameless nodes of one call: ids maps a key to its id, and keys,
+    loose and high are indexed by id.  loose is the number of mus above a
+    node that its bound indices reach, 0 when it is locally closed; high
+    is its largest free variable, 0 if it has none."""
+
+    __slots__ = ("ids", "keys", "loose", "high")
+
+    def __init__(self):
+        self.ids, self.keys, self.loose, self.high = {}, [], [], []
+
+
+def _node(table, key):
+    """The id of the nameless node key, interned in table on first use."""
+    i = table.ids.get(key)
+    if i is None:
+        i = table.ids[key] = len(table.keys)
+        table.keys.append(key)
+        kind, loose, high = key[0], table.loose, table.high
+        if kind == _SUM:
+            loose.append(max(loose[key[1]], loose[key[2]]))
+            high.append(max(high[key[1]], high[key[2]]))
+        elif kind == _PREFIX or kind == _MU:
+            loose.append(max(loose[key[-1]] - (kind == _MU), 0))
+            high.append(high[key[-1]])
+        else:
+            loose.append(key[1] + 1 if kind == _BOUND else 0)
+            high.append(key[1] if kind == _FREE else 0)
+    return i
+
+
+def _nameless(table, e: Expr) -> int:
+    """The id of e's nameless node in table.  Sums and mus are memoised,
+    so a subterm shared by several parents is converted once per context;
+    a chain of prefixes is walked once per parent."""
+    memo = {}  # (Sum or Mu, index of each free variable, -1 if free) -> id
+    out = []
+    # (node, depth of the mu that binds each name, depth); a build step
+    # carries None and the memo key, if any, in place of names and depth
+    todo = [(e, {}, 0)]
+    while todo:
+        t, env, d = todo.pop()
+        cls = type(t)
+        if env is None:
+            if cls is Sum:
+                right = out.pop()
+                key = (_SUM, out.pop(), right)
+            else:
+                key = (_PREFIX, t.letter, out.pop()) if cls is Prefix else (_MU, out.pop())
+            out.append(_node(table, key))
+            if d is not None:
+                memo[d] = out[-1]
+        elif cls is Prefix:
+            todo += ((t, None, None), (t.body, env, d))
+        elif cls is Var:
+            v = t.index
+            out.append(_node(table, (_BOUND, d - 1 - env[v]) if v in env else (_FREE, v)))
+        elif cls is Zero:
+            out.append(_node(table, (_ZERO,)))
+        elif cls is Sum or cls is Mu:
+            key = (t, *[d - 1 - env[v] if v in env else -1 for v in t.free_vars])
+            i = memo.get(key)
+            if i is not None:
+                out.append(i)
+            elif cls is Sum:
+                todo += ((t, None, key), (t.right, env, d), (t.left, env, d))
+            else:
+                todo += ((t, None, key), (t.body, {**env, t.binder: d}, d + 1))
+        else:
+            raise TypeError(f"not an expression: {t!r}")
+    return out[0]
+
+
+def _named(table, n: int) -> Expr:
+    """The named view of the locally closed node n as an Expr: its binder
+    at nesting depth k is v(B+k+1), with B its largest free variable."""
+    keys = table.keys
+    memo = {}  # (node, B plus its depth) -> its view
+    out = []
+    todo = [(n, table.high[n])]  # a node and its offset; ~node builds it
+    while todo:
+        m, o = todo.pop()
+        if m < 0:
+            key = keys[~m]
+            kind = key[0]
+            if kind == _SUM:
+                right = out.pop()
+                r = Sum(out.pop(), right)
+            else:
+                r = Prefix(key[1], out.pop()) if kind == _PREFIX else Mu(o + 1, out.pop())
+            memo[~m, o] = r
+            out.append(r)
+            continue
+        r = memo.get((m, o))
+        if r is not None:
+            out.append(r)
+            continue
+        key = keys[m]
+        kind = key[0]
+        if kind == _SUM:
+            todo += ((~m, o), (key[2], o), (key[1], o))
+        elif kind == _PREFIX:
+            todo += ((~m, o), (key[2], o))
+        elif kind == _MU:
+            todo += ((~m, o), (key[1], o + 1))
+        else:
+            out.append(ZERO if kind == _ZERO else Var(key[1] if kind == _FREE else o - key[1]))
+    return out[0]
+
+
+def _text(v: int, memo: dict, keys: list) -> str:
+    """The canonical text of the named view v of a nameless node in keys,
+    printed as format_expr prints its Expr.  The view of node m at offset
+    o is v = o * len(keys) + m: a mu binds v(o+1), and a bound index i is
+    v(o-i).  memo maps views to their texts and is filled in for every
+    view below v."""
+    s = memo.get(v)
+    if s is not None:
+        return s
+    n = len(keys)
+    stack = [v]
+    while stack:
+        t = stack[-1]
+        o, m = divmod(t, n)
+        base = t - m  # a child at the same offset is base plus its node
+        key = keys[m]
+        kind = key[0]
+        if kind == _PREFIX:
+            body = memo.get(base + key[2])
+            if body is None:
+                stack.append(base + key[2])
+                continue
+            s = f"{key[1]}.({body})" if keys[key[2]][0] == _SUM else f"{key[1]}.{body}"
+        elif kind == _SUM:
+            left, right = memo.get(base + key[1]), memo.get(base + key[2])
+            if left is None or right is None:
+                stack += [base + c for c, s in ((key[2], right), (key[1], left)) if s is None]
+                continue
+            spine = keys[key[1]]  # fenced as format_expr fences an open mu
+            while spine[0] == _PREFIX or spine[0] == _SUM:
+                spine = keys[spine[-1]]
+            if spine[0] == _MU:
+                left = f"({left})"
+            s = f"{left}+({right})" if keys[key[2]][0] == _SUM else f"{left}+{right}"
+        elif kind == _MU:
+            body = memo.get(base + n + key[1])
+            if body is None:
+                stack.append(base + n + key[1])
+                continue
+            s = f"mu v{o + 1}.{body}"
+        elif kind == _ZERO:
+            s = "0"
+        else:
+            s = f"v{key[1] if kind == _FREE else o - key[1]}"
+        memo[t] = s
+        stack.pop()
+    return memo[v]
+
+
+def _open(table, n: int, env: tuple) -> int:
+    """n with each loose index, i under d mus of n, replaced by env[i - d].
+    The nodes of env are locally closed, so nothing is shifted or renamed,
+    and a subterm whose indices stay below its depth is kept as it is."""
+    keys, loose = table.keys, table.loose
+    if not loose[n]:
+        return n
+    done = {}  # (node, depth) -> its opened node
+    out = []
+    todo = [(n, 0)]  # a node and the mus of n above it; ~node builds it
+    while todo:
+        m, d = todo.pop()
+        if m < 0:
+            key = keys[~m]
+            kind = key[0]
+            if kind == _SUM:
+                right = out.pop()
+                key = (_SUM, out.pop(), right)
+            else:
+                key = (_PREFIX, key[1], out.pop()) if kind == _PREFIX else (_MU, out.pop())
+            out.append(_node(table, key))
+            done[~m, d] = out[-1]
+            continue
+        if loose[m] <= d:
+            out.append(m)
+            continue
+        r = done.get((m, d))
+        if r is not None:
+            out.append(r)
+            continue
+        key = keys[m]
+        kind = key[0]
+        if kind == _SUM:
+            todo += ((~m, d), (key[2], d), (key[1], d))
+        elif kind == _PREFIX:
+            todo += ((~m, d), (key[2], d))
+        elif kind == _MU:
+            todo += ((~m, d), (key[1], d + 1))
+        else:  # a bound index past the mus of n
+            out.append(env[key[1] - d])
+    return out[0]
+
+
+def _moves(table, n: int):
+    """The transitions (letter, node) and the outputs of the locally closed
+    node n, as two sets.  Each mu is unfolded by the closing substitution
+    carried down the stack: the tuple of the closed enclosing mus,
+    innermost first, which the target of a prefix is opened with."""
+    keys = table.keys
+    trans, outs = set(), set()
+    todo = [(n, ())]
+    while todo:
+        m, env = todo.pop()
+        key = keys[m]
+        kind = key[0]
+        if kind == _SUM:
+            todo += ((key[2], env), (key[1], env))
+        elif kind == _MU:
+            todo.append((key[1], (_open(table, m, env), *env)))
+        elif kind == _PREFIX:
+            trans.add((key[1], _open(table, key[2], env)))
+        elif kind == _FREE:
+            outs.add(key[1])
     return trans, outs
 
 
 def _joint(exprs, max_states=MAX_STATES) -> _Joint:
     """The reachable derivatives of the given expressions as one joint,
-    with one row of their starts.  A state is an interned alpha-normal
-    node, shared by the expansions that reach it, and named by its
-    canonical text.  Each expression may reach max_states states."""
-    normal, unfoldings, text = {}, {}, {}  # memos of this call only
+    with one row of their starts.  A state is a nameless node, shared by
+    the expansions that reach it, and named by the canonical text of its
+    named view.  Each expression may reach max_states states."""
+    table = _Table()
     number, nodes, succ, outs, starts = {}, [], [], [], []  # number: node -> state
 
     def state(node):
@@ -433,14 +604,14 @@ def _joint(exprs, max_states=MAX_STATES) -> _Joint:
         return number[node]
 
     for e in exprs:
-        starts.append(state(_alpha(e, normal)))
+        starts.append(state(_nameless(table, e)))
         reached = {starts[-1]}
         queue = deque(reached)
         while queue:
             i = queue.popleft()
             if succ[i] is None:  # first reached, by this or an earlier expression
-                trans, vs = _step(nodes[i], unfoldings)
-                succ[i] = list({(a, state(_alpha(t, normal))) for a, t in trans})
+                trans, vs = _moves(table, nodes[i])
+                succ[i] = [(a, state(t)) for a, t in trans]
                 outs[i] = frozenset(vs)
             for _, j in succ[i]:
                 if j not in reached:
@@ -448,7 +619,9 @@ def _joint(exprs, max_states=MAX_STATES) -> _Joint:
                         raise ExpansionBudgetError(f"expansion exceeded {max_states} states")
                     reached.add(j)
                     queue.append(j)
-    return _Joint(succ, outs, [tuple(starts)], lambda i: _text(nodes[i], text))
+    keys, high, text = table.keys, table.high, {}  # text: memo of the names made
+    return _Joint(succ, outs, [tuple(starts)],
+                  lambda i: _text(high[nodes[i]] * len(keys) + nodes[i], text, keys))
 
 
 def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
@@ -464,15 +637,7 @@ def format_expr(e: Expr) -> str:
     """Print an expression; parse_expr inverts this exactly."""
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    return _text(e, {})
-
-
-def _text(e: Expr, memo: dict) -> str:
-    """The printed form of e; memo maps nodes to their printed forms and
-    is filled in for every node below e."""
-    s = memo.get(e)
-    if s is not None:
-        return s
+    memo = {}  # node -> its printed form
     stack = [e]
     while stack:
         t = stack[-1]

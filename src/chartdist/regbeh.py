@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .chart import _Record, _set
 from .diagram import Act, Cap, Copy, Cup, Del, Gen, Id, Merge, _word_object
-from .expr import ZERO, Expr, Mu, Prefix, Sum, Var, free_vars, substitute
+from .expr import ZERO, Expr, Mu, Prefix, Sum, Var, _subst, free_vars
 from .metric import FZERO, bd_stratified
 
 __all__ = [
@@ -77,9 +77,8 @@ def rb_compose(f: RbMorphism, g: RbMorphism) -> RbMorphism:
     """f ; g substitutes g's rows for f's variables."""
     if f.cod != g.dom:
         raise RbTypeError(f"cannot compose {f.dom}->{f.cod} with {g.dom}->{g.cod}")
-    bindings = list(enumerate(g.rows, start=1))
-    return RbMorphism(f.dom, g.cod,
-                      tuple(substitute(r, bindings) for r in f.rows))
+    smap, memo = dict(enumerate(g.rows, start=1)), {}
+    return RbMorphism(f.dom, g.cod, tuple(_subst(r, smap, memo) for r in f.rows))
 
 
 def rb_pair(f: RbMorphism, g: RbMorphism) -> RbMorphism:
@@ -91,8 +90,8 @@ def rb_pair(f: RbMorphism, g: RbMorphism) -> RbMorphism:
 
 def rb_oplus(f: RbMorphism, g: RbMorphism) -> RbMorphism:
     """Juxtaposition k+m -> l+n; g's variables are shifted past f's."""
-    shift = [(i, Var(f.cod + i)) for i in range(1, g.cod + 1)]
-    shifted = tuple(substitute(r, shift) for r in g.rows)
+    shift, memo = {i: Var(f.cod + i) for i in range(1, g.cod + 1)}, {}
+    shifted = tuple(_subst(r, shift, memo) for r in g.rows)
     return RbMorphism(f.dom + g.dom, f.cod + g.cod, f.rows + shifted)
 
 
@@ -135,11 +134,13 @@ def rb_dagger(f: RbMorphism) -> RbMorphism:
     rows, eliminated = list(f.rows), []
     for k in range(n, 0, -1):
         last = _solve(p + k, rows.pop())
-        rows = [substitute(r, [(p + k, last)]) for r in rows]
+        smap, memo = {p + k: last}, {}
+        rows = [_subst(r, smap, memo) for r in rows]
         eliminated.append(last)
-    solved = []
+    solved, smap = [], {}  # smap: variable of each solved row -> its solution
     for last in reversed(eliminated):
-        solved.append(substitute(last, list(enumerate(solved, start=p + 1))))
+        solved.append(_subst(last, smap, {}))
+        smap[p + len(solved)] = solved[-1]
     return RbMorphism(n, p, tuple(solved))
 
 

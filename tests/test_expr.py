@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 import chartdist.expr as expr_module
 from chartdist import (
     ZERO, ExpansionBudgetError, ExprSyntaxError, Mu, Prefix, Sum, Var, Zero,
-    alpha_equivalent, alpha_normal, expand, format_expr, free_vars,
+    alpha_equivalent, alpha_normal, expand, format_expr, free_vars, joint_prechart,
     parse_expr, step, substitute,
 )
-from chartdist.cli import main
+from chartdist.cli import EXIT_BUDGET, EXIT_OK, main
 from helpers import (
-    exprs, malformed_expressions, ref_expand, ref_format, ref_parse, ref_step, ref_subst,
+    exprs, malformed_expressions, ref_alpha_normal, ref_expand, ref_format, ref_parse,
+    ref_step, ref_subst,
 )
 
 
@@ -247,12 +248,69 @@ BINDER_CASES = [
 ]
 
 
+# loops whose unfoldings carry free outputs past their binders, some
+# under two binders at once
+FREE_OUTPUT_LOOPS = [
+    "mu v2.a.(v1+b.v2)",
+    "mu v2.mu v3.(v1+a.v2+b.v3)",
+    "mu v1.mu v2.a.(v1+b.v2+v3)",
+    "mu v3.a.(v1+b.mu v4.(v2+c.v3+a.v4))",
+    "mu v1.a.mu v2.(v3+b.v1+c.v2)",
+    "a.mu v5.(v2+b.mu v1.(v4+a.v5+c.v1))",
+]
+
+
 def test_expand_matches_reference_core_on_families():
+    """expand and joint_prechart name the states, moves and outputs that
+    the reference core does, alone and over a pair of inputs."""
     texts = ([long_loop(n) for n in (25, 50, 100, 150)]
-             + [nested(k) for k in range(2, 6)] + corpus_expressions()
-             + BINDER_CASES)
-    for text in texts:
-        assert_same_chart(expand(parse_expr(text)), ref_expand(text))
+             + [nested(k) for k in range(2, 7)] + corpus_expressions()
+             + BINDER_CASES + FREE_OUTPUT_LOOPS)
+    refs = [ref_expand(text) for text in texts]
+    for text, ref in zip(texts, refs):
+        assert_same_chart(expand(parse_expr(text)), ref)
+        assert joint_prechart([parse_expr(text)]) == (ref.prechart, [ref.start])
+    for (t1, r1), (t2, r2) in zip(zip(texts, refs), zip(texts[1:], refs[1:])):
+        p, starts = joint_prechart([parse_expr(t1), parse_expr(t2)])
+        assert starts == [r1.start, r2.start]
+        assert (p.states, p.trans, p.outs) == (r1.states | r2.states, r1.trans | r2.trans,
+                                               r1.outs | r2.outs)
+
+
+@given(exprs(max_var=4))
+@settings(max_examples=300, deadline=None)
+def test_alpha_normal_matches_reference_core(e):
+    text = format_expr(e)
+    assert format_expr(alpha_normal(e)) == ref_format(ref_alpha_normal(ref_parse(text)))
+
+
+@pytest.mark.parametrize("k", [10, 24])
+def test_nested_binders_keep_their_budget(k, capsys):
+    # family C at k reaches k + 1 states, each counted against the budget
+    argv = ["dist", nested(k), "mu v1.a.b.v1", "--max-states"]
+    assert main(argv + [str(k)]) == EXIT_BUDGET
+    assert main(argv + [str(k + 1)]) == EXIT_OK
+    assert capsys.readouterr().out == "1/2 (level 1)\n"
+
+
+def test_nameless_nodes_grow_quadratically_in_nesting(monkeypatch):
+    """One expansion of family C interns O(k^2) nameless nodes: k + 1
+    states of O(k) nodes each, though their texts grow exponentially."""
+    interned = set()
+    original = expr_module._node
+
+    def counted(table, key):
+        i = original(table, key)
+        interned.add(i)
+        return i
+    monkeypatch.setattr(expr_module, "_node", counted)
+    counts = []
+    for k in (8, 16, 32):
+        interned.clear()
+        joint = expr_module._joint([parse_expr(nested(k))])
+        assert len(joint.succ) == k + 1
+        counts.append(len(interned))
+    assert all(b <= 4.5 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # --- deep inputs -------------------------------------------------------

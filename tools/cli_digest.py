@@ -12,7 +12,12 @@ the cycle charts of ``workloads.cycle`` with n and n + 1 states for n = 2
 to 12, then ``bisim``, ``strat``, ``derive`` and ``check`` of the derived
 certificate on those same rows in both formats, ``compile`` of each row in
 both formats, and ``bisim``, ``derive`` and ``check`` of the derived
-certificate on those same cycle charts, then ``check`` on each row of
+certificate on those same cycle charts, then expressions whose states
+nest binders or form long loops: ``dist --table`` and ``compile`` on
+``workloads.nested(k)`` against ``mu v1.a.b.v1`` for k = 2 to 8 and on
+``workloads.long_loop(n)`` against ``mu v1.a.v1`` for n in 25, 50, 100,
+150 and 200, and ``bisim``, ``derive`` and ``check`` of the derived
+certificate on those nested pairs, then ``check`` on each row of
 ``corpus/malformed_certificates.json``,
 and last the parser's own answers: ``--help``, no arguments at all, and
 each of the eight commands with ``--help`` and with no arguments, all
@@ -163,6 +168,21 @@ def certificate_calls():
         yield ["check", "--format", row["format"], row["cert"], row["left"], row["right"]]
 
 
+def expression_calls():
+    """(argv, outcome) of dist --table and compile on family C against
+    mu v1.a.b.v1 and on the long loops against mu v1.a.v1, and of bisim,
+    derive and check of the derived certificate on family C."""
+    nested = [("expr", oracle.format_expr(workloads.nested(k)), "mu v1.a.b.v1")
+              for k in range(2, 9)]
+    loops = [("expr", oracle.format_expr(workloads.long_loop(n)),
+              oracle.format_expr(workloads.A_LOOP)) for n in (25, 50, 100, 150, 200)]
+    for fmt, left, right in nested + loops:
+        for argv in (["dist", "--table", "--format", fmt, left, right],
+                     ["compile", "--format", fmt, left]):
+            yield argv, call(argv)
+    yield from derived_calls(("bisim", "derive"), nested)
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -186,7 +206,7 @@ def main(argv=None):
                  *malformed_diagram_calls(), *table_calls()):
         digest.update(repr((args, call(args))).encode())
         calls += 1
-    for args, outcome in query_calls():
+    for args, outcome in itertools.chain(query_calls(), expression_calls()):
         digest.update(repr((args, outcome)).encode())
         calls += 1
     for args in (*certificate_calls(), *parser_calls()):
