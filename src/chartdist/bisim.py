@@ -5,12 +5,16 @@ transition of one can be matched by an equally-labelled transition of
 the other into bisimilar states.  The stratified approximants (level 0
 relates everything, level n+1 additionally requires output equality and
 matching into level n) and the coarsest such relation all come from one
-partition refinement, ``Refinement``, which keeps its split history:
+partition refinement, ``Refinement``, which keeps its split history
+as a tree of blocks, each with its parent and the round it was born in:
 the level of a pair is the last round at which it shares a block, and
-the distance modules read 2^-level off it; it reads only state numbers
-and names none.  ``_refine_pair``, the one refinement step of every
-two-input query and of ``axioms --check``, refines the numbered joint
-(``chart._Joint``) of two expressions, charts or diagram terms.
+the distance modules read 2^-level off it.  A round re-signs only the
+states whose successors moved in the round before, so a chain or cycle
+of n states costs O(n log n) signatures, not O(n^2).  It reads only
+state numbers and names none.  ``_refine_pair``, the one refinement
+step of every two-input query and of ``axioms --check``, refines the
+numbered joint (``chart._Joint``) of two expressions, charts (objects
+or chart text read straight into numbers) or diagram terms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .chart import MAX_STATES, Chart, Prechart, _chart_joint, _numbered, state_key
+from .chart import (
+    MAX_STATES, Chart, Prechart, _chart_joint, _numbered, _Side, _side, state_key,
+)
 
 __all__ = [
     "Refinement", "witness_pairs", "joint_prechart", "joint_pair",
@@ -38,52 +44,104 @@ class Refinement:
     stratum relates them.  The rounds are nested, and the first round
     that splits nothing leaves the bisimilarity partition.
 
-    The history is a split tree: every block is a node, and a block that
-    a round splits records that round and becomes the parent of its
-    parts.  Two states first differ at the round that split their lowest
-    common block, so memory stays linear in the states however many
-    rounds run.  Rounds are computed on demand: ``level`` stops as soon
-    as its pair has split, while ``classes`` and ``max_level`` run to the
-    end.  ``rounds`` counts the rounds so far that split some block.
+    Round 1 signs every state by its outputs and enabled letters.  After
+    that a round signs only the states that can still split: members of
+    blocks of two or more states with a successor that moved in the last
+    round.  The members of a block that no move touched had equal
+    signatures and still have, so they form one part; a touched member
+    reaches a block born in the last round, which no untouched one does,
+    so it never joins that part.  When a block splits, its largest part
+    keeps the block's id and every other part becomes a new block, born
+    in that round, whose parent is the block it left.  A state moves only
+    into a part at most half the size of the block it leaves, so it moves
+    O(log n) times, and each move has its predecessors signed once more.
+
+    The history is this split tree.  Two states first differ at the round
+    that took one of them away from their lowest common block, which is
+    the earlier birth round of the two branches below that block, so
+    memory stays linear in the states however many rounds run.  Rounds
+    are computed on demand: ``level`` stops as soon as its pair has
+    split, while ``classes`` and ``max_level`` run to the end.  ``rounds``
+    counts the rounds so far that split some block, and ``signatures``
+    the state signatures built.
     """
 
     def __init__(self, succ: list, outs: list):
         self._succ, self._outs = succ, outs
-        n = len(succ)
-        self._block = [0] * n  # state number -> current block
-        # block -> the block it was split from; a parent's id is always
-        # smaller than its children's
+        self._block = [0] * len(succ)  # state number -> current block
+        # block -> the block it was split from, and the round it was born
+        # in; a parent's id is always smaller than its children's
         self._parent = [None]
-        self._split_at = [math.inf]                  # block -> round that split it
-        self._count = 1 if n else 0
+        self._born = [0]
+        self._members = None  # block -> set of its states, from round 1 on
+        self._moved = None  # the states that moved in the last round
+        self._pred = None  # state -> the states with a move into it, once needed
         self.rounds = 0
+        self.signatures = 0
         self.stable = False
         self._classes = None
 
     def _advance(self):
-        block = self._block
-        parts: dict = {}
-        for i, (b, o, moves) in enumerate(zip(block, self._outs, self._succ)):
-            sig = (b, o, frozenset([(a, block[r]) for a, r in moves]))
-            parts.setdefault(sig, []).append(i)
-        if len(parts) == self._count:
+        if self._moved is None:
+            parts: dict = {}
+            for i, (o, moves) in enumerate(zip(self._outs, self._succ)):
+                parts.setdefault((o, frozenset([a for a, _ in moves])), []).append(i)
+            self.signatures += len(self._succ)
+            self._members = [None]  # set below to the part that keeps block 0
+            splits = [(0, list(parts.values()), 0)] if len(parts) > 1 else []
+        else:
+            splits = self._touched_splits()
+        if not splits:
             self.stable = True
             return
         self.rounds += 1
-        self._count = len(parts)
-        by_block: dict = {}
-        for (b, _, _), members in parts.items():
-            by_block.setdefault(b, []).append(members)
-        for b, split in by_block.items():
-            if len(split) == 1:
-                continue
-            self._split_at[b] = self.rounds
-            for members in split:
+        block, members, moved = self._block, self._members, []
+        for b, split, rest in splits:
+            keep = max(split, key=len)
+            if rest >= len(keep):  # the untouched members keep the block
+                for part in split:
+                    members[b].difference_update(part)
+            else:
+                split = [part for part in split if part is not keep]
+                if rest:
+                    split.append(members[b].difference(*split, keep))
+                members[b] = set(keep)
+            for part in split:
                 child = len(self._parent)
                 self._parent.append(b)
-                self._split_at.append(math.inf)
-                for i in members:
+                self._born.append(self.rounds)
+                members.append(set(part))
+                for i in part:
                     block[i] = child
+                moved += part
+        self._moved = moved
+
+    def _touched_splits(self) -> list:
+        """(block, parts, rest) of each block that the next round splits:
+        the parts of its members that a move touched, lists of states, and
+        the number of the others, which stay one part."""
+        if self._pred is None:
+            self._pred = [[] for _ in self._succ]
+            for i, moves in enumerate(self._succ):
+                for _, j in moves:
+                    self._pred[j].append(i)
+        block, members, succ = self._block, self._members, self._succ
+        parts: dict = {}
+        for i in set().union(*[self._pred[j] for j in self._moved]):
+            b = block[i]
+            if len(members[b]) > 1:
+                sig = (b, frozenset([(a, block[j]) for a, j in succ[i]]))
+                parts.setdefault(sig, []).append(i)
+        by_block: dict = {}
+        for (b, _), part in parts.items():
+            by_block.setdefault(b, []).append(part)
+        splits = []
+        for b, split in by_block.items():
+            signed = sum(map(len, split))
+            self.signatures += signed
+            if len(split) > 1 or signed < len(members[b]):
+                splits.append((b, split, len(members[b]) - signed))
+        return splits
 
     def level(self, i, j):
         """Last round at which states i and j share a block; math.inf if
@@ -93,13 +151,16 @@ class Refinement:
             if self.stable:
                 return math.inf
             self._advance()
+        # walk up to the lowest common block, always from the larger id; ids
+        # grow with the birth round, so the last block the walk leaves is
+        # the earlier born of the two branches below the common block
         a, b = block[i], block[j]
         while a != b:
             if a > b:
-                a = self._parent[a]
+                last, a = a, self._parent[a]
             else:
-                b = self._parent[b]
-        return self._split_at[a] - 1
+                last, b = b, self._parent[b]
+        return self._born[last] - 1
 
     def least_level(self, pairs):
         """Least level of the given pairs; math.inf when all are bisimilar."""
@@ -124,14 +185,17 @@ class Refinement:
 
 def _joint(f, g, max_states=MAX_STATES):
     """The joint of two expressions (their expansions sharing states, one
-    row), two charts (one row) or two diagrams (a row per entry)."""
+    row), two charts or two charts read from text (one row) or two
+    diagrams (a row per entry)."""
     # an expression or a term exists only once its module is loaded, so
     # the modules are looked up, never loaded, here
     expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
     if expr and isinstance(f, expr.Expr) and isinstance(g, expr.Expr):
         return expr._joint([f, g], max_states)
-    if isinstance(f, Chart) and isinstance(g, Chart):
+    if isinstance(f, _Side) and isinstance(g, _Side):
         return _chart_joint(f, g)
+    if isinstance(f, Chart) and isinstance(g, Chart):
+        return _chart_joint(_side(f), _side(g))
     if diagram and isinstance(f, diagram.Term) and isinstance(g, diagram.Term):
         return diagram._joint(f, g, max_states)
     raise TypeError("expected two expressions, two charts or two diagram terms")

@@ -2,9 +2,11 @@
 
 A prechart is a finite set of states with labelled transitions and a
 set of output variables attached to each state.  A chart additionally
-fixes a start state.  This module reads and prints charts as text,
-restricts them to their reachable states, and numbers two of them as
-one ``_Joint``, the numbered prechart that every two-input query
+fixes a start state.  This module reads chart text straight into a
+numbered chart (``_read_chart``, its states numbered in declaration
+order; ``parse_chart_text`` is its named view), prints charts as text,
+restricts them to their reachable states, and joins two numbered charts
+as one ``_Joint``, the numbered prechart that every two-input query
 refines.  It also holds the immutable record base of the package's
 records and the state budget of expansions and open charts.
 """
@@ -244,15 +246,15 @@ def _reach(succ, i) -> list:
     return order
 
 
-def _numbered(p: Prechart, offset: int = 0):
-    """The states of p numbered from offset in its iteration order: a dict
-    from each state to its position, and the successor list (letter,
-    number) and the output set of each position."""
+def _numbered(p: Prechart):
+    """The states of p numbered in its iteration order: a dict from each
+    state to its number, and the successor list (letter, number) and the
+    output set of each number."""
     index = {q: i for i, q in enumerate(p.states)}
     succ = [[] for _ in index]
     outs = [set() for _ in index]
     for (q, a, r) in p.trans:
-        succ[index[q]].append((a, offset + index[r]))
+        succ[index[q]].append((a, index[r]))
     for (q, v) in p.outs:
         outs[index[q]].add(v)
     return index, succ, [frozenset(vs) for vs in outs]
@@ -294,28 +296,50 @@ class _Joint:
             frozenset([(names[i], v) for i, vs in enumerate(self.outs) for v in vs]))
 
 
-def _chart_joint(c1: Chart, c2: Chart) -> _Joint:
-    """Two charts, each numbered on its own and the right one's after the
-    left one's, with one row of their starts.  Two states of one chart
-    that print alike, as 1 and "1" do, would share a name and raise
+class _Side:
+    """One chart numbered from 0: state i is named names[i] and has the
+    moves (letter, j) of succ[i] and the outputs outs[i], and start is
+    the start state's number.  _read_chart reads one from chart text and
+    _side numbers a Chart object."""
+
+    __slots__ = ("names", "succ", "outs", "start")
+
+    def __init__(self, names, succ, outs, start):
+        self.names, self.succ, self.outs, self.start = names, succ, outs, start
+
+    def chart(self) -> Chart:
+        """The named view: the chart of the states under their names."""
+        joint = _Joint(self.succ, self.outs, [], self.names.__getitem__)
+        return Chart(joint.prechart(), self.names[self.start])
+
+
+def _side(c: Chart) -> _Side:
+    """A Chart numbered in its states' iteration order.  Two states that
+    print alike, as 1 and "1" do, would share a name in a joint and raise
     ValueError."""
-    left, succ1, outs1 = _numbered(c1.prechart)
-    right, succ2, outs2 = _numbered(c2.prechart, len(left))
-    for states in (left, right):
-        if any(type(q) is not str for q in states):  # a str prints as itself
-            seen: dict = {}
-            for q in sorted(states, key=state_key):
-                other = seen.setdefault(f"{q}", q)
-                if other is not q:
-                    raise ValueError(f"states {other!r} and {q!r} print alike")
-    return _Joint(succ1 + succ2, outs1 + outs2, [(left[c1.start], len(left) + right[c2.start])],
-                  [*left, *right].__getitem__, len(left))
+    index, succ, outs = _numbered(c.prechart)
+    if any(type(q) is not str for q in index):  # a str prints as itself
+        seen: dict = {}
+        for q in sorted(index, key=state_key):
+            other = seen.setdefault(f"{q}", q)
+            if other is not q:
+                raise ValueError(f"states {other!r} and {q!r} print alike")
+    return _Side(list(index), succ, outs, index[c.start])
+
+
+def _chart_joint(left: _Side, right: _Side) -> _Joint:
+    """Two numbered charts, the right one's states numbered after the left
+    one's, with one row of their starts."""
+    k = len(left.names)
+    return _Joint(left.succ + [[(a, j + k) for a, j in moves] for moves in right.succ],
+                  left.outs + right.outs, [(left.start, k + right.start)],
+                  [*left.names, *right.names].__getitem__, k)
 
 
 def disjoint_union(c1: Chart, c2: Chart):
     """The named view of two charts' joint: (prechart, start1, start2),
     the states renamed "L:<q>" and "R:<q>"."""
-    joint = _chart_joint(c1, c2)
+    joint = _chart_joint(_side(c1), _side(c2))
     (x, y), = joint.rows
     return joint.prechart(), joint.name(x), joint.name(y)
 
@@ -328,8 +352,9 @@ class ChartFormatError(ValueError):
         self.line = line
 
 
-def parse_chart_text(text: str, alphabet=None) -> Chart:
-    """Parse the line-based chart format.
+def _read_chart(text: str, alphabet=None) -> _Side:
+    """Read the line-based chart format straight into a numbered chart,
+    its states numbered in the order of their first state lines.
 
     Lines: "alphabet a b ...", "state q", "start q", "trans q a r",
     "out q vN".  '#' starts a comment anywhere in a line.  Exactly one
@@ -337,15 +362,19 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
     on an earlier line, the start state on any line.  The alphabet line
     restricts every trans line, before or after it (a late one reports
     the least missing letter).  alphabet, when given, restricts action
-    letters as an alphabet line does.
+    letters as an alphabet line does.  Repeated lines add nothing.
     """
-    states: set = set()
-    trans: set = set()
-    outs: set = set()
+    number: dict = {}  # state name -> number
+    succ: list = []  # number -> set of moves (letter, number)
+    outs: list = []  # number -> set of variable indices
     declared: set | None = None
+    allowed = _LETTER_SET if alphabet is None else _LETTER_SET.intersection(alphabet)
     start = start_line = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
+    lineno = 0
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    for lineno, parts in enumerate(map(str.split, lines), start=1):
         if not parts:
             continue
         kind = parts[0]
@@ -353,30 +382,32 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
             if len(parts) != 4:
                 raise ChartFormatError("trans line takes: trans q a r", lineno)
             _, q, a, r = parts
-            if q not in states or r not in states:
-                raise ChartFormatError("trans references undeclared state", lineno)
-            if a not in _LETTER_SET:
-                raise ChartFormatError(f"invalid action letter {a!r}", lineno)
-            if declared is not None and a not in declared:
-                raise ChartFormatError(f"letter {a!r} not in declared alphabet", lineno)
-            if alphabet is not None and a not in alphabet:
-                raise ChartFormatError(f"undeclared letter {a!r}", lineno)
-            trans.add((q, a, r))
+            try:
+                moves, j = succ[number[q]], number[r]
+            except KeyError:
+                raise ChartFormatError("trans references undeclared state", lineno) from None
+            if a not in allowed:
+                raise ChartFormatError(_letter_error(a, declared), lineno)
+            moves.add((a, j))
         elif kind == "alphabet":
             if declared is not None:
                 raise ChartFormatError("duplicate alphabet line", lineno)
             declared = set(parts[1:])
-            for a in declared:
+            for a in parts[1:]:
                 if a not in _LETTER_SET:
                     raise ChartFormatError(f"invalid alphabet letter {a!r}", lineno)
-            missing = {a for (_, a, _) in trans} - declared
+            missing = {a for moves in succ for a, _ in moves} - declared
             if missing:
                 raise ChartFormatError(
                     f"letter {min(missing)!r} not in declared alphabet", lineno)
+            allowed = allowed & declared
         elif kind == "state":
             if len(parts) != 2:
                 raise ChartFormatError("state line takes one name", lineno)
-            states.add(parts[1])
+            if parts[1] not in number:
+                number[parts[1]] = len(succ)
+                succ.append(set())
+                outs.append(set())
         elif kind == "start":
             if len(parts) != 2:
                 raise ChartFormatError("start line takes one name", lineno)
@@ -387,19 +418,35 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
             if len(parts) != 3:
                 raise ChartFormatError("out line takes: out q vN", lineno)
             _, q, vtok = parts
-            if q not in states:
+            if q not in number:
                 raise ChartFormatError("out references undeclared state", lineno)
             v = _var_index(vtok)
             if v is None:
                 raise ChartFormatError(f"malformed variable token {vtok!r}", lineno)
-            outs.add((q, v))
+            outs[number[q]].add(v)
         else:
             raise ChartFormatError(f"unknown directive {kind!r}", lineno)
     if start is None:
-        raise ChartFormatError("missing start line", len(text.splitlines()) + 1)
-    if start not in states:
+        raise ChartFormatError("missing start line", lineno + 1)
+    if start not in number:
         raise ChartFormatError("start references undeclared state", start_line)
-    return Chart(Prechart._of(frozenset(states), frozenset(trans), frozenset(outs)), start)
+    return _Side(list(number), succ, [frozenset(vs) for vs in outs], number[start])
+
+
+def _letter_error(a, declared) -> str:
+    """The message of a trans line whose letter a is refused: the first of
+    the letter checks that a fails."""
+    if a not in _LETTER_SET:
+        return f"invalid action letter {a!r}"
+    if declared is not None and a not in declared:
+        return f"letter {a!r} not in declared alphabet"
+    return f"undeclared letter {a!r}"
+
+
+def parse_chart_text(text: str, alphabet=None) -> Chart:
+    """Parse the line-based chart format (see _read_chart): the named view
+    of the numbered chart that _read_chart reads."""
+    return _read_chart(text, alphabet).chart()
 
 
 def format_chart_text(c: Chart) -> str:

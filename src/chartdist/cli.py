@@ -108,7 +108,12 @@ def _load(arg, args):
 
 
 def _inputs(args):
-    """The left and the right input, loaded in that order."""
+    """The left and the right input, loaded in that order; chart texts are
+    read straight into numbered charts, which only a joint reads."""
+    if args.format == "chart":
+        from . import chart
+        return (chart._read_chart(_resolve(args.left), args.alphabet),
+                chart._read_chart(_resolve(args.right), args.alphabet))
     return _load(args.left, args), _load(args.right, args)
 
 

@@ -25,7 +25,9 @@ from chartdist import (
     OpenChart, Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
     disjoint_union, expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
-from chartdist.chart import _LETTERS, _relabel, _valid_letter, state_key
+from chartdist.chart import (
+    _LETTER_SET, _LETTERS, ChartFormatError, _relabel, _valid_letter, _var_index, state_key,
+)
 from chartdist.diagram import _fold, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
@@ -471,6 +473,155 @@ def precharts(draw):
     return Prechart(frozenset(names), trans | {(q, a, q) for q, a in loops}, outs)
 
 
+@st.composite
+def large_precharts(draw):
+    """Precharts of up to 40 states whose refinement runs many rounds and
+    splits blocks into parts of equal size: possibly empty, else a random
+    core of up to 12 states, possibly a bisimilar copy of it, up to two
+    chains of up to 8 a-moves that end in the core or in a dead state, and
+    a few self-loops."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return Prechart(frozenset(), frozenset(), frozenset())
+    core = st.integers(0, n - 1)
+    trans = set(draw(st.frozensets(st.tuples(core, st.sampled_from("ab"), core),
+                                   max_size=2 * n)))
+    outs = set(draw(st.frozensets(st.tuples(core, st.integers(1, 2)), max_size=3)))
+    states = set(range(n))
+    if draw(st.booleans()):  # state q + n is bisimilar to q
+        trans |= {(q + n, a, r + n) for q, a, r in trans}
+        outs |= {(q + n, v) for q, v in outs}
+        states |= {q + n for q in range(n)}
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 8))
+        first = len(states)
+        chain = range(first, first + k)
+        states |= set(chain)
+        trans |= {(q, "a", q + 1) for q in chain[:-1]}
+        end = draw(st.none() | core)
+        if end is not None:
+            trans.add((chain[-1], "a", end))
+    loops = draw(st.frozensets(st.tuples(st.sampled_from(sorted(states)), st.sampled_from("ab")),
+                               max_size=3))
+    return Prechart(frozenset(states), frozenset(trans | {(q, a, q) for q, a in loops}),
+                    frozenset(outs))
+
+
+# one corrupted line of each kind of ChartFormatError, or no start line;
+# "q" is a declared state and "zz" an undeclared one
+CORRUPT_CHART_LINES = (
+    "trans q a", "out q", "state q r", "start", "trans q a zz", "out zz v1",
+    "trans q v q", "out q v0", "out q v\u00b2", "foo q", "start q", "alphabet a",
+    "alphabet a ab", "start zz", "no start",
+)
+
+
+@st.composite
+def chart_texts(draw):
+    """Chart texts and an --alphabet (or None): comments, blank lines,
+    repeated state, trans and out lines, an alphabet line before or after
+    the trans lines or none, and possibly one corrupted line of one error
+    kind (CORRUPT_CHART_LINES) in place of or beside the start line."""
+    names = draw(st.lists(st.sampled_from(["q", "0", "1", "r", "s10"]), min_size=1,
+                          max_size=6))
+    state = st.sampled_from(names)
+    # letters of trans lines, and of an alphabet line or --alphabet, which
+    # mostly cover them
+    used = st.sampled_from("ab") | st.sampled_from("abc")
+    letters = st.builds(set.union, st.just({"a", "b"}) | st.just(set()),
+                        st.sets(st.sampled_from("abc")))
+    body = [f"trans {q} {a} {r}" for q, a, r in
+            draw(st.lists(st.tuples(state, used, state), max_size=10))]
+    body += [f"out {q} v{v}" for q, v in
+             draw(st.lists(st.tuples(state, st.integers(1, 3)), max_size=4))]
+    body = draw(st.permutations(body))
+    if body:
+        body += draw(st.lists(st.sampled_from(body), max_size=3))
+    corrupt = draw(st.none() | st.sampled_from(CORRUPT_CHART_LINES))
+    lines = ["state q", *(f"state {q}" for q in names), *body]
+    if corrupt not in ("no start", "start zz"):
+        lines.insert(draw(st.integers(0, len(lines))), f"start {draw(state)}")
+    place = draw(st.sampled_from(["none", "first", "last"]))
+    if place != "none":
+        lines.insert(0 if place == "first" else len(lines),
+                     " ".join(["alphabet", *sorted(draw(letters))]))
+    if corrupt not in (None, "no start"):
+        lines.insert(draw(st.integers(0, len(lines))), corrupt)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        lines.insert(i, draw(st.sampled_from(["", "# a comment", "   "])))
+    lines = [line + draw(st.sampled_from(["", "  ", " # note", "#x"])) for line in lines]
+    alphabet = draw(st.none() | letters.filter(bool))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), alphabet
+
+
+def ref_parse_chart_text(text: str, alphabet=None) -> Chart:
+    """The chart format read line by line into sets of names: the reference
+    for chartdist.parse_chart_text, with the same checks, messages and
+    line numbers."""
+    states: set = set()
+    trans: set = set()
+    outs: set = set()
+    declared: set | None = None
+    start = start_line = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        kind = parts[0]
+        if kind == "trans":  # the common line first
+            if len(parts) != 4:
+                raise ChartFormatError("trans line takes: trans q a r", lineno)
+            _, q, a, r = parts
+            if q not in states or r not in states:
+                raise ChartFormatError("trans references undeclared state", lineno)
+            if a not in _LETTER_SET:
+                raise ChartFormatError(f"invalid action letter {a!r}", lineno)
+            if declared is not None and a not in declared:
+                raise ChartFormatError(f"letter {a!r} not in declared alphabet", lineno)
+            if alphabet is not None and a not in alphabet:
+                raise ChartFormatError(f"undeclared letter {a!r}", lineno)
+            trans.add((q, a, r))
+        elif kind == "alphabet":
+            if declared is not None:
+                raise ChartFormatError("duplicate alphabet line", lineno)
+            declared = set(parts[1:])
+            for a in declared:
+                if a not in _LETTER_SET:
+                    raise ChartFormatError(f"invalid alphabet letter {a!r}", lineno)
+            missing = {a for (_, a, _) in trans} - declared
+            if missing:
+                raise ChartFormatError(
+                    f"letter {min(missing)!r} not in declared alphabet", lineno)
+        elif kind == "state":
+            if len(parts) != 2:
+                raise ChartFormatError("state line takes one name", lineno)
+            states.add(parts[1])
+        elif kind == "start":
+            if len(parts) != 2:
+                raise ChartFormatError("start line takes one name", lineno)
+            if start is not None:
+                raise ChartFormatError("duplicate start line", lineno)
+            start, start_line = parts[1], lineno
+        elif kind == "out":
+            if len(parts) != 3:
+                raise ChartFormatError("out line takes: out q vN", lineno)
+            _, q, vtok = parts
+            if q not in states:
+                raise ChartFormatError("out references undeclared state", lineno)
+            v = _var_index(vtok)
+            if v is None:
+                raise ChartFormatError(f"malformed variable token {vtok!r}", lineno)
+            outs.add((q, v))
+        else:
+            raise ChartFormatError(f"unknown directive {kind!r}", lineno)
+    if start is None:
+        raise ChartFormatError("missing start line", len(text.splitlines()) + 1)
+    if start not in states:
+        raise ChartFormatError("start references undeclared state", start_line)
+    return Chart(Prechart._of(frozenset(states), frozenset(trans), frozenset(outs)), start)
+
+
 def ref_validate(states, trans, outs):
     """The checks of a Prechart one item at a time: ValueError naming the
     first offender met."""
@@ -615,12 +766,19 @@ def malformed_certificates():
     return json.loads(path.read_text())
 
 
-def cycle_text(n):
-    """An n-cycle: a to the next state, b to the one after, v1 at state 0."""
+def cycle_text(n, outs_at=(0,)):
+    """An n-cycle: a to the next state, b to the one after, v1 at the
+    states of outs_at."""
     lines = ["alphabet a b"] + [f"state {q}" for q in range(n)] + ["start 0"]
     for q in range(n):
         lines += [f"trans {q} a {(q + 1) % n}", f"trans {q} b {(q + 2) % n}"]
-    return "\n".join(lines + ["out 0 v1"]) + "\n"
+    return "\n".join(lines + [f"out {q} v1" for q in outs_at]) + "\n"
+
+
+def chain_text(n):
+    """A chain of n states, a to the next one, and no outputs."""
+    lines = [f"state {q}" for q in range(n)] + ["start 0"]
+    return "\n".join(lines + [f"trans {q} a {q + 1}" for q in range(n - 1)]) + "\n"
 
 
 def corpus_rows():

@@ -1,5 +1,6 @@
 """Partition refinement, witnesses, stratification, and quotients."""
 
+import hashlib
 import math
 import random
 
@@ -7,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 from chartdist import (
-    Chart, Prechart, bisimilar, coarsest_partition, disjoint_union, expand, format_expr,
-    parse_chart_text, parse_expr, quotient, stratified_level,
+    Chart, Prechart, bisimilar, coarsest_partition, disjoint_union, expand, format_chart_text,
+    format_expr, parse_chart_text, parse_expr, parse_term, quotient, stratified_level,
 )
 from chartdist.bisim import _refine_pair
+from chartdist.chart import _read_chart
 from helpers import (
-    RefRefinement, brute_bisimilar, brute_level, brute_related_pairs, cycle_text,
-    is_bisimulation, live_vars, numbered_refinement, precharts, rand_chart, rand_expr,
-    rand_forward, ref_expand, ref_open_chart,
+    RefRefinement, brute_bisimilar, brute_level, brute_related_pairs, chain_text, cycle_text,
+    is_bisimulation, large_precharts, live_vars, numbered_refinement, precharts, rand_chart,
+    rand_expr, rand_forward, ref_expand, ref_open_chart, ref_parse_chart_text,
 )
 
 
@@ -154,6 +156,61 @@ def test_refinement_matches_reference(p):
     assert_refines_like_reference(p)
 
 
+@given(large_precharts())
+@settings(max_examples=150, deadline=None)
+def test_refinement_matches_reference_on_large_precharts(p):
+    """Chains, copies and self-loops of up to 40 states: rounds that sign
+    only the touched members of a block, parts of equal size and the
+    predecessor lists built at the second round meet the reference."""
+    assert_refines_like_reference(p)
+
+
+# sha256 over the answers below of the refinement that signed every state
+# in every round, computed before it was replaced
+REFINEMENT_ANSWERS = "5359f336f45f4d27f4cfba4f77944b08da2f7526b7e467106ffdfe4b807c4f98"
+
+
+def test_refinement_answers_are_pinned():
+    """Every level(x, y) with x < y, then rounds, max_level() and classes(),
+    of each pair of charts: n- against (n+1)-cycles for n = 8..64,
+    n-cycles against their unfoldings to 2n states for n = 4..24, and a-chains
+    of n against n + 1 states for n = 50, 100, 200 and 400."""
+    pairs = [(cycle_text(n), cycle_text(n + 1)) for n in range(8, 65)]
+    pairs += [(cycle_text(n), cycle_text(2 * n, outs_at=(0, n))) for n in range(4, 25)]
+    pairs += [(chain_text(n), chain_text(n + 1)) for n in (50, 100, 200, 400)]
+    digest = hashlib.sha256()
+    for left, right in pairs:
+        union, _, _ = disjoint_union(parse_chart_text(left), parse_chart_text(right))
+        _, r = numbered_refinement(union)
+        n = len(union.states)
+        levels = [r.level(x, y) for x in range(n) for y in range(x + 1, n)]
+        digest.update(repr((levels, r.rounds, r.max_level(), r.classes())).encode())
+    assert digest.hexdigest() == REFINEMENT_ANSWERS
+
+
+def signature_counts(pairs):
+    """Refinement.signatures of each pair's joint, refined to the end."""
+    counts = []
+    for f, g in pairs:
+        _, r = _refine_pair(f, g)
+        r.classes()
+        counts.append(r.signatures)
+    return counts
+
+
+def test_signatures_grow_near_linearly():
+    """Doubling the states at most 2.3-folds the signatures built, on cycle
+    pairs (n = 64..1024) and on diagram chains of n against n + 1 act(a)
+    (n = 250..2000); signing every state in every round 4-folds them."""
+    cycles = signature_counts((_read_chart(cycle_text(n)), _read_chart(cycle_text(n + 1)))
+                              for n in (64, 128, 256, 512, 1024))
+    chains = signature_counts((parse_term(";".join(["act(a)"] * n + ["del"])),
+                               parse_term(";".join(["act(a)"] * (n + 1) + ["del"])))
+                              for n in (250, 500, 1000, 2000))
+    for counts in (cycles, chains):
+        assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
 @pytest.mark.parametrize("n", range(8, 41))
 def test_refinement_matches_reference_on_cycle_pairs(n):
     union, _, _ = disjoint_union(parse_chart_text(cycle_text(n)),
@@ -164,13 +221,14 @@ def test_refinement_matches_reference_on_cycle_pairs(n):
 def reference_joint(kind, f, g):
     """The joint prechart of two inputs and its seed rows, built from the
     references and named as the queries name states: two expansions
-    share their canonical texts, and the states of two charts or two
-    open charts are tagged "L:" and "R:" by side."""
+    share their canonical texts, and the states of two charts, read from
+    their texts, or of two open charts are tagged "L:" and "R:" by side."""
     if kind == "expr":
         c1, c2 = ref_expand(format_expr(f)), ref_expand(format_expr(g))
         return (Prechart(c1.states | c2.states, c1.trans | c2.trans, c1.outs | c2.outs),
                 [(c1.start, c2.start)])
     if kind == "chart":
+        f, g = ref_parse_chart_text(f), ref_parse_chart_text(g)
         (p1, p2), rows = (f.prechart, g.prechart), [(f.start, g.start)]
     else:
         o1, o2 = ref_open_chart(f), ref_open_chart(g)
@@ -184,10 +242,11 @@ def reference_joint(kind, f, g):
 
 
 def random_pair(kind, rng):
+    """Two random inputs of a kind; charts as text."""
     if kind == "expr":
         return rand_expr(rng), rand_expr(rng)
     if kind == "chart":
-        return rand_chart(rng), rand_chart(rng)
+        return format_chart_text(rand_chart(rng)), format_chart_text(rand_chart(rng))
     m, n = rng.randint(0, 2), rng.randint(0, 2)
     return rand_forward(rng, m, n, 3), rand_forward(rng, m, n, 3)
 
@@ -197,11 +256,13 @@ def test_numbered_joint_matches_references(kind):
     """Each number of the joint that the queries refine names the state of
     the reference joint with its moves and outputs, the rows name the
     reference seeds, and every pair of numbers has the level that the
-    reference refinement gives the pair of names."""
+    reference refinement gives the pair of names.  Chart texts are read
+    as the command line reads them."""
     rng = random.Random(2026)
     for _ in range(60):
         f, g = random_pair(kind, rng)
-        joint, r = _refine_pair(f, g)
+        joint, r = _refine_pair(*((_read_chart(f), _read_chart(g)) if kind == "chart" else
+                                  (f, g)))
         p, rows = reference_joint(kind, f, g)
         names = [joint.name(i) for i in range(len(joint.succ))]
         assert len(set(names)) == len(names)

@@ -11,12 +11,12 @@ from chartdist import (
     expand, format_chart_text, joint_pair, joint_prechart, open_chart, parse_chart_text,
     parse_expr, quotient, reachable,
 )
-from chartdist.chart import _relabel, state_key
+from chartdist.chart import _read_chart, _relabel, state_key
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
-    empty_chart, exprs, live_vars, malformed_charts, precharts, prefix_chart, rand_chart,
-    rand_expr, rand_forward, rec_chart, ref_validate, structural_chart, subst_chart,
-    sum_chart, variable_chart,
+    chart_texts, empty_chart, exprs, live_vars, malformed_charts, precharts, prefix_chart,
+    rand_chart, rand_expr, rand_forward, rec_chart, ref_parse_chart_text, ref_validate,
+    structural_chart, subst_chart, sum_chart, variable_chart,
 )
 
 
@@ -291,6 +291,31 @@ def test_states_are_declared_before_trans_but_not_before_start():
     assert str(info.value) == "trans references undeclared state (line 2)"
     c = parse_chart_text("start r\nstate r\n")
     assert c.start == "r" and c.states == frozenset({"r"})
+
+
+@given(chart_texts())
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_reference_parser(case):
+    """parse_chart_text, the named view of the numbered reader, gives the
+    chart that the reference parser gives, or raises its message at its
+    line."""
+    text, alphabet = case
+    try:
+        want = ref_parse_chart_text(text, alphabet)
+    except ChartFormatError as e:
+        with pytest.raises(ChartFormatError) as info:
+            parse_chart_text(text, alphabet)
+        assert (str(info.value), info.value.line) == (str(e), e.line)
+    else:
+        assert parse_chart_text(text, alphabet) == want
+
+
+def test_reader_numbers_states_in_declaration_order():
+    side = _read_chart("state r\nstart q\nstate q\nstate r  # again\ntrans q a r\n"
+                       "trans q a r\nout r v2\nstate p\n")
+    assert side.names == ["r", "q", "p"]
+    assert (side.start, side.succ, side.outs) == \
+        (1, [set(), {("a", 0)}, set()], [frozenset({2}), frozenset(), frozenset()])
 
 
 def test_parse_chart_ignores_comments_and_blanks():

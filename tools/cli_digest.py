@@ -18,8 +18,13 @@ nest binders or form long loops: ``dist --table`` and ``compile`` on
 ``workloads.long_loop(n)`` against ``mu v1.a.v1`` for n in 25, 50, 100,
 150 and 200, and ``bisim``, ``derive`` and ``check`` of the derived
 certificate on those nested pairs, then ``check`` on each row of
-``corpus/malformed_certificates.json``,
-and last the parser's own answers: ``--help``, no arguments at all, and
+``corpus/malformed_certificates.json``, then ``dist --table``, ``bisim``,
+``derive`` and ``check`` of the derived certificate on edited chart
+texts (state lines shuffled, lines repeated, comment lines and trailing
+comments, the alphabet line last) of the cycle pairs with n and n + 1
+states for n = 2 to 8, of each n-cycle against its unfolding to 2n
+states for n = 2 to 5, and of random chart pairs, some of them
+isomorphic, and last the parser's own answers: ``--help``, no arguments at all, and
 each of the eight commands with ``--help`` and with no arguments, all
 through ``chartdist.cli.main`` in this process.  A ``CertOf``
 placeholder is filled as ``perfbench/run.py`` fills it: with the output of
@@ -41,6 +46,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -183,6 +189,50 @@ def expression_calls():
     yield from derived_calls(("bisim", "derive"), nested)
 
 
+def edited_chart_text(c, rng):
+    """The text of chart c with its state lines in a random order, some
+    lines repeated or followed by a comment, comment and blank lines, and
+    the alphabet line last."""
+    states = list(c.states)
+    rng.shuffle(states)
+    lines = [f"state {q}" for q in states]
+    lines += [f"trans {q} {a} {r}" for (q, a, r) in sorted(c.trans)]
+    lines += [f"out {q} v{v}" for (q, v) in sorted(c.outs)]
+    edited = ["# an edited chart"]
+    for line in lines:
+        edited.append(line + rng.choice(["", "", " # again"]))
+        if rng.random() < 0.25:
+            edited.append(line)
+        if rng.random() < 0.1:
+            edited.append(rng.choice(["", "# a comment"]))
+    edited.insert(rng.randrange(1, len(edited) + 1), f"start {c.start}")
+    return "\n".join(edited + ["alphabet a b  # late"]) + "\n"
+
+
+def edited_chart_pairs():
+    """(--format, left, right) of edited texts of the cycle pairs, of
+    cycles against their unfoldings, and of random chart pairs."""
+    rng = random.Random("edited charts")
+    pairs = [(workloads.cycle(n), workloads.cycle(n + 1)) for n in range(2, 9)]
+    pairs += [(workloads.cycle(n), workloads.cycle(2 * n, outs_at=(0, n)))
+              for n in range(2, 6)]
+    for size in (3, 5, 8, 8):
+        c = workloads.rand_chart(rng, size)
+        pairs += [(c, workloads.rand_chart(rng, size)), (c, workloads.permuted(rng, c))]
+    for c1, c2 in pairs:
+        yield "chart", edited_chart_text(c1, rng), edited_chart_text(c2, rng)
+
+
+def edited_chart_calls():
+    """(argv, outcome) of dist --table, bisim, derive and check of the
+    derived certificate on the edited chart pairs."""
+    pairs = list(edited_chart_pairs())
+    for fmt, left, right in pairs:
+        argv = ["dist", "--table", "--format", fmt, left, right]
+        yield argv, call(argv)
+    yield from derived_calls(("bisim", "derive"), pairs)
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -209,7 +259,13 @@ def main(argv=None):
     for args, outcome in itertools.chain(query_calls(), expression_calls()):
         digest.update(repr((args, outcome)).encode())
         calls += 1
-    for args in (*certificate_calls(), *parser_calls()):
+    for args in certificate_calls():
+        digest.update(repr((args, call(args))).encode())
+        calls += 1
+    for args, outcome in edited_chart_calls():
+        digest.update(repr((args, outcome)).encode())
+        calls += 1
+    for args in parser_calls():
         digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
