@@ -14,7 +14,8 @@ of n states costs O(n log n) signatures, not O(n^2).  It reads only
 state numbers and names none.  ``_refine_pair``, the one refinement
 step of every two-input query and of ``axioms --check``, refines the
 numbered joint (``chart._Joint``) of two expressions, charts (objects
-or chart text read straight into numbers) or diagram terms.
+or chart text read straight into numbers) or diagrams (terms or diagram
+text read straight into open-chart parts).
 """
 
 from __future__ import annotations
@@ -186,9 +187,9 @@ class Refinement:
 def _joint(f, g, max_states=MAX_STATES):
     """The joint of two expressions (their expansions sharing states, one
     row), two charts or two charts read from text (one row) or two
-    diagrams (a row per entry)."""
-    # an expression or a term exists only once its module is loaded, so
-    # the modules are looked up, never loaded, here
+    diagrams, terms or parts read from text (a row per entry)."""
+    # an expression, a term or read parts exist only once their module is
+    # loaded, so the modules are looked up, never loaded, here
     expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
     if expr and isinstance(f, expr.Expr) and isinstance(g, expr.Expr):
         return expr._joint([f, g], max_states)
@@ -196,7 +197,7 @@ def _joint(f, g, max_states=MAX_STATES):
         return _chart_joint(f, g)
     if isinstance(f, Chart) and isinstance(g, Chart):
         return _chart_joint(_side(f), _side(g))
-    if diagram and isinstance(f, diagram.Term) and isinstance(g, diagram.Term):
+    if diagram and isinstance(f, (diagram.Term, tuple)) and isinstance(g, (diagram.Term, tuple)):
         return diagram._joint(f, g, max_states)
     raise TypeError("expected two expressions, two charts or two diagram terms")
 

@@ -109,11 +109,23 @@ def _load(arg, args):
 
 def _inputs(args):
     """The left and the right input, loaded in that order; chart texts are
-    read straight into numbered charts, which only a joint reads."""
+    read straight into numbered charts and diagram texts into open-chart
+    parts, which only a joint reads."""
     if args.format == "chart":
         from . import chart
         return (chart._read_chart(_resolve(args.left), args.alphabet),
                 chart._read_chart(_resolve(args.right), args.alphabet))
+    if args.format == "diag":
+        from . import diagram
+        left = _resolve(args.left)
+        read = diagram._read_open(left, args.alphabet)
+        if read is not None:
+            right = diagram._read_open(_resolve(args.right), args.alphabet)
+            if right is not None:
+                return read, right
+        # a text that does not read: both go the term route, whose parse_term
+        # and typecheck report the first error, as they always have
+        return diagram.parse_term(left, alphabet=args.alphabet), _load(args.right, args)
     return _load(args.left, args), _load(args.right, args)
 
 
@@ -176,19 +188,24 @@ def _cmd_strat(args):
 
 def _cmd_compile(args):
     from . import chart
-    c = _load(args.input, args)
     if args.format == "diag":
         from . import diagram
-        (dom, cod), parts = diagram._open_parts(c)
+        text = _resolve(args.input)
+        read = diagram._read_open(text, args.alphabet)
+        # a text that does not read goes the term route, for its error
+        (dom, cod), parts = read or diagram._open_parts(
+            diagram.parse_term(text, alphabet=args.alphabet))
         if dom != ">" or "<" in cod:
             raise diagram.DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
         o = diagram._open_chart(*diagram._close(*parts, args.max_states))
         c = chart.Chart(o.prechart, o.entries[0])
-    elif args.format == "expr":
-        from . import expr
-        c = expr.expand(c, max_states=args.max_states)
+    else:
+        c = _load(args.input, args)
+        if args.format == "expr":
+            from . import expr
+            c = expr.expand(c, max_states=args.max_states)
     named, _ = chart._relabel(c, 0)
     return EXIT_OK, chart.format_chart_text(named)
 

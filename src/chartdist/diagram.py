@@ -10,17 +10,20 @@ A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
 joining the literal open charts of the generators by their boundaries;
 every query of the command line, ``axioms --check`` among them, runs on
-two terms' open charts numbered as one joint.  One walk types a term
-and lays out its open chart, each distinct leaf object once, and the
-parser gives all occurrences of a leaf one object; ``typecheck`` folds
-over the same leaf layouts and serves ``bend``, ``loop1``,
-``component``, ``render`` and the reference path.
+two diagrams' open charts numbered as one joint.  A query reads diagram
+text straight into its open chart, in one shift-reduce pass that builds
+no term (``_read_open``).  ``parse_term`` and ``_open_parts`` serve
+``Term`` objects and every error: one walk types a term and lays out
+its open chart, each distinct leaf object once, and the parser gives
+all occurrences of a leaf one object.  ``typecheck`` folds over the
+same leaf layouts and serves ``bend``, ``loop1``, ``component``,
+``render`` and the reference path.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, which no command
 runs, and the only way into regbeh, which it imports when it is called.
-Parsing, typing, printing, comparing, hashing and both semantics walk a
-term with an explicit stack, never by recursion.
+Reading, parsing, typing, printing, comparing, hashing and both
+semantics keep their own stack, never recursing.
 """
 
 from __future__ import annotations
@@ -343,6 +346,42 @@ def _leaf_layout(t):
             p1 + p2, width, width + q)
 
 
+# The boundary of a laid-out subterm is the tuple dom, cod, ins,
+# ins_back, outs_back, outs: its boundary words, its forward and backward
+# entry nodes and its backward and forward output nodes.
+
+
+def _place(layout, moves, eps):
+    """The boundary of one occurrence of a leaf with the given _leaf_layout,
+    its nodes appended to moves and eps at the next free node numbers."""
+    dom, cod, node_moves, node_eps, shift, ports, k, n, m = layout
+    base = len(moves)
+    if shift:
+        moves += [tuple([(a, base + v) for a, v in x]) for x in node_moves]
+        eps += [tuple([base + v for v in x]) for x in node_eps]
+    else:
+        moves += node_moves
+        eps += node_eps
+    ports = tuple(map(base.__add__, ports))
+    return dom, cod, ports[:k], ports[k:n], ports[n:m], ports[m:]
+
+
+def _beside(f, g):
+    """The boundary of f * g, of the boundaries f and g."""
+    return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], f[5] + g[5]
+
+
+def _plug(f, g, eps):
+    """The boundary of f ; g, whose words the caller has matched: f's forward
+    outputs feed g's forward entries, and g's backward outputs feed f's
+    backward entries, by epsilon edges added to eps."""
+    for x, y in zip(f[5], g[2]):
+        eps[x] += (y,)
+    for x, y in zip(g[4], f[3]):
+        eps[x] += (y,)
+    return f[0], g[1], f[2], g[3], f[4], g[5]
+
+
 def _open_parts(t):
     """Type t and lay out its open chart in one walk, bottom-up and left to
     right with an explicit stack.  Returns its boundary words (dom, cod)
@@ -353,7 +392,7 @@ def _open_parts(t):
     """
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
     layouts = {}  # id of a leaf object -> its _leaf_layout
-    values = []  # per finished subterm: dom, cod, ins, ins_back, outs_back, outs
+    values = []  # the boundary of each finished subterm
     todo = [t]
     while todo:
         node = todo.pop()
@@ -367,32 +406,16 @@ def _open_parts(t):
             g = values.pop()
             f = values[-1]
             if type(node) is Tensor:
-                values[-1] = (f[0] + g[0], f[1] + g[1], f[2] + g[2],
-                              f[3] + g[3], f[4] + g[4], f[5] + g[5])
-                continue
-            if f[1] != g[0]:
+                values[-1] = _beside(f, g)
+            elif f[1] != g[0]:
                 raise _plug_error(t, node, f[1], g[0])
-            # f's forward outputs feed g's forward entries, and g's
-            # backward outputs feed f's backward entries
-            for x, y in zip(f[5], g[2]):
-                eps[x] += (y,)
-            for x, y in zip(g[4], f[3]):
-                eps[x] += (y,)
-            values[-1] = (f[0], g[1], f[2], g[3], f[4], g[5])
+            else:
+                values[-1] = _plug(f, g, eps)
         else:
             layout = layouts.get(id(node))
             if layout is None:
                 layout = layouts[id(node)] = _leaf_layout(node)
-            dom, cod, node_moves, node_eps, shift, ports, k, n, m = layout
-            base = len(moves)
-            if shift:
-                moves += [tuple([(a, base + v) for a, v in x]) for x in node_moves]
-                eps += [tuple([base + v for v in x]) for x in node_eps]
-            else:
-                moves += node_moves
-                eps += node_eps
-            ports = tuple(map(base.__add__, ports))
-            values.append((dom, cod, ports[:k], ports[k:n], ports[n:m], ports[m:]))
+            values.append(_place(layout, moves, eps))
     dom, cod, ins, ins_back, outs_back, outs = values[0]
     return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
 
@@ -564,6 +587,74 @@ def parse_term(text, alphabet=None) -> Term:
         i += 1
 
 
+# _TOKEN, but a leaf with arguments, blanks and all, is one token: the
+# tokens _TOKEN finds in it are those it finds there in the whole text,
+# as a name ends where '(' or a blank starts and '(' and ')' stand alone
+_READ_TOKEN = re.compile(r"(?:act|id|sym)\s*\([^()]*\)|" + _TOKEN.pattern)
+_KEYWORD_LAYOUTS = {word: _leaf_layout(leaf) for word, leaf in _BY_KEYWORD.items()}
+
+
+def _read_open(text, alphabet=None):
+    """_open_parts(parse_term(text, alphabet)), with the same node numbers,
+    in one shift-reduce pass over the tokens that builds no term; None
+    when parse_term or typecheck would raise.  It never raises.
+
+    Each distinct leaf token is checked and laid out at its first
+    occurrence, by _leaf and _leaf_layout; every occurrence places the
+    layout's nodes, and each ';' is wired as the parser reduces it, so
+    nodes and epsilon edges come in the order of _open_parts' walk."""
+    layouts = dict(_KEYWORD_LAYOUTS)  # leaf token -> its _leaf_layout
+    leaves = {}  # as in parse_term, so both spellings of a leaf share one
+    moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
+    tokens = _READ_TOKEN.findall(text)
+    tokens.append("")  # the end
+    i = 0
+    opened = []  # per open parenthesis: the sequence and tensor around it
+    sequence = tensor = None  # boundaries, as in _open_parts
+    while True:
+        token = tokens[i]
+        i += 1
+        if token == "(":
+            opened.append((sequence, tensor))
+            sequence = tensor = None
+            continue
+        layout = layouts.get(token)
+        if layout is None:
+            pieces = _TOKEN.findall(token)
+            pieces.append("")
+            try:  # a leaf token is read whole, or _leaf raises
+                leaf, _ = _leaf(token, pieces, 0, alphabet, leaves)
+            except DiagramSyntaxError:
+                return None
+            layout = layouts[token] = _leaf_layout(leaf)
+        atom = _place(layout, moves, eps)
+        while True:
+            tensor = atom if tensor is None else _beside(tensor, atom)
+            ch = tokens[i]
+            if ch == "*":
+                break
+            if sequence is None:
+                sequence = tensor
+            elif sequence[1] != tensor[0]:
+                return None
+            else:
+                sequence = _plug(sequence, tensor, eps)
+            tensor = None
+            if ch == ";":
+                break
+            if not opened:
+                if ch:
+                    return None
+                dom, cod, ins, ins_back, outs_back, outs = sequence
+                return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
+            if ch != ")":
+                return None
+            atom = sequence
+            sequence, tensor = opened.pop()
+            i += 1
+        i += 1
+
+
 def _leaf_text(t):
     kind = type(t)
     if kind is Act:
@@ -704,10 +795,11 @@ def _joint(t1, t2, max_states=MAX_STATES) -> _Joint:
     """The open charts of two diagrams as one joint: each numbered by
     _close, the right one's after the left one's, with a row per pair of
     entries; a state's local name is its number in its own open chart.
-    Each term is typed and laid out in one walk, and DiagramTypeError is
-    raised when their boundary words differ, before either is closed."""
-    words1, parts1 = _open_parts(t1)
-    words2, parts2 = _open_parts(t2)
+    A diagram is a term, typed and laid out in one walk, or the parts
+    _read_open read from text.  DiagramTypeError is raised when their
+    boundary words differ, before either is closed."""
+    words1, parts1 = t1 if type(t1) is tuple else _open_parts(t1)
+    words2, parts2 = t2 if type(t2) is tuple else _open_parts(t2)
     _check_boundaries(words1, words2)
     succ1, outs1, entries1 = _close(*parts1, max_states)
     split = len(succ1)

@@ -1,5 +1,7 @@
 """Wire diagrams: syntax, typing, semantics, and the axiom catalogue."""
 
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -17,7 +19,9 @@ from chartdist import (
     loop1, open_chart, parse_expr, parse_term, semantic_equal,
     stratified_level, term_to_dot, typecheck, zip_merge,
 )
+import chartdist.diagram
 from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
+from chartdist.diagram import _open_parts, _read_open
 from helpers import (
     corpus_diagrams, malformed_diagrams, mistype_one_seq, rand_expr, rand_forward,
     ref_from_expression, ref_open_chart, ref_parse_term, ref_zip_merge, transpose,
@@ -75,6 +79,111 @@ def test_parse_term_matches_the_reference_parser_on_edited_text(t, data):
         text = text[:i] + ch + text[i + (edit == "replace"):]
     alphabet = data.draw(st.sampled_from([None, {"a", "b"}]))
     assert parsed(parse_term, text, alphabet) == parsed(ref_parse_term, text, alphabet)
+
+
+def walked(text, alphabet=None):
+    """What _read_open must return: _open_parts(parse_term(text)), or None
+    where parse_term or typecheck raises."""
+    try:
+        return _open_parts(parse_term(text, alphabet=alphabet))
+    except (DiagramSyntaxError, DiagramTypeError):
+        return None
+
+
+def parenthesised(t):
+    """t with every ';' and '*' in parentheses, as the benchmark prints terms."""
+    parts = []
+    todo = [t]  # a term or a string
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif type(node) is Seq:
+            todo += [")", node.second, " ; ", node.first, "("]
+        elif type(node) is Tensor:
+            todo += [")", node.right, " * ", node.left, "("]
+        else:
+            parts.append(format_term(node))
+    return "".join(parts)
+
+
+def cli(argv):
+    """(exit code, stdout, stderr) of one call of the command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_answers_as_the_term_route(left, right, flags=()):
+    """dist and derive --format diag of both inputs and compile of each
+    answer alike when _read_open reads none of them, so that every text
+    takes the term route."""
+    calls = [["dist", left, right], ["derive", right, left], ["compile", left],
+             ["compile", right]]
+    calls = [[command, "--format", "diag", *flags, *texts] for command, *texts in calls]
+    answers = [cli(argv) for argv in calls]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chartdist.diagram, "_read_open", lambda text, alphabet=None: None)
+        assert [cli(argv) for argv in calls] == answers
+
+
+@given(terms())
+@settings(max_examples=300, deadline=None)
+def test_read_open_matches_the_term_walk(t):
+    """Well- and ill-typed terms, printed with the fewest parentheses and
+    with all of them."""
+    for text in (format_term(t), parenthesised(t)):
+        assert _read_open(text) == walked(text), text
+
+
+@given(st.integers(0, 2 ** 32), st.integers(3, 4), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_read_open_matches_the_term_walk_on_forward_terms(seed, depth, m, n):
+    t = rand_forward(random.Random(seed), m, n, depth)
+    for text in (format_term(t), parenthesised(t)):
+        parts = _read_open(text)
+        assert parts is not None and parts == _open_parts(t), text
+
+
+@given(terms(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_open_fails_as_the_term_route_on_edited_text(t, data):
+    """_read_open reads exactly the texts that parse and type, and every
+    query answers as the term route does."""
+    original = format_term(t)
+    i = data.draw(st.integers(0, len(original)))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    if edit == "delete":
+        text = original[:i] + original[i + 1:]
+    else:
+        ch = data.draw(st.sampled_from(EDITS))
+        text = original[:i] + ch + original[i + (edit == "replace"):]
+    alphabet = data.draw(st.sampled_from([None, {"a", "b"}]))
+    assert _read_open(text, alphabet) == walked(text, alphabet), text
+    flags = () if alphabet is None else ("--alphabet", "ab")
+    assert_answers_as_the_term_route(text, original, flags)
+
+
+def test_read_open_spellings_and_depth():
+    """Blanks inside leaves, one leaf spelled two ways, an --alphabet met
+    at a later leaf, and inputs too long or deep for a recursive reader."""
+    for text in ["act( a ) ; act(a)", "sym( > , < ) * id( ) ; sym(<,>)", "id (\t>\n)",
+                 " ; ".join(["act(a)"] * 5000), " * ".join(["act(a)"] * 3000),
+                 "(" * 5000 + "act(a) ; act(b)" + ")" * 5000]:
+        parts = _read_open(text)
+        assert parts is not None and parts == walked(text), text
+    assert _read_open("act(a) ; act(b)", {"a"}) is None
+    assert _read_open("act(a) ; act(a)", {"a"}) == walked("act(a) ; act(a)")
+    deep = "(" * 5000 + "act(a)" + ")" * 5000
+    assert cli(["dist", "--format", "diag", deep, "act(a)"]) == (0, "0 (bisimilar)\n", "")
+
+
+def test_ill_typed_left_beside_a_syntax_error_reports_the_syntax_error():
+    """Parsing both inputs comes before typing either."""
+    for command in ("dist", "derive"):
+        assert cli([command, "--format", "diag", "act(a) ; merge", "copy ;"]) == \
+            (EXIT_PARSE, "", "error: expected a term (at offset 6)\n")
 
 
 def test_parse_examples():
@@ -429,7 +538,7 @@ def first_diagram_error(row):
 def test_diagram_errors_are_pinned(row, capsys):
     """Every DiagramSyntaxError message and the order in which the type
     errors of two inputs are reported: by parse_term and typecheck, and by
-    the command line."""
+    the command line, whose reader refuses exactly the texts that fail."""
     code, message = first_diagram_error(row)
     assert (code, f"error: {message}\n") == (row["code"], row["stderr"])
     flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
@@ -437,6 +546,10 @@ def test_diagram_errors_are_pinned(row, capsys):
         flags += ["--max-states", str(row["max_states"])]
     assert main(["dist", "--format", "diag", *flags, row["left"], row["right"]]) == code
     assert capsys.readouterr() == ("", row["stderr"])
+    alphabet = None if row["alphabet"] is None else set(row["alphabet"])
+    for side in ("left", "right"):
+        assert _read_open(row[side], alphabet) == walked(row[side], alphabet), side
+    assert_answers_as_the_term_route(row["left"], row["right"], flags)
 
 
 def test_ill_typed_terms_fail_as_typecheck_fails(capsys):

@@ -33,6 +33,12 @@ the number of calls and one SHA-256 over each call's argv, exit code,
 stdout and stderr, so two checkouts that print the same line answer all of
 those calls byte for byte alike.
 
+A second line goes on, with the same count and digest, to diagram texts
+that are spelled unusually or fail late (``diagram_spellings``): ``dist
+--table``, ``bisim``, ``strat``, ``derive`` and ``check`` of the
+certificate a ``derive`` printed on each pair, and ``compile`` of each
+text.
+
 Run it from anywhere: it imports the program from the ``src/`` and the
 workloads from the ``perfbench/`` beside it, reads the chart, diagram,
 expression and certificate texts from the ``corpus/`` beside it, and
@@ -233,6 +239,41 @@ def edited_chart_calls():
     yield from derived_calls(("bisim", "derive"), pairs)
 
 
+def diagram_spellings():
+    """(flags, left, right) of diagram texts with blanks inside leaves, one
+    leaf spelled two ways, 500 nested parentheses, a letter outside
+    --alphabet at the second distinct letter, and an ill-typed text beside
+    one that does not parse."""
+    nested = "(" * 500 + "act(a) ; act(b)" + ")" * 500
+    return [
+        ((), "act( a ) ; act(b)", "act(a) ; act( b )"),
+        ((), "sym( > , < ) * id( ) ; sym(<,>)", "id(><)"),
+        ((), "copy ; act(a) * act( a ) ; act (a) * act(\ta\n) ; merge", "act(a)"),
+        ((), nested, "act(a) ; act(b)"),
+        ((), nested, "act(a) ; act(a)"),
+        (("--alphabet", "a"), "act(a) ; act(a) ; act(b)", "act(a)"),
+        (("--alphabet", "a"), "act(a)", "act(a) ; act( b )"),
+        ((), "act(a) ; merge", "copy ;"),
+        ((), "act(a) ; merge", "act(a)"),
+    ]
+
+
+def spelling_calls():
+    """(argv, outcome) of dist --table, bisim, strat, derive and check of
+    the certificate a derive printed on the diagram_spellings, and of
+    compile on each text."""
+    for flags, left, right in diagram_spellings():
+        for argv in (["dist", "--table", left, right], ["bisim", left, right],
+                     ["strat", left, right], ["derive", left, right],
+                     ["compile", left], ["compile", right]):
+            argv[1:1] = ["--format", "diag", *flags]
+            outcome = call(argv)
+            yield argv, outcome
+            if argv[0] == "derive" and outcome[0] == 0:
+                argv = ["check", outcome[1], *argv[1:]]
+                yield argv, call(argv)
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -267,6 +308,10 @@ def main(argv=None):
         calls += 1
     for args in parser_calls():
         digest.update(repr((args, call(args))).encode())
+        calls += 1
+    print(f"{calls} calls, sha256 {digest.hexdigest()}")
+    for args, outcome in spelling_calls():
+        digest.update(repr((args, outcome)).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     return 0
