@@ -109,23 +109,16 @@ def _load(arg, args):
 
 def _inputs(args):
     """The left and the right input, loaded in that order; chart texts are
-    read straight into numbered charts and diagram texts into open-chart
-    parts, which only a joint reads."""
+    read straight into numbered charts and diagram texts as
+    diagram._read_text takes them, which only a joint reads."""
     if args.format == "chart":
         from . import chart
         return (chart._read_chart(_resolve(args.left), args.alphabet),
                 chart._read_chart(_resolve(args.right), args.alphabet))
     if args.format == "diag":
         from . import diagram
-        left = _resolve(args.left)
-        read = diagram._read_open(left, args.alphabet)
-        if read is not None:
-            right = diagram._read_open(_resolve(args.right), args.alphabet)
-            if right is not None:
-                return read, right
-        # a text that does not read: both go the term route, whose parse_term
-        # and typecheck report the first error, as they always have
-        return diagram.parse_term(left, alphabet=args.alphabet), _load(args.right, args)
+        return (diagram._read_text(_resolve(args.left), args.alphabet),
+                diagram._read_text(_resolve(args.right), args.alphabet))
     return _load(args.left, args), _load(args.right, args)
 
 
@@ -190,11 +183,8 @@ def _cmd_compile(args):
     from . import chart
     if args.format == "diag":
         from . import diagram
-        text = _resolve(args.input)
-        read = diagram._read_open(text, args.alphabet)
-        # a text that does not read goes the term route, for its error
-        (dom, cod), parts = read or diagram._open_parts(
-            diagram.parse_term(text, alphabet=args.alphabet))
+        (dom, cod), parts = diagram._parts(diagram._read_text(_resolve(args.input),
+                                                              args.alphabet))
         if dom != ">" or "<" in cod:
             raise diagram.DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "

@@ -10,14 +10,16 @@ A term denotes a tuple of behaviours, one per input port.
 ``open_chart`` builds them as one chart with an entry state per input,
 joining the literal open charts of the generators by their boundaries;
 every query of the command line, ``axioms --check`` among them, runs on
-two diagrams' open charts numbered as one joint.  A query reads diagram
-text straight into its open chart, in one shift-reduce pass that builds
-no term (``_read_open``).  ``parse_term`` and ``_open_parts`` serve
-``Term`` objects and every error: one walk types a term and lays out
-its open chart, each distinct leaf object once, and the parser gives
-all occurrences of a leaf one object.  ``typecheck`` folds over the
-same leaf layouts and serves ``bend``, ``loop1``, ``component``,
-``render`` and the reference path.
+two diagrams' open charts numbered as one joint.
+One grammar, ``_shift_reduce``, reads diagram text, with two instances:
+``parse_term`` builds a term, and ``_read_open`` places each leaf's
+nodes and wires each ';' as it reduces it, building no term.  One fold,
+``_fold``, walks a term: ``typecheck`` types it, ``_open_parts`` types
+it and lays out its open chart, laying out each distinct leaf object
+once, and ``_interpret`` composes its reference morphism.  One function,
+``_read_text``, decides how a query takes a text: as the parts
+``_read_open`` reads, or, for a text that does not read, as
+``parse_term``'s term, which ``_parts`` opens like any term.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, which no command
@@ -356,9 +358,9 @@ def _place(layout, moves, eps):
     its nodes appended to moves and eps at the next free node numbers."""
     dom, cod, node_moves, node_eps, shift, ports, k, n, m = layout
     base = len(moves)
-    if shift:
-        moves += [tuple([(a, base + v) for a, v in x]) for x in node_moves]
-        eps += [tuple([base + v for v in x]) for x in node_eps]
+    if shift:  # an empty entry is kept, not rebuilt
+        moves += [tuple([(a, base + v) for a, v in x]) if x else x for x in node_moves]
+        eps += [tuple([base + v for v in x]) if x else x for x in node_eps]
     else:
         moves += node_moves
         eps += node_eps
@@ -366,8 +368,9 @@ def _place(layout, moves, eps):
     return dom, cod, ports[:k], ports[k:n], ports[n:m], ports[m:]
 
 
-def _beside(f, g):
-    """The boundary of f * g, of the boundaries f and g."""
+def _beside(f, g, node=None):
+    """The boundary of f * g, of the boundaries f and g; the '*' node
+    that _fold passes is not needed."""
     return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], f[5] + g[5]
 
 
@@ -383,40 +386,28 @@ def _plug(f, g, eps):
 
 
 def _open_parts(t):
-    """Type t and lay out its open chart in one walk, bottom-up and left to
-    right with an explicit stack.  Returns its boundary words (dom, cod)
-    and (moves, eps, entries, outputs), the open chart with its epsilon
-    edges not yet resolved; raises the DiagramTypeError that typecheck
-    raises.  Each leaf object is laid out once, and each occurrence of it
-    takes the layout's nodes shifted to the next free node numbers.
+    """Type t and lay out its open chart in one _fold.  Returns its boundary
+    words (dom, cod) and (moves, eps, entries, outputs), the open chart with
+    its epsilon edges not yet resolved; raises the DiagramTypeError that
+    typecheck raises.  Each leaf object is laid out once, and each
+    occurrence of it takes the layout's nodes shifted to the next free
+    node numbers.
     """
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
     layouts = {}  # id of a leaf object -> its _leaf_layout
-    values = []  # the boundary of each finished subterm
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is Seq:
-            todo += ((node,), node.second, node.first)
-        elif kind is Tensor:
-            todo += ((node,), node.right, node.left)
-        elif kind is tuple:  # both children of node are done
-            node, = node
-            g = values.pop()
-            f = values[-1]
-            if type(node) is Tensor:
-                values[-1] = _beside(f, g)
-            elif f[1] != g[0]:
-                raise _plug_error(t, node, f[1], g[0])
-            else:
-                values[-1] = _plug(f, g, eps)
-        else:
-            layout = layouts.get(id(node))
-            if layout is None:
-                layout = layouts[id(node)] = _leaf_layout(node)
-            values.append(_place(layout, moves, eps))
-    dom, cod, ins, ins_back, outs_back, outs = values[0]
+
+    def leaf(node):
+        layout = layouts.get(id(node))
+        if layout is None:
+            layout = layouts[id(node)] = _leaf_layout(node)
+        return _place(layout, moves, eps)
+
+    def seq(f, g, node):
+        if f[1] != g[0]:
+            raise _plug_error(t, node, f[1], g[0])
+        return _plug(f, g, eps)
+
+    dom, cod, ins, ins_back, outs_back, outs = _fold(t, leaf, seq, _beside)
     return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
 
 
@@ -544,47 +535,70 @@ def _leaf(text, tokens, i, alphabet, leaves):
     return leaf, i + 1
 
 
-def parse_term(text, alphabet=None) -> Term:
-    """Parse a term; ';' and '*' associate to the left, '*' binds tighter.
-    alphabet, when given, restricts action letters.  All occurrences of
-    one leaf in text are one object."""
-    tokens = _TOKEN.findall(text)
-    tokens.append("")  # the end
-    leaves = {}
+class _GrammarError(Exception):
+    """An error of _shift_reduce: its message and the index of its token."""
+
+
+def _shift_reduce(tokens, atom, seq, beside):
+    """The one grammar of diagram text: ';' and '*' associate to the left,
+    '*' binds tighter, and '(' ')' group.  One shift-reduce pass over
+    tokens, which end with "", with an explicit stack of open parentheses.
+
+    atom(i) reads the term that starts at token i, other than a group,
+    and gives its value and the index after it; seq(v1, v2) and
+    beside(v1, v2) combine the values of a ';' and a '*'.  Raises
+    _GrammarError for a token where the grammar wants another.
+    """
     i = 0
     opened = []  # per open parenthesis: the sequence and tensor around it
     sequence = tensor = None
     while True:
-        token = tokens[i]
-        if token == "(":
+        if tokens[i] == "(":
             opened.append((sequence, tensor))
             sequence = tensor = None
             i += 1
             continue
-        atom = _BY_KEYWORD.get(token)
-        if atom is None:
-            atom, i = _leaf(text, tokens, i, alphabet, leaves)
-        else:
-            i += 1
+        value, i = atom(i)
         while True:
-            tensor = atom if tensor is None else Tensor(tensor, atom)
+            tensor = value if tensor is None else beside(tensor, value)
             ch = tokens[i]
             if ch == "*":
                 break
-            sequence = tensor if sequence is None else Seq(sequence, tensor)
+            sequence = tensor if sequence is None else seq(sequence, tensor)
             tensor = None
             if ch == ";":
                 break
             if not opened:
                 if ch:
-                    raise _error("trailing input", text, i)
+                    raise _GrammarError("trailing input", i)
                 return sequence
             if ch != ")":
-                raise _error("expected ')'", text, i)
-            atom = sequence
+                raise _GrammarError("expected ')'", i)
+            value = sequence
             sequence, tensor = opened.pop()
             i += 1
         i += 1
+
+
+def parse_term(text, alphabet=None) -> Term:
+    """Parse a term by _shift_reduce, into Seq and Tensor nodes.  alphabet,
+    when given, restricts action letters.  All occurrences of one leaf in
+    text are one object."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end
+    leaves = {}
+
+    def atom(i):
+        leaf = _BY_KEYWORD.get(tokens[i])
+        if leaf is None:
+            return _leaf(text, tokens, i, alphabet, leaves)
+        return leaf, i + 1
+
+    try:
+        return _shift_reduce(tokens, atom, Seq, Tensor)
+    except _GrammarError as e:
+        message, i = e.args
+        raise _error(message, text, i) from None
 
 
 # _TOKEN, but a leaf with arguments, blanks and all, is one token: the
@@ -596,63 +610,55 @@ _KEYWORD_LAYOUTS = {word: _leaf_layout(leaf) for word, leaf in _BY_KEYWORD.items
 
 def _read_open(text, alphabet=None):
     """_open_parts(parse_term(text, alphabet)), with the same node numbers,
-    in one shift-reduce pass over the tokens that builds no term; None
+    by _shift_reduce over the tokens of _READ_TOKEN, building no term; None
     when parse_term or typecheck would raise.  It never raises.
 
     Each distinct leaf token is checked and laid out at its first
     occurrence, by _leaf and _leaf_layout; every occurrence places the
-    layout's nodes, and each ';' is wired as the parser reduces it, so
-    nodes and epsilon edges come in the order of _open_parts' walk."""
+    layout's nodes, and each ';' is wired as the grammar reduces it, after
+    its words are matched, so nodes and epsilon edges come in the order of
+    _open_parts' fold."""
     layouts = dict(_KEYWORD_LAYOUTS)  # leaf token -> its _leaf_layout
     leaves = {}  # as in parse_term, so both spellings of a leaf share one
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
     tokens = _READ_TOKEN.findall(text)
     tokens.append("")  # the end
-    i = 0
-    opened = []  # per open parenthesis: the sequence and tensor around it
-    sequence = tensor = None  # boundaries, as in _open_parts
-    while True:
+
+    def atom(i):
         token = tokens[i]
-        i += 1
-        if token == "(":
-            opened.append((sequence, tensor))
-            sequence = tensor = None
-            continue
         layout = layouts.get(token)
-        if layout is None:
+        if layout is None:  # a leaf token is read whole, or _leaf raises
             pieces = _TOKEN.findall(token)
             pieces.append("")
-            try:  # a leaf token is read whole, or _leaf raises
-                leaf, _ = _leaf(token, pieces, 0, alphabet, leaves)
-            except DiagramSyntaxError:
-                return None
+            leaf, _ = _leaf(token, pieces, 0, alphabet, leaves)
             layout = layouts[token] = _leaf_layout(leaf)
-        atom = _place(layout, moves, eps)
-        while True:
-            tensor = atom if tensor is None else _beside(tensor, atom)
-            ch = tokens[i]
-            if ch == "*":
-                break
-            if sequence is None:
-                sequence = tensor
-            elif sequence[1] != tensor[0]:
-                return None
-            else:
-                sequence = _plug(sequence, tensor, eps)
-            tensor = None
-            if ch == ";":
-                break
-            if not opened:
-                if ch:
-                    return None
-                dom, cod, ins, ins_back, outs_back, outs = sequence
-                return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
-            if ch != ")":
-                return None
-            atom = sequence
-            sequence, tensor = opened.pop()
-            i += 1
-        i += 1
+        return _place(layout, moves, eps), i + 1
+
+    def seq(f, g):
+        if f[1] != g[0]:
+            raise DiagramTypeError("cannot plug")
+        return _plug(f, g, eps)
+
+    try:
+        dom, cod, ins, ins_back, outs_back, outs = _shift_reduce(tokens, atom, seq, _beside)
+    except (_GrammarError, DiagramSyntaxError, DiagramTypeError):
+        return None
+    return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
+
+
+def _read_text(text, alphabet=None):
+    """A diagram text as a query takes it: the parts _read_open reads, or,
+    for a text that does not read, parse_term's term, which raises its
+    syntax error here and its type error when _parts opens it.  A query
+    reads both texts before it opens either, so a syntax error comes
+    before a type error, in each case the left text's first."""
+    return _read_open(text, alphabet) or parse_term(text, alphabet)
+
+
+def _parts(d):
+    """The boundary words and open-chart parts of a diagram: a term,
+    typed and laid out by _open_parts, or the parts _read_open read."""
+    return d if type(d) is tuple else _open_parts(d)
 
 
 def _leaf_text(t):
@@ -795,11 +801,11 @@ def _joint(t1, t2, max_states=MAX_STATES) -> _Joint:
     """The open charts of two diagrams as one joint: each numbered by
     _close, the right one's after the left one's, with a row per pair of
     entries; a state's local name is its number in its own open chart.
-    A diagram is a term, typed and laid out in one walk, or the parts
-    _read_open read from text.  DiagramTypeError is raised when their
-    boundary words differ, before either is closed."""
-    words1, parts1 = t1 if type(t1) is tuple else _open_parts(t1)
-    words2, parts2 = t2 if type(t2) is tuple else _open_parts(t2)
+    A diagram is a term or the parts _read_open read, as _parts takes it.
+    DiagramTypeError is raised when their boundary words differ, before
+    either is closed."""
+    words1, parts1 = _parts(t1)
+    words2, parts2 = _parts(t2)
     _check_boundaries(words1, words2)
     succ1, outs1, entries1 = _close(*parts1, max_states)
     split = len(succ1)

@@ -831,10 +831,14 @@ def test_too_deep_diagram_exits_5_without_traceback(capsys, monkeypatch):
     def too_deep(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    # a query reads well-formed text by _read_open, and walks a term by
-    # _open_parts only when the text does not read
-    patch_everywhere(monkeypatch, chartdist.diagram._read_open, too_deep)
-    patch_everywhere(monkeypatch, chartdist.diagram._open_parts, too_deep)
+    # a text that parses but does not type takes the term route, whose walk
+    # is _fold; every text is first read by the grammar, _shift_reduce
+    patch_everywhere(monkeypatch, chartdist.diagram._fold, too_deep)
+    assert run(capsys, "dist", "--format", "diag", "act(a) ; merge", "act(a)") == \
+        (EXIT_BUDGET, "", "error: input too deeply nested\n")
+    assert run(capsys, "dist", "--format", "diag", "act(a)", "act(a)") == \
+        (EXIT_OK, "0 (bisimilar)\n", "")
+    patch_everywhere(monkeypatch, chartdist.diagram._shift_reduce, too_deep)
     assert run(capsys, "dist", "--format", "diag", "act(a)", "act(a)") == \
         (EXIT_BUDGET, "", "error: input too deeply nested\n")
 
