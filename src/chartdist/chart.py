@@ -210,18 +210,6 @@ class Chart(_Record):
         return self.prechart.outs
 
 
-def _relabel(c: Chart, offset: int):
-    """Relabel states as consecutive ints starting at offset; returns (chart, map)."""
-    order = sorted(c.states, key=state_key)
-    m = {q: offset + i for i, q in enumerate(order)}
-    p = Prechart._of(
-        frozenset(m.values()),
-        frozenset((m[q], a, m[r]) for (q, a, r) in c.trans),
-        frozenset((m[q], v) for (q, v) in c.outs),
-    )
-    return Chart(p, m[c.start]), m
-
-
 def reachable(c: Chart) -> Chart:
     """Restrict to the states reachable from the start."""
     index, succ, _ = _numbered(c.prechart)

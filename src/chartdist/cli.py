@@ -93,33 +93,25 @@ def _eps(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _load(arg, args):
+def _read(arg, args):
     """One input in the syntax --format names, its action letters
-    restricted to --alphabet."""
+    restricted to --alphabet, as that format's reader takes it: chart
+    text read straight into a numbered chart, diagram text as
+    diagram._read_text takes it, or an expression."""
     text = _resolve(arg)
-    if args.format == "diag":
-        from . import diagram
-        return diagram.parse_term(text, alphabet=args.alphabet)
     if args.format == "chart":
         from . import chart
-        return chart.parse_chart_text(text, alphabet=args.alphabet)
+        return chart._read_chart(text, args.alphabet)
+    if args.format == "diag":
+        from . import diagram
+        return diagram._read_text(text, args.alphabet)
     from . import expr
     return expr.parse_expr(text, alphabet=args.alphabet)
 
 
 def _inputs(args):
-    """The left and the right input, loaded in that order; chart texts are
-    read straight into numbered charts and diagram texts as
-    diagram._read_text takes them, which only a joint reads."""
-    if args.format == "chart":
-        from . import chart
-        return (chart._read_chart(_resolve(args.left), args.alphabet),
-                chart._read_chart(_resolve(args.right), args.alphabet))
-    if args.format == "diag":
-        from . import diagram
-        return (diagram._read_text(_resolve(args.left), args.alphabet),
-                diagram._read_text(_resolve(args.right), args.alphabet))
-    return _load(args.left, args), _load(args.right, args)
+    """The left and the right input, read in that order."""
+    return _read(args.left, args), _read(args.right, args)
 
 
 def _compare(args):
@@ -180,24 +172,28 @@ def _cmd_strat(args):
 
 
 def _cmd_compile(args):
+    """The chart that the input's reader builds, its states printed by
+    number: an expression's numbered breadth-first from its start, a
+    diagram's open chart as _close numbers it, and a chart's states in
+    declaration order, every one kept."""
     from . import chart
-    if args.format == "diag":
+    x = _read(args.input, args)
+    if args.format == "chart":
+        succ, outs, start = x.succ, x.outs, x.start
+    elif args.format == "diag":
         from . import diagram
-        (dom, cod), parts = diagram._parts(diagram._read_text(_resolve(args.input),
-                                                              args.alphabet))
+        (dom, cod), parts = diagram._parts(x)
         if dom != ">" or "<" in cod:
             raise diagram.DiagramTypeError(
                 "compilation needs one forward input and forward outputs; "
                 "bend the diagram first")
-        o = diagram._open_chart(*diagram._close(*parts, args.max_states))
-        c = chart.Chart(o.prechart, o.entries[0])
+        succ, outs, (start,) = diagram._close(*parts, args.max_states)
     else:
-        c = _load(args.input, args)
-        if args.format == "expr":
-            from . import expr
-            c = expr.expand(c, max_states=args.max_states)
-    named, _ = chart._relabel(c, 0)
-    return EXIT_OK, chart.format_chart_text(named)
+        from . import expr
+        joint = expr._joint([x], args.max_states)
+        succ, outs, ((start,),) = joint.succ, joint.outs, joint.rows
+    return EXIT_OK, chart.format_chart_text(
+        chart._Side(range(len(succ)), succ, outs, start).chart())
 
 
 def _cmd_derive(args):
@@ -214,16 +210,19 @@ def _cmd_check(args):
 
 
 def _cmd_render(args):
-    x = _load(args.input, args)
-    if args.format == "diag":
+    if args.format == "diag":  # term_to_dot draws the term
         from . import diagram
-        diagram.typecheck(x)
-        return EXIT_OK, diagram.term_to_dot(x)
+        t = diagram.parse_term(_resolve(args.input), alphabet=args.alphabet)
+        diagram.typecheck(t)
+        return EXIT_OK, diagram.term_to_dot(t)
+    x = _read(args.input, args)
     if args.format == "expr":
         from . import expr
-        x = expr.expand(x, max_states=args.max_states)
+        c = expr.expand(x, max_states=args.max_states)
+    else:
+        c = x.chart()
     from . import chart
-    return EXIT_OK, chart.chart_to_dot(x)
+    return EXIT_OK, chart.chart_to_dot(c)
 
 
 def _cmd_axioms(args):

@@ -456,12 +456,6 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
     return succ, outs, entry_states
 
 
-def _open_chart(succ, outs, entries) -> OpenChart:
-    """The OpenChart of a _close result numbered from 0, its states named
-    by their numbers."""
-    return OpenChart(_Joint(succ, outs, (), int).prechart(), entries)
-
-
 def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     """The open chart of a diagram; raises ExpansionBudgetError when it
     has more than max_states states.
@@ -472,7 +466,8 @@ def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     boundary; the epsilon edges are resolved once, at the end.
     """
     _, parts = _open_parts(t)
-    return _open_chart(*_close(*parts, max_states))
+    succ, outs, entries = _close(*parts, max_states)
+    return OpenChart(_Joint(succ, outs, (), int).prechart(), entries)
 
 
 # --- concrete syntax ------------------------------------------------------

@@ -565,12 +565,14 @@ def _open(table, n: int, env: tuple) -> int:
 
 
 def _moves(table, n: int):
-    """The transitions (letter, node) and the outputs of the locally closed
-    node n, as two sets.  Each mu is unfolded by the closing substitution
-    carried down the stack: the tuple of the closed enclosing mus,
-    innermost first, which the target of a prefix is opened with."""
+    """The transitions (letter, node) of the locally closed node n, as the
+    keys of a dict in the order the walk finds them, and its outputs, as
+    a set.  Node ids are deterministic, so that order is too.  Each mu is
+    unfolded by the closing substitution carried down the stack: the
+    tuple of the closed enclosing mus, innermost first, which the target
+    of a prefix is opened with."""
     keys = table.keys
-    trans, outs = set(), set()
+    trans, outs = {}, set()
     todo = [(n, ())]
     while todo:
         m, env = todo.pop()
@@ -581,7 +583,7 @@ def _moves(table, n: int):
         elif kind == _MU:
             todo.append((key[1], (_open(table, m, env), *env)))
         elif kind == _PREFIX:
-            trans.add((key[1], _open(table, key[2], env)))
+            trans[key[1], _open(table, key[2], env)] = None
         elif kind == _FREE:
             outs.add(key[1])
     return trans, outs
@@ -589,9 +591,11 @@ def _moves(table, n: int):
 
 def _joint(exprs, max_states=MAX_STATES) -> _Joint:
     """The reachable derivatives of the given expressions as one joint,
-    with one row of their starts.  A state is a nameless node, shared by
-    the expansions that reach it, and named by the canonical text of its
-    named view.  Each expression may reach max_states states."""
+    with one row of their starts, numbered breadth-first from the starts
+    in turn, each state's successors in the order _moves finds them.  A
+    state is a nameless node, shared by the expansions that reach it, and
+    named by the canonical text of its named view.  Each expression may
+    reach max_states states."""
     table = _Table()
     number, nodes, succ, outs, starts = {}, [], [], [], []  # number: node -> state
 

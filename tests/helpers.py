@@ -26,7 +26,7 @@ from chartdist import (
     disjoint_union, expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
 from chartdist.chart import (
-    _LETTER_SET, _LETTERS, ChartFormatError, _relabel, _valid_letter, _var_index, state_key,
+    _LETTER_SET, _LETTERS, ChartFormatError, _valid_letter, _var_index, state_key,
 )
 from chartdist.diagram import _fold, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
@@ -173,6 +173,19 @@ def empty_chart() -> Chart:
     return Chart(Prechart(frozenset({0}), frozenset(), frozenset()), 0)
 
 
+def relabel(c: Chart, offset: int):
+    """Relabel states as consecutive ints starting at offset, in state_key
+    order; returns (chart, map)."""
+    order = sorted(c.states, key=state_key)
+    m = {q: offset + i for i, q in enumerate(order)}
+    p = Prechart(
+        frozenset(m.values()),
+        frozenset((m[q], a, m[r]) for (q, a, r) in c.trans),
+        frozenset((m[q], v) for (q, v) in c.outs),
+    )
+    return Chart(p, m[c.start]), m
+
+
 def variable_chart(v: int) -> Chart:
     if not isinstance(v, int) or v < 1:
         raise ValueError(f"invalid variable index {v!r}")
@@ -183,7 +196,7 @@ def prefix_chart(a: str, c: Chart) -> Chart:
     """New start with a single a-transition into the old start; outputs unchanged."""
     if not _valid_letter(a):
         raise ValueError(f"invalid action letter {a!r}")
-    inner, _ = _relabel(c, 1)
+    inner, _ = relabel(c, 1)
     p = Prechart(
         inner.states | {0},
         inner.trans | {(0, a, inner.start)},
@@ -194,8 +207,8 @@ def prefix_chart(a: str, c: Chart) -> Chart:
 
 def sum_chart(c1: Chart, c2: Chart) -> Chart:
     """New start inheriting the union of both starts' transitions and outputs."""
-    left, _ = _relabel(c1, 1)
-    right, _ = _relabel(c2, 1 + len(left.states))
+    left, _ = relabel(c1, 1)
+    right, _ = relabel(c2, 1 + len(left.states))
     # only moves out of the two start states are inherited by the new start
     start_trans = {(0, a, r) for (q, a, r) in left.trans if q == left.start}
     start_trans |= {(0, a, r) for (q, a, r) in right.trans if q == right.start}
@@ -221,11 +234,11 @@ def subst_chart(c: Chart, charts: Iterable[Chart], variables: Iterable[int]) -> 
         raise ValueError("charts and variables must have equal length")
     if len(set(variables)) != len(variables):
         raise ValueError("substituted variables must be distinct")
-    base, _ = _relabel(c, 0)
+    base, _ = relabel(c, 0)
     offset = len(base.states)
     inners = []
     for ci in charts:
-        ri, _ = _relabel(ci, offset)
+        ri, _ = relabel(ci, offset)
         offset += len(ri.states)
         inners.append(ri)
 

@@ -11,12 +11,12 @@ from chartdist import (
     expand, format_chart_text, joint_pair, joint_prechart, open_chart, parse_chart_text,
     parse_expr, quotient, reachable,
 )
-from chartdist.chart import _read_chart, _relabel, state_key
+from chartdist.chart import _read_chart, state_key
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
     chart_texts, empty_chart, exprs, live_vars, malformed_charts, precharts, prefix_chart,
     rand_chart, rand_expr, rand_forward, rec_chart, ref_parse_chart_text, ref_validate,
-    structural_chart, subst_chart, sum_chart, variable_chart,
+    relabel, structural_chart, subst_chart, sum_chart, variable_chart,
 )
 
 
@@ -96,7 +96,7 @@ def assert_chart_checked(c: Chart):
     with its reachable part."""
     assert_checked(c.prechart)
     part = reachable(c)
-    assert_checked(part.prechart, _relabel(c, 0)[0].prechart, quotient(c.prechart)[0],
+    assert_checked(part.prechart, relabel(c, 0)[0].prechart, quotient(c.prechart)[0],
                    disjoint_union(c, part)[0])
 
 
