@@ -13,9 +13,10 @@ states whose successors moved in the round before, so a chain or cycle
 of n states costs O(n log n) signatures, not O(n^2).  It reads only
 state numbers and names none.  ``_refine_pair``, the one refinement
 step of every two-input query and of ``axioms --check``, refines the
-numbered joint (``chart._Joint``) of two expressions, charts (objects
-or chart text read straight into numbers) or diagrams (terms or diagram
-text read straight into open-chart parts).
+numbered joint (``chart._Joint``) of two expressions (``Expr`` nodes or
+expression text read straight into one table of nameless nodes), charts
+(objects or chart text read straight into numbers) or diagrams (terms
+or diagram text read straight into open-chart parts).
 """
 
 from __future__ import annotations
@@ -186,13 +187,17 @@ class Refinement:
 
 def _joint(f, g, max_states=MAX_STATES):
     """The joint of two expressions (their expansions sharing states, one
-    row), two charts or two charts read from text (one row) or two
+    row), given as Exprs or as nodes read from text into one table
+    (expr._Read), two charts or two charts read from text (one row) or two
     diagrams, terms or parts read from text (a row per entry)."""
     # an expression, a term or read parts exist only once their module is
     # loaded, so the modules are looked up, never loaded, here
     expr, diagram = (sys.modules.get(f"{__package__}.{m}") for m in ("expr", "diagram"))
+    if expr and isinstance(f, expr._Read) and isinstance(g, expr._Read) and f.table is g.table:
+        return expr._joint(f.table, [f.node, g.node], max_states)
     if expr and isinstance(f, expr.Expr) and isinstance(g, expr.Expr):
-        return expr._joint([f, g], max_states)
+        table = expr._Table()
+        return expr._joint(table, [expr._nameless(table, e) for e in (f, g)], max_states)
     if isinstance(f, _Side) and isinstance(g, _Side):
         return _chart_joint(f, g)
     if isinstance(f, Chart) and isinstance(g, Chart):
@@ -206,8 +211,9 @@ def joint_prechart(exprs, max_states=MAX_STATES):
     """The named view of the expansions of the given expressions: one
     prechart of canonical texts, overlapping wherever the behaviours
     agree syntactically, and their start states."""
-    from .expr import _joint as expr_joint  # loaded by whoever built the expressions
-    joint = expr_joint(exprs, max_states)
+    from . import expr  # loaded by whoever built the expressions
+    table = expr._Table()
+    joint = expr._joint(table, [expr._nameless(table, e) for e in exprs], max_states)
     return joint.prechart(), [joint.name(s) for s in joint.rows[0]]
 
 

@@ -93,11 +93,13 @@ def _eps(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _read(arg, args):
+def _read(arg, args, left=None):
     """One input in the syntax --format names, its action letters
     restricted to --alphabet, as that format's reader takes it: chart
     text read straight into a numbered chart, diagram text as
-    diagram._read_text takes it, or an expression."""
+    diagram._read_text takes it, or expression text read straight into
+    a nameless node, as an expr._Read.  A right input is read beside the
+    left one: an expression into the left one's table."""
     text = _resolve(arg)
     if args.format == "chart":
         from . import chart
@@ -106,12 +108,14 @@ def _read(arg, args):
         from . import diagram
         return diagram._read_text(text, args.alphabet)
     from . import expr
-    return expr.parse_expr(text, alphabet=args.alphabet)
+    table = expr._Table() if left is None else left.table
+    return expr._Read(table, expr._read(text, table, args.alphabet))
 
 
 def _inputs(args):
     """The left and the right input, read in that order."""
-    return _read(args.left, args), _read(args.right, args)
+    left = _read(args.left, args)
+    return left, _read(args.right, args, left)
 
 
 def _compare(args):
@@ -190,7 +194,7 @@ def _cmd_compile(args):
         succ, outs, (start,) = diagram._close(*parts, args.max_states)
     else:
         from . import expr
-        joint = expr._joint([x], args.max_states)
+        joint = expr._joint(x.table, [x.node], args.max_states)
         succ, outs, ((start,),) = joint.succ, joint.outs, joint.rows
     return EXIT_OK, chart.format_chart_text(
         chart._Side(range(len(succ)), succ, outs, start).chart())
@@ -216,11 +220,7 @@ def _cmd_render(args):
         diagram.typecheck(t)
         return EXIT_OK, diagram.term_to_dot(t)
     x = _read(args.input, args)
-    if args.format == "expr":
-        from . import expr
-        c = expr.expand(x, max_states=args.max_states)
-    else:
-        c = x.chart()
+    c = x.chart(args.max_states) if args.format == "expr" else x.chart()
     from . import chart
     return EXIT_OK, chart.chart_to_dot(c)
 

@@ -27,6 +27,11 @@ a mu substitutes closed nodes for loose indices, so no binder is renamed
 and nothing is shifted.  A state's text is printed only where it is
 named: the canonical text of its named view, whose binder at depth k is
 v(B+k+1), B its largest free variable.
+
+One reader, _shift_reduce, holds the grammar, and reduces each construct
+by one of five builders.  parse_expr builds Expr nodes with it; _read
+interns nameless nodes in a table as it reduces, so a query reads its
+texts straight into the nodes that expansion uses and builds no Expr.
 """
 
 from __future__ import annotations
@@ -589,14 +594,13 @@ def _moves(table, n: int):
     return trans, outs
 
 
-def _joint(exprs, max_states=MAX_STATES) -> _Joint:
-    """The reachable derivatives of the given expressions as one joint,
+def _joint(table, roots, max_states=MAX_STATES) -> _Joint:
+    """The reachable derivatives of the given nodes of table as one joint,
     with one row of their starts, numbered breadth-first from the starts
     in turn, each state's successors in the order _moves finds them.  A
     state is a nameless node, shared by the expansions that reach it, and
-    named by the canonical text of its named view.  Each expression may
-    reach max_states states."""
-    table = _Table()
+    named by the canonical text of its named view.  Each root may reach
+    max_states states."""
     number, nodes, succ, outs, starts = {}, [], [], [], []  # number: node -> state
 
     def state(node):
@@ -607,13 +611,13 @@ def _joint(exprs, max_states=MAX_STATES) -> _Joint:
             outs.append(None)
         return number[node]
 
-    for e in exprs:
-        starts.append(state(_nameless(table, e)))
+    for root in roots:
+        starts.append(state(root))
         reached = {starts[-1]}
         queue = deque(reached)
         while queue:
             i = queue.popleft()
-            if succ[i] is None:  # first reached, by this or an earlier expression
+            if succ[i] is None:  # first reached, by this or an earlier root
                 trans, vs = _moves(table, nodes[i])
                 succ[i] = [(a, state(t)) for a, t in trans]
                 outs[i] = frozenset(vs)
@@ -628,10 +632,25 @@ def _joint(exprs, max_states=MAX_STATES) -> _Joint:
                   lambda i: _text(high[nodes[i]] * len(keys) + nodes[i], text, keys))
 
 
+class _Read:
+    """An expression as a query holds it: the table it was read into, which
+    the other input of the query shares, and its node's id there."""
+
+    __slots__ = ("table", "node")
+
+    def __init__(self, table, node):
+        self.table, self.node = table, node
+
+    def chart(self, max_states=MAX_STATES) -> Chart:
+        """Chart of all reachable derivatives, states named by canonical text."""
+        joint = _joint(self.table, [self.node], max_states)
+        return Chart(joint.prechart(), joint.name(joint.rows[0][0]))
+
+
 def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
     """Chart of all reachable derivatives, states named by canonical text."""
-    joint = _joint([e], max_states)
-    return Chart(joint.prechart(), joint.name(joint.rows[0][0]))
+    table = _Table()
+    return _Read(table, _nameless(table, e)).chart(max_states)
 
 
 # --- concrete syntax ---------------------------------------------------
@@ -688,13 +707,13 @@ def _open_mu(e: Expr) -> bool:
             return False
 
 
-def parse_expr(text: str, alphabet=None) -> Expr:
-    """Parse expression text; alphabet, when given, restricts action letters.
-
-    The grammar is ``sum := term ('+' term)*`` and ``term := 'mu' var '.'
-    sum | '0' | '(' sum ')' | var | letter '.' term``.  The constructs
-    still waiting for a subterm are kept on an explicit stack.
-    """
+def _shift_reduce(text, alphabet, zero, var, prefix, add, mu):
+    """The one reader of the grammar that parse_expr states.  Each
+    construct is reduced, once its subterms are read, by its builder: zero(), var(index, i), prefix(letter, body), add(left, right)
+    or mu(binder, body).  i is the de Bruijn index of the variable, the
+    number of mus between it and the innermost mu that binds its name, or
+    -1 when it is free.  The constructs still waiting for a subterm are
+    kept on an explicit stack, so nothing recurses."""
     n = len(text)
     pos = 0
 
@@ -723,8 +742,11 @@ def parse_expr(text: str, alphabet=None) -> Expr:
             error("malformed variable token", pos)
         return index, end
 
+    # scope: binder name -> the depth of the innermost open mu of that name;
+    # depth: the number of open mus
+    scope, depth = {}, 0
     # frames: ("sum", summands so far or None), ("prefix", letter),
-    # ("mu", binder), ("paren", None)
+    # ("mu", (binder, its scope entry outside this mu)), ("paren", None)
     frames = [("sum", None)]
     while True:
         pos = skip_ws(pos)
@@ -734,7 +756,9 @@ def parse_expr(text: str, alphabet=None) -> Expr:
         if text.startswith("mu", pos) and (pos + 2 == n or text[pos + 2] != "."):
             binder, pos = var_token(pos + 2)
             pos = expect(".", skip_ws(pos))
-            frames += (("mu", binder), ("sum", None))
+            frames += (("mu", (binder, scope.get(binder))), ("sum", None))
+            scope[binder] = depth
+            depth += 1
             continue
         if ch == "(":
             pos += 1
@@ -742,11 +766,12 @@ def parse_expr(text: str, alphabet=None) -> Expr:
             continue
         if ch == "0":
             pos += 1
-            term = ZERO
+            term = zero()
         elif ch == "v":
             if pos + 1 < n and _digits(text[pos + 1]):
                 index, pos = var_token(pos)
-                term = Var(index)
+                d = scope.get(index)
+                term = var(index, -1 if d is None else depth - 1 - d)
             else:
                 error("reserved letter 'v'", pos)
         elif ch in _LETTERS:
@@ -761,9 +786,9 @@ def parse_expr(text: str, alphabet=None) -> Expr:
         while True:
             kind, value = frames.pop()
             if kind == "prefix":
-                term = Prefix(value, term)
+                term = prefix(value, term)
                 continue
-            term = term if value is None else Sum(value, term)
+            term = term if value is None else add(value, term)
             pos = skip_ws(pos)
             if pos < n and text[pos] == "+":
                 pos += 1
@@ -775,6 +800,34 @@ def parse_expr(text: str, alphabet=None) -> Expr:
                 return term
             kind, value = frames.pop()
             if kind == "mu":
-                term = Mu(value, term)
+                binder, outer = value
+                term = mu(binder, term)
+                depth -= 1
+                if outer is None:
+                    del scope[binder]
+                else:
+                    scope[binder] = outer
             else:
                 pos = expect(")", pos)
+
+
+def parse_expr(text: str, alphabet=None) -> Expr:
+    """Parse expression text; alphabet, when given, restricts action letters.
+
+    The grammar is ``sum := term ('+' term)*`` and ``term := 'mu' var '.'
+    sum | '0' | '(' sum ')' | var | letter '.' term``.
+    """
+    return _shift_reduce(text, alphabet, Zero, lambda index, i: Var(index), Prefix, Sum, Mu)
+
+
+def _read(text: str, table, alphabet=None) -> int:
+    """The id in table of the nameless node of expression text, read in one
+    pass that builds no Expr: the id, and the error, that
+    _nameless(table, parse_expr(text, alphabet)) gives.  Both intern in
+    post-order, left to right, so they give the same ids."""
+    return _shift_reduce(
+        text, alphabet, lambda: _node(table, (_ZERO,)),
+        lambda index, i: _node(table, (_FREE, index) if i < 0 else (_BOUND, i)),
+        lambda letter, body: _node(table, (_PREFIX, letter, body)),
+        lambda left, right: _node(table, (_SUM, left, right)),
+        lambda binder, body: _node(table, (_MU, body)))

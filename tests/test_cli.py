@@ -521,6 +521,28 @@ def test_names_are_made_only_where_printed(capsys, monkeypatch):
         assert (code, out.splitlines()[0], calls.count("_tag")) == (EXIT_OK, "bisimilar", 0), fmt
 
 
+def test_expression_commands_build_no_expr(capsys, monkeypatch):
+    """Every command on expressions reads its texts straight into nameless
+    nodes: no Expr node is built, so the intern table is never written."""
+    built = []
+    original = chartdist.expr._intern
+
+    def counted(key, *args):
+        built.append(key)
+        return original(key, *args)
+    monkeypatch.setattr(chartdist.expr, "_intern", counted)
+    for left, right in ((FIG_LEFT, FIG_RIGHT), ("mu v1.a.v1", "mu v1.a.a.v1"),
+                        ("mu v7.a.(v7+mu v7.b.v7)+v2", "a.v1+v2")):
+        for command in ("dist", "strat", "bisim", "derive"):
+            assert run(capsys, command, left, right)[2] == "", command
+        assert run(capsys, "dist", "--table", left, right)[0] == EXIT_OK
+        cert = run(capsys, "derive", left, right)[1]
+        assert run(capsys, "check", cert, left, right)[0] == EXIT_OK
+        for command in ("compile", "render"):
+            assert run(capsys, command, left)[0] == EXIT_OK, command
+    assert built == []
+
+
 def test_every_library_view_builds_one_refinement(monkeypatch):
     for left, right, level in ((FIG_LEFT, FIG_RIGHT, 2),
                                ("mu v1.a.v1", "mu v1.a.a.v1", math.inf)):

@@ -20,8 +20,8 @@ from chartdist import (
 )
 from chartdist.cli import EXIT_BUDGET, EXIT_OK, main
 from helpers import (
-    exprs, malformed_expressions, ref_alpha_normal, ref_expand, ref_format, ref_parse,
-    ref_step, ref_subst,
+    exprs, malformed_expressions, python, rand_expr, ref_alpha_normal, ref_expand, ref_format,
+    ref_parse, ref_step, ref_subst,
 )
 
 
@@ -307,10 +307,105 @@ def test_nameless_nodes_grow_quadratically_in_nesting(monkeypatch):
     counts = []
     for k in (8, 16, 32):
         interned.clear()
-        joint = expr_module._joint([parse_expr(nested(k))])
+        table = expr_module._Table()
+        joint = expr_module._joint(table, [expr_module._read(nested(k), table)])
         assert len(joint.succ) == k + 1
         counts.append(len(interned))
     assert all(b <= 4.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
+# --- the one-pass reader ------------------------------------------------
+
+
+def assert_reads_alike(*texts):
+    """_read gives each text, read in turn into one shared table, the id
+    that _nameless(parse_expr(text)) gives it, and both tables end alike."""
+    read, parsed = expr_module._Table(), expr_module._Table()
+    for text in texts:
+        assert expr_module._read(text, read) == expr_module._nameless(parsed, parse_expr(text))
+    assert read.keys == parsed.keys
+
+
+def spaced(text):
+    """text with blanks wherever the grammar allows them."""
+    for token, blanks in (("+", " + "), (".", "\t.\n"), ("(", "( "), (")", " )"),
+                          ("mu v", "mu  v")):
+        text = text.replace(token, blanks)
+    return f" {text}\n"
+
+
+@given(exprs(), exprs())
+@settings(max_examples=200, deadline=None)
+def test_reader_matches_parse_then_nameless(e, f):
+    assert_reads_alike(format_expr(e), format_expr(f))
+
+
+def test_reader_matches_parse_then_nameless_on_families():
+    rng = random.Random(28)
+    texts = ([format_expr(rand_expr(rng, depth=4)) for _ in range(200)] + FREE_OUTPUT_LOOPS
+             + [nested(k) for k in range(2, 9)] + BINDER_CASES
+             + ["mu v1.mu v1.v1", "mu v1.(v1+mu v1.v1)+v1"])
+    for left, right in zip(texts, texts[1:]):
+        assert_reads_alike(left, right)
+        assert_reads_alike(spaced(left), spaced(right))
+        assert_reads_alike(spaced(left), left)
+
+
+@pytest.mark.parametrize("row", malformed_expressions(),
+                         ids=lambda row: f"{row['message']}: {row['text']}")
+def test_reader_raises_what_parse_expr_raises(row):
+    """On every malformed row both routes raise one error, under the row's
+    --alphabet; with no alphabet they also agree, error or node."""
+    def outcome(read, alphabet):
+        try:
+            return read(row["text"], None if alphabet is None else set(alphabet))
+        except ExprSyntaxError as e:
+            return str(e), e.position
+
+    def parsed(text, alphabet):
+        return expr_module._nameless(expr_module._Table(), parse_expr(text, alphabet))
+
+    def read(text, alphabet):
+        return expr_module._read(text, expr_module._Table(), alphabet)
+    want = (f"{row['message']} (at position {row['position']})", row["position"])
+    assert outcome(parsed, row["alphabet"]) == outcome(read, row["alphabet"]) == want
+    assert outcome(parsed, None) == outcome(read, None)
+
+
+def test_reader_depth_does_not_grow_with_input():
+    # 5,000 nested parentheses, a 2,000-step loop and 5,000 prefixes, read
+    # with a recursion limit of 150
+    script = (
+        "import sys\n"
+        "from chartdist import expr\n"
+        "texts = ['(' * 5000 + '0' + ')' * 5000, 'mu v1.' + 'a.' * 2000 + 'v1',\n"
+        "         'a.' * 5000 + '0']\n"
+        "sys.setrecursionlimit(150)\n"
+        "for text in texts:\n"
+        "    table = expr._Table()\n"
+        "    print(expr._read(text, table), len(table.keys))\n"
+    )
+    done = python(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 1\n2001 2002\n5000 5001\n"
+
+
+def test_reader_work_grows_linearly_in_loop_length(monkeypatch):
+    """Reading long_loop(n) interns a number of ids, counted over every
+    call of _node, at most 2.3 times larger per doubling of n."""
+    calls = []
+    original = expr_module._node
+
+    def counted(table, key):
+        calls.append(key)
+        return original(table, key)
+    monkeypatch.setattr(expr_module, "_node", counted)
+    counts = []
+    for n in (250, 500, 1000, 2000):
+        calls.clear()
+        expr_module._read(long_loop(n), expr_module._Table())
+        counts.append(len(calls))
+    assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # --- deep inputs -------------------------------------------------------

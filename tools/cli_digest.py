@@ -39,6 +39,12 @@ that are spelled unusually or fail late (``diagram_spellings``): ``dist
 certificate a ``derive`` printed on each pair, and ``compile`` of each
 text.
 
+A third line goes on, with the same count and digest, to the rows of
+``corpus/malformed_expressions.json``, each under its ``--alphabet``:
+``dist`` with the row on the left against ``0``, on the right against
+``0``, and on both sides, beside the next row on the right, whose error
+the left one's must win over; and ``compile`` of the row.
+
 Run it from anywhere: it imports the program from the ``src/`` and the
 workloads from the ``perfbench/`` beside it, reads the chart, diagram,
 expression and certificate texts from the ``corpus/`` beside it, and
@@ -274,6 +280,19 @@ def spelling_calls():
                 yield argv, call(argv)
 
 
+def malformed_expression_calls():
+    """argv of dist with each malformed expression on the left, on the
+    right and, beside the next row, on both sides, and of compile of it,
+    under the row's --alphabet."""
+    rows = json.loads((ROOT / "corpus" / "malformed_expressions.json").read_text())
+    for row, other in zip(rows, rows[1:] + rows[:1]):
+        flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
+        text = row["text"]
+        for command, *inputs in (("dist", text, "0"), ("dist", "0", text),
+                                 ("dist", text, other["text"]), ("compile", text)):
+            yield [command, *flags, *inputs]
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -312,6 +331,10 @@ def main(argv=None):
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     for args, outcome in spelling_calls():
         digest.update(repr((args, outcome)).encode())
+        calls += 1
+    print(f"{calls} calls, sha256 {digest.hexdigest()}")
+    for args in malformed_expression_calls():
+        digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     return 0

@@ -1,18 +1,23 @@
-"""Time of the diagram reader against the term route, in one process.
+"""Time of the one-pass readers against the routes through a tree, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
-Builds the ``certify`` workload of ``perfbench/`` for the seed through
-``perfbench/workloads.py``, as ``perfbench/run.py`` builds it, and takes
-both diagram texts of every ``--format diag`` query, in query order: 738
-texts for seed 1.  They are read in chunks of 25 texts, each chunk by
+Builds the ``certify`` and ``exprs`` workloads of ``perfbench/`` for the
+seed through ``perfbench/workloads.py``, as ``perfbench/run.py`` builds
+them.  Diagrams: both diagram texts of every ``--format diag`` query of
+``certify``, in query order (738 texts for seed 1), read by
 ``diagram._read_open`` and by the term route, ``diagram._open_parts`` of
-``diagram.parse_term``, in turn, for the given number of rounds.  A
-chunk's time is its best over the rounds, so a slow spell of a shared
-machine, which a whole pass of some 50 ms seldom escapes, is left out.
-Prints the sum of the chunks' bests for each, and the reader's sum over
-the term route's.  An untimed round first checks that both give the same
-parts for every text.
+``diagram.parse_term``.  Expressions: every expression text of every
+``exprs`` query, in query order (249 texts for seed 1), each read into a
+fresh table by ``expr._read`` and by the tree route, ``expr._nameless`` of
+``expr.parse_expr``.  The texts are read in chunks of 25, each chunk by
+each route in turn, for the given number of rounds.  A chunk's time is
+its best over the rounds, so a slow spell of a shared machine, which a
+whole pass of some 50 ms seldom escapes, is left out.  Prints the sum of
+the chunks' bests for each route, and the reader's sum over the other
+route's.  An untimed round first checks that both routes give the same
+result for every text: the same parts for a diagram, and the same node
+id and table keys for an expression.
 
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
@@ -29,8 +34,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 25
 
 
-def diagram_texts(seed):
-    """Both diagram texts of each --format diag query of certify."""
+def workload_texts(seed):
+    """Both diagram texts of each --format diag query of certify, and the
+    expression texts of each query of exprs."""
     import chartdist
     import workloads
 
@@ -39,12 +45,29 @@ def diagram_texts(seed):
                                           chartdist.parse_term(text2))
 
     queries, _, _ = workloads.build("certify", seed, diagram_distance)
-    texts = []
+    diagrams = []
     for q in queries:
         if "diag" in q.argv:  # derive LEFT RIGHT ... or check CERT LEFT RIGHT ...
             first = 2 if q.cmd == "check" else 1
-            texts += q.argv[first:first + 2]
-    return texts
+            diagrams += q.argv[first:first + 2]
+    queries, _, _ = workloads.build("exprs", seed, diagram_distance)
+    return diagrams, [text for q in queries for text in q.argv[1:]]  # all plain texts
+
+
+def best_sums(routes, texts, runs):
+    """Each route's sum, over the chunks of texts, of its best time on the chunk."""
+    total = dict.fromkeys(routes, 0.0)
+    for start in range(0, len(texts), CHUNK):
+        chunk = texts[start:start + CHUNK]
+        best = dict.fromkeys(routes, float("inf"))
+        for _ in range(runs):
+            for route in routes:
+                t0 = time.perf_counter()
+                route(chunk)
+                best[route] = min(best[route], time.perf_counter() - t0)
+        for route in routes:
+            total[route] += best[route]
+    return total
 
 
 def main(argv=None):
@@ -56,34 +79,37 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from chartdist import diagram
+    from chartdist import diagram, expr
 
-    def reader(texts):
+    def read_open(texts):
         return [diagram._read_open(t) for t in texts]
 
     def term_route(texts):
         return [diagram._open_parts(diagram.parse_term(t)) for t in texts]
 
-    texts = diagram_texts(args.seed)
-    if reader(texts) != term_route(texts):
-        print("error: the reader and the term route differ", file=sys.stderr)
-        return 1
-    total = {reader: 0.0, term_route: 0.0}
-    for start in range(0, len(texts), CHUNK):
-        chunk = texts[start:start + CHUNK]
-        best = dict.fromkeys(total, float("inf"))
-        for _ in range(args.runs):
-            for read in total:
-                t0 = time.perf_counter()
-                read(chunk)
-                best[read] = min(best[read], time.perf_counter() - t0)
-        for read in total:
-            total[read] += best[read]
-    print(f"certify seed {args.seed}: {len(texts)} diagram texts, {args.runs} rounds "
-          f"of chunks of {CHUNK}, sum of each chunk's best")
-    print(f"_read_open               {total[reader] * 1e3:7.2f} ms")
-    print(f"_open_parts(parse_term)  {total[term_route] * 1e3:7.2f} ms")
-    print(f"ratio {total[reader] / total[term_route]:.3f}")
+    def read_expr(texts):
+        tables = [expr._Table() for _ in texts]
+        return [(expr._read(t, table), table.keys) for t, table in zip(texts, tables)]
+
+    def tree_route(texts):
+        tables = [expr._Table() for _ in texts]
+        return [(expr._nameless(table, expr.parse_expr(t)), table.keys)
+                for t, table in zip(texts, tables)]
+
+    diagrams, expressions = workload_texts(args.seed)
+    sections = ((f"certify seed {args.seed}: {len(diagrams)} diagram texts", diagrams,
+                 (("_read_open", read_open), ("_open_parts(parse_term)", term_route))),
+                (f"exprs seed {args.seed}: {len(expressions)} expression texts", expressions,
+                 (("_read", read_expr), ("_nameless(parse_expr)", tree_route))))
+    for title, texts, ((reader_name, reader), (route_name, route)) in sections:
+        if reader(texts) != route(texts):
+            print(f"error: {reader_name} and {route_name} differ", file=sys.stderr)
+            return 1
+        total = best_sums((reader, route), texts, args.runs)
+        print(f"{title}, {args.runs} rounds of chunks of {CHUNK}, sum of each chunk's best")
+        print(f"{reader_name:<25}{total[reader] * 1e3:7.2f} ms")
+        print(f"{route_name:<25}{total[route] * 1e3:7.2f} ms")
+        print(f"ratio {total[reader] / total[route]:.3f}")
     return 0
 
 
