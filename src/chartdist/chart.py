@@ -285,18 +285,21 @@ class _Joint:
 
 
 class _Side:
-    """One chart numbered from 0: state i is named names[i] and has the
-    moves (letter, j) of succ[i] and the outputs outs[i], and start is
-    the start state's number.  _read_chart reads one from chart text and
-    _side numbers a Chart object."""
+    """One numbered chart: state i has the number offset + i, is named
+    names[i] and has the moves (letter, number) of succ[i] and the
+    outputs outs[i], and start is the start state's i.  _read_chart reads
+    one from chart text, at any offset, and _side numbers a Chart object
+    from 0."""
 
-    __slots__ = ("names", "succ", "outs", "start")
+    __slots__ = ("names", "succ", "outs", "start", "offset")
 
-    def __init__(self, names, succ, outs, start):
+    def __init__(self, names, succ, outs, start, offset=0):
         self.names, self.succ, self.outs, self.start = names, succ, outs, start
+        self.offset = offset
 
     def chart(self) -> Chart:
-        """The named view: the chart of the states under their names."""
+        """The named view of a chart numbered from 0: the chart of the
+        states under their names."""
         joint = _Joint(self.succ, self.outs, [], self.names.__getitem__)
         return Chart(joint.prechart(), self.names[self.start])
 
@@ -316,11 +319,15 @@ def _side(c: Chart) -> _Side:
 
 
 def _chart_joint(left: _Side, right: _Side) -> _Joint:
-    """Two numbered charts, the right one's states numbered after the left
-    one's, with one row of their starts."""
+    """Two numbered charts, the left one numbered from 0 and the right
+    one's states after the left one's, with one row of their starts.  A
+    right chart read at the left one's state count is joined as it is;
+    any other has its moves renumbered."""
     k = len(left.names)
-    return _Joint(left.succ + [[(a, j + k) for a, j in moves] for moves in right.succ],
-                  left.outs + right.outs, [(left.start, k + right.start)],
+    succ = right.succ
+    if right.offset != k:
+        succ = [[(a, j - right.offset + k) for a, j in moves] for moves in succ]
+    return _Joint(left.succ + succ, left.outs + right.outs, [(left.start, k + right.start)],
                   [*left.names, *right.names].__getitem__, k)
 
 
@@ -340,9 +347,10 @@ class ChartFormatError(ValueError):
         self.line = line
 
 
-def _read_chart(text: str, alphabet=None) -> _Side:
+def _read_chart(text: str, alphabet=None, offset=0) -> _Side:
     """Read the line-based chart format straight into a numbered chart,
-    its states numbered in the order of their first state lines.
+    its states numbered from offset in the order of their first state
+    lines.
 
     Lines: "alphabet a b ...", "state q", "start q", "trans q a r",
     "out q vN".  '#' starts a comment anywhere in a line.  Exactly one
@@ -353,8 +361,8 @@ def _read_chart(text: str, alphabet=None) -> _Side:
     letters as an alphabet line does.  Repeated lines add nothing.
     """
     number: dict = {}  # state name -> number
-    succ: list = []  # number -> set of moves (letter, number)
-    outs: list = []  # number -> set of variable indices
+    succ: list = [()] * offset  # number -> set of moves (letter, number); none below offset
+    outs: list = [()] * offset  # number -> set of variable indices
     declared: set | None = None
     allowed = _LETTER_SET if alphabet is None else _LETTER_SET.intersection(alphabet)
     start = start_line = None
@@ -418,7 +426,9 @@ def _read_chart(text: str, alphabet=None) -> _Side:
         raise ChartFormatError("missing start line", lineno + 1)
     if start not in number:
         raise ChartFormatError("start references undeclared state", start_line)
-    return _Side(list(number), succ, [frozenset(vs) for vs in outs], number[start])
+    del succ[:offset], outs[:offset]
+    return _Side(list(number), succ, [frozenset(vs) for vs in outs], number[start] - offset,
+                 offset)
 
 
 def _letter_error(a, declared) -> str:

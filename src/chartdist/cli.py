@@ -99,11 +99,12 @@ def _read(arg, args, left=None):
     text read straight into a numbered chart, diagram text as
     diagram._read_text takes it, or expression text read straight into
     a nameless node, as an expr._Read.  A right input is read beside the
-    left one: an expression into the left one's table."""
+    left one: a chart numbered after the left one's states, an
+    expression into the left one's table."""
     text = _resolve(arg)
     if args.format == "chart":
         from . import chart
-        return chart._read_chart(text, args.alphabet)
+        return chart._read_chart(text, args.alphabet, 0 if left is None else len(left.names))
     if args.format == "diag":
         from . import diagram
         return diagram._read_text(text, args.alphabet)

@@ -13,7 +13,10 @@ every query of the command line, ``axioms --check`` among them, runs on
 two diagrams' open charts numbered as one joint.
 One grammar, ``_shift_reduce``, reads diagram text, with two instances:
 ``parse_term`` builds a term, and ``_read_open`` places each leaf's
-nodes and wires each ';' as it reduces it, building no term.  One fold,
+nodes and wires each ';' as it reduces it, building no term; it
+joins the factors of a '*' once and takes the layouts of leaves spelled
+as ``format_term`` prints them from a fixed table.  ``_close`` resolves
+each chain of epsilon aliases once, by union-find.  One fold,
 ``_fold``, walks a term: ``typecheck`` types it, ``_open_parts`` types
 it and lays out its open chart, laying out each distinct leaf object
 once, and ``_interpret`` composes its reference morphism.  One function,
@@ -31,9 +34,10 @@ semantics keep their own stack, never recursing.
 from __future__ import annotations
 
 import re
+from functools import partial, reduce
 
 from .chart import (
-    MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _Record, _set, _valid_letter,
+    _LETTER_SET, MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _Record, _set, _valid_letter,
 )
 
 __all__ = [
@@ -298,12 +302,12 @@ def _layout(dom, cod, chart):
     chart as in _GENERATORS: its nodes are its outputs and then one per
     entry that has moves, numbered from 0.  A layout is the tuple
 
-        dom, cod, moves, eps, shift, ports, k, n, m
+        dom, cod, moves, eps, shift, ins, ins_back, outs_back, outs
 
     with moves and eps the (letter, node) transitions and the epsilon
-    edges of each node, shift whether any of them names a node, ports
-    the leaf's entries and then its outputs, and k, n and m where its
-    forward entries, its entries and its backward outputs end in ports."""
+    edges of each node, shift whether any of them names a node, and the
+    four port groups of its boundary, already split: its forward and
+    backward entries and its backward and forward outputs."""
     k, l = dom.count(FORWARD), dom.count(BACKWARD)
     width = l + cod.count(FORWARD)
     moves, eps, entries = [()] * width, [()] * width, []
@@ -314,38 +318,34 @@ def _layout(dom, cod, chart):
             entries.append(len(moves))
             moves.append(tuple([(a, v) for a, v in entry if a is not None]))
             eps.append(tuple([v for a, v in entry if a is None]))
-    n = len(entries)
     return (dom, cod, tuple(moves), tuple(eps), any(moves) or any(eps),
-            (*entries, *range(width)), k, n, n + l)
+            tuple(entries[:k]), tuple(entries[k:]), tuple(range(l)), tuple(range(l, width)))
 
 
-_GENERATOR_LAYOUTS = {cls: _layout(*gen[1:]) for cls, gen in _GENERATORS.items()}
+# the layouts of the canonical spellings of leaves, filled once when the
+# module loads: the keywords, act(x) for every letter x, and id and sym
+# over single wires
+_LEAF_LAYOUTS = {}
 
 
 def _leaf_layout(t):
-    """The _layout of a leaf.  act(a) moves by a to its output; a swap
-    passes each input straight to the output of its own wire, and id(w)
-    is sym(w, )."""
-    kind = type(t)
-    layout = _GENERATOR_LAYOUTS.get(kind)
+    """The _layout of a leaf, from _LEAF_LAYOUTS when it has the leaf's
+    spelling.  act(a) moves by a to its output; a swap passes each input
+    straight to the output of its own wire, and id(w) is sym(w, )."""
+    layout = _LEAF_LAYOUTS.get(_leaf_text(t))  # a TypeError for no leaf
     if layout is not None:
         return layout
+    kind = type(t)
+    if kind in _GENERATORS:
+        return _layout(*_GENERATORS[kind][1:])
     if kind is Act:
-        return ">", ">", ((), ((t.letter, 0),)), ((), ()), True, (1, 0), 1, 1, 1
-    if kind is Id:
-        u, w = t.word, ""
-    elif kind is Sym:
-        u, w = t.left, t.right
-    else:
-        raise TypeError(f"not a diagram term: {t!r}")
+        return _layout(">", ">", (((t.letter, 0),),))
+    u, w = (t.word, "") if kind is Id else (t.left, t.right)
     (p1, q1), (p2, q2) = _word_object(u), _word_object(w)
     q = q1 + q2  # outputs: u's then w's backward ones, w's then u's forward ones
     width = q + p1 + p2
-    nothing = ((),) * width
-    return (u + w, w + u, nothing, nothing, False,
-            (*range(q + p2, width), *range(q, q + p2), *range(q1, q), *range(q1),
-             *range(width)),
-            p1 + p2, width, width + q)
+    return _layout(u + w, w + u, (*range(q + p2, width), *range(q, q + p2),
+                                  *range(q1, q), *range(q1)))
 
 
 # The boundary of a laid-out subterm is the tuple dom, cod, ins,
@@ -356,7 +356,7 @@ def _leaf_layout(t):
 def _place(layout, moves, eps):
     """The boundary of one occurrence of a leaf with the given _leaf_layout,
     its nodes appended to moves and eps at the next free node numbers."""
-    dom, cod, node_moves, node_eps, shift, ports, k, n, m = layout
+    dom, cod, node_moves, node_eps, shift, ins, ins_back, outs_back, outs = layout
     base = len(moves)
     if shift:  # an empty entry is kept, not rebuilt
         moves += [tuple([(a, base + v) for a, v in x]) if x else x for x in node_moves]
@@ -364,8 +364,16 @@ def _place(layout, moves, eps):
     else:
         moves += node_moves
         eps += node_eps
-    ports = tuple(map(base.__add__, ports))
-    return dom, cod, ports[:k], ports[k:n], ports[n:m], ports[m:]
+    if not base:
+        return dom, cod, ins, ins_back, outs_back, outs
+    # each group shifted, most of them empty or of one port
+    return (dom, cod,
+            (base + ins[0],) if len(ins) == 1 else ins and tuple([base + v for v in ins]),
+            (base + ins_back[0],) if len(ins_back) == 1 else
+            ins_back and tuple([base + v for v in ins_back]),
+            (base + outs_back[0],) if len(outs_back) == 1 else
+            outs_back and tuple([base + v for v in outs_back]),
+            (base + outs[0],) if len(outs) == 1 else outs and tuple([base + v for v in outs]))
 
 
 def _beside(f, g, node=None):
@@ -374,14 +382,22 @@ def _beside(f, g, node=None):
     return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], f[5] + g[5]
 
 
+def _beside_all(factors):
+    """The boundary of factors[0] * factors[1] * ..., each group joined once."""
+    if len(factors) == 2:  # the common case
+        return _beside(*factors)
+    dom, cod, *groups = zip(*factors)
+    return ("".join(dom), "".join(cod), *[tuple([v for p in g for v in p]) for g in groups])
+
+
 def _plug(f, g, eps):
     """The boundary of f ; g, whose words the caller has matched: f's forward
     outputs feed g's forward entries, and g's backward outputs feed f's
     backward entries, by epsilon edges added to eps."""
     for x, y in zip(f[5], g[2]):
-        eps[x] += (y,)
+        eps[x] = (y,)  # an output has no edge until it is wired, once
     for x, y in zip(g[4], f[3]):
-        eps[x] += (y,)
+        eps[x] = (y,)
     return f[0], g[1], f[2], g[3], f[4], g[5]
 
 
@@ -419,18 +435,35 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
 
     Each state takes the transitions of every node its epsilon edges
     reach, and outputs vj when they reach output node j; a cycle of
-    epsilon edges adds nothing.
+    epsilon edges adds nothing.  An alias (no moves, no output, one
+    epsilon edge: every output _plug wires) reaches what its edge does, so
+    union-find with path compression resolves it to the first node of its
+    chain that is no alias, or to a node of the cycle that the chain ends
+    in, which reaches nothing; walks visit no other alias, and each chain
+    is followed once.
     """
     variable = {x: j for j, x in enumerate(outputs, start=1)}
-    number = {}
-    order = []
+    root = {}  # node -> the node it resolves to
+    number, order = {}, []
+
+    def find(x):  # the node that x, not yet in root, resolves to
+        chain = []
+        while x not in root:
+            chain.append(x)
+            if len(eps[x]) != 1 or moves[x] or x in variable:  # no alias
+                break
+            root[x] = -1  # on the chain: met again, it closes a cycle of aliases
+            x = eps[x][0]
+        r = x if root.get(x, -1) < 0 else root[x]
+        for y in chain:
+            root[y] = r
+        return r
 
     def state(x):
         n = number.get(x)
         if n is None:
             if len(order) >= max_states:
-                raise ExpansionBudgetError(
-                    f"open chart exceeded {max_states} states")
+                raise ExpansionBudgetError(f"open chart exceeded {max_states} states")
             n = number[x] = offset + len(order)
             order.append(x)
         return n
@@ -438,19 +471,23 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
     entry_states = tuple(state(x) for x in entries)
     succ, outs = [], []
     for x in order:  # grows while it is walked
-        seen = {x}
-        todo = [x]
-        steps = set()
-        variables = set()
-        while todo:
-            y = todo.pop()
-            steps.update(moves[y])
-            if y in variable:
-                variables.add(variable[y])
-            for z in eps[y]:
-                if z not in seen:
-                    seen.add(z)
-                    todo.append(z)
+        r = root[x] if x in root else find(x)
+        if not eps[r]:  # most roots: the walk would meet r alone
+            steps = set(moves[r])
+            variables = (variable[r],) if r in variable else ()
+        else:
+            seen, todo = {r}, [r]
+            steps, variables = set(), set()
+            while todo:
+                y = todo.pop()
+                steps.update(moves[y])
+                if y in variable:
+                    variables.add(variable[y])
+                for z in eps[y]:
+                    z = root[z] if z in root else find(z)
+                    if z not in seen:
+                        seen.add(z)
+                        todo.append(z)
         succ.append([(a, state(y)) for a, y in sorted(steps)])
         outs.append(frozenset(variables))
     return succ, outs, entry_states
@@ -503,7 +540,7 @@ def _leaf(text, tokens, i, alphabet, leaves):
     i += 2
     if name == "act":
         letter = tokens[i]
-        if not _valid_letter(letter):
+        if letter not in _LETTER_SET:  # a token is a str
             if not _NAME.match(letter):
                 raise _error("expected a term", text, i)
             raise _error(f"invalid action letter {letter!r}", text, i, len(letter))
@@ -540,27 +577,31 @@ def _shift_reduce(tokens, atom, seq, beside):
     tokens, which end with "", with an explicit stack of open parentheses.
 
     atom(i) reads the term that starts at token i, other than a group,
-    and gives its value and the index after it; seq(v1, v2) and
-    beside(v1, v2) combine the values of a ';' and a '*'.  Raises
+    and gives its value and the index after it; seq(v1, v2) combines the
+    values of a ';', and beside(values) the list of the two or more
+    factors of a tensor, gathered until the tensor is reduced.  Raises
     _GrammarError for a token where the grammar wants another.
     """
     i = 0
-    opened = []  # per open parenthesis: the sequence and tensor around it
-    sequence = tensor = None
+    opened = []  # per open parenthesis: the sequence and factors around it
+    sequence = factors = None
     while True:
         if tokens[i] == "(":
-            opened.append((sequence, tensor))
-            sequence = tensor = None
+            opened.append((sequence, factors))
+            sequence = factors = None
             i += 1
             continue
         value, i = atom(i)
         while True:
-            tensor = value if tensor is None else beside(tensor, value)
             ch = tokens[i]
             if ch == "*":
+                factors = factors or []
+                factors.append(value)
                 break
-            sequence = tensor if sequence is None else seq(sequence, tensor)
-            tensor = None
+            if factors:
+                factors.append(value)
+                value, factors = beside(factors), None
+            sequence = value if sequence is None else seq(sequence, value)
             if ch == ";":
                 break
             if not opened:
@@ -570,15 +611,16 @@ def _shift_reduce(tokens, atom, seq, beside):
             if ch != ")":
                 raise _GrammarError("expected ')'", i)
             value = sequence
-            sequence, tensor = opened.pop()
+            sequence, factors = opened.pop()
             i += 1
         i += 1
 
 
 def parse_term(text, alphabet=None) -> Term:
-    """Parse a term by _shift_reduce, into Seq and Tensor nodes.  alphabet,
-    when given, restricts action letters.  All occurrences of one leaf in
-    text are one object."""
+    """Parse a term by _shift_reduce, into Seq and Tensor nodes, the
+    factors of a tensor folded from the left.  alphabet, when given,
+    restricts action letters.  All occurrences of one leaf in text are
+    one object."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end
     leaves = {}
@@ -590,17 +632,33 @@ def parse_term(text, alphabet=None) -> Term:
         return leaf, i + 1
 
     try:
-        return _shift_reduce(tokens, atom, Seq, Tensor)
+        return _shift_reduce(tokens, atom, Seq, partial(reduce, Tensor))
     except _GrammarError as e:
         message, i = e.args
         raise _error(message, text, i) from None
+
+
+def _leaf_text(t):
+    kind = type(t)
+    if kind is Act:
+        return f"act({t.letter})"
+    if kind is Id:
+        return f"id({t.word})"
+    if kind is Sym:
+        return f"sym({t.left},{t.right})"
+    if kind in _GENERATORS:
+        return _GENERATORS[kind][0]
+    raise TypeError(f"not a diagram term: {t!r}")
 
 
 # _TOKEN, but a leaf with arguments, blanks and all, is one token: the
 # tokens _TOKEN finds in it are those it finds there in the whole text,
 # as a name ends where '(' or a blank starts and '(' and ')' stand alone
 _READ_TOKEN = re.compile(r"(?:act|id|sym)\s*\([^()]*\)|" + _TOKEN.pattern)
-_KEYWORD_LAYOUTS = {word: _leaf_layout(leaf) for word, leaf in _BY_KEYWORD.items()}
+# filled here, _leaf_layout making each entry while the table lacks it
+_LEAF_LAYOUTS.update({_leaf_text(leaf): _leaf_layout(leaf) for leaf in (
+    *_BY_KEYWORD.values(), *map(Act, _LETTER_SET), *map(Id, ("", *_WIRES)),
+    *[Sym(u, w) for u in ("", *_WIRES) for w in ("", *_WIRES)])})
 
 
 def _read_open(text, alphabet=None):
@@ -608,25 +666,29 @@ def _read_open(text, alphabet=None):
     by _shift_reduce over the tokens of _READ_TOKEN, building no term; None
     when parse_term or typecheck would raise.  It never raises.
 
-    Each distinct leaf token is checked and laid out at its first
-    occurrence, by _leaf and _leaf_layout; every occurrence places the
-    layout's nodes, and each ';' is wired as the grammar reduces it, after
-    its words are matched, so nodes and epsilon edges come in the order of
-    _open_parts' fold."""
-    layouts = dict(_KEYWORD_LAYOUTS)  # leaf token -> its _leaf_layout
-    leaves = {}  # as in parse_term, so both spellings of a leaf share one
+    A leaf token spelled as format_term prints it takes its layout from
+    _LEAF_LAYOUTS (an act once alphabet allows its letter); any other is
+    checked by _leaf and laid out by _leaf_layout at its first occurrence.
+    Every occurrence places the layout's nodes, each ';' is wired as the
+    grammar reduces it, after its words are matched, and each tensor's
+    factors are joined once, so nodes and epsilon edges come in the order
+    of _open_parts' fold."""
+    layouts = {}  # any other leaf token -> its _leaf_layout
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
     tokens = _READ_TOKEN.findall(text)
     tokens.append("")  # the end
 
     def atom(i):
         token = tokens[i]
-        layout = layouts.get(token)
-        if layout is None:  # a leaf token is read whole, or _leaf raises
-            pieces = _TOKEN.findall(token)
-            pieces.append("")
-            leaf, _ = _leaf(token, pieces, 0, alphabet, leaves)
-            layout = layouts[token] = _leaf_layout(leaf)
+        layout = _LEAF_LAYOUTS.get(token)
+        if layout is None or (alphabet is not None and token[:4] == "act("
+                              and token[4] not in alphabet):
+            layout = layouts.get(token)
+            if layout is None:  # a leaf token is read whole, or _leaf raises
+                pieces = _TOKEN.findall(token)
+                pieces.append("")
+                leaf, _ = _leaf(token, pieces, 0, alphabet, {})
+                layout = layouts[token] = _leaf_layout(leaf)
         return _place(layout, moves, eps), i + 1
 
     def seq(f, g):
@@ -635,7 +697,7 @@ def _read_open(text, alphabet=None):
         return _plug(f, g, eps)
 
     try:
-        dom, cod, ins, ins_back, outs_back, outs = _shift_reduce(tokens, atom, seq, _beside)
+        dom, cod, ins, ins_back, outs_back, outs = _shift_reduce(tokens, atom, seq, _beside_all)
     except (_GrammarError, DiagramSyntaxError, DiagramTypeError):
         return None
     return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
@@ -654,19 +716,6 @@ def _parts(d):
     """The boundary words and open-chart parts of a diagram: a term,
     typed and laid out by _open_parts, or the parts _read_open read."""
     return d if type(d) is tuple else _open_parts(d)
-
-
-def _leaf_text(t):
-    kind = type(t)
-    if kind is Act:
-        return f"act({t.letter})"
-    if kind is Id:
-        return f"id({t.word})"
-    if kind is Sym:
-        return f"sym({t.left},{t.right})"
-    if kind in _GENERATORS:
-        return _GENERATORS[kind][0]
-    raise TypeError(f"not a diagram term: {t!r}")
 
 
 def format_term(t) -> str:

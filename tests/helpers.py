@@ -21,7 +21,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from chartdist import (
-    Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, Gen, Id, Merge, Mu,
+    Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, ExpansionBudgetError, Gen, Id, Merge, Mu,
     OpenChart, Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
     disjoint_union, expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
@@ -870,6 +870,55 @@ def ref_open_chart(t):
         outputs.update((number[x], variable[z]) for z in closure if z in variable)
     return OpenChart(Prechart(frozenset(number.values()), frozenset(trans),
                               frozenset(outputs)), entries)
+
+
+def brute_close(moves, eps, entries, outputs, max_states, offset=0):
+    """diagram._close by a walk of each state's epsilon closure from
+    scratch: the same states, numbered breadth-first from offset, the same
+    sorted successors and output sets, and the same budget error."""
+    variable = {x: j for j, x in enumerate(outputs, start=1)}
+    number = {}
+    order = []
+
+    def state(x):
+        if x not in number:
+            if len(order) >= max_states:
+                raise ExpansionBudgetError(f"open chart exceeded {max_states} states")
+            number[x] = offset + len(order)
+            order.append(x)
+        return number[x]
+
+    entry_states = tuple(state(x) for x in entries)
+    succ, outs = [], []
+    for x in order:  # grows while it is walked
+        seen, todo = {x}, [x]
+        steps, variables = set(), set()
+        while todo:
+            y = todo.pop()
+            steps.update(moves[y])
+            if y in variable:
+                variables.add(variable[y])
+            for z in eps[y]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        succ.append([(a, state(y)) for a, y in sorted(steps)])
+        outs.append(frozenset(variables))
+    return succ, outs, entry_states
+
+
+def wide_tensor_text(n):
+    """act(a) * ... * act(a), n factors."""
+    return " * ".join(["act(a)"] * n)
+
+
+def fan_in_text(n, k):
+    """A left comb of n act(a) joined by merge, then k times ; id(>), then
+    ; act(b): n states that reach one k-long run of epsilon edges."""
+    text = "act(a)"
+    for _ in range(n - 1):
+        text = f"({text}) * act(a) ; merge"
+    return text + " ; id(>)" * k + " ; act(b)"
 
 
 def ref_zip_merge(n):

@@ -11,10 +11,11 @@ from chartdist import (
     expand, format_chart_text, joint_pair, joint_prechart, open_chart, parse_chart_text,
     parse_expr, quotient, reachable,
 )
-from chartdist.chart import _read_chart, state_key
+from chartdist.chart import _chart_joint, _read_chart, state_key
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
-    chart_texts, empty_chart, exprs, live_vars, malformed_charts, precharts, prefix_chart,
+    chart_texts, cycle_text, empty_chart, exprs, live_vars, malformed_charts, precharts,
+    prefix_chart,
     rand_chart, rand_expr, rand_forward, rec_chart, ref_parse_chart_text, ref_validate,
     relabel, structural_chart, subst_chart, sum_chart, variable_chart,
 )
@@ -316,6 +317,25 @@ def test_reader_numbers_states_in_declaration_order():
     assert side.names == ["r", "q", "p"]
     assert (side.start, side.succ, side.outs) == \
         (1, [set(), {("a", 0)}, set()], [frozenset({2}), frozenset(), frozenset()])
+
+
+def test_a_chart_read_after_another_joins_without_renumbering():
+    """Read at an offset, a chart numbers its states from there; joined
+    after a left chart of that many states its moves are kept as read,
+    and the joint is the one of the chart read from 0."""
+    left = _read_chart(cycle_text(3))
+    text = "state r\nstart q\nstate q\ntrans q a r\ntrans r b q\nout r v2\nalphabet a b\n"
+    at_zero, at_left = _read_chart(text), _read_chart(text, None, 3)
+    assert at_left.succ == [{("b", 4)}, {("a", 3)}] and at_left.start == 1
+    assert at_zero.chart() == parse_chart_text(text)
+    for right in (at_zero, at_left, _read_chart(text, None, 7)):
+        joint = _chart_joint(left, right)
+        assert ([set(moves) for moves in joint.succ], joint.outs, joint.rows, joint.split) == \
+            ([*left.succ, {("b", 4)}, {("a", 3)}], [*left.outs, frozenset({2}), frozenset()],
+             [(0, 4)], 3)
+        assert [joint.name(i) for i in range(5)] == ["L:0", "L:1", "L:2", "R:r", "R:q"]
+    with pytest.raises(ChartFormatError, match="letter 'b' not in declared alphabet"):
+        _read_chart("state q\nstart q\ntrans q b q\nalphabet a\n", None, 3)
 
 
 def test_parse_chart_ignores_comments_and_blanks():

@@ -33,8 +33,8 @@ from chartdist.cli import (
 )
 from chartdist.metric import level_distance
 from helpers import (
-    brute_distance, brute_related_pairs, corpus_rows, cycle_text, flip_one_act,
-    perturb_expr, python, rand_chart, rand_expr, rand_forward,
+    brute_distance, brute_related_pairs, corpus_rows, cycle_text, fan_in_text, flip_one_act,
+    perturb_expr, python, rand_chart, rand_expr, rand_forward, wide_tensor_text,
 )
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
@@ -903,6 +903,14 @@ def test_long_diagram_chain_answers(capsys):
     seq = ";".join(["act(a)"] * 2000)
     assert run(capsys, "dist", "--format", "diag", seq, seq) == \
         (EXIT_OK, "0 (bisimilar)\n", "")
+
+
+def test_wide_tensor_and_fan_in_answer(capsys):
+    """The shapes once superlinear in the diagram front end: a 4,000-wide
+    tensor, and 2,000 act(a) merged into a 2,000-long epsilon tail."""
+    for text in (wide_tensor_text(4000), fan_in_text(2000, 2000)):
+        assert run(capsys, "dist", "--format", "diag", text, text) == \
+            (EXIT_OK, "0 (bisimilar)\n", "")
 
 
 def test_diagram_over_budget_exits_5(capsys):

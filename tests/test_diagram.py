@@ -21,10 +21,12 @@ from chartdist import (
 )
 import chartdist.diagram
 from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
-from chartdist.diagram import _open_parts, _read_open
+from chartdist.chart import MAX_STATES
+from chartdist.diagram import _close, _open_parts, _read_open
 from helpers import (
-    corpus_diagrams, malformed_diagrams, mistype_one_seq, rand_expr, rand_forward,
-    ref_from_expression, ref_open_chart, ref_parse_term, ref_zip_merge, transpose,
+    brute_close, corpus_diagrams, fan_in_text, malformed_diagrams, mistype_one_seq, rand_expr,
+    rand_forward, ref_from_expression, ref_open_chart, ref_parse_term, ref_zip_merge, transpose,
+    wide_tensor_text,
 )
 
 words = st.text(alphabet=("<", ">"), max_size=3)
@@ -184,6 +186,113 @@ def test_ill_typed_left_beside_a_syntax_error_reports_the_syntax_error():
     for command in ("dist", "derive"):
         assert cli([command, "--format", "diag", "act(a) ; merge", "copy ;"]) == \
             (EXIT_PARSE, "", "error: expected a term (at offset 6)\n")
+
+
+def test_leaf_spellings_share_their_parts_and_the_table_stays_fixed():
+    """A canonical leaf and another spelling of it read alike; leaves of
+    other spellings, or of a refused letter, take the per-call path."""
+    table = len(chartdist.diagram._LEAF_LAYOUTS)
+    for canonical, other in [("act(a)", "act( a )"), ("id(>)", "id (\t>\n)"),
+                             ("sym(>,<)", "sym( > , < )"), ("id()", "id( )"),
+                             ("copy ; id(>) * act(b)", "copy ; id( > ) * act(b )")]:
+        assert _read_open(canonical) == _read_open(other) == walked(canonical), canonical
+    for word in itertools.islice(itertools.product("<>", repeat=10), 1000):
+        text = f"id({''.join(word)})"
+        assert _read_open(text) == walked(text), text
+    assert len(chartdist.diagram._LEAF_LAYOUTS) == table
+    assert _read_open("act(a) ; act(b)", {"a"}) is None
+    assert _read_open("act(b) ; act(a)", {"a"}) is None
+    assert _read_open("act(é)") is None and _read_open("id(>>>)") == walked("id(>>>)")
+
+
+def close_both(t, max_states=MAX_STATES, offset=0):
+    """_close and brute_close of the open chart of t, or the text of the
+    budget error each raises; None when t does not type."""
+    try:
+        _, parts = _open_parts(t)
+    except DiagramTypeError:
+        return None
+    answers = []
+    for close in (_close, brute_close):
+        try:
+            answers.append(close(*parts, max_states, offset))
+        except ExpansionBudgetError as e:
+            answers.append(str(e))
+    return answers
+
+
+@given(terms(), st.integers(1, 12), st.integers(0, 5))
+@settings(max_examples=300, deadline=None)
+def test_close_matches_the_per_state_walk(t, max_states, offset):
+    """cap and cup in terms() feed wires back, so epsilon cycles occur."""
+    answers = close_both(t, max_states, offset)
+    assert answers is None or answers[0] == answers[1], format_term(t)
+
+
+@given(st.integers(0, 2 ** 32), st.integers(2, 4), st.integers(0, 2), st.integers(0, 2))
+@settings(max_examples=100, deadline=None)
+def test_close_matches_the_per_state_walk_on_forward_terms(seed, depth, m, n):
+    """loop1 feeds the last output back through cup and cap, and the
+    feedback of merge alone closes a cycle of aliases."""
+    rng = random.Random(seed)
+    for t in (rand_forward(rng, m, n, depth), loop1(rand_forward(rng, m + 1, n + 1, depth)),
+              loop1(Seq(rand_forward(rng, m + 1, n + 2, depth), Tensor(Id(">" * n), Merge()))),
+              loop1(Seq(Tensor(Id(">" * m), Merge()), rand_forward(rng, m + 1, n + 1, depth)))):
+        closed, brute = close_both(t)
+        assert closed == brute, format_term(t)
+
+
+def test_close_resolves_cycles_of_aliases():
+    """Feedback through merge alone is a cycle of aliases, which has no
+    behaviour; through copy it is an epsilon cycle with a node that is
+    no alias; through act(a) it is a loop of a-moves."""
+    for t, answer in [(loop1(Merge()), ([[]], [frozenset()], (0,))),
+                      (loop1(Seq(Merge(), Copy())), ([[]], [frozenset({1})], (0,))),
+                      (loop1(Seq(Merge(), Act("a"))),
+                       ([[("a", 1)]] * 2, [frozenset()] * 2, (0,)))]:
+        assert close_both(t) == [answer, answer], format_term(t)
+
+
+class CountingList(list):
+    """A list that counts its subscripts, so that a test can count the
+    nodes a walk over it visits."""
+
+    count = 0
+
+    def __getitem__(self, i):
+        self.count += 1
+        return super().__getitem__(i)
+
+
+def test_wide_tensors_and_fan_in_grow_linearly():
+    """Counted, not timed: doubling the factors of a wide tensor at most
+    2.3-folds the ports '*' copies or joins (copying both sides at every
+    '*' 4-folds them), and doubling the fan-in and its epsilon tail at most
+    2.3-folds the node visits of _close (walking each state's closure from
+    scratch 4-folds them)."""
+    ports = []
+    with pytest.MonkeyPatch.context() as patch:
+        beside_all = chartdist.diagram._beside_all
+
+        def counting(factors):
+            ports[-1] += sum(len(group) for f in factors for group in f[2:])
+            return beside_all(factors)
+
+        patch.setattr(chartdist.diagram, "_beside_all", counting)
+        for n in (250, 500, 1000, 2000, 4000):
+            ports.append(0)
+            assert _read_open(wide_tensor_text(n))[0] == (">" * n, ">" * n)
+    visits = []
+    for n in (125, 250, 500, 1000, 2000):
+        _, (moves, eps, entries, outputs) = _read_open(fan_in_text(n, n))
+        counted = CountingList(moves), CountingList(eps)
+        succ, _, _ = _close(*counted, entries, outputs, MAX_STATES)
+        visits.append(counted[0].count + counted[1].count)
+        assert len(succ) == 2 * n + 1  # n entries, n a-targets and the b-target
+        if n == 125:
+            assert brute_close(moves, eps, entries, outputs, MAX_STATES)[0] == succ
+    for counts in (ports, visits):
+        assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_parse_examples():

@@ -1,4 +1,5 @@
-"""Time of the one-pass readers against the routes through a tree, in one process.
+"""Time of the one-pass readers against the routes through a tree, and of
+the epsilon closure of the diagrams they read, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
@@ -10,14 +11,16 @@ them.  Diagrams: both diagram texts of every ``--format diag`` query of
 ``diagram.parse_term``.  Expressions: every expression text of every
 ``exprs`` query, in query order (249 texts for seed 1), each read into a
 fresh table by ``expr._read`` and by the tree route, ``expr._nameless`` of
-``expr.parse_expr``.  The texts are read in chunks of 25, each chunk by
-each route in turn, for the given number of rounds.  A chunk's time is
-its best over the rounds, so a slow spell of a shared machine, which a
-whole pass of some 50 ms seldom escapes, is left out.  Prints the sum of
-the chunks' bests for each route, and the reader's sum over the other
-route's.  An untimed round first checks that both routes give the same
-result for every text: the same parts for a diagram, and the same node
-id and table keys for an expression.
+``expr.parse_expr``.  Closure: ``diagram._close`` of the parts that
+``diagram._read_open`` reads from each of the diagram texts.  The texts
+are read in chunks of 25, each chunk by each route in turn, for the
+given number of rounds.  A chunk's time is its best over the rounds, so
+a slow spell of a shared machine, which a whole pass of some 50 ms
+seldom escapes, is left out.  Prints the sum of the chunks' bests for
+each route, and, where a section has two routes, the reader's sum over
+the other route's.  An untimed round first checks that both routes give
+the same result for every text: the same parts for a diagram, and the
+same node id and table keys for an expression.
 
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
@@ -96,20 +99,28 @@ def main(argv=None):
         return [(expr._nameless(table, expr.parse_expr(t)), table.keys)
                 for t, table in zip(texts, tables)]
 
+    def close(parts):
+        return [diagram._close(*p, diagram.MAX_STATES) for _, p in parts]
+
     diagrams, expressions = workload_texts(args.seed)
     sections = ((f"certify seed {args.seed}: {len(diagrams)} diagram texts", diagrams,
                  (("_read_open", read_open), ("_open_parts(parse_term)", term_route))),
                 (f"exprs seed {args.seed}: {len(expressions)} expression texts", expressions,
-                 (("_read", read_expr), ("_nameless(parse_expr)", tree_route))))
-    for title, texts, ((reader_name, reader), (route_name, route)) in sections:
-        if reader(texts) != route(texts):
-            print(f"error: {reader_name} and {route_name} differ", file=sys.stderr)
-            return 1
-        total = best_sums((reader, route), texts, args.runs)
+                 (("_read", read_expr), ("_nameless(parse_expr)", tree_route))),
+                (f"certify seed {args.seed}: the parts of {len(diagrams)} diagram texts",
+                 read_open(diagrams), (("_close", close),)))
+    for title, texts, routes in sections:
+        (reader_name, reader), *others = routes
+        for name, route in others:
+            if reader(texts) != route(texts):
+                print(f"error: {reader_name} and {name} differ", file=sys.stderr)
+                return 1
+        total = best_sums([route for _, route in routes], texts, args.runs)
         print(f"{title}, {args.runs} rounds of chunks of {CHUNK}, sum of each chunk's best")
-        print(f"{reader_name:<25}{total[reader] * 1e3:7.2f} ms")
-        print(f"{route_name:<25}{total[route] * 1e3:7.2f} ms")
-        print(f"ratio {total[reader] / total[route]:.3f}")
+        for name, route in routes:
+            print(f"{name:<25}{total[route] * 1e3:7.2f} ms")
+        for _, route in others:
+            print(f"ratio {total[reader] / total[route]:.3f}")
     return 0
 
 
