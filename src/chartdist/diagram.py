@@ -439,9 +439,9 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
     epsilon edge: every output _plug wires) reaches what its edge does, so
     union-find with path compression resolves it to the first node of its
     chain that is no alias, or to a node of the cycle that the chain ends
-    in, which reaches nothing; walks visit no other alias, and each chain
-    is followed once.
-    """
+    in, which reaches nothing.  Walks visit no other alias, each chain is
+    followed once, and each root's closure is walked once, for the first
+    state that resolves to it."""
     variable = {x: j for j, x in enumerate(outputs, start=1)}
     root = {}  # node -> the node it resolves to
     number, order = {}, []
@@ -469,12 +469,15 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
         return n
 
     entry_states = tuple(state(x) for x in entries)
+    closure = {}  # root with epsilon edges -> the steps and variables its walk meets
     succ, outs = [], []
     for x in order:  # grows while it is walked
         r = root[x] if x in root else find(x)
         if not eps[r]:  # most roots: the walk would meet r alone
             steps = set(moves[r])
             variables = (variable[r],) if r in variable else ()
+        elif r in closure:
+            steps, variables = closure[r]
         else:
             seen, todo = {r}, [r]
             steps, variables = set(), set()
@@ -488,6 +491,7 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
                     if z not in seen:
                         seen.add(z)
                         todo.append(z)
+            closure[r] = steps, variables
         succ.append([(a, state(y)) for a, y in sorted(steps)])
         outs.append(frozenset(variables))
     return succ, outs, entry_states

@@ -22,26 +22,29 @@ Expansion runs on nameless nodes (de Bruijn, Indag. Math. 1972; the
 locally nameless form of Charguéraud, JAR 2012) interned in a table that
 lives for one call: a bound variable is an index, a free one keeps its
 name, since free variables are the outputs, and alpha-equivalent
-derivatives are one node.  A state is a locally closed node; unfolding
-a mu substitutes closed nodes for loose indices, so no binder is renamed
-and nothing is shifted.  A state's text is printed only where it is
-named: the canonical text of its named view, whose binder at depth k is
+derivatives are one node.  A state is a locally closed node, and a mu
+is unfolded where the one-step walk meets it: the mu, locally closed,
+takes the place of the index it binds, so no binder is renamed and
+nothing is shifted.  A state's text is printed only where it is named:
+the canonical text of its named view, whose binder at depth k is
 v(B+k+1), B its largest free variable.
 
-One reader, _shift_reduce, holds the grammar, and reduces each construct
-by one of five builders.  parse_expr builds Expr nodes with it; _read
-interns nameless nodes in a table as it reduces, so a query reads its
-texts straight into the nodes that expansion uses and builds no Expr.
+One reader, _shift_reduce, holds the grammar, reads the tokens of one
+pattern and reduces each construct by one of five builders.  parse_expr
+builds Expr nodes with it; _read interns nameless nodes in a table as it
+reduces, so a query reads its texts straight into the nodes that
+expansion uses and builds no Expr.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTERS, MAX_STATES, Chart, ExpansionBudgetError, _digits, _Joint, _Record, _set,
-    _valid_letter, _var_index,
+    _LETTER_SET, MAX_STATES, Chart, ExpansionBudgetError, _Joint, _Record, _set, _valid_letter,
+    _var_index,
 )
 
 __all__ = [
@@ -526,13 +529,12 @@ def _text(v: int, memo: dict, keys: list) -> str:
     return memo[v]
 
 
-def _open(table, n: int, env: tuple) -> int:
-    """n with each loose index, i under d mus of n, replaced by env[i - d].
-    The nodes of env are locally closed, so nothing is shifted or renamed,
-    and a subterm whose indices stay below its depth is kept as it is."""
+def _open(table, n: int, mu: int) -> int:
+    """n, the body of the locally closed mu, with mu in place of the index
+    that mu binds, i under i mus of n: the unfolding of mu.  mu is locally
+    closed, so nothing is shifted or renamed, and a subterm whose indices
+    stay below its depth is kept as it is."""
     keys, loose = table.keys, table.loose
-    if not loose[n]:
-        return n
     done = {}  # (node, depth) -> its opened node
     out = []
     todo = [(n, 0)]  # a node and the mus of n above it; ~node builds it
@@ -564,31 +566,34 @@ def _open(table, n: int, env: tuple) -> int:
             todo += ((~m, d), (key[2], d))
         elif kind == _MU:
             todo += ((~m, d), (key[1], d + 1))
-        else:  # a bound index past the mus of n
-            out.append(env[key[1] - d])
+        else:  # the index d, which mu binds
+            out.append(mu)
     return out[0]
 
 
 def _moves(table, n: int):
     """The transitions (letter, node) of the locally closed node n, as the
     keys of a dict in the order the walk finds them, and its outputs, as
-    a set.  Node ids are deterministic, so that order is too.  Each mu is
-    unfolded by the closing substitution carried down the stack: the
-    tuple of the closed enclosing mus, innermost first, which the target
-    of a prefix is opened with."""
+    a set.  Node ids are deterministic, so that order is too.  Every node
+    the walk meets is locally closed: a mu is unfolded by _open where the
+    walk meets it, and the target of a prefix is taken as it is.  A mu
+    met again adds no move that its first unfolding does not, so each is
+    unfolded once, and a variable of its own that no prefix guards, as v1
+    in mu v1.(v1+v2), adds nothing."""
     keys = table.keys
-    trans, outs = {}, set()
-    todo = [(n, ())]
+    trans, outs, unfolded = {}, set(), set()
+    todo = [n]
     while todo:
-        m, env = todo.pop()
+        m = todo.pop()
         key = keys[m]
         kind = key[0]
         if kind == _SUM:
-            todo += ((key[2], env), (key[1], env))
-        elif kind == _MU:
-            todo.append((key[1], (_open(table, m, env), *env)))
+            todo += (key[2], key[1])
+        elif kind == _MU and m not in unfolded:
+            unfolded.add(m)
+            todo.append(_open(table, key[1], m))
         elif kind == _PREFIX:
-            trans[key[1], _open(table, key[2], env)] = None
+            trans[key[1], key[2]] = None
         elif kind == _FREE:
             outs.add(key[1])
     return trans, outs
@@ -707,81 +712,74 @@ def _open_mu(e: Expr) -> bool:
             return False
 
 
+# a token is the keyword mu where no '.' follows it, a variable or any
+# other character but a blank; findall skips the blanks between tokens
+_TOKEN = re.compile(r"mu(?!\.)|v[0-9]+|\S")
+
+
 def _shift_reduce(text, alphabet, zero, var, prefix, add, mu):
-    """The one reader of the grammar that parse_expr states.  Each
-    construct is reduced, once its subterms are read, by its builder: zero(), var(index, i), prefix(letter, body), add(left, right)
-    or mu(binder, body).  i is the de Bruijn index of the variable, the
-    number of mus between it and the innermost mu that binds its name, or
-    -1 when it is free.  The constructs still waiting for a subterm are
-    kept on an explicit stack, so nothing recurses."""
-    n = len(text)
-    pos = 0
+    """The one reader of the grammar that parse_expr states, over the
+    tokens of _TOKEN.  Each construct is reduced, once its subterms are
+    read, by its builder: zero(), var(index, i), prefix(letter, body),
+    add(left, right) or mu(binder, body).  i is the de Bruijn index of the
+    variable, the number of mus between it and the innermost mu that
+    binds its name, or -1 when it is free.  The constructs still waiting
+    for a subterm are kept on an explicit stack, so nothing recurses.  A
+    token's position in text is worked out only for an error."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end
 
-    def error(message, at):
-        raise ExprSyntaxError(message, at)
+    def error(message, i):
+        starts = [m.start() for m in _TOKEN.finditer(text)]
+        raise ExprSyntaxError(message, (starts + [len(text)])[i])
 
-    def skip_ws(pos):
-        while pos < n and text[pos].isspace():
-            pos += 1
-        return pos
-
-    def expect(ch, pos):
-        if pos >= n or text[pos] != ch:
-            error(f"expected {ch!r}", pos)
-        return pos + 1
-
-    def var_token(pos):
-        pos = skip_ws(pos)
-        if pos >= n or text[pos] != "v":
-            error("expected a variable", pos)
-        end = pos + 1
-        while end < n and _digits(text[end]):
-            end += 1
-        index = _var_index(text[pos:end])
+    def variable(i):  # the index of the variable at token i
+        index = _var_index(tokens[i])
         if index is None:
-            error("malformed variable token", pos)
-        return index, end
+            error("malformed variable token" if tokens[i][:1] == "v" else "expected a variable", i)
+        return index
 
-    # scope: binder name -> the depth of the innermost open mu of that name;
-    # depth: the number of open mus
+    i = 0
+    # scope: binder name -> the depth of the innermost open mu of that name,
+    # or None; depth: the number of open mus
     scope, depth = {}, 0
     # frames: ("sum", summands so far or None), ("prefix", letter),
     # ("mu", (binder, its scope entry outside this mu)), ("paren", None)
     frames = [("sum", None)]
     while True:
-        pos = skip_ws(pos)
-        if pos >= n:
-            error("unexpected end of input", pos)
-        ch = text[pos]
-        if text.startswith("mu", pos) and (pos + 2 == n or text[pos + 2] != "."):
-            binder, pos = var_token(pos + 2)
-            pos = expect(".", skip_ws(pos))
+        token = tokens[i]
+        if token == "mu":
+            binder = variable(i + 1)
+            if tokens[i + 2] != ".":
+                error("expected '.'", i + 2)
+            i += 3
             frames += (("mu", (binder, scope.get(binder))), ("sum", None))
             scope[binder] = depth
             depth += 1
             continue
-        if ch == "(":
-            pos += 1
+        if token == "(":
+            i += 1
             frames += (("paren", None), ("sum", None))
             continue
-        if ch == "0":
-            pos += 1
+        if token == "0":
             term = zero()
-        elif ch == "v":
-            if pos + 1 < n and _digits(text[pos + 1]):
-                index, pos = var_token(pos)
-                d = scope.get(index)
-                term = var(index, -1 if d is None else depth - 1 - d)
-            else:
-                error("reserved letter 'v'", pos)
-        elif ch in _LETTERS:
-            if alphabet is not None and ch not in alphabet:
-                error(f"undeclared letter {ch!r}", pos)
-            pos = expect(".", skip_ws(pos + 1))
-            frames.append(("prefix", ch))
+        elif token == "v":
+            error("reserved letter 'v'", i)
+        elif token[:1] == "v":
+            index = variable(i)
+            d = scope.get(index)
+            term = var(index, -1 if d is None else depth - 1 - d)
+        elif token in _LETTER_SET:
+            if alphabet is not None and token not in alphabet:
+                error(f"undeclared letter {token!r}", i)
+            if tokens[i + 1] != ".":
+                error("expected '.'", i + 1)
+            i += 2
+            frames.append(("prefix", token))
             continue
         else:
-            error(f"unexpected character {ch!r}", pos)
+            error(f"unexpected character {token!r}" if token else "unexpected end of input", i)
+        i += 1
         # a term is complete: wrap it in the frames it completes
         while True:
             kind, value = frames.pop()
@@ -789,26 +787,24 @@ def _shift_reduce(text, alphabet, zero, var, prefix, add, mu):
                 term = prefix(value, term)
                 continue
             term = term if value is None else add(value, term)
-            pos = skip_ws(pos)
-            if pos < n and text[pos] == "+":
-                pos += 1
+            if tokens[i] == "+":
+                i += 1
                 frames.append(("sum", term))
                 break
             if not frames:
-                if pos != n:
-                    error("trailing input", pos)
+                if tokens[i]:
+                    error("trailing input", i)
                 return term
             kind, value = frames.pop()
             if kind == "mu":
                 binder, outer = value
                 term = mu(binder, term)
                 depth -= 1
-                if outer is None:
-                    del scope[binder]
-                else:
-                    scope[binder] = outer
+                scope[binder] = outer
+            elif tokens[i] != ")":
+                error("expected ')'", i)
             else:
-                pos = expect(")", pos)
+                i += 1
 
 
 def parse_expr(text: str, alphabet=None) -> Expr:

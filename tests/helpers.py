@@ -921,6 +921,21 @@ def fan_in_text(n, k):
     return text + " ; id(>)" * k + " ; act(b)"
 
 
+def nest_text(n):
+    """mu v1.mu v2. ... mu vn.a.(v1+vn+0): n distinct binders, of which the
+    one prefix names the outermost and the innermost."""
+    return "".join(f"mu v{i}." for i in range(1, n + 1)) + f"a.(v1+v{n}+0)"
+
+
+def copy_tree_text(n):
+    """n act(a) merged into one wire, then n times ; copy ; id(>) * del,
+    then ; act(b): n states that reach one n-deep chain of copy nodes."""
+    text = "act(a)"
+    for _ in range(n - 1):
+        text = f"({text}) * act(a) ; merge"
+    return text + " ; copy ; id(>) * del" * n + " ; act(b)"
+
+
 def ref_zip_merge(n):
     """zip_merge by its recursive definition."""
     if n <= 1:

@@ -33,8 +33,9 @@ from chartdist.cli import (
 )
 from chartdist.metric import level_distance
 from helpers import (
-    brute_distance, brute_related_pairs, corpus_rows, cycle_text, fan_in_text, flip_one_act,
-    perturb_expr, python, rand_chart, rand_expr, rand_forward, wide_tensor_text,
+    brute_distance, brute_related_pairs, copy_tree_text, corpus_rows, cycle_text, fan_in_text,
+    flip_one_act, nest_text, perturb_expr, python, rand_chart, rand_expr, rand_forward,
+    wide_tensor_text,
 )
 
 FIG_LEFT = "a.(a.0 + b.mu v1.a.v1)+b.mu v1.a.v1"
@@ -906,11 +907,14 @@ def test_long_diagram_chain_answers(capsys):
 
 
 def test_wide_tensor_and_fan_in_answer(capsys):
-    """The shapes once superlinear in the diagram front end: a 4,000-wide
-    tensor, and 2,000 act(a) merged into a 2,000-long epsilon tail."""
-    for text in (wide_tensor_text(4000), fan_in_text(2000, 2000)):
+    """The shapes once superlinear in a front end: a 4,000-wide tensor,
+    2,000 act(a) merged into a 2,000-long epsilon tail or into 2,000
+    copy nodes, and 2,000 nested mus of distinct binders."""
+    for text in (wide_tensor_text(4000), fan_in_text(2000, 2000), copy_tree_text(2000)):
         assert run(capsys, "dist", "--format", "diag", text, text) == \
             (EXIT_OK, "0 (bisimilar)\n", "")
+    assert run(capsys, "dist", nest_text(2000), "mu v1.a.v1") == \
+        (EXIT_OK, "0 (bisimilar)\n", "")
 
 
 def test_diagram_over_budget_exits_5(capsys):

@@ -24,9 +24,9 @@ from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
 from chartdist.chart import MAX_STATES
 from chartdist.diagram import _close, _open_parts, _read_open
 from helpers import (
-    brute_close, corpus_diagrams, fan_in_text, malformed_diagrams, mistype_one_seq, rand_expr,
-    rand_forward, ref_from_expression, ref_open_chart, ref_parse_term, ref_zip_merge, transpose,
-    wide_tensor_text,
+    brute_close, copy_tree_text, corpus_diagrams, fan_in_text, malformed_diagrams,
+    mistype_one_seq, rand_expr, rand_forward, ref_from_expression, ref_open_chart,
+    ref_parse_term, ref_zip_merge, transpose, wide_tensor_text,
 )
 
 words = st.text(alphabet=("<", ">"), max_size=3)
@@ -267,9 +267,9 @@ class CountingList(list):
 def test_wide_tensors_and_fan_in_grow_linearly():
     """Counted, not timed: doubling the factors of a wide tensor at most
     2.3-folds the ports '*' copies or joins (copying both sides at every
-    '*' 4-folds them), and doubling the fan-in and its epsilon tail at most
-    2.3-folds the node visits of _close (walking each state's closure from
-    scratch 4-folds them)."""
+    '*' 4-folds them), and doubling the fan-in and its epsilon tail, or the
+    fan-in and its chain of copy nodes, at most 2.3-folds the node visits
+    of _close (walking each state's closure from scratch 4-folds them)."""
     ports = []
     with pytest.MonkeyPatch.context() as patch:
         beside_all = chartdist.diagram._beside_all
@@ -283,15 +283,17 @@ def test_wide_tensors_and_fan_in_grow_linearly():
             ports.append(0)
             assert _read_open(wide_tensor_text(n))[0] == (">" * n, ">" * n)
     visits = []
-    for n in (125, 250, 500, 1000, 2000):
-        _, (moves, eps, entries, outputs) = _read_open(fan_in_text(n, n))
-        counted = CountingList(moves), CountingList(eps)
-        succ, _, _ = _close(*counted, entries, outputs, MAX_STATES)
-        visits.append(counted[0].count + counted[1].count)
-        assert len(succ) == 2 * n + 1  # n entries, n a-targets and the b-target
-        if n == 125:
-            assert brute_close(moves, eps, entries, outputs, MAX_STATES)[0] == succ
-    for counts in (ports, visits):
+    for shape in (lambda n: fan_in_text(n, n), copy_tree_text):
+        visits.append([])
+        for n in (125, 250, 500, 1000, 2000):
+            _, (moves, eps, entries, outputs) = _read_open(shape(n))
+            counted = CountingList(moves), CountingList(eps)
+            succ, _, _ = _close(*counted, entries, outputs, MAX_STATES)
+            visits[-1].append(counted[0].count + counted[1].count)
+            assert len(succ) == 2 * n + 1  # n entries, n a-targets and the b-target
+            if n == 125:
+                assert brute_close(moves, eps, entries, outputs, MAX_STATES)[0] == succ
+    for counts in (ports, *visits):
         assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 

@@ -20,8 +20,8 @@ from chartdist import (
 )
 from chartdist.cli import EXIT_BUDGET, EXIT_OK, main
 from helpers import (
-    exprs, malformed_expressions, python, rand_expr, ref_alpha_normal, ref_expand, ref_format,
-    ref_parse, ref_step, ref_subst,
+    exprs, malformed_expressions, nest_text, python, rand_expr, ref_alpha_normal, ref_expand,
+    ref_format, ref_parse, ref_step, ref_subst,
 )
 
 
@@ -81,6 +81,56 @@ def test_expression_errors_are_pinned(row, capsys):
     flags = [] if alphabet is None else ["--alphabet", alphabet]
     assert main(["dist", *flags, row["text"], "0"]) == row["code"]
     assert capsys.readouterr() == ("", row["stderr"])
+
+
+# text, then what parse_expr gives without an alphabet (the printed
+# expression or the error) and, where it differs, under alphabet {a}
+TOKEN_BOUNDARIES = [
+    ("mu.0", "expected '.' (at position 1)", "undeclared letter 'm' (at position 0)"),
+    ("mumu v1.0", "expected a variable (at position 2)"),
+    ("mu", "expected a variable (at position 2)"),
+    ("mu v", "malformed variable token (at position 3)"),
+    ("mu v0.0", "malformed variable token (at position 3)"),
+    ("mu v1 ", "expected '.' (at position 6)"),
+    ("mu v1 . v1", "mu v1.v1"),
+    ("muv1.v1", "mu v1.v1"),
+    ("v 1", "reserved letter 'v' (at position 0)"),
+    ("v\u00b2", "reserved letter 'v' (at position 0)"),
+    ("mu v\u00b21.0", "malformed variable token (at position 3)"),
+    ("a .0", "a.0"),
+    ("a.0v1", "trailing input (at position 3)"),
+    ("0 0", "trailing input (at position 2)"),
+    ("(a.0", "expected ')' (at position 4)"),
+    ("(0 0)", "expected ')' (at position 3)"),
+    ("a.0 +", "unexpected end of input (at position 5)"),
+    ("b.0", "b.0", "undeclared letter 'b' (at position 0)"),
+    ("v" + "1" * 5000, "malformed variable token (at position 0)"),
+    ("\u2003a.\u20030\u2003", "a.0"),
+    ("\x1ca\x1c.0\x1c", "a.0"),
+    ("mu\u2003v1\x1c.v1", "mu v1.v1"),
+    ("a\u2003b.0", "expected '.' (at position 2)"),
+    ("\u2003", "unexpected end of input (at position 1)"),
+    ("\x1c", "unexpected end of input (at position 1)"),
+]
+
+
+@pytest.mark.parametrize("row", TOKEN_BOUNDARIES, ids=lambda row: repr(row[0][:12]))
+def test_token_boundaries_read_as_pinned(row):
+    """Where a token starts and ends: the keyword mu, a variable and the
+    blanks between tokens, each text read by parse_expr and by _read, with
+    and without an alphabet, gives the pinned expression or error."""
+    def read(text, alphabet):  # the named view of the node _read gives
+        table = expr_module._Table()
+        return expr_module._named(table, expr_module._read(text, table, alphabet))
+
+    text, *wants = row
+    for alphabet, want in zip((None, {"a"}), wants + wants[-1:]):
+        for route in (parse_expr, read):
+            try:
+                got = format_expr(route(text, alphabet))
+            except ExprSyntaxError as e:
+                got = str(e)
+            assert got == want, (route, alphabet)
 
 
 def test_parse_alphabet_restriction():
@@ -312,6 +362,42 @@ def test_nameless_nodes_grow_quadratically_in_nesting(monkeypatch):
         assert len(joint.succ) == k + 1
         counts.append(len(interned))
     assert all(b <= 4.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_each_mu_is_unfolded_where_the_walk_meets_it():
+    """_moves unfolds a mu once per walk, so a variable of its own that no
+    prefix guards adds nothing; the charts match the reference core, which
+    unfolds by named substitution."""
+    def moves(text):
+        table = expr_module._Table()
+        trans, outs = expr_module._moves(table, expr_module._read(text, table))
+        return list(trans), outs
+    assert moves("mu v1.v1") == ([], set())
+    assert moves("mu v1.(v1+v2)") == ([], {2})
+    for text in ("mu v1.v1", "mu v1.(v1+v2)", "mu v1.mu v2.(v1+v2+a.0)",
+                 "mu v1.((mu v1.a.v1)+b.v1)"):
+        assert_same_chart(expand(parse_expr(text)), ref_expand(text))
+
+
+def test_nests_of_distinct_binders_expand_linearly(monkeypatch):
+    """Counted, not timed: doubling the binders of nest_text at most
+    2.3-folds the _node calls of one _joint against mu v1.a.v1 (closing
+    every enclosing mu as the walk descends 4-folds them)."""
+    counts = []
+    original = expr_module._node
+
+    def counted(table, key):
+        counts[-1] += 1
+        return original(table, key)
+    for n in (125, 250, 500, 1000, 2000):
+        table = expr_module._Table()
+        roots = [expr_module._read(text, table) for text in (nest_text(n), "mu v1.a.v1")]
+        counts.append(0)
+        monkeypatch.setattr(expr_module, "_node", counted)
+        joint = expr_module._joint(table, roots)
+        monkeypatch.setattr(expr_module, "_node", original)
+        assert [len(row) for row in joint.succ] == [1] * len(joint.succ)
+    assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # --- the one-pass reader ------------------------------------------------

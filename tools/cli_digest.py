@@ -45,6 +45,16 @@ A third line goes on, with the same count and digest, to the rows of
 ``0``, and on both sides, beside the next row on the right, whose error
 the left one's must win over; and ``compile`` of the row.
 
+A fourth line goes on, with the same count and digest, to the input
+shapes that were once superlinear in a front end (``row_n_pairs``): a nest
+of n distinct binders, ``mu v1.….mu vn.a.(v1+vn+0)``, for n in 25, 50,
+100 and 200; n ``act(a)`` merged into one wire, then n times ``; copy ;
+id(>) * del`` or n times ``; id(>)``, then ``; act(b)``, for n in 10, 25
+and 50; and a tensor of n ``act(a)``, for n in 50 and 200.  Each shape
+is paired at distance 0 and at a nonzero distance: ``dist --table``,
+``bisim``, ``strat``, ``derive`` and ``check`` of the derived certificate
+on each pair, and ``compile`` of each text.
+
 Run it from anywhere: it imports the program from the ``src/`` and the
 workloads from the ``perfbench/`` beside it, reads the chart, diagram,
 expression and certificate texts from the ``corpus/`` beside it, and
@@ -293,6 +303,42 @@ def malformed_expression_calls():
             yield [command, *flags, *inputs]
 
 
+def row_n_pairs():
+    """(--format, left, right) of each shape of the fourth line at distance
+    0 and at a nonzero distance, the texts spelled as tests/helpers.py
+    spells them: nest_text, copy_tree_text, fan_in_text and
+    wide_tensor_text."""
+    for n in (25, 50, 100, 200):
+        nest = "".join(f"mu v{i}." for i in range(1, n + 1)) + f"a.(v1+v{n}+0)"
+        yield "expr", nest, "mu v1.a.v1"
+        yield "expr", nest, "mu v1.a.b.v1"
+    texts = []
+    for n in (10, 25, 50):
+        merged = "act(a)"
+        for _ in range(n - 1):
+            merged = f"({merged}) * act(a) ; merge"
+        texts += [merged + " ; copy ; id(>) * del" * n + " ; act(b)",
+                  merged + " ; id(>)" * n + " ; act(b)"]
+    texts += [" * ".join(["act(a)"] * n) for n in (50, 200)]
+    for text in texts:  # the last act(b) or act(a) turned into act(c)
+        yield "diag", text, text
+        yield "diag", text, text[:-2] + "c)"
+
+
+def row_n_calls():
+    """(argv, outcome) of dist --table, bisim, strat, derive and check of
+    the derived certificate on the row_n_pairs, and of compile of each of
+    their texts."""
+    pairs = list(row_n_pairs())
+    for fmt, left, right in pairs:
+        argv = ["dist", "--table", "--format", fmt, left, right]
+        yield argv, call(argv)
+    yield from derived_calls(("bisim", "strat", "derive"), pairs)
+    for fmt, text in dict.fromkeys((fmt, text) for fmt, *texts in pairs for text in texts):
+        argv = ["compile", "--format", fmt, text]
+        yield argv, call(argv)
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -335,6 +381,10 @@ def main(argv=None):
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     for args in malformed_expression_calls():
         digest.update(repr((args, call(args))).encode())
+        calls += 1
+    print(f"{calls} calls, sha256 {digest.hexdigest()}")
+    for args, outcome in row_n_calls():
+        digest.update(repr((args, outcome)).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     return 0
