@@ -37,7 +37,6 @@ from fractions import Fraction
 
 from .bisim import _refine_pair, joint_pair, joint_prechart
 from .chart import MAX_STATES, _digits, _ratio, _Record, _set, _valid_letter, _var_index
-from .metric import FZERO, ONE, level_distance, lift_edge
 
 __all__ = [
     "CTop", "CBisim", "CWeaken", "CCoupling", "CDecomp",
@@ -45,6 +44,9 @@ __all__ = [
     "parse_cert", "format_cert", "check", "synthesize", "joint_prechart",
     "joint_pair",
 ]
+
+ONE = Fraction(1)
+FZERO = Fraction(0)
 
 
 class CertificateError(Exception):
@@ -367,13 +369,17 @@ def _premises(node, pair, path, joint, refinement):
     todo, worst = [], FZERO
     for i, (m1, m2, child) in enumerate(node.pairs, start=1):
         where = f"{path}.move[{i}]"
-        if child is not None and _needs_child(m1, m2):
-            todo.append((child, (mx[m1][2], my[m2][2]), where))
-        elif child is not None:
-            todo.append(CertificateError(f"{'equal' if m1 == m2 else 'mismatched'} moves "
-                                         "do not take a sub-certificate", where))
-        bound = ONE if child is None else child.bound
-        worst = max(worst, lift_edge(lambda x, y: bound, m1, m2))
+        # equal moves cost 0, one letter half the child's bound (1 if none), else 1
+        if _needs_child(m1, m2):
+            if child is not None:
+                todo.append((child, (mx[m1][2], my[m2][2]), where))
+            cost = (ONE if child is None else child.bound) / 2
+        else:
+            if child is not None:
+                todo.append(CertificateError(f"{'equal' if m1 == m2 else 'mismatched'} moves "
+                                             "do not take a sub-certificate", where))
+            cost = FZERO if m1 == m2 else ONE
+        worst = max(worst, cost)
     if node.eps < worst:
         todo.append(CertificateError(
             f"coupling bound {_ratio(node.eps)} below required {_ratio(worst)}", path))
@@ -479,6 +485,13 @@ class _Synthesizer:
 def _needs_child(m1, m2):
     """Two different actions with one letter: their targets need a certificate."""
     return m1 != m2 and m1[0] == "act" == m2[0] and m1[1] == m2[1]
+
+
+def level_distance(level) -> Fraction:
+    """The distance 2^-level of a stratification level; 0 for math.inf."""
+    if level == math.inf:
+        return FZERO
+    return Fraction(1, 2 ** level)
 
 
 def synthesize(f, g, eps=None, max_states=MAX_STATES):

@@ -909,48 +909,51 @@ def _feedback(u, k, l):
 
 
 def from_expression(e, n=None) -> Term:
-    """Compile an expression into a diagram with one input and n outputs.
+    """Compile an expression, or its text, into a diagram with one input
+    and n outputs.
 
     Output wire i stands for variable vi; the interpretation's single
-    payload row is behaviourally equivalent to e itself.
+    payload row is behaviourally equivalent to e itself.  The walk runs
+    on e's nameless node: each mu routes its variable through one more
+    wire, so at width n under d binders free vj is wire j and bound
+    index i is wire n + d - i, and no binder is renamed.
     """
     # loaded on call, so that a diagram query loads no expression module
-    from .expr import ZERO, Mu, Prefix, Sum, Var, alpha_normal, free_vars, parse_expr, substitute
+    from .expr import _BOUND, _MU, _PREFIX, _SUM, _ZERO, _nameless, _read, _Table
 
-    if isinstance(e, str):
-        e = parse_expr(e)
-    fv = free_vars(e)
-    least = max(fv) if fv else 0
+    table = _Table()
+    root = _read(e, table) if isinstance(e, str) else _nameless(table, e)
+    least = table.high[root]
     if n is None:
         n = least
     if n < least:
         raise ValueError(f"expression uses v{least}, cannot compile at width {n}")
+    keys = table.keys
     done = []  # compiled terms, innermost last
-    # an expression at a width, or a build from the last done terms
-    todo = [(alpha_normal(e), n)]
+    # a node at a width, or a build from the last done terms
+    todo = [(root, n)]
     while todo:
-        e, n = todo.pop()
-        if callable(e):  # n is how many done terms it takes
+        m, n = todo.pop()
+        if callable(m):  # n is how many done terms it takes
             parts = done[-n:]
             del done[-n:]
-            done.append(e(*parts))
-        elif isinstance(e, Var):
-            i = e.index
-            done.append(_tensor_fold([Gen()] * (i - 1) + [Id(">")] + [Gen()] * (n - i)))
-        elif e == ZERO:
+            done.append(m(*parts))
+            continue
+        key = keys[m]
+        kind = key[0]
+        if kind == _ZERO:
             done.append(Del() if n == 0 else Seq(Del(), _tensor_fold([Gen()] * n)))
-        elif isinstance(e, Prefix):
-            todo += [(lambda body, a=Act(e.letter): Seq(a, body), 1), (e.body, n)]
-        elif isinstance(e, Sum):
+        elif kind == _PREFIX:
+            todo += [(lambda body, a=Act(key[1]): Seq(a, body), 1), (key[2], n)]
+        elif kind == _SUM:
             todo += [(lambda l, r, z=zip_merge(n): _seq_fold([Copy(), Tensor(l, r), z]), 2),
-                     (e.right, n), (e.left, n)]
-        elif isinstance(e, Mu):
-            # route the binder through wire n+1 and close it with feedback
-            body = e.body if e.binder == n + 1 else \
-                substitute(e.body, [(e.binder, Var(n + 1))])
-            todo += [(lambda u, w=n + 1: _feedback(Seq(Merge(), u), 2, w), 1), (body, n + 1)]
-        else:
-            raise TypeError(f"not an expression: {e!r}")
+                     (key[2], n), (key[1], n)]
+        elif kind == _MU:
+            # route the bound variable through wire n+1 and close it with feedback
+            todo += [(lambda u, w=n + 1: _feedback(Seq(Merge(), u), 2, w), 1), (key[1], n + 1)]
+        else:  # a variable: free vj is wire j, bound index i is wire n - i
+            i = n - key[1] if kind == _BOUND else key[1]
+            done.append(_tensor_fold([Gen()] * (i - 1) + [Id(">")] + [Gen()] * (n - i)))
     return done[0]
 
 

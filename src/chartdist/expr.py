@@ -2,8 +2,7 @@
 
 Five constructors: 0 (empty behaviour), variables vN, action prefix
 a.e, sum e+f, and recursion mu vN.e.  The module provides parsing and
-printing, capture-avoiding simultaneous substitution, the one-step
-semantics (action derivatives plus output variables), and expansion of
+printing, capture-avoiding simultaneous substitution, and expansion of
 expressions into their reachable derivatives: numbered, for the joint
 that the queries refine, or as a chart named by canonical text.
 
@@ -43,15 +42,14 @@ from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTER_SET, MAX_STATES, Chart, ExpansionBudgetError, _Joint, _Record, _set, _valid_letter,
+    _LETTER_SET, MAX_STATES, Chart, ExpansionBudgetError, _Joint, _set, _valid_letter,
     _var_index,
 )
 
 __all__ = [
     "Expr", "Zero", "Var", "Prefix", "Sum", "Mu", "ZERO",
-    "StepResult", "ExprSyntaxError", "ExpansionBudgetError",
-    "free_vars", "alpha_normal", "alpha_equivalent", "substitute",
-    "step", "expand", "parse_expr", "format_expr",
+    "ExprSyntaxError", "ExpansionBudgetError",
+    "free_vars", "substitute", "expand", "parse_expr", "format_expr",
 ]
 
 
@@ -204,23 +202,6 @@ def free_vars(e: Expr) -> frozenset:
         raise TypeError(f"not an expression: {e!r}") from None
 
 
-def alpha_normal(e: Expr) -> Expr:
-    """Canonical renaming of binders.
-
-    The binder at nesting depth k becomes v(B+k+1) where B is the
-    largest free variable index.  Alpha-equivalent expressions map to
-    the same node, and the map is idempotent: it is the named view of
-    e's nameless node.
-    """
-    table = _Table()
-    return _named(table, _nameless(table, e))
-
-
-def alpha_equivalent(e1: Expr, e2: Expr) -> bool:
-    table = _Table()
-    return _nameless(table, e1) == _nameless(table, e2)
-
-
 def substitute(e: Expr, bindings) -> Expr:
     """Simultaneous capture-avoiding substitution.
 
@@ -316,50 +297,6 @@ def _subst(e: Expr, smap: dict, memo: dict) -> Expr:
     return out[0]
 
 
-class StepResult(_Record):
-    """One-step semantics: action derivatives and output variables."""
-
-    # transitions holds pairs (letter, Expr), outputs variable indices
-    __slots__ = ("transitions", "outputs")
-
-    def __init__(self, transitions: frozenset, outputs: frozenset):
-        _set(self, "transitions", transitions)
-        _set(self, "outputs", outputs)
-
-
-def step(e: Expr) -> StepResult:
-    """The action derivatives and output variables of e.  A transition
-    found under enclosing binders is unfolded once per binder, innermost
-    first."""
-    trans, outs = set(), set()
-    unfoldings = {}  # Mu -> the map and memo of its unfolding substitution
-    stack = [(e, None)]  # a node and its enclosing Mus, a linked list innermost first
-    while stack:
-        t, mus = stack.pop()
-        cls = type(t)
-        if cls is Sum:
-            stack += ((t.right, mus), (t.left, mus))
-        elif cls is Mu:
-            stack.append((t.body, (t, mus)))
-        elif cls is Prefix:
-            target = t.body
-            while mus is not None:
-                mu, mus = mus
-                unfold = unfoldings.get(mu)
-                if unfold is None:
-                    unfold = unfoldings[mu] = ({mu.binder: mu}, {})
-                target = _subst(target, *unfold)
-            trans.add((t.letter, target))
-        elif cls is Var:
-            while mus is not None and mus[0].binder != t.index:
-                mus = mus[1]
-            if mus is None:
-                outs.add(t.index)
-        elif cls is not Zero:
-            raise TypeError(f"not an expression: {t!r}")
-    return StepResult(frozenset(trans), frozenset(outs))
-
-
 # --- nameless nodes ------------------------------------------------------
 #
 # A nameless node is a key tuple whose first field is its kind and whose
@@ -440,43 +377,6 @@ def _nameless(table, e: Expr) -> int:
                 todo += ((t, None, key), (t.body, {**env, t.binder: d}, d + 1))
         else:
             raise TypeError(f"not an expression: {t!r}")
-    return out[0]
-
-
-def _named(table, n: int) -> Expr:
-    """The named view of the locally closed node n as an Expr: its binder
-    at nesting depth k is v(B+k+1), with B its largest free variable."""
-    keys = table.keys
-    memo = {}  # (node, B plus its depth) -> its view
-    out = []
-    todo = [(n, table.high[n])]  # a node and its offset; ~node builds it
-    while todo:
-        m, o = todo.pop()
-        if m < 0:
-            key = keys[~m]
-            kind = key[0]
-            if kind == _SUM:
-                right = out.pop()
-                r = Sum(out.pop(), right)
-            else:
-                r = Prefix(key[1], out.pop()) if kind == _PREFIX else Mu(o + 1, out.pop())
-            memo[~m, o] = r
-            out.append(r)
-            continue
-        r = memo.get((m, o))
-        if r is not None:
-            out.append(r)
-            continue
-        key = keys[m]
-        kind = key[0]
-        if kind == _SUM:
-            todo += ((~m, o), (key[2], o), (key[1], o))
-        elif kind == _PREFIX:
-            todo += ((~m, o), (key[2], o))
-        elif kind == _MU:
-            todo += ((~m, o), (key[1], o + 1))
-        else:
-            out.append(ZERO if kind == _ZERO else Var(key[1] if kind == _FREE else o - key[1]))
     return out[0]
 
 

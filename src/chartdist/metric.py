@@ -11,7 +11,8 @@ lifting with sup over the empty set 0 and inf over the empty set 1.
 Every value reachable this way is 0 or a power of two 2^-k: the least
 fixpoint is 2^-level, where level is the last round of the stratified
 refinement (``bisim.Refinement``) at which two states share a block,
-and 0 when they never split (``level_distance``).
+and 0 when they never split (``level_distance``, which lives in
+``derive``, so that a certificate query loads no ``metric``).
 
 ``kleene_solve`` is the reference definition, kept for the tests and
 demos: it iterates ``phi`` from the everywhere-1 table.  Bisimilar
@@ -22,11 +23,11 @@ quotient, and pulls the result back.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .bisim import quotient, stratified_level
 from .chart import MAX_STATES, Prechart, _Record, state_key
+from .derive import FZERO, ONE, level_distance
 
 __all__ = [
     "DistTable", "lift_edge", "hausdorff", "phi",
@@ -36,8 +37,6 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
-FZERO = Fraction(0)
 
 
 class MetricIterationError(RuntimeError):
@@ -234,13 +233,6 @@ def kleene_solve(p: Prechart) -> KleeneResult:
             q2 = full.states[j]
             full.set(q1, q2, d.get(class_of[q1], class_of[q2]))
     return KleeneResult(full, qp, class_of, quotient_tables, stable)
-
-
-def level_distance(level) -> Fraction:
-    """The distance 2^-level of a stratification level; 0 for math.inf."""
-    if level == math.inf:
-        return FZERO
-    return Fraction(1, 2 ** level)
 
 
 def bd_stratified(f, g, max_states=MAX_STATES) -> Fraction:

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, ExpansionBudgetError, Gen, Id, Merge, Mu,
-    OpenChart, Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, alpha_normal,
-    disjoint_union, expand, from_expression, loop1, parse_term, reachable, substitute, typecheck,
+    OpenChart, Prechart, Prefix, Refinement, Seq, Sum, Sym, Tensor, Var, Zero, disjoint_union,
+    expand, format_expr, from_expression, loop1, parse_term, reachable, substitute, typecheck,
 )
 from chartdist.chart import (
     _LETTER_SET, _LETTERS, ChartFormatError, _valid_letter, _var_index, state_key,
@@ -945,22 +945,24 @@ def ref_zip_merge(n):
 
 
 def ref_from_expression(e, n):
-    """from_expression by structural recursion on the alpha-normal form
-    (shallow expressions only)."""
-    return _ref_compile(alpha_normal(e), n)
+    """from_expression by structural recursion on the reference core's
+    alpha-normal form of e, an Expr or its text, moving each binder to
+    its wire by named substitution (shallow expressions only)."""
+    text = e if isinstance(e, str) else format_expr(e)
+    return _ref_compile(ref_alpha_normal(ref_parse(text)), n)
 
 
 def _ref_compile(e, n):
-    if isinstance(e, Var):
+    if isinstance(e, RVar):
         return _tensor_fold([Gen()] * (e.index - 1) + [Id(">")] + [Gen()] * (n - e.index))
-    if isinstance(e, Zero):
+    if isinstance(e, RZero):
         return Del() if n == 0 else Seq(Del(), _tensor_fold([Gen()] * n))
-    if isinstance(e, Prefix):
+    if isinstance(e, RPrefix):
         return Seq(Act(e.letter), _ref_compile(e.body, n))
-    if isinstance(e, Sum):
+    if isinstance(e, RSum):
         branches = Tensor(_ref_compile(e.left, n), _ref_compile(e.right, n))
         return Seq(Seq(Copy(), branches), ref_zip_merge(n))
-    body = e.body if e.binder == n + 1 else substitute(e.body, [(e.binder, Var(n + 1))])
+    body = e.body if e.binder == n + 1 else ref_subst(e.body, {e.binder: RVar(n + 1)})
     return loop1(Seq(Merge(), _ref_compile(body, n + 1)))
 
 

@@ -1089,9 +1089,11 @@ LOADS = [
     (["compile", "--format", "diag", _DIAG], _UNUSED + ("chartdist.expr",),
      ("chartdist.diagram",)),
     (["derive", "a.a.0", "a.0"],
-     ("chartdist.diagram", "chartdist.regbeh", "dataclasses", "inspect"), ("chartdist.derive",)),
+     ("chartdist.diagram", "chartdist.metric", "chartdist.regbeh", "dataclasses", "inspect"),
+     ("chartdist.derive",)),
     (["check", "(top)", "--format", "chart", _CHART_L, _CHART_R],
-     ("chartdist.diagram", "chartdist.regbeh", "dataclasses", "inspect"), ("chartdist.derive",)),
+     ("chartdist.diagram", "chartdist.metric", "chartdist.regbeh", "dataclasses", "inspect"),
+     ("chartdist.derive",)),
 ]
 WATCHED = ("chartdist.bisim", "chartdist.chart", "chartdist.derive", "chartdist.diagram",
            "chartdist.expr", "chartdist.metric", "chartdist.regbeh",

@@ -15,7 +15,7 @@ from chartdist import (
     Act, Cap, Chart, Copy, Cup, Del, DiagramSyntaxError, DiagramTypeError,
     ExpansionBudgetError, Gen, Id, Merge, Seq, Sum, Sym, Tensor, Var,
     axiom_catalog, bend, bisimilar, c1_copy_pair, component,
-    diagram_distance, expand, format_term, from_expression, interpret, joint_pair,
+    diagram_distance, expand, format_expr, format_term, from_expression, interpret, joint_pair,
     loop1, open_chart, parse_expr, parse_term, semantic_equal,
     stratified_level, term_to_dot, typecheck, zip_merge,
 )
@@ -24,7 +24,7 @@ from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
 from chartdist.chart import MAX_STATES
 from chartdist.diagram import _close, _open_parts, _read_open
 from helpers import (
-    brute_close, copy_tree_text, corpus_diagrams, fan_in_text, malformed_diagrams,
+    brute_close, copy_tree_text, corpus_diagrams, exprs, fan_in_text, malformed_diagrams,
     mistype_one_seq, rand_expr, rand_forward, ref_from_expression, ref_open_chart,
     ref_parse_term, ref_zip_merge, transpose, wide_tensor_text,
 )
@@ -482,18 +482,33 @@ def free_vars_width(e):
 
 
 def test_from_expression_matches_its_recursive_definition():
+    """from_expression against the reference core's compiler, which
+    alpha-normalises and moves each binder by named substitution: on the
+    corpus and on random expressions, each given as an Expr and as text,
+    at its least width and above it, and on exprs() cases, whose binders
+    may shadow, bind nothing or go unguarded."""
     rng = random.Random(66)
     path = Path(__file__).resolve().parent.parent / "corpus" / "pairs.txt"
-    exprs = [parse_expr(l.split("\t")[0]) for l in path.read_text().splitlines()
+    cases = [parse_expr(l.split("\t")[0]) for l in path.read_text().splitlines()
              if l.strip() and not l.startswith("#")]
-    exprs += [rand_expr(rng, maxvar=rng.randint(0, 3), depth=rng.randint(0, 5))
+    cases += [rand_expr(rng, maxvar=rng.randint(0, 3), depth=rng.randint(0, 5))
               for _ in range(200)]
-    for e in exprs:
+    for e in cases:
         n = free_vars_width(e)
         for width in (n, n + 2):
-            assert from_expression(e, width) == ref_from_expression(e, width), e
+            want = ref_from_expression(e, width)
+            assert from_expression(e, width) == want, e
+            assert from_expression(format_expr(e), width) == want, e
     for n in range(7):
         assert zip_merge(n) == ref_zip_merge(n)
+
+    @given(exprs(max_var=4), st.integers(0, 3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def agrees(e, above, as_text):
+        width = free_vars_width(e) + above
+        got = from_expression(format_expr(e) if as_text else e, width)
+        assert got == ref_from_expression(e, width), (format_expr(e), width)
+    agrees()
 
 
 def test_deep_expressions_compile_without_recursion():

@@ -15,13 +15,12 @@ from hypothesis import given, settings, strategies as st
 import chartdist.expr as expr_module
 from chartdist import (
     ZERO, ExpansionBudgetError, ExprSyntaxError, Mu, Prefix, Sum, Var, Zero,
-    alpha_equivalent, alpha_normal, expand, format_expr, free_vars, joint_prechart,
-    parse_expr, step, substitute,
+    expand, format_expr, free_vars, joint_prechart, parse_expr, substitute,
 )
 from chartdist.cli import EXIT_BUDGET, EXIT_OK, main
 from helpers import (
     exprs, malformed_expressions, nest_text, python, rand_expr, ref_alpha_normal, ref_expand,
-    ref_format, ref_parse, ref_step, ref_subst,
+    ref_format, ref_parse, ref_subst,
 )
 
 
@@ -29,15 +28,6 @@ from helpers import (
 @settings(max_examples=300, deadline=None)
 def test_format_parse_round_trip(e):
     assert parse_expr(format_expr(e)) == e
-
-
-@given(exprs())
-@settings(max_examples=200, deadline=None)
-def test_alpha_normal_is_canonical(e):
-    n = alpha_normal(e)
-    assert alpha_equivalent(e, n)
-    assert alpha_normal(n) == n
-    assert free_vars(n) == free_vars(e)
 
 
 def test_parse_examples():
@@ -117,20 +107,24 @@ TOKEN_BOUNDARIES = [
 @pytest.mark.parametrize("row", TOKEN_BOUNDARIES, ids=lambda row: repr(row[0][:12]))
 def test_token_boundaries_read_as_pinned(row):
     """Where a token starts and ends: the keyword mu, a variable and the
-    blanks between tokens, each text read by parse_expr and by _read, with
-    and without an alphabet, gives the pinned expression or error."""
-    def read(text, alphabet):  # the named view of the node _read gives
-        table = expr_module._Table()
-        return expr_module._named(table, expr_module._read(text, table, alphabet))
-
+    blanks between tokens, each text read by parse_expr, with and without
+    an alphabet, gives the pinned expression or error; _read raises that
+    error, or gives the id that _nameless gives parse_expr's node in one
+    table."""
     text, *wants = row
     for alphabet, want in zip((None, {"a"}), wants + wants[-1:]):
-        for route in (parse_expr, read):
-            try:
-                got = format_expr(route(text, alphabet))
-            except ExprSyntaxError as e:
-                got = str(e)
-            assert got == want, (route, alphabet)
+        try:
+            got = format_expr(parse_expr(text, alphabet))
+        except ExprSyntaxError as e:
+            got = str(e)
+        assert got == want, alphabet
+        table = expr_module._Table()
+        try:
+            node = expr_module._read(text, table, alphabet)
+        except ExprSyntaxError as e:
+            assert str(e) == want, alphabet
+        else:
+            assert node == expr_module._nameless(table, parse_expr(text, alphabet)), alphabet
 
 
 def test_parse_alphabet_restriction():
@@ -164,7 +158,9 @@ def test_substitute_avoids_capture():
     assert isinstance(r, Mu)
     assert r.binder != 1
     assert free_vars(r) == frozenset({1})
-    assert alpha_equivalent(r, Mu(3, Prefix("a", Var(1))))
+    table = expr_module._Table()  # alpha-equivalent nodes are one nameless node
+    assert expr_module._nameless(table, r) == \
+        expr_module._nameless(table, Mu(3, Prefix("a", Var(1))))
 
 
 def test_substitute_skips_bound_occurrences():
@@ -180,28 +176,6 @@ def test_substitute_free_var_bookkeeping(e, v, g):
     if v in free_vars(e):
         expected |= free_vars(g)
     assert free_vars(r) == expected
-
-
-def test_step_prefix_and_sum():
-    res = step(parse_expr("a.v1+v2"))
-    assert res.transitions == frozenset({("a", Var(1))})
-    assert res.outputs == frozenset({2})
-
-
-def test_step_unfolds_mu():
-    e = parse_expr("mu v1.a.v1")
-    res = step(e)
-    ((a, target),) = res.transitions
-    assert a == "a"
-    assert alpha_equivalent(target, e)
-    assert res.outputs == frozenset()
-
-
-def test_step_mu_drops_binder_output():
-    # the bound variable is not observable
-    res = step(parse_expr("mu v1.v1+v2"))
-    assert res.outputs == frozenset({2})
-    assert res.transitions == frozenset()
 
 
 def test_expand_names_states_canonically():
@@ -233,7 +207,7 @@ def test_expand_var_outputs():
 def test_expand_states_are_normal_forms(e):
     c = expand(e)
     for q in c.states:
-        assert format_expr(alpha_normal(parse_expr(q))) == q
+        assert ref_format(ref_alpha_normal(ref_parse(q))) == q
 
 
 # --- differential tests against the reference core in helpers -------------
@@ -252,11 +226,6 @@ def test_expand_matches_reference_core(e):
     text = format_expr(e)
     assert ref_format(ref_parse(text)) == text
     assert_same_chart(expand(e), ref_expand(text))
-    res = step(e)
-    ref_trans, ref_outs = ref_step(ref_parse(text))
-    assert {(a, format_expr(t)) for a, t in res.transitions} == \
-        {(a, ref_format(t)) for a, t in ref_trans}
-    assert res.outputs == ref_outs
 
 
 @given(exprs(), st.integers(1, 3), exprs(), st.integers(1, 3), exprs())
@@ -325,13 +294,6 @@ def test_expand_matches_reference_core_on_families():
         assert starts == [r1.start, r2.start]
         assert (p.states, p.trans, p.outs) == (r1.states | r2.states, r1.trans | r2.trans,
                                                r1.outs | r2.outs)
-
-
-@given(exprs(max_var=4))
-@settings(max_examples=300, deadline=None)
-def test_alpha_normal_matches_reference_core(e):
-    text = format_expr(e)
-    assert format_expr(alpha_normal(e)) == ref_format(ref_alpha_normal(ref_parse(text)))
 
 
 @pytest.mark.parametrize("k", [10, 24])
@@ -539,9 +501,7 @@ def test_nodes_are_interned():
     assert Prefix("a", Var(1)) is Prefix("a", Var(1))
     assert Zero() is ZERO
     e = parse_expr("mu v7.a.mu v9.(b.v7+v9)")
-    n = alpha_normal(e)
-    assert n is not e
-    assert alpha_normal(n) is n
+    assert Mu(7, Prefix("a", Mu(9, Sum(Prefix("b", Var(7)), Var(9))))) is e
     assert copy.deepcopy(e) is e
     assert pickle.loads(pickle.dumps(e)) is e
     with pytest.raises(AttributeError):

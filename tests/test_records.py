@@ -1,5 +1,5 @@
 """The immutable records of the package: Prechart, Chart, the diagram
-leaves, Seq, Tensor, OpenChart, StepResult, KleeneResult, the certificate
+leaves, Seq, Tensor, OpenChart, KleeneResult, the certificate
 nodes and the regbeh morphisms.
 
 Their repr, ==, hash, immutability and validation errors are public.
@@ -19,7 +19,7 @@ from chartdist.diagram import (
     Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
     open_chart, parse_term,
 )
-from chartdist.expr import ZERO, StepResult, Var, parse_expr, step
+from chartdist.expr import ZERO, Var, parse_expr
 from chartdist.metric import KleeneResult, kleene_solve
 from chartdist.regbeh import IntMorphism, RbMorphism, RbTypeError, int_id, rb_id, rb_sym
 
@@ -59,11 +59,6 @@ def records():
                    (1,)),
          "OpenChart(prechart=Prechart(states=frozenset({0, 1}), "
          "trans=frozenset({(0, 'a', 1)}), outs=frozenset()), entries=(0,))", "entries"),
-        (step(parse_expr("a.0 + v1")),
-         StepResult(transitions=frozenset({("a", ZERO)}), outputs=frozenset({1})),
-         StepResult(frozenset({("a", ZERO)}), frozenset()),
-         "StepResult(transitions=frozenset({('a', parse_expr('0'))}), "
-         "outputs=frozenset({1}))", "outputs"),
         (CTop(), CTop(), CBisim(), "CTop()", "bound"),
         (CBisim(), CBisim(), CTop(), "CBisim()", "bound"),
         (CWeaken(HALF, CTop()), CWeaken(eps=Fraction(2, 4), child=CTop()),
