@@ -15,8 +15,8 @@ state numbers and names none.  ``_refine_pair``, the one refinement
 step of every two-input query and of ``axioms --check``, refines the
 numbered joint (``chart._Joint``) of two expressions (``Expr`` nodes or
 expression text read straight into one table of nameless nodes), charts
-(objects or chart text read straight into numbers) or diagrams (terms
-or diagram text read straight into open-chart parts).
+(objects or chart text read straight into numbers) or diagrams (diagram
+text read straight into open-chart parts, a term printed and read so).
 """
 
 from __future__ import annotations

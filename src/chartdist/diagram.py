@@ -12,17 +12,12 @@ joining the literal open charts of the generators by their boundaries;
 every query of the command line, ``axioms --check`` among them, runs on
 two diagrams' open charts numbered as one joint.
 One grammar, ``_shift_reduce``, reads diagram text, with two instances:
-``parse_term`` builds a term, and ``_read_open`` places each leaf's
-nodes and wires each ';' as it reduces it, building no term; it
-joins the factors of a '*' once and takes the layouts of leaves spelled
-as ``format_term`` prints them from a fixed table.  ``_close`` resolves
-each chain of epsilon aliases once, by union-find.  One fold,
-``_fold``, walks a term: ``typecheck`` types it, ``_open_parts`` types
-it and lays out its open chart, laying out each distinct leaf object
-once, and ``_interpret`` composes its reference morphism.  One function,
-``_read_text``, decides how a query takes a text: as the parts
-``_read_open`` reads, or, for a text that does not read, as
-``parse_term``'s term, which ``_parts`` opens like any term.
+``parse_term`` builds a term, and ``_read_open`` lays out the open
+chart as it reads, building none.  ``_read_open`` is the one way to an
+open chart: a term is printed by ``format_term`` and read back, and a
+term that it refuses raises the error of ``typecheck``.  ``_close``
+resolves each chain of epsilon aliases once, by union-find.  ``_fold``
+walks a term for ``typecheck`` and for ``_interpret``.
 ``interpret`` gives the same behaviours as the payload rows of a
 morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, which no command
@@ -241,7 +236,7 @@ def typecheck(t):
             raise _plug_error(t, node, f[1], g[0])
         return f[0], g[1]
 
-    layouts = {}  # id of a leaf object -> its _leaf_layout, as in _open_parts
+    layouts = {}  # id of a leaf object -> its _leaf_layout
 
     def leaf(node):
         layout = layouts.get(id(node))
@@ -376,16 +371,11 @@ def _place(layout, moves, eps):
             (base + outs[0],) if len(outs) == 1 else outs and tuple([base + v for v in outs]))
 
 
-def _beside(f, g, node=None):
-    """The boundary of f * g, of the boundaries f and g; the '*' node
-    that _fold passes is not needed."""
-    return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], f[5] + g[5]
-
-
 def _beside_all(factors):
     """The boundary of factors[0] * factors[1] * ..., each group joined once."""
     if len(factors) == 2:  # the common case
-        return _beside(*factors)
+        f, g = factors
+        return f[0] + g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], f[5] + g[5]
     dom, cod, *groups = zip(*factors)
     return ("".join(dom), "".join(cod), *[tuple([v for p in g for v in p]) for g in groups])
 
@@ -399,32 +389,6 @@ def _plug(f, g, eps):
     for x, y in zip(g[4], f[3]):
         eps[x] = (y,)
     return f[0], g[1], f[2], g[3], f[4], g[5]
-
-
-def _open_parts(t):
-    """Type t and lay out its open chart in one _fold.  Returns its boundary
-    words (dom, cod) and (moves, eps, entries, outputs), the open chart with
-    its epsilon edges not yet resolved; raises the DiagramTypeError that
-    typecheck raises.  Each leaf object is laid out once, and each
-    occurrence of it takes the layout's nodes shifted to the next free
-    node numbers.
-    """
-    moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
-    layouts = {}  # id of a leaf object -> its _leaf_layout
-
-    def leaf(node):
-        layout = layouts.get(id(node))
-        if layout is None:
-            layout = layouts[id(node)] = _leaf_layout(node)
-        return _place(layout, moves, eps)
-
-    def seq(f, g, node):
-        if f[1] != g[0]:
-            raise _plug_error(t, node, f[1], g[0])
-        return _plug(f, g, eps)
-
-    dom, cod, ins, ins_back, outs_back, outs = _fold(t, leaf, seq, _beside)
-    return (dom, cod), (moves, eps, ins + ins_back, outs_back + outs)
 
 
 def _close(moves, eps, entries, outputs, max_states, offset=0):
@@ -506,7 +470,7 @@ def open_chart(t, max_states=MAX_STATES) -> OpenChart:
     and output lists side by side, so each costs the width of the
     boundary; the epsilon edges are resolved once, at the end.
     """
-    _, parts = _open_parts(t)
+    _, parts = _parts(t)
     succ, outs, entries = _close(*parts, max_states)
     return OpenChart(_Joint(succ, outs, (), int).prechart(), entries)
 
@@ -666,17 +630,12 @@ _LEAF_LAYOUTS.update({_leaf_text(leaf): _leaf_layout(leaf) for leaf in (
 
 
 def _read_open(text, alphabet=None):
-    """_open_parts(parse_term(text, alphabet)), with the same node numbers,
-    by _shift_reduce over the tokens of _READ_TOKEN, building no term; None
-    when parse_term or typecheck would raise.  It never raises.
-
-    A leaf token spelled as format_term prints it takes its layout from
-    _LEAF_LAYOUTS (an act once alphabet allows its letter); any other is
-    checked by _leaf and laid out by _leaf_layout at its first occurrence.
-    Every occurrence places the layout's nodes, each ';' is wired as the
-    grammar reduces it, after its words are matched, and each tensor's
-    factors are joined once, so nodes and epsilon edges come in the order
-    of _open_parts' fold."""
+    """The boundary words (dom, cod) of the term that text spells and its
+    open chart as (moves, eps, entries, outputs), the epsilon edges not yet
+    resolved, read in one pass over the tokens of _READ_TOKEN with no
+    term built; None when parse_term or typecheck would raise.  It never
+    raises.  Each distinct leaf token is laid out once, from _LEAF_LAYOUTS
+    when it is spelled as format_term prints it."""
     layouts = {}  # any other leaf token -> its _leaf_layout
     moves, eps = [], []  # per node: its transitions (letter, node); its epsilon edges
     tokens = _READ_TOKEN.findall(text)
@@ -717,9 +676,16 @@ def _read_text(text, alphabet=None):
 
 
 def _parts(d):
-    """The boundary words and open-chart parts of a diagram: a term,
-    typed and laid out by _open_parts, or the parts _read_open read."""
-    return d if type(d) is tuple else _open_parts(d)
+    """The boundary words and open-chart parts of a diagram: the parts
+    _read_open read from text, or those it reads from a term's printed
+    text.  A term that the reader refuses does not type, and raises the
+    DiagramTypeError of typecheck."""
+    if type(d) is tuple:
+        return d
+    parts = _read_open(format_term(d))
+    if parts is None:
+        typecheck(d)
+    return parts
 
 
 def format_term(t) -> str:

@@ -20,9 +20,9 @@ from chartdist import (
     stratified_level, term_to_dot, typecheck, zip_merge,
 )
 import chartdist.diagram
-from chartdist.cli import EXIT_PARSE, EXIT_TYPE, main
+from chartdist.cli import EXIT_OK, EXIT_PARSE, EXIT_TYPE, main
 from chartdist.chart import MAX_STATES
-from chartdist.diagram import _close, _open_parts, _read_open
+from chartdist.diagram import _close, _read_open
 from helpers import (
     brute_close, copy_tree_text, corpus_diagrams, exprs, fan_in_text, malformed_diagrams,
     mistype_one_seq, rand_expr, rand_forward, ref_from_expression, ref_open_chart,
@@ -83,13 +83,20 @@ def test_parse_term_matches_the_reference_parser_on_edited_text(t, data):
     assert parsed(parse_term, text, alphabet) == parsed(ref_parse_term, text, alphabet)
 
 
-def walked(text, alphabet=None):
-    """What _read_open must return: _open_parts(parse_term(text)), or None
-    where parse_term or typecheck raises."""
+def read_as_the_oracles(text, alphabet=None):
+    """Assert that _read_open refuses text exactly when ref_parse_term or
+    typecheck raises, and otherwise reads typecheck's boundary words and
+    the open chart that ref_open_chart builds; return what it reads."""
+    parts = _read_open(text, alphabet)
     try:
-        return _open_parts(parse_term(text, alphabet=alphabet))
+        t = ref_parse_term(text, alphabet=alphabet)
+        words = typecheck(t)
     except (DiagramSyntaxError, DiagramTypeError):
+        assert parts is None, text
         return None
+    assert parts is not None and parts[0] == words, text
+    assert open_chart(parts) == ref_open_chart(t), text
+    return parts
 
 
 def parenthesised(t):
@@ -117,26 +124,14 @@ def cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_answers_as_the_term_route(left, right, flags=()):
-    """dist and derive --format diag of both inputs and compile of each
-    answer alike when _read_open reads none of them, so that every text
-    takes the term route."""
-    calls = [["dist", left, right], ["derive", right, left], ["compile", left],
-             ["compile", right]]
-    calls = [[command, "--format", "diag", *flags, *texts] for command, *texts in calls]
-    answers = [cli(argv) for argv in calls]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chartdist.diagram, "_read_open", lambda text, alphabet=None: None)
-        assert [cli(argv) for argv in calls] == answers
-
-
 @given(terms())
 @settings(max_examples=300, deadline=None)
 def test_read_open_matches_the_term_walk(t):
     """Well- and ill-typed terms, printed with the fewest parentheses and
-    with all of them."""
+    with all of them; open_chart of a term reads its printed text."""
     for text in (format_term(t), parenthesised(t)):
-        assert _read_open(text) == walked(text), text
+        if read_as_the_oracles(text) is not None:
+            assert open_chart(parse_term(text)) == ref_open_chart(parse_term(text)), text
 
 
 @given(st.integers(0, 2 ** 32), st.integers(3, 4), st.integers(0, 2), st.integers(0, 2))
@@ -144,15 +139,14 @@ def test_read_open_matches_the_term_walk(t):
 def test_read_open_matches_the_term_walk_on_forward_terms(seed, depth, m, n):
     t = rand_forward(random.Random(seed), m, n, depth)
     for text in (format_term(t), parenthesised(t)):
-        parts = _read_open(text)
-        assert parts is not None and parts == _open_parts(t), text
+        assert read_as_the_oracles(text) is not None, text
 
 
 @given(terms(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_read_open_fails_as_the_term_route_on_edited_text(t, data):
-    """_read_open reads exactly the texts that parse and type, and every
-    query answers as the term route does."""
+    """_read_open reads exactly the texts that parse and type, and dist
+    fails on them as parsing and typing the two terms fails."""
     original = format_term(t)
     i = data.draw(st.integers(0, len(original)))
     edit = data.draw(st.sampled_from(["insert", "delete", "replace"]))
@@ -162,9 +156,14 @@ def test_read_open_fails_as_the_term_route_on_edited_text(t, data):
         ch = data.draw(st.sampled_from(EDITS))
         text = original[:i] + ch + original[i + (edit == "replace"):]
     alphabet = data.draw(st.sampled_from([None, {"a", "b"}]))
-    assert _read_open(text, alphabet) == walked(text, alphabet), text
+    read_as_the_oracles(text, alphabet)
     flags = () if alphabet is None else ("--alphabet", "ab")
-    assert_answers_as_the_term_route(text, original, flags)
+    code, _, err = cli(["dist", "--format", "diag", *flags, text, original])
+    failure = first_diagram_error({"left": text, "right": original, "alphabet": alphabet})
+    if failure is None:
+        assert (code, err) == (EXIT_OK, ""), text
+    else:
+        assert (code, err) == (failure[0], f"error: {failure[1]}\n"), text
 
 
 def test_read_open_spellings_and_depth():
@@ -173,10 +172,9 @@ def test_read_open_spellings_and_depth():
     for text in ["act( a ) ; act(a)", "sym( > , < ) * id( ) ; sym(<,>)", "id (\t>\n)",
                  " ; ".join(["act(a)"] * 5000), " * ".join(["act(a)"] * 3000),
                  "(" * 5000 + "act(a) ; act(b)" + ")" * 5000]:
-        parts = _read_open(text)
-        assert parts is not None and parts == walked(text), text
+        assert read_as_the_oracles(text) is not None, text
     assert _read_open("act(a) ; act(b)", {"a"}) is None
-    assert _read_open("act(a) ; act(a)", {"a"}) == walked("act(a) ; act(a)")
+    assert read_as_the_oracles("act(a) ; act(a)", {"a"}) is not None
     deep = "(" * 5000 + "act(a)" + ")" * 5000
     assert cli(["dist", "--format", "diag", deep, "act(a)"]) == (0, "0 (bisimilar)\n", "")
 
@@ -195,23 +193,24 @@ def test_leaf_spellings_share_their_parts_and_the_table_stays_fixed():
     for canonical, other in [("act(a)", "act( a )"), ("id(>)", "id (\t>\n)"),
                              ("sym(>,<)", "sym( > , < )"), ("id()", "id( )"),
                              ("copy ; id(>) * act(b)", "copy ; id( > ) * act(b )")]:
-        assert _read_open(canonical) == _read_open(other) == walked(canonical), canonical
+        assert _read_open(canonical) == _read_open(other) == read_as_the_oracles(canonical), \
+            canonical
     for word in itertools.islice(itertools.product("<>", repeat=10), 1000):
         text = f"id({''.join(word)})"
-        assert _read_open(text) == walked(text), text
+        assert read_as_the_oracles(text) is not None, text
     assert len(chartdist.diagram._LEAF_LAYOUTS) == table
     assert _read_open("act(a) ; act(b)", {"a"}) is None
     assert _read_open("act(b) ; act(a)", {"a"}) is None
-    assert _read_open("act(é)") is None and _read_open("id(>>>)") == walked("id(>>>)")
+    assert _read_open("act(é)") is None and read_as_the_oracles("id(>>>)") is not None
 
 
 def close_both(t, max_states=MAX_STATES, offset=0):
     """_close and brute_close of the open chart of t, or the text of the
     budget error each raises; None when t does not type."""
-    try:
-        _, parts = _open_parts(t)
-    except DiagramTypeError:
+    read = _read_open(format_term(t))
+    if read is None:
         return None
+    _, parts = read
     answers = []
     for close in (_close, brute_close):
         try:
@@ -265,23 +264,30 @@ class CountingList(list):
 
 
 def test_wide_tensors_and_fan_in_grow_linearly():
-    """Counted, not timed: doubling the factors of a wide tensor at most
-    2.3-folds the ports '*' copies or joins (copying both sides at every
-    '*' 4-folds them), and doubling the fan-in and its epsilon tail, or the
-    fan-in and its chain of copy nodes, at most 2.3-folds the node visits
-    of _close (walking each state's closure from scratch 4-folds them)."""
-    ports = []
+    """Counted, not timed: doubling the factors of a wide tensor, read as
+    text or opened as a term, at most 2.3-folds the ports that '*' copies
+    or joins (copying both sides at every '*' 4-folds them), and doubling
+    the fan-in and its epsilon tail, or the fan-in and its chain of copy
+    nodes, at most 2.3-folds the node visits of _close (walking each
+    state's closure from scratch 4-folds them)."""
+    ports = []  # per width: the ports joined reading its text, then opening its term
+
+    def counting(join):
+        def counted(*args):  # factors, or two factors and the '*' node
+            factors = args[0] if len(args) == 1 else args[:2]
+            ports[-1][-1] += sum(len(group) for f in factors for group in f[2:])
+            return join(*args)
+        return counted
+
     with pytest.MonkeyPatch.context() as patch:
-        beside_all = chartdist.diagram._beside_all
-
-        def counting(factors):
-            ports[-1] += sum(len(group) for f in factors for group in f[2:])
-            return beside_all(factors)
-
-        patch.setattr(chartdist.diagram, "_beside_all", counting)
+        for name, join in list(vars(chartdist.diagram).items()):
+            if name.startswith("_beside"):  # every function that joins the ports of a '*'
+                patch.setattr(chartdist.diagram, name, counting(join))
         for n in (250, 500, 1000, 2000, 4000):
-            ports.append(0)
+            ports.append([0])
             assert _read_open(wide_tensor_text(n))[0] == (">" * n, ">" * n)
+            ports[-1].append(0)
+            assert len(open_chart(parse_term(wide_tensor_text(n))).entries) == n
     visits = []
     for shape in (lambda n: fan_in_text(n, n), copy_tree_text):
         visits.append([])
@@ -293,7 +299,7 @@ def test_wide_tensors_and_fan_in_grow_linearly():
             assert len(succ) == 2 * n + 1  # n entries, n a-targets and the b-target
             if n == 125:
                 assert brute_close(moves, eps, entries, outputs, MAX_STATES)[0] == succ
-    for counts in (ports, *visits):
+    for counts in (*zip(*ports), *visits):
         assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
@@ -646,7 +652,8 @@ def test_parse_errors_name_the_offset():
 
 def first_diagram_error(row):
     """The exit code and message of the first failure among parsing each
-    side, typing each side and comparing their boundary words."""
+    side, typing each side and comparing their boundary words; None when
+    there is none."""
     alphabet = None if row["alphabet"] is None else set(row["alphabet"])
     try:
         terms = [parse_term(row[side], alphabet=alphabet) for side in ("left", "right")]
@@ -656,15 +663,26 @@ def first_diagram_error(row):
         return EXIT_PARSE, str(e)
     except DiagramTypeError as e:
         return EXIT_TYPE, str(e)
-    raise AssertionError("the row has no error")
+    return None
+
+
+def raised(query, *args):
+    """The message and path of the DiagramTypeError that query(*args)
+    raises, or None when it returns."""
+    try:
+        query(*args)
+    except DiagramTypeError as e:
+        return str(e), e.path
+    return None
 
 
 @pytest.mark.parametrize("row", malformed_diagrams(),
                          ids=lambda row: re.sub(r"\W+", "-", row["stderr"]).strip("-"))
 def test_diagram_errors_are_pinned(row, capsys):
     """Every DiagramSyntaxError message and the order in which the type
-    errors of two inputs are reported: by parse_term and typecheck, and by
-    the command line, whose reader refuses exactly the texts that fail."""
+    errors of two inputs are reported: by parse_term and typecheck, by
+    the command line, whose reader refuses exactly the texts that fail,
+    and by open_chart, joint_pair and stratified_level on the terms."""
     code, message = first_diagram_error(row)
     assert (code, f"error: {message}\n") == (row["code"], row["stderr"])
     flags = [] if row["alphabet"] is None else ["--alphabet", row["alphabet"]]
@@ -674,8 +692,18 @@ def test_diagram_errors_are_pinned(row, capsys):
     assert capsys.readouterr() == ("", row["stderr"])
     alphabet = None if row["alphabet"] is None else set(row["alphabet"])
     for side in ("left", "right"):
-        assert _read_open(row[side], alphabet) == walked(row[side], alphabet), side
-    assert_answers_as_the_term_route(row["left"], row["right"], flags)
+        read_as_the_oracles(row[side], alphabet)
+    if code == EXIT_PARSE:
+        return
+    terms = [parse_term(row[side], alphabet=alphabet) for side in ("left", "right")]
+    # each side opens as it types, and the pair fails on the first failure
+    typed = [raised(typecheck, t) for t in terms]
+    assert [raised(open_chart, t) for t in terms] == typed
+    first = next(filter(None, typed), (message, ()))
+    assert first[0] == message
+    max_states = row["max_states"] or MAX_STATES
+    for query in (joint_pair, stratified_level):
+        assert raised(query, *terms, max_states) == first, query.__name__
 
 
 def test_ill_typed_terms_fail_as_typecheck_fails(capsys):

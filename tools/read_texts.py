@@ -1,5 +1,6 @@
-"""Time of the one-pass readers against the routes through a tree, and of
-the epsilon closure of the diagrams they read, in one process.
+"""Time of the one-pass readers, of the expression reader against the
+route through a tree, and of the epsilon closure of the diagrams they
+read, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
@@ -7,20 +8,19 @@ Builds the ``certify`` and ``exprs`` workloads of ``perfbench/`` for the
 seed through ``perfbench/workloads.py``, as ``perfbench/run.py`` builds
 them.  Diagrams: both diagram texts of every ``--format diag`` query of
 ``certify``, in query order (738 texts for seed 1), read by
-``diagram._read_open`` and by the term route, ``diagram._open_parts`` of
-``diagram.parse_term``.  Expressions: every expression text of every
-``exprs`` query, in query order (249 texts for seed 1), each read into a
-fresh table by ``expr._read`` and by the tree route, ``expr._nameless`` of
+``diagram._read_open``, the one way a diagram becomes an open chart.
+Expressions: every expression text of every ``exprs`` query, in query
+order (249 texts for seed 1), each read into a fresh table by
+``expr._read`` and by the tree route, ``expr._nameless`` of
 ``expr.parse_expr``.  Closure: ``diagram._close`` of the parts that
 ``diagram._read_open`` reads from each of the diagram texts.  The texts
 are read in chunks of 25, each chunk by each route in turn, for the
 given number of rounds.  A chunk's time is its best over the rounds, so
 a slow spell of a shared machine, which a whole pass of some 50 ms
 seldom escapes, is left out.  Prints the sum of the chunks' bests for
-each route, and, where a section has two routes, the reader's sum over
-the other route's.  An untimed round first checks that both routes give
-the same result for every text: the same parts for a diagram, and the
-same node id and table keys for an expression.
+each route, and, for the expressions, the reader's sum over the tree
+route's.  An untimed round first checks that both expression routes
+give the same node id and table keys for every text.
 
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
@@ -87,9 +87,6 @@ def main(argv=None):
     def read_open(texts):
         return [diagram._read_open(t) for t in texts]
 
-    def term_route(texts):
-        return [diagram._open_parts(diagram.parse_term(t)) for t in texts]
-
     def read_expr(texts):
         tables = [expr._Table() for _ in texts]
         return [(expr._read(t, table), table.keys) for t, table in zip(texts, tables)]
@@ -104,7 +101,7 @@ def main(argv=None):
 
     diagrams, expressions = workload_texts(args.seed)
     sections = ((f"certify seed {args.seed}: {len(diagrams)} diagram texts", diagrams,
-                 (("_read_open", read_open), ("_open_parts(parse_term)", term_route))),
+                 (("_read_open", read_open),)),
                 (f"exprs seed {args.seed}: {len(expressions)} expression texts", expressions,
                  (("_read", read_expr), ("_nameless(parse_expr)", tree_route))),
                 (f"certify seed {args.seed}: the parts of {len(diagrams)} diagram texts",
