@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .chart import (
-    MAX_STATES, Chart, Prechart, _chart_joint, _numbered, _Side, _side, state_key,
-)
+from .chart import MAX_STATES, Chart, Prechart, _chart_joint, _numbered, _Side, _side
 
 __all__ = [
     "Refinement", "witness_pairs", "joint_prechart", "joint_pair",
@@ -284,14 +282,14 @@ def stratified_level(f, g, max_states=MAX_STATES):
 
 def quotient(p: Prechart):
     """Prechart of bisimilarity classes; returns (quotient, state -> class id),
-    the class ids numbered first-seen in state_key order.
+    the class ids numbered first-seen in state_key order, as _numbered
+    numbers the states.
 
     The graph of the returned map is itself a bisimulation, and
     quotienting twice gives an isomorphic result.
     """
     index, succ, outs = _numbered(p)
-    classes, fresh = Refinement(succ, outs).classes(), {}
-    m = {q: fresh.setdefault(classes[index[q]], len(fresh)) for q in sorted(index, key=state_key)}
+    m = dict(zip(index, Refinement(succ, outs).classes()))
     states = frozenset(m.values())
     trans = frozenset((m[q], a, m[r]) for (q, a, r) in p.trans)
     outs = frozenset((m[q], v) for (q, v) in p.outs)

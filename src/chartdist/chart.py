@@ -7,8 +7,11 @@ numbered chart (``_read_chart``, its states numbered in declaration
 order; ``parse_chart_text`` is its named view), prints charts as text,
 restricts them to their reachable states, and joins two numbered charts
 as one ``_Joint``, the numbered prechart that every two-input query
-refines.  It also holds the immutable record base of the package's
-records and the state budget of expansions and open charts.
+refines.  A prechart object is numbered once, by ``_numbered``, in
+``state_key`` order, and the printers, ``bisim.quotient`` and a joint's
+print-alike check read that numbering.  It also holds the immutable
+record base of the package's records and the state budget of
+expansions and open charts.
 """
 
 from __future__ import annotations
@@ -158,12 +161,6 @@ class Prechart(_Record):
         _set(p, "outs", outs)
         return p
 
-    def letters(self) -> frozenset:
-        return frozenset(a for (_, a, _) in self.trans)
-
-    def variables(self) -> frozenset:
-        return frozenset(v for (_, v) in self.outs)
-
     def transition_map(self) -> dict:
         m = {q: set() for q in self.states}
         for (q, a, r) in self.trans:
@@ -235,10 +232,10 @@ def _reach(succ, i) -> list:
 
 
 def _numbered(p: Prechart):
-    """The states of p numbered in its iteration order: a dict from each
-    state to its number, and the successor list (letter, number) and the
-    output set of each number."""
-    index = {q: i for i, q in enumerate(p.states)}
+    """The states of p numbered in state_key order, the one order of the
+    named views: a dict from each state to its number, and the successor
+    list (letter, number) and the output set of each number."""
+    index = {q: i for i, q in enumerate(sorted(p.states, key=state_key))}
     succ = [[] for _ in index]
     outs = [set() for _ in index]
     for (q, a, r) in p.trans:
@@ -305,13 +302,13 @@ class _Side:
 
 
 def _side(c: Chart) -> _Side:
-    """A Chart numbered in its states' iteration order.  Two states that
-    print alike, as 1 and "1" do, would share a name in a joint and raise
+    """A Chart numbered as _numbered numbers it.  Two states that print
+    alike, as 1 and "1" do, would share a name in a joint and raise
     ValueError."""
     index, succ, outs = _numbered(c.prechart)
     if any(type(q) is not str for q in index):  # a str prints as itself
         seen: dict = {}
-        for q in sorted(index, key=state_key):
+        for q in index:
             other = seen.setdefault(f"{q}", q)
             if other is not q:
                 raise ValueError(f"states {other!r} and {q!r} print alike")
@@ -449,18 +446,22 @@ def parse_chart_text(text: str, alphabet=None) -> Chart:
 
 def format_chart_text(c: Chart) -> str:
     """Serialize a chart; parse_chart_text(format_chart_text(c)) round-trips."""
-    lines = []
-    letters = sorted(c.prechart.letters())
-    if letters:
-        lines.append("alphabet " + " ".join(letters))
-    order = sorted(c.states, key=state_key)
-    for q in order:
-        lines.append(f"state {q}")
-    lines.append(f"start {c.start}")
-    for (q, a, r) in sorted(c.trans, key=lambda t: (state_key(t[0]), t[1], state_key(t[2]))):
-        lines.append(f"trans {q} {a} {r}")
-    for (q, v) in sorted(c.outs, key=lambda o: (state_key(o[0]), o[1])):
-        lines.append(f"out {q} v{v}")
+    index, succ, outs = _numbered(c.prechart)
+    return _chart_text(list(index), succ, outs, index[c.start])
+
+
+def _chart_text(names, succ, outs, start) -> str:
+    """The text of a numbered chart whose numbers are in the order of its
+    names, state i named names[i]: its letters sorted, its states, and
+    each state's moves and outputs, sorted, in number order."""
+    letters = sorted({a for moves in succ for a, _ in moves})
+    lines = ["alphabet " + " ".join(letters)] if letters else []
+    lines += [f"state {q}" for q in names]
+    lines.append(f"start {names[start]}")
+    for i, moves in enumerate(succ):
+        lines += [f"trans {names[i]} {a} {names[j]}" for a, j in sorted(moves)]
+    for i, vs in enumerate(outs):
+        lines += [f"out {names[i]} v{v}" for v in sorted(vs)]
     return "\n".join(lines) + "\n"
 
 
@@ -470,17 +471,16 @@ def _dot_quote(s) -> str:
 
 def chart_to_dot(c: Chart) -> str:
     """Graphviz rendering: circles for states, dashed edges to output variables."""
+    index, succ, outs = _numbered(c.prechart)
+    names = [_dot_quote(q) for q in index]
     lines = ["digraph chart {", "  rankdir=LR;", '  __start [shape=point, label=""];']
-    order = sorted(c.states, key=state_key)
-    for q in order:
-        lines.append(f"  {_dot_quote(q)} [shape=circle];")
-    lines.append(f"  __start -> {_dot_quote(c.start)};")
-    for (q, a, r) in sorted(c.trans, key=lambda t: (state_key(t[0]), t[1], state_key(t[2]))):
-        lines.append(f"  {_dot_quote(q)} -> {_dot_quote(r)} [label={_dot_quote(a)}];")
-    vars_seen = sorted(c.prechart.variables())
-    for v in vars_seen:
+    lines += [f"  {q} [shape=circle];" for q in names]
+    lines.append(f"  __start -> {names[index[c.start]]};")
+    for i, moves in enumerate(succ):
+        lines += [f"  {names[i]} -> {names[j]} [label={_dot_quote(a)}];" for a, j in sorted(moves)]
+    for v in sorted(set().union(*outs)):
         lines.append(f'  "__v{v}" [shape=plaintext, label="v{v}"];')
-    for (q, v) in sorted(c.outs, key=lambda o: (state_key(o[0]), o[1])):
-        lines.append(f'  {_dot_quote(q)} -> "__v{v}" [style=dashed];')
+    for i, vs in enumerate(outs):
+        lines += [f'  {names[i]} -> "__v{v}" [style=dashed];' for v in sorted(vs)]
     lines.append("}")
     return "\n".join(lines) + "\n"

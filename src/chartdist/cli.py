@@ -197,8 +197,7 @@ def _cmd_compile(args):
         from . import expr
         joint = expr._joint(x.table, [x.node], args.max_states)
         succ, outs, ((start,),) = joint.succ, joint.outs, joint.rows
-    return EXIT_OK, chart.format_chart_text(
-        chart._Side(range(len(succ)), succ, outs, start).chart())
+    return EXIT_OK, chart._chart_text(range(len(succ)), succ, outs, start)
 
 
 def _cmd_derive(args):

@@ -108,9 +108,102 @@ def _bound(eps) -> Fraction:
 class _Node(_Record):
     """A certificate node.  Its ``bound`` is set when it is built, in a
     slot of this base: the fields are the slots each node class lists,
-    so ==, hash and repr leave the bound out."""
+    so ==, hash and repr leave the bound out.  They give the values that
+    the record base gives, but walk the node's tree with a stack, each
+    shared node once, so that no certificate is too deep for them."""
 
     __slots__ = ("bound",)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo, seen = [(self, other)], set()
+        while todo:
+            a, b = todo.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            kids_a, kids_b = [], []
+            if _fields(a, kids_a) != _fields(b, kids_b):
+                return False
+            todo += zip(kids_a, kids_b)
+        return True
+
+    def __hash__(self):
+        done = {}  # id of a walked node -> its stand-in
+        for node in _post_order(self):
+            done[id(node)] = _Stand(hash(_swap(node._values(), lambda n: done[id(n)])))
+        return done[id(self)].value
+
+    def __repr__(self):
+        done = {}  # id of a walked node -> its stand-in
+        for node in _post_order(self):
+            fields = ", ".join([f"{name}={_swap(getattr(node, name), lambda n: done[id(n)])!r}"
+                                for name in node.__slots__])
+            done[id(node)] = _Stand(f"{type(node).__qualname__}({fields})")
+        return done[id(self)].value
+
+
+class _Stand:
+    """A walked node's hash or text, which stands in for the node among
+    its parent's fields, so that the fields hash or print as they do with
+    the node and meet no node."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+    def __repr__(self):
+        return self.value
+
+
+def _swap(value, stand):
+    """value with stand(node) in place of each node in it, its tuples
+    rebuilt, bottom up with a stack."""
+    built, todo = [], [(value, False)]
+    while todo:
+        x, ready = todo.pop()
+        if ready:  # the items of the tuple x are the last len(x) built
+            k = len(built) - len(x)
+            built[k:] = [tuple(built[k:])]
+        elif isinstance(x, _Node):
+            built.append(stand(x))
+        elif type(x) is tuple:
+            todo.append((x, True))
+            todo += [(item, False) for item in reversed(x)]
+        else:
+            built.append(x)
+    return built[0]
+
+
+def _fields(node, kids):
+    """The class of node and its fields, with the class of each node among
+    them in its place; each such node is appended to kids, in order."""
+    def stand(kid):
+        kids.append(kid)
+        return kid.__class__
+    return node.__class__, _swap(node._values(), stand)
+
+
+def _post_order(root) -> list:
+    """The nodes of the certificate root, each shared node once and each
+    after the nodes among its fields."""
+    order, seen, todo = [], set(), [(root, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            kids = []
+            _fields(node, kids)
+            todo.append((node, True))
+            todo += [(kid, False) for kid in kids]
+    return order
 
 
 class CTop(_Node):

@@ -18,14 +18,16 @@ and 0 when they never split (``level_distance``, which lives in
 demos: it iterates ``phi`` from the everywhere-1 table.  Bisimilar
 states never stabilise under plain iteration (their values halve
 forever), hence it first quotients by bisimilarity, iterates on the
-quotient, and pulls the result back.
+quotient, and pulls the result back.  It builds that quotient itself,
+signing every state in every round, so that it shares no code with the
+refinement it is the oracle of.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bisim import quotient, stratified_level
+from .bisim import stratified_level
 from .chart import MAX_STATES, Prechart, _Record, state_key
 from .derive import FZERO, ONE, level_distance
 
@@ -213,7 +215,7 @@ def kleene_solve(p: Prechart) -> KleeneResult:
     the chain from the everywhere-1 table stabilises within |Q|^2+1
     steps, and the result is pulled back along the quotient map.
     """
-    qp, class_of = quotient(p)
+    qp, class_of = _quotient(p)
     beta = qp.beta()
     d = DistTable.top(qp.states)
     quotient_tables = [d]
@@ -233,6 +235,28 @@ def kleene_solve(p: Prechart) -> KleeneResult:
             q2 = full.states[j]
             full.set(q1, q2, d.get(class_of[q1], class_of[q2]))
     return KleeneResult(full, qp, class_of, quotient_tables, stable)
+
+
+def _quotient(p: Prechart):
+    """The bisimilarity quotient of p and the map from each state to its
+    class id, as bisim.quotient gives them, but by naive refinement: each
+    round signs every state by its block, its outputs and the blocks its
+    moves reach, until no block splits.  The ids are numbered first-seen
+    in state_key order."""
+    beta, order = p.beta(), sorted(p.states, key=state_key)
+    m, count = dict.fromkeys(order, 0), min(len(order), 1)
+    while True:
+        fresh, signed = {}, {}
+        for q in order:
+            moves = frozenset([(x[0], x[1], m[x[2]]) if x[0] == "act" else x for x in beta[q]])
+            signed[q] = fresh.setdefault((m[q], moves), len(fresh))
+        m = signed
+        if len(fresh) == count:
+            break
+        count = len(fresh)
+    return Prechart._of(frozenset(m.values()),
+                        frozenset((m[q], a, m[r]) for (q, a, r) in p.trans),
+                        frozenset((m[q], v) for (q, v) in p.outs)), m
 
 
 def bd_stratified(f, g, max_states=MAX_STATES) -> Fraction:

@@ -282,7 +282,7 @@ def rec_chart(v: int, c: Chart) -> Chart:
 
 def live_vars(c: Chart) -> frozenset:
     """Variables output by some reachable state."""
-    return reachable(c).prechart.variables()
+    return frozenset(v for _, v in reachable(c).outs)
 
 
 def structural_chart(e):
@@ -648,6 +648,44 @@ def ref_validate(states, trans, outs):
             raise ValueError(f"output {(q, v)!r} references undeclared state")
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"invalid output variable {v!r}")
+
+
+def ref_format_chart_text(c: Chart) -> str:
+    """format_chart_text as it was first written, sorting each named
+    relation by state_key: the oracle of the printer of the numbering."""
+    lines = []
+    letters = sorted({a for (_, a, _) in c.trans})
+    if letters:
+        lines.append("alphabet " + " ".join(letters))
+    for q in sorted(c.states, key=state_key):
+        lines.append(f"state {q}")
+    lines.append(f"start {c.start}")
+    for (q, a, r) in sorted(c.trans, key=lambda t: (state_key(t[0]), t[1], state_key(t[2]))):
+        lines.append(f"trans {q} {a} {r}")
+    for (q, v) in sorted(c.outs, key=lambda o: (state_key(o[0]), o[1])):
+        lines.append(f"out {q} v{v}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_dot_quote(s) -> str:
+    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def ref_chart_to_dot(c: Chart) -> str:
+    """chart_to_dot as it was first written, sorting each named relation
+    by state_key: the oracle of the printer of the numbering."""
+    lines = ["digraph chart {", "  rankdir=LR;", '  __start [shape=point, label=""];']
+    for q in sorted(c.states, key=state_key):
+        lines.append(f"  {_ref_dot_quote(q)} [shape=circle];")
+    lines.append(f"  __start -> {_ref_dot_quote(c.start)};")
+    for (q, a, r) in sorted(c.trans, key=lambda t: (state_key(t[0]), t[1], state_key(t[2]))):
+        lines.append(f"  {_ref_dot_quote(q)} -> {_ref_dot_quote(r)} [label={_ref_dot_quote(a)}];")
+    for v in sorted({v for (_, v) in c.outs}):
+        lines.append(f'  "__v{v}" [shape=plaintext, label="v{v}"];')
+    for (q, v) in sorted(c.outs, key=lambda o: (state_key(o[0]), o[1])):
+        lines.append(f'  {_ref_dot_quote(q)} -> "__v{v}" [style=dashed];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def numbered_refinement(p: Prechart):

@@ -11,8 +11,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from chartdist import (
-    CertificateError, CWeaken, Prefix, SynthesisFailure, axiom_catalog,
+    CertificateError, CWeaken, Prefix, Refinement, SynthesisFailure, axiom_catalog,
     bd_stratified, bisimilar, c1_copy_pair, check, diagram_distance,
     disjoint_union, expand, format_cert, from_expression, interpret,
     is_dyadic_or_zero, kleene_solve, parse_cert, parse_expr, parse_term,
@@ -66,23 +68,37 @@ def test_criterion_2_bisimilar_loops():
         assert bd_stratified(c1, c2) == 0
 
 
+def fixpoint_matches_stratified():
+    """The loop of criterion 3, over its 500 random chart pairs."""
+    rng = random.Random(1003)
+    for _ in range(500):
+        c1 = rand_chart(rng, max_states=8)
+        c2 = rand_chart(rng, max_states=8)
+        union, s1, s2 = disjoint_union(c1, c2)
+        res = kleene_solve(union)
+        value = res.table.get(s1, s2)
+        assert value == bd_stratified(c1, c2)
+        assert is_dyadic_or_zero(value)
+        nq = len(res.quotient.states)
+        assert res.stable_index <= nq * nq + 1
+
+
 def test_criterion_3_fixpoint_vs_stratified():
     label = ("criterion 3: 500 random chart pairs, fixpoint == stratified, "
              "dyadic values, iteration cap respected, under 30s")
     with verdict(label):
-        rng = random.Random(1003)
         t0 = time.monotonic()
-        for _ in range(500):
-            c1 = rand_chart(rng, max_states=8)
-            c2 = rand_chart(rng, max_states=8)
-            union, s1, s2 = disjoint_union(c1, c2)
-            res = kleene_solve(union)
-            value = res.table.get(s1, s2)
-            assert value == bd_stratified(c1, c2)
-            assert is_dyadic_or_zero(value)
-            nq = len(res.quotient.states)
-            assert res.stable_index <= nq * nq + 1
+        fixpoint_matches_stratified()
         assert time.monotonic() - t0 < 30.0
+
+
+def test_criterion_3_fails_on_a_refinement_that_stops_after_one_round(monkeypatch):
+    """Kleene builds its own quotient, so criterion 3 checks the
+    refinement: one that splits nothing after its first round reads the
+    39 pairs of level 1 among the 500 as bisimilar, and the loop fails."""
+    monkeypatch.setattr(Refinement, "_touched_splits", lambda self: [])
+    with pytest.raises(AssertionError):
+        fixpoint_matches_stratified()
 
 
 def test_criterion_4_metric_laws():

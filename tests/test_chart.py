@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartdist import (
-    Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, disjoint_union,
+    Chart, ChartFormatError, Prechart, bisimilar, chart_to_dot, coarsest_partition, disjoint_union,
     expand, format_chart_text, joint_pair, joint_prechart, open_chart, parse_chart_text,
     parse_expr, quotient, reachable,
 )
 from chartdist.chart import _chart_joint, _read_chart, state_key
 from chartdist.cli import EXIT_PARSE, main
 from helpers import (
-    chart_texts, cycle_text, empty_chart, exprs, live_vars, malformed_charts, precharts,
-    prefix_chart,
-    rand_chart, rand_expr, rand_forward, rec_chart, ref_parse_chart_text, ref_validate,
+    RefRefinement, chart_texts, cycle_text, empty_chart, exprs, large_precharts, live_vars,
+    malformed_charts, precharts, prefix_chart, python, rand_chart, rand_expr, rand_forward,
+    rec_chart, ref_chart_to_dot, ref_format_chart_text, ref_parse_chart_text, ref_validate,
     relabel, structural_chart, subst_chart, sum_chart, variable_chart,
 )
 
@@ -349,3 +349,44 @@ def test_dot_output_quotes_states():
     dot = chart_to_dot(c)
     assert dot.startswith("digraph")
     assert '"mu v1.a.v1"' in dot
+
+
+@given(st.one_of(precharts(), large_precharts()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_numbering_prints_and_quotients_as_the_references_do(p, data):
+    """format_chart_text and chart_to_dot print from _numbered's numbering
+    what the references, which sort each named relation by state_key,
+    print; quotient and coarsest_partition number and order the classes
+    first-seen in state_key order, as the reference refinement does."""
+    ref = RefRefinement(p).classes()
+    qp, m = quotient(p)
+    assert list(m.items()) == list(ref.items())
+    assert qp == Prechart(frozenset(ref.values()),
+                          frozenset((ref[q], a, ref[r]) for q, a, r in p.trans),
+                          frozenset((ref[q], v) for q, v in p.outs))
+    blocks: dict = {}
+    for q, c in ref.items():
+        blocks.setdefault(c, set()).add(q)
+    assert coarsest_partition(p) == tuple(map(frozenset, blocks.values()))
+    if p.states:
+        c = Chart(p, data.draw(st.sampled_from(sorted(p.states, key=state_key))))
+        assert format_chart_text(c) == ref_format_chart_text(c)
+        assert chart_to_dot(c) == ref_chart_to_dot(c)
+
+
+def test_the_numbering_is_the_same_under_every_hash_seed(monkeypatch):
+    """_numbered numbers str-named states in state_key order, not in the
+    iteration order of their set, which the hash seed decides."""
+    script = ("from chartdist.chart import Prechart, _numbered\n"
+              "names = [f'q{i}' for i in range(20)]\n"
+              "p = Prechart(frozenset(names), frozenset(zip(names, 'ab' * 10, names[1:])),\n"
+              "             frozenset((q, 1) for q in names[::3]))\n"
+              "print(_numbered(p))\n")
+    outputs = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        done = python(script)
+        assert (done.returncode, done.stderr) == (0, ""), seed
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("({'q0': 0, 'q1': 1, 'q10': 2, ")

@@ -222,6 +222,26 @@ def test_compile_chart_renumbers_states(capsys):
         "trans 0 x 1\ntrans 2 x 0\nout 1 v1\n", "")
 
 
+def test_compile_prints_its_readers_numbering_and_builds_no_chart(monkeypatch, capsys):
+    """compile prints the numbered chart its reader builds as it is: with
+    Chart.__init__ raising, it prints in all three formats what it did."""
+    def refuse(self, *args):
+        raise AssertionError("compile built a Chart")
+
+    monkeypatch.setattr(chartdist.chart.Chart, "__init__", refuse)
+    assert run(capsys, "compile", "mu v1.a.v1+b.v2") == (
+        EXIT_OK, "alphabet a b\nstate 0\nstate 1\nstart 0\ntrans 0 a 0\ntrans 0 b 1\n"
+        "out 1 v2\n", "")
+    assert run(capsys, "compile", "--format", "diag", "copy ; act(a) * act(b) ; merge") == (
+        EXIT_OK, "alphabet a b\nstate 0\nstate 1\nstate 2\nstart 0\ntrans 0 a 1\n"
+        "trans 0 b 2\nout 1 v1\nout 2 v1\n", "")
+    text = ("state b\nstate 10\nstate a\nstate 2\nstart a\ntrans a x b\ntrans b x 10\n"
+            "out 10 v1\ntrans a y a\nout a v2\n")
+    assert run(capsys, "compile", "--format", "chart", text) == (
+        EXIT_OK, "alphabet x y\nstate 0\nstate 1\nstate 2\nstate 3\nstart 2\n"
+        "trans 0 x 1\ntrans 2 x 0\ntrans 2 y 2\nout 1 v1\nout 2 v2\n", "")
+
+
 def test_derive_and_check_chart_files(tmp_path, capsys):
     left, right = tmp_path / "c8.chart", tmp_path / "c9.chart"
     left.write_text(cycle_text(8))

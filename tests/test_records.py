@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 from chartdist.chart import Chart, Prechart
-from chartdist.derive import CBisim, CCoupling, CDecomp, CTop, CWeaken
+from chartdist.derive import (
+    CBisim, CCoupling, CDecomp, CTop, CWeaken, format_cert, parse_cert, synthesize,
+)
 from chartdist.diagram import (
     Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
     open_chart, parse_term,
@@ -181,3 +183,18 @@ def test_certificate_and_morphism_errors(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_deep_certificates_compare_hash_and_print():
+    """==, hash and repr walk a certificate with a stack: the derive
+    certificate of 1,500 actions then del against 1,501, a chain of
+    1,500 couplings, reads back equal, hashes alike and prints."""
+    left, right = (parse_term(" ; ".join(["act(a)"] * n + ["del"])) for n in (1500, 1501))
+    cert = synthesize(left, right)
+    back = parse_cert(format_cert(cert))
+    assert back == cert and not back != cert
+    assert hash(back) == hash(cert)
+    text = repr(cert)
+    assert repr(back) == text and text.startswith("CCoupling(eps=Fraction(1, ")
+    assert text.count("CCoupling(") == 1500
+    assert text.endswith(", CTop()),))" + "),))" * 1499)

@@ -55,6 +55,11 @@ is paired at distance 0 and at a nonzero distance: ``dist --table``,
 ``bisim``, ``strat``, ``derive`` and ``check`` of the derived certificate
 on each pair, and ``compile`` of each text.
 
+A fifth line goes on, with the same count and digest, to ``render`` in
+its three formats: of each row of ``corpus/pairs.txt`` as an expression
+and as a diagram, of each cycle chart and each edited chart text, and of
+each text of ``diagram_spellings`` under its flags.
+
 Run it from anywhere: it imports the program from the ``src/`` and the
 workloads from the ``perfbench/`` beside it, reads the chart, diagram,
 expression and certificate texts from the ``corpus/`` beside it, and
@@ -339,6 +344,21 @@ def row_n_calls():
         yield argv, call(argv)
 
 
+def render_calls():
+    """argv of render on each row of corpus/pairs.txt in both formats, on
+    each text of the cycle and the edited chart pairs, and on each text of
+    the diagram_spellings."""
+    for row in corpus_rows():
+        for fmt, text in zip(("expr", "diag"), row):
+            yield ["render", "--format", fmt, text]
+    charts = itertools.chain(cycle_pairs(), edited_chart_pairs())
+    for text in dict.fromkeys(text for _, *texts in charts for text in texts):
+        yield ["render", "--format", "chart", text]
+    for flags, *texts in diagram_spellings():
+        for text in texts:
+            yield ["render", "--format", "diag", *flags, text]
+
+
 def parser_calls():
     """argv of the root and of each command, with --help and with no
     arguments, whose usage, help and error texts argparse prints."""
@@ -385,6 +405,10 @@ def main(argv=None):
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     for args, outcome in row_n_calls():
         digest.update(repr((args, outcome)).encode())
+        calls += 1
+    print(f"{calls} calls, sha256 {digest.hexdigest()}")
+    for args in render_calls():
+        digest.update(repr((args, call(args))).encode())
         calls += 1
     print(f"{calls} calls, sha256 {digest.hexdigest()}")
     return 0
