@@ -95,7 +95,8 @@ class _Record:
     """Base of the immutable records: ==, hash and repr over the fields
     that the class lists in __slots__, as a frozen dataclass has them.
     Assigning or deleting a field raises AttributeError; __init__ sets
-    the fields with _set."""
+    the fields with _set.  A record is its own copy, shallow or deep;
+    it pickles as its class called on its fields."""
 
     __slots__ = ()
 
@@ -122,6 +123,12 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class Prechart(_Record):

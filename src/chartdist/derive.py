@@ -2,7 +2,8 @@
 
 A certificate is a tree of proof steps whose conclusion is an upper
 bound on the behavioural distance of two expressions, two charts or two
-diagrams.  The checker recomputes every step against the actual move
+diagrams; one that synthesize builds shares the node of each subproof
+it uses twice, so its nodes form a DAG, though it prints as a tree.  The checker recomputes every step against the actual move
 structure, so a valid certificate is evidence, not advice.  Each node
 carries the bound it claims from the moment it is built:
 
@@ -26,7 +27,10 @@ its name, and for diagrams by its number in the open chart, tagged
 ``L:`` or ``R:``), or ``(out vN)``.
 
 Reading, printing, checking and synthesis walk a certificate with an
-explicit stack, so none of them recurses.
+explicit stack, so none of them recurses; nor do ==, hash and repr,
+since a node's hash is set when it is built, and == and repr walk the
+nodes as the printer does.  A node copies as itself and pickles as its
+text.
 """
 
 from __future__ import annotations
@@ -106,15 +110,26 @@ def _bound(eps) -> Fraction:
 
 
 class _Node(_Record):
-    """A certificate node.  Its ``bound`` is set when it is built, in a
-    slot of this base: the fields are the slots each node class lists,
-    so ==, hash and repr leave the bound out.  They give the values that
-    the record base gives, but walk the node's tree with a stack, each
-    shared node once, so that no certificate is too deep for them."""
+    """A certificate node.  Its ``bound`` and its hash are set when it is
+    built, in slots of this base: the fields are the slots each node
+    class lists, so ==, hash and repr leave the bound out.  The hash is
+    the record base's, of the fields, whose nodes hash by the value set
+    when they were built; == and repr walk the nodes as format_cert does,
+    with a stack, so that no certificate is too deep for them.  A node
+    copies as itself and pickles as its text."""
 
-    __slots__ = ("bound",)
+    __slots__ = ("bound", "_hash")
+
+    def _built(self, bound):
+        _set(self, "bound", bound)
+        _set(self, "_hash", hash(self._values()))
+
+    def __hash__(self):
+        return self._hash
 
     def __eq__(self, other):
+        """Whether the two nodes print alike, walked side by side, each
+        pair of nodes once."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         todo, seen = [(self, other)], set()
@@ -123,101 +138,37 @@ class _Node(_Record):
             if a is b or (id(a), id(b)) in seen:
                 continue
             seen.add((id(a), id(b)))
-            kids_a, kids_b = [], []
-            if _fields(a, kids_a) != _fields(b, kids_b):
+            if a._hash != b._hash:
                 return False
-            todo += zip(kids_a, kids_b)
+            pieces_a, pieces_b = _text_pieces(a), _text_pieces(b)
+            if len(pieces_a) != len(pieces_b):
+                return False
+            for x, y in zip(pieces_a, pieces_b):
+                if isinstance(x, _Node) and isinstance(y, _Node):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
         return True
 
-    def __hash__(self):
-        done = {}  # id of a walked node -> its stand-in
-        for node in _post_order(self):
-            done[id(node)] = _Stand(hash(_swap(node._values(), lambda n: done[id(n)])))
-        return done[id(self)].value
-
     def __repr__(self):
-        done = {}  # id of a walked node -> its stand-in
-        for node in _post_order(self):
-            fields = ", ".join([f"{name}={_swap(getattr(node, name), lambda n: done[id(n)])!r}"
-                                for name in node.__slots__])
-            done[id(node)] = _Stand(f"{type(node).__qualname__}({fields})")
-        return done[id(self)].value
+        return _print(self, _repr_pieces)
 
-
-class _Stand:
-    """A walked node's hash or text, which stands in for the node among
-    its parent's fields, so that the fields hash or print as they do with
-    the node and meet no node."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __hash__(self):
-        return self.value
-
-    def __repr__(self):
-        return self.value
-
-
-def _swap(value, stand):
-    """value with stand(node) in place of each node in it, its tuples
-    rebuilt, bottom up with a stack."""
-    built, todo = [], [(value, False)]
-    while todo:
-        x, ready = todo.pop()
-        if ready:  # the items of the tuple x are the last len(x) built
-            k = len(built) - len(x)
-            built[k:] = [tuple(built[k:])]
-        elif isinstance(x, _Node):
-            built.append(stand(x))
-        elif type(x) is tuple:
-            todo.append((x, True))
-            todo += [(item, False) for item in reversed(x)]
-        else:
-            built.append(x)
-    return built[0]
-
-
-def _fields(node, kids):
-    """The class of node and its fields, with the class of each node among
-    them in its place; each such node is appended to kids, in order."""
-    def stand(kid):
-        kids.append(kid)
-        return kid.__class__
-    return node.__class__, _swap(node._values(), stand)
-
-
-def _post_order(root) -> list:
-    """The nodes of the certificate root, each shared node once and each
-    after the nodes among its fields."""
-    order, seen, todo = [], set(), [(root, False)]
-    while todo:
-        node, ready = todo.pop()
-        if ready:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            kids = []
-            _fields(node, kids)
-            todo.append((node, True))
-            todo += [(kid, False) for kid in kids]
-    return order
+    def __reduce__(self):
+        return parse_cert, (format_cert(self),)
 
 
 class CTop(_Node):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "bound", ONE)
+        self._built(ONE)
 
 
 class CBisim(_Node):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "bound", FZERO)
+        self._built(FZERO)
 
 
 class CWeaken(_Node):
@@ -227,7 +178,7 @@ class CWeaken(_Node):
         _set(self, "eps", eps)
         _set(self, "child", child)
         _check_eps(eps)
-        _set(self, "bound", eps)
+        self._built(eps)
 
 
 class CCoupling(_Node):
@@ -237,7 +188,7 @@ class CCoupling(_Node):
         _set(self, "eps", eps)
         _set(self, "pairs", pairs)
         _check_eps(eps)
-        _set(self, "bound", eps)
+        self._built(eps)
 
 
 class CDecomp(_Node):
@@ -245,7 +196,7 @@ class CDecomp(_Node):
 
     def __init__(self, children: tuple):
         _set(self, "children", children)
-        _set(self, "bound", max((c.bound for c in children), default=FZERO))
+        self._built(max((c.bound for c in children), default=FZERO))
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -385,32 +336,58 @@ def _format_move(m):
     return f"(out v{m[1]})"
 
 
-def format_cert(cert) -> str:
-    parts = []
-    todo = [cert]  # nodes still to print, and the text between them
+def _print(value, pieces) -> str:
+    """The text of value: pieces(item) gives an item's text as strings
+    and the items still to print within it, printed in its place."""
+    parts, todo = [], [value]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif isinstance(item, (CTop, CBisim)):
-            parts.append("(top)" if isinstance(item, CTop) else "(bisim)")
-        elif isinstance(item, CWeaken):
-            todo += [")", item.child, f"(weaken {_ratio(item.eps)} "]
-        elif isinstance(item, CCoupling):
-            pieces = [f"(coupling {_ratio(item.eps)} ("]
-            for i, (m1, m2, child) in enumerate(item.pairs):
-                pieces.append(f"{' ' if i else ''}(move {_format_move(m1)} {_format_move(m2)}")
-                pieces += [] if child is None else [" ", child]
-                pieces.append(")")
-            todo += reversed(pieces + ["))"])
-        elif isinstance(item, CDecomp):
-            pieces = ["(decomp ("]
-            for i, child in enumerate(item.children):
-                pieces += [" ", child] if i else [child]
-            todo += reversed(pieces + ["))"])
         else:
-            raise TypeError(f"not a certificate: {item!r}")
+            todo += reversed(pieces(item))
     return "".join(parts)
+
+
+def _text_pieces(node) -> list:
+    """A node's certificate text, its children in their places."""
+    if isinstance(node, (CTop, CBisim)):
+        return ["(top)" if isinstance(node, CTop) else "(bisim)"]
+    if isinstance(node, CWeaken):
+        return [f"(weaken {_ratio(node.eps)} ", node.child, ")"]
+    if isinstance(node, CCoupling):
+        pieces = [f"(coupling {_ratio(node.eps)} ("]
+        for i, (m1, m2, child) in enumerate(node.pairs):
+            pieces.append(f"{' ' if i else ''}(move {_format_move(m1)} {_format_move(m2)}")
+            pieces += [] if child is None else [" ", child]
+            pieces.append(")")
+        return pieces + ["))"]
+    if isinstance(node, CDecomp):
+        pieces = ["(decomp ("]
+        for i, child in enumerate(node.children):
+            pieces += [" ", child] if i else [child]
+        return pieces + ["))"]
+    raise TypeError(f"not a certificate: {node!r}")
+
+
+def _repr_pieces(value) -> list:
+    """The repr of a node or of a tuple among its fields, as the record
+    base prints it, with the nodes and tuples within it in their places."""
+    if isinstance(value, _Node):
+        head, close = f"{type(value).__qualname__}(", ")"
+        items = [(f"{name}=", getattr(value, name)) for name in value.__slots__]
+    else:
+        head, close = "(", ",)" if len(value) == 1 else ")"
+        items = [("", item) for item in value]
+    pieces = [head]
+    for i, (label, item) in enumerate(items):
+        pieces += [f"{', ' if i else ''}{label}",
+                   item if isinstance(item, _Node) or type(item) is tuple else repr(item)]
+    return pieces + [close]
+
+
+def format_cert(cert) -> str:
+    return _print(cert, _text_pieces)
 
 
 # --- checking --------------------------------------------------------------

@@ -23,7 +23,9 @@ morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, which no command
 runs, and the only way into regbeh, which it imports when it is called.
 Reading, parsing, typing, printing, comparing, hashing and both
-semantics keep their own stack, never recursing.
+semantics keep their own stack, never recursing.  A term is its own
+copy, and a composite term pickles as its text, which parse_term reads
+back.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class Sym(_Record, Term):
 
 class _Node(Term):
     """A composite term: equal to another exactly when they print alike,
-    as format_term walks it by an explicit stack and round-trips."""
+    as format_term walks it by an explicit stack and round-trips, and
+    pickled as its text."""
 
     __slots__ = ()
 
@@ -148,6 +151,9 @@ class _Node(Term):
 
     def __repr__(self):
         return f"parse_term({format_term(self)!r})"
+
+    def __reduce__(self):
+        return parse_term, (format_term(self),)
 
 
 class Seq(_Node, _Record):

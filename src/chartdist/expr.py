@@ -15,7 +15,9 @@ the given fields, found in a weak intern table, so two expressions are
 structurally equal exactly when they are the same object, and equality
 and hashing are by identity.  Each node computes its free variables
 once, when it is built.  Every traversal keeps its own stack, so no
-recursion depth grows with the size of an expression.
+recursion depth grows with the size of an expression.  A node pickles,
+and copies, as its text, which parse_expr reads back to the same live
+node.
 
 Expansion runs on nameless nodes (de Bruijn, Indag. Math. 1972; the
 locally nameless form of Charguéraud, JAR 2012) interned in a table that
@@ -93,7 +95,6 @@ class Expr:
     """
 
     __slots__ = ("free_vars", "_binds", "__weakref__")
-    _fields: tuple = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -102,7 +103,7 @@ class Expr:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self._fields)
+        return parse_expr, (format_expr(self),)
 
     def __str__(self) -> str:
         return format_expr(self)
@@ -122,7 +123,6 @@ class Zero(Expr):
 
 class Var(Expr):
     __slots__ = ("index",)
-    _fields = ("index",)
 
     def __new__(cls, index):
         if not isinstance(index, int) or index < 1:
@@ -139,7 +139,6 @@ class Var(Expr):
 
 class Prefix(Expr):
     __slots__ = ("letter", "body")
-    _fields = ("letter", "body")
 
     def __new__(cls, letter, body):
         if not _valid_letter(letter):
@@ -157,7 +156,6 @@ class Prefix(Expr):
 
 class Sum(Expr):
     __slots__ = ("left", "right")
-    _fields = ("left", "right")
 
     def __new__(cls, left, right):
         key = (cls, left, right)
@@ -175,7 +173,6 @@ class Sum(Expr):
 
 class Mu(Expr):
     __slots__ = ("binder", "body")
-    _fields = ("binder", "body")
 
     def __new__(cls, binder, body):
         if not isinstance(binder, int) or binder < 1:

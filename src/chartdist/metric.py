@@ -186,14 +186,14 @@ class KleeneResult(_Record):
     table is over the original states; quotient_tables holds the
     iterates on the bisimilarity quotient (index 0 is the everywhere-1
     table); stable_index is the first k with iterate k equal to k+1.
-    Unlike the other records its fields can be assigned, and it has no
-    hash.
+    Unlike the other records its fields can be assigned, it has no hash,
+    and a copy of it is a new result with its fields copied.
     """
 
     __slots__ = ("table", "quotient", "class_of", "quotient_tables", "stable_index")
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-    __hash__ = None
+    __hash__ = __copy__ = __deepcopy__ = None
 
     def __init__(self, table: DistTable, quotient: Prechart, class_of: dict,
                  quotient_tables: list, stable_index: int):

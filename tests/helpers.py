@@ -14,7 +14,7 @@ import subprocess
 import sys
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from chartdist import (
 from chartdist.chart import (
     _LETTER_SET, _LETTERS, ChartFormatError, _valid_letter, _var_index, state_key,
 )
+from chartdist.derive import _Node
 from chartdist.diagram import _fold, _tensor_fold
 from chartdist.regbeh import RbMorphism, _solve, leaf_morphism
 
@@ -815,6 +816,23 @@ def malformed_certificates():
     code and stderr of check on them."""
     path = Path(__file__).resolve().parent.parent / "corpus" / "malformed_certificates.json"
     return json.loads(path.read_text())
+
+
+_CERT_DATACLASSES = {}  # certificate node class -> its frozen dataclass
+
+
+def cert_dataclass(value):
+    """A certificate, or a value among a node's fields, with each node
+    turned into a frozen dataclass of the node's class name and fields:
+    the records the nodes' ==, hash and repr give the values of."""
+    if type(value) is tuple:
+        return tuple(cert_dataclass(item) for item in value)
+    if not isinstance(value, _Node):
+        return value
+    cls = type(value)
+    if cls not in _CERT_DATACLASSES:
+        _CERT_DATACLASSES[cls] = make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+    return _CERT_DATACLASSES[cls](*[cert_dataclass(getattr(value, f)) for f in cls.__slots__])
 
 
 def cycle_text(n, outs_at=(0,)):

@@ -19,11 +19,12 @@ from chartdist.derive import (
 )
 from chartdist.diagram import (
     Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
-    open_chart, parse_term,
+    open_chart, parse_term, typecheck,
 )
 from chartdist.expr import ZERO, Var, parse_expr
 from chartdist.metric import KleeneResult, kleene_solve
 from chartdist.regbeh import IntMorphism, RbMorphism, RbTypeError, int_id, rb_id, rb_sym
+from helpers import cert_dataclass, corpus_rows
 
 P = Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset({(1, 1)}))
 P_TEXT = ("Prechart(states=frozenset({0, 1}), trans=frozenset({(0, 'a', 1)}), "
@@ -198,3 +199,75 @@ def test_deep_certificates_compare_hash_and_print():
     assert repr(back) == text and text.startswith("CCoupling(eps=Fraction(1, ")
     assert text.count("CCoupling(") == 1500
     assert text.endswith(", CTop()),))" + "),))" * 1499)
+
+
+def _other_move(m):
+    return ("act", "b" if m[1] == "a" else "a", m[2]) if m[0] == "act" else ("out", m[1] + 1)
+
+
+def _mutations(cert):
+    """Each certificate that differs from cert in one field of one node:
+    an eps changed, a move changed, a child replaced by (top), or a pair
+    or a child dropped."""
+    if isinstance(cert, CWeaken):
+        yield CWeaken(cert.eps / 2, cert.child)
+        yield CWeaken(cert.eps, CTop())
+        yield from (CWeaken(cert.eps, sub) for sub in _mutations(cert.child))
+    elif isinstance(cert, CCoupling):
+        yield CCoupling(cert.eps / 2, cert.pairs)
+        for i, (m1, m2, child) in enumerate(cert.pairs):
+            before, after = cert.pairs[:i], cert.pairs[i + 1:]
+            for pairs in (((_other_move(m1), m2, child),), ((m1, _other_move(m2), child),),
+                          ((m1, m2, CTop()),), ()):
+                yield CCoupling(cert.eps, before + pairs + after)
+            for sub in () if child is None else _mutations(child):
+                yield CCoupling(cert.eps, before + ((m1, m2, sub),) + after)
+    elif isinstance(cert, CDecomp):
+        for i, child in enumerate(cert.children):
+            before, after = cert.children[:i], cert.children[i + 1:]
+            for kids in ((CTop(),), (), *((sub,) for sub in _mutations(child))):
+                yield CDecomp(before + kids + after)
+
+
+def test_certificates_agree_with_their_dataclasses():
+    """The derive certificates, tight and weakened to 1, of each
+    same-boundary corpus pair in both formats and of the pair's two
+    diagrams side by side, and each one-field mutation of them: ==, !=
+    and hash agree with those of the certificates as frozen dataclasses,
+    both ways, and repr prints alike."""
+    certs = []
+    rows = corpus_rows()
+    for i, (e1, d1) in enumerate(rows):
+        for e2, d2 in rows[i + 1:]:
+            if typecheck(parse_term(d1)) == typecheck(parse_term(d2)):
+                for parse, left, right in ((parse_expr, e1, e2), (parse_term, d1, d2),
+                                           (parse_term, f"({d1}) * ({d2})", f"({d2}) * ({d1})")):
+                    for eps in (None, Fraction(1)):
+                        cert = synthesize(parse(left), parse(right), eps)
+                        certs += [cert, *_mutations(cert)]
+    assert {type(c) for c in certs} == {CTop, CBisim, CWeaken, CCoupling, CDecomp}
+    records = [cert_dataclass(c) for c in certs]
+    for cert, record in zip(certs, records):
+        assert hash(cert) == hash(record) and repr(cert) == repr(record)
+    for a, ra in zip(certs, records):
+        for b, rb in zip(certs, records):
+            assert (a == b, b == a, a != b) == (ra == rb, rb == ra, ra != rb)
+
+
+def test_records_copy_as_themselves_but_a_kleene_result():
+    for record, *_ in records():
+        assert copy.copy(record) is record and copy.deepcopy(record) is record
+    result = kleene_solve(Prechart(frozenset({0}), frozenset(), frozenset()))
+    shallow, deep = copy.copy(result), copy.deepcopy(result)
+    assert shallow is not result and shallow == result
+    assert shallow.class_of is result.class_of
+    assert deep is not result and deep.class_of == result.class_of
+    assert deep.class_of is not result.class_of
+
+
+def test_certificate_node_with_unhashable_fields_is_refused():
+    """A node's hash is set when it is built, so its fields must hash."""
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        CCoupling(HALF, [(("out", 1), ("out", 1), None)])
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        CWeaken(HALF, [CTop()])

@@ -1,8 +1,19 @@
 """No function of the library calls itself, so no recursion depth grows
-with the input.  The recursive reference dagger lives in tests/helpers."""
+with the input.  The recursive reference dagger lives in tests/helpers.
+Deep values of each nested node family also compare, hash, print, copy
+and pickle, since a dunder protocol recurses through no call that the
+source scan sees."""
 
 import ast
+import copy
+import io
+import pickle
 from pathlib import Path
+
+import pytest
+
+from chartdist import format_expr, format_term, parse_expr, parse_term
+from chartdist.derive import format_cert, parse_cert, synthesize
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chartdist"
 
@@ -56,3 +67,38 @@ def test_only_the_reference_dagger_recurses():
     for path in sorted(SRC.glob("*.py")):
         found |= self_calling(path.read_text(), path.stem)
     assert found == ALLOWED
+
+
+DEPTH = 1500
+
+
+def _chain(n):
+    return parse_term(" ; ".join(["act(a)"] * n + ["del"]))
+
+
+# (id, a deep value built from scratch, its reader, its printer)
+DEEP = [
+    ("expr", lambda: parse_expr("a." * DEPTH + "0"), parse_expr, format_expr),
+    ("mu", lambda: parse_expr("".join(f"mu v{i}.a." for i in range(1, DEPTH + 1)) + "v1"),
+     parse_expr, format_expr),
+    ("term", lambda: _chain(DEPTH), parse_term, format_term),
+    ("cert", lambda: synthesize(_chain(DEPTH), _chain(DEPTH + 1)), parse_cert, format_cert),
+]
+
+
+@pytest.mark.parametrize("build, read, write", [row[1:] for row in DEEP],
+                         ids=[row[0] for row in DEEP])
+def test_deep_values_compare_hash_print_copy_and_pickle(build, read, write):
+    value = build()
+    other = read(write(value))
+    assert value == other and not value != other
+    assert hash(value) == hash(other)
+    assert repr(value) == repr(other) and str(value) == str(other)
+    printed = io.StringIO()
+    print(value, file=printed)
+    assert printed.getvalue() == f"{value}\n"
+    for twin in (copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value
+    for protocol in (0, pickle.HIGHEST_PROTOCOL):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value) and back == value and write(back) == write(value)

@@ -1,6 +1,7 @@
 """Time of the one-pass readers, of the expression reader against the
-route through a tree, and of the epsilon closure of the diagrams they
-read, in one process.
+route through a tree, of the epsilon closure of the diagrams they read,
+and of reading, printing, comparing, hashing, printing as repr and
+pickling certificates, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
@@ -22,6 +23,15 @@ each route, and, for the expressions, the reader's sum over the tree
 route's.  An untimed round first checks that both expression routes
 give the same node id and table keys for every text.
 
+Certificates: the text that ``derive`` prints for every accepting
+``derive`` query of ``certify`` (150 texts for seed 1), read by
+``derive.parse_cert`` and the nodes read printed back by
+``derive.format_cert``, in chunks as above; an untimed round checks
+that each prints back as read.  Then the ``derive`` certificate of
+``act(a)``x2000 ``; del`` against x2001, a chain of 2,000 couplings:
+the best time over the rounds of ``==`` against a copy read from its
+text, ``hash``, ``repr`` and a pickle round trip.
+
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
 """
@@ -29,32 +39,44 @@ is written, so the script leaves no file behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
+import pickle
 import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 25
+CHAIN = 2000
 
 
 def workload_texts(seed):
-    """Both diagram texts of each --format diag query of certify, and the
-    expression texts of each query of exprs."""
+    """Both diagram texts of each --format diag query of certify, the
+    expression texts of each query of exprs, and the certificate that
+    each accepting derive query of certify prints."""
     import chartdist
     import workloads
+    from chartdist import cli
 
     def diagram_distance(text1, text2):
         return chartdist.diagram_distance(chartdist.parse_term(text1),
                                           chartdist.parse_term(text2))
 
     queries, _, _ = workloads.build("certify", seed, diagram_distance)
-    diagrams = []
+    diagrams, certs = [], []
     for q in queries:
         if "diag" in q.argv:  # derive LEFT RIGHT ... or check CERT LEFT RIGHT ...
             first = 2 if q.cmd == "check" else 1
             diagrams += q.argv[first:first + 2]
+        if q.cmd == "derive" and q.code == 0:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                cli.main(q.argv)
+            certs.append(printed.getvalue().rstrip("\n"))
     queries, _, _ = workloads.build("exprs", seed, diagram_distance)
-    return diagrams, [text for q in queries for text in q.argv[1:]]  # all plain texts
+    expressions = [text for q in queries for text in q.argv[1:]]  # all plain texts
+    return diagrams, expressions, certs
 
 
 def best_sums(routes, texts, runs):
@@ -82,7 +104,7 @@ def main(argv=None):
         ap.error("--runs must be at least 1")
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    from chartdist import diagram, expr
+    from chartdist import derive, diagram, expr
 
     def read_open(texts):
         return [diagram._read_open(t) for t in texts]
@@ -99,13 +121,26 @@ def main(argv=None):
     def close(parts):
         return [diagram._close(*p, diagram.MAX_STATES) for _, p in parts]
 
-    diagrams, expressions = workload_texts(args.seed)
+    def read_cert(texts):
+        return [derive.parse_cert(t) for t in texts]
+
+    def print_cert(certs):
+        return [derive.format_cert(c) for c in certs]
+
+    diagrams, expressions, certs = workload_texts(args.seed)
+    if print_cert(read_cert(certs)) != certs:
+        print("error: a certificate prints back otherwise than it was read", file=sys.stderr)
+        return 1
     sections = ((f"certify seed {args.seed}: {len(diagrams)} diagram texts", diagrams,
                  (("_read_open", read_open),)),
                 (f"exprs seed {args.seed}: {len(expressions)} expression texts", expressions,
                  (("_read", read_expr), ("_nameless(parse_expr)", tree_route))),
                 (f"certify seed {args.seed}: the parts of {len(diagrams)} diagram texts",
-                 read_open(diagrams), (("_close", close),)))
+                 read_open(diagrams), (("_close", close),)),
+                (f"certify seed {args.seed}: {len(certs)} certificate texts", certs,
+                 (("parse_cert", read_cert),)),
+                (f"certify seed {args.seed}: the {len(certs)} certificates read",
+                 read_cert(certs), (("format_cert", print_cert),)))
     for title, texts, routes in sections:
         (reader_name, reader), *others = routes
         for name, route in others:
@@ -118,6 +153,28 @@ def main(argv=None):
             print(f"{name:<25}{total[route] * 1e3:7.2f} ms")
         for _, route in others:
             print(f"ratio {total[reader] / total[route]:.3f}")
+    return chain_times(derive, diagram, args.runs)
+
+
+def chain_times(derive, diagram, runs):
+    """Print the best time of each operation on the chain certificate."""
+    left, right = (diagram.parse_term(" ; ".join(["act(a)"] * n + ["del"]))
+                   for n in (CHAIN, CHAIN + 1))
+    cert = derive.synthesize(left, right)
+    other = derive.parse_cert(derive.format_cert(cert))
+    if not (cert == other and pickle.loads(pickle.dumps(cert)) == cert):
+        print("error: the chain certificate differs from its copies", file=sys.stderr)
+        return 1
+    print(f"chain certificate n={CHAIN}, best of {runs} rounds")
+    for name, op in (("==", lambda: cert == other), ("hash", lambda: hash(cert)),
+                     ("repr", lambda: repr(cert)),
+                     ("pickle round trip", lambda: pickle.loads(pickle.dumps(cert)))):
+        best = float("inf")
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            op()
+            best = min(best, time.perf_counter() - t0)
+        print(f"{name:<25}{best * 1e3:7.2f} ms")
     return 0
 
 
