@@ -67,18 +67,28 @@ def _var_index(token):
     return None
 
 
-_PIECE = 10 ** 600
+_WIDTH = 600
+_PIECE = 10 ** _WIDTH
 
 
 def _decimal(n: int) -> str:
-    """The decimal text of the int n.  It prints 600 digits at a time,
+    """The decimal text of the int n.  It prints _WIDTH digits at a time,
     fewer than the least int-to-text digit limit CPython allows, so every
     int prints and the process's limit is never touched."""
     sign, n, pieces = "-" if n < 0 else "", abs(n), []
     while n >= _PIECE:
         n, r = divmod(n, _PIECE)
-        pieces.append(f"{r:0600}")
+        pieces.append(f"{r:0{_WIDTH}}")
     return "".join([sign, str(n), *reversed(pieces)])
+
+
+def _integer(digits: str) -> int:
+    """The int of a string of ASCII digits, read _WIDTH at a time, as
+    _decimal prints it, so that no digit limit applies."""
+    n = 0
+    for i in range(0, len(digits), _WIDTH):
+        n = n * 10 ** len(digits[i:i + _WIDTH]) + int(digits[i:i + _WIDTH])
+    return n
 
 
 def _ratio(x) -> str:

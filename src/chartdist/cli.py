@@ -164,8 +164,7 @@ def _cmd_bisim(args):
                  if args.format == "chart" else
                  (chart._reach(joint.succ, x), chart._reach(joint.succ, y)))
         w = bisim.witness_pairs(refinement, *sides, joint.local)
-        for q1, q2 in sorted(w, key=lambda pr: (chart.state_key(pr[0]),
-                                                chart.state_key(pr[1]))):
+        for q1, q2 in sorted(w):  # names of one type: all str, or all int
             lines.append(f"{tag}{q1}\t{q2}")
     return EXIT_OK, "\n".join(lines) + "\n"
 

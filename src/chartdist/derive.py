@@ -3,9 +3,10 @@
 A certificate is a tree of proof steps whose conclusion is an upper
 bound on the behavioural distance of two expressions, two charts or two
 diagrams; one that synthesize builds shares the node of each subproof
-it uses twice, so its nodes form a DAG, though it prints as a tree.  The checker recomputes every step against the actual move
-structure, so a valid certificate is evidence, not advice.  Each node
-carries the bound it claims from the moment it is built:
+it uses twice, so its nodes form a DAG, though it prints as a tree.
+The checker recomputes every step against the actual move structure,
+so a valid certificate is evidence, not advice.  Each node carries the
+bound it claims from the moment it is built:
 
   (top)                  bound 1, always valid
   (bisim)                bound 0, the two states must be bisimilar
@@ -27,10 +28,10 @@ its name, and for diagrams by its number in the open chart, tagged
 ``L:`` or ``R:``), or ``(out vN)``.
 
 Reading, printing, checking and synthesis walk a certificate with an
-explicit stack, so none of them recurses; nor do ==, hash and repr,
-since a node's hash is set when it is built, and == and repr walk the
-nodes as the printer does.  A node copies as itself and pickles as its
-text.
+explicit stack, so none of them recurses; nor do == and hash, since a
+node's hash is set when it is built and == walks the nodes as the
+printer does.  A node prints as its text, in str and in repr; it copies
+as itself and pickles as its text.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import re
 from fractions import Fraction
 
 from .bisim import _refine_pair, joint_pair, joint_prechart
-from .chart import MAX_STATES, _digits, _ratio, _Record, _set, _valid_letter, _var_index
+from .chart import MAX_STATES, _digits, _integer, _ratio, _Record, _set, _valid_letter, _var_index
 
 __all__ = [
     "CTop", "CBisim", "CWeaken", "CCoupling", "CDecomp",
@@ -84,15 +85,6 @@ def _check_eps(eps):
         raise ValueError(f"bound {_ratio(eps)} outside [0, 1]")
 
 
-def _integer(digits: str) -> int:
-    """The int of a string of ASCII digits, read 600 at a time, below
-    CPython's int-to-text digit limit."""
-    n = 0
-    for i in range(0, len(digits), 600):
-        n = n * 10 ** len(digits[i:i + 600]) + int(digits[i:i + 600])
-    return n
-
-
 def _bound(eps) -> Fraction:
     """eps, a rational or its text such as "3/4", as a Fraction; ValueError
     when it is no rational or lies outside [0, 1].  Text of the form p or
@@ -112,10 +104,10 @@ def _bound(eps) -> Fraction:
 class _Node(_Record):
     """A certificate node.  Its ``bound`` and its hash are set when it is
     built, in slots of this base: the fields are the slots each node
-    class lists, so ==, hash and repr leave the bound out.  The hash is
-    the record base's, of the fields, whose nodes hash by the value set
-    when they were built; == and repr walk the nodes as format_cert does,
-    with a stack, so that no certificate is too deep for them.  A node
+    class lists, so == and hash leave the bound out.  The hash is the
+    record base's, of the fields, whose nodes hash by the value set when
+    they were built; == walks the nodes as format_cert does, with a
+    stack.  A node's str is its text and its repr parse_cert('...'); it
     copies as itself and pickles as its text."""
 
     __slots__ = ("bound", "_hash")
@@ -150,8 +142,11 @@ class _Node(_Record):
                     return False
         return True
 
+    def __str__(self):
+        return format_cert(self)
+
     def __repr__(self):
-        return _print(self, _repr_pieces)
+        return f"parse_cert({format_cert(self)!r})"
 
     def __reduce__(self):
         return parse_cert, (format_cert(self),)
@@ -332,21 +327,8 @@ def _escape(text):
 
 def _format_move(m):
     if m[0] == "act":
-        return f'(act {m[1]} "{_escape(m[2])}")'
+        return f'(act {m[1]} "{_escape(str(m[2]))}")'
     return f"(out v{m[1]})"
-
-
-def _print(value, pieces) -> str:
-    """The text of value: pieces(item) gives an item's text as strings
-    and the items still to print within it, printed in its place."""
-    parts, todo = [], [value]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        else:
-            todo += reversed(pieces(item))
-    return "".join(parts)
 
 
 def _text_pieces(node) -> list:
@@ -370,24 +352,17 @@ def _text_pieces(node) -> list:
     raise TypeError(f"not a certificate: {node!r}")
 
 
-def _repr_pieces(value) -> list:
-    """The repr of a node or of a tuple among its fields, as the record
-    base prints it, with the nodes and tuples within it in their places."""
-    if isinstance(value, _Node):
-        head, close = f"{type(value).__qualname__}(", ")"
-        items = [(f"{name}=", getattr(value, name)) for name in value.__slots__]
-    else:
-        head, close = "(", ",)" if len(value) == 1 else ")"
-        items = [("", item) for item in value]
-    pieces = [head]
-    for i, (label, item) in enumerate(items):
-        pieces += [f"{', ' if i else ''}{label}",
-                   item if isinstance(item, _Node) or type(item) is tuple else repr(item)]
-    return pieces + [close]
-
-
 def format_cert(cert) -> str:
-    return _print(cert, _text_pieces)
+    """The text of a certificate: each node's text pieces, the nodes
+    among them printed in their places, with a stack."""
+    parts, todo = [], [cert]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        else:
+            todo += reversed(_text_pieces(item))
+    return "".join(parts)
 
 
 # --- checking --------------------------------------------------------------

@@ -824,7 +824,7 @@ _CERT_DATACLASSES = {}  # certificate node class -> its frozen dataclass
 def cert_dataclass(value):
     """A certificate, or a value among a node's fields, with each node
     turned into a frozen dataclass of the node's class name and fields:
-    the records the nodes' ==, hash and repr give the values of."""
+    the records the nodes' == and hash give the values of."""
     if type(value) is tuple:
         return tuple(cert_dataclass(item) for item in value)
     if not isinstance(value, _Node):

@@ -1,5 +1,6 @@
 """Distance certificates: parsing, checking, synthesis, and tampering."""
 
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -427,6 +428,50 @@ def test_bound_of_any_size_round_trips():
     assert len(text) == len("(weaken 1/ (bisim))") + 4301
     back = parse_cert(text)
     assert (back, back.bound) == (cert, cert.bound)
+
+
+def test_every_node_prints_as_its_text():
+    """A bound past CPython's int-to-text digit limit prints in str and
+    repr, and a move target that is no string prints through str(), so
+    such nodes print, read back from their repr and compare."""
+    cert = CWeaken(Fraction(1, 2 ** 15000), CTop())
+    text = format_cert(cert)
+    assert str(cert) == text and repr(cert) == f"parse_cert({text!r})"
+    assert eval(repr(cert)) == cert and pickle.loads(pickle.dumps(cert)) == cert
+
+    def coupling(target):
+        return CCoupling(Fraction(1, 2), ((("act", "a", 0), ("act", "a", target), CTop()),))
+
+    node = coupling(1)
+    assert node == coupling(1) and not node != coupling(1) and node != coupling(2)
+    assert str(node) == '(coupling 1/2 ((move (act a "0") (act a "1") (top))))'
+    assert repr(node) == f"parse_cert({str(node)!r})"
+
+
+def derive_pairs():
+    """(id, left, right) of the 26 same-boundary corpus pairs as
+    expressions and as diagrams, and of the n- against (n+1)-cycles for
+    n = 2..12."""
+    rows, found = corpus_rows(), []
+    for i, (e1, d1) in enumerate(rows):
+        for j, (e2, d2) in enumerate(rows[i + 1:], start=i + 1):
+            if typecheck(parse_term(d1)) == typecheck(parse_term(d2)):
+                found += [(f"expr {i}-{j}", parse_expr(e1), parse_expr(e2)),
+                          (f"diag {i}-{j}", parse_term(d1), parse_term(d2))]
+    return found + [(f"cycle {n}", parse_chart_text(cycle_text(n)),
+                     parse_chart_text(cycle_text(n + 1))) for n in range(2, 13)]
+
+
+@pytest.mark.parametrize("left, right", [row[1:] for row in derive_pairs()],
+                         ids=[row[0] for row in derive_pairs()])
+def test_derive_certificates_print_as_their_text(left, right):
+    """The tight certificate and the one weakened to 1: str is the text,
+    repr reads it back with parse_cert, and what it reads is equal."""
+    for eps in (None, Fraction(1)):
+        cert = synthesize(left, right, eps)
+        text = format_cert(cert)
+        assert repr(cert) == f"parse_cert({text!r})" and str(cert) == text
+        assert eval(repr(cert)) == cert
 
 
 def test_certificate_nodes_validate_eps():

@@ -4,7 +4,8 @@ nodes and the regbeh morphisms.
 
 Their repr, ==, hash, immutability and validation errors are public.
 The expected values below are those the records had as dataclasses,
-written out."""
+written out, but for the certificate nodes, Seq and Tensor, whose repr
+is their text read back: parse_cert('...') and parse_term('...')."""
 
 import copy
 import pickle
@@ -62,16 +63,16 @@ def records():
                    (1,)),
          "OpenChart(prechart=Prechart(states=frozenset({0, 1}), "
          "trans=frozenset({(0, 'a', 1)}), outs=frozenset()), entries=(0,))", "entries"),
-        (CTop(), CTop(), CBisim(), "CTop()", "bound"),
-        (CBisim(), CBisim(), CTop(), "CBisim()", "bound"),
+        (CTop(), CTop(), CBisim(), "parse_cert('(top)')", "bound"),
+        (CBisim(), CBisim(), CTop(), "parse_cert('(bisim)')", "bound"),
         (CWeaken(HALF, CTop()), CWeaken(eps=Fraction(2, 4), child=CTop()),
-         CWeaken(HALF, CBisim()), "CWeaken(eps=Fraction(1, 2), child=CTop())", "eps"),
+         CWeaken(HALF, CBisim()), "parse_cert('(weaken 1/2 (top))')", "eps"),
         (CCoupling(HALF, pairs()), CCoupling(eps=HALF, pairs=pairs()),
          CCoupling(HALF, pairs()[:1]),
-         "CCoupling(eps=Fraction(1, 2), pairs=((('act', 'a', 'L:0'), ('act', 'a', 'R:0'), "
-         "CTop()), (('out', 1), ('out', 1), None)))", "pairs"),
+         """parse_cert('(coupling 1/2 ((move (act a "L:0") (act a "R:0") (top)) """
+         """(move (out v1) (out v1))))')""", "pairs"),
         (CDecomp((CTop(), CBisim())), CDecomp(children=(CTop(), CBisim())),
-         CDecomp((CBisim(), CTop())), "CDecomp(children=(CTop(), CBisim()))", "children"),
+         CDecomp((CBisim(), CTop())), "parse_cert('(decomp ((top) (bisim)))')", "children"),
         (RbMorphism(1, 1, (parse_expr("a.v1"),)),
          RbMorphism(dom=1, cod=1, rows=(parse_expr("a.v1"),)),
          RbMorphism(1, 2, (parse_expr("a.v1"),)),
@@ -122,7 +123,7 @@ def test_certificate_bound_is_no_field():
     repr, == and hash see the fields alone."""
     node = CDecomp((CTop(), CBisim()))
     assert node.bound == 1
-    assert repr(node) == "CDecomp(children=(CTop(), CBisim()))"
+    assert repr(node) == "parse_cert('(decomp ((top) (bisim)))')"
     assert pickle.loads(pickle.dumps(node)).bound == 1
     other = CDecomp((CTop(), CBisim()))
     object.__setattr__(other, "bound", 0)  # a bound no constructor would set
@@ -187,18 +188,18 @@ def test_certificate_and_morphism_errors(build, error, message):
 
 
 def test_deep_certificates_compare_hash_and_print():
-    """==, hash and repr walk a certificate with a stack: the derive
-    certificate of 1,500 actions then del against 1,501, a chain of
-    1,500 couplings, reads back equal, hashes alike and prints."""
+    """== walks a certificate with a stack, and repr prints its text:
+    the derive certificate of 1,500 actions then del against 1,501, a
+    chain of 1,500 couplings, reads back equal, hashes alike and prints."""
     left, right = (parse_term(" ; ".join(["act(a)"] * n + ["del"])) for n in (1500, 1501))
     cert = synthesize(left, right)
     back = parse_cert(format_cert(cert))
     assert back == cert and not back != cert
     assert hash(back) == hash(cert)
     text = repr(cert)
-    assert repr(back) == text and text.startswith("CCoupling(eps=Fraction(1, ")
-    assert text.count("CCoupling(") == 1500
-    assert text.endswith(", CTop()),))" + "),))" * 1499)
+    assert repr(back) == text and text.startswith("parse_cert('(coupling 1/")
+    assert text.count("(coupling ") == 1500
+    assert text.endswith("(top)" + ")))" * 1500 + "')")
 
 
 def _other_move(m):
@@ -234,7 +235,7 @@ def test_certificates_agree_with_their_dataclasses():
     same-boundary corpus pair in both formats and of the pair's two
     diagrams side by side, and each one-field mutation of them: ==, !=
     and hash agree with those of the certificates as frozen dataclasses,
-    both ways, and repr prints alike."""
+    both ways, and repr reads back as an equal node."""
     certs = []
     rows = corpus_rows()
     for i, (e1, d1) in enumerate(rows):
@@ -248,7 +249,7 @@ def test_certificates_agree_with_their_dataclasses():
     assert {type(c) for c in certs} == {CTop, CBisim, CWeaken, CCoupling, CDecomp}
     records = [cert_dataclass(c) for c in certs]
     for cert, record in zip(certs, records):
-        assert hash(cert) == hash(record) and repr(cert) == repr(record)
+        assert hash(cert) == hash(record) and eval(repr(cert)) == cert
     for a, ra in zip(certs, records):
         for b, rb in zip(certs, records):
             assert (a == b, b == a, a != b) == (ra == rb, rb == ra, ra != rb)

@@ -94,6 +94,7 @@ def test_deep_values_compare_hash_print_copy_and_pickle(build, read, write):
     assert value == other and not value != other
     assert hash(value) == hash(other)
     assert repr(value) == repr(other) and str(value) == str(other)
+    assert eval(repr(value)) == value
     printed = io.StringIO()
     print(value, file=printed)
     assert printed.getvalue() == f"{value}\n"

@@ -30,7 +30,10 @@ Certificates: the text that ``derive`` prints for every accepting
 that each prints back as read.  Then the ``derive`` certificate of
 ``act(a)``x2000 ``; del`` against x2001, a chain of 2,000 couplings:
 the best time over the rounds of ``==`` against a copy read from its
-text, ``hash``, ``repr`` and a pickle round trip.
+text, ``hash``, ``repr`` and a pickle round trip.  Last, ``repr`` and
+``str`` of ``(weaken 1/2^15000 (top))``, whose bound has more digits
+than CPython turns into text by default; an operation that raises
+``ValueError`` prints that it does, in place of its time.
 
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
@@ -45,6 +48,7 @@ import os
 import pickle
 import sys
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 25
@@ -157,7 +161,8 @@ def main(argv=None):
 
 
 def chain_times(derive, diagram, runs):
-    """Print the best time of each operation on the chain certificate."""
+    """Print the best time of each operation on the chain certificate and
+    on the certificate of a bound of 4,516 digits."""
     left, right = (diagram.parse_term(" ; ".join(["act(a)"] * n + ["del"]))
                    for n in (CHAIN, CHAIN + 1))
     cert = derive.synthesize(left, right)
@@ -165,15 +170,22 @@ def chain_times(derive, diagram, runs):
     if not (cert == other and pickle.loads(pickle.dumps(cert)) == cert):
         print("error: the chain certificate differs from its copies", file=sys.stderr)
         return 1
-    print(f"chain certificate n={CHAIN}, best of {runs} rounds")
+    bound = derive.CWeaken(Fraction(1, 2 ** 15000), derive.CTop())
+    print(f"chain certificate n={CHAIN}, then the bound 1/2^15000, best of {runs} rounds")
     for name, op in (("==", lambda: cert == other), ("hash", lambda: hash(cert)),
                      ("repr", lambda: repr(cert)),
-                     ("pickle round trip", lambda: pickle.loads(pickle.dumps(cert)))):
+                     ("pickle round trip", lambda: pickle.loads(pickle.dumps(cert))),
+                     ("repr, bound 1/2^15000", lambda: repr(bound)),
+                     ("str, bound 1/2^15000", lambda: str(bound))):
         best = float("inf")
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            op()
-            best = min(best, time.perf_counter() - t0)
+        try:
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                op()
+                best = min(best, time.perf_counter() - t0)
+        except ValueError:
+            print(f"{name:<25}raises ValueError")
+            continue
         print(f"{name:<25}{best * 1e3:7.2f} ms")
     return 0
 
