@@ -236,12 +236,14 @@ def coarsest_partition(p: Prechart) -> tuple:
 
 def witness_pairs(refinement: Refinement, left, right, name) -> frozenset:
     """Pairs (name(x), name(y)) for the state numbers x of left and y of
-    right that share a bisimilarity class of the refinement."""
+    right that share a bisimilarity class of the refinement.  Each state
+    is named once."""
     m = refinement.classes()
     by_class: dict = {}
     for y in right:
         by_class.setdefault(m[y], []).append(name(y))
-    return frozenset((name(x), other) for x in left for other in by_class.get(m[x], ()))
+    named = {x: name(x) for x in left}
+    return frozenset((named[x], other) for x in left for other in by_class.get(m[x], ()))
 
 
 def _refine_pair(f, g, max_states=MAX_STATES):

@@ -405,13 +405,16 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
 
     Each state takes the transitions of every node its epsilon edges
     reach, and outputs vj when they reach output node j; a cycle of
-    epsilon edges adds nothing.  An alias (no moves, no output, one
-    epsilon edge: every output _plug wires) reaches what its edge does, so
-    union-find with path compression resolves it to the first node of its
-    chain that is no alias, or to a node of the cycle that the chain ends
-    in, which reaches nothing.  Walks visit no other alias, each chain is
-    followed once, and each root's closure is walked once, for the first
-    state that resolves to it."""
+    epsilon edges adds nothing.  An alias (no moves, one epsilon edge:
+    every output _plug wires) reaches what its edge does, so union-find
+    with path compression resolves it to the first node of its chain that
+    is no alias, or to a node of the cycle that the chain ends in, which
+    reaches nothing.  Walks visit no other alias, each chain is followed
+    once, and each root's closure is walked once, for the first state that
+    resolves to it.  No output is an alias: a leaf gives its outputs no
+    epsilon edge, _plug wires only the outputs it consumes, f's forward
+    ones and g's backward ones, and a composite's outputs are the others,
+    so no output of a whole diagram has an epsilon edge."""
     variable = {x: j for j, x in enumerate(outputs, start=1)}
     root = {}  # node -> the node it resolves to
     number, order = {}, []
@@ -420,7 +423,7 @@ def _close(moves, eps, entries, outputs, max_states, offset=0):
         chain = []
         while x not in root:
             chain.append(x)
-            if len(eps[x]) != 1 or moves[x] or x in variable:  # no alias
+            if len(eps[x]) != 1 or moves[x]:  # no alias
                 break
             root[x] = -1  # on the chain: met again, it closes a cycle of aliases
             x = eps[x][0]

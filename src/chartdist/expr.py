@@ -34,7 +34,9 @@ One reader, _shift_reduce, holds the grammar, reads the tokens of one
 pattern and reduces each construct by one of five builders.  parse_expr
 builds Expr nodes with it; _read interns nameless nodes in a table as it
 reduces, so a query reads its texts straight into the nodes that
-expansion uses and builds no Expr.
+expansion uses and builds no Expr.  One printer, _print, holds the
+layout in one walk that reads each node through a view: format_expr
+prints an Expr with it, and _text, the one state namer, a named view.
 """
 
 from __future__ import annotations
@@ -377,55 +379,6 @@ def _nameless(table, e: Expr) -> int:
     return out[0]
 
 
-def _text(v: int, memo: dict, keys: list) -> str:
-    """The canonical text of the named view v of a nameless node in keys,
-    printed as format_expr prints its Expr.  The view of node m at offset
-    o is v = o * len(keys) + m: a mu binds v(o+1), and a bound index i is
-    v(o-i).  memo maps views to their texts and is filled in for every
-    view below v."""
-    s = memo.get(v)
-    if s is not None:
-        return s
-    n = len(keys)
-    stack = [v]
-    while stack:
-        t = stack[-1]
-        o, m = divmod(t, n)
-        base = t - m  # a child at the same offset is base plus its node
-        key = keys[m]
-        kind = key[0]
-        if kind == _PREFIX:
-            body = memo.get(base + key[2])
-            if body is None:
-                stack.append(base + key[2])
-                continue
-            s = f"{key[1]}.({body})" if keys[key[2]][0] == _SUM else f"{key[1]}.{body}"
-        elif kind == _SUM:
-            left, right = memo.get(base + key[1]), memo.get(base + key[2])
-            if left is None or right is None:
-                stack += [base + c for c, s in ((key[2], right), (key[1], left)) if s is None]
-                continue
-            spine = keys[key[1]]  # fenced as format_expr fences an open mu
-            while spine[0] == _PREFIX or spine[0] == _SUM:
-                spine = keys[spine[-1]]
-            if spine[0] == _MU:
-                left = f"({left})"
-            s = f"{left}+({right})" if keys[key[2]][0] == _SUM else f"{left}+{right}"
-        elif kind == _MU:
-            body = memo.get(base + n + key[1])
-            if body is None:
-                stack.append(base + n + key[1])
-                continue
-            s = f"mu v{o + 1}.{body}"
-        elif kind == _ZERO:
-            s = "0"
-        else:
-            s = f"v{key[1] if kind == _FREE else o - key[1]}"
-        memo[t] = s
-        stack.pop()
-    return memo[v]
-
-
 def _open(table, n: int, mu: int) -> int:
     """n, the body of the locally closed mu, with mu in place of the index
     that mu binds, i under i mus of n: the unfolding of mu.  mu is locally
@@ -558,55 +511,89 @@ def expand(e: Expr, max_states: int = MAX_STATES) -> Chart:
 # --- concrete syntax ---------------------------------------------------
 
 
+def _print(root, view, memo: dict) -> str:
+    """The text of node root in the one layout of expression text: a
+    prefix's body and a right summand are parenthesised when they are sums,
+    and a left summand when a mu, whose scope would swallow the '+', ends
+    its rightmost spine.  view(t) is node t's entry (t, kind, label, below):
+    its letter, binder index or leaf text, and its body or pair of summands.
+    memo keeps each node's text, kind and whether a mu ends its spine."""
+    stack = [view(root)]
+    while stack:
+        t, kind, label, below = stack[-1]
+        if kind == _PREFIX or kind == _MU:
+            done = memo.get(below)
+            if done is None:
+                stack.append(view(below))
+                continue
+            t = below  # the body is printed: the loop below prints this node
+        elif kind == _SUM:
+            left, right = memo.get(below[0]), memo.get(below[1])
+            if left is None or right is None:
+                if right is None:
+                    stack.append(view(below[1]))
+                if left is None:
+                    stack.append(view(below[0]))
+                continue
+            text = f"({left[0]})" if left[2] else left[0]
+            text = f"{text}+({right[0]})" if right[1] == _SUM else f"{text}+{right[0]}"
+            memo[t] = done = text, kind, right[2]
+            stack.pop()
+        else:
+            memo[t] = done = label, kind, False
+            stack.pop()
+        while stack and stack[-1][3] is t:  # a prefix or a mu whose body is t, now printed
+            t, kind, label, _ = stack.pop()
+            text, body_kind, is_open = done
+            if kind == _MU:
+                text, is_open = f"mu v{label}.{text}", True
+            else:
+                text = f"{label}.({text})" if body_kind == _SUM else f"{label}.{text}"
+            memo[t] = done = text, kind, is_open
+    return memo[root][0]
+
+
+def _expr_view(t: Expr):
+    """The entry of an Expr node for _print."""
+    cls = type(t)
+    if cls is Prefix:
+        return t, _PREFIX, t.letter, t.body
+    if cls is Sum:
+        return t, _SUM, None, (t.left, t.right)
+    if cls is Mu:
+        return t, _MU, t.binder, t.body
+    return (t, _FREE, f"v{t.index}", None) if cls is Var else (t, _ZERO, "0", None)
+
+
 def format_expr(e: Expr) -> str:
     """Print an expression; parse_expr inverts this exactly."""
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    memo = {}  # node -> its printed form
-    stack = [e]
-    while stack:
-        t = stack[-1]
-        cls = type(t)
-        if cls is Prefix:
-            body = memo.get(t.body)
-            if body is None:
-                stack.append(t.body)
-                continue
-            s = f"{t.letter}.({body})" if type(t.body) is Sum else f"{t.letter}.{body}"
-        elif cls is Sum:
-            left, right = memo.get(t.left), memo.get(t.right)
-            if left is None or right is None:
-                stack += [c for c, s in ((t.right, right), (t.left, left)) if s is None]
-                continue
-            # a mu on the rightmost spine would swallow the '+', so fence it
-            if _open_mu(t.left):
-                left = f"({left})"
-            s = f"{left}+({right})" if type(t.right) is Sum else f"{left}+{right}"
-        elif cls is Mu:
-            body = memo.get(t.body)
-            if body is None:
-                stack.append(t.body)
-                continue
-            s = f"mu v{t.binder}.{body}"
-        elif cls is Var:
-            s = f"v{t.index}"
-        else:
-            s = "0"
-        memo[t] = s
-        stack.pop()
-    return memo[e]
+    return _print(e, _expr_view, {})
 
 
-def _open_mu(e: Expr) -> bool:
-    while True:
-        if isinstance(e, Mu):
-            return True
-        if isinstance(e, Prefix):
-            e = e.body
-        elif isinstance(e, Sum):
-            e = e.right
-        else:
-            return False
+def _text(v: int, memo: dict, keys: list) -> str:
+    """The canonical text of the named view v of a nameless node in keys,
+    printed by _print with memo.  The view of node m at offset o is v =
+    o * len(keys) + m: a mu binds v(o+1), and a bound index i is v(o-i)."""
+    done = memo.get(v)
+    if done is not None:
+        return done[0]
+    n = len(keys)
+
+    def view(t):  # a child at t's offset is t - m plus its node
+        m = t % n
+        key = keys[m]
+        kind = key[0]
+        if kind == _PREFIX:
+            return t, kind, key[1], t - m + key[2]
+        if kind == _SUM:
+            return t, kind, None, (t - m + key[1], t - m + key[2])
+        if kind == _MU:
+            return t, kind, t // n + 1, t - m + n + key[1]
+        label = "0" if kind == _ZERO else f"v{key[1] if kind == _FREE else t // n - key[1]}"
+        return t, kind, label, None
+    return _print(v, view, memo)
 
 
 # a token is the keyword mu where no '.' follows it, a variable or any

@@ -11,7 +11,7 @@ from chartdist import (
     Chart, Prechart, bisimilar, coarsest_partition, disjoint_union, expand, format_chart_text,
     format_expr, parse_chart_text, parse_expr, parse_term, quotient, stratified_level,
 )
-from chartdist.bisim import _refine_pair
+from chartdist.bisim import _refine_pair, witness_pairs
 from chartdist.chart import _read_chart
 from helpers import (
     RefRefinement, brute_bisimilar, brute_level, brute_related_pairs, chain_text, cycle_text,
@@ -39,6 +39,18 @@ def test_witness_is_a_bisimulation():
         found += 1
         assert (c1.start, c2.start) in witness
         assert is_bisimulation(c1, c2, witness)
+
+
+def test_witness_pairs_names_each_state_once():
+    """On a 100-cycle with no output against itself every state has 100
+    partners, and each state is still named once."""
+    c = parse_chart_text(cycle_text(100, outs_at=()))
+    joint, refinement = _refine_pair(c, c)
+    left, right = range(joint.split), range(joint.split, len(joint.succ))
+    named = []
+    pairs = witness_pairs(refinement, left, right, lambda i: named.append(i) or i)
+    assert len(named) == len(left) + len(right) == 200
+    assert pairs == {(x, y) for x in left for y in right}
 
 
 def test_separating_level_matches_oracle():

@@ -252,6 +252,19 @@ def test_close_resolves_cycles_of_aliases():
         assert close_both(t) == [answer, answer], format_term(t)
 
 
+def test_no_output_of_a_whole_diagram_has_an_epsilon_edge():
+    """_close's alias test leaves outputs out: _plug wires only the outputs
+    it consumes, so no output of a whole diagram has an epsilon edge."""
+    rng = random.Random(19)
+    terms = corpus_diagrams() + [t for _, lhs, rhs in axiom_catalog() for t in (lhs, rhs)]
+    for _ in range(300):
+        t = rand_forward(rng, rng.randint(0, 3), rng.randint(0, 3), 3)
+        terms += [t, transpose(t)]
+    for t in terms:
+        _, (_, eps, _, outputs) = _read_open(format_term(t))
+        assert all(eps[x] == () for x in outputs), format_term(t)
+
+
 class CountingList(list):
     """A list that counts its subscripts, so that a test can count the
     nodes a walk over it visits."""

@@ -16,3 +16,11 @@ def test_tool_runs_one_round(script):
     done = subprocess.run([sys.executable, str(ROOT / "tools" / script), "--runs", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_fuzzer_runs():
+    """Two seconds of the command-line fuzzer meet no uncaught exception and
+    no exit code outside 0-5."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "fuzz_cli.py"), "--seconds", "2"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

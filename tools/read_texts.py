@@ -1,7 +1,8 @@
 """Time of the one-pass readers, of the expression reader against the
 route through a tree, of the epsilon closure of the diagrams they read,
-and of reading, printing, comparing, hashing, printing as repr and
-pickling certificates, in one process.
+of reading, printing, comparing, hashing, printing as repr and
+pickling certificates, and of printing expressions and naming their
+states, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
@@ -35,6 +36,14 @@ text, ``hash``, ``repr`` and a pickle round trip.  Last, ``repr`` and
 than CPython turns into text by default; an operation that raises
 ``ValueError`` prints that it does, in place of its time.
 
+Between the certificate texts and the chain certificate, expression
+printing, best time over the rounds: ``expr.format_expr`` of the chain
+``a.`` x2000 ``0``, of the nest of 2,000 distinct binders ``mu v1.mu
+v2. ... mu v2000.a.(v1+v2000+0)``, and of the shared DAG of 18 levels
+``X = a.X + mu vk.b.X`` from ``X = 0`` (3.9 M characters), then the
+names of every state of ``workloads.nested(10)`` against ``mu
+v1.a.b.v1``, each round naming the states of a fresh ``expr._joint``.
+
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
 """
@@ -53,6 +62,8 @@ from fractions import Fraction
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CHUNK = 25
 CHAIN = 2000
+DEPTH = 2000  # of the chain and the nest that format_expr prints
+DAG_LEVELS = 18
 
 
 def workload_texts(seed):
@@ -157,7 +168,36 @@ def main(argv=None):
             print(f"{name:<25}{total[route] * 1e3:7.2f} ms")
         for _, route in others:
             print(f"ratio {total[reader] / total[route]:.3f}")
+    print_times(expr, args.runs)
     return chain_times(derive, diagram, args.runs)
+
+
+def print_times(expr, runs):
+    """Print the best time of format_expr on a chain, a nest and a shared
+    DAG, and of naming every state of a family C joint."""
+    import workloads
+    chain = expr.parse_expr("a." * DEPTH + "0")
+    nest = expr.parse_expr("".join(f"mu v{i}." for i in range(1, DEPTH + 1))
+                           + f"a.(v1+v{DEPTH}+0)")
+    dag = expr.ZERO
+    for k in range(1, DAG_LEVELS + 1):
+        dag = expr.Sum(expr.Prefix("a", dag), expr.Mu(k, expr.Prefix("b", dag)))
+    texts = (workloads.format_expr(workloads.nested(10)), "mu v1.a.b.v1")
+    joints = []
+    for _ in range(runs):  # the names are memoised in the joint, so each round has its own
+        table = expr._Table()
+        joints.append(expr._joint(table, [expr._read(t, table) for t in texts]))
+    joints = iter(joints)
+
+    def name_all():
+        joint = next(joints)
+        return [joint.name(i) for i in range(len(joint.succ))]
+
+    print(f"expression printing, best of {runs} rounds")
+    best_times(((f"format_expr, chain {DEPTH}", lambda: expr.format_expr(chain)),
+                (f"format_expr, nest {DEPTH}", lambda: expr.format_expr(nest)),
+                (f"format_expr, DAG {DAG_LEVELS}", lambda: expr.format_expr(dag)),
+                ("names, nested(10)", name_all)), runs)
 
 
 def chain_times(derive, diagram, runs):
@@ -172,11 +212,18 @@ def chain_times(derive, diagram, runs):
         return 1
     bound = derive.CWeaken(Fraction(1, 2 ** 15000), derive.CTop())
     print(f"chain certificate n={CHAIN}, then the bound 1/2^15000, best of {runs} rounds")
-    for name, op in (("==", lambda: cert == other), ("hash", lambda: hash(cert)),
-                     ("repr", lambda: repr(cert)),
-                     ("pickle round trip", lambda: pickle.loads(pickle.dumps(cert))),
-                     ("repr, bound 1/2^15000", lambda: repr(bound)),
-                     ("str, bound 1/2^15000", lambda: str(bound))):
+    best_times((("==", lambda: cert == other), ("hash", lambda: hash(cert)),
+                ("repr", lambda: repr(cert)),
+                ("pickle round trip", lambda: pickle.loads(pickle.dumps(cert))),
+                ("repr, bound 1/2^15000", lambda: repr(bound)),
+                ("str, bound 1/2^15000", lambda: str(bound))), runs)
+    return 0
+
+
+def best_times(ops, runs):
+    """Print the best time over runs rounds of each (name, op) of ops; an
+    op that raises ValueError prints that it does."""
+    for name, op in ops:
         best = float("inf")
         try:
             for _ in range(runs):
@@ -187,7 +234,6 @@ def chain_times(derive, diagram, runs):
             print(f"{name:<25}raises ValueError")
             continue
         print(f"{name:<25}{best * 1e3:7.2f} ms")
-    return 0
 
 
 if __name__ == "__main__":
