@@ -101,12 +101,30 @@ def _ratio(x) -> str:
 _set = object.__setattr__
 
 
-class _Record:
+class _Frozen:
+    """Base of the immutable values: assigning or deleting a field
+    raises AttributeError, so a constructor sets the fields with _set,
+    and a value is its own copy, shallow or deep."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class _Record(_Frozen):
     """Base of the immutable records: ==, hash and repr over the fields
     that the class lists in __slots__, as a frozen dataclass has them.
-    Assigning or deleting a field raises AttributeError; __init__ sets
-    the fields with _set.  A record is its own copy, shallow or deep;
-    it pickles as its class called on its fields."""
+    A record pickles as its class called on its fields."""
 
     __slots__ = ()
 
@@ -125,20 +143,8 @@ class _Record:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
         return f"{type(self).__qualname__}({fields})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return type(self), self._values()
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 class Prechart(_Record):

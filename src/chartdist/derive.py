@@ -485,9 +485,9 @@ class _Synthesizer:
         return 0 if level == math.inf else 1 if level >= p - 1 else 2
 
     def move_pairs(self, x, y, p):
-        """Each move of x with a cheapest move of y and each move of y
-        with a cheapest move of x, in move order; a pair of level >= p
-        always has one of rank at most 1."""
+        """Each move of x with the first cheapest move of y and each move
+        of y with the first cheapest move of x, in move order; a pair of
+        level >= p always has one of rank at most 1."""
         def key(m):  # actions by letter and target name, then outputs
             return (0, m[1], self.joint.name(m[2])) if m[0] == "act" else (1, m[1])
 
@@ -495,9 +495,9 @@ class _Synthesizer:
         by = sorted(_moves(self.joint, y), key=key)
         chosen = {}
         for m1 in bx:
-            chosen[(m1, min(by, key=lambda m: (self.rank(m1, m, p), key(m))))] = None
+            chosen[(m1, min(by, key=lambda m: self.rank(m1, m, p)))] = None
         for m2 in by:
-            chosen[(min(bx, key=lambda m: (self.rank(m, m2, p), key(m))), m2)] = None
+            chosen[(min(bx, key=lambda m: self.rank(m, m2, p)), m2)] = None
         assert all(self.rank(m1, m2, p) <= 1 for m1, m2 in chosen)
         return sorted(chosen, key=lambda c: (key(c[0]), key(c[1])))
 

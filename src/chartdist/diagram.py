@@ -23,9 +23,9 @@ morphism between paired interfaces; it is the reference semantics,
 behind ``diagram_distance`` and ``semantic_equal``, which no command
 runs, and the only way into regbeh, which it imports when it is called.
 Reading, parsing, typing, printing, comparing, hashing and both
-semantics keep their own stack, never recursing.  A term is its own
-copy, and a composite term pickles as its text, which parse_term reads
-back.
+semantics keep their own stack, never recursing.  A term, leaf or
+composite, is its text: it compares, hashes, prints and pickles through
+format_term, which parse_term reads back, and it is its own copy.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import re
 from functools import partial, reduce
 
 from .chart import (
-    _LETTER_SET, MAX_STATES, ExpansionBudgetError, Prechart, _Joint, _Record, _set, _valid_letter,
+    _LETTER_SET, MAX_STATES, ExpansionBudgetError, Prechart, _Frozen, _Joint, _Record, _set,
+    _valid_letter,
 )
 
 __all__ = [
@@ -76,70 +77,10 @@ def _check_word(w, what):
         raise ValueError(f"{what} must be a string over '>' and '<', got {w!r}")
 
 
-class Term:
-    """Base class for diagram terms."""
-
-    __slots__ = ()
-
-    def __str__(self):
-        return format_term(self)
-
-
-class Copy(_Record, Term):
-    __slots__ = ()
-
-
-class Del(_Record, Term):
-    __slots__ = ()
-
-
-class Merge(_Record, Term):
-    __slots__ = ()
-
-
-class Gen(_Record, Term):
-    __slots__ = ()
-
-
-class Cap(_Record, Term):
-    __slots__ = ()
-
-
-class Cup(_Record, Term):
-    __slots__ = ()
-
-
-class Act(_Record, Term):
-    __slots__ = ("letter",)
-
-    def __init__(self, letter: str):
-        _set(self, "letter", letter)
-        if not _valid_letter(letter):
-            raise ValueError(f"invalid action letter {letter!r}")
-
-
-class Id(_Record, Term):
-    __slots__ = ("word",)
-
-    def __init__(self, word: str):
-        _set(self, "word", word)
-        _check_word(word, "identity wire word")
-
-
-class Sym(_Record, Term):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: str, right: str):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _check_word(left, "swap wire word")
-        _check_word(right, "swap wire word")
-
-
-class _Node(Term):
-    """A composite term: equal to another exactly when they print alike,
-    as format_term walks it by an explicit stack and round-trips, and
-    pickled as its text."""
+class Term(_Frozen):
+    """Base class for diagram terms.  A term is its text: it compares,
+    hashes, prints and pickles through format_term, which walks it by an
+    explicit stack and round-trips with parse_term."""
 
     __slots__ = ()
 
@@ -149,6 +90,9 @@ class _Node(Term):
     def __hash__(self):
         return hash(format_term(self))
 
+    def __str__(self):
+        return format_term(self)
+
     def __repr__(self):
         return f"parse_term({format_term(self)!r})"
 
@@ -156,7 +100,58 @@ class _Node(Term):
         return parse_term, (format_term(self),)
 
 
-class Seq(_Node, _Record):
+class Copy(Term):
+    __slots__ = ()
+
+
+class Del(Term):
+    __slots__ = ()
+
+
+class Merge(Term):
+    __slots__ = ()
+
+
+class Gen(Term):
+    __slots__ = ()
+
+
+class Cap(Term):
+    __slots__ = ()
+
+
+class Cup(Term):
+    __slots__ = ()
+
+
+class Act(Term):
+    __slots__ = ("letter",)
+
+    def __init__(self, letter: str):
+        _set(self, "letter", letter)
+        if not _valid_letter(letter):
+            raise ValueError(f"invalid action letter {letter!r}")
+
+
+class Id(Term):
+    __slots__ = ("word",)
+
+    def __init__(self, word: str):
+        _set(self, "word", word)
+        _check_word(word, "identity wire word")
+
+
+class Sym(Term):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: str, right: str):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _check_word(left, "swap wire word")
+        _check_word(right, "swap wire word")
+
+
+class Seq(Term):
     __slots__ = ("first", "second")
 
     def __init__(self, first: Term, second: Term):
@@ -164,7 +159,7 @@ class Seq(_Node, _Record):
         _set(self, "second", second)
 
 
-class Tensor(_Node, _Record):
+class Tensor(Term):
     __slots__ = ("left", "right")
 
     def __init__(self, left: Term, right: Term):
@@ -756,8 +751,6 @@ def term_to_dot(t) -> str:
 
 def _tensor_fold(factors):
     parts = [f for f in factors if not (isinstance(f, Id) and f.word == "")]
-    if not parts:
-        return Id("")
     t = parts[0]
     for f in parts[1:]:
         t = Tensor(t, f)
@@ -935,45 +928,32 @@ def from_expression(e, n=None) -> Term:
 # --- equational theory -----------------------------------------------------
 
 
+# the laws as the axioms command prints them: a name and the texts of
+# its two sides
+_AXIOMS = (
+    ("snake-right", "cup * id(>) ; id(>) * cap", "id(>)"),
+    ("snake-left", "id(<) * cup ; cap * id(<)", "id(<)"),
+    ("copy-assoc", "copy ; copy * id(>)", "copy ; id(>) * copy"),
+    ("copy-unit", "copy ; del * id(>)", "id(>)"),
+    ("copy-comm", "copy ; sym(>,>)", "copy"),
+    ("merge-assoc", "merge * id(>) ; merge", "id(>) * merge ; merge"),
+    ("merge-unit", "gen * id(>) ; merge", "id(>)"),
+    ("merge-comm", "sym(>,>) ; merge", "merge"),
+    ("bimonoid", "merge ; copy", "copy * copy ; id(>) * sym(>,>) * id(>) ; merge * merge"),
+    ("merge-del", "merge ; del", "del * del"),
+    ("gen-copy", "gen ; copy", "gen * gen"),
+    ("idempotence", "copy ; merge", "id(>)"),
+    ("feedback-unit",
+     "id(>) * cup ; (merge ; copy) * id(<) ; id(>) * sym(>,<) ; id(>) * cap", "id(>)"),
+    ("act-merge", "merge ; act(a)", "act(a) * act(a) ; merge"),
+)
+
+
 def axiom_catalog():
     """Named pairs of diagrams that must be semantically equal."""
-    a = "a"
-    wire = Id(">")
-    axioms = [
-        ("snake-right", Seq(Tensor(Cup(), wire), Tensor(wire, Cap())), wire),
-        ("snake-left", Seq(Tensor(Id("<"), Cup()), Tensor(Cap(), Id("<"))),
-         Id("<")),
-        ("copy-assoc",
-         Seq(Copy(), Tensor(Copy(), wire)),
-         Seq(Copy(), Tensor(wire, Copy()))),
-        ("copy-unit", Seq(Copy(), Tensor(Del(), wire)), wire),
-        ("copy-comm", Seq(Copy(), Sym(">", ">")), Copy()),
-        ("merge-assoc",
-         Seq(Tensor(Merge(), wire), Merge()),
-         Seq(Tensor(wire, Merge()), Merge())),
-        ("merge-unit", Seq(Tensor(Gen(), wire), Merge()), wire),
-        ("merge-comm", Seq(Sym(">", ">"), Merge()), Merge()),
-        ("bimonoid",
-         Seq(Merge(), Copy()),
-         _seq_fold([
-             Tensor(Copy(), Copy()),
-             _tensor_fold([wire, Sym(">", ">"), wire]),
-             Tensor(Merge(), Merge()),
-         ])),
-        ("merge-del", Seq(Merge(), Del()), Tensor(Del(), Del())),
-        ("gen-copy", Seq(Gen(), Copy()), Tensor(Gen(), Gen())),
-        ("idempotence", Seq(Copy(), Merge()), wire),
-        ("feedback-unit", loop1(Seq(Merge(), Copy())), wire),
-        ("act-merge",
-         Seq(Merge(), Act(a)),
-         Seq(Tensor(Act(a), Act(a)), Merge())),
-    ]
-    return axioms
+    return [(name, parse_term(lhs), parse_term(rhs)) for name, lhs, rhs in _AXIOMS]
 
 
 def c1_copy_pair():
     """A non-law: actions do not commute with copying."""
-    a = "a"
-    return (Seq(Act(a), Copy()),
-            Seq(Copy(), Tensor(Act(a), Act(a))))
-
+    return parse_term("act(a) ; copy"), parse_term("copy ; act(a) * act(a)")

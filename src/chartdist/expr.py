@@ -15,9 +15,9 @@ the given fields, found in a weak intern table, so two expressions are
 structurally equal exactly when they are the same object, and equality
 and hashing are by identity.  Each node computes its free variables
 once, when it is built.  Every traversal keeps its own stack, so no
-recursion depth grows with the size of an expression.  A node pickles,
-and copies, as its text, which parse_expr reads back to the same live
-node.
+recursion depth grows with the size of an expression.  A node is its
+own copy, shallow or deep, and pickles as its text, which parse_expr
+reads back to the same live node.
 
 Expansion runs on nameless nodes (de Bruijn, Indag. Math. 1972; the
 locally nameless form of Charguéraud, JAR 2012) interned in a table that
@@ -46,8 +46,8 @@ from collections import deque
 from weakref import ref
 
 from .chart import (
-    _LETTER_SET, MAX_STATES, Chart, ExpansionBudgetError, _Joint, _set, _valid_letter,
-    _var_index,
+    _LETTER_SET, MAX_STATES, Chart, ExpansionBudgetError, _Frozen, _Joint, _set,
+    _valid_letter, _var_index,
 )
 
 __all__ = [
@@ -89,20 +89,15 @@ def _intern(key, node, free, binds):
     return node
 
 
-class Expr:
+class Expr(_Frozen):
     """Base class of the five node classes.
 
-    Nodes are immutable and interned.  ``free_vars`` is the frozenset of
-    free variable indices; ``_binds`` says whether the node holds a mu.
+    Nodes are immutable and interned, and each is its own copy.
+    ``free_vars`` is the frozenset of free variable indices; ``_binds``
+    says whether the node holds a mu.
     """
 
     __slots__ = ("free_vars", "_binds", "__weakref__")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return parse_expr, (format_expr(self),)

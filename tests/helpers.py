@@ -1306,7 +1306,8 @@ def ref_parse(text):
 
 def ref_expand(text, max_states=10000):
     """Chart of the reachable derivatives of expression text, states named
-    by canonical text: parse, alpha_normal, format_expr and expand."""
+    by canonical text: ref_parse, ref_alpha_normal, ref_format and
+    ref_step."""
     start = ref_alpha_normal(ref_parse(text))
     start_key = ref_format(start)
     states = {start_key: start}

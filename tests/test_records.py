@@ -1,31 +1,36 @@
-"""The immutable records of the package: Prechart, Chart, the diagram
-leaves, Seq, Tensor, OpenChart, KleeneResult, the certificate
-nodes and the regbeh morphisms.
+"""The immutable values of the package: Prechart, Chart, the diagram
+terms, OpenChart, KleeneResult, the certificate nodes, the regbeh
+morphisms and the expressions.
 
 Their repr, ==, hash, immutability and validation errors are public.
 The expected values below are those the records had as dataclasses,
-written out, but for the certificate nodes, Seq and Tensor, whose repr
-is their text read back: parse_cert('...') and parse_term('...')."""
+written out, but for the certificate nodes and the diagram terms, leaf
+or composite, whose repr is their text read back: parse_cert('...') and
+parse_term('...').  A diagram term hashes as its text, and every value
+but a KleeneResult is its own copy; an expression copies with no
+parse."""
 
 import copy
 import pickle
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
+from chartdist import expr
 from chartdist.chart import Chart, Prechart
 from chartdist.derive import (
     CBisim, CCoupling, CDecomp, CTop, CWeaken, format_cert, parse_cert, synthesize,
 )
 from chartdist.diagram import (
-    Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor,
-    open_chart, parse_term, typecheck,
+    Act, Cap, Copy, Cup, Del, Gen, Id, Merge, OpenChart, Seq, Sym, Tensor, axiom_catalog,
+    format_term, open_chart, parse_term, typecheck,
 )
-from chartdist.expr import ZERO, Var, parse_expr
+from chartdist.expr import ZERO, Mu, Prefix, Sum, Var, parse_expr
 from chartdist.metric import KleeneResult, kleene_solve
 from chartdist.regbeh import IntMorphism, RbMorphism, RbTypeError, int_id, rb_id, rb_sym
-from helpers import cert_dataclass, corpus_rows
+from helpers import cert_dataclass, corpus_diagrams, corpus_rows, rand_forward
 
 P = Prechart(frozenset({0, 1}), frozenset({(0, "a", 1)}), frozenset({(1, 1)}))
 P_TEXT = ("Prechart(states=frozenset({0, 1}), trans=frozenset({(0, 'a', 1)}), "
@@ -48,10 +53,10 @@ def records():
          other, P_TEXT, "states"),
         (Chart(P, 0), Chart(prechart=P, start=0), Chart(P, 1),
          f"Chart(prechart={P_TEXT}, start=0)", "start"),
-        (Act("a"), Act(letter="a"), Act("b"), "Act(letter='a')", "letter"),
-        (Id("><"), Id(word="><"), Id(">"), "Id(word='><')", "word"),
+        (Act("a"), Act(letter="a"), Act("b"), "parse_term('act(a)')", "letter"),
+        (Id("><"), Id(word="><"), Id(">"), "parse_term('id(><)')", "word"),
         (Sym(">", "<"), Sym(left=">", right="<"), Sym("<", ">"),
-         "Sym(left='>', right='<')", "left"),
+         "parse_term('sym(>,<)')", "left"),
         (Seq(Act("a"), Del()), parse_term("act(a) ; del"), Seq(Act("b"), Del()),
          "parse_term('act(a) ; del')", "first"),
         (Tensor(Id(">"), Copy()), parse_term("id(>) * copy"), Tensor(Copy(), Id(">")),
@@ -81,7 +86,8 @@ def records():
          IntMorphism((1, 1), (1, 1), rb_id(2)),
          "IntMorphism(dom_pair=(1, 1), cod_pair=(1, 1), payload=RbMorphism(dom=2, cod=2, "
          "rows=(parse_expr('v2'), parse_expr('v1'))))", "payload"),
-    ] + [(cls(), cls(), Del() if cls is Copy else Copy(), f"{cls.__name__}()", "x")
+    ] + [(cls(), cls(), Del() if cls is Copy else Copy(),
+          f"parse_term('{cls.__name__.lower()}')", "x")
          for cls in (Copy, Del, Merge, Gen, Cap, Cup)]
 
 
@@ -103,13 +109,13 @@ def test_record_repr_eq_hash_and_immutability(record, equal, unequal, text, fiel
 
 
 def test_record_hashes_are_the_hash_of_their_fields():
-    """The fields' tuple for the records, the printed term for Seq and
-    Tensor."""
+    """The fields' tuple for the records, the printed term for every
+    diagram term, leaf or composite."""
     assert hash(P) == hash((P.states, P.trans, P.outs))
     assert hash(Chart(P, 0)) == hash((P, 0))
-    assert hash(Act("a")) == hash(("a",))
-    assert hash(Sym(">", "<")) == hash((">", "<"))
-    assert hash(Copy()) == hash(Del()) == hash(Cup()) == hash(())
+    assert hash(Act("a")) == hash("act(a)")
+    assert hash(Sym(">", "<")) == hash("sym(>,<)")
+    assert (hash(Copy()), hash(Del()), hash(Cup())) == (hash("copy"), hash("del"), hash("cup"))
     assert Copy() != Del() and Cap() != Cup() and Id(">") != Sym(">", "")
     assert hash(Seq(Act("a"), Del())) == hash("act(a) ; del")
     assert Seq(Act("a"), Del()) != Tensor(Act("a"), Del())
@@ -272,3 +278,61 @@ def test_certificate_node_with_unhashable_fields_is_refused():
         CCoupling(HALF, [(("out", 1), ("out", 1), None)])
     with pytest.raises(TypeError, match="unhashable type: 'list'"):
         CWeaken(HALF, [CTop()])
+
+
+def _subterms(t):
+    """t and each of its subterms, once per node, by an explicit stack."""
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        yield node
+        if type(node) is Seq:
+            todo += (node.second, node.first)
+        elif type(node) is Tensor:
+            todo += (node.right, node.left)
+
+
+def test_every_term_is_its_text():
+    """Every diagram term, leaf or composite, prints, hashes and pickles
+    as its text: repr is parse_term of format_term's text and evaluates
+    back to an equal term, hash is the text's, and a pickle round trip
+    gives an equal term.  Checked on each node of the corpus diagrams, of
+    both sides of each catalogue law and of 300 random forward terms."""
+    rng = random.Random(37)
+    terms = corpus_diagrams() + [t for _, lhs, rhs in axiom_catalog() for t in (lhs, rhs)]
+    terms += [rand_forward(rng, rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 4))
+              for _ in range(300)]
+    kinds = set()
+    for term in terms:
+        for t in _subterms(term):
+            kinds.add(type(t))
+            text = format_term(t)
+            assert repr(t) == f"parse_term({text!r})" and str(t) == text
+            assert eval(repr(t)) == t and hash(t) == hash(text)
+            back = pickle.loads(pickle.dumps(t))
+            assert type(back) is type(t) and back == t and format_term(back) == text
+    assert kinds == {Copy, Del, Merge, Gen, Cap, Cup, Act, Id, Sym, Seq, Tensor}
+
+
+def _dag(levels):
+    """The shared DAG X = a.X + mu vk.b.X of the given number of levels,
+    from X = 0: two nodes more per level, and a text that doubles."""
+    dag = ZERO
+    for k in range(1, levels + 1):
+        dag = Sum(Prefix("a", dag), Mu(k, Prefix("b", dag)))
+    return dag
+
+
+def test_expressions_copy_as_themselves_with_no_parse(monkeypatch):
+    """An expression is its own copy, shallow or deep, alone or inside a
+    container, and copying reads no text: parse_expr is never called,
+    not even for the 18-level DAG, whose text runs to millions of
+    characters."""
+    nodes = [ZERO, Var(1), parse_expr("a.v1 + mu v2.b.(v2 + c.0)"), _dag(18)]
+    calls = []
+    parse = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr", lambda *args: calls.append(args) or parse(*args))
+    for e in nodes:
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert copy.deepcopy([e, (e,)])[1][0] is e
+    assert calls == []

@@ -1,8 +1,8 @@
 """Time of the one-pass readers, of the expression reader against the
 route through a tree, of the epsilon closure of the diagrams they read,
 of reading, printing, comparing, hashing, printing as repr and
-pickling certificates, and of printing expressions and naming their
-states, in one process.
+pickling certificates, of printing and copying expressions and of
+naming their states, in one process.
 
     python3 tools/read_texts.py [--seed N] [--runs N]   (defaults: seed 1, 60 rounds)
 
@@ -40,9 +40,10 @@ Between the certificate texts and the chain certificate, expression
 printing, best time over the rounds: ``expr.format_expr`` of the chain
 ``a.`` x2000 ``0``, of the nest of 2,000 distinct binders ``mu v1.mu
 v2. ... mu v2000.a.(v1+v2000+0)``, and of the shared DAG of 18 levels
-``X = a.X + mu vk.b.X`` from ``X = 0`` (3.9 M characters), then the
-names of every state of ``workloads.nested(10)`` against ``mu
-v1.a.b.v1``, each round naming the states of a fresh ``expr._joint``.
+``X = a.X + mu vk.b.X`` from ``X = 0`` (3.9 M characters), then
+``copy.deepcopy`` of that DAG, then the names of every state of
+``workloads.nested(10)`` against ``mu v1.a.b.v1``, each round naming
+the states of a fresh ``expr._joint``.
 
 The program is imported from the ``src/`` beside this script; no bytecode
 is written, so the script leaves no file behind.
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import os
 import pickle
@@ -174,7 +176,8 @@ def main(argv=None):
 
 def print_times(expr, runs):
     """Print the best time of format_expr on a chain, a nest and a shared
-    DAG, and of naming every state of a family C joint."""
+    DAG, of a deep copy of the DAG, and of naming every state of a family
+    C joint."""
     import workloads
     chain = expr.parse_expr("a." * DEPTH + "0")
     nest = expr.parse_expr("".join(f"mu v{i}." for i in range(1, DEPTH + 1))
@@ -193,10 +196,11 @@ def print_times(expr, runs):
         joint = next(joints)
         return [joint.name(i) for i in range(len(joint.succ))]
 
-    print(f"expression printing, best of {runs} rounds")
+    print(f"expression printing and copying, best of {runs} rounds")
     best_times(((f"format_expr, chain {DEPTH}", lambda: expr.format_expr(chain)),
                 (f"format_expr, nest {DEPTH}", lambda: expr.format_expr(nest)),
                 (f"format_expr, DAG {DAG_LEVELS}", lambda: expr.format_expr(dag)),
+                (f"deepcopy, DAG {DAG_LEVELS}", lambda: copy.deepcopy(dag)),
                 ("names, nested(10)", name_all)), runs)
 
 
